@@ -25,7 +25,7 @@ from repro.sim.packet import Packet
 from .config import BfcConfig
 from .pause import PauseThresholds, ResumeList
 from .queues import PhysicalQueuePool
-from .scheduler import HIGH_PRIORITY_QUEUE, OVERFLOW_QUEUE, BfcScheduler
+from .scheduler import OVERFLOW_QUEUE, BfcScheduler
 from .telemetry import ACTIVE_COUNT_KEY, QueueTelemetry
 from .vfid import FlowEntry, packet_vfid
 
@@ -58,21 +58,18 @@ class BfcEgressDiscipline:
         self.agent = agent
         self.config: BfcConfig = agent.config
         self.egress_index = egress_index
-        self.scheduler = BfcScheduler(self.config)
+        self.scheduler = BfcScheduler(self.config, agent.codec)
         self.pool = PhysicalQueuePool(self.config, rng=rng)
         self.thresholds = PauseThresholds(self.config, link_rate_bps, link_delay_ns)
         self.resume_lists: Dict[int, ResumeList] = {}
-        self.downstream_filter: Optional[bytes] = None
-        # Memoized per-VFID eligibility against the *current* downstream
-        # filter: the filter changes once per Bloom interval while
-        # eligibility is checked per dequeue and per active-queue count, and
-        # membership is a pure function of (filter, vfid).
-        self._eligible_memo: Dict[int, bool] = {}
+        #: Flows on the resume lists; the agent's tick skips a discipline at 0.
+        self.pending_resumes = 0
         self.stats = BfcEgressStats()
         # Hot-path aliases (stable for the lifetime of the discipline).
         self._flow_table = agent.flow_table
-        self._codec = agent.codec
         self._num_vfids = self.config.num_vfids
+        self._use_high_priority = self.config.use_high_priority_queue
+        self._threshold_by_count = self.thresholds.by_count
         self._sim = agent.sim
         # BFC-Est: a stale/sampled occupancy view feeding the pause rule.
         # Only allocated when the estimator knobs are set, so ideal BFC's
@@ -90,134 +87,113 @@ class BfcEgressDiscipline:
     # ------------------------------------------------------------------ enqueue --
 
     def enqueue(self, packet: Packet, ingress: int) -> bool:
-        vfid = packet_vfid(packet, self._num_vfids)
-        entry = self._flow_table.lookup_or_insert(
-            vfid, ingress, self.egress_index, key=packet.key
-        )
-        self.stats.enqueued_packets += 1
+        space = self._num_vfids
+        vfid = packet.vfid if packet.vfid_space == space else packet_vfid(packet, space)
+        entry = self._flow_table.lookup_or_insert(vfid, ingress, self.egress_index, packet.key)
+        stats = self.stats
+        stats.enqueued_packets += 1
+        scheduler = self.scheduler
         if entry is None:
             # Neither the hash-table bucket nor the overflow cache had room:
-            # divert to the per-egress overflow queue (§3.8).
-            self.scheduler.push_overflow(packet)
-            self.stats.overflow_packets += 1
+            # divert to the per-egress overflow queue (§3.8).  Such a packet
+            # carries no entry handle.
+            scheduler.push_queue(OVERFLOW_QUEUE, packet)
+            stats.overflow_packets += 1
             return True
+        # The handle dequeue() finds the flow's state by; valid only while
+        # the packet sits in this port's queues.
+        packet.entry = entry
         entry.packets += 1
         entry.bytes += packet.size
-        if self._should_use_high_priority(packet, entry):
-            self.scheduler.push_high_priority(packet)
-            self.stats.high_priority_packets += 1
-            return True
-        if entry.queue is None:
-            entry.queue = self.pool.assign(vfid)
-        queue = entry.queue
-        self.scheduler.push_queue(queue, packet)
-        queue_bytes = self.scheduler.queue_bytes(queue)
-        if queue_bytes > self.stats.max_queue_bytes:
-            self.stats.max_queue_bytes = queue_bytes
-        occupied = self.pool.occupied_queues()
-        if occupied > self.stats.max_occupied_queues:
-            self.stats.max_occupied_queues = occupied
-        if self._telemetry is not None:
-            now = self._sim.now
-            self._telemetry.record(queue, now, queue_bytes)
-            self._telemetry.record(ACTIVE_COUNT_KEY, now, self._raw_active_count())
-        self._check_pause(entry, queue_bytes)
-        return True
-
-    def _should_use_high_priority(self, packet: Packet, entry: FlowEntry) -> bool:
-        """§3.7: first (marked) packet of a flow, nothing else queued, not paused."""
-        if not self.config.use_high_priority_queue:
-            return False
-        return (
+        if (
             packet.first_of_flow
             and entry.packets == 1
             and not entry.paused_upstream
-        )
-
-    def _check_pause(self, entry: FlowEntry, queue_bytes: float) -> None:
-        """Pause the arriving packet's flow if its queue exceeds the threshold."""
-        if entry.paused_upstream:
-            return
+            and self._use_high_priority
+        ):
+            # §3.7: first (marked) packet of a flow, nothing else queued, not paused.
+            scheduler.push_high_priority(packet)
+            stats.high_priority_packets += 1
+            return True
+        queue = entry.queue
+        if queue is None:
+            queue = entry.queue = self.pool.assign(vfid)
+            occupied = self.pool.occupied_queues()  # only grows in assign()
+            if occupied > stats.max_occupied_queues:
+                stats.max_occupied_queues = occupied
+        queue_bytes = scheduler.push_queue(queue, packet)
+        if queue_bytes > stats.max_queue_bytes:
+            stats.max_queue_bytes = queue_bytes
         telemetry = self._telemetry
+        if telemetry is not None:
+            now = self._sim.now
+            telemetry.record(queue, now, queue_bytes)
+            telemetry.record(ACTIVE_COUNT_KEY, now, scheduler.eligible_count)
+        if entry.paused_upstream:
+            return True
+        # §3.4: pause the arriving flow if its queue exceeds Th(Nactive).
         if telemetry is None:
-            active = self.active_queue_count()
+            threshold = self._threshold_by_count[scheduler.eligible_count]
         else:
             # BFC-Est: the decision sees occupancy as the (stale, sampled)
             # telemetry channel reports it, not as it is right now.
-            now = self._sim.now
-            queue_bytes = telemetry.read(entry.queue, now)
-            raw = telemetry.read(ACTIVE_COUNT_KEY, now)
-            active = raw if raw > 1 else 1
-        threshold = self.thresholds.threshold_bytes(active)
+            queue_bytes = telemetry.read(queue, now)
+            threshold = self._threshold_by_count[telemetry.read(ACTIVE_COUNT_KEY, now)]
         if queue_bytes > threshold:
-            if self.agent.pause_flow(entry.vfid, entry.ingress):
-                self.stats.pauses_sent += 1
+            if self.agent.pause_flow(vfid, ingress):
+                stats.pauses_sent += 1
             entry.paused_upstream = True
             # A pause supersedes any pending resume for the same flow.
-            if entry.queue is not None:
-                self._resume_list(entry.queue).discard(entry.vfid, entry.ingress)
+            if self._resume_list(queue).discard(vfid, ingress):
+                self.pending_resumes -= 1
+        return True
 
     # ------------------------------------------------------------------ dequeue --
 
     def dequeue(self) -> Optional[Packet]:
-        # With no downstream pause filter installed every queue is eligible;
-        # passing None lets the DRR skip the per-queue callback entirely.
-        eligible = self._queue_eligible if self.downstream_filter is not None else None
-        result = self.scheduler.pop(eligible)
+        scheduler = self.scheduler
+        result = scheduler.pop()
         if result is None:
             return None
         packet, source_queue = result
         self.stats.dequeued_packets += 1
-        if self._telemetry is not None:
+        telemetry = self._telemetry
+        if telemetry is not None:
             # Record before the resume check reads: a sample taken exactly at
             # this instant reflects the state after this departure.
             now = self._sim.now
             if source_queue >= 0:
-                self._telemetry.record(
-                    source_queue, now, self.scheduler.queue_bytes(source_queue)
-                )
-            self._telemetry.record(ACTIVE_COUNT_KEY, now, self._raw_active_count())
-        self._handle_departure(packet, source_queue)
-        return packet
-
-    def _queue_eligible(self, qid: int) -> bool:
-        """A queue may be served unless its head packet is paused downstream."""
-        filt = self.downstream_filter
-        if filt is None:
-            return True
-        head = self.scheduler.head_packet(qid)
-        if head is None:
-            return False
-        vfid = packet_vfid(head, self._num_vfids)
-        memo = self._eligible_memo
-        eligible = memo.get(vfid)
-        if eligible is None:
-            eligible = not self._codec.contains(filt, vfid)
-            memo[vfid] = eligible
-        return eligible
-
-    def _handle_departure(self, packet: Packet, source_queue: int) -> None:
-        if source_queue == OVERFLOW_QUEUE:
-            # Overflow-queue packets belong to flows without a table entry.
-            return
-        vfid = packet_vfid(packet, self._num_vfids)
-        ingress = packet.cur_ingress
-        entry = self._flow_table.lookup(vfid, ingress, self.egress_index)
+                telemetry.record(source_queue, now, scheduler.queue_bytes(source_queue))
+            telemetry.record(ACTIVE_COUNT_KEY, now, scheduler.eligible_count)
+        entry = packet.entry
         if entry is None:
-            return
+            # Overflow-queue packets belong to flows without a table entry.
+            return packet
+        packet.entry = None
         entry.packets -= 1
         entry.bytes -= packet.size
-        self._check_resume(entry, source_queue)
+        if entry.paused_upstream:
+            self._check_resume(entry, source_queue)
         if entry.packets <= 0:
-            self._reclaim(entry)
+            # The flow's last packet left this switch: release its queue and
+            # recycle its table entry.
+            queue = entry.queue
+            if entry.paused_upstream and not entry.resume_pending:
+                # The pause state must not leak once the table entry is gone;
+                # queue it for the (rate-limited) resume path.
+                self._add_resume(queue if queue is not None else 0, entry)
+            if queue is not None:
+                self.pool.release(queue)
+                entry.queue = None
+            self._flow_table.remove(entry)
+        return packet
 
     def _check_resume(self, entry: FlowEntry, source_queue: int) -> None:
         """§3.5: consider resuming a paused flow when its queue drains below Th."""
-        if not entry.paused_upstream:
-            return
         telemetry = self._telemetry
         queue = entry.queue if entry.queue is not None else source_queue
-        if queue in (HIGH_PRIORITY_QUEUE, OVERFLOW_QUEUE) or queue is None:
+        if queue < 0:
+            # Only its high-priority packet was queued: no physical queue yet.
             queue_bytes = 0
             queue = 0
         elif telemetry is not None:
@@ -225,33 +201,19 @@ class BfcEgressDiscipline:
         else:
             queue_bytes = self.scheduler.queue_bytes(queue)
         if telemetry is None:
-            active = self.active_queue_count()
+            active = self.scheduler.eligible_count
         else:
-            raw = telemetry.read(ACTIVE_COUNT_KEY, self._sim.now)
-            active = raw if raw > 1 else 1
-        threshold = self.thresholds.threshold_bytes(active)
-        if queue_bytes > threshold:
+            active = telemetry.read(ACTIVE_COUNT_KEY, self._sim.now)
+        if queue_bytes > self._threshold_by_count[active]:
             return
         if self.config.limit_resume_rate:
-            self._resume_list(queue).add(entry.vfid, entry.ingress)
+            self._add_resume(queue, entry)
             entry.resume_pending = True
         else:
             # BFC-BufferOpt ablation: resume immediately, without rate limiting.
             if self.agent.resume_flow(entry.vfid, entry.ingress):
                 self.stats.resumes_sent += 1
             entry.paused_upstream = False
-
-    def _reclaim(self, entry: FlowEntry) -> None:
-        """The flow's last packet left this switch: release queue and table entry."""
-        if entry.paused_upstream and not entry.resume_pending:
-            # The pause state must not leak once the table entry is gone;
-            # queue it for the (rate-limited) resume path.
-            queue = entry.queue if entry.queue is not None else 0
-            self._resume_list(queue).add(entry.vfid, entry.ingress)
-        if entry.queue is not None:
-            self.pool.release(entry.queue)
-            entry.queue = None
-        self.agent.flow_table.remove(entry)
 
     # ------------------------------------------------------------------ resumes --
 
@@ -261,6 +223,10 @@ class BfcEgressDiscipline:
             lst = ResumeList()
             self.resume_lists[queue] = lst
         return lst
+
+    def _add_resume(self, queue: int, entry: FlowEntry) -> None:
+        if self._resume_list(queue).add(entry.vfid, entry.ingress):
+            self.pending_resumes += 1
 
     def collect_resumes(self) -> List[Tuple[int, int]]:
         """Pop up to ``resumes_per_interval`` flows per queue to unpause now.
@@ -278,8 +244,9 @@ class BfcEgressDiscipline:
                 if item is None:
                     break
                 resumed.append(item)
+        self.pending_resumes -= len(resumed)
         for vfid, ingress in resumed:
-            entry = self.agent.flow_table.lookup(vfid, ingress, self.egress_index)
+            entry = self._flow_table.lookup(vfid, ingress, self.egress_index)
             if entry is not None:
                 entry.paused_upstream = False
                 entry.resume_pending = False
@@ -288,32 +255,13 @@ class BfcEgressDiscipline:
 
     # ------------------------------------------------------------------ queries --
 
-    def _raw_active_count(self) -> int:
-        """Non-empty queues whose head is not paused downstream (no floor)."""
-        nonempty = self.scheduler.nonempty_ids()
-        if self.downstream_filter is None:
-            return len(nonempty)
-        eligible = self._queue_eligible
-        count = 0
-        for qid in nonempty:
-            if eligible(qid):
-                count += 1
-        return count
-
-    def active_queue_count(self) -> int:
-        """Nactive: non-empty queues whose head is not paused downstream."""
-        count = self._raw_active_count()
-        return count if count > 1 else 1
-
     def apply_downstream_filter(self, bitmap: Optional[bytes]) -> None:
         """Install the most recent Bloom filter received from the next hop."""
-        self.downstream_filter = bitmap
-        self._eligible_memo = {}
-        if self._telemetry is not None:
+        if self.scheduler.install_filter(bitmap) and self._telemetry is not None:
             # Eligibility just changed under every queue: the active count is
             # a new change point even though no packet moved.
             self._telemetry.record(
-                ACTIVE_COUNT_KEY, self._sim.now, self._raw_active_count()
+                ACTIVE_COUNT_KEY, self._sim.now, self.scheduler.eligible_count
             )
 
     def occupied_physical_queues(self) -> int:
@@ -325,10 +273,10 @@ class BfcEgressDiscipline:
     # -- DataDiscipline interface ----------------------------------------------------
 
     def backlog_bytes(self) -> int:
-        return self.scheduler.backlog_bytes()
+        return self.scheduler.total_bytes
 
     def backlog_packets(self) -> int:
-        return self.scheduler.backlog_packets()
+        return self.scheduler.total_packets
 
     def has_backlog(self) -> bool:
-        return self.scheduler.has_backlog()
+        return self.scheduler.total_packets > 0

@@ -9,8 +9,8 @@ the high-priority queue (§3.7).
 
 :class:`BfcNicScheduler` extends the base NIC scheduler
 (:class:`repro.sim.host.NicScheduler`): flows are served deficit round robin
-at line rate, and eligibility additionally requires that the flow's VFID is
-not present in the most recently received pause filter.
+at line rate, and a flow is paused while its VFID is present in the most
+recently received pause filter.
 """
 
 from __future__ import annotations
@@ -43,13 +43,18 @@ class BfcNicScheduler(NicScheduler):
         )
         self.pause_filter: Optional[bytes] = None
         self.bloom_frames_received = 0
-        # Memoized membership tests against the *current* pause filter: the
-        # filter changes once per Bloom interval while eligibility is checked
-        # on every dequeue, and ``contains`` is a pure function of
-        # (filter, vfid).  Reset whenever a new filter is installed.
-        self._paused_memo: dict = {}
 
     # -- pause frames -------------------------------------------------------------
+    #
+    # Whether the installed filter pauses a flow is a pure function of
+    # (filter, VFID), so it is worked out when either changes — a flow is
+    # added, a *different* filter arrives — and kept in ``fstate.paused``,
+    # which the base scheduler's scans read directly.
+
+    def add_flow(self, fstate: SenderFlowState) -> None:
+        fstate.vfid = fstate.key.vfid(self.config.num_vfids)
+        fstate.paused = self.codec.contains(self.pause_filter, fstate.vfid)
+        super().add_flow(fstate)
 
     def on_bloom(self, packet: Packet) -> bool:
         """Install the pause filter shipped by the ToR switch.
@@ -60,64 +65,23 @@ class BfcNicScheduler(NicScheduler):
         which matters because the ToR re-broadcasts its filter every Bloom
         interval and most broadcasts repeat the previous pause set.
         """
-        old_filter = self.pause_filter
-        old_memo = self._paused_memo
-        self.pause_filter = packet.bloom_bits
         self.bloom_frames_received += 1
-        self._paused_memo = {}
-        port = self.host._uplink_port
-        if port is None or not port._train:
-            return True  # nothing to preserve; answer conservatively
-        codec = self.codec
-        for fstate in self._flows.values():
-            vfid = fstate.cc_state.get("bfc_vfid")
-            if vfid is None:
-                vfid = fstate.key.vfid(self.config.num_vfids)
-                fstate.cc_state["bfc_vfid"] = vfid
-            if old_filter is None:
-                was_paused = False
-            else:
-                was_paused = old_memo.get(vfid)
-                if was_paused is None:
-                    was_paused = codec.contains(old_filter, vfid)
-            if self._flow_is_paused(fstate) != (was_paused or fstate.paused):
-                return True
-        return False
-
-    # -- eligibility ----------------------------------------------------------------
-
-    def _flow_vfid(self, fstate: SenderFlowState) -> int:
-        vfid = fstate.cc_state.get("bfc_vfid")
-        if vfid is None:
-            vfid = fstate.key.vfid(self.config.num_vfids)
-            fstate.cc_state["bfc_vfid"] = vfid
-        return vfid
-
-    def _flow_is_paused(self, fstate: SenderFlowState) -> bool:
-        if fstate.paused:
-            return True
-        filt = self.pause_filter
-        if filt is None:
+        bitmap = packet.bloom_bits
+        if bitmap == self.pause_filter:
             return False
-        vfid = fstate.cc_state.get("bfc_vfid")
-        if vfid is None:
-            vfid = fstate.key.vfid(self.config.num_vfids)
-            fstate.cc_state["bfc_vfid"] = vfid
-        memo = self._paused_memo
-        paused = memo.get(vfid)
-        if paused is None:
-            paused = self.codec.contains(filt, vfid)
-            memo[vfid] = paused
-        return paused
+        self.pause_filter = bitmap
+        contains = self.codec.contains
+        changed = False
+        for fstate in self._flows.values():
+            paused = contains(bitmap, fstate.vfid)
+            if paused != fstate.paused:
+                fstate.paused = paused
+                changed = True
+        return changed
 
     def paused_flow_count(self) -> int:
         """Flows currently blocked by the pause filter (for tests/analysis)."""
-        count = 0
-        for flow_id in list(self._flows):
-            fstate = self._flows[flow_id]
-            if self._flow_is_paused(fstate):
-                count += 1
-        return count
+        return sum(fstate.paused for fstate in self._flows.values())
 
 
 #: Configured NIC classes by config value, so repeated binding of the same

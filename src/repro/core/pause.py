@@ -17,7 +17,7 @@ the pause filter per interval.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Set, Tuple
+from typing import Deque, List, Optional, Set, Tuple
 
 from .config import BfcConfig
 
@@ -31,30 +31,22 @@ class PauseThresholds:
         self.hop_rtt_ns = config.derive_hop_rtt_ns(link_rate_bps, link_delay_ns)
         self.pause_interval_ns = config.derive_pause_interval_ns(self.hop_rtt_ns)
         # Bytes the link drains during one feedback delay (HRTT + tau).
-        self._feedback_bytes = (
-            (self.hop_rtt_ns + self.pause_interval_ns) * link_rate_bps / (8 * 1e9)
-        )
+        feedback_bytes = (self.hop_rtt_ns + self.pause_interval_ns) * link_rate_bps / (8 * 1e9)
         # BFC-Est-Cap: capacity-aware weighting (arXiv:1309.6484) scales the
         # threshold by this port's rate relative to a reference rate, so a
         # faster link tolerates proportionally more buffering before pausing.
         # On a homogeneous fabric with reference == link rate the weight is
         # exactly 1.0 and the threshold is byte-identical to plain BFC.
         if config.capacity_weight_reference_bps is not None:
-            self._feedback_bytes *= link_rate_bps / config.capacity_weight_reference_bps
-        # Th is queried once per enqueued/dequeued packet and only ever for
-        # n_active in [1, num_physical_queues + 1]; memoize per count.
-        self._by_count: dict = {}
-
-    def threshold_bytes(self, active_queues: int) -> float:
-        """Th for a physical queue given the current number of active queues."""
-        n_active = active_queues if active_queues > 1 else 1
-        threshold = self._by_count.get(n_active)
-        if threshold is None:
-            threshold = (
-                self.config.pause_threshold_factor * self._feedback_bytes / n_active
-            )
-            self._by_count[n_active] = threshold
-        return threshold
+            feedback_bytes *= link_rate_bps / config.capacity_weight_reference_bps
+        # Th by the number of active queues, floored at one.  It is read once
+        # per enqueued/dequeued packet and only ever for a count in
+        # [0, num_physical_queues + 1] (the overflow queue counts): the
+        # discipline indexes this table directly.
+        scaled = config.pause_threshold_factor * feedback_bytes
+        self.by_count: List[float] = [scaled] + [
+            scaled / n for n in range(1, config.num_physical_queues + 2)
+        ]
 
     def feedback_delay_ns(self) -> int:
         return self.hop_rtt_ns + self.pause_interval_ns
@@ -92,12 +84,14 @@ class ResumeList:
         self._members.discard(key)
         return key
 
-    def discard(self, vfid: int, ingress: int) -> None:
+    def discard(self, vfid: int, ingress: int) -> bool:
         """Drop a pending resume (e.g. the flow was paused again)."""
         key = (vfid, ingress)
-        if key in self._members:
-            self._members.discard(key)
-            self._pending.remove(key)
+        if key not in self._members:
+            return False
+        self._members.discard(key)
+        self._pending.remove(key)
+        return True
 
     def contains(self, vfid: int, ingress: int) -> bool:
         return (vfid, ingress) in self._members

@@ -37,7 +37,13 @@ class PhysicalQueuePool:
         self.num_queues = config.num_physical_queues
         self._rng = rng or random.Random(0)
         self._assigned_flows: List[int] = [0] * self.num_queues
-        self._free: List[int] = list(range(self.num_queues))
+        # Unallocated queues, most recently released last.  The order is
+        # load-bearing: it decides which queue the next flow gets, and with
+        # it the DRR service order.  A queue is on the list exactly while no
+        # flow is assigned to it, so neither side needs a membership scan;
+        # static assignment (BFC-VFID) never consults the list.
+        self._static = config.static_queue_assignment
+        self._free: List[int] = [] if self._static else list(range(self.num_queues))
         # Maintained incrementally: occupied_queues() feeds the per-packet
         # pause-threshold computation, so it must not scan the queue array.
         self._occupied = 0
@@ -48,17 +54,18 @@ class PhysicalQueuePool:
     def assign(self, vfid: int) -> int:
         """Pick a physical queue for a newly-active flow."""
         self.stats.assignments += 1
-        if self.config.static_queue_assignment:
+        if self._static:
             queue = vfid % self.num_queues
             if self._assigned_flows[queue] > 0:
                 self.stats.collisions += 1
-            self._take(queue)
+            else:
+                self._occupied += 1
+            self._assigned_flows[queue] += 1
             return queue
         if self._free:
             queue = self._free.pop()
-            if self._assigned_flows[queue] == 0:
-                self._occupied += 1
-            self._assigned_flows[queue] += 1
+            self._occupied += 1
+            self._assigned_flows[queue] = 1
             return queue
         # Every queue is occupied: unavoidable head-of-line blocking.  The
         # paper assigns a random queue in this case (§3.3).
@@ -67,13 +74,6 @@ class PhysicalQueuePool:
         self._assigned_flows[queue] += 1
         return queue
 
-    def _take(self, queue: int) -> None:
-        if self._assigned_flows[queue] == 0:
-            self._occupied += 1
-            if queue in self._free:
-                self._free.remove(queue)
-        self._assigned_flows[queue] += 1
-
     def release(self, queue: int) -> None:
         """A flow assigned to ``queue`` went idle."""
         if self._assigned_flows[queue] <= 0:
@@ -81,7 +81,7 @@ class PhysicalQueuePool:
         self._assigned_flows[queue] -= 1
         if self._assigned_flows[queue] == 0:
             self._occupied -= 1
-            if queue not in self._free:
+            if not self._static:
                 self._free.append(queue)
 
     # -- introspection ---------------------------------------------------------------

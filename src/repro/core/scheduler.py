@@ -9,22 +9,26 @@ Service order at a BFC egress port is:
    queue** (packets whose flow could not get a hash-table entry), which is
    scheduled like a normal physical queue.
 
-The scheduler only stores packets and picks the next one; pause/resume policy
-lives in :mod:`repro.core.discipline`.  The set of non-empty queues is
-maintained incrementally on push/pop so the per-packet pause-threshold
-computation (which needs the active-queue count) never scans the whole queue
-array.
+The scheduler stores packets, picks the next one and keeps Nactive; the
+pause/resume policy lives in :mod:`repro.core.discipline`.  Whether a queue's
+*head* is paused by the installed downstream filter is cached as one bit per
+queue, with a count of the set bits.  A bit can only change when the queue's
+head changes (a push to an empty queue, a pop) or a different filter is
+installed, so the per-packet pause rule and the DRR service test are list and
+integer reads.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Set, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.sim.disciplines import DeficitRoundRobin
 from repro.sim.packet import Packet
 
+from .bloom import BloomFilterCodec
 from .config import BfcConfig
+from .vfid import packet_vfid
 
 #: Pseudo queue identifier for the per-egress overflow queue.
 OVERFLOW_QUEUE = -2
@@ -35,79 +39,109 @@ HIGH_PRIORITY_QUEUE = -1
 class BfcScheduler:
     """Packet storage and DRR service for one BFC egress port."""
 
-    def __init__(self, config: BfcConfig) -> None:
+    def __init__(self, config: BfcConfig, codec: BloomFilterCodec) -> None:
         self.config = config
         self.num_queues = config.num_physical_queues
-        self._queues: List[Deque[Packet]] = [deque() for _ in range(self.num_queues)]
-        self._queue_bytes: List[int] = [0] * self.num_queues
-        self._high_priority: Deque[Packet] = deque()
-        self._high_priority_bytes = 0
-        self._overflow: Deque[Packet] = deque()
-        self._overflow_bytes = 0
-        self._total_bytes = 0
-        self._total_packets = 0
-        # Physical queues (and the overflow pseudo-queue) currently holding
-        # packets; excludes the high-priority queue, like nonempty_queues().
-        self._nonempty: Set[int] = set()
+        # Everything per-queue is a list indexed by queue id: the physical
+        # queues first, then the overflow queue at [-2] and the
+        # high-priority queue at [-1].
+        self._queues: List[Deque[Packet]] = [deque() for _ in range(self.num_queues + 2)]
+        self._queue_bytes: List[int] = [0] * (self.num_queues + 2)
+        self.total_bytes = 0
+        self.total_packets = 0
+        # The DRR's active list is the set of non-empty physical/overflow
+        # queues (the high-priority queue is served ahead of the DRR).
         self._drr = DeficitRoundRobin(quantum=config.mtu + 48)
+        self._codec = codec
+        self._num_vfids = config.num_vfids
+        #: The most recent Bloom filter received from the next hop.
+        self.downstream_filter: Optional[bytes] = None
+        # _eligible[q]: q is non-empty and its head is not paused downstream.
+        self._eligible: List[bool] = [False] * (self.num_queues + 2)
+        #: Nactive before the floor of one: how many bits of _eligible are set.
+        self.eligible_count = 0
 
     # -- enqueue -----------------------------------------------------------------
 
     def push_high_priority(self, packet: Packet) -> None:
-        self._high_priority.append(packet)
-        self._high_priority_bytes += packet.size
-        self._total_bytes += packet.size
-        self._total_packets += 1
+        self._queues[HIGH_PRIORITY_QUEUE].append(packet)
+        self._queue_bytes[HIGH_PRIORITY_QUEUE] += packet.size
+        self.total_bytes += packet.size
+        self.total_packets += 1
 
-    def push_queue(self, queue: int, packet: Packet) -> None:
-        self._queues[queue].append(packet)
-        self._queue_bytes[queue] += packet.size
-        self._nonempty.add(queue)
-        self._drr.activate(queue)
-        self._total_bytes += packet.size
-        self._total_packets += 1
+    def push_queue(self, qid: int, packet: Packet) -> int:
+        """Append to a physical queue or ``OVERFLOW_QUEUE``; returns its bytes."""
+        queue = self._queues[qid]
+        if not queue:
+            self._drr.activate(qid)
+            if self.downstream_filter is None or not self._blocked(packet):
+                self._eligible[qid] = True
+                self.eligible_count += 1
+        queue.append(packet)
+        size = packet.size
+        queue_bytes = self._queue_bytes[qid] = self._queue_bytes[qid] + size
+        self.total_bytes += size
+        self.total_packets += 1
+        return queue_bytes
 
-    def push_overflow(self, packet: Packet) -> None:
-        self._overflow.append(packet)
-        self._overflow_bytes += packet.size
-        self._nonempty.add(OVERFLOW_QUEUE)
-        self._drr.activate(OVERFLOW_QUEUE)
-        self._total_bytes += packet.size
-        self._total_packets += 1
+    # -- downstream pauses -----------------------------------------------------------
+
+    def _blocked(self, head: Packet) -> bool:
+        """Is the VFID of ``head`` in the installed (non-``None``) filter?"""
+        return self._codec.contains(self.downstream_filter, packet_vfid(head, self._num_vfids))
+
+    def install_filter(self, bitmap: Optional[bytes]) -> bool:
+        """Install the next hop's pause filter; False if it is the one installed.
+
+        The next hop re-broadcasts its filter every Bloom interval and most
+        broadcasts repeat the previous pause set: an identical bitmap leaves
+        every cached bit valid and costs one bytes compare.
+        """
+        if bitmap == self.downstream_filter:
+            return False
+        self.downstream_filter = bitmap
+        eligible = self._eligible
+        count = 0
+        for qid in self._drr._active:
+            ok = bitmap is None or not self._blocked(self._queues[qid][0])
+            eligible[qid] = ok
+            count += ok
+        self.eligible_count = count
+        return True
 
     # -- dequeue ------------------------------------------------------------------
 
-    def pop(self, queue_eligible: Optional[Callable[[int], bool]]) -> Optional[Tuple[Packet, int]]:
-        """Pick the next packet to send.
-
-        ``queue_eligible(queue_id)`` decides whether a (physical or overflow)
-        queue may be served right now — the discipline uses it to implement
-        Bloom-filter pauses (``None`` means every queue is eligible).
-        Returns ``(packet, source_queue)`` or ``None``.
-        """
-        if self._high_priority:
-            packet = self._high_priority.popleft()
-            self._high_priority_bytes -= packet.size
-            self._total_bytes -= packet.size
-            self._total_packets -= 1
+    def pop(self) -> Optional[Tuple[Packet, int]]:
+        """Pick the next packet to send: ``(packet, source_queue)`` or ``None``."""
+        queues = self._queues
+        queue = queues[HIGH_PRIORITY_QUEUE]
+        if queue:
+            packet = queue.popleft()
+            self._queue_bytes[HIGH_PRIORITY_QUEUE] -= packet.size
+            self.total_bytes -= packet.size
+            self.total_packets -= 1
             return packet, HIGH_PRIORITY_QUEUE
-        # Inlined DeficitRoundRobin.select with the head-size callback
-        # merged: pop runs once per transmitted packet, and the callback
-        # hops of the generic DRR are the dominant cost at that rate.  The
+        # DeficitRoundRobin.select with the head-size callback inlined and
+        # the eligibility callback replaced by the cached bits (a set bit
+        # implies a head packet).  pop runs once per transmitted packet; the
         # selection arithmetic must stay exactly equivalent to
-        # ``self._drr.select(self._head_size, eligible=queue_eligible)``
-        # (the DRR state is shared and must evolve identically).
+        # ``self._drr.select(head_size, eligible)`` — the DRR state is shared
+        # and must evolve identically.
         drr = self._drr
         active = drr._active
-        if not active:
+        if not self.eligible_count:
+            # Nothing to serve.  select() would end the current turn and
+            # visit 2 * len(active) + 1 queues in vain, which leaves the
+            # cursor one step further round.
             drr._current = None
+            if active:
+                drr._cursor = (drr._cursor + 1) % len(active)
             return None
+        eligible = self._eligible
         deficits = drr._deficits
-        queues = self._queues
         visited = 0
         limit = 2 * len(active) + 1
         qid = drr._current
-        arriving = False
         while True:
             if qid is None:
                 if visited >= limit:
@@ -116,90 +150,48 @@ class BfcScheduler:
                 cursor = drr._cursor % len(active)
                 qid = active[cursor]
                 drr._cursor = (cursor + 1) % len(active)
-                arriving = True
-            queue = self._overflow if qid == OVERFLOW_QUEUE else queues[qid]
-            size = queue[0].size if queue else None
-            servable = size is not None and (
-                queue_eligible is None or queue_eligible(qid)
-            )
-            if arriving:
-                arriving = False
-                if not servable:
+                if not eligible[qid]:
                     qid = None
                     continue
-                # Arriving at a backlogged, eligible queue: grant its quantum
-                # and start serving it.
+                # Arriving at an eligible queue: grant its quantum and start
+                # serving it.
                 deficits[qid] += drr.quantum
                 drr._current = qid
-            if servable and deficits[qid] >= size:
+            queue = queues[qid]
+            size = queue[0].size
+            if eligible[qid] and deficits[qid] >= size:
                 deficits[qid] -= size
                 packet = queue.popleft()
-                if qid == OVERFLOW_QUEUE:
-                    self._overflow_bytes -= packet.size
-                else:
-                    self._queue_bytes[qid] -= packet.size
+                self._queue_bytes[qid] -= size
+                self.total_bytes -= size
+                self.total_packets -= 1
                 if not queue:
-                    self._nonempty.discard(qid)
+                    eligible[qid] = False
+                    self.eligible_count -= 1
                     drr.deactivate(qid)
-                self._total_bytes -= packet.size
-                self._total_packets -= 1
+                elif self.downstream_filter is not None and self._blocked(queue[0]):
+                    eligible[qid] = False
+                    self.eligible_count -= 1
                 return packet, qid
-            # This queue's turn is over: empty queues forfeit their deficit,
-            # blocked/backlogged queues keep the remainder.
-            if size is None:
-                deficits[qid] = 0
+            # This queue's turn is over; it keeps the remaining deficit.
             drr._current = None
             qid = None
 
-    def _head_size(self, qid: int) -> Optional[int]:
-        if qid == OVERFLOW_QUEUE:
-            return self._overflow[0].size if self._overflow else None
-        queue = self._queues[qid]
-        return queue[0].size if queue else None
-
     # -- introspection ---------------------------------------------------------------
 
-    def head_packet(self, qid: int) -> Optional[Packet]:
-        if qid == OVERFLOW_QUEUE:
-            return self._overflow[0] if self._overflow else None
-        if qid == HIGH_PRIORITY_QUEUE:
-            return self._high_priority[0] if self._high_priority else None
-        queue = self._queues[qid]
-        return queue[0] if queue else None
-
     def queue_bytes(self, qid: int) -> int:
-        if qid == OVERFLOW_QUEUE:
-            return self._overflow_bytes
-        if qid == HIGH_PRIORITY_QUEUE:
-            return self._high_priority_bytes
         return self._queue_bytes[qid]
 
     def queue_packets(self, qid: int) -> int:
-        if qid == OVERFLOW_QUEUE:
-            return len(self._overflow)
-        if qid == HIGH_PRIORITY_QUEUE:
-            return len(self._high_priority)
         return len(self._queues[qid])
-
-    def nonempty_ids(self) -> Set[int]:
-        """Live view of the non-empty queue ids (do not mutate)."""
-        return self._nonempty
 
     def nonempty_queues(self) -> List[int]:
         """Physical queues (and the overflow queue) that hold packets."""
-        result = sorted(qid for qid in self._nonempty if qid != OVERFLOW_QUEUE)
-        if OVERFLOW_QUEUE in self._nonempty:
+        active = self._drr._active
+        result = sorted(qid for qid in active if qid != OVERFLOW_QUEUE)
+        if OVERFLOW_QUEUE in active:
             result.append(OVERFLOW_QUEUE)
         return result
 
     def per_queue_bytes(self) -> List[int]:
-        return list(self._queue_bytes)
-
-    def backlog_bytes(self) -> int:
-        return self._total_bytes
-
-    def backlog_packets(self) -> int:
-        return self._total_packets
-
-    def has_backlog(self) -> bool:
-        return self._total_packets > 0
+        return self._queue_bytes[: self.num_queues]

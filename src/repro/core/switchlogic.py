@@ -50,13 +50,16 @@ class BfcAgent:
         self._dirty: Dict[int, bool] = {}
         self.counters = Counters()
         self._interfaces: Optional[List[Interface]] = None
-        self._tick_interval_ns: Optional[int] = None
+        # The tick period; interfaces (and hence disciplines) are wired after
+        # construction, so registering one drops the cached value.
+        self._interval_ns: Optional[int] = None
         self._started = False
 
     # -- wiring -------------------------------------------------------------------
 
     def register_discipline(self, discipline: BfcEgressDiscipline) -> None:
         self.disciplines.append(discipline)
+        self._interval_ns = None
 
     def attach(self, interfaces: List[Interface]) -> None:
         """Give the agent access to the switch's interfaces for sending frames."""
@@ -70,11 +73,14 @@ class BfcAgent:
         self.sim.schedule(self._tick_interval(), self._tick)
 
     def _tick_interval(self) -> int:
-        # Interfaces (and hence disciplines) are wired after construction, so
-        # the interval is recomputed on every tick rather than cached.
-        if self.disciplines:
-            return min(d.thresholds.pause_interval_ns for d in self.disciplines)
-        return self.config.derive_pause_interval_ns(self.config.hop_rtt_ns or 2_000)
+        interval = self._interval_ns
+        if interval is None:
+            if self.disciplines:
+                interval = min(d.thresholds.pause_interval_ns for d in self.disciplines)
+            else:
+                interval = self.config.derive_pause_interval_ns(self.config.hop_rtt_ns or 2_000)
+            self._interval_ns = interval
+        return interval
 
     # -- pause / resume API (called by the egress disciplines) -------------------------
 
@@ -101,7 +107,8 @@ class BfcAgent:
         return True
 
     def is_paused(self, vfid: int, ingress: int) -> bool:
-        return vfid in self._paused_vfids.get(ingress, set())
+        paused = self._paused_vfids.get(ingress)
+        return paused is not None and vfid in paused
 
     def paused_flow_count(self) -> int:
         return sum(len(v) for v in self._paused_vfids.values())
@@ -116,23 +123,25 @@ class BfcAgent:
     # -- periodic tick ----------------------------------------------------------------
 
     def _tick(self) -> None:
-        self._apply_resumes()
-        self._send_pause_frames()
+        # Only what is pending is visited, in the order a full scan would
+        # take: disciplines with flows to resume, then the ingress filters
+        # that hold a pause or changed since their last frame.
+        for discipline in self.disciplines:
+            if discipline.pending_resumes:
+                for vfid, ingress in discipline.collect_resumes():
+                    self.resume_flow(vfid, ingress)
+        if self._interfaces is not None:
+            self._send_pause_frames()
         self.sim.schedule(self._tick_interval(), self._tick)
 
-    def _apply_resumes(self) -> None:
-        for discipline in self.disciplines:
-            for vfid, ingress in discipline.collect_resumes():
-                self.resume_flow(vfid, ingress)
-
     def _send_pause_frames(self) -> None:
-        if self._interfaces is None:
-            return
+        paused = self._paused_vfids
+        dirty = self._dirty
         for ingress, filt in self._pause_filters.items():
-            dirty = self._dirty.get(ingress, False)
-            if filt.is_empty() and not dirty:
+            # pause_flow() creates the three per-ingress records together.
+            if not (paused[ingress] or dirty[ingress]):
                 continue
-            self._dirty[ingress] = False
+            dirty[ingress] = False
             iface = self._interfaces[ingress]
             if not iface.tx.connected:
                 continue

@@ -33,20 +33,33 @@ def packet_vfid(packet: Packet, space: int) -> int:
     return vfid
 
 
-@dataclass
 class FlowEntry:
-    """Per-active-flow switch state (§3.3: queue, pause flag, packet count)."""
+    """Per-active-flow switch state (§3.3: queue, pause flag, packet count).
 
-    vfid: int
-    ingress: int
-    egress: int
-    queue: Optional[int] = None
-    packets: int = 0
-    bytes: int = 0
-    paused_upstream: bool = False
-    resume_pending: bool = False
-    in_overflow_cache: bool = False
-    current_key: Optional[FlowKey] = None
+    Entries are recycled through the table's free list, so a handle is valid
+    only while the flow has packets queued at the switch: the discipline
+    drops every packet's handle at dequeue and reclaims the entry with the
+    last one.
+    """
+
+    __slots__ = (
+        "vfid", "ingress", "egress", "queue", "packets", "bytes",
+        "paused_upstream", "resume_pending", "in_overflow_cache", "current_key",
+    )
+
+    def __init__(
+        self, vfid: int, ingress: int, egress: int, current_key: Optional[FlowKey] = None
+    ) -> None:
+        self.vfid = vfid
+        self.ingress = ingress
+        self.egress = egress
+        self.queue: Optional[int] = None
+        self.packets = 0
+        self.bytes = 0
+        self.paused_upstream = False
+        self.resume_pending = False
+        self.in_overflow_cache = False
+        self.current_key = current_key
 
     def is_idle(self) -> bool:
         return self.packets == 0
@@ -69,30 +82,29 @@ class FlowTableStats:
 class FlowTable:
     """The virtual-flow hash table plus the overflow cache.
 
-    The table is keyed by ``(vfid, ingress, egress)``.  A bucket is the set of
-    entries sharing a VFID; its size is capped at ``config.table_bucket_size``
-    to model the fixed hardware bucket.  Entries are created on the first
-    packet of a flow and reclaimed when the flow's last packet leaves the
-    switch.
+    One dict keyed by the packed ``(vfid, ingress, egress)`` (interface
+    indices are below 2**16) holds every entry.  A bucket is the set of
+    entries sharing a VFID; the hardware's fixed bucket of
+    ``config.table_bucket_size`` slots and its overflow cache are modelled by
+    *counts* (entries per VFID outside the cache, entries in the cache), which
+    is all the insert rule of §3.8 reads.  Entries are created on the first
+    packet of a flow, reclaimed when the flow's last packet leaves the switch,
+    and recycled through a free list.
     """
 
     def __init__(self, config: BfcConfig) -> None:
         self.config = config
-        self._buckets: Dict[int, List[FlowEntry]] = {}
-        self._overflow_cache: Dict[Tuple[int, int, int], FlowEntry] = {}
+        self._entries: Dict[int, FlowEntry] = {}
+        self._bucket_counts: Dict[int, int] = {}
+        self._cached = 0
+        self._free: List[FlowEntry] = []
         self.stats = FlowTableStats()
-        self._active_entries = 0
 
     # -- lookup / insert -----------------------------------------------------------
 
     def lookup(self, vfid: int, ingress: int, egress: int) -> Optional[FlowEntry]:
         """Find the entry for (vfid, ingress, egress), if any."""
-        bucket = self._buckets.get(vfid)
-        if bucket:
-            for entry in bucket:
-                if entry.ingress == ingress and entry.egress == egress:
-                    return entry
-        return self._overflow_cache.get((vfid, ingress, egress))
+        return self._entries.get((vfid << 32) + (ingress << 16) + egress)
 
     def lookup_or_insert(
         self, vfid: int, ingress: int, egress: int, key: Optional[FlowKey] = None
@@ -103,64 +115,78 @@ class FlowTable:
         room, in which case the caller must divert the packet to the overflow
         queue (§3.8).
         """
-        entry = self.lookup(vfid, ingress, egress)
+        packed = (vfid << 32) + (ingress << 16) + egress
+        entries = self._entries
+        entry = entries.get(packed)
         if entry is not None:
-            if key is not None and entry.current_key is not None and entry.packets > 0:
-                if key != entry.current_key:
-                    # A different real flow hashed onto the same live entry.
-                    self.stats.vfid_collisions += 1
+            if key is not None:
+                current = entry.current_key
+                if key is not current:
+                    if current is not None and entry.packets > 0 and key != current:
+                        # A different real flow hashed onto the same live entry.
+                        self.stats.vfid_collisions += 1
                     entry.current_key = key
-            elif key is not None:
-                entry.current_key = key
             return entry
-        return self._insert(vfid, ingress, egress, key)
-
-    def _insert(
-        self, vfid: int, ingress: int, egress: int, key: Optional[FlowKey]
-    ) -> Optional[FlowEntry]:
-        self.stats.inserts += 1
-        entry = FlowEntry(vfid=vfid, ingress=ingress, egress=egress, current_key=key)
-        bucket = self._buckets.setdefault(vfid, [])
-        if len(bucket) < self.config.table_bucket_size:
-            bucket.append(entry)
-        else:
-            self.stats.bucket_overflows += 1
-            if len(self._overflow_cache) < self.config.overflow_cache_entries:
-                entry.in_overflow_cache = True
-                self._overflow_cache[entry.identity()] = entry
-            else:
-                self.stats.cache_overflows += 1
+        stats = self.stats
+        stats.inserts += 1
+        counts = self._bucket_counts
+        in_bucket = counts.get(vfid, 0)
+        cached = in_bucket >= self.config.table_bucket_size
+        if cached:
+            stats.bucket_overflows += 1
+            if self._cached >= self.config.overflow_cache_entries:
+                stats.cache_overflows += 1
                 return None
-        self._active_entries += 1
-        if self._active_entries > self.stats.max_active_entries:
-            self.stats.max_active_entries = self._active_entries
+            self._cached += 1
+        else:
+            counts[vfid] = in_bucket + 1
+        if self._free:
+            # Recycled: every field is reset, whatever state the entry's
+            # previous flow left behind.
+            entry = self._free.pop()
+            entry.vfid = vfid
+            entry.ingress = ingress
+            entry.egress = egress
+            entry.queue = None
+            entry.packets = entry.bytes = 0
+            entry.paused_upstream = entry.resume_pending = False
+            entry.current_key = key
+        else:
+            entry = FlowEntry(vfid, ingress, egress, key)
+        entry.in_overflow_cache = cached
+        entries[packed] = entry
+        if len(entries) > stats.max_active_entries:
+            stats.max_active_entries = len(entries)
         return entry
 
     # -- removal -------------------------------------------------------------------
 
     def remove(self, entry: FlowEntry) -> None:
         """Reclaim an entry (the flow's last packet left the switch)."""
+        vfid = entry.vfid
+        packed = (vfid << 32) + (entry.ingress << 16) + entry.egress
+        if self._entries.get(packed) is not entry:
+            # Fail loudly: a second remove would put the entry on the free
+            # list twice and hand one object to two flows.
+            raise KeyError(f"flow entry {entry.identity()} is not in the table")
+        del self._entries[packed]
         if entry.in_overflow_cache:
-            self._overflow_cache.pop(entry.identity(), None)
+            self._cached -= 1
         else:
-            bucket = self._buckets.get(entry.vfid)
-            if bucket and entry in bucket:
-                bucket.remove(entry)
-                if not bucket:
-                    del self._buckets[entry.vfid]
-        self._active_entries = max(0, self._active_entries - 1)
+            left = self._bucket_counts[vfid] - 1
+            if left:
+                self._bucket_counts[vfid] = left
+            else:
+                del self._bucket_counts[vfid]
+        self._free.append(entry)
 
     # -- introspection ------------------------------------------------------------------
 
     def active_entries(self) -> int:
-        return self._active_entries
+        return len(self._entries)
 
     def entries(self) -> List[FlowEntry]:
-        result: List[FlowEntry] = []
-        for bucket in self._buckets.values():
-            result.extend(bucket)
-        result.extend(self._overflow_cache.values())
-        return result
+        return list(self._entries.values())
 
     def memory_bytes(self, entry_bytes: int = 16) -> int:
         """Rough hardware memory footprint (the paper's table is 256 KB)."""

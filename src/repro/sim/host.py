@@ -120,6 +120,7 @@ class SenderFlowState:
         "completed",
         "mtu",
         "retransmit_queue",
+        "vfid",
     )
 
     def __init__(self, flow: Flow, mtu: int) -> None:
@@ -140,6 +141,8 @@ class SenderFlowState:
         self.completed = False
         # Selective-repeat only: sequence numbers queued for retransmission.
         self.retransmit_queue: Deque[int] = deque()
+        # The flow's virtual-flow ID in its NIC's VFID space (BFC NICs only).
+        self.vfid = -1
 
     # -- derived quantities ---------------------------------------------------
 
@@ -301,9 +304,6 @@ class NicScheduler:
         # against; letting _eligible_id be a plain bound method keeps the
         # per-dequeue path free of closure allocations.
         self._select_now = 0
-        # True when _flow_is_paused is not overridden, so the dequeue scan
-        # can read fstate.paused directly instead of dispatching the hook.
-        self._pause_simple = type(self)._flow_is_paused is NicScheduler._flow_is_paused
 
     # -- flow management ------------------------------------------------------
 
@@ -331,15 +331,11 @@ class NicScheduler:
     # to identical behaviour — a change to either side must keep them in
     # lockstep (the shared DRR state must evolve identically).
 
-    def _flow_is_paused(self, fstate: SenderFlowState) -> bool:
-        """Hook for BFC NICs (Bloom-filter pauses).  Default: never paused."""
-        return fstate.paused
-
     def _eligible(self, fstate: SenderFlowState, now_ns: int) -> bool:
         retransmit = fstate.retransmit_queue
         if not retransmit and fstate.next_seq >= fstate.num_packets:
             return False  # nothing left to send
-        if self._flow_is_paused(fstate):
+        if fstate.paused:
             return False
         if fstate.next_allowed_ns > now_ns:
             return False
@@ -353,7 +349,7 @@ class NicScheduler:
         return True
 
     def _blocked_only_by_pacing(self, fstate: SenderFlowState, now_ns: int) -> bool:
-        if not fstate.has_packets_to_send() or self._flow_is_paused(fstate):
+        if not fstate.has_packets_to_send() or fstate.paused:
             return False
         if not fstate.retransmit_queue:
             window = self.host.effective_window(fstate)
@@ -388,7 +384,6 @@ class NicScheduler:
         flows = self._flows
         deficits = drr._deficits
         config_mtu = host.config.mtu
-        pause_simple = self._pause_simple
         no_window = host._no_window
         visited = 0
         limit = 2 * len(active) + 1
@@ -424,10 +419,7 @@ class NicScheduler:
                     else:
                         last = fstate.flow.size - mtu * (num_packets - 1)
                         size = (last if last > 0 else mtu) + DATA_HEADER_SIZE
-                    paused = (
-                        fstate.paused if pause_simple else self._flow_is_paused(fstate)
-                    )
-                    if not paused:
+                    if not fstate.paused:
                         if retransmit or no_window:
                             # Retransmissions do not grow the in-flight window.
                             if fstate.next_allowed_ns <= now:
@@ -511,12 +503,11 @@ class NicScheduler:
         train rollbacks, which re-run this decision), so the timer read now
         equals what the horizon-time dequeue would have read.
         """
-        pause_simple = self._pause_simple
         earliest: Optional[int] = None
         for f in self._flows.values():
             if not f.retransmit_queue and f.next_seq >= f.num_packets:
                 continue
-            if f.paused if pause_simple else self._flow_is_paused(f):
+            if f.paused:
                 continue
             na = f.next_allowed_ns
             if na <= horizon_ns:
@@ -563,13 +554,12 @@ class NicScheduler:
         # construction: the scan can only emit a packet from a flow with
         # data, unpaused, whose pacing timer has expired — exactly what is
         # tested here — so precheck-False implies scan-None.
-        pause_simple = self._pause_simple
         for f in self._flows.values():
             if f.next_allowed_ns > start_ns:
                 continue
             if not f.retransmit_queue and f.next_seq >= f.num_packets:
                 continue
-            if f.paused if pause_simple else self._flow_is_paused(f):
+            if f.paused:
                 continue
             break
         else:
@@ -616,7 +606,6 @@ class NicScheduler:
         active = drr._active
         flows = self._flows
         deficits = drr._deficits
-        pause_simple = self._pause_simple
         visited = 0
         limit = 2 * len(active) + 1
         arriving = False
@@ -644,10 +633,7 @@ class NicScheduler:
                     else:
                         last = fstate.flow.size - mtu * (num_packets - 1)
                         size = (last if last > 0 else mtu) + DATA_HEADER_SIZE
-                    paused = (
-                        fstate.paused if pause_simple else self._flow_is_paused(fstate)
-                    )
-                    if not paused and fstate.next_allowed_ns <= now:
+                    if not fstate.paused and fstate.next_allowed_ns <= now:
                         eligible = True
             if arriving:
                 if size is None or not eligible:

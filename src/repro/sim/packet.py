@@ -182,6 +182,7 @@ class Packet:
         # Path bookkeeping
         "hops",
         "cur_ingress",
+        "entry",
         "vfid",
         "vfid_space",
     )
@@ -232,11 +233,14 @@ class Packet:
         self.bloom_bits = bloom_bits
         # Path bookkeeping: ``cur_ingress`` is transient per-switch state (the
         # ingress interface index the packet used to enter the switch
-        # currently buffering it; ns-3 tags play this role).  ``vfid`` is the
-        # cached virtual-flow ID, valid only when ``vfid_space`` matches the
-        # asker's VFID space (see repro.core.vfid.packet_vfid).
+        # currently buffering it; ns-3 tags play this role), and so is
+        # ``entry`` (the flow-table entry a BFC egress discipline filed the
+        # packet under; ``None`` outside that discipline's queues).  ``vfid``
+        # is the cached virtual-flow ID, valid only when ``vfid_space``
+        # matches the asker's VFID space (see repro.core.vfid.packet_vfid).
         self.hops = hops
         self.cur_ingress = cur_ingress
+        self.entry = None
         self.vfid = vfid
         self.vfid_space = vfid_space
 

@@ -133,7 +133,7 @@ class TestHighPriorityQueue:
 class TestPauseBehaviour:
     def test_flow_paused_when_queue_exceeds_threshold(self):
         discipline, agent = build_discipline()
-        threshold = discipline.thresholds.threshold_bytes(1)
+        threshold = discipline.thresholds.by_count[1]
         packets_needed = int(threshold // 1_000) + 2
         vfid = None
         for i in range(packets_needed):
@@ -151,7 +151,7 @@ class TestPauseBehaviour:
     def test_pause_applies_to_arriving_flow_only(self):
         config = BfcConfig(num_physical_queues=1, hop_rtt_ns=2_000)
         discipline, agent = build_discipline(config)
-        threshold = discipline.thresholds.threshold_bytes(1)
+        threshold = discipline.thresholds.by_count[1]
         # Flow 1 fills the (only) queue beyond the threshold.
         n = int(threshold // 1_000) + 2
         for i in range(n):
@@ -163,7 +163,7 @@ class TestPauseBehaviour:
 
     def test_resume_queued_when_queue_drains(self):
         discipline, agent = build_discipline()
-        threshold = discipline.thresholds.threshold_bytes(1)
+        threshold = discipline.thresholds.by_count[1]
         n = int(threshold // 1_000) + 2
         packets = [make_packet(sport=1, seq=i, ingress=2) for i in range(n)]
         for packet in packets:
@@ -181,7 +181,7 @@ class TestPauseBehaviour:
     def test_buffer_opt_ablation_resumes_immediately(self):
         config = BfcConfig(limit_resume_rate=False, hop_rtt_ns=2_000)
         discipline, agent = build_discipline(config)
-        threshold = discipline.thresholds.threshold_bytes(1)
+        threshold = discipline.thresholds.by_count[1]
         n = int(threshold // 1_000) + 2
         packets = [make_packet(sport=1, seq=i, ingress=2) for i in range(n)]
         for packet in packets:
@@ -220,9 +220,9 @@ class TestPauseBehaviour:
         b = make_packet(sport=2, src=9)
         discipline.enqueue(a, 0)
         discipline.enqueue(b, 0)
-        assert discipline.active_queue_count() == 2
+        assert discipline.scheduler.eligible_count == 2
         discipline.apply_downstream_filter(agent.codec.encode([a.vfid]))
-        assert discipline.active_queue_count() == 1
+        assert discipline.scheduler.eligible_count == 1
 
     def test_static_assignment_ablation(self):
         config = BfcConfig(
@@ -233,6 +233,57 @@ class TestPauseBehaviour:
         discipline.enqueue(packet, 0)
         entry = agent.flow_table.lookup(packet.vfid, 0, 0)
         assert entry.queue == packet.vfid % 4
+
+
+class TestEntryHandle:
+    """``packet.entry`` is set exactly while the packet sits in a BFC queue."""
+
+    def test_handle_is_the_table_entry_while_queued_and_none_after(self):
+        discipline, agent = build_discipline()
+        first = make_packet(sport=1, seq=0, first=True, ingress=2)  # high-priority queue
+        second = make_packet(sport=1, seq=1, ingress=2)             # a physical queue
+        assert first.entry is None
+        discipline.enqueue(first, ingress=2)
+        discipline.enqueue(second, ingress=2)
+        entry = agent.flow_table.lookup(first.vfid, 2, 0)
+        assert entry is not None and entry.packets == 2
+        assert first.entry is entry and second.entry is entry
+        assert discipline.dequeue() is first
+        assert first.entry is None and second.entry is entry
+        assert discipline.dequeue() is second
+        assert second.entry is None
+        assert agent.flow_table.active_entries() == 0
+
+    def test_departure_follows_the_handle_not_the_packet_fields(self):
+        # dequeue() must not depend on cur_ingress still naming the ingress
+        # the packet was filed under.
+        discipline, agent = build_discipline()
+        packet = make_packet(sport=1, ingress=0)
+        discipline.enqueue(packet, ingress=3)
+        discipline.dequeue()
+        assert agent.flow_table.active_entries() == 0
+        assert discipline.occupied_physical_queues() == 0
+
+    def test_retransmit_clone_carries_no_handle(self):
+        discipline, agent = build_discipline()
+        packet = make_packet(sport=1)
+        discipline.enqueue(packet, ingress=0)
+        assert packet.entry is not None
+        assert packet.clone_for_retransmit().entry is None
+
+    def test_overflow_queue_packets_carry_no_handle(self):
+        config = BfcConfig(table_bucket_size=1, overflow_cache_entries=0, hop_rtt_ns=2_000)
+        discipline, agent = build_discipline(config)
+        packets = []
+        for ingress in range(2):
+            packet = make_packet(sport=5, src=5, ingress=ingress)
+            discipline.enqueue(packet, ingress=ingress)
+            packets.append(packet)
+        assert discipline.stats.overflow_packets == 1
+        assert packets[0].entry is not None and packets[1].entry is None
+        assert {id(discipline.dequeue()) for _ in range(2)} == {id(p) for p in packets}
+        assert all(p.entry is None for p in packets)
+        assert agent.flow_table.active_entries() == 0
 
 
 class TestOverflowQueue:

@@ -131,7 +131,7 @@ class TestBfcSwitchEndToEnd:
         sim.run(until=units.microseconds(600))
         # Three line-rate senders could hold ~600 KB without backpressure;
         # with BFC the occupancy stays bounded by a few pause thresholds.
-        threshold = switch.bfc_disciplines()[0].thresholds.threshold_bytes(1)
+        threshold = switch.bfc_disciplines()[0].thresholds.by_count[1]
         assert peak < 6 * threshold
 
     def test_victim_flow_unaffected_by_congestion_to_other_host(self, sim):
@@ -165,7 +165,7 @@ class TestBfcSwitchEndToEnd:
         )
         switch.receive(frame, 1)
         discipline = switch.interfaces[1].tx.discipline
-        assert discipline.downstream_filter == bitmap
+        assert discipline.scheduler.downstream_filter == bitmap
         assert switch.counters.get("bloom_frames_received") == 1
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,6 +178,124 @@ def test_flow_table_insert_remove_invariants(operations):
         assert table.lookup(*key) is None
     assert table.active_entries() == 0
     assert table.stats.cache_overflows == overflowed
+
+
+class BucketListTable:
+    """Reference flow table: a list per VFID bucket plus an overflow-cache dict.
+
+    This is the structure :class:`FlowTable` modelled the hardware with before
+    it became one dict with bucket *counts*; entries here are plain dicts.
+    """
+
+    def __init__(self, bucket_size, cache_entries):
+        self.bucket_size = bucket_size
+        self.cache_entries = cache_entries
+        self.buckets = {}
+        self.cache = {}
+        self.stats = dict.fromkeys(
+            ("inserts", "vfid_collisions", "bucket_overflows", "cache_overflows",
+             "max_active_entries"), 0
+        )
+
+    def lookup(self, vfid, ingress, egress):
+        for entry in self.buckets.get(vfid, ()):
+            if (entry["ingress"], entry["egress"]) == (ingress, egress):
+                return entry
+        return self.cache.get((vfid, ingress, egress))
+
+    def active(self):
+        return sum(len(b) for b in self.buckets.values()) + len(self.cache)
+
+    def lookup_or_insert(self, vfid, ingress, egress, key):
+        entry = self.lookup(vfid, ingress, egress)
+        if entry is not None:
+            if entry["key"] is not None and entry["packets"] > 0 and key != entry["key"]:
+                self.stats["vfid_collisions"] += 1
+            entry["key"] = key
+            return entry
+        self.stats["inserts"] += 1
+        entry = {"vfid": vfid, "ingress": ingress, "egress": egress, "key": key,
+                 "packets": 0, "cached": False}
+        bucket = self.buckets.setdefault(vfid, [])
+        if len(bucket) < self.bucket_size:
+            bucket.append(entry)
+        else:
+            self.stats["bucket_overflows"] += 1
+            if len(self.cache) >= self.cache_entries:
+                self.stats["cache_overflows"] += 1
+                return None
+            entry["cached"] = True
+            self.cache[(vfid, ingress, egress)] = entry
+        self.stats["max_active_entries"] = max(self.stats["max_active_entries"], self.active())
+        return entry
+
+    def remove(self, entry):
+        if entry["cached"]:
+            del self.cache[(entry["vfid"], entry["ingress"], entry["egress"])]
+        else:
+            self.buckets[entry["vfid"]].remove(entry)
+
+
+@given(
+    operations=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("packet"),
+                st.integers(min_value=0, max_value=2),    # vfid: few, so buckets fill
+                st.integers(min_value=0, max_value=3),    # ingress
+                st.integers(min_value=0, max_value=1),    # egress
+                st.integers(min_value=0, max_value=2),    # which real flow (key)
+            ),
+            st.tuples(st.just("depart"), st.integers(min_value=0)),
+        ),
+        max_size=150,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_flow_table_matches_bucket_list_model(operations):
+    """Counts in place of bucket lists, and recycled entries, change nothing."""
+    table = FlowTable(BfcConfig(num_vfids=64, table_bucket_size=4, overflow_cache_entries=2))
+    model = BucketListTable(bucket_size=4, cache_entries=2)
+    keys = [FlowKey(src=i, dst=9, src_port=i, dst_port=1) for i in range(3)]
+    live = []  # (entry, model entry) pairs with packets queued
+    for op in operations:
+        if op[0] == "packet":
+            _, vfid, ingress, egress, flow = op
+            entry = table.lookup_or_insert(vfid, ingress, egress, key=keys[flow])
+            mirror = model.lookup_or_insert(vfid, ingress, egress, keys[flow])
+            assert (entry is None) == (mirror is None)
+            if entry is None:
+                continue
+            if mirror["packets"] == 0:
+                # A new entry, possibly a recycled object: nothing of its
+                # previous flow may show through.
+                assert (entry.queue, entry.packets, entry.bytes) == (None, 0, 0)
+                assert not entry.paused_upstream and not entry.resume_pending
+                live.append((entry, mirror))
+            assert entry.identity() == (vfid, ingress, egress)
+            assert entry.in_overflow_cache == mirror["cached"]
+            assert entry.current_key is keys[flow]
+            entry.packets += 1
+            mirror["packets"] += 1
+        elif live:
+            entry, mirror = live[op[1] % len(live)]
+            entry.packets -= 1
+            mirror["packets"] -= 1
+            if entry.packets == 0:
+                live.remove((entry, mirror))
+                # Leave the state a paused, queued flow would: reuse must reset it.
+                entry.queue, entry.paused_upstream, entry.resume_pending = 7, True, True
+                entry.bytes = 1_000
+                table.remove(entry)
+                model.remove(mirror)
+                with pytest.raises(KeyError):
+                    table.remove(entry)
+        assert vars(table.stats) == model.stats
+        assert table.active_entries() == model.active() == len(live)
+        for entry, mirror in live:
+            assert table.lookup(*entry.identity()) is entry
+            assert model.lookup(*entry.identity()) is mirror
+        assert len({id(entry) for entry, _ in live}) == len(live)  # one object, one flow
 
 
 # ---------------------------------------------------------------------------

@@ -92,13 +92,22 @@ class TestPauseThresholds:
         assert thresholds.hop_rtt_ns == 2_000
         assert thresholds.pause_interval_ns == 1_000
         # (2 us + 1 us) * 12.5 GB/s = 37.5 KB for one active queue.
-        assert thresholds.threshold_bytes(1) == pytest.approx(37_500, rel=0.01)
-        assert thresholds.threshold_bytes(10) == pytest.approx(3_750, rel=0.01)
+        assert thresholds.by_count[1] == pytest.approx(37_500, rel=0.01)
+        assert thresholds.by_count[10] == pytest.approx(3_750, rel=0.01)
 
     def test_nactive_floor_of_one(self):
         config = BfcConfig(hop_rtt_ns=2_000)
         thresholds = PauseThresholds(config, units.gbps(10), 1_000)
-        assert thresholds.threshold_bytes(0) == thresholds.threshold_bytes(1)
+        assert thresholds.by_count[0] == thresholds.by_count[1]
+
+    def test_table_covers_every_count_the_discipline_can_index(self):
+        config = BfcConfig(num_physical_queues=8, pause_threshold_factor=1.7)
+        thresholds = PauseThresholds(config, units.gbps(25), link_delay_ns=700)
+        # 0..9 active: 8 physical queues + the overflow queue.
+        one_queue = 1.7 * thresholds.feedback_delay_ns() * units.gbps(25) / 8e9
+        assert thresholds.by_count == pytest.approx(
+            [one_queue / max(1, n) for n in range(10)], rel=1e-12
+        )
 
     def test_derived_hop_rtt_includes_serialization(self):
         config = BfcConfig(mtu=1000)
@@ -112,7 +121,7 @@ class TestPauseThresholds:
         double = PauseThresholds(
             BfcConfig(hop_rtt_ns=2_000, pause_threshold_factor=2.0), units.gbps(10), 1_000
         )
-        assert double.threshold_bytes(4) == pytest.approx(2 * base.threshold_bytes(4))
+        assert double.by_count[4] == pytest.approx(2 * base.by_count[4])
 
     def test_feedback_delay(self):
         thresholds = PauseThresholds(BfcConfig(hop_rtt_ns=2_000), units.gbps(10), 1_000)

@@ -59,6 +59,16 @@ class TestPacketWireCodec:
             for h in clone.int_stack
         ] == [("tor0", 100, 5000, 200, 1e10)]
 
+    def test_entry_handle_does_not_cross_the_boundary(self):
+        # The BFC flow-table handle is per-switch state: a packet leaves its
+        # egress queue (and the shard) without it, and the wire form could
+        # not carry one anyway.
+        packet = make_data_packet()
+        packet.entry = object()
+        wire = packet_to_wire(packet)
+        assert all(item is not packet.entry for item in wire)
+        assert packet_from_wire(wire, {}).entry is None
+
     def test_bloom_frame_round_trip(self):
         packet = Packet(
             kind=PacketKind.BLOOM,

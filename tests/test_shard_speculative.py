@@ -28,6 +28,9 @@ from dataclasses import replace
 import pytest
 
 from repro.campaign import estimate_cost, sync_cost_factor
+from repro.core.config import BfcConfig
+from repro.core.discipline import BfcEgressDiscipline
+from repro.core.switchlogic import BfcAgent
 from repro.campaign.scheduling import SPECULATIVE_COST_FACTOR
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import fig5a_configs
@@ -42,6 +45,7 @@ from repro.shard.speculative import ADAPTIVE_WINDOW_NS, DEFAULT_MAX_LEAP
 from repro.sim import units
 from repro.sim.engine import PureSimulator
 from repro.sim.host import HostConfig
+from repro.sim.packet import FlowKey, Packet, PacketKind
 
 from tests.golden_kernel import golden_configs
 from tests.test_shard_determinism import (
@@ -385,6 +389,45 @@ class TestDeepcopyFallback:
             warnings.simplefilter("error")
             again = context.capture(world, world.sim.now, 0, {})
         assert again.backend == "deepcopy"
+
+
+# ---------------------------------------------------------------------------
+# BFC flow-table handles across a snapshot
+# ---------------------------------------------------------------------------
+
+
+class TestEntryHandleAcrossSnapshot:
+    def test_queued_packets_keep_pointing_at_their_table_entry(self, context):
+        world = _mini_world()
+        config = BfcConfig(hop_rtt_ns=2_000)
+        world.agent = BfcAgent(world.sim, config)
+        world.discipline = BfcEgressDiscipline(
+            world.agent, egress_index=0, link_rate_bps=units.gbps(10), link_delay_ns=1_000
+        )
+        key = FlowKey(src=1, dst=2, src_port=7, dst_port=4791)
+        count = int(world.discipline.thresholds.by_count[1] // 1_000) + 2
+        world.packets = [
+            Packet(PacketKind.DATA, flow_id=7, key=key, size=1_000, seq=i) for i in range(count)
+        ]
+        for packet in world.packets:
+            world.discipline.enqueue(packet, ingress=3)
+        vfid = world.packets[0].vfid
+        assert world.agent.is_paused(vfid, 3)  # a paused flow with queued packets
+
+        restored = context.restore(context.capture(world, -1, 0, {}))
+        entry = restored.agent.flow_table.lookup(vfid, 3, 0)
+        assert entry is not world.agent.flow_table.lookup(vfid, 3, 0)
+        assert entry.paused_upstream and entry.packets == count
+        # packet -> entry -> the very object the restored table holds
+        assert all(packet.entry is entry for packet in restored.packets)
+
+        # The restored world drains on its own handles; the live one is untouched.
+        drained = [restored.discipline.dequeue() for _ in range(count)]
+        assert [p.seq for p in drained] == list(range(count))
+        assert all(p.entry is None for p in drained)
+        assert restored.agent.flow_table.active_entries() == 0
+        assert world.agent.flow_table.lookup(vfid, 3, 0).packets == count
+        assert all(p.entry is not None for p in world.packets)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for VFID hashing and the virtual-flow hash table."""
 
+import pytest
+
 from repro.core.config import BfcConfig
 from repro.core.vfid import FlowEntry, FlowTable, packet_vfid
 from repro.sim.packet import FlowKey, Packet, PacketKind
@@ -69,6 +71,27 @@ class TestFlowTable:
         entry = table.lookup_or_insert(5, 1, 2)
         table.remove(entry)
         assert table.lookup(5, 1, 2) is None
+        assert table.active_entries() == 0
+
+    def test_removed_entry_is_recycled_clean(self):
+        table = self.make_table()
+        entry = table.lookup_or_insert(5, 1, 2, key=FlowKey(1, 2, 3, 4))
+        entry.packets, entry.bytes, entry.queue = 2, 2_000, 9
+        entry.paused_upstream = entry.resume_pending = True
+        table.remove(entry)
+        again = table.lookup_or_insert(6, 3, 4)
+        assert again is entry  # the same object serves the next flow
+        assert again.identity() == (6, 3, 4)
+        assert (again.packets, again.bytes, again.queue, again.current_key) == (0, 0, None, None)
+        assert not again.paused_upstream and not again.resume_pending
+        assert not again.in_overflow_cache
+
+    def test_double_remove_raises(self):
+        table = self.make_table()
+        entry = table.lookup_or_insert(5, 1, 2)
+        table.remove(entry)
+        with pytest.raises(KeyError):
+            table.remove(entry)
         assert table.active_entries() == 0
 
     def test_bucket_overflow_goes_to_cache(self):
