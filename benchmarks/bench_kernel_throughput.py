@@ -88,21 +88,6 @@ def _count_packets(topo) -> int:
     return total
 
 
-def _train_histogram(topo) -> Dict[str, int]:
-    """Aggregate {train_length: occurrences} over every egress port.
-
-    Only host uplinks can batch today (switch dequeue has side effects that
-    forbid trains), but summing every port keeps the probe honest if that
-    ever changes.  JSON object keys must be strings, hence ``str(length)``.
-    """
-    counts: Dict[int, int] = {}
-    for node in list(topo.all_switches()) + list(topo.hosts.values()):
-        for iface in node.interfaces:
-            for length, occurrences in iface.tx.train_counts.items():
-                counts[length] = counts.get(length, 0) + occurrences
-    return {str(length): counts[length] for length in sorted(counts)}
-
-
 #: Number of pending-event-depth probes spread over a run.  Each probe is one
 #: extra engine event (~0.05% of a run), so events/sec stays comparable with
 #: earlier baselines.
@@ -157,7 +142,6 @@ def run_one(config: ExperimentConfig) -> Dict[str, float]:
         # across baselines — unlike events/sec, which additionally moves
         # whenever this ratio moves (see docs/benchmarking.md).
         "events_per_packet": events / packets if packets else 0.0,
-        "train_length_histogram": _train_histogram(topo),
         "mean_pending_events": (
             sum(depth_samples) / len(depth_samples) if depth_samples else 0.0
         ),
@@ -239,8 +223,6 @@ def main(argv=None) -> int:
             f"{sample['events_per_packet']:.3f} ev/pkt "
             f"(mean pending {sample['mean_pending_events']:,.0f})"
         )
-        if sample["train_length_histogram"]:
-            print(f"{'':>10}trains: {sample['train_length_histogram']}")
     print(
         f"{'TOTAL':>8}: {report['total_events']:>9,} events in "
         f"{report['total_wall_seconds']:.3f}s -> {report['events_per_sec']:>12,.0f} ev/s, "

@@ -4,33 +4,21 @@ Measures :mod:`repro.shard` on two representative partitions:
 
 * ``cross-dc`` — a fig9-style two-data-center topology split per DC.  The
   200x-longer inter-DC delay is the conservative window, so barriers are
-  rare; this is the headline sharding configuration and the one expected to
-  stay cheap even on a single CPU.
+  rare; this is the headline sharding configuration.
 * ``pod`` — the fig5a leaf-spine fabric split per pod.  The window is one
-  intra-fabric link delay (1 us), so this stresses the barrier path; on a
-  single-CPU container it mostly measures the synchronization + cache-
-  alternation overhead that a multi-core machine turns into real speedup.
+  intra-fabric link delay (1 us), so this stresses the barrier path.
 
-Each sharded point runs under a synchronization mode (``--sync``): the
-default ``paired`` mode measures conservative and speculative (time-warp)
-sync back to back, recording the speculation counters — snapshots,
-rollbacks, re-executed events, barriers avoided — next to the barrier
-counts so the protocol trade is visible in one JSON.
-
-Honesty notes recorded in the JSON: on a 1-CPU machine (``cpu_count`` field)
-sharding cannot speed anything up — ``overhead_vs_serial`` is the honest
-cost; on >= 2 CPUs the same runs turn the per-shard event streams into
-parallel wall-clock progress.  Speculation reduces *barriers* (the
-distributed-synchronization cost proxy) but pays for checkpoints and
-rollbacks in wall clock, which a single CPU never earns back.  Records are
-byte-identical to the single-process run in every mode
+Each shard is one OS process, so a point only has the CPUs it needs when
+``cpu_count`` (recorded in the JSON) is at least its shard count; with fewer,
+``overhead_vs_serial`` is the synchronization cost plus CPU contention.
+Records are byte-identical to the single-process run at every shard count
 (``tests/test_shard_determinism.py``).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_shard_scaling.py
     PYTHONPATH=src python benchmarks/bench_shard_scaling.py \
-        --duration-us 200 --repeats 1 --sync speculative --json /tmp/shard.json
+        --duration-us 200 --repeats 1 --json /tmp/shard.json
 """
 
 from __future__ import annotations
@@ -73,22 +61,12 @@ def _scenarios(duration_us: int) -> Dict[str, Dict[str, object]]:
     }
 
 
-#: ``paired`` (the default for JSON regeneration) measures every sharded
-#: point under conservative AND speculative sync back to back, so the
-#: barrier-count reduction and the 1-CPU wall overhead of time-warp come
-#: from the same throttling window.
-SYNC_CHOICES = ["paired", "conservative", "speculative", "adaptive"]
-
-
-def _measure(config, shards: int, sync: str) -> Dict[str, object]:
+def _measure(config, shards: int) -> Dict[str, object]:
     started = time.monotonic()
-    result = run_experiment(
-        replace(config, shards=shards, shard_sync=sync)
-    )
+    result = run_experiment(replace(config, shards=shards))
     wall = time.monotonic() - started
     point = {
         "shards": shards,
-        "sync": sync,
         "wall_seconds": wall,
         "events": result.events_processed,
         "events_per_sec": result.events_processed / wall if wall > 0 else 0.0,
@@ -101,69 +79,39 @@ def _measure(config, shards: int, sync: str) -> Dict[str, object]:
                 "strategy": stats["strategy"],
                 "window_ns": stats["window_ns"],
                 "cut_links": stats["cut_links"],
-                "sync_resolved": stats["sync"],
                 "barriers": stats["barriers"],
                 "boundary_packets": stats["boundary_packets"],
             }
         )
-        speculation = stats.get("speculation")
-        if speculation is not None:
-            point.update(
-                {
-                    "snapshots": speculation["snapshots"],
-                    "rollbacks": speculation["rollbacks"],
-                    "events_reexecuted": speculation["events_reexecuted"],
-                    "barriers_avoided": speculation["barriers_avoided"],
-                    "max_leap_used": speculation["max_leap_used"],
-                }
-            )
     return point
 
 
-def run_benchmark(
-    duration_us: int, repeats: int, sync: str = "paired"
-) -> Dict[str, object]:
-    sync_modes = ["conservative", "speculative"] if sync == "paired" else [sync]
+def run_benchmark(duration_us: int, repeats: int) -> Dict[str, object]:
     scenarios: Dict[str, object] = {}
     for name, spec in _scenarios(duration_us).items():
-        # The serial baseline plus every (shards, sync) combination.
-        combos = [(1, "conservative")] + [
-            (shards, mode)
-            for shards in spec["shard_counts"]
-            if shards > 1
-            for mode in sync_modes
-        ]
-        # Round-robin the repeats over the combinations so each point's
-        # best-of-N samples the same wall-clock windows: the container's CPU
+        shard_counts = spec["shard_counts"]
+        # Round-robin the repeats over the shard counts so each point's
+        # best-of-N samples the same wall-clock windows: the machine's CPU
         # throttling drifts over minutes, and only same-window ratios mean
         # anything.
-        best: Dict[tuple, Dict[str, object]] = {}
+        best: Dict[int, Dict[str, object]] = {}
         for _ in range(repeats):
-            for combo in combos:
-                point = _measure(spec["config"], *combo)
+            for shards in shard_counts:
+                point = _measure(spec["config"], shards)
                 if (
-                    combo not in best
-                    or point["wall_seconds"] < best[combo]["wall_seconds"]
+                    shards not in best
+                    or point["wall_seconds"] < best[shards]["wall_seconds"]
                 ):
-                    best[combo] = point
-        points: List[Dict[str, object]] = [best[combo] for combo in combos]
+                    best[shards] = point
+        points: List[Dict[str, object]] = [best[shards] for shards in shard_counts]
         for point in points:
-            label = f"shards={point['shards']}"
-            if point["shards"] > 1:
-                label += f" sync={point['sync']}"
             line = (
-                f"{name:>9} {label}: "
+                f"{name:>9} shards={point['shards']}: "
                 f"{point['wall_seconds']:.2f}s, "
                 f"{point['events_per_sec']:,.0f} ev/s"
             )
             if "barriers" in point:
                 line += f", {point['barriers']} barriers, window {point['window_ns']} ns"
-            if "rollbacks" in point:
-                line += (
-                    f", {point['snapshots']} snapshots, "
-                    f"{point['rollbacks']} rollbacks, "
-                    f"{point['barriers_avoided']} barriers avoided"
-                )
             print(line)
         serial_wall = points[0]["wall_seconds"]
         for point in points[1:]:
@@ -179,17 +127,12 @@ def run_benchmark(
         "seed": BENCH_SEED,
         "scenarios": scenarios,
         "repeats": repeats,
-        "sync": sync,
         "note": (
-            "On a 1-CPU machine overhead_vs_serial is the honest cost of the "
-            "synchronization protocol plus cache alternation between resident "
-            "shard simulations; wall-clock speedup requires >= 2 CPUs.  "
-            "Speculative (time-warp) sync trades fewer barriers "
-            "(barriers + barriers_avoided ~= the conservative barrier count) "
-            "for checkpoint/rollback work that a 1-CPU box pays in wall "
-            "clock; the barrier reduction is the distributed-cost proxy.  "
-            "Records are byte-identical to the single-process run at every "
-            "shard count and in every sync mode "
+            "Conservative windows; speedup_vs_serial is best-of-repeats wall "
+            "clock against the single-process run.  A point has a CPU per "
+            "shard only when cpu_count >= shards; otherwise it also measures "
+            "CPU contention.  Records are byte-identical to the "
+            "single-process run at every shard count "
             "(tests/test_shard_determinism.py)."
         ),
         "python": platform.python_version(),
@@ -212,13 +155,6 @@ def main(argv=None) -> int:
         "--repeats", type=int, default=2, help="take the best of N runs (default 2)"
     )
     parser.add_argument(
-        "--sync",
-        default="paired",
-        choices=SYNC_CHOICES,
-        help="shard sync mode to measure; 'paired' (default) measures "
-        "conservative and speculative back to back at each shard count",
-    )
-    parser.add_argument(
         "--json",
         type=Path,
         default=DEFAULT_JSON,
@@ -226,12 +162,12 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    report = run_benchmark(args.duration_us, args.repeats, args.sync)
+    report = run_benchmark(args.duration_us, args.repeats)
     for name, scenario in report["scenarios"].items():
         for point in scenario["points"]:
             if "overhead_vs_serial" in point:
                 print(
-                    f"{name:>9} shards={point['shards']} sync={point['sync']}: "
+                    f"{name:>9} shards={point['shards']}: "
                     f"speedup x{point['speedup_vs_serial']:.2f} "
                     f"(overhead {100 * point['overhead_vs_serial']:+.1f}% vs serial)"
                 )

@@ -7,8 +7,8 @@ the ``bench-regression`` job then calls this script to fail the build when a
 scheme got slower.
 
 The gate judges **packets/sec** (delivered packets per wall-clock second),
-not events/sec: event fusion and packet trains change how many engine events
-one packet costs, so events/sec silently "regresses" (or "improves") across
+not events/sec: event fusion changes how many engine events one packet
+costs, so events/sec silently "regresses" (or "improves") across
 kernels that do identical work per packet — see docs/benchmarking.md.
 Packets/sec is only comparable within one machine, and CI runners are not the
 machine the baseline was committed from.  The gate therefore normalizes each

@@ -41,7 +41,6 @@ from .scheduling import (
     estimate_cost,
     plan_trials,
     resolve_cores,
-    sync_cost_factor,
     trial_slots,
 )
 from .workspace import Workspace, render_report
@@ -74,7 +73,6 @@ __all__ = [
     "PlannedTrial",
     "plan_trials",
     "estimate_cost",
-    "sync_cost_factor",
     "trial_slots",
     "ResultSet",
     "TrialRecord",

@@ -111,70 +111,20 @@ def trial_slots(trial: "Trial") -> int:
     return max(1, getattr(config, "shards", 1) or 1)
 
 
-#: Planning-cost multiplier applied when a sharded trial resolves to
-#: speculative sync.  Time-warp rounds re-execute rolled-back events and
-#: pay checkpoint captures/restores on top of the base event work; on
-#: dense-cut partitions the overhead is a small integer factor (see
-#: ``benchmarks/BENCH_shard_scaling.json`` for measured numbers).  Relative,
-#: like the rest of the cost model — it exists so LPT packing does not
-#: schedule a speculative trial as if it were a conservative one.
-SPECULATIVE_COST_FACTOR = 4.0
-
-
-def _estimated_window_ns(config: "ExperimentConfig") -> Optional[int]:
-    """Best static guess of the partition's sync window, without building it.
-
-    Mirrors how :func:`repro.shard.partition.partition_topology` derives the
-    window (the smallest cut-link delay): the inter-DC gateway delay when a
-    cross-DC topology splits per DC, otherwise the intra-fabric link delay.
-    """
-    cross_dc = getattr(config, "cross_dc", None)
-    strategy = getattr(config, "shard_strategy", "auto") or "auto"
-    if cross_dc is not None:
-        if strategy in ("auto", "dc"):
-            return cross_dc.gateway_delay_ns
-        return cross_dc.dc_params.link_delay_ns
-    return config.clos.link_delay_ns
-
-
-def sync_cost_factor(config: "ExperimentConfig") -> float:
-    """Cost multiplier for the trial's shard synchronization mode.
-
-    ``adaptive`` is resolved the same way :class:`repro.shard.SyncPolicy`
-    resolves it — speculative below the window threshold, conservative above
-    — using the statically estimated window.
-    """
-    shards = getattr(config, "shards", 1) or 1
-    if shards <= 1:
-        return 1.0
-    sync = getattr(config, "shard_sync", "conservative") or "conservative"
-    if sync == "speculative":
-        return SPECULATIVE_COST_FACTOR
-    if sync == "adaptive":
-        from repro.shard.speculative import ADAPTIVE_WINDOW_NS
-
-        window = _estimated_window_ns(config)
-        if window is not None and window < ADAPTIVE_WINDOW_NS:
-            return SPECULATIVE_COST_FACTOR
-    return 1.0
-
-
 def estimate_cost(config: "ExperimentConfig") -> float:
     """Relative cost estimate of one run: topology size x simulated time.
 
     Event volume scales roughly with the number of traffic sources times the
     simulated duration (drain included), which is all that is knowable
-    without running the trial.  Sharded trials using speculative sync carry
-    a constant overhead multiplier (:func:`sync_cost_factor`) for rollback
-    re-execution and checkpoint churn.  The estimate is *relative* — good
-    enough to order trials for LPT packing; :class:`CostCache` replaces it
-    with measured wall-clock seconds once a trial has run at least once.
+    without running the trial.  The estimate is *relative* — good enough to
+    order trials for LPT packing; :class:`CostCache` replaces it with
+    measured wall-clock seconds once a trial has run at least once.
     """
     if config.cross_dc is not None:
         hosts = 2 * config.cross_dc.dc_params.num_hosts
     else:
         hosts = config.clos.num_hosts
-    return float(hosts) * float(config.total_duration_ns()) * sync_cost_factor(config)
+    return float(hosts) * float(config.total_duration_ns())
 
 
 def trial_key(trial: "Trial") -> str:

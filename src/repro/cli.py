@@ -53,7 +53,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.report import format_comparison_table, format_series_table
@@ -61,12 +60,7 @@ from repro.campaign import Campaign, CampaignError, summarize_result
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.schemes import SCHEMES, UnknownSchemeError, available_schemes
 from repro.experiments import scenarios
-from repro.shard import (
-    STRATEGIES as SHARD_STRATEGIES,
-    SYNC_MODES as SHARD_SYNC_MODES,
-    PartitionError,
-    ShardError,
-)
+from repro.shard import STRATEGIES as SHARD_STRATEGIES, PartitionError, ShardError
 from repro.sim import units
 from repro.workloads.distributions import WORKLOADS
 
@@ -201,10 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--strategy", default="auto",
                        choices=list(SHARD_STRATEGIES),
                        help="partition strategy (default: per-DC when multi-DC, else per-pod)")
-    shard.add_argument("--sync", default="conservative",
-                       choices=list(SHARD_SYNC_MODES),
-                       help="shard synchronization: conservative windows, "
-                            "speculative (time-warp), or adaptive per window size")
     shard.add_argument("--json", action="store_true")
 
     topology = sub.add_parser(
@@ -218,9 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     topology.add_argument("--shards", type=int, default=2,
                           help="partition to report cut/window stats for")
     topology.add_argument("--strategy", default="auto", choices=list(SHARD_STRATEGIES))
-    topology.add_argument("--sync", default="conservative",
-                          choices=list(SHARD_SYNC_MODES),
-                          help="report which sync mode this partition would use")
     topology.add_argument("--json", action="store_true")
 
     openloop = sub.add_parser(
@@ -706,8 +693,7 @@ def cmd_shard(args: argparse.Namespace, out) -> int:
 
     config = _single_config(args.scheme, args.scale, args.workload, args.load,
                             args.incast, args.seed)
-    config = replace(config, shards=args.shards, shard_strategy=args.strategy,
-                     shard_sync=args.sync)
+    config = replace(config, shards=args.shards, shard_strategy=args.strategy)
     result = run_experiment(config)
     summary = _result_summary(result)
     payload = {"summary": summary, "shard_stats": result.shard_stats}
@@ -717,8 +703,7 @@ def cmd_shard(args: argparse.Namespace, out) -> int:
         return 0
     print(
         f"Sharded experiment: {config.name} "
-        f"(scale={args.scale}, shards={args.shards}, strategy={args.strategy}, "
-        f"sync={args.sync})",
+        f"(scale={args.scale}, shards={args.shards}, strategy={args.strategy})",
         file=out,
     )
     for key, value in summary.items():
@@ -733,32 +718,11 @@ def cmd_shard(args: argparse.Namespace, out) -> int:
     print(file=out)
     print("Partition:", file=out)
     _print_partition(stats, out)
-    if "sync" in stats:
-        sync = stats["sync"]
-        requested = stats.get("requested_sync", sync)
-        label = sync if requested == sync else f"{sync} (requested {requested})"
-        print(f"  sync                   {label}", file=out)
     if "barriers" in stats:
         print(f"  barriers               {stats['barriers']}", file=out)
         print(f"  boundary packets       {stats['boundary_packets']}", file=out)
         for shard, events in stats.get("events_per_shard", {}).items():
             print(f"  shard {shard} events         {events}", file=out)
-    speculation = stats.get("speculation")
-    if speculation:
-        print(file=out)
-        print("Speculation:", file=out)
-        print(f"  snapshots              {speculation['snapshots']}", file=out)
-        print(f"  snapshot cadence       every {speculation['snapshot_every']} "
-              "speculative round(s)", file=out)
-        print(f"  rollbacks              {speculation['rollbacks']}", file=out)
-        print(f"  events re-executed     {speculation['events_reexecuted']}",
-              file=out)
-        print(f"  stragglers             {speculation['stragglers']}", file=out)
-        print(f"  retractions            {speculation['retractions']}", file=out)
-        print(f"  barriers avoided       {speculation['barriers_avoided']}",
-              file=out)
-        print(f"  max leap used          {speculation['max_leap_used']} "
-              f"(cap {speculation['max_leap']})", file=out)
     return 0
 
 
@@ -785,7 +749,7 @@ def cmd_topology(args: argparse.Namespace, out) -> int:
     # Build only the wired topology — not the traffic trace — so inspecting
     # a paper-scale cut stays cheap.
     from repro.experiments.runner import build_topology_only
-    from repro.shard import SyncPolicy, partition_topology
+    from repro.shard import partition_topology
 
     factory = FIGURE_FACTORIES[args.figure]
     configs = factory(args.scale)
@@ -801,11 +765,6 @@ def cmd_topology(args: argparse.Namespace, out) -> int:
         links_by_class[link.link_class] = links_by_class.get(link.link_class, 0) + 1
 
     spec = partition_topology(topo, args.shards, args.strategy)
-    with warnings.catch_warnings():
-        # Resolution may warn about the accel backend; the text report
-        # carries the same information in the "reason" field.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        policy = SyncPolicy.resolve(args.sync, spec.window_ns)
     info = {
         "figure": args.figure,
         "scale": args.scale,
@@ -818,13 +777,6 @@ def cmd_topology(args: argparse.Namespace, out) -> int:
         "link_rate_gbps": config.clos.link_rate_bps / 1e9,
         "link_delay_ns": config.clos.link_delay_ns,
         "partition": spec.stats(topo),
-        "sync": {
-            "requested": policy.requested,
-            "mode": policy.mode,
-            "reason": policy.reason,
-            "max_leap": policy.max_leap,
-            "snapshot_every": policy.snapshot_every,
-        },
     }
     if args.json:
         json.dump(info, out, indent=2)
@@ -845,13 +797,6 @@ def cmd_topology(args: argparse.Namespace, out) -> int:
     part = info["partition"]
     print(f"\nPartition into {args.shards} shard(s):", file=out)
     _print_partition(part, out)
-    sync = info["sync"]
-    print(f"\nSync policy for --sync {sync['requested']}:", file=out)
-    print(f"  mode                   {sync['mode']} ({sync['reason']})", file=out)
-    if sync["mode"] == "speculative":
-        print(f"  max leap               {sync['max_leap']} windows", file=out)
-        print(f"  snapshot cadence       every {sync['snapshot_every']} "
-              "speculative round(s)", file=out)
     return 0
 
 

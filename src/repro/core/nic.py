@@ -15,7 +15,6 @@ recently received pause filter.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from repro.sim.host import Host, NicScheduler, SenderFlowState
@@ -56,63 +55,33 @@ class BfcNicScheduler(NicScheduler):
         fstate.paused = self.codec.contains(self.pause_filter, fstate.vfid)
         super().add_flow(fstate)
 
-    def on_bloom(self, packet: Packet) -> bool:
+    def on_bloom(self, packet: Packet) -> None:
         """Install the pause filter shipped by the ToR switch.
 
-        Returns whether the new filter changes the pause state of any active
-        flow — ``False`` lets the host keep a committed packet train (the
-        scans that built it would decide identically under the new filter),
-        which matters because the ToR re-broadcasts its filter every Bloom
-        interval and most broadcasts repeat the previous pause set.
+        The ToR re-broadcasts its filter every Bloom interval and most
+        broadcasts repeat the previous pause set, so an identical bitmap
+        skips the per-flow re-evaluation.
         """
         self.bloom_frames_received += 1
         bitmap = packet.bloom_bits
         if bitmap == self.pause_filter:
-            return False
+            return
         self.pause_filter = bitmap
         contains = self.codec.contains
-        changed = False
         for fstate in self._flows.values():
-            paused = contains(bitmap, fstate.vfid)
-            if paused != fstate.paused:
-                fstate.paused = paused
-                changed = True
-        return changed
+            fstate.paused = contains(bitmap, fstate.vfid)
 
     def paused_flow_count(self) -> int:
         """Flows currently blocked by the pause filter (for tests/analysis)."""
         return sum(fstate.paused for fstate in self._flows.values())
 
 
-#: Configured NIC classes by config value, so repeated binding of the same
-#: configuration (e.g. every checkpoint restore in a speculative shard run)
-#: reuses one class instead of minting a new type per call.
-_CONFIGURED_CLASSES: dict = {}
-
-
-def _reduce_configured_nic_class(cls: type) -> tuple:
-    """Snapshot-pickle recipe for configured NIC classes.
-
-    The classes made by :func:`bfc_nic_class` are dynamic (not importable by
-    name), so :mod:`repro.shard.snapshot` pickles them through this hook:
-    reconstructing via the factory round-trips to the cached class for the
-    same config value.
-    """
-    return (bfc_nic_class, (cls.CONFIG,))
-
-
 def bfc_nic_class(config: BfcConfig) -> type:
     """A :class:`BfcNicScheduler` subclass bound to a specific configuration."""
-    key = dataclasses.astuple(config)
-    cached = _CONFIGURED_CLASSES.get(key)
-    if cached is not None:
-        return cached
 
     class _ConfiguredBfcNic(BfcNicScheduler):
         CONFIG = config
 
     _ConfiguredBfcNic.__name__ = "BfcNicScheduler"
     _ConfiguredBfcNic.__qualname__ = "BfcNicScheduler"
-    _ConfiguredBfcNic.__class_reduce__ = _reduce_configured_nic_class
-    _CONFIGURED_CLASSES[key] = _ConfiguredBfcNic
     return _ConfiguredBfcNic

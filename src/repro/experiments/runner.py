@@ -179,9 +179,7 @@ class ExperimentConfig:
       is simulated.
     * **Execution** — ``shards``/``shard_strategy``: ``shards > 1`` runs
       this one experiment space-parallel across OS processes with records
-      identical to the single-process run; ``shard_sync`` selects how the
-      shards synchronize (``conservative`` windows, ``speculative``
-      time-warp with rollback, or ``adaptive``).  In a campaign, prefer
+      identical to the single-process run.  In a campaign, prefer
       ``Campaign.run(cores=...)`` so sharded trials are scheduled onto the
       machine instead of oversubscribing it (``docs/campaigns.md``).
     """
@@ -212,14 +210,6 @@ class ExperimentConfig:
     #: synchronized time windows).  1 is the ordinary single-process run.
     shards: int = 1
     shard_strategy: str = "auto"
-    #: How the shard processes synchronize simulated time:
-    #: ``"conservative"`` — lock-step windows of the smallest cut-link delay
-    #: (never executes an event out of order); ``"speculative"`` — optimistic
-    #: time-warp execution with checkpoint/rollback (identical records,
-    #: fewer synchronization rounds on short-window partitions);
-    #: ``"adaptive"`` — picks per partition based on the window width.
-    #: See :mod:`repro.shard.speculative` and ``docs/determinism.md``.
-    shard_sync: str = "conservative"
 
     def total_duration_ns(self) -> int:
         drain = self.drain_ns if self.drain_ns > 0 else self.duration_ns // 2
@@ -503,21 +493,6 @@ def _aggregate_switch_counters(topo: Topology, switches=None) -> Dict[str, int]:
     return totals
 
 
-def _rollback_horizon_trains(topo: Topology) -> None:
-    """Unwind NIC packet trains committed past the final run horizon.
-
-    Per-packet operation never builds a packet whose serialization starts
-    after ``until`` (no event fires there), so harvested counters/meters
-    must not include such commitments — results stay byte-identical to a
-    ``nic_train_packets=1`` run.  Shard workers do the same before their
-    harvest (:func:`repro.shard.coordinator._harvest_shard`).
-    """
-    for host in topo.hosts.values():
-        port = host._uplink_port
-        if port is not None and port._train:
-            port.rollback_horizon()
-
-
 def _aggregate_host_counters(topo: Topology, hosts=None) -> Dict[str, int]:
     totals: Dict[str, int] = {}
     for host in topo.hosts.values() if hosts is None else hosts:
@@ -675,9 +650,7 @@ def run_experiment(
             if previous is None:
                 host.on_flow_complete = _on_complete
             else:
-                # Chain behind an installed FlowGraphLauncher hook.  A plain
-                # closure is fine here: open-loop traffic is rejected under
-                # sharding, so this hook is never snapshotted.
+                # Chain behind an installed FlowGraphLauncher hook.
                 def _chained(flow: Flow, now_ns: int, _previous=previous) -> None:
                     _previous(flow, now_ns)
                     _on_complete(flow, now_ns)
@@ -699,7 +672,6 @@ def run_experiment(
     )
 
     sim.run(until=config.total_duration_ns(), max_events=config.max_events)
-    _rollback_horizon_trains(topo)
 
     for flow in trace:
         sink.on_flow_record(recorder.record(flow))

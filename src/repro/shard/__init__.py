@@ -1,22 +1,14 @@
-"""Space-parallel sharded simulation: conservative windows or time-warp.
+"""Space-parallel sharded simulation with conservative time windows.
 
 One large topology is cut into shards (:mod:`repro.shard.partition`), every
 cut link becomes a latency-preserving cross-process boundary channel
 (:mod:`repro.shard.boundary`), and a coordinator advances all shard
-simulators together.  Two synchronization modes produce byte-identical
-records:
+simulators in conservative epochs bounded by the smallest cut-link delay
+(:mod:`repro.shard.coordinator`).
 
-* **conservative** (:mod:`repro.shard.coordinator`) — lock-step epochs
-  bounded by the smallest cut-link delay; no shard ever executes an event
-  out of order.
-* **speculative** (:mod:`repro.shard.speculative`) — optimistic time-warp
-  rounds several windows deep, with whole-world checkpoints
-  (:mod:`repro.shard.snapshot`), rollback on stragglers, and export
-  retraction; fewer synchronization rounds on short-window partitions.
-
-The public entry points are ``ExperimentConfig(shards=N, shard_sync=...)``
-— which :func:`repro.experiments.runner.run_experiment` routes through the
-right coordinator transparently — and the pieces below for direct use.
+The public entry points are ``ExperimentConfig(shards=N)`` — which
+:func:`repro.experiments.runner.run_experiment` routes through the
+coordinator transparently — and the pieces below for direct use.
 """
 
 from .boundary import BoundaryChannel, packet_from_wire, packet_to_wire
@@ -28,13 +20,6 @@ from .partition import (
     PartitionSpec,
     partition_topology,
 )
-from .snapshot import SnapshotContext, SnapshotStore, WorldSnapshot, shared_roots
-from .speculative import (
-    SYNC_MODES,
-    SpeculativeCoordinator,
-    SpeculativeInjector,
-    SyncPolicy,
-)
 
 __all__ = [
     "BoundaryChannel",
@@ -42,17 +27,9 @@ __all__ = [
     "PartitionError",
     "PartitionSpec",
     "STRATEGIES",
-    "SYNC_MODES",
     "ShardCoordinator",
     "ShardError",
-    "SnapshotContext",
-    "SnapshotStore",
-    "SpeculativeCoordinator",
-    "SpeculativeInjector",
-    "SyncPolicy",
-    "WorldSnapshot",
     "partition_topology",
-    "shared_roots",
     "packet_from_wire",
     "packet_to_wire",
     "run_sharded_experiment",

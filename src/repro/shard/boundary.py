@@ -27,7 +27,7 @@ so that, like the sender side, all packets of one flow share a single key.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.sim.packet import FlowKey, IntHop, Packet, PacketKind
 
@@ -190,40 +190,21 @@ def attach_boundaries(
             # identity.
             capture = channel.receive
             port._peer_receive = capture
-            port._post = _BoundaryPost(sim, port)
-            # Packet trains post deliveries via sim.schedule (they need
-            # cancellable handles), which would bypass the capture; no
-            # partition strategy cuts a host uplink, but disable trains on
-            # rewired ports outright so the invariant is structural.
-            port._train_next = None
+            port._post = _make_boundary_post(sim.post, capture)
             rewired += 1
     return outbox, rewired
 
 
-class _BoundaryPost:
-    """A ``sim.post`` stand-in that short-circuits the delivery post.
+def _make_boundary_post(sim_post, capture) -> Callable:
+    """A ``sim.post`` stand-in that short-circuits the delivery post."""
 
-    A class rather than a closure so that speculative snapshots stay
-    self-contained: ``copy.deepcopy`` treats plain functions atomically (the
-    copy would keep posting into the *pre-rollback* simulator through the
-    original closure cells), but deepcopies instances — the restored wrapper
-    points at the restored simulator and port.  The capture is recognized by
-    reading ``port._peer_receive`` at call time: the port's kick passes that
-    same attribute object, so the identity check survives deepcopy even
-    though bound-method copies are not memoized.
-    """
-
-    __slots__ = ("sim", "port")
-
-    def __init__(self, sim, port) -> None:
-        self.sim = sim
-        self.port = port
-
-    def __call__(self, delay_ns, callback, *args):
-        if callback is self.port._peer_receive:
-            callback(delay_ns, *args)
+    def boundary_post(delay_ns, callback, *args):
+        if callback is capture:
+            capture(delay_ns, *args)
         else:
-            self.sim.post(delay_ns, callback, *args)
+            sim_post(delay_ns, callback, *args)
+
+    return boundary_post
 
 
 class InjectionQueue:

@@ -115,111 +115,48 @@ class _ShardSampler:
                 self.occupied_ticks[switch.name].append(occupied)
 
 
-class _SamplerDriver:
-    """Schedules the periodic sampling tick as a bound method.
-
-    A class rather than a closure so the speculative runtime can snapshot
-    the worker world with ``copy.deepcopy``: a closure is copied atomically
-    (its cells would keep pointing at the pre-rollback simulator), while a
-    deepcopied driver instance follows the snapshot — the restored tick
-    event samples the restored sampler and reschedules on the restored
-    simulator.
-    """
-
-    __slots__ = ("sim", "sampler", "interval_ns", "total_ns")
-
-    def __init__(self, sim, sampler: _ShardSampler, interval_ns: int, total_ns: int) -> None:
-        self.sim = sim
-        self.sampler = sampler
-        self.interval_ns = interval_ns
-        self.total_ns = total_ns
-
-    def start(self) -> None:
-        self.sim.schedule(self.interval_ns, self.tick)
-
-    def tick(self) -> None:
-        self.sampler.sample()
-        if self.sim.now + self.interval_ns <= self.total_ns:
-            self.sim.schedule(self.interval_ns, self.tick)
-
-
-class _ShardWorld:
-    """Everything a worker process simulates: the snapshot/restore root.
-
-    The speculative runtime deepcopies this object wholesale (with a memo
-    seeded to share the immutable config graph and the cross-round message
-    log); holding every mutable piece of run state behind one root is what
-    makes the snapshot complete by construction.
-    """
-
-    __slots__ = (
-        "sim", "env", "topo", "trace", "outbox", "boundary_ports",
-        "sampler", "driver",
-    )
-
-    def __init__(self, sim, env, topo, trace, outbox, boundary_ports,
-                 sampler, driver) -> None:
-        self.sim = sim
-        self.env = env
-        self.topo = topo
-        self.trace = trace
-        self.outbox = outbox
-        self.boundary_ports = boundary_ports
-        self.sampler = sampler
-        self.driver = driver
-
-
-def _build_shard_world(config, shard_id: int, num_shards: int, strategy: str):
-    """Build one shard's full simulation world (shared by both sync modes).
-
-    Returns ``(world, spec)``; the partition is computed on the world's own
-    topology so the worker and coordinator agree on it (the partition is a
-    pure function of the deterministically built topology).
-    """
-    from repro.experiments.runner import build_simulation
-
-    sim, env, topo, trace = build_simulation(config)
-    spec = partition_topology(topo, num_shards, strategy)
-    shard_of = spec.shard_of
-
-    # Start flows whose sender is local; register every other flow so
-    # local receivers can record completions for remote senders.
-    for flow in trace:
-        if shard_of[topo.hosts[flow.src].name] == shard_id:
-            topo.start_flow(flow)
-        else:
-            env.flow_registry[flow.flow_id] = flow
-
-    outbox, boundary_ports = attach_boundaries(sim, topo, spec, shard_id)
-
-    local_switches = [
-        s for s in topo.all_switches() if shard_of[s.name] == shard_id
-    ]
-    # Remote switches are idle replicas that exist only so the build-time
-    # RNG draws match the single-process run; their periodic BFC agent
-    # ticks would never send a frame (no state ever changes), so cut the
-    # tick chains to keep the idle replicas event-free.
-    for switch in topo.all_switches():
-        if shard_of[switch.name] != shard_id and isinstance(switch, BfcSwitch):
-            switch.agent._tick = _noop
-    sampler = _ShardSampler(local_switches)
-    driver = _SamplerDriver(
-        sim, sampler,
-        config.effective_sample_interval_ns(), config.total_duration_ns(),
-    )
-    driver.start()
-    world = _ShardWorld(
-        sim, env, topo, trace, outbox, boundary_ports, sampler, driver
-    )
-    return world, spec
-
-
 def _shard_worker(conn, config, shard_id: int, num_shards: int, strategy: str) -> None:
-    """Entry point of one shard process (conservative epochs)."""
+    """Entry point of one shard process."""
     try:
-        world, spec = _build_shard_world(config, shard_id, num_shards, strategy)
-        sim, outbox = world.sim, world.outbox
-        injector = InjectionQueue(sim, world.topo)
+        from repro.experiments.runner import build_simulation
+
+        sim, env, topo, trace = build_simulation(config)
+        # The partition is a pure function of the deterministically built
+        # topology, so the worker and the coordinator agree on it.
+        spec = partition_topology(topo, num_shards, strategy)
+        shard_of = spec.shard_of
+
+        # Start flows whose sender is local; register every other flow so
+        # local receivers can record completions for remote senders.
+        for flow in trace:
+            if shard_of[topo.hosts[flow.src].name] == shard_id:
+                topo.start_flow(flow)
+            else:
+                env.flow_registry[flow.flow_id] = flow
+
+        outbox, boundary_ports = attach_boundaries(sim, topo, spec, shard_id)
+        injector = InjectionQueue(sim, topo)
+
+        local_switches = [
+            s for s in topo.all_switches() if shard_of[s.name] == shard_id
+        ]
+        # Remote switches are idle replicas that exist only so the build-time
+        # RNG draws match the single-process run; their periodic BFC agent
+        # ticks would never send a frame (no state ever changes), so cut the
+        # tick chains to keep the idle replicas event-free.
+        for switch in topo.all_switches():
+            if shard_of[switch.name] != shard_id and isinstance(switch, BfcSwitch):
+                switch.agent._tick = _noop
+        sampler = _ShardSampler(local_switches)
+        total_ns = config.total_duration_ns()
+        interval_ns = config.effective_sample_interval_ns()
+
+        def sample_tick() -> None:
+            sampler.sample()
+            if sim.now + interval_ns <= total_ns:
+                sim.schedule(interval_ns, sample_tick)
+
+        sim.schedule(interval_ns, sample_tick)
 
         conn.send(("state", [], sim.next_event_time()))
         while True:
@@ -238,8 +175,8 @@ def _shard_worker(conn, config, shard_id: int, num_shards: int, strategy: str) -
             (
                 "result",
                 _harvest_shard(
-                    config, sim, world.topo, world.trace, spec, shard_id,
-                    world.sampler, world.boundary_ports, injector.injected,
+                    config, sim, topo, trace, spec, shard_id, sampler,
+                    boundary_ports, injector.injected,
                 ),
             )
         )
@@ -275,12 +212,7 @@ def _harvest_shard(
         _aggregate_host_counters,
         _aggregate_switch_counters,
         _collect_bfc_stats,
-        _rollback_horizon_trains,
     )
-
-    # Keep shard counters byte-identical to the serial harvest: unwind any
-    # NIC train commitments that extend past the final run horizon.
-    _rollback_horizon_trains(topo)
 
     local_switches = [s for s in topo.all_switches() if shard_of[s.name] == shard_id]
     counters = _aggregate_switch_counters(topo, local_switches)
@@ -341,17 +273,7 @@ def _harvest_shard(
 
 
 class ShardCoordinator:
-    """Drives the shard workers through conservative epochs and merges results.
-
-    Also the base class of the optimistic runtime
-    (:class:`repro.shard.speculative.SpeculativeCoordinator`): subclasses
-    override ``_worker_target``/``_worker_extra_args`` to spawn a different
-    worker loop, ``sync`` to label the resolved mode in ``shard_stats``, and
-    ``sync_stats`` to contribute mode-specific counters to the merge.
-    """
-
-    #: Resolved synchronization mode this coordinator implements.
-    sync = "conservative"
+    """Drives the shard workers through conservative epochs and merges results."""
 
     def __init__(
         self,
@@ -377,17 +299,6 @@ class ShardCoordinator:
 
     # -- process management -------------------------------------------------
 
-    #: Worker entry point spawned per shard (overridden by subclasses).
-    _worker_target = staticmethod(_shard_worker)
-
-    def _worker_extra_args(self) -> tuple:
-        """Extra positional args appended to every worker's argument list."""
-        return ()
-
-    def sync_stats(self, payloads) -> Dict[str, object]:
-        """Mode-specific counters merged into ``shard_stats`` (may be empty)."""
-        return {}
-
     def _spawn(self) -> None:
         if "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
@@ -396,14 +307,14 @@ class ShardCoordinator:
         for shard_id in self.shard_ids:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
-                target=self._worker_target,
+                target=_shard_worker,
                 args=(
                     child_conn,
                     self.config,
                     shard_id,
                     self.spec.num_shards,
                     self.spec.strategy,
-                ) + self._worker_extra_args(),
+                ),
                 daemon=False,
                 name=f"repro-shard-{shard_id}",
             )
@@ -640,8 +551,6 @@ def _merge_results(
         shard_stats["oversubscribed"] = len(coordinator.shard_ids) > coordinator.slot_budget
     shard_stats.update(
         {
-            "sync": coordinator.sync,
-            "requested_sync": getattr(config, "shard_sync", "conservative"),
             "barriers": barriers,
             "boundary_packets": boundary_packets,
             "events_per_shard": {
@@ -653,9 +562,6 @@ def _merge_results(
             },
         }
     )
-    speculation = coordinator.sync_stats(payloads)
-    if speculation:
-        shard_stats["speculation"] = speculation
 
     extras = {
         "name": config.name,
@@ -735,13 +641,6 @@ def run_sharded_experiment(
             "max_events is not supported with shards > 1 (the event cap is a "
             "global count, which has no faithful per-shard equivalent)"
         )
-    from .speculative import SYNC_MODES
-
-    if config.shard_sync not in SYNC_MODES:
-        raise ShardError(
-            f"unknown shard_sync {config.shard_sync!r}; "
-            f"expected one of {SYNC_MODES}"
-        )
 
     started = time.monotonic()
     sim, env, topo, trace = build_simulation(config)
@@ -758,17 +657,7 @@ def run_sharded_experiment(
             result.shard_stats["oversubscribed"] = False
         return result
 
-    from .speculative import SpeculativeCoordinator, SyncPolicy
-
-    policy = SyncPolicy.resolve(config.shard_sync, spec.window_ns)
-    if policy.mode == "speculative":
-        coordinator = SpeculativeCoordinator(
-            config, spec, shard_ids, slot_budget=slot_budget, policy=policy
-        )
-    else:
-        coordinator = ShardCoordinator(
-            config, spec, shard_ids, slot_budget=slot_budget
-        )
+    coordinator = ShardCoordinator(config, spec, shard_ids, slot_budget=slot_budget)
     payloads = coordinator.run()
     return _merge_results(
         config, topo, trace, spec, payloads, started, coordinator, sink=sink

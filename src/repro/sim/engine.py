@@ -157,10 +157,9 @@ class Simulator:
         #: event that is currently executing; new events inherit
         #: ``(_cur_origin, _cur_parent, _cur_parent2)`` as their
         #: ``(parent, parent2, parent3)``.  Read by the sharded runtime's
-        #: boundary capture, and (all four levels) by the egress port's
-        #: train truncation, which replays the engine's same-instant total
-        #: order to decide whether an invalidating event beats a committed
-        #: packet to a serialization boundary.
+        #: boundary capture (:mod:`repro.shard.boundary`), which ships the
+        #: first three as the ancestry of a cross-shard delivery; nothing
+        #: reads ``_cur_parent3``, which both engine backends still publish.
         self._cur_origin: int = 0
         self._cur_parent: int = 0
         self._cur_parent2: int = 0
@@ -245,7 +244,6 @@ class Simulator:
         ancestry: tuple,
         callback: Callable[..., None],
         *args: Any,
-        seq: Optional[int] = None,
     ) -> None:
         """Schedule an event whose scheduling ancestry lies in another shard.
 
@@ -256,15 +254,6 @@ class Simulator:
         and two further upstream scheduling instants).  Among events firing
         at the same time, this entry orders exactly where the single-process
         schedule places that post, down to four ancestry levels.
-
-        ``seq`` overrides the engine's own sequence counter (which is then
-        not consumed).  The speculative runtime crafts sequence numbers in a
-        disjoint high range so an injection's ordering slot is a pure
-        function of its identity — independent of *when* (before or after a
-        rollback) the entry was inserted.  Crafted entries must never collide
-        with live ones: two queue entries sharing all six ordering fields
-        would make the tuple comparison fall through to the callbacks, which
-        do not compare.
         """
         if time_ns < self.now:
             raise SimulationError(
@@ -276,9 +265,8 @@ class Simulator:
                 f"boundary ancestry must be non-increasing and precede the "
                 f"delivery time, got {ancestry} for delivery at {time_ns}"
             )
-        if seq is None:
-            seq = self._seq
-            self._seq = seq + 1
+        seq = self._seq
+        self._seq = seq + 1
         self._insert(
             (int(time_ns), int(origin_ns), int(parent_ns), int(parent2_ns),
              int(parent3_ns), seq, callback, args)

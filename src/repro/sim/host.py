@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 from .disciplines import DeficitRoundRobin
 from .flow import Flow
@@ -67,20 +67,6 @@ class HostConfig:
         buffers out-of-order packets and asks the sender to retransmit only
         the missing ones (Mittal et al., SIGCOMM 2018, discussed in §5 of the
         BFC paper).
-    nic_train_packets:
-        Maximum packets the NIC commits to the wire in one scheduling
-        decision (a "packet train").  Each train packet is the one the NIC's
-        scheduler scan would have dequeued at that packet's future start
-        instant (DRR interleaving, pause and pacing eligibility are replayed
-        per packet), and any event that could change a future decision
-        truncates the committed tail — so trains never change what is
-        transmitted or when, they only reduce engine events.  1 (the
-        default) disables trains: measured on fig5a-tiny, BFC's pause/Bloom
-        churn truncates ~89% of committed train packets, making any cap > 1
-        a net wall-clock loss there, while windowed (HPCC) and
-        feedback-pacing (DCQCN) senders never form trains at all.  Raise it
-        for long uncontended windowless transfers, where each extra train
-        packet replaces a wake + dequeue event pair.
     """
 
     mtu: int = 1000
@@ -91,7 +77,6 @@ class HostConfig:
     rto_ns: int = 2_000_000
     mark_first_packet: bool = False
     loss_recovery: str = "go-back-n"
-    nic_train_packets: int = 1
 
     def __post_init__(self) -> None:
         if self.loss_recovery not in ("go-back-n", "selective-repeat"):
@@ -99,8 +84,6 @@ class HostConfig:
                 "loss_recovery must be 'go-back-n' or 'selective-repeat', "
                 f"got {self.loss_recovery!r}"
             )
-        if self.nic_train_packets < 1:
-            raise ValueError("nic_train_packets must be >= 1")
 
 
 class SenderFlowState:
@@ -499,9 +482,9 @@ class NicScheduler:
         unpaused flow with data is paced beyond the horizon, a horizon wake
         would only fail its dequeue and arm the pacing wake-up — so arm it
         here directly at the earliest pacing timer instead, saving one
-        engine event per paced gap.  Pacing timers only move at sends (and
-        train rollbacks, which re-run this decision), so the timer read now
-        equals what the horizon-time dequeue would have read.
+        engine event per paced gap.  Pacing timers only move at sends, so
+        the timer read now equals what the horizon-time dequeue would have
+        read.
         """
         earliest: Optional[int] = None
         for f in self._flows.values():
@@ -517,190 +500,6 @@ class NicScheduler:
         if earliest is not None:
             self._arm_wakeup(earliest)
         return False
-
-    # -- packet trains --------------------------------------------------------------
-
-    def train_next(
-        self, prev: Packet, start_ns: int
-    ) -> Optional[Tuple[Packet, tuple]]:
-        """Commit the packet a dequeue at future instant ``start_ns`` would pick.
-
-        Called by the egress port while committing a train: ``prev`` is the
-        last committed packet and ``start_ns`` the instant the next one would
-        begin serializing.  The scan in :meth:`_train_scan` is the dequeue
-        scan evaluated at ``start_ns``, so trains interleave flows with the
-        exact deficit-round-robin order per-packet operation would produce.
-
-        Trains are only attempted on hosts where a future dequeue is a pure
-        function of present scheduler state — windowless congestion control
-        whose per-send/per-ack hooks are the base no-ops (so nothing between
-        the commit and the packet's start time can change the decision except
-        the events that explicitly truncate the train: pauses, NACK/CNP/RTO,
-        control frames, flow arrival/completion, retransmit-queue changes).
-
-        Returns ``(packet, undo)`` where ``undo`` is the pre-commit
-        scheduler snapshot, or ``None`` (leaving all state untouched) when
-        the scan finds nothing eligible at ``start_ns``.
-        """
-        host = self.host
-        if not host._train_safe_cc or not host._no_window:
-            return None
-        drr = self._drr
-        if not drr._active:
-            return None
-        # Read-only eligibility precheck.  Under BFC most scans fail because
-        # every flow is paced or paused past the horizon; bailing out here
-        # skips the snapshot/scan/restore cycle entirely.  Conservative by
-        # construction: the scan can only emit a packet from a flow with
-        # data, unpaused, whose pacing timer has expired — exactly what is
-        # tested here — so precheck-False implies scan-None.
-        for f in self._flows.values():
-            if f.next_allowed_ns > start_ns:
-                continue
-            if not f.retransmit_queue and f.next_seq >= f.num_packets:
-                continue
-            if f.paused:
-                continue
-            break
-        else:
-            return None
-        # Snapshot what a dequeue scan can mutate before picking a flow: the
-        # shared DRR state and the counters build_data_packet touches.  The
-        # chosen flow's own fields (send pointer, pacing timer, retransmit
-        # queue) are captured by the scan just before it builds the packet —
-        # no other flow's fields are written, so one flow record suffices.
-        # A failed scan restores this (the real dequeue will re-run the same
-        # scan at start_ns); a successful commit keeps it as the rollback
-        # record for truncation.
-        cv = host._cv
-        snapshot = [
-            dict(drr._deficits),
-            drr._cursor,
-            drr._current,
-            None,
-            cv["data_packets_sent"],
-            cv.get("selective_retransmissions", 0),
-        ]
-        scanned = self._train_scan(start_ns)
-        if scanned is None:
-            self._restore_scheduler_state(snapshot)
-            return None
-        packet, flow_undo = scanned
-        snapshot[3] = flow_undo
-        return packet, snapshot
-
-    def _train_scan(self, now: int) -> Optional[Tuple[Packet, tuple]]:
-        """The dequeue() scan evaluated at a future instant ``now``.
-
-        Must stay in lockstep with :meth:`dequeue` specialised to the train
-        gate (windowless host, so the window branch is dead), except that no
-        pacing wake-up is armed — a failed scan is rolled back and re-run
-        live by the port's wake at the commit horizon, which then arms it.
-        ``TestInlinedDequeueEquivalence`` pins the two scans together.
-
-        Returns ``(packet, flow_undo)`` — the committed packet plus the
-        chosen flow's pre-build field snapshot — or ``None``.
-        """
-        host = self.host
-        drr = self._drr
-        active = drr._active
-        flows = self._flows
-        deficits = drr._deficits
-        visited = 0
-        limit = 2 * len(active) + 1
-        arriving = False
-        qid = drr._current
-        while True:
-            if qid is None:
-                if visited >= limit:
-                    return None
-                visited += 1
-                cursor = drr._cursor % len(active)
-                qid = active[cursor]
-                drr._cursor = (cursor + 1) % len(active)
-                arriving = True
-            fstate = flows.get(qid)
-            size = None
-            eligible = False
-            if fstate is not None:
-                retransmit = fstate.retransmit_queue
-                num_packets = fstate.num_packets
-                seq = retransmit[0] if retransmit else fstate.next_seq
-                if retransmit or seq < num_packets:
-                    mtu = fstate.mtu
-                    if seq < num_packets - 1:
-                        size = mtu + DATA_HEADER_SIZE
-                    else:
-                        last = fstate.flow.size - mtu * (num_packets - 1)
-                        size = (last if last > 0 else mtu) + DATA_HEADER_SIZE
-                    if not fstate.paused and fstate.next_allowed_ns <= now:
-                        eligible = True
-            if arriving:
-                if size is None or not eligible:
-                    arriving = False
-                    qid = None
-                    continue
-                deficits[qid] += drr.quantum
-                drr._current = qid
-                arriving = False
-            if size is not None and eligible and deficits[qid] >= size:
-                deficits[qid] -= size
-                # Capture the chosen flow's mutable fields before the build
-                # advances them: this is the only flow record the commit's
-                # rollback snapshot needs (the scan writes nothing on the
-                # flows it merely visits).
-                flow_undo = (
-                    fstate,
-                    fstate.next_seq,
-                    fstate.next_allowed_ns,
-                    tuple(fstate.retransmit_queue)
-                    if fstate.retransmit_queue
-                    else None,
-                    fstate.flow.first_tx_ns,
-                    fstate.flow.retransmitted_packets,
-                )
-                return host.build_data_packet(fstate, at_ns=now), flow_undo
-            if size is None:
-                deficits[qid] = 0
-            drr._current = None
-            qid = None
-
-    def _restore_scheduler_state(self, snapshot: tuple) -> None:
-        """Restore the scheduler to a :meth:`train_next` snapshot, exactly.
-
-        Safe to apply long after the snapshot was taken: between a train
-        commit and its truncation the port is committed (busy), so no other
-        dequeue — and therefore no other mutation of any snapshotted field —
-        can have happened except later train commits, which are themselves
-        rolled back (newest first) before this one.
-        """
-        deficits_map, cursor, current, flow_undo, sent, retx_sent = snapshot
-        drr = self._drr
-        deficits = drr._deficits
-        deficits.clear()
-        deficits.update(deficits_map)
-        drr._cursor = cursor
-        drr._current = current
-        if flow_undo is not None:
-            f, next_seq, next_allowed, retx, first_tx, retransmitted = flow_undo
-            f.next_seq = next_seq
-            f.next_allowed_ns = next_allowed
-            if retx is None:
-                if f.retransmit_queue:
-                    f.retransmit_queue.clear()
-            else:
-                f.retransmit_queue.clear()
-                f.retransmit_queue.extend(retx)
-            f.flow.first_tx_ns = first_tx
-            f.flow.retransmitted_packets = retransmitted
-        cv = self.host._cv
-        cv["data_packets_sent"] = sent
-        if retx_sent:
-            cv["selective_retransmissions"] = retx_sent
-        else:
-            # Never materialize a zero-valued counter the unfused run would
-            # not have created (counters are part of the golden records).
-            cv.pop("selective_retransmissions", None)
 
     # -- pacing wake-ups ------------------------------------------------------------
 
@@ -763,7 +562,6 @@ class Host(Node):
         self._ack_every = max(1, self.config.ack_every)
         self._selective = self.config.loss_recovery == "selective-repeat"
         self._no_window = False  # recomputed once the cc module exists
-        self._train_safe_cc = False  # recomputed once the cc module exists
         self.on_flow_complete: Optional[Callable[[Flow, int], None]] = None
         # Cached uplink port/rate (set by the first add_interface); the
         # per-packet send path goes through these instead of the
@@ -788,22 +586,7 @@ class Host(Node):
         self._no_window = self.config.window_cap_bytes is None and _cc_is_windowless(
             self.cc
         )
-        # Packet trains are only safe when the cc module keeps no per-send or
-        # per-ack state: on_packet_sent must be rollable on truncation, and
-        # an on_ack that adjusts pacing mid-train would invalidate committed
-        # decisions without a truncation trigger.  Both must be the base
-        # no-ops (NACK/CNP/RTO feedback does truncate, so those may be
-        # overridden).
-        cc_type = type(self.cc)
-        self._train_safe_cc = (
-            cc_type.on_packet_sent is CongestionControl.on_packet_sent
-            and cc_type.on_ack is CongestionControl.on_ack
-        )
         iface.tx._wake_check = self.nic.has_work_at
-        if self.config.nic_train_packets > 1:
-            iface.tx._train_next = self.nic.train_next
-            iface.tx._train_cap = self.config.nic_train_packets - 1
-            iface.tx.on_train_truncate = self._untransmit
         return iface
 
     @property
@@ -849,11 +632,6 @@ class Host(Node):
         self.flow_registry[flow.flow_id] = flow
         fstate = SenderFlowState(flow, self.config.mtu)
         fstate.last_progress_ns = self.sim.now
-        # Truncate before registering: the committed train's scans did not
-        # know about this flow (a newly activated competitor enters the round
-        # robin from this instant, exactly as a per-packet run would), and
-        # the rollback snapshots predate the flow's DRR entry.
-        self._truncate_train()
         self.nic.add_flow(fstate)
         if self.cc:
             self.cc.on_flow_start(fstate, self.sim.now)
@@ -863,20 +641,14 @@ class Host(Node):
         self.kick()
         return fstate
 
-    def build_data_packet(
-        self, fstate: SenderFlowState, at_ns: Optional[int] = None
-    ) -> Packet:
+    def build_data_packet(self, fstate: SenderFlowState) -> Packet:
         """Construct the next data packet of a flow and advance sender state.
 
         With selective-repeat loss recovery, queued retransmissions take
         precedence over new data and do not advance the send pointer.
-
-        ``at_ns`` is the packet's logical send instant when it differs from
-        ``sim.now`` — train packets are committed early but must carry the
-        timestamps (and pacing arithmetic) of their future start times.
         """
         flow = fstate.flow
-        now = self.sim.now if at_ns is None else at_ns
+        now = self.sim.now
         config = self.config
         retransmission = bool(fstate.retransmit_queue)
         if retransmission:
@@ -948,11 +720,6 @@ class Host(Node):
             port.control_queue.extend(pending)
             pending.clear()
             self._needs_kick = False
-            if port._train:
-                # Strict priority across the fusion boundary: cancel the
-                # committed data tail so these frames depart at the next
-                # packet boundary, exactly as the unfused engine would.
-                port.truncate_train(self.sim.now)
             port.kick()
         elif self._needs_kick:
             self._needs_kick = False
@@ -961,38 +728,10 @@ class Host(Node):
     def _handle_bloom(self, packet: Packet, iface_index: int) -> None:
         handler = getattr(self.nic, "on_bloom", None)
         if handler is not None:
-            # A pause filter that changes any active flow's pause state can
-            # change which flow a future dequeue picks: re-decide the
-            # committed tail at the next packet boundary — BFC's pause
-            # reaction latency is unchanged by trains.  A handler may return
-            # False to certify that no active flow's state changed (the
-            # common re-broadcast case); anything else truncates.
-            if handler(packet) is not False:
-                self._truncate_train()
+            handler(packet)
             self._needs_kick = True
         else:
             self.counters.incr("bloom_ignored")
-
-    def _truncate_train(self) -> None:
-        """Cancel the uplink's committed-but-unstarted train tail.
-
-        Called whenever sender state that a future dequeue reads has changed
-        (pause filter, NACK, CNP, RTO, flow arrival/completion, retransmit
-        queue), so the tail is re-decided at the packet boundary under the
-        updated state — matching per-packet timing and ordering exactly.
-        """
-        port = self._uplink_port
-        if port is not None and port._train:
-            port.truncate_train(self.sim.now)
-
-    def _untransmit(self, packet: Packet, undo: tuple) -> None:
-        """Roll back one cancelled train packet to its pre-commit snapshot.
-
-        The port calls this newest-first while truncating a train, so after
-        the oldest cancelled packet's snapshot is applied the scheduler is
-        exactly as it was before that packet was committed.
-        """
-        self.nic._restore_scheduler_state(undo)
 
     # .. receiver side ...........................................................
 
@@ -1147,9 +886,6 @@ class Host(Node):
             fstate.una = packet.ack_seq
             fstate.last_progress_ns = self.sim.now
             if fstate.retransmit_queue:
-                # The retransmit queue feeds future dequeues head-first, so
-                # pruning it invalidates the committed train tail.
-                self._truncate_train()
                 # Drop queued retransmissions the cumulative ACK already covers.
                 fstate.retransmit_queue = deque(
                     seq for seq in fstate.retransmit_queue if seq >= fstate.una
@@ -1165,9 +901,6 @@ class Host(Node):
         fstate = self.nic.flow_state(packet.flow_id)
         if fstate is None:
             return
-        # Undo the committed train tail (if any) before rewinding, so the
-        # rollback snapshots still match the state they were taken from.
-        self._truncate_train()
         if packet.ack_seq > fstate.una:
             fstate.una = packet.ack_seq
         if self._selective:
@@ -1192,8 +925,6 @@ class Host(Node):
         fstate = self.nic.flow_state(packet.flow_id)
         if fstate is None:
             return
-        # A CNP can slow the flow's pacing: re-decide the committed tail.
-        self._truncate_train()
         if self.cc:
             self.cc.on_cnp(fstate, self.sim.now)
         self.counters.incr("cnps_received")
@@ -1202,9 +933,6 @@ class Host(Node):
         if fstate.rto_event is not None:
             fstate.rto_event.cancel()
             fstate.rto_event = None
-        # Removing a flow reshapes the DRR active list (cursor arithmetic
-        # included), so any committed train tail must be re-decided.
-        self._truncate_train()
         self.nic.remove_flow(fstate.flow.flow_id)
 
     # -- retransmission timeout ------------------------------------------------------
@@ -1224,7 +952,6 @@ class Host(Node):
         if idle_ns >= self.config.rto_ns and fstate.inflight_packets() > 0:
             # The tail of the flow was lost and no later packet will trigger a
             # NACK: recover via rewind (Go-Back-N) or a targeted retransmit.
-            self._truncate_train()
             if self._selective:
                 if fstate.una not in fstate.retransmit_queue:
                     fstate.retransmit_queue.append(fstate.una)

@@ -24,25 +24,12 @@ kick → transmission-done → delivery triplet.  ``busy`` is a lazy flag backed
 by ``_busy_until``: the line is committed until that instant, and any caller
 that finds the port committed arms (at most) one wake-up event at the commit
 horizon instead of relying on a transmission-done event to re-kick.
-
-Host NICs may additionally extend a transmission into a **packet train**:
-several back-to-back packets committed in one kick, each the exact packet the
-NIC's scheduler would have dequeued at that packet's future start instant
-(the NIC replays its deficit-round-robin scan against each start time, so
-trains interleave flows exactly as per-packet operation would).  Deliveries
-of train packets after the first are cancellable, and
-:meth:`EgressPort.truncate_train` undoes the committed-but-unstarted tail —
-rolling back meters and, through the per-packet undo records, the NIC's
-scheduler state — whenever anything happens that could change a future
-dequeue decision (pause, NACK, CNP, RTO, control frame, flow arrival or
-completion).  Pause reaction latency and control-frame latency are therefore
-identical to the unfused engine (see docs/architecture.md).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from .packet import Packet
 from .stats import ByteMeter, PauseMeter
@@ -125,30 +112,11 @@ class EgressPort:
         self.pfc_meter = PauseMeter()
         self.bytes = ByteMeter()
         self.tx_data_bytes_total = 0  # cumulative, used for HPCC INT
-        # Packet trains (host NICs only).  _train_next is installed by
-        # Host.add_interface; _train holds the committed-but-unstarted tail
-        # as (start_ns, delivery_event, packet, undo_record) tuples — the
-        # undo record is opaque to the port and handed back through
-        # on_train_truncate — and train_counts is the {train_length:
-        # occurrences} histogram for benchmarks.
-        self._train_next: Optional[
-            Callable[[Packet, int], Optional[Tuple[Packet, object]]]
-        ] = None
-        self._train_cap = 0
         # Horizon-aware wake predicate (host NICs only, installed by
         # Host.add_interface): called with the commit horizon, may arm its
         # own pacing wake-up and return False instead of demanding a
         # horizon wake.  Falls back to discipline.has_backlog() when unset.
         self._wake_check: Optional[Callable[[int], bool]] = None
-        self._train: List[Tuple[int, object, Packet, object]] = []
-        # Scheduling ancestry of the kick event that committed the current
-        # train: (kick time, origin, parent, parent2) of that event.  Used by
-        # truncate_train to reconstruct, for any train packet, the exact
-        # event-order key the per-packet engine's boundary wake-up would have
-        # had — see the same-instant tie-break there.
-        self._train_anc: Tuple[int, int, int, int] = (0, 0, 0, 0)
-        self.on_train_truncate: Optional[Callable[[Packet, object], None]] = None
-        self.train_counts: Dict[int, int] = {}
         # Hooks the owning node may install; called as hook(packet,
         # iface_index) when a data packet leaves the discipline / is
         # committed to the line.
@@ -175,13 +143,7 @@ class EgressPort:
     def set_pfc_paused(self, paused: bool) -> None:
         """Pause/resume the data class of this port (control still flows)."""
         self.pfc_meter.set_paused(paused, self.sim.now)
-        if paused:
-            if self._train:
-                # Committed train packets that have not started serializing
-                # must honour the pause, exactly as the unfused engine would
-                # have at their (now cancelled) dequeue instants.
-                self.truncate_train(self.sim.now)
-        else:
+        if not paused:
             self.kick()
 
     # -- transmit path ----------------------------------------------------------
@@ -191,11 +153,6 @@ class EgressPort:
         if not packet.is_control:
             raise ValueError("send_control() is only for control packets")
         self.control_queue.append(packet)
-        if self._train:
-            # Strict priority: in the unfused engine a control frame departs
-            # at the next packet boundary.  Cancel the committed data tail so
-            # the wake-up at the boundary picks the control frame up first.
-            self.truncate_train(self.sim.now)
         self.kick()
 
     def notify(self) -> None:
@@ -220,8 +177,6 @@ class EgressPort:
                     self._post(until - now, self._wake)
                 return
             self.busy = False
-            if self._train:
-                self._train.clear()
         if self.peer_node is None:
             return
         if self.control_queue:
@@ -264,11 +219,6 @@ class EgressPort:
         # The fused delivery: one event at arrival = now + tx + propagation.
         self._post(tx_ns + self.delay_ns, self._peer_receive, packet, self.peer_iface)
         end = now + tx_ns
-        if is_data and self._train_next is not None:
-            self._train_anc = (
-                now, sim._cur_origin, sim._cur_parent, sim._cur_parent2
-            )
-            end = self._extend_train(packet, now, end, memo, meter)
         self._busy_until = end
         # Chain wake-up: with transmission-done events fused away, a port
         # with more (potential) work must wake itself at the commit horizon.
@@ -291,162 +241,6 @@ class EgressPort:
 
     def _wake(self) -> None:
         self.kick()
-
-    def _extend_train(self, packet: Packet, now: int, end: int, memo, meter) -> int:
-        """Commit follow-on packets while the NIC keeps finding eligible work.
-
-        Each train packet gets its own (cancellable) delivery event with the
-        exact arrival time a per-packet run would produce; the NIC's
-        ``train_next`` replays its full scheduler scan (DRR, pause, pacing)
-        at each packet's future start instant, so a train never transmits
-        anything the unfused engine would not have — in the same order.
-        """
-        train = self._train
-        schedule = self.sim.schedule
-        receive = self._peer_receive
-        peer_iface = self.peer_iface
-        delay_ns = self.delay_ns
-        rate = self.rate_bps
-        cap = self._train_cap
-        train_next = self._train_next
-        dequeue_hook = self.on_data_dequeue
-        tx_hook = self.on_data_transmitted
-        while len(train) < cap:
-            committed = train_next(packet, end)
-            if committed is None:
-                break
-            nxt, undo = committed
-            if dequeue_hook is not None:
-                dequeue_hook(nxt, self.iface_index)
-            size = nxt.size
-            tx_ns = memo.get(size)
-            if tx_ns is None:
-                tx_ns = int(round(size * 8 * 1_000_000_000 / rate))
-                if tx_ns <= 0:
-                    tx_ns = 1
-                memo[size] = tx_ns
-            meter.data_bytes += size
-            meter.data_packets += 1
-            self.tx_data_bytes_total += size
-            if tx_hook is not None:
-                tx_hook(nxt, self.iface_index)
-            handle = schedule(end - now + tx_ns + delay_ns, receive, nxt, peer_iface)
-            train.append((end, handle, nxt, undo))
-            end += tx_ns
-            packet = nxt
-        counts = self.train_counts
-        length = len(train) + 1
-        counts[length] = counts.get(length, 0) + 1
-        return end
-
-    def truncate_train(self, cutoff_ns: int) -> None:
-        """Cancel committed train packets whose serialization starts after
-        ``cutoff_ns``, rolling back meters and (via ``on_train_truncate``)
-        the NIC scheduler state, newest first.
-
-        Removal is always suffix-to-end: each committed packet was chosen by
-        a scheduler scan that evolved state left behind by the previous one,
-        so a packet cannot be cancelled without also cancelling everything
-        committed after it.  The line is then free from the first cancelled
-        packet's start time onward, and a wake-up is re-armed there if the
-        port still has potential work.
-
-        A packet whose serialization starts *exactly* at ``cutoff_ns`` is the
-        contested boundary case: in per-packet operation the invalidating
-        event (executing right now) and the port's boundary wake-up fire at
-        the same instant, and whichever the engine orders first decides
-        whether that packet transmits.  The wake-up's full ordering key is
-        reconstructible — it would have been posted by the commit of the
-        preceding packet, so its ancestry is the chain of preceding start
-        times (ending in the committing kick's own ancestry, ``_train_anc``).
-        Comparing the current event's ancestry registers against that chain
-        replays the engine's same-instant total order exactly.
-        """
-        train = self._train
-        if not train:
-            return
-        cut = len(train)
-        for i, entry in enumerate(train):
-            start = entry[0]
-            if start > cutoff_ns:
-                cut = i
-                break
-            if start == cutoff_ns:
-                sim = self.sim
-                anc = self._train_anc
-                base = i  # index of the boundary entry
-                wake_anc = tuple(
-                    train[base + j][0] if base + j >= 0 else anc[-(base + j) - 1]
-                    for j in (-1, -2, -3, -4)
-                )
-                cur_anc = (
-                    sim._cur_origin,
-                    sim._cur_parent,
-                    sim._cur_parent2,
-                    sim._cur_parent3,
-                )
-                # Current event strictly precedes the would-be wake-up: the
-                # invalidation lands before the boundary packet starts, so
-                # it is cancelled too.  Otherwise the packet had already won
-                # the boundary and only the strictly-later tail goes.
-                cut = base if cur_anc < wake_anc else base + 1
-                break
-        self._cancel_tail(cut, rearm=True)
-
-    def rollback_horizon(self) -> None:
-        """Unwind commitments past the clock's final position (harvest only).
-
-        Called once after the last ``run`` window: a train may hold packets
-        whose serialization starts after the horizon, which per-packet
-        operation would never have built (no event fires past ``until``), so
-        their counter/meter increments must not leak into the harvested
-        results.  A packet starting exactly at the horizon stays — the
-        per-packet wake-up at that instant does fire.
-        """
-        train = self._train
-        if not train:
-            return
-        now = self.sim.now
-        cut = len(train)
-        for i, entry in enumerate(train):
-            if entry[0] > now:
-                cut = i
-                break
-        self._cancel_tail(cut, rearm=False)
-
-    def _cancel_tail(self, cut: int, rearm: bool) -> None:
-        train = self._train
-        if cut >= len(train):
-            return
-        removed = train[cut:]
-        del train[cut:]
-        meter = self.bytes
-        undo_hook = self.on_train_truncate
-        for _start, handle, pkt, undo in reversed(removed):
-            handle.cancel()
-            size = pkt.size
-            meter.data_bytes -= size
-            meter.data_packets -= 1
-            self.tx_data_bytes_total -= size
-            if undo_hook is not None:
-                undo_hook(pkt, undo)
-        counts = self.train_counts
-        old_len = len(train) + len(removed) + 1
-        remaining = counts[old_len] - 1
-        if remaining:
-            counts[old_len] = remaining
-        else:
-            del counts[old_len]
-        new_len = len(train) + 1
-        counts[new_len] = counts.get(new_len, 0) + 1
-        new_end = removed[0][0]
-        self._busy_until = new_end
-        if not rearm:
-            return
-        if self._needs_wake(new_end):
-            if self._wake_at != new_end:
-                self._wake_at = new_end
-                self._post(new_end - self.sim.now, self._wake)
 
     # -- introspection ------------------------------------------------------------
 

@@ -183,11 +183,10 @@ def attach_flow_probe(
 
     original_build = sender.build_data_packet
 
-    def traced_build(fstate, at_ns=None):
-        packet = original_build(fstate, at_ns=at_ns)
+    def traced_build(fstate):
+        packet = original_build(fstate)
         if watched is None or packet.flow_id in watched:
-            time_ns = sender.sim.now if at_ns is None else at_ns
-            trace.record(time_ns, "nic.tx", sender.name, packet)
+            trace.record(sender.sim.now, "nic.tx", sender.name, packet)
         return packet
 
     sender.build_data_packet = traced_build  # type: ignore[method-assign]

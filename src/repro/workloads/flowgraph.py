@@ -23,12 +23,7 @@ result harvest account for them), but :meth:`Topology.start_flow` registers
 rather than schedules flows carrying ``depends_on``.  A
 :class:`FlowGraphLauncher` — installed by ``build_simulation`` as each
 host's ``on_flow_complete`` hook — counts down prerequisites and schedules
-each dependent the moment its last prerequisite completes.  The launcher is
-deliberately a *class with bound-method hooks*, never a closure: the
-speculative shard runtime snapshots whole worlds, and
-:mod:`repro.shard.snapshot` copies bound methods through their ``__self__``
-while treating plain functions as atomic (a stateful closure would alias its
-cells across timelines).
+each dependent the moment its last prerequisite completes.
 """
 
 from __future__ import annotations
@@ -138,8 +133,7 @@ class FlowGraphLauncher:
     """Launches dependency-gated flows as their prerequisites complete.
 
     One launcher serves a whole run.  It installs itself as every host's
-    ``on_flow_complete`` hook (a bound method — see the module docstring for
-    why it must not be a closure); each completion decrements the remaining
+    ``on_flow_complete`` hook; each completion decrements the remaining
     prerequisite counts of its dependents, and a dependent whose count hits
     zero is stamped with its actual start time and scheduled on its source
     host exactly like a time-triggered flow would have been.
@@ -176,7 +170,7 @@ class FlowGraphLauncher:
         """Dependents whose prerequisites have not all completed yet."""
         return len(self._remaining)
 
-    # -- the hook (bound method: snapshot-safe) -----------------------------------
+    # -- the hook ---------------------------------------------------------------
 
     def on_flow_complete(self, flow: Flow, now_ns: int) -> None:
         children = self._dependents.get(flow.flow_id)

@@ -143,3 +143,54 @@ class TestBfcNic:
         )
         host.receive(bloom_frame(codec, [other]), 0)
         assert host.nic.paused_flow_count() == 1
+
+
+class TestBloomRebroadcast:
+    """The ToR re-sends its filter every interval; repeats must change nothing."""
+
+    def test_identical_rebroadcast_is_counted_and_keeps_the_pause(self, sim):
+        host, sink, config = make_host(sim)
+        flow = Flow(src=0, dst=5, size=20_000, start_ns=0)
+        host.start_flow(flow)
+        codec = host.nic.codec
+        vfid = flow.key().vfid(config.num_vfids)
+        host.receive(bloom_frame(codec, [vfid]), 0)
+        host.receive(bloom_frame(codec, [vfid]), 0)
+        assert host.nic.bloom_frames_received == 2
+        assert host.nic.paused_flow_count() == 1
+        sim.run(until=units.microseconds(50))
+        data = [p for _, p in sink.received if p.kind is PacketKind.DATA]
+        assert len(data) <= 1  # only the packet already committed at start
+
+    def test_flow_started_under_an_installed_filter_is_paused(self, sim):
+        """The identical-bitmap shortcut skips re-evaluation, so a flow that
+        registers after the filter arrived must be checked on registration."""
+        host, sink, config = make_host(sim)
+        flow = Flow(src=0, dst=5, size=20_000, start_ns=0)
+        codec = host.nic.codec
+        vfid = flow.key().vfid(config.num_vfids)
+        host.receive(bloom_frame(codec, [vfid]), 0)
+        host.start_flow(flow)
+        assert host.nic.paused_flow_count() == 1
+        host.receive(bloom_frame(codec, [vfid]), 0)  # repeat: still paused
+        sim.run(until=units.microseconds(50))
+        assert not [p for _, p in sink.received if p.kind is PacketKind.DATA]
+        host.receive(bloom_frame(codec, []), 0)
+        sim.run(until=units.microseconds(200))
+        data = [p for _, p in sink.received if p.kind is PacketKind.DATA]
+        assert len(data) == 20
+
+    def test_changed_bitmap_reevaluates_every_flow(self, sim):
+        host, sink, config = make_host(sim)
+        first = Flow(src=0, dst=5, size=20_000, start_ns=0, src_port=1)
+        second = Flow(src=0, dst=6, size=20_000, start_ns=0, src_port=2)
+        first_state = host.start_flow(first)
+        second_state = host.start_flow(second)
+        codec = host.nic.codec
+        first_vfid = first.key().vfid(config.num_vfids)
+        second_vfid = second.key().vfid(config.num_vfids)
+        assert first_vfid != second_vfid
+        host.receive(bloom_frame(codec, [first_vfid]), 0)
+        assert first_state.paused and not second_state.paused
+        host.receive(bloom_frame(codec, [second_vfid]), 0)
+        assert not first_state.paused and second_state.paused

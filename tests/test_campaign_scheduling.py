@@ -90,6 +90,12 @@ class TestPlanning:
         small, big = grid_trials([100_000, 400_000])
         assert estimate_cost(big.config) == 4 * estimate_cost(small.config)
 
+    def test_shards_reserve_slots_without_changing_the_estimate(self):
+        (single,) = grid_trials([FAST_NS])
+        (sharded,) = grid_trials([FAST_NS], shards=[4])
+        assert (trial_slots(single), trial_slots(sharded)) == (1, 4)
+        assert estimate_cost(sharded.config) == estimate_cost(single.config)
+
     def test_wave_slots_never_exceed_budget(self):
         trials = grid_trials(
             [301, 101, 201, 202, 102, 302], shards=[1, 2, 1, 2, 1, 1]

@@ -8,6 +8,8 @@ import pytest
 from repro.cli import FIGURE_FACTORIES, build_parser, main
 from repro.experiments.schemes import available_schemes
 
+from tests.test_shard_determinism import assert_shard_stats_schema
+
 
 def run_cli(argv):
     out = io.StringIO()
@@ -299,48 +301,26 @@ class TestTopologyCommand:
         # Lookahead = the cross-DC propagation delay.
         assert payload["partition"]["window_ns"] == 20_000
 
+    def test_info_greedy_strategy_json(self):
+        code, output = run_cli(
+            ["topology", "info", "--shards", "2", "--strategy", "greedy", "--json"]
+        )
+        assert code == 0
+        payload = json.loads(output)
+        assert payload["partition"]["strategy"] == "greedy"
+        assert payload["partition"]["cut_links_by_class"] == {"tor-spine": 2}
+        assert "sync" not in payload
+
+    def test_info_no_longer_takes_sync(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["topology", "info", "--sync", "conservative"])
+
     def test_info_single_shard_has_no_cuts(self):
         code, output = run_cli(["topology", "info", "--shards", "1", "--json"])
         assert code == 0
         payload = json.loads(output)
         assert payload["partition"]["cut_links"] == 0
         assert payload["partition"]["window_ns"] is None
-
-    def test_info_reports_adaptive_sync_resolution(self):
-        # Pod split (1 us window): adaptive picks time-warp.
-        code, output = run_cli(
-            ["topology", "info", "--shards", "2", "--sync", "adaptive",
-             "--json"]
-        )
-        assert code == 0
-        payload = json.loads(output)
-        assert payload["sync"]["requested"] == "adaptive"
-        assert payload["sync"]["mode"] == "speculative"
-        assert "1000 ns < " in payload["sync"]["reason"]
-        # Cross-DC split (20 us window): adaptive stays conservative.
-        code, output = run_cli(
-            ["topology", "info", "--figure", "fig9", "--shards", "2",
-             "--sync", "adaptive", "--json"]
-        )
-        assert code == 0
-        payload = json.loads(output)
-        assert payload["sync"]["mode"] == "conservative"
-        assert "20000 ns >= " in payload["sync"]["reason"]
-
-    def test_info_text_shows_sync_policy(self):
-        code, output = run_cli(
-            ["topology", "info", "--shards", "2", "--sync", "speculative"]
-        )
-        assert code == 0
-        assert "Sync policy for --sync speculative:" in output
-        assert "max leap" in output
-        assert "snapshot cadence" in output
-
-    def test_info_rejects_unknown_sync(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["topology", "info", "--sync", "clairvoyant"]
-            )
 
 
 class TestShardCommand:
@@ -357,6 +337,18 @@ class TestShardCommand:
         assert stats["barriers"] > 0
         assert stats["window_ns"] == 1_000
         assert len(stats["events_per_shard"]) == 2
+        assert_shard_stats_schema(stats)
+
+    def test_shard_greedy_strategy_json(self):
+        code, output = run_cli(
+            ["shard", "--scheme", "BFC", "--shards", "2", "--strategy",
+             "greedy", "--json", "--load", "0.3", "--incast", "0"]
+        )
+        assert code == 0
+        stats = json.loads(output)["shard_stats"]
+        assert stats["strategy"] == "greedy"
+        assert stats["boundary_packets"] > 0
+        assert_shard_stats_schema(stats)
 
     def test_shard_text_output(self):
         code, output = run_cli(
@@ -368,37 +360,10 @@ class TestShardCommand:
         assert "window (lookahead)" in output
         assert "barriers" in output
 
+    def test_shard_no_longer_takes_sync(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["shard", "--sync", "conservative"])
+
     def test_shard_rejects_unknown_strategy(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["shard", "--strategy", "magic"])
-
-    def test_shard_rejects_unknown_sync(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["shard", "--sync", "psychic"])
-
-    def test_shard_speculative_reports_speculation_stats(self):
-        code, output = run_cli(
-            ["shard", "--scheme", "DCQCN", "--shards", "2", "--json",
-             "--load", "0.3", "--incast", "0", "--sync", "speculative"]
-        )
-        assert code == 0
-        payload = json.loads(output)
-        stats = payload["shard_stats"]
-        assert stats["sync"] == "speculative"
-        assert stats["requested_sync"] == "speculative"
-        speculation = stats["speculation"]
-        assert speculation["snapshots"] > 0
-        assert speculation["snapshot_every"] >= 1
-        assert speculation["rollbacks"] >= 0
-
-    def test_shard_speculative_text_output(self):
-        code, output = run_cli(
-            ["shard", "--scheme", "DCQCN", "--shards", "2",
-             "--load", "0.3", "--incast", "0", "--sync", "speculative"]
-        )
-        assert code == 0
-        assert "sync                   speculative" in output
-        assert "Speculation:" in output
-        assert "snapshot cadence" in output
-        assert "rollbacks" in output
-        assert "max leap used" in output

@@ -10,6 +10,7 @@ from repro.experiments.scenarios import fig5a_configs
 from repro.shard.boundary import (
     BoundaryChannel,
     InjectionQueue,
+    _make_boundary_post,
     attach_boundaries,
     packet_from_wire,
     packet_to_wire,
@@ -175,6 +176,24 @@ class TestBoundaryChannel:
                     )
                     assert iface.tx._post is not sim.post
 
+    def test_boundary_post_short_circuits_only_the_capture(self):
+        sim = Simulator()
+        captured, fired = [], []
+
+        def capture(delay_ns, packet, iface_index):
+            captured.append((sim.now, delay_ns, packet, iface_index))
+
+        post = _make_boundary_post(sim.post, capture)
+        post(1_800, capture, "packet", 4)
+        post(300, lambda tag: fired.append((sim.now, tag)), "wake")
+        # The capture runs inline, with the delivery post's own delay ...
+        assert captured == [(0, 1_800, "packet", 4)]
+        assert sim.pending_events() == 1
+        # ... while every other post is an ordinary engine event.
+        sim.run()
+        assert fired == [(300, "wake")]
+        assert len(captured) == 1
+
     def test_injection_queue_resolves_nodes_and_orders(self):
         config = fig5a_configs("tiny", schemes=["DCQCN"], seed=1)["DCQCN"]
         sim, env, topo, _ = build_simulation(config)
@@ -200,4 +219,11 @@ class TestShardEntryPoint:
         config = fig5a_configs("tiny", schemes=["DCQCN"], seed=1)["DCQCN"]
         config = replace(config, shards=2, max_events=10)
         with pytest.raises(ShardError):
+            run_sharded_experiment(config)
+
+    def test_open_loop_traffic_is_rejected(self):
+        from test_openloop import openloop_experiment_config
+
+        config = replace(openloop_experiment_config(), shards=2)
+        with pytest.raises(ShardError, match="open-loop"):
             run_sharded_experiment(config)

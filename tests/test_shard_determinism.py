@@ -21,13 +21,16 @@ shows up here as a byte diff.
 """
 
 import json
+import random
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.campaign import Campaign, ParallelExecutor, SerialExecutor
 from repro.experiments.runner import run_experiment
-from repro.experiments.scenarios import fig9_configs
+from repro.experiments.scenarios import fig5a_configs, fig9_configs
 from repro.sim import units
 
 from tests.golden_kernel import GOLDEN_SCHEMES, canonical_records, golden_configs
@@ -45,16 +48,8 @@ SHARD_STATS_KEYS = {
     # Scheduling (present when the campaign scheduler reserved slots).
     "slot_budget", "oversubscribed",
     # Coordinator merge (present on every true multi-process run).
-    "sync", "requested_sync", "barriers", "boundary_packets",
+    "barriers", "boundary_packets",
     "events_per_shard", "boundary_ports_per_shard",
-    # Time-warp counters (present when the run actually speculated).
-    "speculation",
-}
-
-SPECULATION_KEYS = {
-    "snapshots", "rollbacks", "events_reexecuted", "stragglers",
-    "retractions", "exports_retracted", "barriers_avoided",
-    "max_leap_used", "max_leap", "snapshot_every", "per_shard",
 }
 
 
@@ -66,16 +61,6 @@ def assert_shard_stats_schema(stats):
         f"undocumented shard_stats keys {sorted(unknown)}; add them to "
         "SHARD_STATS_KEYS here AND to the schema table in docs/architecture.md"
     )
-    speculation = stats.get("speculation")
-    if speculation is not None:
-        assert set(speculation) == SPECULATION_KEYS, (
-            "speculation counter set drifted from the documented schema: "
-            f"{sorted(set(speculation) ^ SPECULATION_KEYS)}"
-        )
-        for shard_counters in speculation["per_shard"].values():
-            assert set(shard_counters) == {
-                "snapshots", "rollbacks", "events_reexecuted"
-            }
 
 
 def shard_canonical(result):
@@ -100,12 +85,27 @@ def serial_records():
     }
 
 
+@pytest.fixture(scope="module")
+def golden_sharded():
+    """Sharded golden runs, memoized by ``(scheme, shards)``."""
+    cache = {}
+
+    def run(scheme, shards):
+        if (scheme, shards) not in cache:
+            config = replace(golden_configs()[scheme], shards=shards)
+            cache[scheme, shards] = run_experiment(config)
+        return cache[scheme, shards]
+
+    return run
+
+
 class TestShardedEqualsSerial:
     @pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_byte_identical_records(self, serial_records, scheme, shards):
-        config = replace(golden_configs()[scheme], shards=shards)
-        sharded = shard_canonical(run_experiment(config))
+    def test_byte_identical_records(
+        self, serial_records, golden_sharded, scheme, shards
+    ):
+        sharded = shard_canonical(golden_sharded(scheme, shards))
         serial = serial_records[scheme]
         for key in serial:
             assert sharded[key] == serial[key], (
@@ -114,9 +114,10 @@ class TestShardedEqualsSerial:
             )
         assert sharded == serial
 
-    def test_sharded_run_is_deterministic_run_to_run(self):
-        config = replace(golden_configs()["BFC"], shards=2)
-        first = shard_canonical(run_experiment(config))
+    @pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
+    def test_sharded_run_is_deterministic_run_to_run(self, golden_sharded, scheme):
+        config = replace(golden_configs()[scheme], shards=2)
+        first = shard_canonical(golden_sharded(scheme, 2))
         second = shard_canonical(run_experiment(config))
         assert first == second
 
@@ -129,9 +130,6 @@ class TestShardedEqualsSerial:
         assert stats["num_shards"] == 2
         assert stats["cut_links"] > 0
         assert stats["window_ns"] == config.clos.link_delay_ns
-        assert stats["sync"] == "conservative"
-        assert stats["requested_sync"] == "conservative"
-        assert "speculation" not in stats
         assert stats["barriers"] > 0
         assert stats["boundary_packets"] > 0
         assert sum(int(v) for v in stats["events_per_shard"].values()) == (
@@ -139,67 +137,114 @@ class TestShardedEqualsSerial:
         )
 
 
-class TestSpeculativeEqualsSerial:
-    """Time-warp sync produces the same bytes as conservative and serial.
-
-    ``adaptive`` resolves to speculative on the golden pod split (1 us
-    window), so both requested modes exercise the optimistic runtime; the
-    stats record which mode was requested vs what actually ran.
-    """
+class TestShardStatsAccounting:
+    """Every kernel's sharded run reports stats that add up."""
 
     @pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
     @pytest.mark.parametrize("shards", [2, 4])
-    @pytest.mark.parametrize("sync", ["speculative", "adaptive"])
-    def test_byte_identical_records(self, serial_records, scheme, shards, sync):
-        config = replace(golden_configs()[scheme], shards=shards,
-                         shard_sync=sync)
+    def test_stats_account_for_every_event_and_port(
+        self, golden_sharded, scheme, shards
+    ):
+        result = golden_sharded(scheme, shards)
+        stats = result.shard_stats
+        assert_shard_stats_schema(stats)
+        assert stats["num_shards"] == shards
+        assert "degenerate" not in stats
+        assert stats["window_ns"] == golden_configs()[scheme].clos.link_delay_ns
+        assert stats["barriers"] > 0
+        assert stats["boundary_packets"] > 0
+        populated = {
+            shard
+            for shard, size in stats["shards"].items()
+            if size["hosts"] or size["switches"]
+        }
+        events = stats["events_per_shard"]
+        assert set(events) == populated
+        assert sum(int(v) for v in events.values()) == result.events_processed
+        # Each cut link is a boundary egress port at both of its ends.
+        ports = stats["boundary_ports_per_shard"]
+        assert set(ports) == populated
+        assert sum(ports.values()) == 2 * stats["cut_links"]
+
+
+def test_schema_table_in_architecture_doc_matches_keys():
+    """docs/architecture.md lists exactly SHARD_STATS_KEYS."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "architecture.md")
+    text = doc.read_text()
+    section = text.split("### `shard_stats` schema", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `([a-z_]+)` \|", section, re.MULTILINE))
+    assert documented == SHARD_STATS_KEYS
+
+
+def four_pod(config):
+    """The golden slice on four ToRs of four hosts (same 2:1 oversubscription)."""
+    return replace(config, clos=replace(config.clos, num_tors=4, hosts_per_tor=4))
+
+
+class TestFourPodFabric:
+    """Partitions that the two-pod golden fabric cannot produce.
+
+    On four pods, 3 shards split the pods unevenly (2 + 1 + 1), ``greedy``
+    interleaves pods across shards instead of keeping them contiguous, and
+    4 shards give every pod its own shard with the spine tier split across
+    two of them.
+    """
+
+    @pytest.fixture(scope="class")
+    def serial_four_pod(self):
+        return {
+            scheme: shard_canonical(run_experiment(four_pod(config)))
+            for scheme, config in golden_configs().items()
+        }
+
+    @pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
+    @pytest.mark.parametrize(
+        "shards,strategy",
+        [(2, "pod"), (2, "greedy"), (3, "pod"), (3, "greedy"), (4, "pod")],
+    )
+    def test_byte_identical_records(
+        self, serial_four_pod, scheme, shards, strategy
+    ):
+        config = replace(
+            four_pod(golden_configs()[scheme]),
+            shards=shards,
+            shard_strategy=strategy,
+        )
         result = run_experiment(config)
         sharded = shard_canonical(result)
-        serial = serial_records[scheme]
+        serial = serial_four_pod[scheme]
         for key in serial:
             assert sharded[key] == serial[key], (
-                f"{scheme} shards={shards} sync={sync}: {key} diverged "
-                "from the single-process run"
+                f"{scheme} shards={shards} strategy={strategy}: {key} "
+                "diverged from the single-process run"
             )
         assert sharded == serial
         stats = result.shard_stats
         assert_shard_stats_schema(stats)
-        assert stats["sync"] == "speculative"
-        assert stats["requested_sync"] == sync
-        speculation = stats["speculation"]
-        assert speculation["snapshots"] > 0
-        assert speculation["max_leap"] >= 1
+        assert stats["strategy"] == strategy
+        assert len(stats["events_per_shard"]) == shards
 
-    def test_speculation_makes_progress_and_saves_barriers(self):
-        config = replace(golden_configs()["BFC"], shards=2,
-                         shard_sync="speculative")
-        speculative = run_experiment(config)
-        conservative = run_experiment(replace(config, shard_sync="conservative"))
-        # The committed simulation is the same; only the sync path differs.
-        assert shard_canonical(speculative) == shard_canonical(conservative)
-        assert (speculative.shard_stats["boundary_packets"]
-                == conservative.shard_stats["boundary_packets"])
-        stats = speculative.shard_stats["speculation"]
-        # On the dense pod cut the runtime genuinely speculates: it leaps
-        # multiple windows, takes checkpoints, and pays real rollbacks.
-        assert stats["max_leap_used"] > 1
-        assert stats["snapshots"] > 0
-        assert stats["rollbacks"] > 0
-        assert stats["events_reexecuted"] > 0
-        assert stats["barriers_avoided"] > 0
-        # ... and the point of it all: fewer synchronization barriers.
-        assert (speculative.shard_stats["barriers"]
-                < conservative.shard_stats["barriers"])
-        assert (speculative.shard_stats["barriers"]
-                + stats["barriers_avoided"]
-                >= conservative.shard_stats["barriers"])
 
-    def test_speculative_run_is_deterministic_run_to_run(self):
-        config = replace(golden_configs()["BFC"], shards=2,
-                         shard_sync="speculative")
-        first = shard_canonical(run_experiment(config))
-        second = shard_canonical(run_experiment(config))
-        assert first == second
+class TestRandomizedStorm:
+    @pytest.mark.parametrize("draw", range(3))
+    def test_fresh_scenarios_match_serial(self, draw):
+        """Sharded == serial on scenarios no fixture ever saw."""
+        rng = random.Random(0xBFC0 + draw)
+        scheme = rng.choice(["BFC", "DCQCN", "HPCC"])
+        seed = rng.randrange(1, 1_000)
+        shards = rng.choice([2, 4])
+        config = fig5a_configs("tiny", schemes=(scheme,), seed=seed)[scheme]
+        config = replace(
+            config,
+            duration_ns=units.microseconds(120),
+            drain_ns=units.microseconds(60),
+        )
+        serial = run_experiment(config)
+        sharded = run_experiment(replace(config, shards=shards))
+        assert shard_canonical(sharded) == shard_canonical(serial), (
+            f"draw {draw}: {scheme} seed={seed} shards={shards} diverged"
+        )
+        assert_shard_stats_schema(sharded.shard_stats)
 
 
 class TestSingleShardDegradesToPlainRunner:
@@ -235,54 +280,31 @@ class TestCrossDcSharding:
         # Lookahead equals the cross-DC propagation delay.
         assert stats["window_ns"] == fig9_config.cross_dc.gateway_delay_ns
 
+    @pytest.mark.parametrize("scheme", ["DCQCN", "HPCC"])
+    @pytest.mark.parametrize("shards,strategy", [(2, "dc"), (4, "pod")])
+    def test_other_kernels_across_dcs_byte_identical(
+        self, scheme, shards, strategy
+    ):
+        config = fig9_configs("tiny", schemes=(scheme,), seed=3)[scheme]
+        config = replace(
+            config,
+            duration_ns=units.microseconds(150),
+            drain_ns=units.microseconds(75),
+        )
+        serial = shard_canonical(run_experiment(config))
+        sharded = run_experiment(
+            replace(config, shards=shards, shard_strategy=strategy)
+        )
+        assert shard_canonical(sharded) == serial
+        assert sharded.shard_stats["strategy"] == strategy
+        assert_shard_stats_schema(sharded.shard_stats)
+
     def test_pod_sharding_across_dcs_byte_identical(self, fig9_config):
         serial = shard_canonical(run_experiment(fig9_config))
         sharded = run_experiment(
             replace(fig9_config, shards=4, shard_strategy="pod")
         )
         assert shard_canonical(sharded) == serial
-
-    def test_adaptive_resolves_conservative_on_wide_window(self, fig9_config):
-        # The 20 us inter-DC window is far above the adaptive threshold:
-        # speculating across it would roll back constantly, so the policy
-        # keeps conservative sync — and records both the request and the
-        # resolution.
-        serial = shard_canonical(run_experiment(fig9_config))
-        result = run_experiment(replace(fig9_config, shards=2,
-                                        shard_sync="adaptive"))
-        assert shard_canonical(result) == serial
-        stats = result.shard_stats
-        assert_shard_stats_schema(stats)
-        assert stats["requested_sync"] == "adaptive"
-        assert stats["sync"] == "conservative"
-        assert "speculation" not in stats
-
-    def test_forced_speculative_across_dcs_byte_identical(self, fig9_config):
-        # Explicitly requested speculation runs even on the wide window and
-        # still commits identical bytes.
-        serial = shard_canonical(run_experiment(fig9_config))
-        result = run_experiment(replace(fig9_config, shards=2,
-                                        shard_sync="speculative"))
-        assert shard_canonical(result) == serial
-        stats = result.shard_stats
-        assert stats["sync"] == "speculative"
-        assert stats["speculation"]["snapshots"] > 0
-
-    def test_adaptive_speculates_on_pod_split(self, fig9_config):
-        # Pod-splitting the same cross-DC scenario cuts 1 us intra-DC links,
-        # which is under the adaptive threshold: the policy picks time-warp.
-        serial = shard_canonical(run_experiment(fig9_config))
-        result = run_experiment(replace(fig9_config, shards=4,
-                                        shard_strategy="pod",
-                                        shard_sync="adaptive"))
-        assert shard_canonical(result) == serial
-        stats = result.shard_stats
-        assert_shard_stats_schema(stats)
-        assert stats["requested_sync"] == "adaptive"
-        assert stats["sync"] == "speculative"
-        assert stats["window_ns"] == (
-            fig9_config.cross_dc.dc_params.link_delay_ns
-        )
 
 
 class TestCampaignComposition:
@@ -338,33 +360,50 @@ class TestFlowGraphSharding:
         )["BFC"]
         return replace(config, duration_ns=units.microseconds(300))
 
-    @pytest.mark.parametrize("sync", ["conservative", "speculative"])
-    def test_collective_two_shards_byte_identical(self, collective_config, sync):
+    def test_collective_two_shards_byte_identical(self, collective_config):
         serial = shard_canonical(run_experiment(collective_config))
-        result = run_experiment(
-            replace(collective_config, shards=2, shard_sync=sync)
-        )
+        result = run_experiment(replace(collective_config, shards=2))
         sharded = shard_canonical(result)
         for key in serial:
             assert sharded[key] == serial[key], (
-                f"collective sync={sync}: {key} diverged from single-process"
+                f"collective: {key} diverged from single-process"
             )
         assert sharded == serial
         assert_shard_stats_schema(result.shard_stats)
-        assert result.shard_stats["sync"] == sync
 
-    @pytest.mark.parametrize("sync", ["conservative", "speculative"])
-    def test_rpc_two_shards_byte_identical(self, rpc_config, sync):
+    def test_rpc_two_shards_byte_identical(self, rpc_config):
         serial = shard_canonical(run_experiment(rpc_config))
-        result = run_experiment(replace(rpc_config, shards=2, shard_sync=sync))
+        result = run_experiment(replace(rpc_config, shards=2))
         sharded = shard_canonical(result)
         for key in serial:
             assert sharded[key] == serial[key], (
-                f"rpc sync={sync}: {key} diverged from single-process"
+                f"rpc: {key} diverged from single-process"
             )
         assert sharded == serial
         assert_shard_stats_schema(result.shard_stats)
-        assert result.shard_stats["sync"] == sync
+
+    @pytest.mark.parametrize(
+        "kind", ["ring-allreduce", "tree-allreduce", "all-to-all"]
+    )
+    def test_collective_kinds_four_shards_byte_identical(self, kind):
+        from repro.experiments.scenarios import collective_configs
+
+        config = collective_configs(
+            "tiny", kinds=(kind,), schemes=("BFC",), iterations=2, seed=7,
+        )[f"{kind}/BFC"]
+        config = replace(config, duration_ns=units.microseconds(300))
+        serial = shard_canonical(run_experiment(config))
+        result = run_experiment(replace(config, shards=4))
+        assert shard_canonical(result) == serial, (
+            f"{kind}: four-shard records diverged from single-process"
+        )
+        assert_shard_stats_schema(result.shard_stats)
+
+    def test_rpc_four_shards_byte_identical(self, rpc_config):
+        serial = shard_canonical(run_experiment(rpc_config))
+        result = run_experiment(replace(rpc_config, shards=4))
+        assert shard_canonical(result) == serial
+        assert_shard_stats_schema(result.shard_stats)
 
     def test_dynamic_start_times_survive_the_merge(self, collective_config):
         """Dependent flows' stamped start_ns reach the coordinator's records."""
