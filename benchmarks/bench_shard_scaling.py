@@ -1,12 +1,16 @@
 """Sharded-simulation scaling benchmark: wall clock and events/sec vs shards.
 
-Measures :mod:`repro.shard` on two representative partitions:
+Measures :mod:`repro.shard` on two representative partitions of the
+``small`` scenarios, each run for the scale's own duration:
 
-* ``cross-dc`` — a fig9-style two-data-center topology split per DC.  The
-  200x-longer inter-DC delay is the conservative window, so barriers are
+* ``cross-dc`` — the fig9 two-data-center topology split per DC.  The
+  20x-longer inter-DC delay is the conservative window, so barriers are
   rare; this is the headline sharding configuration.
 * ``pod`` — the fig5a leaf-spine fabric split per pod.  The window is one
   intra-fabric link delay (1 us), so this stresses the barrier path.
+
+At ``tiny`` scale a run is too short to amortise process start-up, the
+per-worker topology build and the barriers, so sharding never pays there.
 
 Each shard is one OS process, so a point only has the CPUs it needs when
 ``cpu_count`` (recorded in the JSON) is at least its shard count; with fewer,
@@ -18,7 +22,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_shard_scaling.py
     PYTHONPATH=src python benchmarks/bench_shard_scaling.py \
-        --duration-us 200 --repeats 1 --json /tmp/shard.json
+        --repeats 1 --json /tmp/shard.json
 """
 
 from __future__ import annotations
@@ -35,26 +39,17 @@ from typing import Dict, List
 from repro import __version__
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import fig5a_configs, fig9_configs
-from repro.sim import units
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "BENCH_shard_scaling.json"
 
 BENCH_SEED = 11
+BENCH_SCALE = "small"
 
 
-def _scenarios(duration_us: int) -> Dict[str, Dict[str, object]]:
-    # The cross-DC scenario runs a 3x longer trace: process spawn and the
-    # (deterministic, per-worker) full topology+trace build are fixed costs,
-    # and the headline number should measure the steady state, not startup.
-    fig9 = fig9_configs("tiny", schemes=("BFC",), seed=BENCH_SEED)["BFC"]
-    fig9 = replace(
-        fig9,
-        duration_ns=units.microseconds(3 * duration_us),
-        drain_ns=units.microseconds(3 * duration_us // 2),
-    )
-    fig5a = fig5a_configs("tiny", schemes=["BFC"], seed=BENCH_SEED)["BFC"]
-    fig5a = replace(fig5a, duration_ns=units.microseconds(duration_us))
+def _scenarios() -> Dict[str, Dict[str, object]]:
+    fig9 = fig9_configs(BENCH_SCALE, schemes=("BFC",), seed=BENCH_SEED)["BFC"]
+    fig5a = fig5a_configs(BENCH_SCALE, schemes=["BFC"], seed=BENCH_SEED)["BFC"]
     return {
         "cross-dc": {"config": fig9, "shard_counts": [1, 2]},
         "pod": {"config": fig5a, "shard_counts": [1, 2, 4]},
@@ -86,9 +81,9 @@ def _measure(config, shards: int) -> Dict[str, object]:
     return point
 
 
-def run_benchmark(duration_us: int, repeats: int) -> Dict[str, object]:
+def run_benchmark(repeats: int) -> Dict[str, object]:
     scenarios: Dict[str, object] = {}
-    for name, spec in _scenarios(duration_us).items():
+    for name, spec in _scenarios().items():
         shard_counts = spec["shard_counts"]
         # Round-robin the repeats over the shard counts so each point's
         # best-of-N samples the same wall-clock windows: the machine's CPU
@@ -119,12 +114,13 @@ def run_benchmark(duration_us: int, repeats: int) -> Dict[str, object]:
             point["overhead_vs_serial"] = point["wall_seconds"] / serial_wall - 1.0
         scenarios[name] = {
             "scheme": "BFC",
-            "duration_us": duration_us,
+            "duration_us": spec["config"].duration_ns // 1000,
             "points": points,
         }
     return {
         "benchmark": "shard_scaling",
         "seed": BENCH_SEED,
+        "scale": BENCH_SCALE,
         "scenarios": scenarios,
         "repeats": repeats,
         "note": (
@@ -146,12 +142,6 @@ def run_benchmark(duration_us: int, repeats: int) -> Dict[str, object]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--duration-us",
-        type=int,
-        default=400,
-        help="traffic window per scenario in simulated microseconds (default 400)",
-    )
-    parser.add_argument(
         "--repeats", type=int, default=2, help="take the best of N runs (default 2)"
     )
     parser.add_argument(
@@ -162,7 +152,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    report = run_benchmark(args.duration_us, args.repeats)
+    report = run_benchmark(args.repeats)
     for name, scenario in report["scenarios"].items():
         for point in scenario["points"]:
             if "overhead_vs_serial" in point:

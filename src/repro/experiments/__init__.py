@@ -22,7 +22,6 @@ from .runner import (
     ExperimentResult,
     TrafficSpec,
     run_experiment,
-    run_schemes,
 )
 from . import scenarios
 
@@ -41,6 +40,5 @@ __all__ = [
     "ExperimentResult",
     "TrafficSpec",
     "run_experiment",
-    "run_schemes",
     "scenarios",
 ]

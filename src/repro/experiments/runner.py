@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import BfcConfig
@@ -726,31 +725,3 @@ def run_experiment(
         host_counters=host_counters,
     )
 
-
-def run_schemes(
-    base_config: ExperimentConfig, schemes: Sequence[str]
-) -> Dict[str, ExperimentResult]:
-    """Run the same experiment once per scheme (one line per scheme in a figure).
-
-    .. deprecated::
-        Use :class:`repro.campaign.Campaign` instead, which adds sweeps,
-        repeats, parallel execution and persistent results::
-
-            Campaign.from_configs(name, configs).run(workers=4)
-
-    This shim keeps the original call shape and return type.
-    """
-    warnings.warn(
-        "run_schemes() is deprecated; build a repro.campaign.Campaign instead "
-        "(Campaign.from_configs(...).run())",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.campaign import Campaign
-
-    configs = {
-        scheme: replace(base_config, scheme=scheme, name=f"{base_config.name}/{scheme}")
-        for scheme in schemes
-    }
-    result_set = Campaign.from_configs(base_config.name, configs).run()
-    return result_set.experiment_results_by_label()
