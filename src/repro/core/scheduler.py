@@ -10,12 +10,13 @@ Service order at a BFC egress port is:
    scheduled like a normal physical queue.
 
 The scheduler stores packets, picks the next one and keeps Nactive; the
-pause/resume policy lives in :mod:`repro.core.discipline`.  Whether a queue's
-*head* is paused by the installed downstream filter is cached as one bit per
-queue, with a count of the set bits.  A bit can only change when the queue's
-head changes (a push to an empty queue, a pop) or a different filter is
-installed, so the per-packet pause rule and the DRR service test are list and
-integer reads.
+pause/resume policy lives in :mod:`repro.core.discipline`.  Whether a queue
+may send is cached per queue as its *ready* value: the head packet's size when
+the head is not paused by the installed downstream filter, else ``BLOCKED``,
+with a count of the ready queues.  A ready value can only change when the
+queue's head changes (a push to an empty queue, a pop) or a different filter
+is installed, so the per-packet pause rule is an integer read and the DRR's
+probe is a list read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
-from repro.sim.disciplines import DeficitRoundRobin
+from repro.sim.disciplines import BLOCKED, DeficitRoundRobin
 from repro.sim.packet import Packet
 
 from .bloom import BloomFilterCodec
@@ -56,9 +57,11 @@ class BfcScheduler:
         self._num_vfids = config.num_vfids
         #: The most recent Bloom filter received from the next hop.
         self.downstream_filter: Optional[bytes] = None
-        # _eligible[q]: q is non-empty and its head is not paused downstream.
-        self._eligible: List[bool] = [False] * (self.num_queues + 2)
-        #: Nactive before the floor of one: how many bits of _eligible are set.
+        # _ready[q]: the head's size if q is non-empty and its head is not
+        # paused downstream, else BLOCKED.  The DRR probes it directly.
+        self._ready: List[int] = [BLOCKED] * (self.num_queues + 2)
+        self._probe = self._ready.__getitem__
+        #: Nactive before the floor of one: how many queues are ready.
         self.eligible_count = 0
 
     # -- enqueue -----------------------------------------------------------------
@@ -75,7 +78,7 @@ class BfcScheduler:
         if not queue:
             self._drr.activate(qid)
             if self.downstream_filter is None or not self._blocked(packet):
-                self._eligible[qid] = True
+                self._ready[qid] = packet.size
                 self.eligible_count += 1
         queue.append(packet)
         size = packet.size
@@ -95,17 +98,20 @@ class BfcScheduler:
 
         The next hop re-broadcasts its filter every Bloom interval and most
         broadcasts repeat the previous pause set: an identical bitmap leaves
-        every cached bit valid and costs one bytes compare.
+        every ready value valid and costs one bytes compare.
         """
         if bitmap == self.downstream_filter:
             return False
         self.downstream_filter = bitmap
-        eligible = self._eligible
+        ready = self._ready
         count = 0
-        for qid in self._drr._active:
-            ok = bitmap is None or not self._blocked(self._queues[qid][0])
-            eligible[qid] = ok
-            count += ok
+        for qid in self._drr.active_queues():
+            head = self._queues[qid][0]
+            if bitmap is None or not self._blocked(head):
+                ready[qid] = head.size
+                count += 1
+            else:
+                ready[qid] = BLOCKED
         self.eligible_count = count
         return True
 
@@ -121,61 +127,31 @@ class BfcScheduler:
             self.total_bytes -= packet.size
             self.total_packets -= 1
             return packet, HIGH_PRIORITY_QUEUE
-        # DeficitRoundRobin.select with the head-size callback inlined and
-        # the eligibility callback replaced by the cached bits (a set bit
-        # implies a head packet).  pop runs once per transmitted packet; the
-        # selection arithmetic must stay exactly equivalent to
-        # ``self._drr.select(head_size, eligible)`` — the DRR state is shared
-        # and must evolve identically.
         drr = self._drr
-        active = drr._active
         if not self.eligible_count:
-            # Nothing to serve.  select() would end the current turn and
-            # visit 2 * len(active) + 1 queues in vain, which leaves the
-            # cursor one step further round.
-            drr._current = None
-            if active:
-                drr._cursor = (drr._cursor + 1) % len(active)
+            drr.idle()  # nothing may send: skip the fruitless scan
             return None
-        eligible = self._eligible
-        deficits = drr._deficits
-        visited = 0
-        limit = 2 * len(active) + 1
-        qid = drr._current
-        while True:
-            if qid is None:
-                if visited >= limit:
-                    return None
-                visited += 1
-                cursor = drr._cursor % len(active)
-                qid = active[cursor]
-                drr._cursor = (cursor + 1) % len(active)
-                if not eligible[qid]:
-                    qid = None
-                    continue
-                # Arriving at an eligible queue: grant its quantum and start
-                # serving it.
-                deficits[qid] += drr.quantum
-                drr._current = qid
-            queue = queues[qid]
-            size = queue[0].size
-            if eligible[qid] and deficits[qid] >= size:
-                deficits[qid] -= size
-                packet = queue.popleft()
-                self._queue_bytes[qid] -= size
-                self.total_bytes -= size
-                self.total_packets -= 1
-                if not queue:
-                    eligible[qid] = False
-                    self.eligible_count -= 1
-                    drr.deactivate(qid)
-                elif self.downstream_filter is not None and self._blocked(queue[0]):
-                    eligible[qid] = False
-                    self.eligible_count -= 1
-                return packet, qid
-            # This queue's turn is over; it keeps the remaining deficit.
-            drr._current = None
-            qid = None
+        qid = drr.select(self._probe)
+        if qid is None:
+            return None
+        queue = queues[qid]
+        packet = queue.popleft()
+        size = packet.size
+        self._queue_bytes[qid] -= size
+        self.total_bytes -= size
+        self.total_packets -= 1
+        if not queue:
+            self._ready[qid] = BLOCKED
+            self.eligible_count -= 1
+            drr.deactivate(qid)
+        else:
+            head = queue[0]
+            if self.downstream_filter is not None and self._blocked(head):
+                self._ready[qid] = BLOCKED
+                self.eligible_count -= 1
+            else:
+                self._ready[qid] = head.size
+        return packet, qid
 
     # -- introspection ---------------------------------------------------------------
 
@@ -187,7 +163,7 @@ class BfcScheduler:
 
     def nonempty_queues(self) -> List[int]:
         """Physical queues (and the overflow queue) that hold packets."""
-        active = self._drr._active
+        active = self._drr.active_queues()
         result = sorted(qid for qid in active if qid != OVERFLOW_QUEUE)
         if OVERFLOW_QUEUE in active:
             result.append(OVERFLOW_QUEUE)

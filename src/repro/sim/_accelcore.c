@@ -37,8 +37,7 @@ typedef struct {
 } EventHeapObject;
 
 /* Interned attribute names for the per-event register stores. */
-static PyObject *str_now, *str_cur_origin, *str_cur_parent, *str_cur_parent2,
-    *str_cur_parent3;
+static PyObject *str_now, *str_cur_origin, *str_cur_parent, *str_cur_parent2;
 static PyObject *str_dict;
 
 static inline int
@@ -285,13 +284,12 @@ EventHeap_run(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
         heap_pop_root(self, &e);
         {
             int i;
-            static PyObject **names[5];
+            static PyObject **names[4];
             names[0] = &str_now;
             names[1] = &str_cur_origin;
             names[2] = &str_cur_parent;
             names[3] = &str_cur_parent2;
-            names[4] = &str_cur_parent3;
-            for (i = 0; i < 5 && rc == 0; i++) {
+            for (i = 0; i < 4 && rc == 0; i++) {
                 PyObject *val = PyLong_FromLongLong(e.k[i]);
                 if (val == NULL) {
                     rc = -1;
@@ -432,10 +430,9 @@ PyInit__accelcore(void)
     str_cur_origin = PyUnicode_InternFromString("_cur_origin");
     str_cur_parent = PyUnicode_InternFromString("_cur_parent");
     str_cur_parent2 = PyUnicode_InternFromString("_cur_parent2");
-    str_cur_parent3 = PyUnicode_InternFromString("_cur_parent3");
     str_dict = PyUnicode_InternFromString("__dict__");
     if (!str_now || !str_cur_origin || !str_cur_parent || !str_cur_parent2 ||
-        !str_cur_parent3 || !str_dict)
+        !str_dict)
         return NULL;
     if (PyType_Ready(&EventHeapType) < 0)
         return NULL;

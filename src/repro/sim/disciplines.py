@@ -21,6 +21,10 @@ from typing import Deque, Dict, List, Optional
 
 from .packet import Packet
 
+#: What a :meth:`DeficitRoundRobin.select` probe returns for a queue that
+#: holds packets but may not send now (e.g. paused): it keeps its deficit.
+BLOCKED = -1
+
 
 class DeficitRoundRobin:
     """Deficit-round-robin selection over a set of numbered queues.
@@ -34,7 +38,7 @@ class DeficitRoundRobin:
     scheduler *arrives* at a queue it grants one quantum; the queue is then
     served packet by packet (one packet per :meth:`select` call) until its
     deficit no longer covers the head packet, it empties, or it becomes
-    ineligible (e.g. paused) — at which point the scheduler moves on to the
+    blocked (e.g. paused) — at which point the scheduler moves on to the
     next queue.  Empty queues lose their deficit; backlogged ones keep the
     remainder for their next turn.
     """
@@ -78,58 +82,67 @@ class DeficitRoundRobin:
     def deficit(self, queue_id: int) -> int:
         return self._deficits.get(queue_id, 0)
 
-    def select(self, head_size, eligible=None) -> Optional[int]:
+    def select(self, probe) -> Optional[int]:
         """Pick the next queue to serve (one packet per call).
 
-        Parameters
-        ----------
-        head_size:
-            Callable mapping a queue id to the size (bytes) of its head
-            packet, or ``None`` if the queue is empty.
-        eligible:
-            Optional callable mapping a queue id to a bool; ineligible queues
-            (e.g. paused ones) are skipped without losing their deficit.
+        ``probe`` maps a queue id to the size (bytes) of its head packet if
+        the queue may send now, :data:`BLOCKED` if it holds packets but may
+        not send now (it keeps its deficit), or ``None`` if it is empty (it
+        forfeits its deficit).  Each visited queue is probed once; a probe
+        must not change the active set.
         """
-        active = self._active
-        if not active:
-            self._current = None
-            return None
-        deficits = self._deficits
-        visited = 0
-        limit = 2 * len(active) + 1
         # While a queue is active its deficit key is guaranteed present
         # (activate() inserts it, deactivate() clears _current), so plain
         # indexing is safe below.
-        while True:
-            qid = self._current
-            if qid is not None:
-                size = head_size(qid)
-                if (
-                    size is not None
-                    and (eligible is None or eligible(qid))
-                    and deficits[qid] >= size
-                ):
-                    deficits[qid] -= size
-                    return qid
-                # This queue's turn is over: empty queues forfeit their deficit,
-                # blocked/backlogged queues keep the remainder.
-                if size is None:
-                    deficits[qid] = 0
-                self._current = None
-                continue
-            if visited >= limit or not active:
-                return None
-            visited += 1
-            cursor = self._cursor % len(active)
+        deficits = self._deficits
+        qid = self._current
+        if qid is not None:
+            size = probe(qid)
+            if size is None:
+                deficits[qid] = 0  # an empty queue forfeits its deficit
+            elif size >= 0 and deficits[qid] >= size:
+                deficits[qid] -= size
+                return qid
+            # Its turn is over; a blocked or backlogged queue keeps the rest.
+            self._current = None
+        active = self._active
+        n = len(active)
+        if not n:
+            return None
+        quantum = self.quantum
+        cursor = self._cursor % n
+        # At most 2n + 1 arrivals; a fruitless scan thus leaves the cursor
+        # one step on (see idle()).
+        for _ in range(2 * n + 1):
             qid = active[cursor]
-            self._cursor = (cursor + 1) % len(active)
-            size = head_size(qid)
-            if size is None or not (eligible is None or eligible(qid)):
+            cursor += 1
+            if cursor == n:
+                cursor = 0
+            size = probe(qid)
+            if size is None or size < 0:  # empty or BLOCKED: skip, keep deficit
                 continue
-            # Arriving at a backlogged, eligible queue: grant its quantum and
-            # start serving it.
-            deficits[qid] += self.quantum
-            self._current = qid
+            # Arriving at a queue that may send: grant its quantum and start
+            # serving it, unless the head still does not fit.
+            deficit = deficits[qid] + quantum
+            if deficit >= size:
+                deficits[qid] = deficit - size
+                self._current = qid
+                self._cursor = cursor
+                return qid
+            deficits[qid] = deficit
+        self._cursor = cursor
+        return None
+
+    def idle(self) -> None:
+        """Move the state as a :meth:`select` that finds nothing sendable would.
+
+        The current turn ends and the ``2·len(active)+1`` fruitless visits
+        leave the cursor one step further round; deficits are untouched.
+        """
+        self._current = None
+        active = self._active
+        if active:
+            self._cursor = (self._cursor + 1) % len(active)
 
 
 class FifoDiscipline:

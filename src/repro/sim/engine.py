@@ -153,17 +153,15 @@ class Simulator:
     def __init__(self, seed: int = 1) -> None:
         self.now: int = 0
         self._seq: int = 0
-        #: Scheduling ancestry (origin, then three ancestor origins) of the
-        #: event that is currently executing; new events inherit
+        #: Scheduling ancestry (origin, then the two nearest ancestor
+        #: origins) of the event that is currently executing; new events inherit
         #: ``(_cur_origin, _cur_parent, _cur_parent2)`` as their
         #: ``(parent, parent2, parent3)``.  Read by the sharded runtime's
-        #: boundary capture (:mod:`repro.shard.boundary`), which ships the
-        #: first three as the ancestry of a cross-shard delivery; nothing
-        #: reads ``_cur_parent3``, which both engine backends still publish.
+        #: boundary capture (:mod:`repro.shard.boundary`), which ships them
+        #: as the ancestry of a cross-shard delivery.
         self._cur_origin: int = 0
         self._cur_parent: int = 0
         self._cur_parent2: int = 0
-        self._cur_parent3: int = 0
         self._cancelled: set = set()
         self._rng = random.Random(seed)
         self._events_processed: int = 0
@@ -677,7 +675,7 @@ class Simulator:
                         entry = self._advance()
                         if entry is None:
                             break
-                time, origin, parent, parent2, parent3, seq, callback, args = entry
+                time, origin, parent, parent2, _, seq, callback, args = entry
                 if cancelled and seq in cancelled:
                     cancelled.discard(seq)
                     continue
@@ -688,7 +686,6 @@ class Simulator:
                 self._cur_origin = origin
                 self._cur_parent = parent
                 self._cur_parent2 = parent2
-                self._cur_parent3 = parent3
                 callback(*args)
                 processed += 1
         finally:

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
-from .disciplines import DeficitRoundRobin
+from .disciplines import BLOCKED, DeficitRoundRobin
 from .flow import Flow
 from .node import Node
 from .packet import (
@@ -36,6 +36,10 @@ from .packet import (
     PacketKind,
 )
 from .stats import Counters
+
+#: Minimum spacing between DCQCN congestion-notification packets for the
+#: same flow (50 us in the DCQCN paper).
+CNP_INTERVAL_NS = 50_000
 
 
 @dataclass
@@ -49,14 +53,8 @@ class HostConfig:
     window_cap_bytes:
         Optional hard cap on per-flow inflight bytes (the "+Win" variants use
         one end-to-end bandwidth-delay product).  ``None`` disables the cap.
-    ack_every:
-        Send a cumulative ACK every N in-order data packets (the last packet
-        of a flow is always acknowledged).
     int_enabled:
         Stamp outgoing data packets for in-band telemetry (HPCC).
-    cnp_interval_ns:
-        Minimum spacing between DCQCN congestion-notification packets for the
-        same flow (50 us in the DCQCN paper).
     rto_ns:
         Retransmission timeout used when the tail of a flow is lost.
     mark_first_packet:
@@ -71,9 +69,7 @@ class HostConfig:
 
     mtu: int = 1000
     window_cap_bytes: Optional[int] = None
-    ack_every: int = 1
     int_enabled: bool = False
-    cnp_interval_ns: int = 50_000
     rto_ns: int = 2_000_000
     mark_first_packet: bool = False
     loss_recovery: str = "go-back-n"
@@ -137,9 +133,6 @@ class SenderFlowState:
 
     def remaining_packets(self) -> int:
         return self.num_packets - self.next_seq
-
-    def has_packets_to_send(self) -> bool:
-        return self.remaining_packets() > 0 or bool(self.retransmit_queue)
 
     def fully_acked(self) -> bool:
         return self.una >= self.num_packets
@@ -283,10 +276,13 @@ class NicScheduler:
         self._drr = DeficitRoundRobin(quantum=host.config.mtu + DATA_HEADER_SIZE)
         self._flows: Dict[int, SenderFlowState] = {}
         self._wakeup_event = None
-        # Timestamp the current dequeue()'s eligibility checks evaluate
-        # against; letting _eligible_id be a plain bound method keeps the
-        # per-dequeue path free of closure allocations.
-        self._select_now = 0
+        # Per-dequeue state of the probe: the time it tests pacing against,
+        # and the earliest pacing timer among the flows blocked only by
+        # pacing.  The probe is bound once: dequeue runs after every ACK and
+        # every transmission.
+        self._now = 0
+        self._wake_at: Optional[int] = None
+        self._probe = self._probe_flow
 
     # -- flow management ------------------------------------------------------
 
@@ -305,41 +301,6 @@ class NicScheduler:
     def active_flow_count(self) -> int:
         return len(self._flows)
 
-    # -- eligibility ------------------------------------------------------------
-    #
-    # NOTE: dequeue() inlines _head_size/_eligible/_eligible_id and the
-    # pacing scan of _schedule_wakeup for speed.  These methods remain the
-    # readable reference implementation, and
-    # tests/test_host.py::TestInlinedDequeueEquivalence pins the two paths
-    # to identical behaviour — a change to either side must keep them in
-    # lockstep (the shared DRR state must evolve identically).
-
-    def _eligible(self, fstate: SenderFlowState, now_ns: int) -> bool:
-        retransmit = fstate.retransmit_queue
-        if not retransmit and fstate.next_seq >= fstate.num_packets:
-            return False  # nothing left to send
-        if fstate.paused:
-            return False
-        if fstate.next_allowed_ns > now_ns:
-            return False
-        if retransmit:
-            # Retransmissions do not grow the in-flight window.
-            return True
-        host = self.host
-        window = host.effective_window(fstate)
-        if window is not None and fstate.inflight_bytes() + host.config.mtu > window:
-            return False
-        return True
-
-    def _blocked_only_by_pacing(self, fstate: SenderFlowState, now_ns: int) -> bool:
-        if not fstate.has_packets_to_send() or fstate.paused:
-            return False
-        if not fstate.retransmit_queue:
-            window = self.host.effective_window(fstate)
-            if window is not None and fstate.inflight_bytes() + self.host.config.mtu > window:
-                return False
-        return fstate.next_allowed_ns > now_ns
-
     # -- DataDiscipline interface ---------------------------------------------------
 
     def enqueue(self, packet: Packet, ingress: int) -> bool:  # pragma: no cover
@@ -348,117 +309,47 @@ class NicScheduler:
     def dequeue(self) -> Optional[Packet]:
         """Pick the next flow (deficit round robin) and build its packet.
 
-        This is :meth:`DeficitRoundRobin.select` with the head-size and
-        eligibility callbacks merged and inlined — the NIC is asked for a
-        packet after every ACK and every transmission, so the per-candidate
-        callback hops of the generic DRR dominate an experiment's run time.
-        The selection arithmetic must stay exactly equivalent to
-        ``self._drr.select(self._head_size, self._eligible_id)`` (the DRR
-        state is shared and must evolve identically).
+        When no flow may send, arm the pacing wake-up at the earliest timer
+        of the flows blocked only by pacing (the probe gathers it during the
+        scan, so a failed dequeue needs no second pass over the flows).
         """
         host = self.host
-        now = host.sim.now
-        self._select_now = now
-        drr = self._drr
-        active = drr._active
-        if not active:
-            drr._current = None
+        self._now = host.sim.now
+        self._wake_at = None
+        flow_id = self._drr.select(self._probe)
+        if flow_id is None:
+            if self._wake_at is not None:
+                self._arm_wakeup(self._wake_at)
             return None
-        flows = self._flows
-        deficits = drr._deficits
-        config_mtu = host.config.mtu
-        no_window = host._no_window
-        visited = 0
-        limit = 2 * len(active) + 1
-        arriving = False
-        qid = drr._current
-        # Earliest pacing timer among flows blocked *only* by pacing,
-        # gathered during the scan so a failed dequeue needs no second pass
-        # over the flows (see _schedule_wakeup, which this folds in).
-        wake_at: Optional[int] = None
-        while True:
-            if qid is None:
-                if visited >= limit:
-                    if wake_at is not None:
-                        self._arm_wakeup(wake_at)
-                    return None
-                visited += 1
-                cursor = drr._cursor % len(active)
-                qid = active[cursor]
-                drr._cursor = (cursor + 1) % len(active)
-                arriving = True
-            # -- head size and eligibility, merged (see _head_size/_eligible) --
-            fstate = flows.get(qid)
-            size = None
-            eligible = False
-            if fstate is not None:
-                retransmit = fstate.retransmit_queue
-                num_packets = fstate.num_packets
-                seq = retransmit[0] if retransmit else fstate.next_seq
-                if retransmit or seq < num_packets:
-                    mtu = fstate.mtu
-                    if seq < num_packets - 1:
-                        size = mtu + DATA_HEADER_SIZE
-                    else:
-                        last = fstate.flow.size - mtu * (num_packets - 1)
-                        size = (last if last > 0 else mtu) + DATA_HEADER_SIZE
-                    if not fstate.paused:
-                        if retransmit or no_window:
-                            # Retransmissions do not grow the in-flight window.
-                            if fstate.next_allowed_ns <= now:
-                                eligible = True
-                            elif wake_at is None or fstate.next_allowed_ns < wake_at:
-                                wake_at = fstate.next_allowed_ns
-                        else:
-                            window = host.effective_window(fstate)
-                            if (
-                                window is None
-                                or fstate.inflight_bytes() + config_mtu <= window
-                            ):
-                                if fstate.next_allowed_ns <= now:
-                                    eligible = True
-                                elif wake_at is None or fstate.next_allowed_ns < wake_at:
-                                    wake_at = fstate.next_allowed_ns
-            if arriving:
-                if size is None or not eligible:
-                    arriving = False
-                    qid = None
-                    continue
-                # Arriving at a backlogged, eligible queue: grant its quantum
-                # and start serving it.
-                deficits[qid] += drr.quantum
-                drr._current = qid
-                arriving = False
-            if size is not None and eligible and deficits[qid] >= size:
-                deficits[qid] -= size
-                return host.build_data_packet(fstate)
-            # This queue's turn is over: empty queues forfeit their deficit,
-            # blocked/backlogged queues keep the remainder.
-            if size is None:
-                deficits[qid] = 0
-            drr._current = None
-            qid = None
+        return host.build_data_packet(self._flows[flow_id])
 
-    def _eligible_id(self, flow_id: int) -> bool:
-        return self._eligible(self._flows[flow_id], self._select_now)
+    def _probe_flow(self, flow_id: int) -> Optional[int]:
+        """The DRR probe: a flow's next packet size if it may send now.
 
-    def _head_size(self, flow_id: int) -> Optional[int]:
-        fstate = self._flows.get(flow_id)
-        if fstate is None:
-            return None
+        ``None`` when the flow has nothing left to send; ``BLOCKED`` when it
+        is paused, out of window or paced beyond now.  The size is worked
+        out last, only for a flow that can send.
+        """
+        fstate = self._flows[flow_id]
         retransmit = fstate.retransmit_queue
-        if retransmit:
-            seq = retransmit[0]
-        else:
-            seq = fstate.next_seq
-            if seq >= fstate.num_packets:
-                return None
-        # packet_payload(), inlined: full MTU except possibly the last packet.
-        num_packets = fstate.num_packets
-        if seq < num_packets - 1:
-            return fstate.mtu + DATA_HEADER_SIZE
-        last = fstate.flow.size - fstate.mtu * (num_packets - 1)
-        return (last if last > 0 else fstate.mtu) + DATA_HEADER_SIZE
+        seq = retransmit[0] if retransmit else fstate.next_seq
+        if not retransmit and seq >= fstate.num_packets:
+            return None
+        if fstate.paused:
+            return BLOCKED
+        host = self.host
+        # Retransmissions do not grow the in-flight window.
+        if not (retransmit or host._no_window):
+            window = host.effective_window(fstate)
+            if window is not None and fstate.inflight_bytes() + host.config.mtu > window:
+                return BLOCKED
+        allowed = fstate.next_allowed_ns
+        if allowed > self._now:
+            wake_at = self._wake_at
+            if wake_at is None or allowed < wake_at:
+                self._wake_at = allowed
+            return BLOCKED
+        return fstate.packet_payload(seq) + DATA_HEADER_SIZE
 
     def backlog_bytes(self) -> int:
         total = 0
@@ -471,7 +362,7 @@ class NicScheduler:
 
     def has_backlog(self) -> bool:
         # Any registered flow counts (even paused/window-blocked ones).
-        return bool(self._drr._active)
+        return bool(self._flows)
 
     def has_work_at(self, horizon_ns: int) -> bool:
         """Could a wake-up at the commit horizon find transmittable work?
@@ -502,17 +393,6 @@ class NicScheduler:
         return False
 
     # -- pacing wake-ups ------------------------------------------------------------
-
-    def _schedule_wakeup(self, now_ns: int) -> None:
-        """If flows are blocked purely on pacing, wake the port at the earliest timer."""
-        earliest: Optional[int] = None
-        for fstate in self._flows.values():
-            if self._blocked_only_by_pacing(fstate, now_ns):
-                if earliest is None or fstate.next_allowed_ns < earliest:
-                    earliest = fstate.next_allowed_ns
-        if earliest is None:
-            return
-        self._arm_wakeup(earliest)
 
     def _arm_wakeup(self, earliest: int) -> None:
         """Arm (or tighten) the pacing wake-up kick at ``earliest``."""
@@ -558,8 +438,7 @@ class Host(Node):
         # (seq) order by a single flush at the end of handle_packet().
         self._pending_control: List[Packet] = []
         self._needs_kick = False
-        # Per-packet receive-path constants, hoisted out of the handlers.
-        self._ack_every = max(1, self.config.ack_every)
+        # Per-packet receive-path constant, hoisted out of the handlers.
         self._selective = self.config.loss_recovery == "selective-repeat"
         self._no_window = False  # recomputed once the cc module exists
         self.on_flow_complete: Optional[Callable[[Flow, int], None]] = None
@@ -770,7 +649,7 @@ class Host(Node):
             if rstate.expected_seq >= rstate.num_packets and not rstate.completed:
                 rstate.completed = True
                 self._record_completion(packet, rstate)
-            self._maybe_send_ack(packet, rstate)
+            self._send_ack(packet, rstate)
         elif packet.seq > rstate.expected_seq:
             self.counters.incr("out_of_order_packets")
             if selective and packet.seq not in rstate.out_of_order:
@@ -824,11 +703,6 @@ class Host(Node):
         cv = self._cv
         cv["acks_sent"] += 1
 
-    def _maybe_send_ack(self, packet: Packet, rstate: ReceiverFlowState) -> None:
-        is_last = rstate.expected_seq >= rstate.num_packets
-        if is_last or rstate.expected_seq % self._ack_every == 0:
-            self._send_ack(packet, rstate)
-
     def _send_ack(self, packet: Packet, rstate: ReceiverFlowState) -> None:
         ack = Packet(
             kind=PacketKind.ACK,
@@ -863,7 +737,7 @@ class Host(Node):
 
     def _maybe_send_cnp(self, packet: Packet, rstate: ReceiverFlowState) -> None:
         now = self.sim.now
-        if now - rstate.last_cnp_ns < self.config.cnp_interval_ns:
+        if now - rstate.last_cnp_ns < CNP_INTERVAL_NS:
             return
         rstate.last_cnp_ns = now
         cnp = Packet(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.bloom import BloomFilterCodec
 from repro.core.config import BfcConfig
 from repro.core.scheduler import HIGH_PRIORITY_QUEUE, OVERFLOW_QUEUE, BfcScheduler
-from repro.sim.disciplines import DeficitRoundRobin
+from repro.sim.disciplines import BLOCKED, DeficitRoundRobin
 from repro.sim.packet import FlowKey, Packet, PacketKind
 
 
@@ -148,8 +148,9 @@ class ReferenceScheduler:
     """The callback-driven scheduler the incremental one replaced.
 
     Packets are mirrored queue by queue; eligibility is recomputed from the
-    head packet on every question and service goes through the generic
-    :meth:`DeficitRoundRobin.select`.
+    head packet on every question and service goes through
+    :meth:`DeficitRoundRobin.select` with a probe that does the same, never
+    taking the ``eligible_count == 0`` shortcut.
     """
 
     def __init__(self, config, codec):
@@ -164,9 +165,11 @@ class ReferenceScheduler:
         self.queues.setdefault(qid, deque()).append(packet)
         self.drr.activate(qid)
 
-    def head_size(self, qid):
+    def probe(self, qid):
         queue = self.queues.get(qid)
-        return queue[0].size if queue else None
+        if not queue:
+            return None
+        return queue[0].size if self.eligible(qid) else BLOCKED
 
     def eligible(self, qid):
         vfid = self.queues[qid][0].key.vfid(self.space)
@@ -178,7 +181,7 @@ class ReferenceScheduler:
     def pop(self):
         if self.high_priority:
             return self.high_priority.popleft(), HIGH_PRIORITY_QUEUE
-        qid = self.drr.select(self.head_size, self.eligible)
+        qid = self.drr.select(self.probe)
         if qid is None:
             return None
         packet = self.queues[qid].popleft()

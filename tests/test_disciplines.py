@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from repro.sim.disciplines import (
+    BLOCKED,
     DeficitRoundRobin,
     FifoDiscipline,
     IdealFqDiscipline,
@@ -64,21 +65,41 @@ class TestDeficitRoundRobin:
         sizes = {0: None, 1: 500}
         assert drr.select(lambda q: sizes[q]) == 1
 
-    def test_ineligible_queue_skipped(self):
+    def test_blocked_queue_skipped(self):
         drr = DeficitRoundRobin(quantum=1000)
         drr.activate(0)
         drr.activate(1)
-        sizes = {0: 500, 1: 500}
-        served = [
-            drr.select(lambda q: sizes[q], eligible=lambda q: q != 0) for _ in range(4)
-        ]
+        sizes = {0: BLOCKED, 1: 500}
+        served = [drr.select(lambda q: sizes[q]) for _ in range(4)]
         assert served == [1, 1, 1, 1]
 
     def test_all_blocked_returns_none(self):
         drr = DeficitRoundRobin(quantum=1000)
         drr.activate(0)
-        assert drr.select(lambda q: 500, eligible=lambda q: False) is None
+        assert drr.select(lambda q: BLOCKED) is None
         assert drr.select(lambda q: None) is None
+
+    def test_blocked_queue_keeps_deficit_and_empty_queue_forfeits_it(self):
+        drr = DeficitRoundRobin(quantum=1000)
+        drr.activate(0)
+        assert drr.select(lambda q: 300) == 0
+        assert drr.deficit(0) == 700
+        assert drr.select(lambda q: BLOCKED) is None
+        assert drr.deficit(0) == 700
+        assert drr.select(lambda q: 300) == 0
+        assert drr.deficit(0) == 1_400
+        assert drr.select(lambda q: None) is None
+        assert drr.deficit(0) == 0
+
+    def test_idle_ends_the_turn_and_steps_the_cursor(self):
+        drr = DeficitRoundRobin(quantum=1000)
+        for q in range(3):
+            drr.activate(q)
+        assert drr.select(lambda q: 400) == 0
+        drr.idle()
+        # Queue 0's turn is over; the cursor stepped past queue 1.
+        assert drr.select(lambda q: 400) == 2
+        assert drr.deficit(0) == 600
 
     def test_no_active_queues(self):
         drr = DeficitRoundRobin()

@@ -8,10 +8,10 @@ import pytest
 
 from repro.sim import units
 from repro.sim.buffer import PfcPolicy
-from repro.sim.disciplines import FifoDiscipline
+from repro.sim.disciplines import BLOCKED, FifoDiscipline
 from repro.sim.flow import Flow
 from repro.sim.host import Host, HostConfig, SenderFlowState, WindowedCongestionControl
-from repro.sim.packet import PacketKind
+from repro.sim.packet import DATA_HEADER_SIZE, PacketKind
 from repro.sim.port import connect
 from repro.sim.switch import Switch
 
@@ -350,34 +350,102 @@ def _spy_data(host, seen):
     return wrapper, original
 
 
-class TestInlinedDequeueEquivalence:
-    """The inlined NIC dequeue must match the generic DRR reference exactly.
+class ReferenceNic:
+    """The NIC's transmit rule written plainly: an oracle for ``NicScheduler``.
 
-    ``NicScheduler.dequeue`` inlines ``DeficitRoundRobin.select`` with the
-    ``_head_size`` / ``_eligible_id`` callbacks merged (plus the folded
-    pacing-wakeup scan of ``_schedule_wakeup``).  These tests drive two
-    identical scenarios — one through the stock inlined path, one through
-    the retained reference helpers — and require identical packet sequences,
-    which keeps the helpers honest as the executable specification.
+    Head size and eligibility are separate questions asked of the flow state,
+    and the pacing wake-up after a fruitless selection is a second pass over
+    every flow.  ``NicScheduler`` answers both in one probe and gathers the
+    wake-up time during the DRR scan; :meth:`install` swaps this oracle in for
+    a host's ``dequeue`` so the two can be run side by side.
     """
 
-    @staticmethod
-    def _use_reference_dequeue(host):
-        nic = host.nic
+    def __init__(self, host):
+        self.host = host
+        self.nic = host.nic
+        self.now = 0
 
-        def reference_dequeue():
-            now = nic.host.sim.now
-            nic._select_now = now
-            flow_id = nic._drr.select(nic._head_size, nic._eligible_id)
-            if flow_id is None:
-                nic._schedule_wakeup(now)
-                return None
-            return nic.host.build_data_packet(nic._flows[flow_id])
+    def install(self):
+        self.nic.dequeue = self.dequeue
 
-        nic.dequeue = reference_dequeue
-        host._uplink_port.discipline = nic  # same object; dequeue now patched
+    def head_size(self, fstate):
+        retransmit = fstate.retransmit_queue
+        if retransmit:
+            seq = retransmit[0]
+        elif fstate.next_seq < fstate.num_packets:
+            seq = fstate.next_seq
+        else:
+            return None
+        return fstate.packet_payload(seq) + DATA_HEADER_SIZE
 
-    def _run_scenario(self, use_reference, cc_factory=None, config=None):
+    def within_window(self, fstate):
+        if fstate.retransmit_queue:
+            return True  # retransmissions do not grow the in-flight window
+        window = self.host.effective_window(fstate)
+        return window is None or fstate.inflight_bytes() + self.host.config.mtu <= window
+
+    def sendable_but_for_pacing(self, fstate):
+        return (
+            self.head_size(fstate) is not None
+            and not fstate.paused
+            and self.within_window(fstate)
+        )
+
+    def eligible(self, fstate, now_ns):
+        return self.sendable_but_for_pacing(fstate) and fstate.next_allowed_ns <= now_ns
+
+    def blocked_only_by_pacing(self, fstate, now_ns):
+        return self.sendable_but_for_pacing(fstate) and fstate.next_allowed_ns > now_ns
+
+    def probe(self, flow_id):
+        fstate = self.nic._flows[flow_id]
+        size = self.head_size(fstate)
+        if size is None:
+            return None
+        return size if self.eligible(fstate, self.now) else BLOCKED
+
+    def dequeue(self):
+        self.now = now = self.host.sim.now
+        flow_id = self.nic._drr.select(self.probe)
+        if flow_id is None:
+            self.schedule_wakeup(now)
+            return None
+        return self.host.build_data_packet(self.nic._flows[flow_id])
+
+    def schedule_wakeup(self, now_ns):
+        """If flows are blocked purely on pacing, wake the port at the earliest timer."""
+        timers = [
+            fstate.next_allowed_ns
+            for fstate in self.nic._flows.values()
+            if self.blocked_only_by_pacing(fstate, now_ns)
+        ]
+        if timers:
+            self.nic._arm_wakeup(min(timers))
+
+
+class UnevenRateControl(WindowedCongestionControl):
+    """Paces each flow at 1/2, 1/3 or 1/4 of line rate under a window.
+
+    Pacing and window both bind, and a host's flows wake at different times.
+    """
+
+    def rate_bps(self, fstate):
+        return self.line_rate_bps / (2 + fstate.flow.flow_id % 3)
+
+
+class TestDequeueMatchesReferenceNic:
+    """``NicScheduler.dequeue`` sends exactly what ``ReferenceNic`` would.
+
+    Each scenario runs twice — once through the NIC's own probe, once through
+    the oracle — and the two runs must deliver the same data packets at the
+    same instants and process the same number of events.
+    """
+
+    #: Competing flows from two senders to one receiver, staggered starts:
+    #: ``(start_ns, src, dst, size)``.
+    FLOWS = ((0, 0, 2, 12_000), (0, 1, 2, 8_000), (2_000, 0, 2, 5_500))
+
+    def _run_scenario(self, use_reference, cc_factory=None, config=None, flows=FLOWS):
         from repro.sim.engine import Simulator
         from repro.sim.flow import reset_flow_ids
 
@@ -388,7 +456,7 @@ class TestInlinedDequeueEquivalence:
         )
         if use_reference:
             for host in hosts:
-                self._use_reference_dequeue(host)
+                ReferenceNic(host).install()
         seen = []
         for i, host in enumerate(hosts):
             original = host.handle_packet
@@ -399,10 +467,12 @@ class TestInlinedDequeueEquivalence:
                 _orig(packet, iface_index)
 
             host.handle_packet = spy
-        # Competing flows from two senders to one receiver, staggered starts.
-        hosts[0].start_flow(Flow(src=0, dst=2, size=12_000, start_ns=0))
-        hosts[1].start_flow(Flow(src=1, dst=2, size=8_000, start_ns=0))
-        sim.schedule(2_000, hosts[0].start_flow, Flow(src=0, dst=2, size=5_500, start_ns=0))
+        for start_ns, src, dst, size in flows:
+            flow = Flow(src=src, dst=dst, size=size, start_ns=0)
+            if start_ns:
+                sim.schedule(start_ns, hosts[src].start_flow, flow)
+            else:
+                hosts[src].start_flow(flow)
         sim.run(until=units.microseconds(200))
         return seen, sim.events_processed
 
@@ -411,9 +481,23 @@ class TestInlinedDequeueEquivalence:
             None,  # windowless fast path (_no_window True)
             lambda rate: WindowedCongestionControl(rate, window_bytes=3_000),
         ):
-            inlined = self._run_scenario(False, cc_factory=cc_factory)
+            probed = self._run_scenario(False, cc_factory=cc_factory)
             reference = self._run_scenario(True, cc_factory=cc_factory)
-            assert inlined == reference
+            assert probed == reference
+
+    def test_paced_flows_wake_as_the_reference_does(self):
+        # Four flows share host 0's NIC, each paced at its own rate.
+        flows = (
+            (0, 0, 2, 40_000),
+            (0, 0, 1, 30_000),
+            (700, 0, 2, 20_000),
+            (1_300, 0, 1, 25_000),
+            (0, 1, 2, 20_000),
+        )
+        cc_factory = lambda rate: UnevenRateControl(rate, window_bytes=6_000)
+        probed = self._run_scenario(False, cc_factory=cc_factory, flows=flows)
+        assert probed == self._run_scenario(True, cc_factory=cc_factory, flows=flows)
+        assert len(probed[0]) == 135  # every data packet of every flow
 
 
 class TestWindowlessDetection:

@@ -1,4 +1,4 @@
-"""Regression test for the ``NicScheduler._schedule_wakeup`` stale-handle bug.
+"""Regression test for the NIC pacing wake-up's stale-handle bug.
 
 The seed kernel's ``_arm_wakeup`` kept a reference to the last pacing
 wake-up event and skipped re-arming when that handle's ``time`` was not

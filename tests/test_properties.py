@@ -2,7 +2,8 @@
 
 These check structural invariants under randomly generated operation
 sequences: Bloom filters never produce false negatives, counting filters
-support removal, DRR conserves work and is approximately fair, the flow table
+support removal, DRR conserves work, is approximately fair and idles exactly
+as a fruitless scan would, the flow table
 and the shared buffer never lose track of their contents, and the empirical
 distributions behave like CDFs.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bloom import BloomFilterCodec, CountingBloomFilter
@@ -20,7 +21,7 @@ from repro.core.config import BfcConfig
 from repro.core.queues import PhysicalQueuePool
 from repro.core.vfid import FlowTable
 from repro.sim.buffer import SharedBuffer
-from repro.sim.disciplines import DeficitRoundRobin
+from repro.sim.disciplines import BLOCKED, DeficitRoundRobin
 from repro.sim.packet import FlowKey
 from repro.sim.stats import percentile
 from repro.workloads.distributions import GOOGLE, WEBSEARCH
@@ -115,6 +116,108 @@ def test_drr_fairness_for_backlogged_queues(num_queues):
         counts[qid] += 1
     expected = rounds / num_queues
     assert all(abs(c - expected) <= 1 for c in counts.values())
+
+
+def textbook_select(drr, probe):
+    """Shreedhar & Varghese's loop, one queue visit per step, on ``drr``'s state."""
+    active, deficits = drr._active, drr._deficits
+    visited = 0
+    while True:
+        qid = drr._current
+        if qid is not None:
+            size = probe(qid)
+            if size is not None and size != BLOCKED and deficits[qid] >= size:
+                deficits[qid] -= size
+                return qid
+            if size is None:
+                deficits[qid] = 0
+            drr._current = None
+            continue
+        if visited >= 2 * len(active) + 1 or not active:
+            return None
+        visited += 1
+        cursor = drr._cursor % len(active)
+        qid = active[cursor]
+        drr._cursor = (cursor + 1) % len(active)
+        size = probe(qid)
+        if size is None or size == BLOCKED:
+            continue
+        deficits[qid] += drr.quantum
+        drr._current = qid
+
+
+QUEUE_IDS = st.integers(min_value=0, max_value=5)
+HEADS = st.one_of(st.none(), st.just(BLOCKED), st.sampled_from([64, 700, 1_048, 2_500]))
+
+
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("activate"), QUEUE_IDS),
+            st.tuples(st.just("deactivate"), QUEUE_IDS),
+            st.tuples(st.just("select"), st.dictionaries(QUEUE_IDS, HEADS)),
+            st.tuples(st.just("idle")),
+        ),
+        max_size=60,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_drr_select_matches_the_textbook_loop(ops):
+    """Same choice and same (cursor, current, deficits) after every step.
+
+    A queue missing from a select's mapping has a 1,000-byte head.
+    """
+    drr = DeficitRoundRobin(quantum=1_048)
+    ref = DeficitRoundRobin(quantum=1_048)
+    for op in ops:
+        if op[0] == "select":
+            heads = op[1]
+
+            def probe(qid):
+                return heads.get(qid, 1_000)
+
+            assert drr.select(probe) == textbook_select(ref, probe)
+        elif op[0] == "idle":
+            drr.idle()
+            assert textbook_select(ref, lambda q: BLOCKED) is None
+        else:
+            getattr(drr, op[0])(op[1])
+            getattr(ref, op[0])(op[1])
+        assert (drr._cursor, drr._current, drr._deficits, drr._active) == (
+            ref._cursor, ref._current, ref._deficits, ref._active
+        )
+
+
+@given(
+    deficits=st.lists(st.integers(min_value=0, max_value=5_000), max_size=8),
+    cursor=st.integers(min_value=0, max_value=7),
+    current=st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
+)
+@example(deficits=[], cursor=0, current=None)
+@settings(max_examples=100)
+def test_drr_idle_matches_a_select_that_finds_every_queue_blocked(deficits, cursor, current):
+    """``idle()`` is the state change of a fruitless ``select``, without the scan.
+
+    ``deficits`` may be empty: no active queue at all.
+    """
+
+    def drr_in_state():
+        drr = DeficitRoundRobin(quantum=1_048)
+        for qid, deficit in enumerate(deficits):
+            drr.activate(qid)
+            drr._deficits[qid] = deficit
+        if deficits:
+            drr._cursor = cursor % len(deficits)
+            drr._current = None if current is None else current % len(deficits)
+        return drr
+
+    def state(drr):
+        return drr._cursor, drr._current, dict(drr._deficits)
+
+    idled, scanned = drr_in_state(), drr_in_state()
+    idled.idle()
+    assert scanned.select(lambda q: BLOCKED) is None
+    assert state(idled) == state(scanned)
 
 
 # ---------------------------------------------------------------------------
