@@ -39,7 +39,7 @@ from repro.workloads.distributions import EmpiricalSizeDistribution
 from repro.workloads.trace import FlowTrace
 
 from .executors import Executor, make_executor
-from .results import CampaignError, ResultSet
+from .results import CampaignError, ResultSet, TrialRecord
 
 #: Parameters the default config builder interprets itself; everything else
 #: must be an :class:`ExperimentConfig` field override.
@@ -551,8 +551,9 @@ class Campaign:
 
         ``resume`` names a JSONL file from a previous (possibly interrupted)
         run: trials already recorded there are skipped.  ``save`` writes the
-        merged result set back out (``resume`` doubles as ``save`` when only
-        ``resume`` is given).  Under ``cores``, a measured-cost cache
+        merged result set back out after every finished trial, atomically,
+        so an interrupt loses only the trials in flight (``resume`` doubles
+        as ``save`` when only ``resume`` is given).  Under ``cores``, a measured-cost cache
         (``<save>.costs.json`` next to the JSONL) is maintained so later
         runs pack trials by their real wall-clock cost.
 
@@ -629,31 +630,19 @@ class Campaign:
                 kept_stale + list(result_set.records), campaign=self.name
             ).save(target)
 
-        if target is None:
-            outcome_pairs = chosen.run(pending)
-        else:
-            # With a file to write, run in batches — a pool's worth of trials
-            # for the plain executors, one plan wave for the scheduled one —
-            # and persist after each, so an interrupted campaign leaves a
-            # resumable file instead of losing every finished trial.
-            # Deliberate trade-off: the per-batch barrier (and pool re-spawn)
-            # costs milliseconds against multi-second simulation trials, and
-            # per-trial persistence in the serial case IS the durability
-            # feature; revisit with as_completed + appends if trials ever
-            # become sub-second at scale.
-            outcome_pairs = []
-            for batch in chosen.batches(pending):
-                outcome_pairs.extend(chosen.run(batch))
-                persist(
-                    done.merge(
-                        ResultSet([rec for rec, _ in outcome_pairs], campaign=self.name)
-                    )
-                )
-            # A planning executor may have run the batches out of trial
-            # order; restore it so the persisted record order (and the
-            # returned set) is identical to a serial run's.
-            order = {t.name: i for i, t in enumerate(pending)}
-            outcome_pairs.sort(key=lambda pair: order[pair[0].name])
+        # With a file to write, persist after every finished trial, so an
+        # interrupted campaign loses only the trials that were in flight.
+        finished: List[TrialRecord] = []
+
+        def on_done(pair) -> None:
+            finished.append(pair[0])
+            persist(done.merge(ResultSet(finished, campaign=self.name)))
+
+        outcome_pairs = (
+            chosen.run(pending, on_done=on_done if target is not None else None)
+            if pending
+            else []
+        )
 
         fresh = ResultSet(
             [record for record, _ in outcome_pairs],
@@ -667,7 +656,7 @@ class Campaign:
         merged = done.merge(fresh)
         merged.campaign = self.name
         # Always rewrite at the end: after a pure replay the file still needs
-        # the pruned/merged state, and after batched execution this restores
+        # the pruned/merged state, and after streamed execution this restores
         # the canonical (trial-order) record order on disk.
         persist(merged)
         if ws is not None:

@@ -57,13 +57,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 from repro.sim.engine import ENGINE_BACKEND
 
 from .core import _config_fingerprint
-from .executors import Executor, execute_trial
+from .executors import Executor, OnDone, Pair, execute_trial, run_local
 from .results import CampaignError, TrialRecord
 from .scheduling import CostCache, ExecutionPlan, plan_trials
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.runner import ExperimentResult
-
     from .core import Trial
 
 #: Wire-format version; a worker rejects payloads from a different major
@@ -437,7 +435,7 @@ class WorkerClient:
         retries: int = 2,
         backoff_s: float = 0.5,
         probe_timeout: float = 5.0,
-    ) -> Tuple[TrialRecord, Optional["ExperimentResult"]]:
+    ) -> Pair:
         """Run one trial on this worker, with transient-error retries.
 
         Failure taxonomy (what the fault-handling contract hinges on):
@@ -541,17 +539,18 @@ class DistributedExecutor(Executor):
 
     The coordinator extends the scheduling layer across machines:
 
-    * :meth:`batches` probes the roster and packs the trials with
+    * :meth:`run` executes wave by wave: before each wave it re-probes the
+      roster and packs the remaining trials with
       :func:`~repro.campaign.scheduling.plan_trials` onto a budget of
-      ``sum(slots of live workers)`` — so ``Campaign.run``'s persistence
-      boundaries fall on wave barriers, exactly like
-      :class:`~repro.campaign.scheduling.ScheduledExecutor`;
+      ``sum(slots of live workers)``, runs the first wave, and reports its
+      finished trials through ``on_done`` from the calling thread — so
+      ``Campaign.run`` persists at each wave barrier (a roster re-probe is a
+      real boundary, unlike the local executors, which stream);
     * within a wave, trials are dispatched longest-first over a shared work
       queue, one puller thread per live worker — when a worker dies, its
       in-flight trial goes back on the queue and the survivors drain it
-      (the queue *is* the re-plan); when :meth:`run` is driving whole
-      campaigns itself, the remaining waves are re-planned explicitly over
-      the shrunken roster;
+      (the queue *is* the re-plan), and the remaining waves are re-planned
+      over the shrunken roster;
     * per-trial timeouts come from the cost cache: a trial with a measured
       wall-clock gets ``timeout_factor ×`` that (clamped to at least
       ``min_timeout_s``), an unmeasured one gets ``default_timeout_s``; an
@@ -605,8 +604,7 @@ class DistributedExecutor(Executor):
         self.backoff_s = backoff_s
         self.probe_timeout_s = probe_timeout_s
         self.local_fallback = local_fallback
-        self.workers = len(self.clients)  # Executor contract: parallel degree
-        self._planned_batches: Dict[int, bool] = {}
+        self.workers = len(self.clients)
 
     # -- roster --------------------------------------------------------------
 
@@ -635,16 +633,6 @@ class DistributedExecutor(Executor):
         self.probe_workers()
         return plan_trials(trials, self._slot_budget(), self.cost_cache)
 
-    def batches(self, trials: Sequence["Trial"]) -> List[List["Trial"]]:
-        """Persistence batches = plan waves over the live workers' slots."""
-        self._planned_batches.clear()
-        out: List[List["Trial"]] = []
-        for wave in self.plan(trials).waves:
-            batch = [trials[entry.index] for entry in wave]
-            out.append(batch)
-            self._planned_batches[id(batch)] = True
-        return out
-
     def _timeout_for(self, trial: "Trial") -> float:
         if self.trial_timeout is not None:
             return self.trial_timeout
@@ -657,22 +645,15 @@ class DistributedExecutor(Executor):
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch_order(self, trials: Sequence["Trial"]) -> List["Trial"]:
-        """Longest-first dispatch (stable), mirroring the planner's LPT rule."""
-        from .scheduling import _calibrated_costs
-
-        costs, _, _ = _calibrated_costs(trials, self.cost_cache)
-        order = sorted(
-            range(len(trials)), key=lambda i: (-costs[i], i)
-        )
-        return [trials[i] for i in order]
-
-    def _execute_batch(
+    def _drain_wave(
         self, trials: Sequence["Trial"]
-    ) -> List[Tuple[TrialRecord, Optional["ExperimentResult"]]]:
-        """Drain one batch over the live workers; requeue on worker loss."""
-        results: Dict[int, Tuple[TrialRecord, Optional["ExperimentResult"]]] = {}
-        queue = deque(self._dispatch_order(trials))
+    ) -> List[Pair]:
+        """Drain one wave, given longest first, over the live workers.
+
+        A trial whose worker is lost goes back on the front of the queue.
+        """
+        results: Dict[int, Pair] = {}
+        queue = deque(trials)
         lock = threading.Lock()
         errors: List[BaseException] = []
 
@@ -737,9 +718,9 @@ class DistributedExecutor(Executor):
                 RuntimeWarning,
                 stacklevel=2,
             )
-            fn = self._trial_fn()
-            for trial in leftovers:
-                pair = fn(trial)
+            for trial, pair in zip(
+                leftovers, run_local(leftovers, 1, self.records_only)
+            ):
                 results[id(trial)] = pair
                 if self.cost_cache is not None:
                     self.cost_cache.record(trial, pair[0].wall_seconds)
@@ -748,26 +729,24 @@ class DistributedExecutor(Executor):
         return [results[id(t)] for t in trials]
 
     def run(
-        self, trials: Sequence["Trial"]
-    ) -> List[Tuple[TrialRecord, Optional["ExperimentResult"]]]:
-        if self._planned_batches.pop(id(trials), None):
-            # A wave handed out by batches(): the roster was probed when the
-            # plan was made; losses inside the wave redistribute via the
-            # work queue, and the next wave re-probes naturally.
-            return self._execute_batch(trials)
-        # Direct use (no Campaign.run batching): plan, execute a wave,
-        # re-plan the remainder whenever the roster shrank — the explicit
-        # "re-plan remaining waves over surviving workers" path.
-        results: Dict[int, Tuple[TrialRecord, Optional["ExperimentResult"]]] = {}
+        self, trials: Sequence["Trial"], on_done: Optional[OnDone] = None
+    ) -> List[Pair]:
+        # Plan, execute a wave, re-plan the remainder whenever the roster
+        # shrank — the explicit "re-plan remaining waves over surviving
+        # workers" path.
+        results: Dict[int, Pair] = {}
         remaining = list(trials)
         while remaining:
             # self.plan() re-probes the roster, so each wave is planned over
             # the workers that are actually alive *now*.
             plan = self.plan(remaining)
             live_before = sum(1 for c in self.clients if c.alive)
-            wave = [remaining[entry.index] for entry in plan.waves[0]]
-            for trial, pair in zip(wave, self._execute_batch(wave)):
+            first = {entry.index for entry in plan.waves[0]}
+            wave = [remaining[e.index] for e in plan.order if e.index in first]
+            for trial, pair in zip(wave, self._drain_wave(wave)):
                 results[id(trial)] = pair
+                if on_done is not None:
+                    on_done(pair)
             remaining = [t for t in remaining if id(t) not in results]
             live_after = sum(1 for c in self.clients if c.alive)
             if remaining and live_after != live_before:

@@ -1,20 +1,20 @@
 """Trial executors: run a list of trials serially or across processes.
 
-The simulator is pure Python and single-threaded, and the trials of a
-campaign are independent (each builds its own :class:`Simulator` from its own
-seed), so a campaign is embarrassingly parallel.  ``ParallelExecutor`` fans
-trials out over a :class:`concurrent.futures.ProcessPoolExecutor`; because
-every trial is deterministic in its config and seed, the parallel path
-produces records bit-identical to ``SerialExecutor``, just faster.
-
-``ParallelExecutor`` counts *trials*; for campaigns whose trials differ in
-resource footprint (sharded trials occupy ``shards`` processes each), the
+The trials of a campaign are independent (each builds its own
+:class:`Simulator` from its own seed), so a campaign is embarrassingly
+parallel.  Local execution lives in one place, :func:`run_local`: one
+fork-preferred :class:`concurrent.futures.ProcessPoolExecutor` per call,
+trials submitted as CPU slots free up, and a callback per finished trial.
+``SerialExecutor`` is its budget of one (no pool), ``ParallelExecutor`` its
+trial-counting form (every trial one slot, input order), and the
 resource-aware :class:`~repro.campaign.scheduling.ScheduledExecutor`
-(``Campaign.run(cores=...)``) packs trials onto a CPU-slot budget instead,
-and :class:`~repro.campaign.distributed.DistributedExecutor` extends the
-same planning across machines with fault-tolerant dispatch to worker
-agents.  All four run trials through :func:`execute_trial`, which is what
-makes their records interchangeable.
+(``Campaign.run(cores=...)``) feeds it the planner's longest-first queue
+with a sharded trial charged ``shards`` slots.
+:class:`~repro.campaign.distributed.DistributedExecutor` extends the same
+planning across machines with fault-tolerant dispatch to worker agents.
+All four run trials through :func:`execute_trial`, and every trial is
+deterministic in its config and seed, which is what makes their records
+interchangeable.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import copy
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .results import CampaignError, TrialRecord, summarize_result
 
@@ -32,6 +33,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import ExperimentResult
 
     from .core import Trial
+
+#: What an executor hands back per trial: its record and full result
+#: (``None`` in records-only mode).
+Pair = Tuple[TrialRecord, Optional["ExperimentResult"]]
+#: Per-trial completion callback of :meth:`Executor.run`.
+OnDone = Callable[[Pair], None]
 
 #: Environment variable consulted for the default worker count.
 WORKERS_ENV = "REPRO_BENCH_WORKERS"
@@ -104,59 +111,131 @@ def execute_trial_record_only(
     return record, None
 
 
-def _run_pool(fn, items: Sequence[object], workers: int) -> List[object]:
-    """Map ``fn`` over ``items`` across a fork-preferred process pool.
+@dataclass(frozen=True)
+class PlannedTrial:
+    """One trial's placement in a dispatch queue or an execution plan."""
 
-    Shared by :class:`ParallelExecutor` and the scheduling layer's
-    :class:`~repro.campaign.scheduling.ScheduledExecutor`.  ``map()``
-    preserves input order, so the result list lines up item for item.
+    index: int  #: position in the planned trial list
+    name: str
+    slots: int  #: concurrent slots charged against the budget (capped at cores)
+    requested_slots: int  #: the trial's true footprint (``max(1, shards)``)
+    cost: float  #: packing cost (seconds when measured/calibrated, else relative)
+    measured: bool  #: True when the cost came from the cost cache
+    oversubscribed: bool  #: ``requested_slots > cores``: runs alone, time-sliced
+
+
+def next_dispatch(
+    queue: Sequence[PlannedTrial], free: int, running: bool
+) -> Optional[int]:
+    """Position in ``queue`` of the trial to start next, or None to wait.
+
+    The first queued trial that fits the ``free`` slots starts, so the queue
+    order (longest first, from the planner) holds among the trials that fit.
+    An oversubscribed trial fits only when nothing is ``running``; it holds
+    the whole budget while it runs, so nothing joins it.
     """
-    mp_context = None
-    if "fork" in multiprocessing.get_all_start_methods():
-        mp_context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=mp_context) as pool:
-        return list(pool.map(fn, items))
+    for position, entry in enumerate(queue):
+        if entry.oversubscribed:
+            if not running:
+                return position
+        elif entry.slots <= free:
+            return position
+    return None
+
+
+def run_local(
+    trials: Sequence["Trial"],
+    budget: int,
+    records_only: bool = False,
+    on_done: Optional[OnDone] = None,
+    queue: Optional[Sequence[PlannedTrial]] = None,
+) -> List[Pair]:
+    """Run ``trials`` on at most ``budget`` local CPU slots.
+
+    ``queue`` is the dispatch order, one :class:`PlannedTrial` per trial
+    (default: input order, one slot each).  With a budget of one, or a
+    single trial, everything runs in this process with no pool.  Otherwise
+    one fork-preferred process pool serves the whole call: whenever slots
+    free up, :func:`next_dispatch` picks the next trial to submit, so the
+    slots of the running trials never sum past ``budget``.  ``on_done(pair)``
+    is called in this process as each trial finishes; the returned list is
+    in input order.
+    """
+    if queue is None:
+        queue = [
+            PlannedTrial(i, t.name, 1, 1, 0.0, False, False)
+            for i, t in enumerate(trials)
+        ]
+    fn = execute_trial_record_only if records_only else execute_trial
+    results: List[Optional[Pair]] = [None] * len(trials)
+
+    def finish(entry: PlannedTrial, pair: Pair) -> None:
+        results[entry.index] = pair
+        if on_done is not None:
+            on_done(pair)
+
+    def slot_budget(entry: PlannedTrial) -> Optional[int]:
+        # Only a sharded trial's coordinator has a use for its budget.
+        return entry.slots if entry.requested_slots > 1 else None
+
+    if budget <= 1 or len(queue) <= 1:
+        for entry in queue:
+            finish(entry, fn(trials[entry.index], slot_budget=slot_budget(entry)))
+        return results  # type: ignore[return-value]
+    waiting = list(queue)
+    running: Dict[Future, PlannedTrial] = {}
+    free = budget
+    error: Optional[BaseException] = None
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    with ProcessPoolExecutor(
+        max_workers=min(budget, len(queue)),
+        # fork, so schemes registered at run time reach the workers.
+        mp_context=multiprocessing.get_context("fork") if fork else None,
+    ) as pool:
+        while running or (waiting and error is None):
+            # After a trial fails nothing new starts, but the trials still
+            # running are finished (and reported) before the error surfaces.
+            position = None
+            if error is None:
+                position = next_dispatch(waiting, free, bool(running))
+            while position is not None:
+                entry = waiting.pop(position)
+                free -= entry.slots
+                future = pool.submit(
+                    fn, trials[entry.index], slot_budget=slot_budget(entry)
+                )
+                running[future] = entry
+                position = next_dispatch(waiting, free, True)
+            finished, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in finished:
+                entry = running.pop(future)
+                free += entry.slots
+                if future.exception() is not None:
+                    error = error or future.exception()
+                else:
+                    finish(entry, future.result())
+    if error is not None:
+        raise error
+    return results  # type: ignore[return-value]
 
 
 class Executor:
     """Strategy for running the trials of a campaign.
 
-    Subclasses implement :meth:`run` and must preserve trial order and
-    determinism: the returned list is parallel to the input and contains, for
-    each trial, its record and full experiment result (``None`` with
-    ``records_only``, which skips materializing the result past the worker).
-
-    ``Campaign.run`` persists between the chunks :meth:`batches` returns, so
-    an executor that parallelizes internally should either set ``workers``
-    to its degree of parallelism (the default batching is chunks of
-    ``workers`` trials) or override :meth:`batches` outright, as the
-    scheduling layer's :class:`~repro.campaign.scheduling.ScheduledExecutor`
-    and the distributed coordinator's
-    :class:`~repro.campaign.distributed.DistributedExecutor` do with their
-    plan waves.
+    Subclasses implement ``run(trials, on_done=None)`` and must preserve
+    trial order and determinism: the returned list is parallel to the input
+    and contains, for each trial, its record and full experiment result
+    (``None`` with ``records_only``, which skips materializing the result
+    past the worker).  ``on_done(pair)`` is called in the calling thread as
+    each trial (or, for the distributed coordinator, each wave) finishes,
+    which is where ``Campaign.run`` persists.
     """
 
     records_only: bool = False
-    workers: int = 1
-
-    def _trial_fn(self):
-        return execute_trial_record_only if self.records_only else execute_trial
-
-    def batches(self, trials: Sequence["Trial"]) -> List[List["Trial"]]:
-        """Split trials into the chunks ``Campaign.run`` persists between.
-
-        The default is consecutive chunks of ``workers`` trials — one pool's
-        worth of work per chunk.  Executors that plan their own concurrency
-        structure (:class:`~repro.campaign.scheduling.ScheduledExecutor`)
-        override this so the persistence boundary falls on their wave
-        barriers instead.
-        """
-        wave = max(1, self.workers)
-        return [list(trials[start : start + wave]) for start in range(0, len(trials), wave)]
 
     def run(
-        self, trials: Sequence["Trial"]
-    ) -> List[Tuple[TrialRecord, Optional["ExperimentResult"]]]:
+        self, trials: Sequence["Trial"], on_done: Optional[OnDone] = None
+    ) -> List[Pair]:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -170,18 +249,20 @@ class SerialExecutor(Executor):
         self.records_only = records_only
 
     def run(
-        self, trials: Sequence["Trial"]
-    ) -> List[Tuple[TrialRecord, Optional["ExperimentResult"]]]:
-        fn = self._trial_fn()
-        return [fn(trial) for trial in trials]
+        self, trials: Sequence["Trial"], on_done: Optional[OnDone] = None
+    ) -> List[Pair]:
+        return run_local(trials, 1, self.records_only, on_done)
 
 
 class ParallelExecutor(Executor):
-    """Run trials across a process pool.
+    """Run trials across a process pool, one trial per worker at a time.
 
     ``workers=None`` consults ``REPRO_BENCH_WORKERS`` and falls back to the
     machine's CPU count.  With one trial (or one worker) the pool is skipped
-    entirely so small campaigns pay no fork overhead.
+    entirely so small campaigns pay no fork overhead.  This is
+    :func:`run_local` with every trial at one slot, in input order; the
+    resource-aware :class:`~repro.campaign.scheduling.ScheduledExecutor`
+    is the same dispatcher fed the planner's queue.
 
     The pool prefers the ``fork`` start method where available so schemes
     registered at runtime with ``@register_scheme`` are visible in the
@@ -201,14 +282,9 @@ class ParallelExecutor(Executor):
         self.records_only = records_only
 
     def run(
-        self, trials: Sequence["Trial"]
-    ) -> List[Tuple[TrialRecord, Optional["ExperimentResult"]]]:
-        effective = min(self.workers, len(trials))
-        if effective <= 1:
-            return SerialExecutor(records_only=self.records_only).run(trials)
-        # _run_pool's map() preserves input order, so the parallel result
-        # list lines up with the serial one trial for trial.
-        return _run_pool(self._trial_fn(), list(trials), effective)
+        self, trials: Sequence["Trial"], on_done: Optional[OnDone] = None
+    ) -> List[Pair]:
+        return run_local(trials, self.workers, self.records_only, on_done)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ParallelExecutor(workers={self.workers})"

@@ -14,7 +14,9 @@ week) compare equal iff the simulated outcomes are identical.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -26,6 +28,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    TextIO,
     Tuple,
     Union,
 )
@@ -46,6 +49,24 @@ class CampaignError(ValueError):
 FORMAT_VERSION = 1
 
 _HEADER_KIND = "repro.campaign.resultset"
+
+
+@contextmanager
+def atomic_writer(path: Path) -> Iterator[TextIO]:
+    """Write ``path`` all at once: a temp file beside it, then ``os.replace``.
+
+    A failure (or a kill) mid-write leaves the previous file untouched and
+    no partial file behind, so a reader never sees a truncated result.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        if partial.exists():
+            partial.unlink()
 
 
 def summarize_result(result: "ExperimentResult") -> Dict[str, float]:
@@ -330,10 +351,9 @@ class ResultSet:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> Path:
-        """Write the campaign as JSONL: one header line, one line per record."""
+        """Write the campaign as JSONL (header + one line per record), atomically."""
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as fh:
+        with atomic_writer(path) as fh:
             header = {
                 "kind": _HEADER_KIND,
                 "version": FORMAT_VERSION,

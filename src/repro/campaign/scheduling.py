@@ -14,22 +14,21 @@ This module plans instead of guessing:
   simulator processes it needs, i.e. ``max(1, config.shards)``) and an
   **estimated cost** (topology size x simulated duration, optionally
   replaced by a measured wall-clock cost cached from a previous run);
-* :func:`plan_trials` packs the trials onto a core budget with
-  longest-processing-time-first ordering, producing an
-  :class:`ExecutionPlan` of *waves*: groups of trials that run
-  concurrently, with the guarantee that the sum of slots in a wave never
-  exceeds the budget;
-* :class:`ScheduledExecutor` executes the plan wave by wave through the same
-  process-pool machinery as :class:`~repro.campaign.executors.ParallelExecutor`,
-  so records stay bit-identical to a serial run.
+* :func:`plan_trials` orders the trials longest-processing-time first and
+  packs them into *waves* whose slot total never exceeds the budget: the
+  :class:`ExecutionPlan`, whose waves are the concurrency bound and the
+  ``--dry-run`` preview;
+* :class:`ScheduledExecutor` streams that order through one local process
+  pool (:func:`~repro.campaign.executors.run_local`): a trial starts as
+  soon as its slots are free, with no wave barrier, and records stay
+  bit-identical to a serial run.
 
-A trial whose ``shards`` exceed the whole budget cannot fit any wave; it is
-*degraded gracefully*: it runs alone in an exclusive wave (nothing else
-concurrent) with its full shard count, and the plan marks it
-``oversubscribed``.  Rewriting ``shards=N`` to ``shards=1`` would also be
-record-preserving for the *canonical* records, but it changes the
-``events_processed`` metric of the trial record, so the planner never does
-it silently.
+A trial whose ``shards`` exceed the whole budget cannot share the machine;
+it is *degraded gracefully*: it runs alone (nothing else concurrent) with
+its full shard count, and the plan marks it ``oversubscribed``.  Rewriting
+``shards=N`` to ``shards=1`` would also be record-preserving for the
+*canonical* records, but it changes the ``events_processed`` metric of the
+trial record, so the planner never does it silently.
 
 Entry points: ``Campaign.run(cores=...)``, ``Campaign.plan(cores=...)``, and
 the CLI's ``--cores`` / ``--dry-run`` flags.
@@ -43,16 +42,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from .executors import (
-    Executor,
-    _run_pool,
-    execute_trial,
-    execute_trial_record_only,
-)
-from .results import CampaignError, TrialRecord
+from .executors import Executor, OnDone, Pair, PlannedTrial, run_local
+from .results import CampaignError, atomic_writer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.runner import ExperimentConfig, ExperimentResult
+    from repro.experiments.runner import ExperimentConfig
 
     from .core import Trial
 
@@ -185,11 +179,9 @@ class CostCache:
     def save(self) -> Optional[Path]:
         if self.path is None:
             return None
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"kind": "repro.campaign.costcache", "version": 1, "costs": self._costs}
-        self.path.write_text(
-            json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+        with atomic_writer(self.path) as fh:
+            fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
         return self.path
 
 
@@ -198,34 +190,22 @@ class CostCache:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlannedTrial:
-    """One trial's placement in an :class:`ExecutionPlan`."""
-
-    index: int  #: position in the planned trial list
-    name: str
-    slots: int  #: concurrent slots charged against the budget (capped at cores)
-    requested_slots: int  #: the trial's true footprint (``max(1, shards)``)
-    cost: float  #: packing cost (seconds when measured/calibrated, else relative)
-    measured: bool  #: True when the cost came from the :class:`CostCache`
-    oversubscribed: bool  #: ``requested_slots > cores``: runs alone, time-sliced
-
-
 @dataclass
 class ExecutionPlan:
-    """Waves of concurrently-runnable trials under a core budget.
+    """A longest-first dispatch :attr:`order` and its packing into waves.
 
-    Waves execute one after the other with a barrier in between (which is
-    also where an interrupted campaign persists its finished records); within
-    a wave every trial runs concurrently, and the wave's slot total never
-    exceeds ``cores`` — so at no instant do more than ``cores`` simulator
-    processes exist, except for an explicitly ``oversubscribed`` trial whose
-    own shard count is larger than the whole budget.
+    Each wave's slot total stays within ``cores``: at no instant do more
+    than ``cores`` simulator processes exist, except for an explicitly
+    ``oversubscribed`` trial whose own shard count exceeds the budget; it
+    runs alone.  Local runs stream :attr:`order` through one pool; only
+    distributed runs put a barrier after each wave.
     """
 
     cores: int
     waves: List[List[PlannedTrial]] = field(default_factory=list)
     cost_unit: str = "rel"  #: "s" when costs are measured/calibrated seconds
+    #: Every entry, longest first (stable on input position).
+    order: List[PlannedTrial] = field(default_factory=list)
 
     @property
     def num_trials(self) -> int:
@@ -369,7 +349,7 @@ def plan_trials(
             free.append(budget - entry.slots)
     for wave in waves:
         wave.sort(key=lambda e: e.index)
-    return ExecutionPlan(cores=budget, waves=waves, cost_unit=cost_unit)
+    return ExecutionPlan(cores=budget, waves=waves, cost_unit=cost_unit, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +357,8 @@ def plan_trials(
 # ---------------------------------------------------------------------------
 
 
-def _execute_planned(item) -> Tuple[TrialRecord, Optional["ExperimentResult"]]:
-    """Run one planned trial (module-level so process pools can pickle it)."""
-    trial, slot_budget, records_only = item
-    fn = execute_trial_record_only if records_only else execute_trial
-    return fn(trial, slot_budget=slot_budget)
-
-
 class ScheduledExecutor(Executor):
-    """Run trials wave by wave according to a resource-aware plan.
+    """Stream trials through one local pool in the plan's longest-first order.
 
     Guarantees of the planned path, relative to
     :class:`~repro.campaign.executors.ParallelExecutor`:
@@ -410,77 +383,34 @@ class ScheduledExecutor(Executor):
         cost_cache: Optional[CostCache] = None,
     ) -> None:
         self.cores = resolve_cores(cores)
-        self.workers = self.cores
         self.records_only = records_only
         self.cost_cache = cost_cache
-        #: Wave entries keyed by ``id()`` of the batch lists :meth:`batches`
-        #: handed out, so :meth:`run` executes a planned wave as-is instead
-        #: of re-planning it (identity of the trials is re-verified before
-        #: use, so a recycled list id cannot misfire).
-        self._planned_batches: Dict[int, List[Tuple["Trial", Optional[int]]]] = {}
 
     def plan(self, trials: Sequence["Trial"]) -> ExecutionPlan:
         return plan_trials(trials, self.cores, self.cost_cache)
 
-    @staticmethod
-    def _wave_entries(trials, wave) -> List[Tuple["Trial", Optional[int]]]:
-        # The slot budget is only meaningful to a sharded trial's
-        # coordinator; plain trials always occupy exactly one slot.
-        return [
-            (trials[e.index], e.slots if e.requested_slots > 1 else None)
-            for e in wave
-        ]
-
-    def batches(self, trials: Sequence["Trial"]) -> List[List["Trial"]]:
-        """Persistence batches = plan waves (see :meth:`Executor.batches`).
-
-        The wave structure is remembered, so feeding a returned batch back
-        into :meth:`run` (as ``Campaign.run`` does) executes exactly that
-        wave — one pool, no re-planning.
-        """
-        self._planned_batches.clear()
-        out: List[List["Trial"]] = []
-        for wave in self.plan(trials).waves:
-            batch = [trials[entry.index] for entry in wave]
-            out.append(batch)
-            self._planned_batches[id(batch)] = self._wave_entries(trials, wave)
-        return out
-
-    def _execute_wave(
-        self, entries: List[Tuple["Trial", Optional[int]]]
-    ) -> List[Tuple[TrialRecord, Optional["ExperimentResult"]]]:
-        items = [
-            (trial, budget, self.records_only) for trial, budget in entries
-        ]
-        if len(items) == 1:
-            pairs = [_execute_planned(items[0])]
-        else:
-            pairs = _run_pool(_execute_planned, items, len(items))
-        if self.cost_cache is not None:
-            for (trial, _), pair in zip(entries, pairs):
-                self.cost_cache.record(trial, pair[0].wall_seconds)
-            self.cost_cache.save()
-        return pairs
-
     def run(
-        self, trials: Sequence["Trial"]
-    ) -> List[Tuple[TrialRecord, Optional["ExperimentResult"]]]:
-        cached = self._planned_batches.pop(id(trials), None)
-        if (
-            cached is not None
-            and len(cached) == len(trials)
-            and all(entry[0] is trial for entry, trial in zip(cached, trials))
-        ):
-            return self._execute_wave(cached)
-        plan = self.plan(trials)
-        results: List[Optional[Tuple[TrialRecord, Optional["ExperimentResult"]]]] = [
-            None
-        ] * len(trials)
-        for wave in plan.waves:
-            pairs = self._execute_wave(self._wave_entries(trials, wave))
-            for entry, pair in zip(wave, pairs):
-                results[entry.index] = pair
-        return results  # type: ignore[return-value]
+        self, trials: Sequence["Trial"], on_done: Optional[OnDone] = None
+    ) -> List[Pair]:
+        cache = self.cost_cache
+        if cache is None:
+            finished = on_done
+        else:
+            by_name = {trial.name: trial for trial in trials}
+
+            def finished(pair: Pair) -> None:
+                cache.record(by_name[pair[0].name], pair[0].wall_seconds)
+                if on_done is not None:
+                    on_done(pair)
+
+        try:
+            return run_local(
+                trials, self.cores, self.records_only, finished,
+                queue=self.plan(trials).order,
+            )
+        finally:
+            if cache is not None and trials:
+                cache.save()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ScheduledExecutor(cores={self.cores})"

@@ -381,8 +381,8 @@ class ShardCoordinator:
             horizon = -1
             while True:
                 candidates = [t for t in next_times.values() if t is not None]
-                for batches in pending.values():
-                    candidates.extend(key[0] for key, _ in batches)
+                for queued in pending.values():
+                    candidates.extend(key[0] for key, _ in queued)
                 earliest = min(candidates) if candidates else None
                 if earliest is None or earliest > total_ns:
                     if horizon >= total_ns:

@@ -36,8 +36,8 @@ from typing import Optional
 _SIM_DIR = Path(__file__).resolve().parent
 _SOURCE = _SIM_DIR / "_accelcore.c"
 
-#: Human-readable reason the last :func:`load` returned ``None`` (shown in
-#: the ``REPRO_ENGINE=accel`` fallback warning and the CI skip annotation).
+#: Human-readable reason the last :func:`load` returned ``None`` (surfaced
+#: as ``engine_accel.unavailable_reason`` and in the CI skip annotation).
 last_error: Optional[str] = None
 
 

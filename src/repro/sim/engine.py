@@ -733,8 +733,7 @@ def _select_backend() -> str:
     orderings, so this is purely a speed choice.  When the extension cannot
     be built or loaded the pure calendar queue is used silently
     (``engine_accel.unavailable_reason`` says why).  ``REPRO_ENGINE=pure``
-    forces the pure engine; ``REPRO_ENGINE=accel`` demands the compiled one
-    and warns (``RuntimeWarning``) when it falls back.
+    forces the pure engine; any other value warns and is ignored.
     """
     global Simulator
     import os
@@ -743,25 +742,16 @@ def _select_backend() -> str:
     choice = os.environ.get("REPRO_ENGINE", "").strip().lower()
     if choice == "pure":
         return "pure"
-    if choice not in ("", "accel"):
+    if choice:
         warnings.warn(
-            f"REPRO_ENGINE={choice!r} is not a known backend "
-            "(expected 'pure' or 'accel'); using pure",
+            f"REPRO_ENGINE={choice!r} is not a known value (only 'pure' "
+            "is); ignoring it",
             RuntimeWarning,
             stacklevel=2,
         )
-        return "pure"
     from . import engine_accel
 
     if engine_accel.unavailable_reason is not None:
-        if not choice:
-            return "pure"
-        warnings.warn(
-            "REPRO_ENGINE=accel requested but the compiled engine is "
-            f"unavailable ({engine_accel.unavailable_reason}); using pure",
-            RuntimeWarning,
-            stacklevel=2,
-        )
         return "pure"
     Simulator = engine_accel.AccelSimulator
     return "accel"

@@ -294,6 +294,24 @@ class TestResultSet:
         assert json.loads(lines[0])["campaign"] == "c"
         assert json.loads(lines[1])["name"] == "c/BFC/load=0.6"
 
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        before = ResultSet(
+            [_record("c/x", "BFC", 0.6), _record("c/y", "BFC", 0.8)], campaign="c"
+        )
+        before.save(path)
+
+        def explode(self):
+            raise OSError("disk full")
+
+        # The header is written, then the first record fails to serialize.
+        monkeypatch.setattr(TrialRecord, "to_dict", explode)
+        with pytest.raises(OSError, match="disk full"):
+            ResultSet([_record("c/z", "BFC", 0.9)], campaign="c").save(path)
+        monkeypatch.undo()
+        assert ResultSet.load(path) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
     def test_equality_ignores_wall_clock_and_order(self):
         a = ResultSet([_record("c/x", "BFC", 0.6, wall=1.0), _record("c/y", "BFC", 0.8, wall=2.0)])
         b = ResultSet([_record("c/y", "BFC", 0.8, wall=9.0), _record("c/x", "BFC", 0.6, wall=5.0)])
@@ -344,25 +362,37 @@ class TestResultSet:
         assert merged.record("c/x").metrics["p99_slowdown"] == 2.0
 
 
+def _fake_pair(trial):
+    record = TrialRecord(
+        name=trial.name, label=trial.label, scheme=trial.scheme,
+        params=dict(trial.params), repeat=trial.repeat, seed=trial.seed,
+        metrics={"p99_slowdown": 1.0},
+    )
+    return record, None
+
+
 class _RecordingExecutor(Executor):
     """Executes nothing; remembers which trials it was asked to run."""
 
     def __init__(self):
         self.seen = []
 
-    def run(self, trials):
+    def run(self, trials, on_done=None):
         self.seen.extend(trials)
-        return [
-            (
-                TrialRecord(
-                    name=t.name, label=t.label, scheme=t.scheme,
-                    params=dict(t.params), repeat=t.repeat, seed=t.seed,
-                    metrics={"p99_slowdown": 1.0},
-                ),
-                None,
-            )
-            for t in trials
-        ]
+        pairs = []
+        for trial in trials:
+            pairs.append(_fake_pair(trial))
+            if on_done is not None:
+                on_done(pairs[-1])
+        return pairs
+
+
+class _DiesAfterFirstTrial(Executor):
+    """Finishes the first trial it is handed, then dies mid-campaign."""
+
+    def run(self, trials, on_done=None):
+        on_done(_fake_pair(trials[0]))
+        raise RuntimeError("killed mid-campaign")
 
 
 class TestResume:
@@ -395,23 +425,13 @@ class TestResume:
             "c/BFC/load=0.4",
         ]
 
-    def test_save_is_incremental_per_wave(self, tmp_path):
+    def test_save_is_incremental_per_trial(self, tmp_path):
         path = tmp_path / "c.jsonl"
-
-        class _FailsOnSecond(Executor):
-            calls = 0
-
-            def run(self, trials):
-                type(self).calls += 1
-                if type(self).calls > 1:
-                    raise RuntimeError("killed mid-campaign")
-                return _RecordingExecutor().run(trials)
-
         campaign = Campaign("c").schemes("BFC", "DCQCN").sweep(load=[0.6])
         with pytest.raises(RuntimeError):
-            # Serial waves of 1: the first trial completes and must be
-            # persisted before the second one blows up.
-            campaign.run(executor=_FailsOnSecond(), save=path)
+            # The first trial completes and must be persisted before the
+            # executor dies on the second.
+            campaign.run(executor=_DiesAfterFirstTrial(), save=path)
         assert ResultSet.load(path).names() == ["c/BFC/load=0.6"]
 
         # A resume after the interruption only runs what is missing.
@@ -442,19 +462,10 @@ class TestResume:
         campaign = Campaign("c").schemes("BFC", "DCQCN").sweep(load=[0.6])
         campaign.run(executor=_RecordingExecutor(), save=path)
 
-        class _DiesAfterFirstWave(Executor):
-            calls = 0
-
-            def run(self, trials):
-                type(self).calls += 1
-                if type(self).calls > 1:
-                    raise RuntimeError("interrupted")
-                return _RecordingExecutor().run(trials)
-
         reseeded = Campaign("c").schemes("BFC", "DCQCN").sweep(load=[0.6]).seeds(base=2)
         with pytest.raises(RuntimeError):
-            reseeded.run(executor=_DiesAfterFirstWave(), resume=path)
-        # Wave 1 re-ran the BFC trial under seed 2; the DCQCN trial was never
+            reseeded.run(executor=_DiesAfterFirstTrial(), resume=path)
+        # The BFC trial re-ran under seed 2; the DCQCN trial was never
         # reached, so its seed-1 record must still be on disk.
         by_name = {rec.name: rec.seed for rec in ResultSet.load(path)}
         assert by_name == {"c/BFC/load=0.6": 2, "c/DCQCN/load=0.6": 1}

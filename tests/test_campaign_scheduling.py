@@ -143,6 +143,14 @@ class TestPlanning:
         assert len(wave) == 1  # nothing else runs beside it
         assert "oversubscribed" in plan.describe()
 
+    def test_order_is_longest_first_over_every_wave(self):
+        trials = grid_trials([100_000, 400_000, 200_000, 300_000, 250_000])
+        plan = plan_trials(trials, 2)
+        assert [e.index for e in plan.order] == [1, 3, 4, 2, 0]
+        assert sorted(e.index for e in plan.order) == sorted(
+            e.index for wave in plan.waves for e in wave
+        )
+
     def test_plan_is_deterministic(self):
         # Same plan twice, including a mixed sharded/unsharded grid.
         trials = grid_trials(
@@ -181,6 +189,27 @@ class TestCostCache:
         assert len(reloaded) == 2
         assert reloaded.lookup(trials[0]) == 1.25
         assert reloaded.lookup(trials[1]) == 0.5
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        import repro.campaign.scheduling as scheduling
+
+        trials = grid_trials([100_000, 200_000])
+        cache = CostCache(tmp_path / "c.costs.json")
+        cache.record(trials[0], 1.5)
+        cache.save()
+
+        def explode(*args, **kwargs):
+            raise OSError("disk full")
+
+        cache.record(trials[1], 2.5)
+        monkeypatch.setattr(scheduling.json, "dumps", explode)
+        with pytest.raises(OSError, match="disk full"):
+            cache.save()
+        monkeypatch.undo()
+        reloaded = CostCache(tmp_path / "c.costs.json")
+        assert len(reloaded) == 1
+        assert reloaded.lookup(trials[0]) == 1.5
+        assert [p.name for p in tmp_path.iterdir()] == ["c.costs.json"]
 
     def test_identity_includes_params_and_seed(self, tmp_path):
         (a,) = grid_trials([100_000])
@@ -258,7 +287,6 @@ class TestExecutorResolution:
         executor = make_executor(cores=2)
         assert isinstance(executor, ScheduledExecutor)
         assert executor.cores == 2
-        assert executor.workers == 2
 
     def test_workers_and_cores_conflict(self):
         with pytest.raises(CampaignError, match="not both"):
@@ -272,41 +300,6 @@ class TestExecutorResolution:
         campaign = Campaign("c").schemes("BFC")
         with pytest.raises(CampaignError, match="not both"):
             campaign.run(workers=2, cores=2)
-
-    def test_batches_follow_plan_waves(self):
-        trials = grid_trials([400_000, 100_000, 300_000, 200_000])
-        executor = ScheduledExecutor(cores=2)
-        batches = executor.batches(trials)
-        assert [[t.name for t in batch] for batch in batches] == [
-            ["grid/BFC/duration_ns=400000", "grid/BFC/duration_ns=300000"],
-            ["grid/BFC/duration_ns=100000", "grid/BFC/duration_ns=200000"],
-        ]
-        # Default executors keep the historical chunks-of-workers batching.
-        serial_batches = SerialExecutor().batches(trials)
-        assert [len(b) for b in serial_batches] == [1, 1, 1, 1]
-
-    def test_run_executes_handed_back_batches_without_replanning(self, monkeypatch):
-        # Campaign.run feeds each batches() list back into run(); the
-        # executor must execute the remembered wave rather than re-plan it
-        # (planning twice would also double cost-cache calibration work).
-        import repro.campaign.scheduling as scheduling
-
-        trials = grid_trials([200_000, 100_000])
-        executor = ScheduledExecutor(cores=2, records_only=True)
-        batches = executor.batches(trials)
-        calls = []
-        original = scheduling.plan_trials
-        monkeypatch.setattr(
-            scheduling, "plan_trials",
-            lambda *a, **k: calls.append(1) or original(*a, **k),
-        )
-        for batch in batches:
-            pairs = executor.run(batch)
-            assert [rec.name for rec, _ in pairs] == [t.name for t in batch]
-        assert calls == []  # no re-planning of handed-back batches
-        # A fresh list (not handed out by batches) still plans normally.
-        executor.run(list(trials))
-        assert calls == [1]
 
     def test_plan_to_dict_round_trips_through_json(self):
         trials = grid_trials([200_000, 100_000], shards=[2, 1])

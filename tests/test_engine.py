@@ -262,7 +262,7 @@ class TestCalendarQueue:
     def sim(self):
         # These tests assert on calendar geometry (bucket widths, overflow
         # promotion, retunes), which only the pure backend has — pin it so
-        # the class keeps testing the calendar under REPRO_ENGINE=accel.
+        # the class keeps testing the calendar under the default accel engine.
         return PureSimulator(seed=42)
 
     def test_bucket_width_resize_mid_run(self, sim):

@@ -10,7 +10,7 @@ the contract four ways:
   C ``post`` against ``PureSimulator.post``,
 * randomized storms (some post-heavy) replayed on both backends and
   compared step for step,
-* one golden-records scheme recomputed in a ``REPRO_ENGINE=accel``
+* one golden-records scheme recomputed in a default-engine (accel)
   subprocess and compared byte-for-byte against the committed fixture,
 * backend selection and the silent fallback to pure, in subprocesses.
 
@@ -369,13 +369,10 @@ class TestBackendSelection:
         assert result.stdout.split() == ["accel", "AccelSimulator"], result.stderr
         assert result.stderr == ""
 
-    @pytest.mark.parametrize(
-        "env, expected",
-        [("accel", ["accel", "AccelSimulator"]), ("pure", ["pure", "Simulator"])],
-    )
-    def test_env_var_selects_the_backend(self, env, expected):
-        result = self._run(self.PROBE, {"REPRO_ENGINE": env})
-        assert result.stdout.split() == expected, result.stderr
+    def test_env_var_pure_forces_the_pure_engine(self):
+        result = self._run(self.PROBE, {"REPRO_ENGINE": "pure"})
+        assert result.stdout.split() == ["pure", "Simulator"], result.stderr
+        assert result.stderr == ""
 
     def test_failed_build_falls_back_to_pure_silently(self):
         result = self._run(
@@ -388,12 +385,6 @@ class TestBackendSelection:
         assert result.stdout.splitlines() == ["pure Simulator", "forced build failure"]
         assert result.stderr == ""
 
-    def test_failed_build_warns_when_accel_was_asked_for(self):
-        result = self._run(self.FAILED_BUILD + self.PROBE, {"REPRO_ENGINE": "accel"})
-        assert result.returncode != 0
-        assert "RuntimeWarning" in result.stderr
-        assert "compiled engine is unavailable (forced build failure)" in result.stderr
-
     def test_unknown_backend_warns_and_falls_back(self):
         result = self._run(
             "import warnings; warnings.simplefilter('error');"
@@ -401,7 +392,19 @@ class TestBackendSelection:
             {"REPRO_ENGINE": "warpdrive"},
         )
         assert result.returncode != 0
-        assert "not a known backend" in result.stderr
+        assert "not a known value" in result.stderr
+
+    def test_accel_is_no_longer_a_value_and_is_ignored(self):
+        # The compiled engine is the default; naming it selects nothing.
+        result = self._run(
+            "import warnings;"
+            "from repro.sim.engine import ENGINE_BACKEND, Simulator;"
+            "print(ENGINE_BACKEND, Simulator.__name__)",
+            {"REPRO_ENGINE": "accel"},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["accel", "AccelSimulator"]
+        assert "REPRO_ENGINE='accel' is not a known value" in result.stderr
 
     def test_golden_scheme_byte_identical_under_accel(self):
         """BFC golden records recomputed under accel == committed fixture."""
@@ -414,7 +417,7 @@ class TestBackendSelection:
             "rec = canonical_records(run_experiment(golden_configs()['BFC']));"
             "print(json.dumps(rec, sort_keys=True, separators=(',', ':')))"
         )
-        result = self._run(code, {"REPRO_ENGINE": "accel"})
+        result = self._run(code, {})
         assert result.returncode == 0, result.stderr
         fixture = json.loads(
             (REPO_ROOT / "tests" / "golden" / "kernel_records.json").read_text()
