@@ -7,17 +7,19 @@ against the paper, and key numbers are attached to the pytest-benchmark
 ``extra_info`` of each run.
 
 Running the configs goes through :class:`repro.campaign.Campaign`, so a
-figure's schemes can execute across a process pool: set
-``REPRO_BENCH_WORKERS=4`` to cut the wall-clock of multi-config figures to
-roughly the slowest single config.  Results are bit-identical to the serial
-path (each trial is deterministic in its config and seed).
+figure's schemes can execute across a process pool: set ``REPRO_CORES=4``
+to cut the wall-clock of multi-config figures to roughly the slowest single
+config.  Results are bit-identical to the serial path (each trial is
+deterministic in its config and seed).
 
 Environment variables
 ---------------------
 REPRO_BENCH_SCALE
     "tiny" (default), "small" or "paper" — passed to the scenario factories.
-REPRO_BENCH_WORKERS
-    Process-pool size for running a figure's configs (default 1 = serial).
+REPRO_CORES
+    When set, a figure's configs run at ``cores="auto"``, which takes this
+    many CPU slots (a sharded config counts as ``shards`` of them); unset
+    means serial.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Dict
 
 import pytest
 
-from repro.campaign import Campaign
+from repro.campaign import CORES_ENV, Campaign
 from repro.experiments.runner import ExperimentConfig, ExperimentResult
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -42,11 +44,12 @@ def run_config_map(configs: Dict[str, ExperimentConfig]) -> Dict[str, Experiment
     """Run every configuration in a {label: config} mapping.
 
     Nested mappings (e.g. ``{scheme: {fan_in: config}}``) are accepted too;
-    their labels flatten to ``"scheme/fan_in"``.  Campaign.run() consults
-    ``REPRO_BENCH_WORKERS`` itself, so the env var fans the runs out over
-    processes.
+    their labels flatten to ``"scheme/fan_in"``.  With ``REPRO_CORES`` set
+    the runs fan out over that many CPU slots; otherwise they run serially.
     """
-    return Campaign.from_configs("bench", configs).run().experiment_results_by_label()
+    cores = "auto" if os.environ.get(CORES_ENV, "").strip() else None
+    campaign = Campaign.from_configs("bench", configs)
+    return campaign.run(cores=cores).experiment_results_by_label()
 
 
 def run_nested_config_map(

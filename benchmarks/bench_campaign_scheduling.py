@@ -4,10 +4,10 @@ Runs one mixed campaign — unsharded and sharded (``shards=2``) trials of the
 fig5a-style scenario — three ways:
 
 * ``serial`` — :class:`~repro.campaign.SerialExecutor`, the reference;
-* ``naive`` — :class:`~repro.campaign.ParallelExecutor` with a fixed worker
-  count, which counts *trials* and therefore lets ``workers x shards``
-  simulator processes coexist (the over-subscription this PR's planner
-  exists to prevent);
+* ``naive`` — :func:`~repro.campaign.executors.run_local` fed the trials in
+  input order at one slot each on a pool of ``slots`` workers: it counts
+  *trials* and therefore lets ``workers x shards`` simulator processes
+  coexist (the over-subscription the planner exists to prevent);
 * ``planned`` — :class:`~repro.campaign.ScheduledExecutor` with the same
   number of CPU slots, where a sharded trial is charged ``shards`` slots, so
   live simulator processes never exceed the budget.
@@ -41,10 +41,11 @@ from typing import Dict, List
 from repro import __version__
 from repro.campaign import (
     Campaign,
-    ParallelExecutor,
+    ResultSet,
     ScheduledExecutor,
     SerialExecutor,
 )
+from repro.campaign.executors import run_local
 from repro.sim import units
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -77,14 +78,17 @@ def _live_process_ceiling(mode: str, campaign: Campaign, slots: int) -> int:
 
 
 def _measure(mode: str, campaign: Campaign, slots: int):
-    if mode == "serial":
-        executor = SerialExecutor(records_only=True)
-    elif mode == "naive":
-        executor = ParallelExecutor(workers=slots, records_only=True)
-    else:
-        executor = ScheduledExecutor(cores=slots, records_only=True)
     started = time.monotonic()
-    result_set = campaign.run(executor=executor)
+    if mode == "naive":
+        pairs = run_local(campaign.trials(), slots, True)
+        result_set = ResultSet([record for record, _ in pairs], campaign=campaign.name)
+    else:
+        executor = (
+            SerialExecutor(records_only=True)
+            if mode == "serial"
+            else ScheduledExecutor(cores=slots, records_only=True)
+        )
+        result_set = campaign.run(executor=executor)
     wall = time.monotonic() - started
     return wall, result_set
 

@@ -5,12 +5,12 @@ Reproduces the spirit of the paper's Fig. 9 as a runnable example: two
 leaf-spine data centers are connected through gateway switches over a
 high-bandwidth link with a large propagation delay; 20% of the FB_Hadoop
 flows cross between the data centers.  The per-scheme runs execute as one
-campaign (pass a worker count to run them in parallel) and the script reports
+campaign (pass a core count to run them in parallel) and the script reports
 tail latency for intra- and inter-DC flows under BFC and DCQCN+Win.
 
 Run with::
 
-    python examples/cross_datacenter.py [tiny|small] [workers]
+    python examples/cross_datacenter.py [tiny|small] [cores|auto]
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from repro.experiments.scenarios import fig9_campaign
 
 def main() -> int:
     scale = sys.argv[1] if len(sys.argv) > 1 else "tiny"
-    workers = int(sys.argv[2]) if len(sys.argv) > 2 else 1
+    cores = sys.argv[2] if len(sys.argv) > 2 else 1
     schemes = ("BFC", "DCQCN+Win")
-    print(f"Cross-DC experiment at scale {scale!r} for {schemes} (workers={workers}) ...")
+    print(f"Cross-DC experiment at scale {scale!r} for {schemes} (cores={cores}) ...")
 
-    result_set = fig9_campaign(scale, schemes=schemes).run(workers=workers)
+    result_set = fig9_campaign(scale, schemes=schemes).run(cores=cores)
     rows = {}
     for scheme, result in result_set.experiment_results_by_label().items():
         intra = [r for r in result.flow_stats.records if r.tag == "intra-dc"]

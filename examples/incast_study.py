@@ -4,13 +4,13 @@
 Reproduces the spirit of the paper's Fig. 8 as a runnable example: every
 receiver has a handful of long-lived flows, a periodic N-to-1 incast of fixed
 aggregate size disturbs the fabric, and the fan-in N is swept.  The sweep runs
-as a campaign (pass a worker count to fan the trials out over processes) and
+as a campaign (pass a core count to fan the trials out over processes) and
 the script reports, per scheme and fan-in, the mean receiver utilization and
 the 99th-percentile switch buffer occupancy.
 
 Run with::
 
-    python examples/incast_study.py [tiny|small] [workers]
+    python examples/incast_study.py [tiny|small] [cores|auto]
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ from repro.experiments.scenarios import fig8_campaign
 
 def main() -> int:
     scale = sys.argv[1] if len(sys.argv) > 1 else "tiny"
-    workers = int(sys.argv[2]) if len(sys.argv) > 2 else 1
+    cores = sys.argv[2] if len(sys.argv) > 2 else 1
     schemes = ("BFC", "DCQCN+Win")
-    print(f"Incast fan-in sweep at scale {scale!r} for {schemes} (workers={workers}) ...")
+    print(f"Incast fan-in sweep at scale {scale!r} for {schemes} (cores={cores}) ...")
 
     # Only the tidy records are read below, so skip retaining (and, with
-    # workers > 1, shipping) the full per-trial results.
+    # cores > 1, shipping) the full per-trial results.
     result_set = fig8_campaign(scale, schemes=schemes).run(
-        workers=workers, keep_results=False
+        cores=cores, keep_results=False
     )
     # Labels are "scheme/fan_in" (the nested config map, flattened).
     utilization = {}

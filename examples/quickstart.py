@@ -5,12 +5,12 @@ This is the smallest end-to-end use of the library's public API:
 
 1. declare a campaign over the paper's headline workload (Fig. 5a: Google
    flow sizes, 60% load + 5% incast) restricted to a few schemes,
-2. run it — serially, or across a process pool with ``workers > 1``,
+2. run it — serially, or across a process pool with ``cores > 1``,
 3. print the tail-latency comparison from the returned result set.
 
 Run with::
 
-    python examples/quickstart.py [tiny|small] [workers]
+    python examples/quickstart.py [tiny|small] [cores|auto]
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ from repro.experiments.scenarios import fig5a_campaign
 
 def main() -> int:
     scale = sys.argv[1] if len(sys.argv) > 1 else "tiny"
-    workers = int(sys.argv[2]) if len(sys.argv) > 2 else 1
+    cores = sys.argv[2] if len(sys.argv) > 2 else 1
     schemes = ["BFC", "DCQCN", "DCQCN+Win", "Ideal-FQ"]
     print(
         f"Running the Fig. 5a workload at scale {scale!r} for {schemes} "
-        f"(workers={workers}) ..."
+        f"(cores={cores}) ..."
     )
 
-    result_set = fig5a_campaign(scale, schemes=schemes).run(workers=workers)
+    result_set = fig5a_campaign(scale, schemes=schemes).run(cores=cores)
     results = result_set.experiment_results_by_label()
     for record in result_set:
         print(

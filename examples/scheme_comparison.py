@@ -12,7 +12,7 @@ third-party scheme added with ``@register_scheme`` shows up automatically.
 
 Run with::
 
-    python examples/scheme_comparison.py [tiny|small] [google|fb_hadoop|websearch] [workers]
+    python examples/scheme_comparison.py [tiny|small] [google|fb_hadoop|websearch] [cores|auto]
 """
 
 from __future__ import annotations
@@ -27,17 +27,17 @@ from repro.experiments.schemes import available_schemes
 def main() -> int:
     scale_name = sys.argv[1] if len(sys.argv) > 1 else "tiny"
     workload_name = sys.argv[2] if len(sys.argv) > 2 else "google"
-    workers = int(sys.argv[3]) if len(sys.argv) > 3 else 1
+    cores = sys.argv[3] if len(sys.argv) > 3 else 1
     print(
         f"Comparing {len(available_schemes())} schemes on the "
-        f"{workload_name!r} workload at scale {scale_name!r} (workers={workers}) ..."
+        f"{workload_name!r} workload at scale {scale_name!r} (cores={cores}) ..."
     )
 
     result_set = (
         Campaign("compare", scale=scale_name, workload=workload_name)
         .schemes(*available_schemes())
         .fixed(load=0.6, incast=0.05)
-        .run(workers=workers)
+        .run(cores=cores)
     )
     results = result_set.experiment_results_by_label()
     for record in result_set:

@@ -93,7 +93,7 @@ def main() -> int:
         print(f"  {trial.name}  (seed={trial.seed})")
     print("  ...")
     print("Run the single-workload slices with: repro campaign --schemes BFC DCQCN "
-          "--workload fb_hadoop --load 0.6 0.8 --repeats 2 --workers 4")
+          "--workload fb_hadoop --load 0.6 0.8 --repeats 2 --cores 4")
     print("(the workload axis itself is swept via the Python API, as above)")
     return 0
 

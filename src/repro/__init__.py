@@ -29,7 +29,7 @@ Quickstart::
         .schemes("BFC", "DCQCN")
         .sweep(load=[0.6, 0.8])
         .repeats(2)
-        .run(workers=4)          # process pool; same records as serial
+        .run(cores=4)            # process pool; same records as serial
     )
     print(results.p99_slowdown_by("scheme", "load"))
     results.save("demo.jsonl")   # tidy per-trial records, reload anytime

@@ -2,8 +2,8 @@
 
 This is the public high-level API of the reproduction.  A campaign expands a
 {scheme x sweep x repeats} grid into named trials, runs them through a
-pluggable executor — serial, a process pool, the resource-aware scheduler,
-or a fault-tolerant distributed coordinator dispatching to remote
+pluggable executor — serial, the resource-aware scheduler on a local core
+budget, or a fault-tolerant distributed coordinator dispatching to remote
 :class:`WorkerAgent` services — and returns a :class:`ResultSet` of tidy
 per-trial records with aggregation helpers and JSONL persistence.  A run can
 land in a :class:`Workspace`: one timestamped folder with the JSONL, cost
@@ -22,10 +22,7 @@ from .distributed import (
 )
 from .executors import (
     Executor,
-    ParallelExecutor,
     SerialExecutor,
-    WORKERS_ENV,
-    default_workers,
     execute_trial,
     execute_trial_record_only,
     make_executor,
@@ -51,7 +48,6 @@ __all__ = [
     "Trial",
     "Executor",
     "SerialExecutor",
-    "ParallelExecutor",
     "ScheduledExecutor",
     "DistributedExecutor",
     "DistributedError",
@@ -60,9 +56,7 @@ __all__ = [
     "load_workers_file",
     "Workspace",
     "render_report",
-    "WORKERS_ENV",
     "CORES_ENV",
-    "default_workers",
     "detect_cores",
     "resolve_cores",
     "execute_trial",

@@ -11,7 +11,7 @@ and expands it into named :class:`Trial` objects that an executor runs::
         .schemes("BFC", "DCQCN")
         .sweep(load=[0.6, 0.8, 0.9])
         .repeats(3)
-        .run(workers=4)
+        .run(cores=4)
     )
     print(results.p99_slowdown_by("scheme", "load"))
 
@@ -155,12 +155,11 @@ class Campaign:
     """Fluent builder for a grid of experiments.
 
     Every builder method returns ``self`` so grids read as one expression.
-    The grid is expanded lazily by :meth:`trials`; :meth:`run` executes it —
-    serially, across a trial-counting process pool (``workers=N``), or
-    through the resource-aware scheduler (``cores=N`` / ``"auto"``, which
-    charges a ``shards=N`` trial N CPU slots) — and returns a
-    :class:`ResultSet`.  :meth:`plan` previews the scheduled execution
-    without running anything.
+    The grid is expanded lazily by :meth:`trials`; :meth:`run` executes it
+    through the resource-aware scheduler — serially by default, or on
+    ``cores=N`` / ``"auto"`` CPU slots, where a ``shards=N`` trial counts as
+    N of them — and returns a :class:`ResultSet`.  :meth:`plan` previews
+    that execution without running anything.
 
     All execution paths produce bit-identical records; see
     ``docs/campaigns.md`` for the user guide and ``docs/determinism.md``
@@ -504,7 +503,7 @@ class Campaign:
 
     def plan(
         self,
-        cores: object = "auto",
+        cores: Optional[object] = None,
         save: Optional[object] = None,
         resume: Optional[object] = None,
     ):
@@ -512,11 +511,11 @@ class Campaign:
 
         Expands the campaign, drops trials already recorded in ``resume``
         (exactly as :meth:`run` would) and packs the remainder onto ``cores``
-        CPU slots — a sharded trial counts as ``shards`` slots.  Pass the
-        same ``save``/``resume`` paths as the run you are previewing: the
-        measured-cost cache lives next to that file (``resume`` doubles as
-        ``save``, as in :meth:`run`), so the preview packs with the same
-        costs the run will.  Returns an
+        CPU slots (default one, as in :meth:`run`) — a sharded trial counts
+        as ``shards`` slots.  Pass the same ``save``/``resume`` paths as the
+        run you are previewing: the measured-cost cache lives next to that
+        file (``resume`` doubles as ``save``, as in :meth:`run`), so the
+        preview packs with the same costs the run will.  Returns an
         :class:`~repro.campaign.scheduling.ExecutionPlan`; its
         :meth:`~repro.campaign.scheduling.ExecutionPlan.describe` is what the
         CLI prints for ``--dry-run``.
@@ -526,12 +525,11 @@ class Campaign:
         _, _, pending = self._split_resume(self.trials(), resume)
         target = save if save is not None else resume
         cache = CostCache.for_results_file(target) if target is not None else None
-        return plan_trials(pending, cores, cache)
+        return plan_trials(pending, 1 if cores is None else cores, cache)
 
     def run(
         self,
         executor: Optional[Executor] = None,
-        workers: Optional[int] = None,
         cores: Optional[object] = None,
         save: Optional[object] = None,
         resume: Optional[object] = None,
@@ -540,20 +538,18 @@ class Campaign:
     ) -> ResultSet:
         """Execute the campaign and return its :class:`ResultSet`.
 
-        Exactly one way of choosing parallelism applies: an explicit
-        ``executor`` wins; ``cores`` (an int or ``"auto"``) selects
-        resource-aware scheduling, where a trial with ``shards=N`` occupies
-        ``N`` of the budget's CPU slots (see
-        :mod:`repro.campaign.scheduling`); ``workers`` keeps the historical
-        trial-counting process pool.  With none of the three,
-        ``REPRO_BENCH_WORKERS`` decides (defaulting to serial).  All paths
+        Without an ``executor``, trials run through the resource-aware
+        scheduler on ``cores`` CPU slots (an int or ``"auto"``; default one,
+        in this process), longest first, where a trial with ``shards=N``
+        occupies ``N`` of them (see :mod:`repro.campaign.scheduling`).
+        Passing both ``executor`` and ``cores`` is rejected.  All paths
         produce bit-identical records — only wall-clock time differs.
 
         ``resume`` names a JSONL file from a previous (possibly interrupted)
         run: trials already recorded there are skipped.  ``save`` writes the
         merged result set back out after every finished trial, atomically,
         so an interrupt loses only the trials in flight (``resume`` doubles
-        as ``save`` when only ``resume`` is given).  Under ``cores``, a measured-cost cache
+        as ``save`` when only ``resume`` is given).  A measured-cost cache
         (``<save>.costs.json`` next to the JSONL) is maintained so later
         runs pack trials by their real wall-clock cost.
 
@@ -593,23 +589,11 @@ class Campaign:
         trials = self.trials()
         done, stale, pending = self._split_resume(trials, resume)
         target = save if save is not None else resume
-
-        cost_cache = None
-        if cores is not None and target is not None:
-            from .scheduling import CostCache
-
-            cost_cache = CostCache.for_results_file(target)
-        chosen = make_executor(
-            executor,
-            workers,
-            records_only=not keep_results,
-            cores=cores,
-            cost_cache=cost_cache,
-        )
-        # An explicit executor that understands cost caches but was built
-        # without one gets the cache riding the save target, so distributed
-        # runs derive timeouts (and pack waves) from measured costs with no
-        # extra plumbing.  Attach-only: never replaces a caller's cache.
+        chosen = make_executor(executor, cores, records_only=not keep_results)
+        # An executor that understands cost caches but was built without one
+        # gets the cache riding the save target, so scheduled runs pack by
+        # measured costs and distributed runs derive timeouts from them with
+        # no extra plumbing.  Attach-only: never replaces a caller's cache.
         if target is not None and getattr(chosen, "cost_cache", "absent") is None:
             from .scheduling import CostCache
 

@@ -5,14 +5,13 @@ The trials of a campaign are independent (each builds its own
 parallel.  Local execution lives in one place, :func:`run_local`: one
 fork-preferred :class:`concurrent.futures.ProcessPoolExecutor` per call,
 trials submitted as CPU slots free up, and a callback per finished trial.
-``SerialExecutor`` is its budget of one (no pool), ``ParallelExecutor`` its
-trial-counting form (every trial one slot, input order), and the
+``SerialExecutor`` is its budget of one in input order (no pool), and the
 resource-aware :class:`~repro.campaign.scheduling.ScheduledExecutor`
-(``Campaign.run(cores=...)``) feeds it the planner's longest-first queue
-with a sharded trial charged ``shards`` slots.
+(``Campaign.run(cores=...)``, serial by default) feeds it the planner's
+longest-first queue with a sharded trial charged ``shards`` slots.
 :class:`~repro.campaign.distributed.DistributedExecutor` extends the same
 planning across machines with fault-tolerant dispatch to worker agents.
-All four run trials through :func:`execute_trial`, and every trial is
+All three run trials through :func:`execute_trial`, and every trial is
 deterministic in its config and seed, which is what makes their records
 interchangeable.
 """
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
-import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -39,34 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Pair = Tuple[TrialRecord, Optional["ExperimentResult"]]
 #: Per-trial completion callback of :meth:`Executor.run`.
 OnDone = Callable[[Pair], None]
-
-#: Environment variable consulted for the default worker count.
-WORKERS_ENV = "REPRO_BENCH_WORKERS"
-
-
-def _env_workers() -> Optional[int]:
-    """Worker count from ``REPRO_BENCH_WORKERS``, or None when unset.
-
-    An unparseable value raises rather than silently falling back — the two
-    fallbacks differ (serial for Campaign.run, CPU count for a bare
-    ParallelExecutor), so a typo would otherwise mean different things in
-    different code paths and the user would never learn why.
-    """
-    value = os.environ.get(WORKERS_ENV, "").strip()
-    if not value:
-        return None
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise CampaignError(
-            f"{WORKERS_ENV} must be an integer, got {value!r}"
-        ) from None
-
-
-def default_workers() -> int:
-    """Worker count from ``REPRO_BENCH_WORKERS``, else 1 (serial)."""
-    return _env_workers() or 1
-
 
 def execute_trial(
     trial: "Trial", slot_budget: Optional[int] = None
@@ -254,81 +224,28 @@ class SerialExecutor(Executor):
         return run_local(trials, 1, self.records_only, on_done)
 
 
-class ParallelExecutor(Executor):
-    """Run trials across a process pool, one trial per worker at a time.
-
-    ``workers=None`` consults ``REPRO_BENCH_WORKERS`` and falls back to the
-    machine's CPU count.  With one trial (or one worker) the pool is skipped
-    entirely so small campaigns pay no fork overhead.  This is
-    :func:`run_local` with every trial at one slot, in input order; the
-    resource-aware :class:`~repro.campaign.scheduling.ScheduledExecutor`
-    is the same dispatcher fed the planner's queue.
-
-    The pool prefers the ``fork`` start method where available so schemes
-    registered at runtime with ``@register_scheme`` are visible in the
-    workers.  On spawn-only platforms (Windows), plug-in schemes must be
-    registered at import time in a module the workers import too.
-    """
-
-    def __init__(self, workers: Optional[int] = None, records_only: bool = False) -> None:
-        if workers is None:
-            # An explicit REPRO_BENCH_WORKERS=1 means serial and is honored;
-            # only a genuinely unset env falls back to the CPU count.
-            env = _env_workers()
-            workers = env if env is not None else (os.cpu_count() or 1)
-        if workers < 1:
-            raise CampaignError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.records_only = records_only
-
-    def run(
-        self, trials: Sequence["Trial"], on_done: Optional[OnDone] = None
-    ) -> List[Pair]:
-        return run_local(trials, self.workers, self.records_only, on_done)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ParallelExecutor(workers={self.workers})"
-
-
 def make_executor(
     executor: Optional[Executor] = None,
-    workers: Optional[int] = None,
-    records_only: bool = False,
     cores=None,
-    cost_cache=None,
+    records_only: bool = False,
 ) -> Executor:
-    """Resolve the executor for ``Campaign.run(executor=..., workers=..., cores=...)``.
+    """Resolve the executor for ``Campaign.run(executor=..., cores=...)``.
 
-    ``executor`` wins over both count arguments.  ``cores`` (an int or
-    ``"auto"``) selects the resource-aware
-    :class:`~repro.campaign.scheduling.ScheduledExecutor`, which treats a
-    sharded trial as ``shards`` slots; ``workers`` keeps the historical
-    trial-counting :class:`ParallelExecutor`.  Passing both is ambiguous and
-    rejected.
+    An explicit ``executor`` is used as given; otherwise the resource-aware
+    :class:`~repro.campaign.scheduling.ScheduledExecutor` runs the trials on
+    ``cores`` CPU slots (an int or ``"auto"``; ``None`` means one, in this
+    process).  Passing both is ambiguous and rejected.
     """
     if executor is not None and cores is not None:
         raise CampaignError("pass executor=... or cores=..., not both")
-    if workers is not None and cores is not None:
-        raise CampaignError(
-            "pass workers=... (trial-counting pool) or cores=... "
-            "(shard-aware scheduling), not both"
-        )
     if executor is not None:
         if records_only and not executor.records_only:
             # Honor keep_results=False without mutating the caller's executor.
             executor = copy.copy(executor)
             executor.records_only = True
         return executor
-    if cores is not None:
-        from .scheduling import ScheduledExecutor
+    from .scheduling import ScheduledExecutor
 
-        return ScheduledExecutor(cores, records_only=records_only, cost_cache=cost_cache)
-    if workers is None:
-        workers = default_workers()
-    elif workers < 1:
-        # Same validation ParallelExecutor applies; a 0 or negative count is
-        # a mistake, not a request for serial execution.
-        raise CampaignError(f"workers must be >= 1, got {workers}")
-    if workers > 1:
-        return ParallelExecutor(workers, records_only=records_only)
-    return SerialExecutor(records_only=records_only)
+    return ScheduledExecutor(
+        1 if cores is None else cores, records_only=records_only
+    )

@@ -1,10 +1,9 @@
 """Resource-aware campaign scheduling: pack trials onto a core budget.
 
-``ParallelExecutor(workers=W)`` treats every trial as one unit of work, but a
-sharded trial (``ExperimentConfig(shards=N)``) occupies *N* simulator
-processes while it runs.  Naively fanning a mixed campaign out over ``W``
-workers therefore puts up to ``W x N`` simulator processes on ``C`` CPUs,
-and the resulting time-slicing wastes exactly the cache locality the shard
+A sharded trial (``ExperimentConfig(shards=N)``) occupies *N* simulator
+processes while it runs.  A pool that counted every trial as one unit of
+work would put up to ``W x N`` simulator processes on ``W`` CPUs, and the
+resulting time-slicing wastes exactly the cache locality the shard
 runtime's conservative windows depend on.
 
 This module plans instead of guessing:
@@ -30,8 +29,10 @@ its full shard count, and the plan marks it ``oversubscribed``.  Rewriting
 *canonical* records, but it changes the ``events_processed`` metric of the
 trial record, so the planner never does it silently.
 
-Entry points: ``Campaign.run(cores=...)``, ``Campaign.plan(cores=...)``, and
-the CLI's ``--cores`` / ``--dry-run`` flags.
+Every local campaign run goes through :class:`ScheduledExecutor`; one core
+(the default) runs the trials in this process, longest first.  Entry
+points: ``Campaign.run(cores=...)``, ``Campaign.plan(cores=...)``, and the
+CLI's ``--cores`` / ``--dry-run`` flags.
 """
 
 from __future__ import annotations
@@ -55,11 +56,12 @@ CORES_ENV = "REPRO_CORES"
 
 
 def detect_cores() -> int:
-    """The machine's core budget: ``REPRO_CORES`` if set, else the CPU count.
+    """The core budget: ``REPRO_CORES`` if set, else the usable CPU count.
 
-    ``REPRO_CORES`` exists for containers whose ``os.cpu_count()`` reports
-    the host's cores rather than the container's quota, and for CI runners
-    that want a pinned, reproducible plan.
+    The usable CPUs are the process's affinity set where the platform has
+    one (``taskset``, cpusets), else ``os.cpu_count()``.  ``REPRO_CORES``
+    exists for containers whose CPU quota is smaller than either, and for
+    CI runners that want a pinned, reproducible plan.
     """
     value = os.environ.get(CORES_ENV, "").strip()
     if value:
@@ -72,6 +74,8 @@ def detect_cores() -> int:
         if cores < 1:
             raise CampaignError(f"{CORES_ENV} must be >= 1, got {cores}")
         return cores
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 
@@ -360,8 +364,7 @@ def plan_trials(
 class ScheduledExecutor(Executor):
     """Stream trials through one local pool in the plan's longest-first order.
 
-    Guarantees of the planned path, relative to
-    :class:`~repro.campaign.executors.ParallelExecutor`:
+    Guarantees of the planned path:
 
     * at most ``cores`` simulator processes are ever alive at once (a
       sharded trial counts as ``shards`` of them), except for a trial whose
@@ -374,6 +377,12 @@ class ScheduledExecutor(Executor):
     * when a :class:`CostCache` is attached, each finished trial's wall
       clock is recorded so the *next* run of the campaign packs by measured
       cost.
+
+    At one core there is no pool: the trials run in this process.  The
+    pool prefers the ``fork`` start method so that schemes registered at
+    run time with ``@register_scheme`` reach its workers; on spawn-only
+    platforms (Windows) plug-in schemes must be registered at import time
+    in a module the workers import too.
     """
 
     def __init__(

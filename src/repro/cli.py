@@ -17,9 +17,9 @@ common workflows need no Python code:
     Expand a {scheme x load x repeats} grid, run it (optionally across
     processes), print aggregated tables and optionally persist the per-trial
     records as JSONL (``--save``/``--resume``).  Also available as ``sweep``.
-    ``--cores`` enables shard-aware scheduling (a trial with ``shards=N``
-    occupies N CPU slots); ``--dry-run`` prints the execution plan without
-    simulating anything.  ``--workers`` keeps the plain trial-counting pool.
+    ``--cores`` sets the CPU-slot budget (default 1: serial; a trial with
+    ``shards=N`` occupies N slots); ``--dry-run`` prints the execution plan
+    without simulating anything.
 
 ``repro figure fig5a --scale tiny --schemes BFC DCQCN``
     Run one of the paper's figures and print the reproduced table.
@@ -50,6 +50,7 @@ common workflows need no Python code:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -102,6 +103,18 @@ def _cores_arg(value: str):
     return cores
 
 
+CORES_HELP = (
+    "CPU-slot budget (default 1: serial, in this process); a trial with "
+    "shards=N counts as N slots; 'auto' detects the usable cores"
+)
+DRY_RUN_HELP = "print the execution plan and exit without running"
+
+
+def _takes_schemes(figure: str) -> bool:
+    """Whether a figure's config factory accepts a ``schemes`` filter."""
+    return "schemes" in inspect.signature(FIGURE_FACTORIES[figure]).parameters
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -127,6 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         aliases=["sweep"],
         help="run a declarative {scheme x sweep x repeats} campaign",
+        # A stale "--workers N" must fail, not abbreviate --workers-file.
+        allow_abbrev=False,
     )
     campaign.add_argument("name", nargs="?", default="campaign",
                           help="campaign name (prefixes every trial name)")
@@ -141,14 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--repeats", type=int, default=1,
                           help="repeats per grid point (seeds derived per repeat)")
     campaign.add_argument("--seed", type=int, default=1, help="base seed")
-    campaign.add_argument("--workers", type=int, default=1,
-                          help="process-pool size; >1 runs trials in parallel")
     campaign.add_argument("--cores", type=_cores_arg, default=None, metavar="N|auto",
-                          help="CPU-slot budget for shard-aware scheduling "
-                               "(a trial with shards=N counts as N slots); "
-                               "'auto' detects the machine's cores")
-    campaign.add_argument("--dry-run", action="store_true",
-                          help="print the execution plan and exit without running (requires --cores)")
+                          help=CORES_HELP)
+    campaign.add_argument("--dry-run", action="store_true", help=DRY_RUN_HELP)
     campaign.add_argument("--save", default=None, metavar="PATH",
                           help="write per-trial records to this JSONL file")
     campaign.add_argument("--resume", default=None, metavar="PATH",
@@ -156,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--workers-file", default=None, metavar="PATH",
                           help="distribute trials over the worker agents listed in "
                                "this file (one http://host:port per line, started "
-                               "with 'repro worker serve'); replaces --workers/--cores")
+                               "with 'repro worker serve'); replaces --cores")
     campaign.add_argument("--token", default=None,
                           help="shared secret sent to workers (X-Repro-Token)")
     campaign.add_argument("--workspace", default=None, metavar="DIR",
@@ -168,15 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
     figure = sub.add_parser("figure", help="run one of the paper's figures")
     figure.add_argument("name", choices=sorted(FIGURE_FACTORIES))
     figure.add_argument("--scale", default="tiny", choices=["tiny", "small", "paper"])
+    with_schemes = ", ".join(f for f in sorted(FIGURE_FACTORIES) if _takes_schemes(f))
     figure.add_argument("--schemes", nargs="*", default=None,
-                        help="restrict to these schemes (figures 5a-c, 6, 9 only)")
+                        help=f"restrict to these schemes ({with_schemes} only)")
     figure.add_argument("--seed", type=int, default=1)
-    figure.add_argument("--workers", type=int, default=1,
-                        help="process-pool size; >1 runs the figure's configs in parallel")
     figure.add_argument("--cores", type=_cores_arg, default=None, metavar="N|auto",
-                        help="CPU-slot budget for shard-aware scheduling")
-    figure.add_argument("--dry-run", action="store_true",
-                        help="print the execution plan and exit without running (requires --cores)")
+                        help=CORES_HELP)
+    figure.add_argument("--dry-run", action="store_true", help=DRY_RUN_HELP)
     figure.add_argument("--json", action="store_true")
 
     shard = sub.add_parser(
@@ -245,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--load", type=float, default=0.6)
     compare.add_argument("--incast", type=float, default=0.05)
     compare.add_argument("--seed", type=int, default=1)
-    compare.add_argument("--workers", type=int, default=1,
-                         help="process-pool size; >1 runs the schemes in parallel")
+    compare.add_argument("--cores", type=_cores_arg, default=None, metavar="N|auto",
+                         help=CORES_HELP)
     compare.add_argument("--json", action="store_true")
 
     worker = sub.add_parser(
@@ -446,14 +454,12 @@ def cmd_campaign(args: argparse.Namespace, out) -> int:
         campaign.sweep(incast=args.incast)
     else:
         campaign.fixed(incast=args.incast[0])
-    if args.cores is not None and args.workers != 1:
-        raise CampaignError("pass --workers or --cores, not both")
     executor = None
     if args.workers_file is not None:
-        if args.cores is not None or args.workers != 1:
+        if args.cores is not None:
             raise CampaignError(
                 "--workers-file dispatches to the remote roster; "
-                "--workers/--cores do not apply"
+                "--cores does not apply"
             )
         from repro.campaign import DistributedExecutor
 
@@ -469,10 +475,6 @@ def cmd_campaign(args: argparse.Namespace, out) -> int:
 
         workspace = Workspace.create(args.workspace, args.name)
     if args.dry_run:
-        if args.cores is None:
-            # A plan preview describes scheduled execution; previewing one
-            # while the real run would use the --workers pool would be a lie.
-            raise CampaignError("--dry-run previews scheduled execution; pass --cores N|auto")
         plan = campaign.plan(cores=args.cores, save=args.save, resume=args.resume)
         if args.json:
             json.dump(plan.to_dict(), out, indent=2)
@@ -482,11 +484,6 @@ def cmd_campaign(args: argparse.Namespace, out) -> int:
         return 0
     result_set = campaign.run(
         executor=executor,
-        workers=(
-            None
-            if args.cores is not None or executor is not None
-            else args.workers
-        ),
         cores=args.cores,
         save=args.save, resume=args.resume,
         keep_results=False,  # tables below only need the tidy records
@@ -498,10 +495,8 @@ def cmd_campaign(args: argparse.Namespace, out) -> int:
         return 0
     if executor is not None:
         parallelism = f"distributed over {executor.workers} worker(s)"
-    elif args.cores is not None:
-        parallelism = f"cores={args.cores}"
     else:
-        parallelism = f"workers={args.workers}"
+        parallelism = f"cores={args.cores or 1}"
     print(
         f"Campaign {args.name!r}: {len(result_set)} trials "
         f"({len(args.schemes)} schemes, loads {args.load}, "
@@ -596,18 +591,14 @@ def cmd_figure(args: argparse.Namespace, out) -> int:
     factory = FIGURE_FACTORIES[args.name]
     kwargs = {"seed": args.seed}
     if args.schemes:
-        try:
-            configs = factory(args.scale, schemes=args.schemes, **kwargs)
-        except TypeError:
-            configs = factory(args.scale, **kwargs)
-    else:
-        configs = factory(args.scale, **kwargs)
+        if not _takes_schemes(args.name):
+            raise CampaignError(
+                f"figure {args.name!r} has a fixed scheme set; --schemes does not apply"
+            )
+        kwargs["schemes"] = args.schemes
+    configs = factory(args.scale, **kwargs)
     campaign = Campaign.from_configs(args.name, configs)
-    if args.cores is not None and args.workers != 1:
-        raise CampaignError("pass --workers or --cores, not both")
     if args.dry_run:
-        if args.cores is None:
-            raise CampaignError("--dry-run previews scheduled execution; pass --cores N|auto")
         plan = campaign.plan(cores=args.cores)
         if args.json:
             json.dump(plan.to_dict(), out, indent=2)
@@ -615,9 +606,7 @@ def cmd_figure(args: argparse.Namespace, out) -> int:
         else:
             print(f"Figure {args.name!r} {plan.describe()}", file=out)
         return 0
-    result_set = campaign.run(
-        workers=None if args.cores is not None else args.workers, cores=args.cores
-    )
+    result_set = campaign.run(cores=args.cores)
     results = result_set.experiment_results_by_label()
     if args.json:
         json.dump({label: _result_summary(r) for label, r in results.items()}, out, indent=2)
@@ -656,7 +645,7 @@ def cmd_compare(args: argparse.Namespace, out) -> int:
                                args.incast, args.seed)
         for scheme in args.schemes
     }
-    result_set = Campaign.from_configs("compare", configs).run(workers=args.workers)
+    result_set = Campaign.from_configs("compare", configs).run(cores=args.cores)
     results: Dict[str, ExperimentResult] = result_set.experiment_results_by_label()
     if args.json:
         json.dump({s: _result_summary(r) for s, r in results.items()}, out, indent=2)

@@ -731,7 +731,7 @@ def rpc_fanout_configs(
 # exact config grids above::
 #
 #     from repro.experiments.scenarios import fig5a_campaign
-#     results = fig5a_campaign("tiny", repeats=3).run(workers=4)
+#     results = fig5a_campaign("tiny", repeats=3).run(cores=4)
 
 
 def _figure_campaign(figure: str, make_configs, repeats: int, seed: int):

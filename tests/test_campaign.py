@@ -6,8 +6,8 @@ import pytest
 
 from repro.campaign import (
     Campaign,
-    ParallelExecutor,
     ResultSet,
+    ScheduledExecutor,
     SerialExecutor,
     TrialRecord,
     make_executor,
@@ -591,13 +591,14 @@ class TestSchemeRegistry:
 
 class TestExecutors:
     def test_make_executor_resolution(self):
-        assert isinstance(make_executor(None, None), SerialExecutor)
-        assert isinstance(make_executor(None, 1), SerialExecutor)
+        default = make_executor()
+        assert isinstance(default, ScheduledExecutor)
+        assert default.cores == 1
         parallel = make_executor(None, 3)
-        assert isinstance(parallel, ParallelExecutor)
-        assert parallel.workers == 3
+        assert isinstance(parallel, ScheduledExecutor)
+        assert parallel.cores == 3
         custom = SerialExecutor()
-        assert make_executor(custom, 8) is custom
+        assert make_executor(custom) is custom
 
     def test_make_executor_applies_records_only_without_mutating_caller(self):
         custom = SerialExecutor()
@@ -606,26 +607,18 @@ class TestExecutors:
         assert resolved.records_only
         assert not custom.records_only
 
-    def test_parallel_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(workers=0)
-
-    def test_make_executor_rejects_explicit_bad_worker_count(self):
-        with pytest.raises(ValueError, match="workers"):
+    def test_make_executor_rejects_explicit_bad_core_count(self):
+        with pytest.raises(ValueError, match="cores"):
             make_executor(None, 0)
-        with pytest.raises(ValueError, match="workers"):
-            Campaign("c").schemes("BFC").run(workers=-4)
+        with pytest.raises(ValueError, match="cores"):
+            Campaign("c").schemes("BFC").run(cores=-4)
 
-    def test_explicit_env_workers_1_is_honored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "1")
-        assert ParallelExecutor().workers == 1
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "3")
-        assert ParallelExecutor().workers == 3
-
-    def test_invalid_env_workers_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "4x")
-        with pytest.raises(ValueError, match="REPRO_BENCH_WORKERS"):
-            ParallelExecutor()
+    def test_default_is_one_core_whatever_the_environment(self, monkeypatch):
+        # Only an explicit cores="auto" consults REPRO_CORES; the default
+        # run is serial on every machine.
+        monkeypatch.setenv("REPRO_CORES", "3")
+        assert make_executor().cores == 1
+        assert make_executor(cores="auto").cores == 3
 
     def test_keep_results_false_drops_full_results_but_keeps_records(self):
         campaign = Campaign("lean").schemes("BFC").sweep(load=[0.3]).fixed(incast=0.0)
@@ -655,7 +648,7 @@ class TestExecutors:
             .fixed(incast=0.0)
         )
         serial = campaign.run(executor=SerialExecutor())
-        parallel = campaign.run(executor=ParallelExecutor(workers=2))
+        parallel = campaign.run(cores=2)
         assert serial == parallel
         for name in serial.names():
             assert serial.record(name).metrics == parallel.record(name).metrics

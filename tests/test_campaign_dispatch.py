@@ -12,7 +12,8 @@ the parent as each one finishes.  The load-bearing properties:
 * a failure after the first completion leaves every finished trial on
   disk, the ones still running when it happened included;
 * the persisted JSONL is byte-identical (wall clock aside) whether a
-  campaign runs serially, on ``workers=2`` or on ``cores=2``.
+  campaign runs on the :class:`SerialExecutor` (input order), on the
+  default single core (longest first, in process) or on ``cores=2``.
 """
 
 import json
@@ -25,9 +26,9 @@ from hypothesis import strategies as st
 import repro.campaign.executors as executors
 from repro.campaign import (
     Campaign,
-    ParallelExecutor,
     PlannedTrial,
     ResultSet,
+    ScheduledExecutor,
     SerialExecutor,
 )
 from repro.campaign.executors import next_dispatch, run_local
@@ -150,7 +151,7 @@ class TestPools:
 
     def test_no_pool_at_budget_one(self, tmp_path, pool_count):
         small_campaign().run(cores=1, save=tmp_path / "c.jsonl")
-        small_campaign().run(workers=1)
+        small_campaign().run()
         assert pool_count == []
 
     def test_no_pool_for_a_single_trial(self, pool_count):
@@ -160,7 +161,7 @@ class TestPools:
     def test_on_done_fires_in_the_parent_once_per_trial(self, pool_count):
         trials = small_campaign().trials()
         seen = []
-        pairs = ParallelExecutor(workers=2, records_only=True).run(
+        pairs = ScheduledExecutor(cores=2, records_only=True).run(
             trials, on_done=lambda pair: seen.append(pair[0].name)
         )
         assert pool_count == [2]
@@ -228,10 +229,11 @@ def _canonical_lines(path):
     return lines
 
 
-def test_jsonl_identical_across_serial_workers_and_cores(tmp_path):
-    """Eight trials of two lengths: the cores=2 queue runs them longest
-    first and each pool worker runs several in sequence, yet the file is
-    the serial one, byte for byte, wall clock aside."""
+def test_jsonl_identical_across_serial_default_and_cores(tmp_path):
+    """Eight trials of two lengths: the default run (one core) and the
+    cores=2 queue run them longest first, and each pool worker runs several
+    in sequence, yet the file is the input-order serial one, byte for byte,
+    wall clock aside."""
     def campaign():
         return (
             Campaign("ident")
@@ -244,14 +246,14 @@ def test_jsonl_identical_across_serial_workers_and_cores(tmp_path):
     assert len(trials) == 8
     paths = {
         "serial": tmp_path / "serial.jsonl",
-        "workers": tmp_path / "workers.jsonl",
+        "default": tmp_path / "default.jsonl",
         "cores": tmp_path / "cores.jsonl",
     }
     campaign().run(executor=SerialExecutor(), save=paths["serial"])
-    campaign().run(workers=2, save=paths["workers"])
+    campaign().run(save=paths["default"])
     campaign().run(cores=2, save=paths["cores"])
     serial = _canonical_lines(paths["serial"])
     assert len(serial) == 9
-    assert _canonical_lines(paths["workers"]) == serial
+    assert _canonical_lines(paths["default"]) == serial
     assert _canonical_lines(paths["cores"]) == serial
 

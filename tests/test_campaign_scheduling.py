@@ -29,6 +29,7 @@ from repro.campaign import (
     resolve_cores,
     trial_slots,
 )
+import repro.campaign.scheduling as scheduling
 from repro.campaign.scheduling import detect_cores, estimate_cost
 
 #: Short-but-real simulated duration: a tiny-scale trial at 150 us runs in a
@@ -81,6 +82,22 @@ class TestPlanning:
             resolve_cores(0)
         with pytest.raises(CampaignError):
             resolve_cores("many")
+
+    def test_auto_cores_follow_the_affinity_set(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CORES", raising=False)
+        monkeypatch.setattr(scheduling.os, "cpu_count", lambda: 8)
+        # Pinned to one CPU (taskset -c 0) on an 8-CPU machine.
+        monkeypatch.setattr(
+            scheduling.os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        assert detect_cores() == 1
+        assert resolve_cores("auto") == 1
+        monkeypatch.setenv("REPRO_CORES", "3")
+        assert detect_cores() == 3  # the override still wins
+        monkeypatch.delenv("REPRO_CORES")
+        # Platforms without an affinity call fall back to the CPU count.
+        monkeypatch.delattr(scheduling.os, "sched_getaffinity")
+        assert detect_cores() == 8
 
     def test_slots_follow_shards(self):
         trials = grid_trials([FAST_NS, FAST_NS + 1], shards=[1, 4])
@@ -166,11 +183,16 @@ class TestPlanning:
     def test_campaign_plan_skips_resumed_trials(self, tmp_path):
         target = tmp_path / "camp.jsonl"
         campaign = Campaign("camp").schemes("BFC", "DCQCN").fixed(duration_ns=FAST_NS)
+        preview = campaign.plan(save=target)
+        assert preview.cores == 1  # the same default as run()
+        assert preview.num_trials == 2
         campaign.run(save=target)
         replay = Campaign("camp").schemes("BFC", "DCQCN").fixed(duration_ns=FAST_NS)
         plan = replay.plan(cores=2, resume=target)
         assert plan.num_trials == 0
         assert plan.waves == []
+        # The default run measured both trials for the next plan.
+        assert all(entry.measured for entry in replay.plan(save=target).order)
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +310,14 @@ class TestExecutorResolution:
         assert isinstance(executor, ScheduledExecutor)
         assert executor.cores == 2
 
-    def test_workers_and_cores_conflict(self):
-        with pytest.raises(CampaignError, match="not both"):
-            make_executor(workers=2, cores=2)
-
     def test_executor_and_cores_conflict(self):
         with pytest.raises(CampaignError, match="not both"):
             make_executor(executor=SerialExecutor(), cores=2)
 
-    def test_campaign_run_rejects_workers_plus_cores(self):
+    def test_campaign_run_rejects_executor_plus_cores(self):
         campaign = Campaign("c").schemes("BFC")
         with pytest.raises(CampaignError, match="not both"):
-            campaign.run(workers=2, cores=2)
+            campaign.run(executor=SerialExecutor(), cores=2)
 
     def test_plan_to_dict_round_trips_through_json(self):
         trials = grid_trials([200_000, 100_000], shards=[2, 1])

@@ -40,13 +40,13 @@ class TestParser:
     def test_campaign_parses_sweep_axes(self):
         args = build_parser().parse_args(
             ["campaign", "mysweep", "--schemes", "BFC", "DCQCN",
-             "--load", "0.6", "0.8", "--repeats", "2", "--workers", "4"]
+             "--load", "0.6", "0.8", "--repeats", "2", "--cores", "4"]
         )
         assert args.name == "mysweep"
         assert args.schemes == ["BFC", "DCQCN"]
         assert args.load == [0.6, 0.8]
         assert args.repeats == 2
-        assert args.workers == 4
+        assert args.cores == 4
 
     def test_sweep_is_an_alias_for_campaign(self):
         args = build_parser().parse_args(["sweep", "--schemes", "BFC"])
@@ -199,12 +199,14 @@ class TestCampaignCommand:
         assert path.exists()
         assert path.with_name("records.costs.json").exists()
 
-    def test_campaign_rejects_workers_plus_cores(self):
-        code, _ = run_cli(
-            ["campaign", "--schemes", "BFC", "--workers", "2", "--cores", "2",
-             "--dry-run"]
-        )
-        assert code == 2
+    @pytest.mark.parametrize("command", ["campaign", "figure fig5a", "compare"])
+    def test_workers_flag_is_gone(self, command):
+        # --cores is the one parallelism flag.  --workers-file (the
+        # distributed roster) stays, and "--workers" must not abbreviate it.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command.split() + ["--workers", "2"])
+        args = build_parser().parse_args(command.split() + ["--cores", "2"])
+        assert args.cores == 2
 
     def test_campaign_dry_run_json_is_machine_readable(self):
         code, output = run_cli(
@@ -220,12 +222,15 @@ class TestCampaignCommand:
             "campaign/BFC/load=0.6", "campaign/DCQCN/load=0.6",
         ]
 
-    def test_dry_run_without_cores_is_a_clean_error(self, capsys):
-        # A plan preview describes scheduled execution; without --cores the
-        # real run would use the --workers pool, so previewing would mislead.
-        code, _ = run_cli(["campaign", "--schemes", "BFC", "--dry-run"])
-        assert code == 2
-        assert "--cores" in capsys.readouterr().err
+    def test_dry_run_without_cores_previews_the_serial_default(self):
+        code, output = run_cli(
+            ["campaign", "--schemes", "BFC", "DCQCN", "--dry-run", "--json"]
+        )
+        assert code == 0
+        plan = json.loads(output)
+        assert plan["cores"] == 1
+        assert plan["num_trials"] == 2
+        assert [len(wave["trials"]) for wave in plan["waves"]] == [1, 1]
 
     def test_cores_flag_validates(self):
         with pytest.raises(SystemExit):
@@ -262,6 +267,25 @@ class TestCompareAndFigure:
         assert code == 0
         payload = json.loads(output)
         assert set(payload) == {"BFC", "DCQCN"}
+
+    def test_figure_schemes_filter_reaches_the_plan(self):
+        code, output = run_cli(
+            ["figure", "fig5a", "--schemes", "BFC", "--dry-run", "--json"]
+        )
+        assert code == 0
+        plan = json.loads(output)
+        assert plan["cores"] == 1
+        assert [t["name"] for w in plan["waves"] for t in w["trials"]] == [
+            "fig5a/BFC"
+        ]
+
+    def test_figure_without_a_scheme_axis_rejects_schemes(self, capsys):
+        code, output = run_cli(
+            ["figure", "fig2", "--schemes", "BFC", "--dry-run", "--cores", "1"]
+        )
+        assert code == 2
+        assert output == ""
+        assert "--schemes" in capsys.readouterr().err
 
     def test_figure_text_output(self):
         code, output = run_cli(["figure", "fig13", "--json"])

@@ -15,7 +15,7 @@ every performance refactor is provably behaviour-preserving.  If a PR
 
 import json
 
-from repro.campaign import Campaign, ParallelExecutor, SerialExecutor
+from repro.campaign import Campaign, SerialExecutor
 
 from tests.golden_kernel import (
     GOLDEN_PATH,
@@ -59,9 +59,7 @@ class TestGoldenRecords:
         serial = Campaign.from_configs("golden-sp", configs).run(
             executor=SerialExecutor()
         )
-        parallel = Campaign.from_configs("golden-sp", configs).run(
-            executor=ParallelExecutor(workers=2)
-        )
+        parallel = Campaign.from_configs("golden-sp", configs).run(cores=2)
         assert serial == parallel
         # The full experiment payloads must agree too, not just the tidy
         # records: compare the canonical reduction per scheme.

@@ -25,7 +25,7 @@ import pytest
 from golden_kernel import canonical_records
 
 from repro.campaign.core import Trial
-from repro.campaign.executors import ParallelExecutor
+from repro.campaign.scheduling import ScheduledExecutor
 from repro.experiments.runner import ExperimentConfig, TrafficSpec, run_experiment
 from repro.experiments.scenarios import _background_traffic, get_scale
 from repro.experiments.schemes import available_schemes
@@ -188,7 +188,7 @@ class TestExecutorEquivalence:
             )
             for shape in WORKLOAD_SHAPES
         ]
-        parallel = ParallelExecutor(workers=2).run(trials)
+        parallel = ScheduledExecutor(cores=2).run(trials)
         for trial, (record, result) in zip(trials, parallel):
             serial = canonical_records(run_cell("BFC-Est", trial.label))
             assert canonical_records(result) == serial, trial.label

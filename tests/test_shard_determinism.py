@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import Campaign, ParallelExecutor, SerialExecutor
+from repro.campaign import Campaign, SerialExecutor
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import fig5a_configs, fig9_configs
 from repro.sim import units
@@ -308,7 +308,7 @@ class TestCrossDcSharding:
 
 
 class TestCampaignComposition:
-    """Sharded trials ride through Serial/Parallel executors unchanged."""
+    """Sharded trials ride through the serial and scheduled executors unchanged."""
 
     def test_parallel_executor_runs_sharded_trials(self):
         configs = {
@@ -319,9 +319,7 @@ class TestCampaignComposition:
         serial = Campaign.from_configs("shard-camp", configs).run(
             executor=SerialExecutor()
         )
-        parallel = Campaign.from_configs("shard-camp", configs).run(
-            executor=ParallelExecutor(workers=2)
-        )
+        parallel = Campaign.from_configs("shard-camp", configs).run(cores=2)
         assert serial == parallel
         for scheme in configs:
             label = f"shard-camp/{scheme}"
