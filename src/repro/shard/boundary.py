@@ -4,12 +4,12 @@ Every cut link of a partition is replaced, on the transmitting side, by a
 :class:`BoundaryChannel`.  The egress port still serializes the packet at the
 link rate (so contention, pausing and byte meters behave exactly as in a
 single-process run); only the *delivery* changes: instead of posting a local
-``peer.receive`` event in the future, the port hands the packet to the
+``peer.handle_packet`` event in the future, the port hands the packet to the
 channel **at commit time** (the fused engine commits a transmission at
 dequeue), which serializes it to a plain-tuple wire format and buffers it in
 the shard's outbox.  At the next conservative barrier the coordinator routes
 every buffered packet to the shard owning the destination node, where it is
-re-injected as a ``node.receive`` event at the original arrival time
+re-injected as a ``node.handle_packet`` event at the original arrival time
 ``commit + serialization + delay_ns``.
 
 The adapter plugs into :class:`~repro.sim.port.EgressPort` without touching
@@ -233,5 +233,5 @@ class InjectionQueue:
         for arrival, ancestry, node_name, iface_index, wire in batch:
             packet = packet_from_wire(wire, key_cache)
             node = node_of[node_name]
-            sim.schedule_boundary(arrival, ancestry, node.receive, packet, iface_index)
+            sim.schedule_boundary(arrival, ancestry, node.handle_packet, packet, iface_index)
             self.injected += 1

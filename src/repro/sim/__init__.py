@@ -37,13 +37,20 @@ from .stats import (
     percentile,
 )
 from .switch import EcnConfig, Switch
-from .tracing import EventTrace, FlowTimeline, attach_flow_probe, build_flow_timelines
+from .tracing import (
+    EventTrace,
+    FlowTimeline,
+    attach_flow_probe,
+    build_flow_timelines,
+    tap_deliveries,
+)
 
 __all__ = [
     "EventTrace",
     "FlowTimeline",
     "attach_flow_probe",
     "build_flow_timelines",
+    "tap_deliveries",
     "units",
     "Simulator",
     "SimulationError",

@@ -16,8 +16,9 @@ BFC's discipline is the paper's core contribution and lives in
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Set
 
 from .packet import Packet
 
@@ -41,6 +42,13 @@ class DeficitRoundRobin:
     blocked (e.g. paused) — at which point the scheduler moves on to the
     next queue.  Empty queues lose their deficit; backlogged ones keep the
     remainder for their next turn.
+
+    A queue whose probe answers ``None`` is *parked* until the next
+    :meth:`activate` of it: it keeps its place in the round and its deficit,
+    but later scans pass over it without probing it, so a round costs only
+    its unparked queues.  Parked queues still count in the round — the
+    cursor, the visit budget and so the pick sequence are exactly those of a
+    scan that probed them and heard ``None`` again.
     """
 
     def __init__(self, quantum: int = 1000) -> None:
@@ -48,33 +56,90 @@ class DeficitRoundRobin:
             raise ValueError("quantum must be positive")
         self.quantum = quantum
         self._deficits: Dict[int, int] = {}
+        # The round: active queue ids in activation order and, beside them,
+        # their activation stamps (strictly increasing, so a queue's place
+        # in the round is a bisect away).
         self._active: List[int] = []
+        self._stamps: List[int] = []
+        self._stamp_of: Dict[int, int] = {}
+        self._next_stamp = 0
+        # What a scan walks: the unparked queues in round order, and their
+        # stamps.  While nothing is parked these are the round's own lists.
+        self._live = self._active
+        self._live_stamps = self._stamps
+        self._parked: Set[int] = set()
         self._cursor = 0
         self._current: Optional[int] = None
 
     def activate(self, queue_id: int) -> None:
-        """Add a queue to the active list (no-op if already active)."""
-        if queue_id not in self._deficits:
-            self._deficits[queue_id] = 0
-            self._active.append(queue_id)
+        """Add a queue to the round, or unpark it if it is already there."""
+        if queue_id in self._deficits:
+            parked = self._parked
+            if queue_id in parked:
+                parked.remove(queue_id)
+                if parked:
+                    stamp = self._stamp_of[queue_id]
+                    idx = bisect_left(self._live_stamps, stamp)
+                    self._live.insert(idx, queue_id)
+                    self._live_stamps.insert(idx, stamp)
+                else:
+                    self._live = self._active
+                    self._live_stamps = self._stamps
+            return
+        stamp = self._next_stamp
+        self._next_stamp = stamp + 1
+        self._deficits[queue_id] = 0
+        self._stamp_of[queue_id] = stamp
+        self._active.append(queue_id)
+        self._stamps.append(stamp)
+        if self._parked:
+            self._live.append(queue_id)
+            self._live_stamps.append(stamp)
 
     def deactivate(self, queue_id: int) -> None:
         """Remove a queue (e.g. it became empty); its deficit is forgotten."""
-        if queue_id in self._deficits:
-            del self._deficits[queue_id]
-            idx = self._active.index(queue_id)
-            self._active.pop(idx)
-            if idx < self._cursor:
-                self._cursor -= 1
-            if self._active:
-                self._cursor %= len(self._active)
+        if queue_id not in self._deficits:
+            return
+        del self._deficits[queue_id]
+        stamp = self._stamp_of.pop(queue_id)
+        idx = bisect_left(self._stamps, stamp)
+        del self._active[idx]
+        del self._stamps[idx]
+        parked = self._parked
+        if parked:
+            if queue_id in parked:
+                parked.remove(queue_id)
+                if not parked:
+                    self._live = self._active
+                    self._live_stamps = self._stamps
             else:
-                self._cursor = 0
-            if self._current == queue_id:
-                self._current = None
+                live_idx = bisect_left(self._live_stamps, stamp)
+                del self._live[live_idx]
+                del self._live_stamps[live_idx]
+        if idx < self._cursor:
+            self._cursor -= 1
+        if self._active:
+            self._cursor %= len(self._active)
+        else:
+            self._cursor = 0
+        if self._current == queue_id:
+            self._current = None
+
+    def _park(self, live_idx: int) -> None:
+        if not self._parked:
+            self._live = self._live[:]
+            self._live_stamps = self._live_stamps[:]
+        self._parked.add(self._live[live_idx])
+        del self._live[live_idx]
+        del self._live_stamps[live_idx]
 
     def active_queues(self) -> List[int]:
+        """Every queue in the round (parked ones too), in round order."""
         return list(self._active)
+
+    def unparked_queues(self) -> List[int]:
+        """The queues a scan would probe, in round order (do not modify)."""
+        return self._live
 
     def is_active(self, queue_id: int) -> bool:
         return queue_id in self._deficits
@@ -82,55 +147,99 @@ class DeficitRoundRobin:
     def deficit(self, queue_id: int) -> int:
         return self._deficits.get(queue_id, 0)
 
+    @property
+    def cursor(self) -> int:
+        """Where the next scan starts: an index into :meth:`active_queues`."""
+        return self._cursor
+
+    @property
+    def current(self) -> Optional[int]:
+        """The queue whose service turn is in progress, if any."""
+        return self._current
+
     def select(self, probe) -> Optional[int]:
         """Pick the next queue to serve (one packet per call).
 
         ``probe`` maps a queue id to the size (bytes) of its head packet if
         the queue may send now, :data:`BLOCKED` if it holds packets but may
-        not send now (it keeps its deficit), or ``None`` if it is empty (it
-        forfeits its deficit).  Each visited queue is probed once; a probe
+        not send now (it keeps its deficit), or ``None`` if it has nothing to
+        send (the queue is parked; as the current queue it also forfeits its
+        deficit).  Each visited unparked queue is probed once; within one
+        call a probe must answer a queue the same way at every visit and
         must not change the active set.
         """
         # While a queue is active its deficit key is guaranteed present
         # (activate() inserts it, deactivate() clears _current), so plain
-        # indexing is safe below.
+        # indexing is safe below.  The current queue is never parked: it
+        # answered a size when it became current.
         deficits = self._deficits
         qid = self._current
         if qid is not None:
             size = probe(qid)
             if size is None:
                 deficits[qid] = 0  # an empty queue forfeits its deficit
+                self._park(bisect_left(self._live_stamps, self._stamp_of[qid]))
             elif size >= 0 and deficits[qid] >= size:
                 deficits[qid] -= size
                 return qid
             # Its turn is over; a blocked or backlogged queue keeps the rest.
             self._current = None
-        active = self._active
-        n = len(active)
+        n = len(self._active)
         if not n:
             return None
+        start = self._cursor
+        # The textbook scan makes 2n + 1 arrivals from the cursor: every
+        # queue twice, and the one at the cursor a third time.  Parked queues
+        # would answer None at theirs, so only the unparked ones are walked,
+        # from the first one at or after the cursor.
+        live = self._live
+        m = len(live)
+        if m == n:
+            k = start
+            at_cursor = live[k]
+            remaining = 2 * n + 1
+        elif m:
+            live_stamps = self._live_stamps
+            cursor_stamp = self._stamps[start]
+            k = bisect_left(live_stamps, cursor_stamp)
+            if k == m:
+                k = 0
+            at_cursor = live[k] if live_stamps[k] == cursor_stamp else None
+            remaining = 2 * m + (at_cursor is not None)
+        else:
+            remaining = 0
         quantum = self.quantum
-        cursor = self._cursor % n
-        # At most 2n + 1 arrivals; a fruitless scan thus leaves the cursor
-        # one step on (see idle()).
-        for _ in range(2 * n + 1):
-            qid = active[cursor]
-            cursor += 1
-            if cursor == n:
-                cursor = 0
+        while remaining > 0:
+            if k == m:
+                k = 0
+            qid = live[k]
+            remaining -= 1
             size = probe(qid)
-            if size is None or size < 0:  # empty or BLOCKED: skip, keep deficit
+            if size is None:
+                # Nothing to send: park it, keep its deficit.  This was its
+                # first arrival; its later ones are skipped.
+                self._park(k)
+                live = self._live
+                m -= 1
+                remaining -= 2 if qid == at_cursor else 1
                 continue
-            # Arriving at a queue that may send: grant its quantum and start
-            # serving it, unless the head still does not fit.
-            deficit = deficits[qid] + quantum
-            if deficit >= size:
-                deficits[qid] = deficit - size
-                self._current = qid
-                self._cursor = cursor
-                return qid
-            deficits[qid] = deficit
-        self._cursor = cursor
+            if size >= 0:  # BLOCKED (< 0) is skipped and keeps its deficit
+                # Arriving at a queue that may send: grant its quantum and
+                # start serving it, unless the head still does not fit.
+                deficit = deficits[qid] + quantum
+                if deficit >= size:
+                    deficits[qid] = deficit - size
+                    self._current = qid
+                    if m != n:
+                        k = bisect_left(self._stamps, self._live_stamps[k])
+                    k += 1
+                    self._cursor = k if k < n else 0
+                    return qid
+                deficits[qid] = deficit
+            k += 1
+        # Fruitless: 2n + 1 arrivals leave the cursor one step on (see idle()).
+        start += 1
+        self._cursor = start if start < n else 0
         return None
 
     def idle(self) -> None:

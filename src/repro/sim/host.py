@@ -269,6 +269,11 @@ class NicScheduler:
     Flows are served deficit-round-robin among those that are *eligible*:
     they still have data, are within their congestion window, are not paused
     (BFC), and their pacing timer has expired.
+
+    A flow that has sent everything and waits for its ACKs answers the probe
+    ``None`` and is parked in the DRR: it costs neither the scan nor the
+    horizon check anything until a NACK or a retransmission timeout gives it
+    data again (:meth:`revive`) or its last ACK removes it.
     """
 
     def __init__(self, host: "Host") -> None:
@@ -294,6 +299,16 @@ class NicScheduler:
         if flow_id in self._flows:
             del self._flows[flow_id]
             self._drr.deactivate(flow_id)
+
+    def revive(self, fstate: SenderFlowState) -> None:
+        """A flow may have data to send again (a rewind or a retransmission).
+
+        A state the NIC no longer schedules is ignored: a flow restarted
+        under the same id replaces it, and its old timeout may still fire.
+        """
+        flow_id = fstate.flow.flow_id
+        if self._flows.get(flow_id) is fstate:
+            self._drr.activate(flow_id)
 
     def flow_state(self, flow_id: int) -> Optional[SenderFlowState]:
         return self._flows.get(flow_id)
@@ -326,9 +341,10 @@ class NicScheduler:
     def _probe_flow(self, flow_id: int) -> Optional[int]:
         """The DRR probe: a flow's next packet size if it may send now.
 
-        ``None`` when the flow has nothing left to send; ``BLOCKED`` when it
-        is paused, out of window or paced beyond now.  The size is worked
-        out last, only for a flow that can send.
+        ``None`` when the flow has nothing left to send (the DRR parks it
+        until :meth:`revive`); ``BLOCKED`` when it is paused, out of window
+        or paced beyond now.  The size is worked out last, only for a flow
+        that can send.
         """
         fstate = self._flows[flow_id]
         retransmit = fstate.retransmit_queue
@@ -375,10 +391,12 @@ class NicScheduler:
         here directly at the earliest pacing timer instead, saving one
         engine event per paced gap.  Pacing timers only move at sends, so
         the timer read now equals what the horizon-time dequeue would have
-        read.
+        read.  Parked flows have nothing to send and are not looked at.
         """
         earliest: Optional[int] = None
-        for f in self._flows.values():
+        flows = self._flows
+        for flow_id in self._drr.unparked_queues():
+            f = flows[flow_id]
             if not f.retransmit_queue and f.next_seq >= f.num_packets:
                 continue
             if f.paused:
@@ -585,7 +603,10 @@ class Host(Node):
             self._handle_cnp(packet)
         elif kind is PacketKind.BLOOM:
             self._handle_bloom(packet, iface_index)
-        else:  # pragma: no cover - PFC handled by Node
+        elif kind is PacketKind.PFC:
+            self._handle_pfc(packet, iface_index)
+            return
+        else:  # pragma: no cover - every kind is handled above
             self.counters.incr("unexpected_packets")
             return
         # Batched control fan-out: emit every control frame generated while
@@ -786,10 +807,12 @@ class Host(Node):
                 and missing not in fstate.retransmit_queue
             ):
                 fstate.retransmit_queue.append(missing)
+                self.nic.revive(fstate)
         elif fstate.next_seq > fstate.una:
             fstate.flow.retransmitted_packets += fstate.next_seq - fstate.una
             self.counters.incr("go_back_n_rewinds")
             fstate.next_seq = fstate.una
+            self.nic.revive(fstate)
         fstate.last_progress_ns = self.sim.now
         if self.cc:
             self.cc.on_nack(fstate, packet, self.sim.now)
@@ -832,6 +855,7 @@ class Host(Node):
             else:
                 fstate.flow.retransmitted_packets += fstate.next_seq - fstate.una
                 fstate.next_seq = fstate.una
+            self.nic.revive(fstate)
             fstate.last_progress_ns = self.sim.now
             self.counters.incr("rto_rewinds")
             self.kick()

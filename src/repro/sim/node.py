@@ -15,10 +15,12 @@ class Node:
     """A device attached to the network (host or switch).
 
     Nodes own a list of :class:`~repro.sim.port.Interface` objects and receive
-    packets via :meth:`receive`.  PFC pause frames are handled here because
-    their semantics are identical for every node type: a PFC frame arriving on
-    interface *i* pauses (or resumes) the data class of the egress port on the
-    same interface.
+    packets via :meth:`handle_packet`, which a neighbour's egress port calls
+    directly.  PFC pause frames are handled here because their semantics are
+    identical for every node type: a PFC frame arriving on interface *i*
+    pauses (or resumes) the data class of the egress port on the same
+    interface.  Subclasses pass PFC frames to :meth:`_handle_pfc` from the
+    control branch of their own ``handle_packet``.
     """
 
     def __init__(self, sim, name: str) -> None:
@@ -50,20 +52,18 @@ class Node:
 
     # -- receive path ------------------------------------------------------------
 
-    def receive(self, packet: Packet, iface_index: int) -> None:
-        """Entry point for packets delivered by a neighbour."""
-        if packet.kind is PacketKind.PFC:
-            self._handle_pfc(packet, iface_index)
-            return
-        self.handle_packet(packet, iface_index)
+    def handle_packet(self, packet: Packet, iface_index: int) -> None:
+        """Entry point for packets delivered by a neighbour.
+
+        The base node understands PFC only; subclasses implement their
+        forwarding / protocol logic here.
+        """
+        if packet.kind is not PacketKind.PFC:  # pragma: no cover
+            raise NotImplementedError
+        self._handle_pfc(packet, iface_index)
 
     def _handle_pfc(self, packet: Packet, iface_index: int) -> None:
-        iface = self.interfaces[iface_index]
-        iface.tx.set_pfc_paused(packet.pause)
-
-    def handle_packet(self, packet: Packet, iface_index: int) -> None:  # pragma: no cover
-        """Subclasses implement their forwarding / protocol logic here."""
-        raise NotImplementedError
+        self.interfaces[iface_index].tx.set_pfc_paused(packet.pause)
 
     # -- convenience ----------------------------------------------------------------
 

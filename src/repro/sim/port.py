@@ -24,6 +24,13 @@ kick → transmission-done → delivery triplet.  ``busy`` is a lazy flag backed
 by ``_busy_until``: the line is committed until that instant, and any caller
 that finds the port committed arms (at most) one wake-up event at the commit
 horizon instead of relying on a transmission-done event to re-kick.
+
+Every event enters its handler directly, with no trampoline frame: a wake-up
+is a posted ``kick`` and a delivery is a posted ``handle_packet`` of the peer
+node, bound once by :meth:`EgressPort.connect`.  Whoever wants to observe or
+redirect deliveries replaces the port's ``_peer_receive`` after wiring (as
+the shard boundary and :func:`repro.sim.tracing.tap_deliveries` do);
+replacing the node's ``handle_packet`` then has no effect.
 """
 
 from __future__ import annotations
@@ -87,9 +94,9 @@ class EgressPort:
         # Peer wiring (set by connect()).
         self.peer_node: Optional["Node"] = None
         self.peer_iface: int = -1
-        # Hot-path aliases: the delivery post and wake-up are issued through
-        # pre-bound callables so the per-transmission cost is free of
-        # attribute-chain lookups.
+        # Hot-path aliases: the delivery post is issued through pre-bound
+        # callables so the per-transmission cost is free of attribute-chain
+        # lookups.
         self._post = sim.post
         self._peer_receive: Optional[Callable[[Packet, int], None]] = None
         # Serialization times memoized per packet size (the port's rate is
@@ -128,7 +135,7 @@ class EgressPort:
     def connect(self, peer_node: "Node", peer_iface: int) -> None:
         self.peer_node = peer_node
         self.peer_iface = peer_iface
-        self._peer_receive = peer_node.receive
+        self._peer_receive = peer_node.handle_packet
 
     @property
     def connected(self) -> bool:
@@ -174,7 +181,7 @@ class EgressPort:
             if now < until:
                 if self._wake_at != until:
                     self._wake_at = until
-                    self._post(until - now, self._wake)
+                    self._post(until - now, self.kick)
                 return
             self.busy = False
         if self.peer_node is None:
@@ -222,25 +229,21 @@ class EgressPort:
         self._busy_until = end
         # Chain wake-up: with transmission-done events fused away, a port
         # with more (potential) work must wake itself at the commit horizon.
-        if self._needs_wake(end):
-            if self._wake_at != end:
-                self._wake_at = end
-                self._post(end - now, self._wake)
-
-    def _needs_wake(self, horizon_ns: int) -> bool:
-        """Should a wake-up be armed at the commit horizon ``horizon_ns``?"""
-        if self.control_queue:
-            return True
-        if self.pfc_meter.paused:
-            return False
-        check = self._wake_check
-        if check is not None:
-            return check(horizon_ns)
-        discipline = self.discipline
-        return discipline is not None and discipline.has_backlog()
-
-    def _wake(self) -> None:
-        self.kick()
+        # Control frames always need it; a paused data class never does.
+        if not self.control_queue:
+            if self.pfc_meter.paused:
+                return
+            check = self._wake_check
+            if check is not None:
+                if not check(end):
+                    return
+            else:
+                discipline = self.discipline
+                if discipline is None or not discipline.has_backlog():
+                    return
+        if self._wake_at != end:
+            self._wake_at = end
+            self._post(tx_ns, self.kick)
 
     # -- introspection ------------------------------------------------------------
 

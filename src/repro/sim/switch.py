@@ -131,16 +131,24 @@ class Switch(Node):
     # -- receive path ---------------------------------------------------------------
 
     def handle_packet(self, packet: Packet, iface_index: int) -> None:
-        if packet.kind is PacketKind.BLOOM:
-            self.handle_bloom(packet, iface_index)
-            return
+        is_control = packet.is_control
+        if is_control:
+            # Link-local frames end here; the rest of the control class is
+            # forwarded at strict priority.
+            kind = packet.kind
+            if kind is PacketKind.PFC:
+                self._handle_pfc(packet, iface_index)
+                return
+            if kind is PacketKind.BLOOM:
+                self.handle_bloom(packet, iface_index)
+                return
         # egress_for(), fast path: the memoized ECMP pick hits for every
         # packet of a flow after its first.
         egress = self._route_cache.get(packet.key)
         if egress is None:
             egress = self.egress_for(packet)
         out_iface = self.interfaces[egress]
-        if packet.is_control:
+        if is_control:
             out_iface.tx.send_control(packet)
             return
         self._admit_data(packet, iface_index, out_iface)

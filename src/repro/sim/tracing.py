@@ -9,7 +9,8 @@ been installed, so the default (untraced) simulation pays nothing.
 
 The :func:`attach_flow_probe` helper instruments a host pair to capture one
 flow's life cycle without modifying library code — it is also an example of
-how users can hook the simulator for their own measurements.
+how users can hook the simulator for their own measurements, and
+:func:`tap_deliveries` is the hook for everything a node receives.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
 from .host import Host
+from .node import Node
 from .packet import Packet, PacketKind
 
 
@@ -166,6 +168,28 @@ def build_flow_timelines(trace: EventTrace) -> Dict[int, FlowTimeline]:
     return timelines
 
 
+def tap_deliveries(node: Node, tap: Callable[[Packet, int], None]) -> None:
+    """Call ``tap(packet, iface_index)`` for every packet delivered to ``node``.
+
+    Egress ports bind their peer's ``handle_packet`` when they are wired, so
+    an observer wraps each neighbour port's delivery target instead of the
+    node's method.  Call it after wiring; the tap runs just before the node
+    handles the packet.
+    """
+    for iface in node.interfaces:
+        port = iface.tx
+        if port.peer_node is None:
+            continue
+        feeder = port.peer_node.interfaces[port.peer_iface].tx
+        deliver = feeder._peer_receive
+
+        def tapped(packet, iface_index, _deliver=deliver):
+            tap(packet, iface_index)
+            _deliver(packet, iface_index)
+
+        feeder._peer_receive = tapped
+
+
 def attach_flow_probe(
     sender: Host,
     receiver: Host,
@@ -175,9 +199,10 @@ def attach_flow_probe(
     """Instrument a sender/receiver pair to record a flow's life cycle.
 
     Wraps ``sender.build_data_packet`` (every packet the NIC hands to the
-    wire becomes a ``nic.tx`` event) and ``receiver.handle_packet`` (every
-    DATA packet that reaches the receiver becomes a ``host.deliver`` event).
-    Restricting to ``flow_ids`` keeps traces small on busy hosts.
+    wire becomes a ``nic.tx`` event) and taps the receiver's deliveries
+    (every DATA packet that reaches the receiver becomes a ``host.deliver``
+    event).  Restricting to ``flow_ids`` keeps traces small on busy hosts.
+    Call it after the topology is wired.
     """
     watched = set(flow_ids) if flow_ids is not None else None
 
@@ -191,13 +216,10 @@ def attach_flow_probe(
 
     sender.build_data_packet = traced_build  # type: ignore[method-assign]
 
-    original_handle = receiver.handle_packet
-
-    def traced_handle(packet, iface_index):
+    def traced_delivery(packet, iface_index):
         if packet.kind is PacketKind.DATA and (
             watched is None or packet.flow_id in watched
         ):
             trace.record(receiver.sim.now, "host.deliver", receiver.name, packet)
-        return original_handle(packet, iface_index)
 
-    receiver.handle_packet = traced_handle  # type: ignore[method-assign]
+    tap_deliveries(receiver, traced_delivery)

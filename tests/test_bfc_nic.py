@@ -80,7 +80,7 @@ class TestBfcNic:
         # Let a few packets out, then pause the flow.
         sim.run(until=units.microseconds(5))
         sent_before = len(sink.received)
-        host.receive(bloom_frame(codec, [vfid]), 0)
+        host.handle_packet(bloom_frame(codec, [vfid]), 0)
         sim.run(until=units.microseconds(100))
         sent_after = len(sink.received)
         # Only packets already serialized or propagating when the pause
@@ -96,7 +96,7 @@ class TestBfcNic:
         host.start_flow(other_flow)
         codec = host.nic.codec
         vfid = paused_flow.key().vfid(config.num_vfids)
-        host.receive(bloom_frame(codec, [vfid]), 0)
+        host.handle_packet(bloom_frame(codec, [vfid]), 0)
         sim.run(until=units.microseconds(100))
         sent = [p for _, p in sink.received if p.kind is PacketKind.DATA]
         paused_sent = [p for p in sent if p.flow_id == paused_flow.flow_id]
@@ -110,10 +110,10 @@ class TestBfcNic:
         host.start_flow(flow)
         codec = host.nic.codec
         vfid = flow.key().vfid(config.num_vfids)
-        host.receive(bloom_frame(codec, [vfid]), 0)
+        host.handle_packet(bloom_frame(codec, [vfid]), 0)
         sim.run(until=units.microseconds(50))
         sent_paused = len([p for _, p in sink.received if p.kind is PacketKind.DATA])
-        host.receive(bloom_frame(codec, []), 0)  # all-clear
+        host.handle_packet(bloom_frame(codec, []), 0)  # all-clear
         sim.run(until=units.microseconds(200))
         sent_final = len([p for _, p in sink.received if p.kind is PacketKind.DATA])
         assert sent_final == 20
@@ -122,7 +122,7 @@ class TestBfcNic:
     def test_bloom_frame_counted(self, sim):
         host, sink, config = make_host(sim)
         codec = BloomFilterCodec(config.bloom_filter_bytes, config.bloom_hash_functions)
-        host.receive(bloom_frame(codec, [1, 2, 3]), 0)
+        host.handle_packet(bloom_frame(codec, [1, 2, 3]), 0)
         assert host.nic.bloom_frames_received == 1
 
     def test_false_positive_pauses_unrelated_flow(self, sim):
@@ -141,7 +141,7 @@ class TestBfcNic:
             if v != vfid
             and set(codec.bit_positions(v)) >= set(codec.bit_positions(vfid))
         )
-        host.receive(bloom_frame(codec, [other]), 0)
+        host.handle_packet(bloom_frame(codec, [other]), 0)
         assert host.nic.paused_flow_count() == 1
 
 
@@ -154,8 +154,8 @@ class TestBloomRebroadcast:
         host.start_flow(flow)
         codec = host.nic.codec
         vfid = flow.key().vfid(config.num_vfids)
-        host.receive(bloom_frame(codec, [vfid]), 0)
-        host.receive(bloom_frame(codec, [vfid]), 0)
+        host.handle_packet(bloom_frame(codec, [vfid]), 0)
+        host.handle_packet(bloom_frame(codec, [vfid]), 0)
         assert host.nic.bloom_frames_received == 2
         assert host.nic.paused_flow_count() == 1
         sim.run(until=units.microseconds(50))
@@ -169,13 +169,13 @@ class TestBloomRebroadcast:
         flow = Flow(src=0, dst=5, size=20_000, start_ns=0)
         codec = host.nic.codec
         vfid = flow.key().vfid(config.num_vfids)
-        host.receive(bloom_frame(codec, [vfid]), 0)
+        host.handle_packet(bloom_frame(codec, [vfid]), 0)
         host.start_flow(flow)
         assert host.nic.paused_flow_count() == 1
-        host.receive(bloom_frame(codec, [vfid]), 0)  # repeat: still paused
+        host.handle_packet(bloom_frame(codec, [vfid]), 0)  # repeat: still paused
         sim.run(until=units.microseconds(50))
         assert not [p for _, p in sink.received if p.kind is PacketKind.DATA]
-        host.receive(bloom_frame(codec, []), 0)
+        host.handle_packet(bloom_frame(codec, []), 0)
         sim.run(until=units.microseconds(200))
         data = [p for _, p in sink.received if p.kind is PacketKind.DATA]
         assert len(data) == 20
@@ -190,7 +190,7 @@ class TestBloomRebroadcast:
         first_vfid = first.key().vfid(config.num_vfids)
         second_vfid = second.key().vfid(config.num_vfids)
         assert first_vfid != second_vfid
-        host.receive(bloom_frame(codec, [first_vfid]), 0)
+        host.handle_packet(bloom_frame(codec, [first_vfid]), 0)
         assert first_state.paused and not second_state.paused
-        host.receive(bloom_frame(codec, [second_vfid]), 0)
+        host.handle_packet(bloom_frame(codec, [second_vfid]), 0)
         assert not first_state.paused and second_state.paused

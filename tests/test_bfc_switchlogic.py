@@ -163,7 +163,7 @@ class TestBfcSwitchEndToEnd:
             size=146,
             bloom_bits=bitmap,
         )
-        switch.receive(frame, 1)
+        switch.handle_packet(frame, 1)
         discipline = switch.interfaces[1].tx.discipline
         assert discipline.scheduler.downstream_filter == bitmap
         assert switch.counters.get("bloom_frames_received") == 1

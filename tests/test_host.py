@@ -14,6 +14,7 @@ from repro.sim.host import Host, HostConfig, SenderFlowState, WindowedCongestion
 from repro.sim.packet import DATA_HEADER_SIZE, PacketKind
 from repro.sim.port import connect
 from repro.sim.switch import Switch
+from repro.sim.tracing import tap_deliveries
 
 
 def build_pair(
@@ -310,7 +311,7 @@ class TestMarking:
         config = HostConfig(mark_first_packet=True)
         hosts, switch, _ = build_pair(sim, host_config=config)
         seen = []
-        hosts[1].handle_packet, original = _spy_data(hosts[1], seen)
+        _spy_data(hosts[1], seen)
         flow = Flow(src=0, dst=1, size=5_000, start_ns=0)
         hosts[0].start_flow(flow)
         sim.run(until=units.microseconds(200))
@@ -322,7 +323,7 @@ class TestMarking:
     def test_first_packet_not_marked_by_default(self, sim):
         hosts, switch, _ = build_pair(sim)
         seen = []
-        hosts[1].handle_packet, original = _spy_data(hosts[1], seen)
+        _spy_data(hosts[1], seen)
         flow = Flow(src=0, dst=1, size=2_000, start_ns=0)
         hosts[0].start_flow(flow)
         sim.run(until=units.microseconds(200))
@@ -331,7 +332,7 @@ class TestMarking:
     def test_last_packet_flag(self, sim):
         hosts, switch, _ = build_pair(sim)
         seen = []
-        hosts[1].handle_packet, original = _spy_data(hosts[1], seen)
+        _spy_data(hosts[1], seen)
         flow = Flow(src=0, dst=1, size=3_000, start_ns=0)
         hosts[0].start_flow(flow)
         sim.run(until=units.microseconds(200))
@@ -339,15 +340,13 @@ class TestMarking:
 
 
 def _spy_data(host, seen):
-    """Wrap a host's handle_packet to record incoming DATA packets."""
-    original = host.handle_packet
+    """Record the DATA packets delivered to ``host``."""
 
-    def wrapper(packet, iface_index):
+    def tap(packet, iface_index):
         if packet.kind is PacketKind.DATA:
             seen.append(packet)
-        return original(packet, iface_index)
 
-    return wrapper, original
+    tap_deliveries(host, tap)
 
 
 class ReferenceNic:
@@ -459,14 +458,12 @@ class TestDequeueMatchesReferenceNic:
                 ReferenceNic(host).install()
         seen = []
         for i, host in enumerate(hosts):
-            original = host.handle_packet
 
-            def spy(packet, iface_index, _orig=original, _hid=i):
+            def spy(packet, iface_index, _hid=i):
                 if packet.kind is PacketKind.DATA:
                     seen.append((sim.now, _hid, packet.flow_id, packet.seq))
-                _orig(packet, iface_index)
 
-            host.handle_packet = spy
+            tap_deliveries(host, spy)
         for start_ns, src, dst, size in flows:
             flow = Flow(src=src, dst=dst, size=size, start_ns=0)
             if start_ns:

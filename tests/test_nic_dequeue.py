@@ -12,7 +12,10 @@ end:
   next packet boundary, and the resume delivers the rest without loss;
 * a control frame queued mid-flow leaves at the next packet boundary, ahead
   of every data packet still waiting;
-* the delivery schedule repeats exactly from run to run.
+* the delivery schedule repeats exactly from run to run;
+* a flow that has sent everything and waits for ACKs costs the scan nothing,
+  and each way it can get data back (a selective NACK, a Go-Back-N rewind, a
+  retransmission timeout) sends it again to completion.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from __future__ import annotations
 from repro.sim import units
 from repro.sim.engine import Simulator
 from repro.sim.flow import Flow, reset_flow_ids
-from repro.sim.host import HostConfig
+from repro.sim.host import Host, HostConfig
 from repro.sim.packet import DATA_HEADER_SIZE, PacketKind
+from repro.sim.port import connect
+from repro.sim.tracing import tap_deliveries
 
-from test_bfc_nic import bloom_frame, make_host
-from test_host import build_pair
+from test_bfc_nic import SinkNode, bloom_frame, make_host
+from test_host import build_pair, force_drops
 
 #: Serialization time of one full data packet (1000-byte MTU plus header)
 #: on the 10 Gbps links both topologies use.
@@ -38,14 +43,12 @@ HOPS_NS = 2 * PACKET_NS + 2 * 1_000
 def _spy_all_hosts(sim, hosts):
     seen = []
     for i, host in enumerate(hosts):
-        original = host.handle_packet
 
-        def spy(packet, iface_index, _orig=original, _hid=i):
+        def spy(packet, iface_index, _hid=i):
             if packet.kind is PacketKind.DATA:
                 seen.append((sim.now, _hid, packet.flow_id, packet.seq))
-            _orig(packet, iface_index)
 
-        host.handle_packet = spy
+        tap_deliveries(host, spy)
     return seen
 
 
@@ -180,3 +183,115 @@ class TestMidFlowInterruptions:
         assert all(t - one_hop_ns < queued_at for t, _ in data if t < control_time)
         assert control_time <= queued_at + PACKET_NS + one_hop_ns
         assert [seq for _, seq in data] == list(range(40))
+
+
+class TestDrainedFlowsLeaveTheScan:
+    """Flows waiting only for ACKs are parked: the scan does not probe them."""
+
+    @staticmethod
+    def _probe_and_dequeue_calls(drained):
+        """Calls while one live flow sends beside ``drained`` sent-out flows."""
+        sim = Simulator(seed=42)
+        host = Host(sim, "h0", host_id=0, config=HostConfig(mtu=1_000))
+        # The sink never ACKs: a one-packet flow has sent everything after
+        # its first packet and waits (its timeout is 2 ms away) from then on.
+        connect(host, SinkNode(sim, "sink"), rate_bps=units.gbps(10), delay_ns=1_000)
+        waiting = [
+            host.start_flow(Flow(src=0, dst=1, size=1_000, start_ns=0, src_port=i))
+            for i in range(drained)
+        ]
+        sim.run(until=drained * PACKET_NS + 10_000)
+        assert all(f.next_seq == f.num_packets and f.una == 0 for f in waiting)
+        nic = host.nic
+        calls = {"probe": 0, "dequeue": 0}
+        probe, dequeue = nic._probe, nic.dequeue
+
+        def counted_probe(flow_id):
+            calls["probe"] += 1
+            return probe(flow_id)
+
+        def counted_dequeue():
+            calls["dequeue"] += 1
+            return dequeue()
+
+        nic._probe, nic.dequeue = counted_probe, counted_dequeue
+        live = host.start_flow(Flow(src=0, dst=1, size=40_000, start_ns=0, src_port=drained))
+        sim.run(until=sim.now + 30 * PACKET_NS)
+        assert 25 <= live.next_seq < live.num_packets
+        return calls
+
+    def test_probes_per_dequeue_do_not_grow_with_waiting_flows(self):
+        one = self._probe_and_dequeue_calls(1)
+        many = self._probe_and_dequeue_calls(500)
+        assert one == many
+        assert one["probe"] <= 2 * one["dequeue"] + 1
+
+
+class TestDrainedFlowsAreRevived:
+    """Each revive site puts a flow that had sent everything back in the round.
+
+    A three-packet flow loses one packet.  By the time the loss is noticed
+    the flow has sent its last packet and its probe has parked it; the revive
+    must make the NIC send again, with no other recovery to fall back on.
+    """
+
+    def _run(self, config, lost_seq):
+        reset_flow_ids()
+        sim = Simulator(seed=42)
+        hosts, switch, _ = build_pair(sim, host_config=config)
+        dropped = force_drops(switch, lambda p: p.seq == lost_seq and not dropped)
+        sender = hosts[0]
+        nic = sender.nic
+        parked_at_revive = []
+        revive = nic.revive
+
+        def spy_revive(fstate):
+            parked_at_revive.append(
+                fstate.flow.flow_id not in nic._drr.unparked_queues()
+            )
+            revive(fstate)
+
+        nic.revive = spy_revive
+        flow = Flow(src=0, dst=1, size=3_000, start_ns=0)
+        sender.start_flow(flow)
+        sim.run(until=units.microseconds(200))
+        assert len(dropped) == 1
+        return flow, sender, parked_at_revive
+
+    def test_selective_nack_sends_a_drained_flow_again(self):
+        config = HostConfig(loss_recovery="selective-repeat", rto_ns=0)
+        flow, sender, parked = self._run(config, lost_seq=1)
+        assert parked == [True]
+        assert flow.completed
+        assert sender.counters.get("selective_retransmissions") == 1
+
+    def test_go_back_n_rewind_sends_a_drained_flow_again(self):
+        flow, sender, parked = self._run(HostConfig(rto_ns=0), lost_seq=1)
+        assert parked == [True]
+        assert flow.completed
+        assert sender.counters.get("go_back_n_rewinds") == 1
+
+    def test_timeout_rewind_sends_a_drained_flow_again(self):
+        # The tail is lost, so no later packet makes the receiver NACK.
+        config = HostConfig(rto_ns=50_000)
+        flow, sender, parked = self._run(config, lost_seq=2)
+        assert parked == [True]
+        assert flow.completed
+        assert sender.counters.get("rto_rewinds") == 1
+
+    def test_a_replaced_state_is_not_revived(self):
+        # A flow restarted under its id replaces its state; the old state's
+        # timeout can still fire after the new one has finished.
+        sim = Simulator(seed=42)
+        host = Host(sim, "h0", host_id=0, config=HostConfig(mtu=1_000))
+        connect(host, SinkNode(sim, "sink"), rate_bps=units.gbps(10), delay_ns=1_000)
+        flow = Flow(src=0, dst=1, size=2_000, start_ns=0)
+        old = host.start_flow(flow)
+        sim.run(until=10_000)
+        host.start_flow(flow)
+        host.nic.remove_flow(flow.flow_id)
+        host.nic.revive(old)
+        assert flow.flow_id not in host.nic._drr.active_queues()
+        other = host.start_flow(Flow(src=0, dst=1, size=3_000, start_ns=0, src_port=1))
+        sim.run(until=20_000)
+        assert other.next_seq == other.num_packets

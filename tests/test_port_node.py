@@ -10,13 +10,16 @@ from repro.sim.port import connect
 
 
 class RecordingNode(Node):
-    """A node that records everything it receives."""
+    """A node that records everything it receives, PFC frames aside."""
 
     def __init__(self, sim, name):
         super().__init__(sim, name)
         self.received = []
 
     def handle_packet(self, packet, iface_index):
+        if packet.kind is PacketKind.PFC:
+            super().handle_packet(packet, iface_index)
+            return
         self.received.append((self.sim.now, packet, iface_index))
 
 
@@ -168,17 +171,17 @@ class TestPfcAtPortLevel:
         a, b, iface_a, iface_b = pair
         # b tells a to pause: the frame arrives at a on iface 0 and pauses a's tx.
         iface_a.tx.discipline.enqueue(make_data_packet(), 0)
-        a.receive(make_pfc(pause=True), 0)
+        a.handle_packet(make_pfc(pause=True), 0)
         iface_a.tx.notify()
         sim.run(until=10_000)
         assert b.received == []
-        a.receive(make_pfc(pause=False), 0)
+        a.handle_packet(make_pfc(pause=False), 0)
         sim.run_until_idle()
         assert len(b.received) == 1
 
     def test_control_traffic_unaffected_by_pfc(self, sim, pair):
         a, b, iface_a, _ = pair
-        a.receive(make_pfc(pause=True), 0)
+        a.handle_packet(make_pfc(pause=True), 0)
         iface_a.tx.send_control(
             Packet(kind=PacketKind.ACK, flow_id=1, key=FlowKey(1, 2, 3, 4), size=64)
         )
@@ -188,16 +191,16 @@ class TestPfcAtPortLevel:
 
     def test_pause_meter_tracks_pfc_time(self, sim, pair):
         a, _, iface_a, _ = pair
-        a.receive(make_pfc(pause=True), 0)
-        sim.schedule(500, a.receive, make_pfc(pause=False), 0)
+        a.handle_packet(make_pfc(pause=True), 0)
+        sim.schedule(500, a.handle_packet, make_pfc(pause=False), 0)
         sim.run_until_idle()
         assert iface_a.tx.pfc_meter.paused_time(sim.now) == 500
 
     def test_resume_kicks_transmission(self, sim, pair):
         a, b, iface_a, _ = pair
         iface_a.tx.discipline.enqueue(make_data_packet(size=1_250), 0)
-        a.receive(make_pfc(pause=True), 0)
-        sim.schedule(5_000, a.receive, make_pfc(pause=False), 0)
+        a.handle_packet(make_pfc(pause=True), 0)
+        sim.schedule(5_000, a.handle_packet, make_pfc(pause=False), 0)
         sim.run_until_idle()
         assert len(b.received) == 1
         assert b.received[0][0] == 5_000 + 1_000 + 1_000

@@ -118,106 +118,185 @@ def test_drr_fairness_for_backlogged_queues(num_queues):
     assert all(abs(c - expected) <= 1 for c in counts.values())
 
 
-def textbook_select(drr, probe):
-    """Shreedhar & Varghese's loop, one queue visit per step, on ``drr``'s state."""
-    active, deficits = drr._active, drr._deficits
-    visited = 0
-    while True:
-        qid = drr._current
-        if qid is not None:
+class TextbookDrr:
+    """Shreedhar & Varghese's loop, one queue visit per step: the oracle.
+
+    Every visit probes its queue, parked or not; a queue with nothing to send
+    answers ``None`` at each of them.
+    """
+
+    def __init__(self, quantum):
+        self.quantum = quantum
+        self.active = []
+        self.deficits = {}
+        self.cursor = 0
+        self.current = None
+
+    def activate(self, qid):
+        if qid not in self.deficits:
+            self.deficits[qid] = 0
+            self.active.append(qid)
+
+    def deactivate(self, qid):
+        if qid not in self.deficits:
+            return
+        del self.deficits[qid]
+        idx = self.active.index(qid)
+        self.active.pop(idx)
+        if idx < self.cursor:
+            self.cursor -= 1
+        self.cursor = self.cursor % len(self.active) if self.active else 0
+        if self.current == qid:
+            self.current = None
+
+    def select(self, probe):
+        active, deficits = self.active, self.deficits
+        visited = 0
+        while True:
+            qid = self.current
+            if qid is not None:
+                size = probe(qid)
+                if size is not None and size != BLOCKED and deficits[qid] >= size:
+                    deficits[qid] -= size
+                    return qid
+                if size is None:
+                    deficits[qid] = 0
+                self.current = None
+                continue
+            if visited >= 2 * len(active) + 1 or not active:
+                return None
+            visited += 1
+            qid = active[self.cursor]
+            self.cursor = (self.cursor + 1) % len(active)
             size = probe(qid)
-            if size is not None and size != BLOCKED and deficits[qid] >= size:
-                deficits[qid] -= size
-                return qid
-            if size is None:
-                deficits[qid] = 0
-            drr._current = None
-            continue
-        if visited >= 2 * len(active) + 1 or not active:
-            return None
-        visited += 1
-        cursor = drr._cursor % len(active)
-        qid = active[cursor]
-        drr._cursor = (cursor + 1) % len(active)
-        size = probe(qid)
-        if size is None or size == BLOCKED:
-            continue
-        deficits[qid] += drr.quantum
-        drr._current = qid
+            if size is None or size == BLOCKED:
+                continue
+            deficits[qid] += self.quantum
+            self.current = qid
+
+    def state(self):
+        return list(self.active), self.cursor, self.current, dict(self.deficits)
+
+
+def drr_state(drr):
+    """What a caller can see of a ``DeficitRoundRobin``: round, cursor, turn, deficits."""
+    active = drr.active_queues()
+    return active, drr.cursor, drr.current, {qid: drr.deficit(qid) for qid in active}
 
 
 QUEUE_IDS = st.integers(min_value=0, max_value=5)
-HEADS = st.one_of(st.none(), st.just(BLOCKED), st.sampled_from([64, 700, 1_048, 2_500]))
-
-
-@given(
-    ops=st.lists(
-        st.one_of(
-            st.tuples(st.just("activate"), QUEUE_IDS),
-            st.tuples(st.just("deactivate"), QUEUE_IDS),
-            st.tuples(st.just("select"), st.dictionaries(QUEUE_IDS, HEADS)),
-            st.tuples(st.just("idle")),
-        ),
-        max_size=60,
-    )
+HEADS = st.one_of(st.just(BLOCKED), st.sampled_from([64, 700, 1_048, 2_500]))
+DRR_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("activate"), QUEUE_IDS),
+        st.tuples(st.just("deactivate"), QUEUE_IDS),
+        st.tuples(st.just("drain"), QUEUE_IDS),
+        st.tuples(st.just("select"), st.dictionaries(QUEUE_IDS, HEADS)),
+        st.tuples(st.just("idle")),
+    ),
+    max_size=60,
 )
-@settings(max_examples=200, deadline=None)
-def test_drr_select_matches_the_textbook_loop(ops):
-    """Same choice and same (cursor, current, deficits) after every step.
 
-    A queue missing from a select's mapping has a 1,000-byte head.
+
+class DrainingQueues:
+    """The queues' side of a DRR run, shared by the scheduler under test and the oracle.
+
+    A drained queue has nothing to send, so its probe answers ``None`` until
+    the next ``activate`` of it (new data: the revive).  The scheduler under
+    test must never probe a queue it parked — one that answered it ``None``
+    since its last ``activate``.
     """
-    drr = DeficitRoundRobin(quantum=1_048)
-    ref = DeficitRoundRobin(quantum=1_048)
-    for op in ops:
+
+    def __init__(self):
+        self.drained = set()
+        self.parked = set()
+
+    def apply(self, op, drr, ref):
+        """Run ``op`` on both; returns the two picks of a select, else None."""
+        if op[0] == "drain":
+            self.drained.add(op[1])
+            return None
         if op[0] == "select":
             heads = op[1]
 
+            def head(qid):
+                return None if qid in self.drained else heads.get(qid, 1_000)
+
             def probe(qid):
-                return heads.get(qid, 1_000)
+                assert qid not in self.parked, f"probed parked queue {qid}"
+                size = head(qid)
+                if size is None:
+                    self.parked.add(qid)
+                return size
 
-            assert drr.select(probe) == textbook_select(ref, probe)
-        elif op[0] == "idle":
+            return drr.select(probe), ref.select(head)
+        if op[0] == "idle":
             drr.idle()
-            assert textbook_select(ref, lambda q: BLOCKED) is None
-        else:
-            getattr(drr, op[0])(op[1])
-            getattr(ref, op[0])(op[1])
-        assert (drr._cursor, drr._current, drr._deficits, drr._active) == (
-            ref._cursor, ref._current, ref._deficits, ref._active
-        )
+            assert ref.select(lambda qid: BLOCKED) is None
+            return None
+        self.drained.discard(op[1])
+        self.parked.discard(op[1])
+        getattr(drr, op[0])(op[1])
+        getattr(ref, op[0])(op[1])
+        return None
 
 
-@given(
-    deficits=st.lists(st.integers(min_value=0, max_value=5_000), max_size=8),
-    cursor=st.integers(min_value=0, max_value=7),
-    current=st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
+@given(ops=DRR_OPS)
+@example(
+    ops=[
+        ("activate", 0), ("activate", 1), ("activate", 2), ("drain", 1),
+        ("select", {}), ("select", {}), ("select", {}), ("activate", 1),
+        ("select", {}), ("select", {}),
+    ]
 )
-@example(deficits=[], cursor=0, current=None)
-@settings(max_examples=100)
-def test_drr_idle_matches_a_select_that_finds_every_queue_blocked(deficits, cursor, current):
+@example(  # a queue unparked behind later ones keeps its place in the round
+    ops=[
+        ("activate", 2), ("drain", 2), ("activate", 0), ("select", {}),
+        ("activate", 2), ("deactivate", 0),
+    ]
+)
+@settings(max_examples=300, deadline=None)
+def test_drr_select_matches_the_textbook_loop(ops):
+    """Same choice and same observable state after every step.
+
+    Drained queues answer ``None`` (and are parked) until re-activated; a
+    queue missing from a select's mapping has a 1,000-byte head.
+    """
+    drr = DeficitRoundRobin(quantum=1_048)
+    ref = TextbookDrr(quantum=1_048)
+    queues = DrainingQueues()
+    for op in ops:
+        picks = queues.apply(op, drr, ref)
+        if picks is not None:
+            assert picks[0] == picks[1]
+        assert drr_state(drr) == ref.state()
+
+
+@given(ops=DRR_OPS)
+@settings(max_examples=150, deadline=None)
+def test_drr_idle_matches_a_select_that_finds_every_queue_blocked(ops):
     """``idle()`` is the state change of a fruitless ``select``, without the scan.
 
-    ``deficits`` may be empty: no active queue at all.
+    The state is reached by the same random operations (parked queues
+    included) on two schedulers; the fruitless select probes no parked queue.
     """
 
     def drr_in_state():
-        drr = DeficitRoundRobin(quantum=1_048)
-        for qid, deficit in enumerate(deficits):
-            drr.activate(qid)
-            drr._deficits[qid] = deficit
-        if deficits:
-            drr._cursor = cursor % len(deficits)
-            drr._current = None if current is None else current % len(deficits)
-        return drr
+        drr, ref = DeficitRoundRobin(quantum=1_048), TextbookDrr(quantum=1_048)
+        queues = DrainingQueues()
+        for op in ops:
+            queues.apply(op, drr, ref)
+        return drr, queues
 
-    def state(drr):
-        return drr._cursor, drr._current, dict(drr._deficits)
-
-    idled, scanned = drr_in_state(), drr_in_state()
+    (idled, _), (scanned, queues) = drr_in_state(), drr_in_state()
     idled.idle()
-    assert scanned.select(lambda q: BLOCKED) is None
-    assert state(idled) == state(scanned)
+
+    def blocked(qid):
+        assert qid not in queues.parked
+        return BLOCKED
+
+    assert scanned.select(blocked) is None
+    assert drr_state(idled) == drr_state(scanned)
 
 
 # ---------------------------------------------------------------------------

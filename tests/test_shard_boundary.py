@@ -200,7 +200,7 @@ class TestBoundaryChannel:
         injector = InjectionQueue(sim, topo)
         seen = []
         target = topo.tor_switch_of(0)
-        target.receive = lambda packet, iface: seen.append(packet.seq)
+        target.handle_packet = lambda packet, iface: seen.append(packet.seq)
         wire_a = packet_to_wire(make_data_packet(seq=11))
         wire_b = packet_to_wire(make_data_packet(seq=22))
         injector.inject(

@@ -20,6 +20,7 @@ These tests also pin the coordinator's sampling replica
 shows up here as a byte diff.
 """
 
+import functools
 import json
 import random
 import re
@@ -245,6 +246,55 @@ class TestRandomizedStorm:
             f"draw {draw}: {scheme} seed={seed} shards={shards} diverged"
         )
         assert_shard_stats_schema(sharded.shard_stats)
+
+
+#: Why the known reproductions below diverge, and where the fix is planned.
+DIRECTION_1 = (
+    "ROADMAP direction 1: with shards not outnumbering pods, pod and greedy "
+    "cuts let two incast flows tie on all four ancestry levels at one ToR, "
+    "so the sharded run breaks the tie differently from the serial one"
+)
+
+
+def _known_divergence(scheme, seed):
+    return pytest.param(
+        scheme,
+        seed,
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=DIRECTION_1),
+    )
+
+
+def _short_fig5a(scheme, seed):
+    config = fig5a_configs("tiny", schemes=(scheme,), seed=seed)[scheme]
+    return replace(
+        config,
+        duration_ns=units.microseconds(120),
+        drain_ns=units.microseconds(60),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _short_fig5a_serial(scheme, seed):
+    return shard_canonical(run_experiment(_short_fig5a(scheme, seed)))
+
+
+class TestKnownDivergence:
+    """The documented reproductions of the pod/greedy tie-break hole, pinned.
+
+    ``fig5a_configs("tiny")`` cut to 120 us plus a 60 us drain, on 2 shards
+    (docs/determinism.md).  Strict xfails: the day one of them matches serial
+    the test fails, and the fix gets noticed.  Seed 121 is the control that
+    matches today.
+    """
+
+    @pytest.mark.parametrize("strategy", ["pod", "greedy"])
+    @pytest.mark.parametrize(
+        "scheme,seed",
+        [_known_divergence("BFC", 120), _known_divergence("HPCC", 989), ("BFC", 121)],
+    )
+    def test_two_shards_match_serial(self, scheme, seed, strategy):
+        config = replace(_short_fig5a(scheme, seed), shards=2, shard_strategy=strategy)
+        assert shard_canonical(run_experiment(config)) == _short_fig5a_serial(scheme, seed)
 
 
 class TestSingleShardDegradesToPlainRunner:

@@ -12,11 +12,16 @@ from repro.sim.switch import EcnConfig, Switch
 
 
 class SinkNode(Node):
+    """Records what it receives; PFC frames pause its port as on any node."""
+
     def __init__(self, sim, name):
         super().__init__(sim, name)
         self.received = []
 
     def handle_packet(self, packet, iface_index):
+        if packet.kind is PacketKind.PFC:
+            super().handle_packet(packet, iface_index)
+            return
         self.received.append((self.sim.now, packet))
 
 
@@ -56,7 +61,7 @@ class TestForwarding:
     def test_data_forwarded_to_destination(self, sim, star):
         switch, nodes = star
         packet = data_packet(src=0, dst=2)
-        switch.receive(packet, nodes[0].interfaces[0].tx.peer_iface)
+        switch.handle_packet(packet, nodes[0].interfaces[0].tx.peer_iface)
         sim.run_until_idle()
         assert len(nodes[2].received) == 1
         assert nodes[1].received == []
@@ -69,7 +74,7 @@ class TestForwarding:
             key=FlowKey(src=2, dst=0, src_port=1, dst_port=1),
             size=64,
         )
-        switch.receive(ack, 2)
+        switch.handle_packet(ack, 2)
         sim.run_until_idle()
         assert len(nodes[0].received) == 1
         assert switch.buffer.occupancy() == 0
@@ -77,7 +82,7 @@ class TestForwarding:
     def test_unknown_destination_raises(self, sim, star):
         switch, _ = star
         with pytest.raises(KeyError):
-            switch.receive(data_packet(src=0, dst=99), 0)
+            switch.handle_packet(data_packet(src=0, dst=99), 0)
 
     def test_ecmp_is_deterministic_per_flow(self, sim, star):
         switch, nodes = star
@@ -96,7 +101,7 @@ class TestForwarding:
     def test_hop_count_incremented(self, sim, star):
         switch, nodes = star
         packet = data_packet(src=0, dst=1)
-        switch.receive(packet, 0)
+        switch.handle_packet(packet, 0)
         sim.run_until_idle()
         assert packet.hops == 1
 
@@ -106,8 +111,8 @@ class TestBuffering:
         switch, nodes = star
         # The first packet starts transmitting immediately (and leaves the
         # buffer); the second must wait and therefore occupies buffer space.
-        switch.receive(data_packet(src=0, dst=1, seq=0), 0)
-        switch.receive(data_packet(src=0, dst=1, seq=1), 0)
+        switch.handle_packet(data_packet(src=0, dst=1, seq=0), 0)
+        switch.handle_packet(data_packet(src=0, dst=1, seq=1), 0)
         assert switch.buffer.occupancy() == 1_000
         sim.run_until_idle()
         assert switch.buffer.occupancy() == 0
@@ -115,14 +120,14 @@ class TestBuffering:
     def test_drop_when_buffer_full(self, sim, star):
         switch, nodes = star
         for i in range(150):  # 150 KB offered into a 100 KB buffer
-            switch.receive(data_packet(src=0, dst=1, flow_id=i, seq=i), 0)
+            switch.handle_packet(data_packet(src=0, dst=1, flow_id=i, seq=i), 0)
         assert switch.dropped_packets() > 0
         assert switch.buffer.occupancy() <= switch.buffer.capacity
 
     def test_dropped_packets_never_delivered(self, sim, star):
         switch, nodes = star
         for i in range(150):
-            switch.receive(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
+            switch.handle_packet(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
         sim.run_until_idle()
         delivered = len(nodes[1].received)
         assert delivered + switch.dropped_packets() == 150
@@ -133,7 +138,7 @@ class TestEcnMarking:
         switch, nodes = star
         switch.ecn = EcnConfig(enabled=True, kmin=2_000, kmax=5_000, pmax=1.0)
         for i in range(20):
-            switch.receive(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
+            switch.handle_packet(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
         sim.run_until_idle()
         marked = sum(1 for _, p in nodes[1].received if p.ecn_marked)
         assert marked > 0
@@ -142,7 +147,7 @@ class TestEcnMarking:
         switch, nodes = star
         switch.ecn = EcnConfig(enabled=True, kmin=50_000, kmax=90_000, pmax=1.0)
         for i in range(10):
-            switch.receive(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
+            switch.handle_packet(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
         sim.run_until_idle()
         assert all(not p.ecn_marked for _, p in nodes[1].received)
 
@@ -150,7 +155,7 @@ class TestEcnMarking:
         switch, nodes = star
         switch.ecn = EcnConfig(enabled=False)
         for i in range(50):
-            switch.receive(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
+            switch.handle_packet(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
         sim.run_until_idle()
         assert all(not p.ecn_marked for _, p in nodes[1].received)
 
@@ -166,20 +171,20 @@ class TestPfcGeneration:
         switch, nodes = star
         # Flood from node 0 toward node 1 without letting the simulator drain.
         for i in range(30):
-            switch.receive(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
+            switch.handle_packet(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
         assert switch.counters.get("pfc_pause_frames") >= 1
 
     def test_resume_frame_sent_after_drain(self, sim, star):
         switch, nodes = star
         for i in range(30):
-            switch.receive(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
+            switch.handle_packet(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
         sim.run_until_idle()
         assert switch.counters.get("pfc_resume_frames") >= 1
 
     def test_upstream_node_pauses_on_pfc(self, sim, star):
         switch, nodes = star
         for i in range(30):
-            switch.receive(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
+            switch.handle_packet(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
         sim.run(until=3_000)
         # Node 0's uplink should have been paused at some point.
         assert nodes[0].interfaces[0].tx.pfc_meter.pause_events >= 1
@@ -188,7 +193,7 @@ class TestPfcGeneration:
         switch, nodes = star
         switch.pfc = PfcPolicy(enabled=False)
         for i in range(30):
-            switch.receive(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
+            switch.handle_packet(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
         sim.run_until_idle()
         assert switch.counters.get("pfc_pause_frames") == 0
 
@@ -198,7 +203,7 @@ class TestIntStamping:
         switch, nodes = star
         switch.int_enabled = True
         packet = data_packet(src=0, dst=1, int_enabled=True)
-        switch.receive(packet, 0)
+        switch.handle_packet(packet, 0)
         sim.run_until_idle()
         assert len(packet.int_stack) == 1
         hop = packet.int_stack[0]
@@ -208,7 +213,7 @@ class TestIntStamping:
     def test_no_stamping_when_switch_int_disabled(self, sim, star):
         switch, nodes = star
         packet = data_packet(src=0, dst=1, int_enabled=True)
-        switch.receive(packet, 0)
+        switch.handle_packet(packet, 0)
         sim.run_until_idle()
         assert packet.int_stack == []
 
@@ -216,6 +221,6 @@ class TestIntStamping:
         switch, nodes = star
         switch.int_enabled = True
         packet = data_packet(src=0, dst=1, int_enabled=False)
-        switch.receive(packet, 0)
+        switch.handle_packet(packet, 0)
         sim.run_until_idle()
         assert packet.int_stack == []

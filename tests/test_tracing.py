@@ -9,7 +9,7 @@ from repro.sim.tracing import (
     build_flow_timelines,
 )
 
-from tests.test_host import build_pair
+from tests.test_host import build_pair, force_drops
 
 
 def make_packet(flow_id=1, seq=0):
@@ -138,6 +138,22 @@ class TestFlowTimelines:
         assert timeline.packets_sent == 5
         assert timeline.packets_delivered == 5
         assert timeline.network_time_ns() > 0
+
+    def test_probe_records_every_delivery_of_the_flow(self, sim):
+        """Retransmitted copies included: the count the receiver itself keeps."""
+        hosts, switch, _ = build_pair(sim)
+        dropped = force_drops(switch, lambda p: p.seq == 2 and not dropped)
+        trace = EventTrace()
+        attach_flow_probe(hosts[0], hosts[1], trace)
+        flow = Flow(src=0, dst=1, size=8_000, start_ns=0)
+        hosts[0].start_flow(flow)
+        sim.run(until=units.microseconds(200))
+        assert flow.completed and len(dropped) == 1
+        delivered = trace.by_category("host.deliver")
+        assert len(delivered) == hosts[1].counters.get("data_packets_received")
+        assert len(delivered) > flow.num_packets  # the Go-Back-N resend
+        assert {event.seq for event in delivered} == set(range(flow.num_packets))
+        assert delivered[-1].time_ns == flow.finish_ns
 
     def test_probe_filters_by_flow_id(self, sim):
         hosts, _, _ = build_pair(sim)
