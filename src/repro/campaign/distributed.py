@@ -40,6 +40,7 @@ so bind agents to loopback or a private network you trust, and use
 
 from __future__ import annotations
 
+import hmac
 import http.client
 import json
 import os
@@ -169,7 +170,10 @@ class _WorkerHandler(BaseHTTPRequestHandler):
         token = self.agent.token
         if token is None:
             return True
-        if self.headers.get("X-Repro-Token") == token:
+        supplied = self.headers.get("X-Repro-Token")
+        # Constant-time compare, on bytes so a non-ASCII header is a plain
+        # mismatch rather than a TypeError.
+        if supplied is not None and hmac.compare_digest(supplied.encode(), token.encode()):
             return True
         self._deny(403, "bad or missing X-Repro-Token")
         return False

@@ -32,7 +32,7 @@ from .pause import PauseThresholds, ResumeList
 from .scheduler import BfcScheduler, HIGH_PRIORITY_QUEUE, OVERFLOW_QUEUE
 from .discipline import BfcEgressDiscipline
 from .switchlogic import BfcAgent, BfcSwitch
-from .nic import BfcNicScheduler, bfc_nic_class
+from .nic import BfcNicScheduler
 
 __all__ = [
     "BfcConfig",
@@ -54,5 +54,4 @@ __all__ = [
     "BfcAgent",
     "BfcSwitch",
     "BfcNicScheduler",
-    "bfc_nic_class",
 ]

@@ -8,15 +8,21 @@ the wire is the plain bitmap derived from it.
 
 Both ends must hash identically, so the hash functions are CRC32 based (never
 Python's randomised ``hash``).  Membership tests run once per queue-service
-decision on every BFC egress port, so the codec memoizes each VFID's bit
-positions (the VFID space is small and fixed) and the counting filter keeps
-its wire bitmap up to date incrementally instead of rescanning the counters.
+decision on every BFC egress port, so the codec memoizes each VFID as one
+int bit mask (bit ``i`` of the little-endian bitmap is filter bit ``i``): a
+reader converts a filter to an int once, when a different filter arrives,
+and a test is then ``bits & mask == mask``.  The memo is a pure function of
+the filter geometry, so one codec serves every switch and NIC of a
+simulation (the scheme wiring owns it) and holds at most one entry per VFID.
+Adding, removing and encoding run at pause rate and recompute the bit
+positions; the counting filter keeps its wire bitmap up to date
+incrementally instead of rescanning the counters.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class BloomFilterCodec:
@@ -42,54 +48,57 @@ class BloomFilterCodec:
         self.num_bits = size_bytes * 8
         self.num_hashes = num_hashes
         self.salt = salt
-        # Memoized per-VFID derivations.  Keys are the VFIDs actually seen;
-        # the VFID space is fixed per experiment (16K default), so these are
-        # bounded and every entry is reused thousands of times.
-        self._positions: Dict[int, Tuple[int, ...]] = {}
-        # (byte_index, bit_mask) pairs for bitmap membership tests.
-        self._masks: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+        # VFID -> int bit mask of its positions.  Keys are the VFIDs actually
+        # tested; the VFID space is fixed per experiment (16K default), so
+        # the memo is bounded and every entry is reused thousands of times.
+        self._masks: Dict[int, int] = {}
 
     def bit_positions(self, vfid: int) -> Tuple[int, ...]:
         """The bit positions a VFID maps to (deterministic across processes)."""
-        positions = self._positions.get(vfid)
-        if positions is None:
-            num_bits = self.num_bits
-            positions = tuple(
-                zlib.crc32(b"%d:%d:%d" % (self.salt, i, vfid)) % num_bits
-                for i in range(self.num_hashes)
-            )
-            self._positions[vfid] = positions
-        return positions
+        num_bits = self.num_bits
+        return tuple(
+            zlib.crc32(b"%d:%d:%d" % (self.salt, i, vfid)) % num_bits
+            for i in range(self.num_hashes)
+        )
 
-    def _bit_masks(self, vfid: int) -> Tuple[Tuple[int, int], ...]:
-        masks = self._masks.get(vfid)
-        if masks is None:
-            masks = tuple((pos >> 3, 1 << (pos & 7)) for pos in self.bit_positions(vfid))
-            self._masks[vfid] = masks
-        return masks
+    def mask(self, vfid: int) -> int:
+        """The VFID's bit positions as one int (memoized)."""
+        mask = self._masks.get(vfid)
+        if mask is None:
+            mask = 0
+            for pos in self.bit_positions(vfid):
+                mask |= 1 << pos
+            self._masks[vfid] = mask
+        return mask
 
     def empty_bitmap(self) -> bytes:
         return bytes(self.size_bytes)
 
-    def contains(self, bitmap: bytes, vfid: int) -> bool:
-        """Membership test against a wire bitmap (false positives possible)."""
-        if bitmap is None:
-            return False
-        masks = self._masks.get(vfid)
-        if masks is None:
-            masks = self._bit_masks(vfid)
-        bitmap_len = len(bitmap)
-        for byte_index, mask in masks:
-            if byte_index >= bitmap_len or not bitmap[byte_index] & mask:
-                return False
-        return True
+    @staticmethod
+    def bits(bitmap: Optional[bytes]) -> int:
+        """A wire bitmap as the int :meth:`mask` tests against (``None`` is 0)."""
+        return 0 if bitmap is None else int.from_bytes(bitmap, "little")
+
+    def contains(self, bitmap: Optional[bytes], vfid: int) -> bool:
+        """Membership test against a wire bitmap (false positives possible).
+
+        ``None`` and the bits a short bitmap lacks read as zero.
+        """
+        return self.contains_bits(self.bits(bitmap), vfid)
+
+    def contains_bits(self, bits: int, vfid: int) -> bool:
+        """:meth:`contains` against a filter already converted by :meth:`bits`."""
+        mask = self._masks.get(vfid)
+        if mask is None:
+            mask = self.mask(vfid)
+        return bits & mask == mask
 
     def encode(self, vfids: Iterable[int]) -> bytes:
         """Build a wire bitmap directly from a collection of VFIDs."""
         bits = bytearray(self.size_bytes)
         for vfid in vfids:
-            for byte_index, mask in self._bit_masks(vfid):
-                bits[byte_index] |= mask
+            for pos in self.bit_positions(vfid):
+                bits[pos >> 3] |= 1 << (pos & 7)
         return bytes(bits)
 
 

@@ -9,7 +9,7 @@ BFC-HighPriorityQ, BFC-BufferOpt) and the resource knobs swept in §4.4
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 
 @dataclass
@@ -123,6 +123,11 @@ class BfcConfig:
             raise ValueError("capacity_weight_reference_bps must be positive when set")
 
     # -- derived quantities -----------------------------------------------------
+
+    @property
+    def bloom_geometry(self) -> Tuple[int, int]:
+        """``(size_bytes, num_hashes)`` of the pause filter, as a codec takes them."""
+        return self.bloom_filter_bytes, self.bloom_hash_functions
 
     def derive_hop_rtt_ns(self, link_rate_bps: float, link_delay_ns: int) -> int:
         """HRTT for a link: two propagation delays plus two MTU serializations."""

@@ -27,20 +27,24 @@ from .config import BfcConfig
 class BfcNicScheduler(NicScheduler):
     """Per-flow-queue NIC scheduler that honours BFC pause frames.
 
-    The class attribute :attr:`CONFIG` supplies the Bloom-filter geometry and
-    VFID space; use :func:`bfc_nic_class` to bind a specific configuration.
+    ``config`` supplies the Bloom-filter geometry and VFID space; ``codec``
+    is the simulation's shared Bloom codec for that geometry (a private one
+    is built when none is given).  Bind both with :func:`functools.partial`
+    to get the ``nic_class`` a :class:`~repro.sim.host.Host` takes.
     """
 
-    CONFIG: BfcConfig = BfcConfig()
-
-    def __init__(self, host: Host) -> None:
+    def __init__(
+        self,
+        host: Host,
+        config: Optional[BfcConfig] = None,
+        codec: Optional[BloomFilterCodec] = None,
+    ) -> None:
         super().__init__(host)
-        self.config = self.CONFIG
-        self.codec = BloomFilterCodec(
-            size_bytes=self.config.bloom_filter_bytes,
-            num_hashes=self.config.bloom_hash_functions,
-        )
+        self.config = config = config or BfcConfig()
+        self.codec = codec or BloomFilterCodec(*config.bloom_geometry)
         self.pause_filter: Optional[bytes] = None
+        # The same filter as an int (0 while none is installed).
+        self._pause_bits = 0
         self.bloom_frames_received = 0
 
     # -- pause frames -------------------------------------------------------------
@@ -52,7 +56,10 @@ class BfcNicScheduler(NicScheduler):
 
     def add_flow(self, fstate: SenderFlowState) -> None:
         fstate.vfid = fstate.key.vfid(self.config.num_vfids)
-        fstate.paused = self.codec.contains(self.pause_filter, fstate.vfid)
+        bits = self._pause_bits
+        # No filter pauses nothing; skipping the test keeps the VFID out of
+        # the shared memo.
+        fstate.paused = bits != 0 and self.codec.contains_bits(bits, fstate.vfid)
         super().add_flow(fstate)
 
     def on_bloom(self, packet: Packet) -> None:
@@ -67,21 +74,12 @@ class BfcNicScheduler(NicScheduler):
         if bitmap == self.pause_filter:
             return
         self.pause_filter = bitmap
-        contains = self.codec.contains
+        bits = self._pause_bits = self.codec.bits(bitmap)
+        contains_bits = self.codec.contains_bits
         for fstate in self._flows.values():
-            fstate.paused = contains(bitmap, fstate.vfid)
+            fstate.paused = contains_bits(bits, fstate.vfid)
 
     def paused_flow_count(self) -> int:
         """Flows currently blocked by the pause filter (for tests/analysis)."""
         return sum(fstate.paused for fstate in self._flows.values())
 
-
-def bfc_nic_class(config: BfcConfig) -> type:
-    """A :class:`BfcNicScheduler` subclass bound to a specific configuration."""
-
-    class _ConfiguredBfcNic(BfcNicScheduler):
-        CONFIG = config
-
-    _ConfiguredBfcNic.__name__ = "BfcNicScheduler"
-    _ConfiguredBfcNic.__qualname__ = "BfcNicScheduler"
-    return _ConfiguredBfcNic

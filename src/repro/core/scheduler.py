@@ -16,7 +16,8 @@ the head is not paused by the installed downstream filter, else ``BLOCKED``,
 with a count of the ready queues.  A ready value can only change when the
 queue's head changes (a push to an empty queue, a pop) or a different filter
 is installed, so the per-packet pause rule is an integer read and the DRR's
-probe is a list read.
+probe is a list read.  The installed filter is held as one int as well, so
+re-testing a head is a memo lookup and ``bits & mask == mask``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ class BfcScheduler:
         self._num_vfids = config.num_vfids
         #: The most recent Bloom filter received from the next hop.
         self.downstream_filter: Optional[bytes] = None
+        # The same filter as an int (0 while none is installed).
+        self._filter_bits = 0
         # _ready[q]: the head's size if q is non-empty and its head is not
         # paused downstream, else BLOCKED.  The DRR probes it directly.
         self._ready: List[int] = [BLOCKED] * (self.num_queues + 2)
@@ -77,7 +80,7 @@ class BfcScheduler:
         queue = self._queues[qid]
         if not queue:
             self._drr.activate(qid)
-            if self.downstream_filter is None or not self._blocked(packet):
+            if not (self._filter_bits and self._blocked(packet)):
                 self._ready[qid] = packet.size
                 self.eligible_count += 1
         queue.append(packet)
@@ -90,8 +93,8 @@ class BfcScheduler:
     # -- downstream pauses -----------------------------------------------------------
 
     def _blocked(self, head: Packet) -> bool:
-        """Is the VFID of ``head`` in the installed (non-``None``) filter?"""
-        return self._codec.contains(self.downstream_filter, packet_vfid(head, self._num_vfids))
+        """Is the VFID of ``head`` in the installed filter?"""
+        return self._codec.contains_bits(self._filter_bits, packet_vfid(head, self._num_vfids))
 
     def install_filter(self, bitmap: Optional[bytes]) -> bool:
         """Install the next hop's pause filter; False if it is the one installed.
@@ -103,11 +106,12 @@ class BfcScheduler:
         if bitmap == self.downstream_filter:
             return False
         self.downstream_filter = bitmap
+        bits = self._filter_bits = self._codec.bits(bitmap)
         ready = self._ready
         count = 0
         for qid in self._drr.active_queues():
             head = self._queues[qid][0]
-            if bitmap is None or not self._blocked(head):
+            if not (bits and self._blocked(head)):
                 ready[qid] = head.size
                 count += 1
             else:
@@ -146,7 +150,7 @@ class BfcScheduler:
             drr.deactivate(qid)
         else:
             head = queue[0]
-            if self.downstream_filter is not None and self._blocked(head):
+            if self._filter_bits and self._blocked(head):
                 self._ready[qid] = BLOCKED
                 self.eligible_count -= 1
             else:

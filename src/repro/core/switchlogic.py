@@ -34,15 +34,16 @@ _BLOOM_HEADER_BYTES = 18  # Ethernet-style header around the filter payload
 
 
 class BfcAgent:
-    """Switch-wide BFC state machine."""
+    """Switch-wide BFC state machine.
 
-    def __init__(self, sim, config: BfcConfig) -> None:
+    ``codec`` is the simulation's shared Bloom codec for the configured
+    geometry; a private one is built when none is given.
+    """
+
+    def __init__(self, sim, config: BfcConfig, codec: Optional[BloomFilterCodec] = None) -> None:
         self.sim = sim
         self.config = config
-        self.codec = BloomFilterCodec(
-            size_bytes=config.bloom_filter_bytes,
-            num_hashes=config.bloom_hash_functions,
-        )
+        self.codec = codec or BloomFilterCodec(*config.bloom_geometry)
         self.flow_table = FlowTable(config)
         self.disciplines: List[BfcEgressDiscipline] = []
         self._pause_filters: Dict[int, CountingBloomFilter] = {}
@@ -169,9 +170,10 @@ class BfcSwitch(Switch):
         pfc: Optional[PfcPolicy] = None,
         ecn: Optional[EcnConfig] = None,
         seed: int = 0,
+        codec: Optional[BloomFilterCodec] = None,
     ) -> None:
         self.bfc_config = bfc_config or BfcConfig()
-        self.agent = BfcAgent(sim, self.bfc_config)
+        self.agent = BfcAgent(sim, self.bfc_config, codec)
         self._discipline_seed = seed
         super().__init__(
             sim,

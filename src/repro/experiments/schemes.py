@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.congestion.dcqcn import DcqcnConfig, DcqcnControl, DcqcnWindowedControl
 from repro.congestion.hpcc import HpccConfig, HpccControl
+from repro.core.bloom import BloomFilterCodec
 from repro.core.config import BfcConfig
-from repro.core.nic import bfc_nic_class
+from repro.core.nic import BfcNicScheduler
 from repro.core.switchlogic import BfcSwitch
 from repro.sim.buffer import PfcPolicy
 from repro.sim.disciplines import FifoDiscipline, IdealFqDiscipline, SfqDiscipline
@@ -45,6 +47,7 @@ from repro.sim.host import (
     CongestionControl,
     Host,
     HostConfig,
+    NicScheduler,
     WindowedCongestionControl,
 )
 from repro.sim.switch import EcnConfig, Switch
@@ -52,7 +55,11 @@ from repro.sim.switch import EcnConfig, Switch
 
 @dataclass
 class SchemeEnvironment:
-    """Everything a scheme needs to instantiate switches and hosts."""
+    """Everything a scheme needs to instantiate switches and hosts.
+
+    One environment wires one simulation, so it also owns what that
+    simulation's nodes share: the Bloom codecs of :meth:`bloom_codec`.
+    """
 
     sim: object
     link_rate_bps: float
@@ -73,6 +80,9 @@ class SchemeEnvironment:
     dcqcn_config: Optional[DcqcnConfig] = None
     hpcc_config: Optional[HpccConfig] = None
     num_sfq_queues: int = 32
+    _bloom_codecs: Dict[Tuple[int, int], BloomFilterCodec] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def ecn(self) -> EcnConfig:
         """DCQCN's ECN thresholds, scaled with the BDP like the paper's setup.
@@ -100,6 +110,18 @@ class SchemeEnvironment:
 
     def effective_bfc_config(self) -> BfcConfig:
         return self.bfc_config or BfcConfig(mtu=self.mtu)
+
+    def bloom_codec(self, config: BfcConfig) -> BloomFilterCodec:
+        """The simulation's one Bloom codec for ``config``'s filter geometry.
+
+        Every BFC switch agent and NIC of the simulation tests membership
+        through it, so its per-VFID memo exists once, not once per node.
+        """
+        key = config.bloom_geometry
+        codec = self._bloom_codecs.get(key)
+        if codec is None:
+            codec = self._bloom_codecs[key] = BloomFilterCodec(*key)
+        return codec
 
     def buffer_for(self, tier: str) -> int:
         if tier == "gateway" and self.gateway_buffer_bytes is not None:
@@ -187,6 +209,7 @@ def _bfc_switch(env: SchemeEnvironment, name: str, tier: str, config: BfcConfig)
         bfc_config=config,
         pfc=env.pfc(),
         seed=env.seed,
+        codec=env.bloom_codec(config),
     )
 
 
@@ -204,7 +227,7 @@ def _host(
     window_cap: Optional[int] = None,
     int_enabled: bool = False,
     mark_first: bool = False,
-    nic_class: Optional[type] = None,
+    nic_class: Optional[Callable[[Host], NicScheduler]] = None,
     loss_recovery: str = "go-back-n",
 ) -> Host:
     config = HostConfig(
@@ -265,7 +288,7 @@ def _bfc_host(env: SchemeEnvironment, name: str, host_id: int, config: BfcConfig
         host_id,
         factory,
         mark_first=True,
-        nic_class=bfc_nic_class(config),
+        nic_class=partial(BfcNicScheduler, config=config, codec=env.bloom_codec(config)),
     )
 
 

@@ -200,6 +200,8 @@ class Simulator:
         #: mean inter-event gap over the window is (now - t0) / entries.
         self._serve_t0: int = 0
         self._retunes: int = 0
+        # -- shared per-simulation memos ----------------------------------
+        self._tx_memos: dict = {}
 
     # -- clock ------------------------------------------------------------
 
@@ -211,6 +213,15 @@ class Simulator:
     def rng(self, salt: int = 0) -> random.Random:
         """Return a new deterministic RNG derived from the simulator seed."""
         return random.Random(self._rng.randint(0, 2**62) ^ salt)
+
+    def tx_memo(self, rate_bps: float) -> dict:
+        """The ``packet size -> serialization ns`` memo of one link rate.
+
+        Serialization time is a pure function of size and rate, so every
+        egress port of this simulation with that rate shares one memo (it
+        holds one entry per packet size seen, about a thousand at most).
+        """
+        return self._tx_memos.setdefault(rate_bps, {})
 
     # -- scheduling -------------------------------------------------------
 

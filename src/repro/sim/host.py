@@ -438,7 +438,7 @@ class Host(Node):
         config: Optional[HostConfig] = None,
         cc_factory: Optional[Callable[[float], CongestionControl]] = None,
         flow_registry: Optional[Dict[int, Flow]] = None,
-        nic_class: Optional[type] = None,
+        nic_class: Optional[Callable[["Host"], NicScheduler]] = None,
     ) -> None:
         super().__init__(sim, name)
         self.host_id = host_id

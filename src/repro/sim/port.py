@@ -100,8 +100,9 @@ class EgressPort:
         self._post = sim.post
         self._peer_receive: Optional[Callable[[Packet, int], None]] = None
         # Serialization times memoized per packet size (the port's rate is
-        # fixed for its lifetime, and traffic uses a handful of sizes).
-        self._tx_memo: dict = {}
+        # fixed for its lifetime, and traffic uses a handful of sizes), in
+        # the memo every port of this rate shares.
+        self._tx_memo: dict = sim.tx_memo(rate_bps)
         # Queues.
         self.control_queue: deque[Packet] = deque()
         self.discipline: Optional[DataDiscipline] = None

@@ -1,8 +1,10 @@
 """Unit tests for the BFC host NIC (Bloom-filter pause handling)."""
 
+from functools import partial
+
 from repro.core.bloom import BloomFilterCodec
 from repro.core.config import BfcConfig
-from repro.core.nic import BfcNicScheduler, bfc_nic_class
+from repro.core.nic import BfcNicScheduler
 from repro.sim import units
 from repro.sim.flow import Flow
 from repro.sim.host import Host, HostConfig
@@ -27,7 +29,7 @@ def make_host(sim, config=None, host_config=None):
         "h0",
         host_id=0,
         config=host_config or HostConfig(mtu=1000, mark_first_packet=True),
-        nic_class=bfc_nic_class(config),
+        nic_class=partial(BfcNicScheduler, config=config),
     )
     sink = SinkNode(sim, "sink")
     connect(host, sink, rate_bps=units.gbps(10), delay_ns=1_000)
@@ -45,11 +47,12 @@ def bloom_frame(codec: BloomFilterCodec, vfids) -> Packet:
 
 
 class TestBfcNic:
-    def test_nic_class_binds_config(self):
+    def test_nic_class_binds_config(self, sim):
         config = BfcConfig(num_vfids=1_024, bloom_filter_bytes=32)
-        cls = bfc_nic_class(config)
-        assert issubclass(cls, BfcNicScheduler)
-        assert cls.CONFIG is config
+        host, _, _ = make_host(sim, config)
+        assert isinstance(host.nic, BfcNicScheduler)
+        assert host.nic.config is config
+        assert host.nic.codec.size_bytes == 32
 
     def test_unpaused_flow_sends(self, sim):
         host, sink, _ = make_host(sim)

@@ -1,8 +1,10 @@
 """Tests for the per-switch BFC agent and BfcSwitch, including end-to-end
 pause propagation on a small host--ToR--host topology."""
 
+from functools import partial
+
 from repro.core.config import BfcConfig
-from repro.core.nic import bfc_nic_class
+from repro.core.nic import BfcNicScheduler
 from repro.core.switchlogic import BfcAgent, BfcSwitch
 from repro.sim import units
 from repro.sim.flow import Flow
@@ -54,7 +56,7 @@ def build_bfc_star(sim, num_hosts=3, rate=units.gbps(10), config=None, buffer_by
             config=HostConfig(mtu=1000, mark_first_packet=True),
             cc_factory=lambda r: CongestionControl(r),
             flow_registry=registry,
-            nic_class=bfc_nic_class(config),
+            nic_class=partial(BfcNicScheduler, config=config),
         )
         connect(host, switch, rate_bps=rate, delay_ns=1_000)
         hosts.append(host)

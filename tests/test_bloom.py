@@ -1,6 +1,10 @@
 """Unit tests for the BFC Bloom filters."""
 
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bloom import BloomFilterCodec, CountingBloomFilter
 
@@ -141,3 +145,132 @@ class TestCountingBloomFilter:
         assert filt.contains(7)
         filt.remove(7)
         assert not filt.contains(7)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the int-mask codec against the byte-wise implementation it replaced
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceCodec:
+    """Memoized bit positions and a byte-wise membership loop."""
+
+    def __init__(self, size_bytes, num_hashes, salt):
+        self.num_bits = size_bytes * 8
+        self.num_hashes = num_hashes
+        self.salt = salt
+        self._positions = {}
+
+    def bit_positions(self, vfid):
+        positions = self._positions.get(vfid)
+        if positions is None:
+            positions = tuple(
+                zlib.crc32(b"%d:%d:%d" % (self.salt, i, vfid)) % self.num_bits
+                for i in range(self.num_hashes)
+            )
+            self._positions[vfid] = positions
+        return positions
+
+    def contains(self, bitmap, vfid):
+        if bitmap is None:
+            return False
+        for pos in self.bit_positions(vfid):
+            byte_index, mask = pos >> 3, 1 << (pos & 7)
+            if byte_index >= len(bitmap) or not bitmap[byte_index] & mask:
+                return False
+        return True
+
+
+class _ReferenceCountingFilter:
+    def __init__(self, codec):
+        self.codec = codec
+        self.counts = [0] * codec.num_bits
+
+    def add(self, vfid):
+        for pos in self.codec.bit_positions(vfid):
+            self.counts[pos] += 1
+
+    def remove(self, vfid):
+        positions = self.codec.bit_positions(vfid)
+        if any(self.counts[pos] <= 0 for pos in positions):
+            raise ValueError(vfid)
+        for pos in positions:
+            self.counts[pos] -= 1
+
+    def to_bitmap(self):
+        bits = bytearray(len(self.counts) // 8)
+        for pos, count in enumerate(self.counts):
+            if count:
+                bits[pos >> 3] |= 1 << (pos & 7)
+        return bytes(bits)
+
+
+_geometries = st.tuples(
+    st.integers(min_value=1, max_value=32),  # size_bytes
+    st.integers(min_value=1, max_value=6),  # num_hashes
+    st.integers(min_value=0, max_value=3),  # salt
+)
+_vfids = st.integers(min_value=0, max_value=1 << 16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    geometry=_geometries,
+    members=st.lists(_vfids, max_size=24),
+    probes=st.lists(_vfids, min_size=1, max_size=24),
+    bitmap_kind=st.sampled_from(["encoded", "truncated", "extended", "random", "none"]),
+    cut=st.integers(min_value=0, max_value=40),
+    noise=st.binary(max_size=40),
+)
+def test_contains_matches_the_bytewise_reference(
+    geometry, members, probes, bitmap_kind, cut, noise
+):
+    codec = BloomFilterCodec(*geometry)
+    reference = _ReferenceCodec(*geometry)
+    bitmap = codec.encode(members)
+    if bitmap_kind == "truncated":
+        bitmap = bitmap[:cut]
+    elif bitmap_kind == "extended":
+        bitmap = bitmap + noise
+    elif bitmap_kind == "random":
+        bitmap = noise
+    elif bitmap_kind == "none":
+        bitmap = None
+    for vfid in members + probes:
+        expected = reference.contains(bitmap, vfid)
+        assert codec.contains(bitmap, vfid) == expected
+        assert codec.contains_bits(codec.bits(bitmap), vfid) == expected
+    assert len(codec._masks) <= len(set(members + probes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    geometry=_geometries,
+    ops=st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=40)), max_size=60),
+)
+def test_counting_filter_matches_the_memoized_positions_reference(geometry, ops):
+    codec = BloomFilterCodec(*geometry)
+    reference_codec = _ReferenceCodec(*geometry)
+    filt = CountingBloomFilter(codec)
+    reference = _ReferenceCountingFilter(reference_codec)
+    outstanding = 0
+    for is_add, vfid in ops:
+        if is_add:
+            filt.add(vfid)
+            reference.add(vfid)
+            outstanding += 1
+        else:
+            try:
+                reference.remove(vfid)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    filt.remove(vfid)
+            else:
+                filt.remove(vfid)
+                outstanding -= 1
+        assert len(filt) == outstanding
+        assert filt.max_counter() == max(reference.counts)
+        assert filt.to_bitmap() == reference.to_bitmap()
+    for vfid in range(41):
+        expected = all(reference.counts[p] > 0 for p in reference_codec.bit_positions(vfid))
+        assert filt.contains(vfid) == expected

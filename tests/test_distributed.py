@@ -382,6 +382,24 @@ class TestWorkerAgentProtocol:
         finally:
             agent.stop()
 
+    @pytest.mark.parametrize("token", [None, "sesamE", "s\u00e9same"])
+    def test_wrong_or_missing_token_is_rejected_403(self, token):
+        # An equal-length wrong token, no header at all, and a non-ASCII
+        # header all get the same 403 and run nothing.
+        agent = WorkerAgent(token="sesame").start()
+        try:
+            (trial,) = make_campaign(loads=LOADS[:1]).trials()
+            payload = {
+                "protocol": PROTOCOL_VERSION, "trial": trial,
+                "fingerprint": _config_fingerprint(trial.config),
+            }
+            status, body = _post_run(agent.url, payload, token=token)
+            assert status == 403
+            assert b"X-Repro-Token" in body
+            assert agent.state.completed == 0
+        finally:
+            agent.stop()
+
     def test_poison_reply_raises_instead_of_requeueing(self):
         # A 4xx (here: a token the worker refuses) means no other worker
         # would fare better, so run_trial surfaces it instead of retrying.

@@ -24,8 +24,8 @@ from repro.sim import units
 from repro.workloads import GOOGLE, OpenLoopSpec
 
 
-def _openloop_config(duration_us, results_dir):
-    base = fig5a_configs("tiny", schemes=["DCQCN"], seed=7)["DCQCN"]
+def _openloop_config(duration_us, results_dir, scheme="DCQCN"):
+    base = fig5a_configs("tiny", schemes=[scheme], seed=7)[scheme]
     duration = units.microseconds(duration_us)
     spec = OpenLoopSpec(
         distribution=GOOGLE,
@@ -64,12 +64,13 @@ def small_route_cache(monkeypatch):
 
 
 class TestBoundedMemory:
-    def test_spill_peak_is_sublinear_in_flow_count(self, tmp_path, small_route_cache):
+    @pytest.mark.parametrize("scheme", ["DCQCN", "BFC"])
+    def test_spill_peak_is_sublinear_in_flow_count(self, tmp_path, small_route_cache, scheme):
         flows_small, peak_small = _peak_bytes(
-            _openloop_config(1000, str(tmp_path / "small"))
+            _openloop_config(1000, str(tmp_path / "small"), scheme)
         )
         flows_big, peak_big = _peak_bytes(
-            _openloop_config(4000, str(tmp_path / "big"))
+            _openloop_config(4000, str(tmp_path / "big"), scheme)
         )
         flow_ratio = flows_big / flows_small
         peak_ratio = peak_big / peak_small

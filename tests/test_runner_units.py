@@ -1,7 +1,9 @@
 """Unit tests for runner building blocks and multi-hop BFC pause propagation."""
 
+from functools import partial
+
 from repro.core.config import BfcConfig
-from repro.core.nic import bfc_nic_class
+from repro.core.nic import BfcNicScheduler
 from repro.core.switchlogic import BfcSwitch
 from repro.experiments.runner import ExperimentConfig, TrafficSpec
 from repro.experiments.scenarios import get_scale
@@ -121,7 +123,7 @@ def build_two_tier_bfc(sim, config=None):
             config=HostConfig(mtu=1000, mark_first_packet=True),
             cc_factory=lambda rate: CongestionControl(rate),
             flow_registry=registry,
-            nic_class=bfc_nic_class(config),
+            nic_class=partial(BfcNicScheduler, config=config),
         )
         hosts.append(host)
     connect(hosts[0], sw_up, rate_bps=units.gbps(10), delay_ns=1_000)
