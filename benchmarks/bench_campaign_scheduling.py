@@ -1,7 +1,8 @@
 """Campaign-scheduling benchmark: serial vs naive pool vs planned execution.
 
-Runs one mixed campaign — unsharded and sharded (``shards=2``) trials of the
-fig5a-style scenario — three ways:
+Runs one mixed campaign — unsharded and sharded (``shards=2``, one process
+per data center) trials of the ``tiny`` fig9 cross-DC scenario — three
+ways:
 
 * ``serial`` — :class:`~repro.campaign.SerialExecutor`, the reference;
 * ``naive`` — :func:`~repro.campaign.executors.run_local` fed the trials in
@@ -25,7 +26,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_campaign_scheduling.py
     PYTHONPATH=src python benchmarks/bench_campaign_scheduling.py \
-        --duration-us 200 --repeats 1 --json /tmp/sched.json
+        --repeats 1 --json /tmp/sched.json
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import json
 import os
 import platform
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List
 
@@ -46,7 +48,7 @@ from repro.campaign import (
     SerialExecutor,
 )
 from repro.campaign.executors import run_local
-from repro.sim import units
+from repro.experiments.scenarios import fig9_configs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "BENCH_campaign_scheduling.json"
@@ -54,13 +56,19 @@ DEFAULT_JSON = REPO_ROOT / "BENCH_campaign_scheduling.json"
 BENCH_SEED = 11
 
 
-def _campaign(duration_us: int) -> Campaign:
-    """The mixed grid: {BFC, DCQCN} x {shards=1, shards=2} at one load."""
+def _cross_dc_trial(campaign, scheme, params, seed, name):
+    """Config builder: the tiny fig9 run, which shards one process per DC."""
+    config = fig9_configs("tiny", schemes=(scheme,), seed=seed)[scheme]
+    return replace(config, name=name, **params)
+
+
+def _campaign() -> Campaign:
+    """The mixed grid: {BFC, DCQCN} x {shards=1, shards=2} on fig9."""
     return (
-        Campaign("sched-bench", scale="tiny")
+        Campaign("sched-bench")
         .schemes("BFC", "DCQCN")
         .sweep(shards=[1, 2])
-        .fixed(load=0.6, duration_ns=units.microseconds(duration_us))
+        .config_builder(_cross_dc_trial)
         .seeds(base=BENCH_SEED)
     )
 
@@ -93,8 +101,8 @@ def _measure(mode: str, campaign: Campaign, slots: int):
     return wall, result_set
 
 
-def run_benchmark(duration_us: int, repeats: int, slots: int) -> Dict[str, object]:
-    campaign = _campaign(duration_us)
+def run_benchmark(repeats: int, slots: int) -> Dict[str, object]:
+    campaign = _campaign()
     trials = campaign.trials()
     plan = ScheduledExecutor(cores=slots).plan(trials)
 
@@ -136,7 +144,7 @@ def run_benchmark(duration_us: int, repeats: int, slots: int) -> Dict[str, objec
     return {
         "benchmark": "campaign_scheduling",
         "seed": BENCH_SEED,
-        "duration_us": duration_us,
+        "scenario": "fig9 tiny",
         "repeats": repeats,
         "slots": slots,
         "trials": len(trials),
@@ -163,12 +171,6 @@ def run_benchmark(duration_us: int, repeats: int, slots: int) -> Dict[str, objec
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--duration-us",
-        type=int,
-        default=300,
-        help="traffic window per trial in simulated microseconds (default 300)",
-    )
-    parser.add_argument(
         "--repeats", type=int, default=2, help="take the best of N runs (default 2)"
     )
     parser.add_argument(
@@ -185,7 +187,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    report = run_benchmark(args.duration_us, args.repeats, args.slots)
+    report = run_benchmark(args.repeats, args.slots)
     args.json.parent.mkdir(parents=True, exist_ok=True)
     with open(args.json, "w", encoding="ascii") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)

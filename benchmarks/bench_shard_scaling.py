@@ -1,13 +1,11 @@
 """Sharded-simulation scaling benchmark: wall clock and events/sec vs shards.
 
-Measures :mod:`repro.shard` on two representative partitions of the
-``small`` scenarios, each run for the scale's own duration:
+Measures :mod:`repro.shard` on its one partition, run for the ``small``
+scale's own duration:
 
 * ``cross-dc`` — the fig9 two-data-center topology split per DC.  The
   20x-longer inter-DC delay is the conservative window, so barriers are
-  rare; this is the headline sharding configuration.
-* ``pod`` — the fig5a leaf-spine fabric split per pod.  The window is one
-  intra-fabric link delay (1 us), so this stresses the barrier path.
+  rare.
 
 At ``tiny`` scale a run is too short to amortise process start-up, the
 per-worker topology build and the barriers, so sharding never pays there.
@@ -38,7 +36,7 @@ from typing import Dict, List
 
 from repro import __version__
 from repro.experiments.runner import run_experiment
-from repro.experiments.scenarios import fig5a_configs, fig9_configs
+from repro.experiments.scenarios import fig9_configs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO_ROOT / "BENCH_shard_scaling.json"
@@ -49,11 +47,7 @@ BENCH_SCALE = "small"
 
 def _scenarios() -> Dict[str, Dict[str, object]]:
     fig9 = fig9_configs(BENCH_SCALE, schemes=("BFC",), seed=BENCH_SEED)["BFC"]
-    fig5a = fig5a_configs(BENCH_SCALE, schemes=["BFC"], seed=BENCH_SEED)["BFC"]
-    return {
-        "cross-dc": {"config": fig9, "shard_counts": [1, 2]},
-        "pod": {"config": fig5a, "shard_counts": [1, 2, 4]},
-    }
+    return {"cross-dc": {"config": fig9, "shard_counts": [1, 2]}}
 
 
 def _measure(config, shards: int) -> Dict[str, object]:
@@ -71,7 +65,6 @@ def _measure(config, shards: int) -> Dict[str, object]:
         point.update(
             {
                 "shards_populated": len(stats["events_per_shard"]),
-                "strategy": stats["strategy"],
                 "window_ns": stats["window_ns"],
                 "cut_links": stats["cut_links"],
                 "barriers": stats["barriers"],

@@ -27,14 +27,15 @@ common workflows need no Python code:
 ``repro compare --scale tiny --schemes BFC DCQCN HPCC``
     Run several schemes on the same trace and print the comparison table.
 
-``repro shard --shards 4 --scheme BFC --scale small``
-    Run ONE experiment space-parallel across several OS processes
-    (conservative-window sharding; records are identical to a
-    single-process run) and report the partition, window and barrier stats.
+``repro shard --shards 2 --scheme BFC --scale small``
+    Run the cross-DC (Fig. 9) experiment space-parallel, one OS process per
+    data center (conservative-window sharding cut at the inter-DC link;
+    records are identical to a single-process run) and report the
+    partition, window and barrier stats.
 
-``repro topology info --scale tiny --figure fig9 --shards 2``
+``repro topology info --scale tiny --figure fig9``
     Describe a scenario's topology (host/switch/link counts,
-    oversubscription) and how it would be partitioned into shards.
+    oversubscription) and its per-DC shard partition.
 
 ``repro worker serve --port 8421``
     Run a distributed-campaign worker agent: a dumb HTTP service that
@@ -61,7 +62,7 @@ from repro.campaign import Campaign, CampaignError, summarize_result
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.schemes import SCHEMES, UnknownSchemeError, available_schemes
 from repro.experiments import scenarios
-from repro.shard import STRATEGIES as SHARD_STRATEGIES, PartitionError, ShardError
+from repro.shard import PartitionError, ShardError
 from repro.sim import units
 from repro.workloads.distributions import WORKLOADS
 
@@ -189,33 +190,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     shard = sub.add_parser(
         "shard",
-        help="run one experiment across several processes (space-parallel)",
+        help="run the cross-DC experiment one process per data center",
     )
     shard.add_argument("--scheme", default="BFC", choices=available_schemes())
     shard.add_argument("--scale", default="tiny", choices=["tiny", "small", "paper"])
-    shard.add_argument("--workload", default="google", choices=sorted(WORKLOADS))
-    shard.add_argument("--load", type=float, default=0.6)
-    shard.add_argument("--incast", type=float, default=0.05,
-                       help="incast load fraction (0 disables incast)")
     shard.add_argument("--seed", type=int, default=1)
     shard.add_argument("--shards", type=int, default=2,
-                       help="number of shard processes (1 = plain single-process run)")
-    shard.add_argument("--strategy", default="auto",
-                       choices=list(SHARD_STRATEGIES),
-                       help="partition strategy (default: per-DC when multi-DC, else per-pod)")
+                       help="1 = plain single-process run; 2 = one process per DC")
     shard.add_argument("--json", action="store_true")
 
     topology = sub.add_parser(
-        "topology", help="inspect a scenario's topology and shard partition"
+        "topology", help="inspect a scenario's topology and per-DC shard partition"
     )
     topology.add_argument("action", choices=["info"])
     topology.add_argument("--figure", default="fig5a",
                           choices=sorted(FIGURE_FACTORIES),
                           help="scenario whose topology to describe (fig9 = cross-DC)")
     topology.add_argument("--scale", default="tiny", choices=["tiny", "small", "paper"])
-    topology.add_argument("--shards", type=int, default=2,
-                          help="partition to report cut/window stats for")
-    topology.add_argument("--strategy", default="auto", choices=list(SHARD_STRATEGIES))
     topology.add_argument("--json", action="store_true")
 
     openloop = sub.add_parser(
@@ -680,9 +671,8 @@ def cmd_compare(args: argparse.Namespace, out) -> int:
 def cmd_shard(args: argparse.Namespace, out) -> int:
     from dataclasses import replace
 
-    config = _single_config(args.scheme, args.scale, args.workload, args.load,
-                            args.incast, args.seed)
-    config = replace(config, shards=args.shards, shard_strategy=args.strategy)
+    configs = scenarios.fig9_configs(args.scale, schemes=(args.scheme,), seed=args.seed)
+    config = replace(configs[args.scheme], shards=args.shards)
     result = run_experiment(config)
     summary = _result_summary(result)
     payload = {"summary": summary, "shard_stats": result.shard_stats}
@@ -692,7 +682,7 @@ def cmd_shard(args: argparse.Namespace, out) -> int:
         return 0
     print(
         f"Sharded experiment: {config.name} "
-        f"(scale={args.scale}, shards={args.shards}, strategy={args.strategy})",
+        f"(scale={args.scale}, shards={args.shards})",
         file=out,
     )
     for key, value in summary.items():
@@ -717,7 +707,6 @@ def cmd_shard(args: argparse.Namespace, out) -> int:
 
 def _print_partition(stats: Dict[str, object], out) -> None:
     """Shared partition-stats block of ``repro shard`` and ``repro topology``."""
-    print(f"  strategy               {stats['strategy']}", file=out)
     for shard, sizes in stats["shards"].items():
         print(
             f"  shard {shard:<17s} {sizes['hosts']} hosts, "
@@ -753,7 +742,9 @@ def cmd_topology(args: argparse.Namespace, out) -> int:
     for link in topo.links:
         links_by_class[link.link_class] = links_by_class.get(link.link_class, 0) + 1
 
-    spec = partition_topology(topo, args.shards, args.strategy)
+    # One shard per DC is the only cut; a single-DC fabric has none.
+    num_dcs = len(set(topo.dc_of_host.values()))
+    partition = partition_topology(topo, num_dcs).stats(topo) if num_dcs > 1 else None
     info = {
         "figure": args.figure,
         "scale": args.scale,
@@ -765,7 +756,8 @@ def cmd_topology(args: argparse.Namespace, out) -> int:
         "oversubscription": config.clos.oversubscription(),
         "link_rate_gbps": config.clos.link_rate_bps / 1e9,
         "link_delay_ns": config.clos.link_delay_ns,
-        "partition": spec.stats(topo),
+        "dcs": num_dcs,
+        "partition": partition,
     }
     if args.json:
         json.dump(info, out, indent=2)
@@ -783,9 +775,11 @@ def cmd_topology(args: argparse.Namespace, out) -> int:
         f"{info['link_delay_ns']} ns",
         file=out,
     )
-    part = info["partition"]
-    print(f"\nPartition into {args.shards} shard(s):", file=out)
-    _print_partition(part, out)
+    if partition is None:
+        print("\nPartition: single DC: no cut", file=out)
+    else:
+        print(f"\nPartition into {num_dcs} shard(s), one per DC:", file=out)
+        _print_partition(partition, out)
     return 0
 
 

@@ -122,7 +122,10 @@ class TrafficSpec:
                 )
             )
         if self.explicit_flows is not None:
-            trace = trace.merge(self.explicit_flows)
+            # Fresh copies: a run writes its progress (finish time,
+            # retransmissions) into its flows, and a config's flows are
+            # shared by every run of it and by a figure's schemes.
+            trace = trace.merge(FlowTrace(f.fresh() for f in self.explicit_flows))
         return trace
 
     def build_graph(self, host_ids: Sequence[int]) -> Optional[FlowGraph]:
@@ -176,9 +179,9 @@ class ExperimentConfig:
       result holds fixed-size aggregates plus a ``results_ref`` pointing at
       the artifacts.  The sink is a pure observer — it never changes what
       is simulated.
-    * **Execution** — ``shards``/``shard_strategy``: ``shards > 1`` runs
-      this one experiment space-parallel across OS processes with records
-      identical to the single-process run.  In a campaign, prefer
+    * **Execution** — ``shards``: ``shards > 1`` runs this one cross-DC
+      experiment space-parallel, one OS process per data center, with
+      records identical to the single-process run.  In a campaign, prefer
       ``Campaign.run(cores=...)`` so sharded trials are scheduled onto the
       machine instead of oversubscribing it (``docs/campaigns.md``).
     """
@@ -204,11 +207,11 @@ class ExperimentConfig:
     #: RAM (``None`` = in-memory harvest, byte-identical to the pre-spill
     #: pipeline).  See ``docs/results.md``.
     results_dir: Optional[str] = None
-    #: Space-parallel sharding: >1 runs this one experiment across several
-    #: OS processes via :mod:`repro.shard` (one topology, conservatively
-    #: synchronized time windows).  1 is the ordinary single-process run.
+    #: Space-parallel sharding: 1 is the ordinary single-process run; the
+    #: topology's DC count runs one OS process per data center via
+    #: :mod:`repro.shard` (cut at the inter-DC links, conservatively
+    #: synchronized time windows).  Any other value is a PartitionError.
     shards: int = 1
-    shard_strategy: str = "auto"
 
     def total_duration_ns(self) -> int:
         drain = self.drain_ns if self.drain_ns > 0 else self.duration_ns // 2
@@ -598,8 +601,8 @@ def run_experiment(
     """Run one experiment end to end and return its measurements.
 
     With ``config.shards > 1`` the run is delegated to the sharded runtime,
-    which executes the same topology across several OS processes and merges
-    the shard measurements back into one :class:`ExperimentResult`.
+    which executes the same topology as one OS process per data center and
+    merges the shard measurements back into one :class:`ExperimentResult`.
 
     ``slot_budget`` is the CPU-slot reservation handed down by the campaign
     scheduling layer (:mod:`repro.campaign.scheduling`): the number of

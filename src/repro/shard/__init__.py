@@ -1,7 +1,8 @@
 """Space-parallel sharded simulation with conservative time windows.
 
-One large topology is cut into shards (:mod:`repro.shard.partition`), every
-cut link becomes a latency-preserving cross-process boundary channel
+One multi-DC topology is cut into one shard per data center
+(:mod:`repro.shard.partition`), every cut inter-DC link becomes a
+latency-preserving cross-process boundary channel
 (:mod:`repro.shard.boundary`), and a coordinator advances all shard
 simulators in conservative epochs bounded by the smallest cut-link delay
 (:mod:`repro.shard.coordinator`).
@@ -13,20 +14,13 @@ coordinator transparently — and the pieces below for direct use.
 
 from .boundary import BoundaryChannel, packet_from_wire, packet_to_wire
 from .coordinator import ShardCoordinator, ShardError, run_sharded_experiment
-from .partition import (
-    STRATEGIES,
-    CutLink,
-    PartitionError,
-    PartitionSpec,
-    partition_topology,
-)
+from .partition import CutLink, PartitionError, PartitionSpec, partition_topology
 
 __all__ = [
     "BoundaryChannel",
     "CutLink",
     "PartitionError",
     "PartitionSpec",
-    "STRATEGIES",
     "ShardCoordinator",
     "ShardError",
     "partition_topology",

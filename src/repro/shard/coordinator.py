@@ -27,12 +27,13 @@ Determinism
 The merged :class:`~repro.experiments.runner.ExperimentResult` reconstructs
 flow records, counters, samplers and pause/utilization tables in the same
 iteration order as the single-process harvest, so the canonical record
-reduction of a sharded run is directly comparable (and, on the golden-style
-scenario, byte-identical — see ``tests/test_shard_determinism.py``).
+reduction of a sharded run is directly comparable (and byte-identical — see
+``tests/test_shard_determinism.py``).
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
@@ -59,11 +60,15 @@ def _worker_timeout_s() -> float:
     if not value:
         return _WORKER_TIMEOUT_S
     try:
-        return float(value)
+        timeout = float(value)
     except ValueError:
+        timeout = math.nan
+    if not timeout >= 0:  # also refuses NaN, which compares false to anything
         raise ShardError(
-            f"REPRO_SHARD_TIMEOUT_S must be a number of seconds, got {value!r}"
-        ) from None
+            "REPRO_SHARD_TIMEOUT_S must be a non-negative number of seconds "
+            f"(0 disables the timeout), got {value!r}"
+        )
+    return timeout
 
 
 class ShardError(RuntimeError):
@@ -115,7 +120,7 @@ class _ShardSampler:
                 self.occupied_ticks[switch.name].append(occupied)
 
 
-def _shard_worker(conn, config, shard_id: int, num_shards: int, strategy: str) -> None:
+def _shard_worker(conn, config, shard_id: int, num_shards: int) -> None:
     """Entry point of one shard process."""
     try:
         from repro.experiments.runner import build_simulation
@@ -123,7 +128,7 @@ def _shard_worker(conn, config, shard_id: int, num_shards: int, strategy: str) -
         sim, env, topo, trace = build_simulation(config)
         # The partition is a pure function of the deterministically built
         # topology, so the worker and the coordinator agree on it.
-        spec = partition_topology(topo, num_shards, strategy)
+        spec = partition_topology(topo, num_shards)
         shard_of = spec.shard_of
 
         # Start flows whose sender is local; register every other flow so
@@ -279,12 +284,11 @@ class ShardCoordinator:
         self,
         config,
         spec: PartitionSpec,
-        shard_ids: List[int],
         slot_budget: Optional[int] = None,
     ) -> None:
         self.config = config
         self.spec = spec
-        self.shard_ids = shard_ids
+        self.shard_ids = list(range(spec.num_shards))
         #: CPU slots the campaign scheduling layer reserved for this run
         #: (None when launched outside a planned campaign).  The handshake is
         #: advisory: every shard process must advance for the conservative
@@ -292,6 +296,8 @@ class ShardCoordinator:
         #: workers than shards — but it can *report* that it was given less
         #: than it needs, and the planner's tests hold it to that report.
         self.slot_budget = slot_budget
+        #: Read once, so a bad REPRO_SHARD_TIMEOUT_S fails before any spawn.
+        self.timeout_s = _worker_timeout_s()
         self.barriers = 0
         self.boundary_packets = 0
         self._procs: Dict[int, multiprocessing.Process] = {}
@@ -308,13 +314,7 @@ class ShardCoordinator:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_shard_worker,
-                args=(
-                    child_conn,
-                    self.config,
-                    shard_id,
-                    self.spec.num_shards,
-                    self.spec.strategy,
-                ),
+                args=(child_conn, self.config, shard_id, self.spec.num_shards),
                 daemon=False,
                 name=f"repro-shard-{shard_id}",
             )
@@ -326,7 +326,7 @@ class ShardCoordinator:
     def _recv(self, shard_id: int):
         conn = self._conns[shard_id]
         proc = self._procs[shard_id]
-        timeout = _worker_timeout_s()
+        timeout = self.timeout_s
         deadline = time.monotonic() + timeout if timeout > 0 else None
         while not conn.poll(1.0):
             if not proc.is_alive():
@@ -614,9 +614,9 @@ def run_sharded_experiment(
 ) -> "object":
     """Run ``config`` across ``config.shards`` processes and merge the result.
 
-    Falls back to the ordinary single-process runner when the partition
-    degenerates (one populated shard or no cut links), so ``shards=N`` is
-    always safe to request.
+    ``config.shards`` must be 1 or the topology's data-center count (one
+    shard per DC, cut at the inter-DC links); any other value raises
+    :class:`~repro.shard.partition.PartitionError` before a worker starts.
 
     ``slot_budget`` is the campaign scheduler's CPU-slot reservation for this
     run (see :func:`repro.experiments.runner.run_experiment`); it is recorded
@@ -644,20 +644,8 @@ def run_sharded_experiment(
 
     started = time.monotonic()
     sim, env, topo, trace = build_simulation(config)
-    spec = partition_topology(topo, config.shards, config.shard_strategy)
-    shard_ids = spec.nonempty_shards()
-    if len(shard_ids) < 2 or not spec.cuts:
-        result = run_experiment(replace(config, shards=1), sink=sink)
-        result.shard_stats = spec.stats(topo)
-        result.shard_stats["degenerate"] = True
-        if slot_budget is not None:
-            result.shard_stats["slot_budget"] = slot_budget
-            # A degenerate partition runs single-process: one slot, which
-            # any validated budget (>= 1) covers.
-            result.shard_stats["oversubscribed"] = False
-        return result
-
-    coordinator = ShardCoordinator(config, spec, shard_ids, slot_budget=slot_budget)
+    spec = partition_topology(topo, config.shards)
+    coordinator = ShardCoordinator(config, spec, slot_budget=slot_budget)
     payloads = coordinator.run()
     return _merge_results(
         config, topo, trace, spec, payloads, started, coordinator, sink=sink

@@ -15,25 +15,10 @@ per-hop local, which is what makes a spatial cut of the fabric semantically
 clean: no component ever reads another node's state directly — everything
 crosses a link as a packet.
 
-Strategies
-----------
-
-``"pod"``
-    One *pod* (a ToR switch plus all of its hosts) never splits.  Pods are
-    grouped contiguously into shards; spine switches are spread round-robin.
-    In a multi-DC topology the shards are first divided between the DCs so
-    that the DC boundary is always a cut.
-``"dc"``
-    One shard per data center (gateways stay with their DC); the only cut is
-    the long-delay inter-DC link, giving the largest possible window.
-``"greedy"``
-    Generic fallback for irregular topologies: pods are packed onto shards
-    largest-first onto the least-loaded shard (a min-cut-flavoured balance
-    heuristic that still keeps every host with its ToR); all remaining
-    switches are spread round-robin by sorted name.
-``"auto"``
-    ``"dc"`` when the topology spans multiple DCs and ``num_shards`` divides
-    evenly into them, else ``"pod"``.
+There is one cut: shard *i* is data center *i* (gateways stay with their
+DC), so the only cut links are the long-delay inter-DC links, which give the
+largest possible window.  ``num_shards`` must therefore be 1 (no cut) or the
+topology's DC count; any other value is a :class:`PartitionError`.
 """
 
 from __future__ import annotations
@@ -42,8 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.topology.topology import Topology
-
-STRATEGIES = ("auto", "pod", "dc", "greedy")
 
 
 class PartitionError(ValueError):
@@ -81,7 +64,6 @@ class PartitionSpec:
     """
 
     num_shards: int
-    strategy: str
     shard_of: Dict[str, int]  # node name -> shard index
     cuts: List[CutLink] = field(default_factory=list)
 
@@ -91,12 +73,6 @@ class PartitionSpec:
         if not self.cuts:
             return None
         return min(cut.delay_ns for cut in self.cuts)
-
-    def shard_of_host(self, topo: Topology, host_id: int) -> int:
-        return self.shard_of[topo.hosts[host_id].name]
-
-    def nonempty_shards(self) -> List[int]:
-        return sorted(set(self.shard_of.values()))
 
     def stats(self, topo: Topology) -> Dict[str, object]:
         """Shard sizes and cut-link statistics (for the CLI and benchmarks)."""
@@ -110,7 +86,6 @@ class PartitionSpec:
             cuts_by_class[cut.link_class] = cuts_by_class.get(cut.link_class, 0) + 1
         return {
             "num_shards": self.num_shards,
-            "strategy": self.strategy,
             "shards": {str(s): per_shard[s] for s in sorted(per_shard)},
             "cut_links": len(self.cuts),
             "cut_links_by_class": dict(sorted(cuts_by_class.items())),
@@ -161,157 +136,34 @@ def _dc_of_switches(topo: Topology) -> Dict[str, int]:
     return dc_of
 
 
-def _pods(topo: Topology) -> Dict[str, List[str]]:
-    """ToR name -> [host names], in sorted host-id order."""
-    pods: Dict[str, List[str]] = {}
-    for host_id in topo.host_ids():
-        pods.setdefault(topo.tor_of_host[host_id], []).append(
-            topo.hosts[host_id].name
-        )
-    return pods
-
-
-def _contiguous_groups(n_items: int, n_groups: int) -> List[int]:
-    """Group index of each item when splitting items into contiguous runs."""
-    return [item * n_groups // n_items for item in range(n_items)]
-
-
-# ---------------------------------------------------------------------------
-# Strategies
-# ---------------------------------------------------------------------------
-
-
-def _assign_pod(
-    topo: Topology, num_shards: int, dc_of: Dict[str, int]
-) -> Dict[str, int]:
-    """Pods contiguous, spines round-robin; DCs get disjoint shard blocks."""
-    pods = _pods(topo)
-    dcs = sorted(set(dc_of.values()))
-    if len(dcs) > num_shards:
-        # Fewer shards than DCs: group whole DCs contiguously.
-        return _assign_dc(topo, num_shards, dc_of)
-
-    # Allocate each DC a contiguous block of shards, proportional to its pod
-    # count (every DC gets at least one shard, remainders go to earlier DCs).
-    pod_names = sorted(pods)
-    pods_per_dc = {dc: [p for p in pod_names if dc_of[p] == dc] for dc in dcs}
-    total_pods = len(pod_names)
-    blocks: Dict[int, List[int]] = {}
-    start = 0
-    remaining = num_shards
-    for i, dc in enumerate(dcs):
-        left = len(dcs) - i - 1
-        share = max(1, round(num_shards * len(pods_per_dc[dc]) / max(1, total_pods)))
-        share = min(share, remaining - left)  # leave >= 1 shard per later DC
-        blocks[dc] = list(range(start, start + share))
-        start += share
-        remaining -= share
-    # Give any unallocated trailing shards to the last DC's block.
-    if start < num_shards:
-        blocks[dcs[-1]].extend(range(start, num_shards))
-
-    shard_of: Dict[str, int] = {}
-    for dc in dcs:
-        block = blocks[dc]
-        dc_pods = pods_per_dc[dc]
-        n_pod_shards = min(len(block), len(dc_pods))
-        groups = _contiguous_groups(len(dc_pods), n_pod_shards)
-        for index, tor_name in enumerate(dc_pods):
-            shard = block[groups[index]]
-            shard_of[tor_name] = shard
-            for host_name in pods[tor_name]:
-                shard_of[host_name] = shard
-        # Non-ToR switches of this DC: if the block has a shard beyond the
-        # pod shards, they ALL go to the first such slot — one spines-only
-        # shard per DC.  Keeping the spine tier together means any two
-        # packets contesting the same downstream queue cross the same shard
-        # transitions, so the per-shard capture order carries the
-        # single-process tie-break end to end (see the determinism notes in
-        # :mod:`repro.shard.coordinator`).  With no spare slot, spread them
-        # round-robin over the DC's pod shards.
-        others = sorted(
-            name
-            for name, switch in topo.switches.items()
-            if dc_of[name] == dc and name not in shard_of
-        )
-        spine_slots = block[n_pod_shards:n_pod_shards + 1] or block
-        for index, name in enumerate(others):
-            shard_of[name] = spine_slots[index % len(spine_slots)]
-    return shard_of
-
-
-def _assign_dc(
-    topo: Topology, num_shards: int, dc_of: Dict[str, int]
-) -> Dict[str, int]:
-    dcs = sorted(set(dc_of.values()))
-    if len(dcs) < 2:
-        raise PartitionError(
-            "the 'dc' strategy needs a multi-DC topology; use 'pod' instead"
-        )
-    groups = _contiguous_groups(len(dcs), min(num_shards, len(dcs)))
-    shard_of_dc = {dc: groups[i] for i, dc in enumerate(dcs)}
-    shard_of: Dict[str, int] = {}
-    for host_id, host in topo.hosts.items():
-        shard_of[host.name] = shard_of_dc[topo.dc_of_host.get(host_id, 0)]
-    for name in topo.switches:
-        shard_of[name] = shard_of_dc[dc_of[name]]
-    return shard_of
-
-
-def _assign_greedy(topo: Topology, num_shards: int) -> Dict[str, int]:
-    """Balanced pod packing: largest pod first onto the least-loaded shard."""
-    pods = _pods(topo)
-    loads = [0] * num_shards
-    shard_of: Dict[str, int] = {}
-    order = sorted(pods, key=lambda tor: (-len(pods[tor]), tor))
-    for tor_name in order:
-        shard = min(range(num_shards), key=lambda s: (loads[s], s))
-        loads[shard] += len(pods[tor_name]) + 1
-        shard_of[tor_name] = shard
-        for host_name in pods[tor_name]:
-            shard_of[host_name] = shard
-    others = sorted(name for name in topo.switches if name not in shard_of)
-    for index, name in enumerate(others):
-        shard_of[name] = index % num_shards
-    return shard_of
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
 
-def partition_topology(
-    topo: Topology, num_shards: int, strategy: str = "auto"
-) -> PartitionSpec:
-    """Partition a built topology into ``num_shards`` shards.
+def partition_topology(topo: Topology, num_shards: int) -> PartitionSpec:
+    """Partition a built topology into one shard per data center.
 
-    The assignment is a pure function of the topology and the arguments, so
-    every worker process computes an identical partition independently.
+    ``num_shards`` is 1 (everything on shard 0, no cut) or the topology's
+    DC count (shard *i* is DC *i*).  The assignment is a pure function of
+    the topology, so every worker process computes an identical partition
+    independently.
     """
-    if num_shards < 1:
-        raise PartitionError(f"num_shards must be >= 1, got {num_shards}")
-    if strategy not in STRATEGIES:
-        raise PartitionError(
-            f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}"
-        )
     dc_of = _dc_of_switches(topo)
-    num_dcs = len(set(dc_of.values()))
-
-    if num_shards == 1:
-        shard_of = {host.name: 0 for host in topo.hosts.values()}
-        shard_of.update({name: 0 for name in topo.switches})
-        return PartitionSpec(1, strategy, shard_of, [])
-
-    resolved = strategy
-    if strategy == "auto":
-        resolved = "dc" if num_dcs > 1 and num_shards <= num_dcs else "pod"
-    if resolved == "dc":
-        shard_of = _assign_dc(topo, num_shards, dc_of)
-    elif resolved == "pod":
-        shard_of = _assign_pod(topo, num_shards, dc_of)
-    else:
-        shard_of = _assign_greedy(topo, num_shards)
+    dcs = sorted(set(dc_of.values()))
+    if num_shards not in (1, len(dcs)):
+        allowed = "1" if len(dcs) == 1 else f"1 or {len(dcs)}"
+        raise PartitionError(
+            f"cannot cut a {len(dcs)}-DC topology into {num_shards} shards: "
+            "sharding cuts only the inter-DC links (one shard per DC), so "
+            f"shards must be {allowed}"
+        )
+    shard_of_dc = {dc: index if num_shards > 1 else 0 for index, dc in enumerate(dcs)}
+    shard_of: Dict[str, int] = {}
+    for host_id, host in topo.hosts.items():
+        shard_of[host.name] = shard_of_dc[topo.dc_of_host.get(host_id, 0)]
+    for name in topo.switches:
+        shard_of[name] = shard_of_dc[dc_of[name]]
 
     cuts: List[CutLink] = []
     for link in topo.links:
@@ -330,7 +182,7 @@ def partition_topology(
                 )
             )
 
-    spec = PartitionSpec(num_shards, resolved, shard_of, cuts)
+    spec = PartitionSpec(num_shards, shard_of, cuts)
     _validate(topo, spec)
     return spec
 

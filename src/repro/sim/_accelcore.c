@@ -7,10 +7,9 @@
  * The run loop lives in C as well: it pops entries, maintains the
  * simulator's clock/ancestry registers through direct instance-dict stores,
  * and only enters the interpreter to execute the callbacks themselves.
- * post() -- the fire-and-forget scheduling call made about once per event --
- * is C too: it reads the registers and the sequence counter from the bound
- * simulator's instance dict and writes the counter back, so Python and C
- * never hold two copies of engine state.
+ * Every scheduling call (schedule, schedule_at, post, schedule_boundary)
+ * stays in Python and files its entry through insert(); the sequence
+ * counter lives only in the simulator.
  *
  * Built on demand by repro.sim.accel_build (no toolchain -> the pure
  * backend is used); see docs/architecture.md, "Engine backends".
@@ -19,8 +18,6 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h> /* T_LONGLONG / READONLY on Python <= 3.11 */
-#include <limits.h>
-#include <string.h>
 
 #if PY_VERSION_HEX < 0x030A0000
 /* Py_NewRef and PyModule_AddObjectRef are new in Python 3.10. */
@@ -62,18 +59,11 @@ typedef struct {
      * when a callback raised: the Python wrapper reads this in its finally
      * block to keep events_processed exact across exceptions. */
     long long last_processed;
-    /* Set by bind(): the simulator's instance dict -- run() stores the clock
-     * and ancestry registers into it, post() reads them and the sequence
-     * counter from it -- and the exception post() raises for a negative
-     * delay. */
-    PyObject *sim_dict;
-    PyObject *error_type;
 } EventHeapObject;
 
 /* Interned attribute names for the per-event register stores. */
 static PyObject *str_now, *str_cur_origin, *str_cur_parent, *str_cur_parent2;
-static PyObject *str_seq, *str_dict;
-static PyObject *long_zero;
+static PyObject *str_dict;
 
 static inline int
 entry_lt(const entry_t *a, const entry_t *b)
@@ -144,24 +134,10 @@ heap_grow(EventHeapObject *self)
     return 0;
 }
 
-/* File one entry (new references to callback and args are taken).  The
- * caller has made room: size < capacity. */
-static void
-heap_push(EventHeapObject *self, const long long *k, PyObject *callback,
-          PyObject *args)
-{
-    entry_t *e = &self->heap[self->size];
-    memcpy(e->k, k, sizeof(e->k));
-    e->callback = Py_NewRef(callback);
-    e->args = Py_NewRef(args);
-    self->size += 1;
-    sift_up(self->heap, self->size - 1);
-}
-
 static PyObject *
 EventHeap_insert(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    long long k[NKEYS];
+    entry_t e;
     int i;
     if (nargs != NKEYS + 2) {
         PyErr_SetString(PyExc_TypeError,
@@ -170,8 +146,8 @@ EventHeap_insert(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     for (i = 0; i < NKEYS; i++) {
-        k[i] = PyLong_AsLongLong(args[i]);
-        if (k[i] == -1 && PyErr_Occurred())
+        e.k[i] = PyLong_AsLongLong(args[i]);
+        if (e.k[i] == -1 && PyErr_Occurred())
             return NULL;
     }
     if (!PyTuple_Check(args[NKEYS + 1])) {
@@ -180,130 +156,11 @@ EventHeap_insert(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     if (self->size >= self->capacity && heap_grow(self) < 0)
         return NULL;
-    heap_push(self, k, args[NKEYS], args[NKEYS + 1]);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-EventHeap_bind(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *dict, *old_dict, *old_error;
-    if (nargs != 2 || !PyExceptionClass_Check(args[1])) {
-        PyErr_SetString(PyExc_TypeError,
-                        "bind expects (sim, exception_class)");
-        return NULL;
-    }
-    dict = PyObject_GetAttr(args[0], str_dict);
-    if (dict == NULL)
-        return NULL;
-    if (!PyDict_Check(dict)) {
-        Py_DECREF(dict);
-        PyErr_SetString(PyExc_TypeError, "the simulator's __dict__ is not a dict");
-        return NULL;
-    }
-    old_dict = self->sim_dict;
-    old_error = self->error_type;
-    self->sim_dict = dict;
-    self->error_type = Py_NewRef(args[1]);
-    Py_XDECREF(old_dict);
-    Py_XDECREF(old_error);
-    Py_RETURN_NONE;
-}
-
-/* One integer register of the bound simulator, read from its instance dict. */
-static int
-read_register(PyObject *dict, PyObject *name, long long *out)
-{
-    PyObject *val = PyDict_GetItemWithError(dict, name);
-    if (val == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetObject(PyExc_AttributeError, name);
-        return -1;
-    }
-    *out = PyLong_AsLongLong(val);
-    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
-}
-
-/* post(delay, callback, *args): Simulator.post, the fire-and-forget
- * schedule.  The entry inherits (now, _cur_origin, _cur_parent,
- * _cur_parent2) as its (origin, parent, parent2, parent3) and takes _seq,
- * which is advanced in the instance dict. */
-static PyObject *
-EventHeap_post(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *delay, *cb_args, *next_seq;
-    long long delay_ns = 0, k[NKEYS];
-    Py_ssize_t i;
-    int rc;
-
-    if (nargs < 2) {
-        PyErr_SetString(PyExc_TypeError, "post expects (delay, callback, *args)");
-        return NULL;
-    }
-    if (self->sim_dict == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "post on an unbound EventHeap");
-        return NULL;
-    }
-    delay = args[0];
-    if (PyLong_Check(delay)) {
-        delay_ns = PyLong_AsLongLong(delay);
-        if (delay_ns == -1 && PyErr_Occurred())
-            return NULL;
-        rc = delay_ns < 0;
-    }
-    else {
-        /* `delay < 0`, then int(delay): truncation, as the pure engine does. */
-        PyObject *as_int;
-        rc = PyObject_RichCompareBool(delay, long_zero, Py_LT);
-        if (rc < 0)
-            return NULL;
-        if (!rc) {
-            as_int = PyNumber_Long(delay);
-            if (as_int == NULL)
-                return NULL;
-            delay_ns = PyLong_AsLongLong(as_int);
-            Py_DECREF(as_int);
-            if (delay_ns == -1 && PyErr_Occurred())
-                return NULL;
-        }
-    }
-    if (rc) {
-        PyErr_Format(self->error_type,
-                     "cannot schedule into the past (delay=%S)", delay);
-        return NULL;
-    }
-    if (read_register(self->sim_dict, str_now, &k[1]) < 0 ||
-        read_register(self->sim_dict, str_cur_origin, &k[2]) < 0 ||
-        read_register(self->sim_dict, str_cur_parent, &k[3]) < 0 ||
-        read_register(self->sim_dict, str_cur_parent2, &k[4]) < 0 ||
-        read_register(self->sim_dict, str_seq, &k[5]) < 0)
-        return NULL;
-    /* insert() raises OverflowError for a firing time past 2**63 - 1. */
-    if (k[1] > 0 && delay_ns > LLONG_MAX - k[1]) {
-        PyErr_SetString(PyExc_OverflowError,
-                        "firing time does not fit in a C long long");
-        return NULL;
-    }
-    k[0] = k[1] + delay_ns;
-    if (self->size >= self->capacity && heap_grow(self) < 0)
-        return NULL;
-    cb_args = PyTuple_New(nargs - 2);
-    if (cb_args == NULL)
-        return NULL;
-    for (i = 2; i < nargs; i++)
-        PyTuple_SET_ITEM(cb_args, i - 2, Py_NewRef(args[i]));
-    next_seq = PyLong_FromLongLong(k[5] + 1);
-    if (next_seq == NULL) {
-        Py_DECREF(cb_args);
-        return NULL;
-    }
-    rc = PyDict_SetItem(self->sim_dict, str_seq, next_seq);
-    Py_DECREF(next_seq);
-    if (rc == 0)
-        heap_push(self, k, args[1], cb_args);
-    Py_DECREF(cb_args);
-    if (rc < 0)
-        return NULL;
+    e.callback = Py_NewRef(args[NKEYS]);
+    e.args = Py_NewRef(args[NKEYS + 1]);
+    self->heap[self->size] = e;
+    self->size += 1;
+    sift_up(self->heap, self->size - 1);
     Py_RETURN_NONE;
 }
 
@@ -387,36 +244,39 @@ EventHeap_compact(EventHeapObject *self, PyObject *cancelled)
 
 /* The engine run loop: fire events until the queue drains, the next event
  * lies beyond stop_after (it stays queued), or max_events have fired.  The
- * clock and ancestry registers are stored into the bound simulator's
- * instance dict before each callback. */
+ * clock and ancestry registers are stored into the simulator's instance
+ * dict (looked up once per call) before each callback. */
 static PyObject *
 EventHeap_run(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *cancelled, *dict;
     long long stop_after, cap, processed = 0;
 
-    if (nargs != 3) {
+    self->last_processed = 0;
+    if (nargs != 4) {
         PyErr_SetString(PyExc_TypeError,
-                        "run expects (cancelled_set, stop_after, max_events)");
+                        "run expects (sim, cancelled_set, stop_after, max_events)");
         return NULL;
     }
-    if (self->sim_dict == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "run on an unbound EventHeap");
-        return NULL;
-    }
-    cancelled = args[0];
-    stop_after = PyLong_AsLongLong(args[1]);
+    cancelled = args[1];
+    stop_after = PyLong_AsLongLong(args[2]);
     if (stop_after == -1 && PyErr_Occurred())
         return NULL;
-    cap = PyLong_AsLongLong(args[2]);
+    cap = PyLong_AsLongLong(args[3]);
     if (cap == -1 && PyErr_Occurred())
         return NULL;
     if (!PySet_Check(cancelled)) {
         PyErr_SetString(PyExc_TypeError, "cancelled must be a set");
         return NULL;
     }
-    self->last_processed = 0;
-    dict = Py_NewRef(self->sim_dict);
+    dict = PyObject_GetAttr(args[0], str_dict);
+    if (dict == NULL)
+        return NULL;
+    if (!PyDict_Check(dict)) {
+        Py_DECREF(dict);
+        PyErr_SetString(PyExc_TypeError, "the simulator's __dict__ is not a dict");
+        return NULL;
+    }
 
     while (processed < cap && self->size > 0) {
         entry_t e;
@@ -503,8 +363,6 @@ EventHeap_traverse(EventHeapObject *self, visitproc visit, void *arg)
         Py_VISIT(self->heap[i].callback);
         Py_VISIT(self->heap[i].args);
     }
-    Py_VISIT(self->sim_dict);
-    Py_VISIT(self->error_type);
     return 0;
 }
 
@@ -517,8 +375,6 @@ EventHeap_clear(EventHeapObject *self)
         Py_CLEAR(self->heap[i].callback);
         Py_CLEAR(self->heap[i].args);
     }
-    Py_CLEAR(self->sim_dict);
-    Py_CLEAR(self->error_type);
     return 0;
 }
 
@@ -541,18 +397,12 @@ EventHeap_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->size = 0;
     self->capacity = 0;
     self->last_processed = 0;
-    self->sim_dict = NULL;
-    self->error_type = NULL;
     return (PyObject *)self;
 }
 
 static PyMethodDef EventHeap_methods[] = {
     {"insert", (PyCFunction)(void (*)(void))EventHeap_insert, METH_FASTCALL,
      "insert(time, origin, parent, parent2, parent3, seq, callback, args)"},
-    {"bind", (PyCFunction)(void (*)(void))EventHeap_bind, METH_FASTCALL,
-     "bind(sim, exception_class): the simulator run() and post() serve"},
-    {"post", (PyCFunction)(void (*)(void))EventHeap_post, METH_FASTCALL,
-     "post(delay, callback, *args): Simulator.post on the bound simulator"},
     {"peek_time", (PyCFunction)EventHeap_peek_time, METH_NOARGS,
      "Earliest pending entry's firing time, or None when empty."},
     {"pop", (PyCFunction)EventHeap_pop, METH_NOARGS,
@@ -560,7 +410,7 @@ static PyMethodDef EventHeap_methods[] = {
     {"compact", (PyCFunction)EventHeap_compact, METH_O,
      "Drop every entry whose seq is in the given set."},
     {"run", (PyCFunction)(void (*)(void))EventHeap_run, METH_FASTCALL,
-     "run(cancelled_set, stop_after, max_events) -> events fired"},
+     "run(sim, cancelled_set, stop_after, max_events) -> events fired"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -604,11 +454,9 @@ PyInit__accelcore(void)
     str_cur_origin = PyUnicode_InternFromString("_cur_origin");
     str_cur_parent = PyUnicode_InternFromString("_cur_parent");
     str_cur_parent2 = PyUnicode_InternFromString("_cur_parent2");
-    str_seq = PyUnicode_InternFromString("_seq");
     str_dict = PyUnicode_InternFromString("__dict__");
-    long_zero = PyLong_FromLong(0);
     if (!str_now || !str_cur_origin || !str_cur_parent || !str_cur_parent2 ||
-        !str_seq || !str_dict || !long_zero)
+        !str_dict)
         return NULL;
     if (PyType_Ready(&EventHeapType) < 0)
         return NULL;

@@ -1,22 +1,21 @@
-"""Accelerated engine backend: C event heap, C run loop, C ``post``.
+"""Accelerated engine backend: C event heap and C run loop.
 
 :class:`AccelSimulator` is a drop-in :class:`~repro.sim.engine.Simulator`
-whose event storage, dispatch loop and fire-and-forget :meth:`post` live in
-the ``_accelcore`` C extension (see ``_accelcore.c``).  The public contract
-is identical — same scheduling API, same :class:`~repro.sim.engine.Event`
-handles, same ``(time, origin, parent, parent2, parent3, seq)`` total
-order — so a run under either backend produces byte-identical results; the
-golden-records parity tests in ``tests/test_engine_accel.py`` pin this for
-every supported scheme.
+whose event storage and dispatch loop live in the ``_accelcore`` C
+extension (see ``_accelcore.c``).  The public contract is identical — same
+scheduling API, same :class:`~repro.sim.engine.Event` handles, same
+``(time, origin, parent, parent2, parent3, seq)`` total order — so a run
+under either backend produces byte-identical results; the golden-records
+parity tests in ``tests/test_engine_accel.py`` pin this for every supported
+scheme.
 
 Where the pure engine keeps a calendar queue (O(1) inserts at high density,
 but every event pays interpreter-loop overhead), the accel backend keeps a
 plain binary heap in C: the log-factor is dwarfed by executing the pop,
-clock/ancestry updates, cancellation checks and the per-event ``post``
-outside the interpreter.  The clock, the ancestry registers and ``_seq``
-stay plain instance attributes: the C core reads and writes them in the
-instance dict, so ``schedule``, ``schedule_at`` and ``schedule_boundary``
-(Python) and ``post`` (C) share one copy of the engine state.
+clock/ancestry updates and cancellation checks outside the interpreter.
+The scheduling calls stay Python and file their entries through the heap's
+``insert``; the clock, the ancestry registers and ``_seq`` stay plain
+instance attributes, which the C run loop writes in the instance dict.
 
 This is the default backend wherever the extension builds (see
 ``engine.py``'s backend selector); ``REPRO_ENGINE=pure`` forces the pure
@@ -52,9 +51,6 @@ class AccelSimulator(Simulator):
             )
         super().__init__(seed)
         self._heap = _accelcore.EventHeap()
-        self._heap.bind(self, SimulationError)
-        #: Simulator.post, in C (an instance attribute shadows the method).
-        self.post = self._heap.post
 
     # -- scheduling (heap-backed) -----------------------------------------
 
@@ -65,11 +61,11 @@ class AccelSimulator(Simulator):
             raise SimulationError(f"cannot schedule into the past (delay={delay_ns})")
         time_ns = self.now + int(delay_ns)
         seq = self._seq
-        self._seq = seq + 1
         self._heap.insert(
             time_ns, self.now, self._cur_origin, self._cur_parent,
             self._cur_parent2, seq, callback, args,
         )
+        self._seq = seq + 1
         return Event(time_ns, seq, self)
 
     def schedule_at(
@@ -81,12 +77,25 @@ class AccelSimulator(Simulator):
             )
         time_ns = int(time_ns)
         seq = self._seq
-        self._seq = seq + 1
         self._heap.insert(
             time_ns, self.now, self._cur_origin, self._cur_parent,
             self._cur_parent2, seq, callback, args,
         )
+        self._seq = seq + 1
         return Event(time_ns, seq, self)
+
+    def post(self, delay_ns: int, callback: Callable[..., None], *args: Any) -> None:
+        if delay_ns < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay_ns})")
+        seq = self._seq
+        now = self.now
+        # The heap refuses a firing time past 2**63 - 1 (OverflowError), and
+        # a refused post consumes no sequence number.
+        self._heap.insert(
+            now + int(delay_ns), now, self._cur_origin, self._cur_parent,
+            self._cur_parent2, seq, callback, args,
+        )
+        self._seq = seq + 1
 
     def _insert(self, entry: tuple) -> None:
         # schedule_boundary (and the pure run loop's put-back, unused here)
@@ -137,7 +146,7 @@ class AccelSimulator(Simulator):
         cap = _NEVER if max_events is None else max_events
         heap = self._heap
         try:
-            processed = heap.run(self._cancelled, stop_after, cap)
+            processed = heap.run(self, self._cancelled, stop_after, cap)
         finally:
             self._running = False
             # last_processed is exact even when a callback raised mid-loop.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .packet import FlowKey
@@ -69,6 +69,13 @@ class Flow:
     finish_ns: Optional[int] = None
     bytes_delivered: int = 0
     retransmitted_packets: int = 0
+
+    def fresh(self) -> "Flow":
+        """A copy of this flow's definition with none of a run's progress."""
+        return replace(
+            self, num_packets=0, first_tx_ns=None, finish_ns=None,
+            bytes_delivered=0, retransmitted_packets=0,
+        )
 
     def key(self) -> FlowKey:
         """The 5-tuple for this flow (protocol fixed to UDP-like 17)."""

@@ -15,6 +15,7 @@ The load-bearing properties:
 
 import json
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
@@ -31,19 +32,26 @@ from repro.campaign import (
 )
 import repro.campaign.scheduling as scheduling
 from repro.campaign.scheduling import detect_cores, estimate_cost
+from repro.experiments.scenarios import fig9_configs
 
 #: Short-but-real simulated duration: a tiny-scale trial at 150 us runs in a
 #: fraction of a second while still exercising the full pipeline.
 FAST_NS = 150_000
 
 
+def cross_dc_trial(campaign, scheme, params, seed, name):
+    """Config builder: the tiny fig9 cross-DC run, which shards one per DC."""
+    config = fig9_configs("tiny", schemes=(scheme,), seed=seed)[scheme]
+    return replace(config, name=name, **params)
+
+
 def mixed_campaign(name="mix"):
-    """Two unsharded trials plus one sharded (shards=2) trial."""
+    """Per scheme, one unsharded and one sharded (shards=2) cross-DC trial."""
     return (
         Campaign(name)
         .schemes("BFC", "DCQCN")
         .sweep(shards=[1, 2])
-        .fixed(duration_ns=FAST_NS)
+        .config_builder(cross_dc_trial)
     )
 
 
@@ -417,8 +425,9 @@ class TestScheduledExecution:
     def test_oversubscribed_trial_still_runs_and_says_so(self):
         from repro.experiments.runner import run_experiment
 
-        campaign = Campaign("tight").schemes("BFC").fixed(
-            duration_ns=FAST_NS, shards=2
+        campaign = (
+            Campaign("tight").schemes("BFC").fixed(shards=2)
+            .config_builder(cross_dc_trial)
         )
         (trial,) = campaign.trials()
         result = run_experiment(trial.config, slot_budget=1)

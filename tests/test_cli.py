@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import FIGURE_FACTORIES, build_parser, main
+from repro.experiments import scenarios
 from repro.experiments.schemes import available_schemes
 
 from tests.test_shard_determinism import assert_shard_stats_schema
@@ -305,89 +306,103 @@ class TestCompareAndFigure:
 
 class TestTopologyCommand:
     def test_info_text_output(self):
-        code, output = run_cli(["topology", "info", "--shards", "2"])
+        code, output = run_cli(["topology", "info", "--figure", "fig9"])
         assert code == 0
         assert "hosts" in output
         assert "oversubscription" in output
+        assert "one per DC" in output
         assert "cut links" in output
         assert "window (lookahead)" in output
 
     def test_info_json_cross_dc(self):
-        code, output = run_cli(
-            ["topology", "info", "--figure", "fig9", "--shards", "2", "--json"]
-        )
+        code, output = run_cli(["topology", "info", "--figure", "fig9", "--json"])
         assert code == 0
         payload = json.loads(output)
         assert payload["hosts"] == 16
+        assert payload["dcs"] == 2
         assert payload["switches_by_tier"]["gateway"] == 2
-        assert payload["partition"]["strategy"] == "dc"
+        assert payload["partition"]["num_shards"] == 2
         assert payload["partition"]["cut_links_by_class"] == {"inter-dc": 1}
         # Lookahead = the cross-DC propagation delay.
         assert payload["partition"]["window_ns"] == 20_000
 
-    def test_info_greedy_strategy_json(self):
-        code, output = run_cli(
-            ["topology", "info", "--shards", "2", "--strategy", "greedy", "--json"]
-        )
+    def test_info_single_dc_has_no_cut(self):
+        code, output = run_cli(["topology", "info", "--json"])
         assert code == 0
         payload = json.loads(output)
-        assert payload["partition"]["strategy"] == "greedy"
-        assert payload["partition"]["cut_links_by_class"] == {"tor-spine": 2}
-        assert "sync" not in payload
+        assert payload["dcs"] == 1
+        assert payload["partition"] is None
+        code, output = run_cli(["topology", "info"])
+        assert code == 0
+        assert "single DC: no cut" in output
 
-    def test_info_no_longer_takes_sync(self):
+    @pytest.mark.parametrize("figure", sorted(FIGURE_FACTORIES))
+    def test_info_partition_follows_the_dc_count(self, figure):
+        code, output = run_cli(["topology", "info", "--figure", figure, "--json"])
+        assert code == 0
+        payload = json.loads(output)
+        config = next(iter(FIGURE_FACTORIES[figure]("tiny").values()))
+        partition = payload["partition"]
+        if config.cross_dc is None:
+            assert payload["dcs"] == 1
+            assert partition is None
+            return
+        # One shard per DC, cut only at the gateway link.
+        assert payload["dcs"] == 2
+        assert partition["num_shards"] == 2
+        assert partition["cut_links_by_class"] == {"inter-dc": 1}
+        assert partition["window_ns"] == config.cross_dc.gateway_delay_ns
+        shards = partition["shards"]
+        assert shards["0"] == shards["1"]
+        assert sum(s["hosts"] for s in shards.values()) == payload["hosts"]
+        assert sum(s["switches"] for s in shards.values()) == payload["switches"]
+
+    @pytest.mark.parametrize("flag", ["--sync", "--shards"])
+    def test_info_no_longer_takes_partition_flags(self, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["topology", "info", "--sync", "conservative"])
-
-    def test_info_single_shard_has_no_cuts(self):
-        code, output = run_cli(["topology", "info", "--shards", "1", "--json"])
-        assert code == 0
-        payload = json.loads(output)
-        assert payload["partition"]["cut_links"] == 0
-        assert payload["partition"]["window_ns"] is None
+            build_parser().parse_args(["topology", "info", flag, "2"])
 
 
 class TestShardCommand:
     def test_shard_json_reports_partition_and_barriers(self):
         code, output = run_cli(
-            ["shard", "--scheme", "DCQCN", "--shards", "2", "--json",
-             "--load", "0.3", "--incast", "0"]
+            ["shard", "--scheme", "DCQCN", "--shards", "2", "--json"]
         )
         assert code == 0
         payload = json.loads(output)
         assert payload["summary"]["scheme"] == "DCQCN"
         stats = payload["shard_stats"]
         assert stats["num_shards"] == 2
+        assert stats["cut_links_by_class"] == {"inter-dc": 1}
         assert stats["barriers"] > 0
-        assert stats["window_ns"] == 1_000
+        assert stats["boundary_packets"] > 0
+        assert stats["window_ns"] == 20_000
         assert len(stats["events_per_shard"]) == 2
         assert_shard_stats_schema(stats)
 
-    def test_shard_greedy_strategy_json(self):
-        code, output = run_cli(
-            ["shard", "--scheme", "BFC", "--shards", "2", "--strategy",
-             "greedy", "--json", "--load", "0.3", "--incast", "0"]
-        )
-        assert code == 0
-        stats = json.loads(output)["shard_stats"]
-        assert stats["strategy"] == "greedy"
-        assert stats["boundary_packets"] > 0
-        assert_shard_stats_schema(stats)
-
     def test_shard_text_output(self):
-        code, output = run_cli(
-            ["shard", "--scheme", "DCQCN", "--shards", "2",
-             "--load", "0.3", "--incast", "0"]
-        )
+        code, output = run_cli(["shard", "--scheme", "DCQCN", "--shards", "2"])
         assert code == 0
+        assert "fig9/DCQCN" in output
         assert "Partition:" in output
         assert "window (lookahead)" in output
         assert "barriers" in output
 
-    def test_shard_no_longer_takes_sync(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["shard", "--sync", "conservative"])
+    def test_shard_more_shards_than_dcs_is_refused(self, capsys):
+        code, _ = run_cli(["shard", "--shards", "3"])
+        assert code == 2
+        assert "cannot cut a 2-DC topology into 3 shards" in capsys.readouterr().err
 
-    def test_shard_rejects_unknown_strategy(self):
+    def test_shard_single_dc_config_is_refused(self, monkeypatch, capsys):
+        # The same command on a single-DC scenario: no cut to make.
+        monkeypatch.setattr(scenarios, "fig9_configs", scenarios.fig5a_configs)
+        code, _ = run_cli(["shard", "--shards", "2"])
+        assert code == 2
+        assert "cannot cut a 1-DC topology into 2 shards" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", ["--sync", "--workload", "--load", "--incast"]
+    )
+    def test_shard_no_longer_takes_single_dc_flags(self, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["shard", "--strategy", "magic"])
+            build_parser().parse_args(["shard", flag, "1"])

@@ -6,8 +6,8 @@ engine — same event order, same clock/ancestry bookkeeping, same
 cancellation and stop semantics — at a higher events/sec.  These tests pin
 the contract four ways:
 
-* EventHeap unit tests against the engine's 6-key total order, and of the
-  C ``post`` against ``PureSimulator.post``,
+* EventHeap unit tests against the engine's 6-key total order, and of
+  ``AccelSimulator.post`` against ``PureSimulator.post``,
 * randomized storms (some post-heavy) replayed on both backends and
   compared step for step,
 * one golden-records scheme recomputed in a default-engine (accel)
@@ -108,13 +108,6 @@ class TestEventHeap:
         with pytest.raises(TypeError):
             heap.insert(0, 0, 0, 0, 0, 0, (lambda: None), [1, 2])
 
-    def test_run_and_post_need_a_bound_simulator(self):
-        heap = _heap()
-        with pytest.raises(RuntimeError, match="unbound"):
-            heap.post(1, lambda: None)
-        with pytest.raises(RuntimeError, match="unbound"):
-            heap.run(set(), 10, 10)
-
 
 BACKENDS = pytest.mark.parametrize(
     "make", [PureSimulator, AccelSimulator], ids=["pure", "accel"]
@@ -122,18 +115,14 @@ BACKENDS = pytest.mark.parametrize(
 
 
 class TestPost:
-    """``EventHeap.post`` (C) keeps every promise of ``PureSimulator.post``."""
-
-    def test_accel_post_is_the_c_call(self):
-        sim = AccelSimulator(seed=1)
-        assert "post" not in vars(AccelSimulator)
-        assert sim.post.__self__ is sim._heap
+    """``AccelSimulator.post`` keeps every promise of ``PureSimulator.post``."""
 
     def test_bound_simulator_is_still_collected(self):
-        # The heap holds the simulator's instance dict, which holds the heap:
-        # the garbage collector must see that cycle (tp_traverse) to free it.
+        # A queued bound method holds the simulator, whose instance dict
+        # holds the heap: the garbage collector must see that cycle
+        # (tp_traverse) to free it.
         sim = AccelSimulator(seed=1)
-        sim.post(5, lambda: None)
+        sim.post(5, sim.run_until_idle)
         alive = weakref.ref(sim)
         del sim
         gc.collect()

@@ -50,6 +50,18 @@ class TestTrafficSpec:
         assert any(f.tag == "pinned" for f in trace)
         assert any(f.tag == "normal" for f in trace)
 
+    def test_explicit_flows_start_fresh_on_every_build(self):
+        # A run writes its progress into its flows; the next run of the same
+        # config must not inherit it (retransmission counts would add up).
+        explicit = FlowTrace([Flow(src=0, dst=1, size=5_000, start_ns=0)])
+        spec = TrafficSpec(explicit_flows=explicit)
+        (first,) = spec.build(self.HOSTS, self.RATE, units.microseconds(300))
+        first.retransmitted_packets, first.finish_ns = 3, 1_000
+        (second,) = spec.build(self.HOSTS, self.RATE, units.microseconds(300))
+        assert second is not first
+        assert second.flow_id == first.flow_id
+        assert (second.retransmitted_packets, second.finish_ns) == (0, None)
+
     def test_incast_period_override(self):
         spec = TrafficSpec(
             incast_period_ns=units.microseconds(100),

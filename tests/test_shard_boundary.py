@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.runner import build_simulation
-from repro.experiments.scenarios import fig5a_configs
+from repro.experiments.scenarios import fig5a_configs, fig9_configs
 from repro.shard.boundary import (
     BoundaryChannel,
     InjectionQueue,
@@ -15,7 +15,12 @@ from repro.shard.boundary import (
     packet_from_wire,
     packet_to_wire,
 )
-from repro.shard.coordinator import ShardError, run_sharded_experiment
+from repro.shard.coordinator import (
+    ShardCoordinator,
+    ShardError,
+    _worker_timeout_s,
+    run_sharded_experiment,
+)
 from repro.shard.partition import partition_topology
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.packet import FlowKey, IntHop, Packet, PacketKind
@@ -152,7 +157,7 @@ class TestBoundaryChannel:
         assert packet_from_wire(wire, {}).flow_id == packet.flow_id
 
     def test_attach_boundaries_rewires_only_local_cut_ports(self):
-        config = fig5a_configs("tiny", schemes=["DCQCN"], seed=1)["DCQCN"]
+        config = fig9_configs("tiny", schemes=("DCQCN",), seed=1)["DCQCN"]
         sim, env, topo, _ = build_simulation(config)
         spec = partition_topology(topo, 2)
         outbox, rewired = attach_boundaries(sim, topo, spec, 0)
@@ -162,7 +167,7 @@ class TestBoundaryChannel:
             for end, other in ((cut.a, cut.shard_a), (cut.b, cut.shard_b))
             if other == 0
         )
-        assert rewired == local_cut_ends
+        assert rewired == local_cut_ends == 1  # gw0's end of the gateway link
         assert outbox == []
         # Rewired ports deliver into their channel instead of the peer node.
         for node in topo.switches.values():
@@ -227,3 +232,27 @@ class TestShardEntryPoint:
         config = replace(openloop_experiment_config(), shards=2)
         with pytest.raises(ShardError, match="open-loop"):
             run_sharded_experiment(config)
+
+
+class TestWorkerTimeout:
+    """``REPRO_SHARD_TIMEOUT_S``: seconds a live worker may stay silent."""
+
+    @pytest.mark.parametrize("value", ["nan", "-5", "-0.1", "abc"])
+    def test_bad_values_are_refused(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT_S", value)
+        with pytest.raises(ShardError, match="REPRO_SHARD_TIMEOUT_S"):
+            _worker_timeout_s()
+
+    @pytest.mark.parametrize("value,seconds", [("0", 0.0), ("2.5", 2.5)])
+    def test_good_values_are_accepted(self, monkeypatch, value, seconds):
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT_S", value)
+        assert _worker_timeout_s() == seconds
+
+    def test_bad_value_fails_before_any_worker_starts(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT_S", "nan")
+        monkeypatch.setattr(
+            ShardCoordinator, "_spawn", lambda self: pytest.fail("workers started")
+        )
+        config = fig9_configs("tiny", schemes=("DCQCN",), seed=1)["DCQCN"]
+        with pytest.raises(ShardError, match="REPRO_SHARD_TIMEOUT_S"):
+            run_sharded_experiment(replace(config, shards=2))

@@ -9,10 +9,17 @@ config runs sharded.  Only ``events_processed`` legitimately differs (each
 boundary crossing is two engine events instead of one, and every shard runs
 its own sampling tick).
 
-The scenario is the golden-records fig5a slice (see ``tests/golden_kernel``),
-covering the three most distinct kernels: BFC (VFID tables, Bloom pauses),
-DCQCN (ECN + per-switch RNG draws) and HPCC (INT stamping), so the proof
-spans control packets, RNG state and telemetry crossing shard boundaries.
+Sharding has one cut: one shard per data center, cut at the inter-DC link.
+The scenario is the paper's cross-DC experiment (fig9 at ``tiny``) for every
+golden kernel family: BFC (VFID tables, Bloom pauses), DCQCN (ECN +
+per-switch RNG draws), HPCC (INT stamping), DCQCN+IRN on an undersized
+buffer (drops and selective repeat) and BFC-Est (stale telemetry), so the
+proof spans control packets, RNG state, telemetry and loss recovery
+crossing the gateway link.  Flow graphs (collectives, RPC trees) run on two
+copies of the golden fabric joined the same way, and so does the whole
+golden slice, on that fabric and on a four-pod one.  A cut the topology does
+not have — ``shards > 1`` on one DC, or more shards than DCs — is refused
+before any worker process starts.
 
 These tests also pin the coordinator's sampling replica
 (:class:`repro.shard.coordinator._ShardSampler`) to the runner's
@@ -20,7 +27,6 @@ These tests also pin the coordinator's sampling replica
 shows up here as a byte diff.
 """
 
-import functools
 import json
 import random
 import re
@@ -30,11 +36,24 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import Campaign, SerialExecutor
+from repro.core.config import BfcConfig
 from repro.experiments.runner import run_experiment
-from repro.experiments.scenarios import fig5a_configs, fig9_configs
+from repro.experiments.scenarios import (
+    collective_configs,
+    fig5a_configs,
+    fig9_configs,
+    rpc_fanout_configs,
+)
+from repro.shard import PartitionError, ShardCoordinator
 from repro.sim import units
+from repro.topology.crossdc import CrossDcParams
 
-from tests.golden_kernel import GOLDEN_SCHEMES, canonical_records, golden_configs
+from tests.golden_kernel import (
+    GOLDEN_EST_STALENESS_NS,
+    GOLDEN_SCHEMES,
+    canonical_records,
+    golden_configs,
+)
 
 
 #: Every key a sharded run may report in ``ExperimentResult.shard_stats``.
@@ -42,16 +61,23 @@ from tests.golden_kernel import GOLDEN_SCHEMES, canonical_records, golden_config
 #: keep the two in sync; :func:`assert_shard_stats_schema` enforces this one.
 SHARD_STATS_KEYS = {
     # From PartitionSpec.stats (always present).
-    "num_shards", "strategy", "shards", "cut_links", "cut_links_by_class",
-    "window_ns",
-    # Degenerate partitions fall back to the single-process runner.
-    "degenerate",
+    "num_shards", "shards", "cut_links", "cut_links_by_class", "window_ns",
     # Scheduling (present when the campaign scheduler reserved slots).
     "slot_budget", "oversubscribed",
-    # Coordinator merge (present on every true multi-process run).
+    # Coordinator merge (present on every multi-process run).
     "barriers", "boundary_packets",
     "events_per_shard", "boundary_ports_per_shard",
 }
+
+#: Kernel families of the golden slice, run on the cross-DC scenario.
+FIG9_SCHEMES = ["BFC", "DCQCN", "HPCC", "DCQCN+IRN", "BFC-Est"]
+
+FIG9_SEED = 3
+
+#: The lossy entry shrinks every switch buffer (gateways included) so tail
+#: drops and selective-repeat recovery happen on both sides of the cut
+#: (32x division gives ~180 drops; 8x gives none on this fabric).
+FIG9_IRN_BUFFER_DIVISOR = 32
 
 
 def assert_shard_stats_schema(stats):
@@ -78,59 +104,89 @@ def shard_canonical(result):
     return json.loads(json.dumps(records, sort_keys=True))
 
 
+def fig9_golden_configs():
+    """{scheme: fig9 tiny config}, with the golden slice's lossy/stale knobs."""
+    configs = fig9_configs("tiny", schemes=FIG9_SCHEMES, seed=FIG9_SEED)
+    irn = configs["DCQCN+IRN"]
+    configs["DCQCN+IRN"] = replace(
+        irn,
+        buffer_bytes=irn.buffer_bytes // FIG9_IRN_BUFFER_DIVISOR,
+        gateway_buffer_bytes=irn.gateway_buffer_bytes // FIG9_IRN_BUFFER_DIVISOR,
+    )
+    est = configs["BFC-Est"]
+    configs["BFC-Est"] = replace(
+        est,
+        bfc_config=BfcConfig(mtu=est.mtu, telemetry_staleness_ns=GOLDEN_EST_STALENESS_NS),
+    )
+    return configs
+
+
+def two_dc(config):
+    """``config``'s fabric twice, joined by a 20 us gateway link (as in fig9)."""
+    return replace(
+        config,
+        cross_dc=CrossDcParams(
+            dc_params=config.clos,
+            gateway_link_rate_bps=config.clos.link_rate_bps,
+            gateway_delay_ns=20_000,
+        ),
+    )
+
+
 @pytest.fixture(scope="module")
 def serial_records():
     return {
         scheme: shard_canonical(run_experiment(config))
-        for scheme, config in golden_configs().items()
+        for scheme, config in fig9_golden_configs().items()
     }
 
 
 @pytest.fixture(scope="module")
-def golden_sharded():
-    """Sharded golden runs, memoized by ``(scheme, shards)``."""
+def fig9_sharded():
+    """Two-shard fig9 runs, memoized by scheme."""
     cache = {}
 
-    def run(scheme, shards):
-        if (scheme, shards) not in cache:
-            config = replace(golden_configs()[scheme], shards=shards)
-            cache[scheme, shards] = run_experiment(config)
-        return cache[scheme, shards]
+    def run(scheme):
+        if scheme not in cache:
+            config = replace(fig9_golden_configs()[scheme], shards=2)
+            cache[scheme] = run_experiment(config)
+        return cache[scheme]
 
     return run
 
 
 class TestShardedEqualsSerial:
-    @pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_byte_identical_records(
-        self, serial_records, golden_sharded, scheme, shards
-    ):
-        sharded = shard_canonical(golden_sharded(scheme, shards))
+    @pytest.mark.parametrize("scheme", FIG9_SCHEMES)
+    def test_byte_identical_records(self, serial_records, fig9_sharded, scheme):
+        sharded = shard_canonical(fig9_sharded(scheme))
         serial = serial_records[scheme]
         for key in serial:
             assert sharded[key] == serial[key], (
-                f"{scheme} shards={shards}: {key} diverged from the "
-                "single-process run"
+                f"{scheme}: {key} diverged from the single-process run"
             )
         assert sharded == serial
 
-    @pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
-    def test_sharded_run_is_deterministic_run_to_run(self, golden_sharded, scheme):
-        config = replace(golden_configs()[scheme], shards=2)
-        first = shard_canonical(golden_sharded(scheme, 2))
+    @pytest.mark.parametrize("scheme", FIG9_SCHEMES)
+    def test_sharded_run_is_deterministic_run_to_run(self, fig9_sharded, scheme):
+        config = replace(fig9_golden_configs()[scheme], shards=2)
+        first = shard_canonical(fig9_sharded(scheme))
         second = shard_canonical(run_experiment(config))
         assert first == second
 
-    def test_shard_stats_reported(self):
-        config = replace(golden_configs()["BFC"], shards=2)
-        result = run_experiment(config)
+    def test_lossy_entry_drops_on_both_shards(self, fig9_sharded):
+        result = fig9_sharded("DCQCN+IRN")
+        assert result.dropped_packets > 0
+        assert result.host_counters["selective_retransmissions"] > 0
+
+    def test_shard_stats_reported(self, fig9_sharded):
+        config = fig9_golden_configs()["BFC"]
+        result = fig9_sharded("BFC")
         stats = result.shard_stats
-        assert stats is not None
         assert_shard_stats_schema(stats)
         assert stats["num_shards"] == 2
-        assert stats["cut_links"] > 0
-        assert stats["window_ns"] == config.clos.link_delay_ns
+        assert stats["cut_links_by_class"] == {"inter-dc": 1}
+        # Lookahead equals the cross-DC propagation delay.
+        assert stats["window_ns"] == config.cross_dc.gateway_delay_ns
         assert stats["barriers"] > 0
         assert stats["boundary_packets"] > 0
         assert sum(int(v) for v in stats["events_per_shard"].values()) == (
@@ -141,31 +197,86 @@ class TestShardedEqualsSerial:
 class TestShardStatsAccounting:
     """Every kernel's sharded run reports stats that add up."""
 
-    @pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_stats_account_for_every_event_and_port(
-        self, golden_sharded, scheme, shards
-    ):
-        result = golden_sharded(scheme, shards)
+    @pytest.mark.parametrize("scheme", FIG9_SCHEMES)
+    def test_stats_account_for_every_event_and_port(self, fig9_sharded, scheme):
+        result = fig9_sharded(scheme)
         stats = result.shard_stats
         assert_shard_stats_schema(stats)
-        assert stats["num_shards"] == shards
-        assert "degenerate" not in stats
-        assert stats["window_ns"] == golden_configs()[scheme].clos.link_delay_ns
+        assert stats["num_shards"] == 2
         assert stats["barriers"] > 0
         assert stats["boundary_packets"] > 0
-        populated = {
-            shard
-            for shard, size in stats["shards"].items()
-            if size["hosts"] or size["switches"]
-        }
+        # One shard per DC: both halves of the fabric are the same size.
+        assert stats["shards"]["0"] == stats["shards"]["1"]
         events = stats["events_per_shard"]
-        assert set(events) == populated
+        assert set(events) == {"0", "1"}
         assert sum(int(v) for v in events.values()) == result.events_processed
         # Each cut link is a boundary egress port at both of its ends.
         ports = stats["boundary_ports_per_shard"]
-        assert set(ports) == populated
+        assert set(ports) == {"0", "1"}
         assert sum(ports.values()) == 2 * stats["cut_links"]
+
+
+def four_pod(config):
+    """The fabric on four ToRs of four hosts (same 2:1 oversubscription)."""
+    return replace(config, clos=replace(config.clos, num_tors=4, hosts_per_tor=4))
+
+
+#: DC shapes the golden slice runs on, each copied into two DCs by two_dc().
+GOLDEN_FABRICS = {"two-pod": lambda config: config, "four-pod": four_pod}
+
+
+@pytest.fixture(scope="module")
+def golden_two_dc():
+    """Golden-slice runs across two DCs, memoized by ``(fabric, scheme, shards)``."""
+    cache = {}
+
+    def run(fabric, scheme, shards):
+        if (fabric, scheme, shards) not in cache:
+            config = two_dc(GOLDEN_FABRICS[fabric](golden_configs()[scheme]))
+            cache[fabric, scheme, shards] = run_experiment(replace(config, shards=shards))
+        return cache[fabric, scheme, shards]
+
+    return run
+
+
+class TestGoldenSliceAcrossDcs:
+    """The golden slice, DC-for-DC, split at the gateway link.
+
+    Every golden scheme — the ring all-reduce flow graph of ``BFC-Collective``
+    and the lossy ``DCQCN+IRN`` buffer included — on two copies of the golden
+    two-pod fabric and of a four-pod one.  The traffic spans both DCs, so
+    thousands of packets cross the cut in each run.
+    """
+
+    @pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
+    @pytest.mark.parametrize("fabric", list(GOLDEN_FABRICS))
+    def test_byte_identical_records(self, golden_two_dc, fabric, scheme):
+        serial = shard_canonical(golden_two_dc(fabric, scheme, 1))
+        result = golden_two_dc(fabric, scheme, 2)
+        sharded = shard_canonical(result)
+        for key in serial:
+            assert sharded[key] == serial[key], (
+                f"{fabric} {scheme}: {key} diverged from the single-process run"
+            )
+        assert sharded == serial
+        assert result.shard_stats["boundary_packets"] > 0
+
+    @pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
+    def test_stats_account_for_every_event_and_port(self, golden_two_dc, scheme):
+        result = golden_two_dc("two-pod", scheme, 2)
+        stats = result.shard_stats
+        assert_shard_stats_schema(stats)
+        assert stats["num_shards"] == 2
+        assert stats["shards"] == {
+            "0": {"hosts": 8, "switches": 5},
+            "1": {"hosts": 8, "switches": 5},
+        }
+        assert stats["cut_links_by_class"] == {"inter-dc": 1}
+        assert stats["window_ns"] == 20_000
+        events = stats["events_per_shard"]
+        assert set(events) == {"0", "1"}
+        assert sum(int(v) for v in events.values()) == result.events_processed
+        assert stats["boundary_ports_per_shard"] == {"0": 1, "1": 1}
 
 
 def test_schema_table_in_architecture_doc_matches_keys():
@@ -177,55 +288,6 @@ def test_schema_table_in_architecture_doc_matches_keys():
     assert documented == SHARD_STATS_KEYS
 
 
-def four_pod(config):
-    """The golden slice on four ToRs of four hosts (same 2:1 oversubscription)."""
-    return replace(config, clos=replace(config.clos, num_tors=4, hosts_per_tor=4))
-
-
-class TestFourPodFabric:
-    """Partitions that the two-pod golden fabric cannot produce.
-
-    On four pods, 3 shards split the pods unevenly (2 + 1 + 1), ``greedy``
-    interleaves pods across shards instead of keeping them contiguous, and
-    4 shards give every pod its own shard with the spine tier split across
-    two of them.
-    """
-
-    @pytest.fixture(scope="class")
-    def serial_four_pod(self):
-        return {
-            scheme: shard_canonical(run_experiment(four_pod(config)))
-            for scheme, config in golden_configs().items()
-        }
-
-    @pytest.mark.parametrize("scheme", GOLDEN_SCHEMES)
-    @pytest.mark.parametrize(
-        "shards,strategy",
-        [(2, "pod"), (2, "greedy"), (3, "pod"), (3, "greedy"), (4, "pod")],
-    )
-    def test_byte_identical_records(
-        self, serial_four_pod, scheme, shards, strategy
-    ):
-        config = replace(
-            four_pod(golden_configs()[scheme]),
-            shards=shards,
-            shard_strategy=strategy,
-        )
-        result = run_experiment(config)
-        sharded = shard_canonical(result)
-        serial = serial_four_pod[scheme]
-        for key in serial:
-            assert sharded[key] == serial[key], (
-                f"{scheme} shards={shards} strategy={strategy}: {key} "
-                "diverged from the single-process run"
-            )
-        assert sharded == serial
-        stats = result.shard_stats
-        assert_shard_stats_schema(stats)
-        assert stats["strategy"] == strategy
-        assert len(stats["events_per_shard"]) == shards
-
-
 class TestRandomizedStorm:
     @pytest.mark.parametrize("draw", range(3))
     def test_fresh_scenarios_match_serial(self, draw):
@@ -233,35 +295,13 @@ class TestRandomizedStorm:
         rng = random.Random(0xBFC0 + draw)
         scheme = rng.choice(["BFC", "DCQCN", "HPCC"])
         seed = rng.randrange(1, 1_000)
-        shards = rng.choice([2, 4])
-        config = fig5a_configs("tiny", schemes=(scheme,), seed=seed)[scheme]
-        config = replace(
-            config,
-            duration_ns=units.microseconds(120),
-            drain_ns=units.microseconds(60),
-        )
+        config = fig9_configs("tiny", schemes=(scheme,), seed=seed)[scheme]
         serial = run_experiment(config)
-        sharded = run_experiment(replace(config, shards=shards))
+        sharded = run_experiment(replace(config, shards=2))
         assert shard_canonical(sharded) == shard_canonical(serial), (
-            f"draw {draw}: {scheme} seed={seed} shards={shards} diverged"
+            f"draw {draw}: {scheme} seed={seed} diverged"
         )
         assert_shard_stats_schema(sharded.shard_stats)
-
-
-#: Why the known reproductions below diverge, and where the fix is planned.
-DIRECTION_1 = (
-    "ROADMAP direction 1: with shards not outnumbering pods, pod and greedy "
-    "cuts let two incast flows tie on all four ancestry levels at one ToR, "
-    "so the sharded run breaks the tie differently from the serial one"
-)
-
-
-def _known_divergence(scheme, seed):
-    return pytest.param(
-        scheme,
-        seed,
-        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=DIRECTION_1),
-    )
 
 
 def _short_fig5a(scheme, seed):
@@ -273,28 +313,56 @@ def _short_fig5a(scheme, seed):
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _short_fig5a_serial(scheme, seed):
-    return shard_canonical(run_experiment(_short_fig5a(scheme, seed)))
+class TestRefusedPartitions:
+    """A cut the topology does not have is refused before any worker starts.
 
-
-class TestKnownDivergence:
-    """The documented reproductions of the pod/greedy tie-break hole, pinned.
-
-    ``fig5a_configs("tiny")`` cut to 120 us plus a 60 us drain, on 2 shards
-    (docs/determinism.md).  Strict xfails: the day one of them matches serial
-    the test fails, and the fix gets noticed.  Seed 121 is the control that
-    matches today.
+    The single-DC cases are the reproductions that once diverged from serial
+    under the removed pod/greedy cuts (``fig5a_configs("tiny")``, 120 us plus
+    a 60 us drain, 2 shards); seed 121 was the control that matched.  Every
+    one of them is now a :class:`PartitionError`.
     """
 
-    @pytest.mark.parametrize("strategy", ["pod", "greedy"])
+    @pytest.fixture(autouse=True)
+    def no_spawn(self, monkeypatch):
+        def spawn(self):
+            raise AssertionError("a refused partition started shard workers")
+
+        monkeypatch.setattr(ShardCoordinator, "_spawn", spawn)
+
     @pytest.mark.parametrize(
-        "scheme,seed",
-        [_known_divergence("BFC", 120), _known_divergence("HPCC", 989), ("BFC", 121)],
+        "scheme,seed", [("BFC", 120), ("HPCC", 989), ("BFC", 121)]
     )
-    def test_two_shards_match_serial(self, scheme, seed, strategy):
-        config = replace(_short_fig5a(scheme, seed), shards=2, shard_strategy=strategy)
-        assert shard_canonical(run_experiment(config)) == _short_fig5a_serial(scheme, seed)
+    def test_single_dc_two_shards_is_refused(self, scheme, seed):
+        config = replace(_short_fig5a(scheme, seed), shards=2)
+        with pytest.raises(PartitionError, match="1-DC topology into 2 shards"):
+            run_experiment(config)
+
+    def test_more_shards_than_dcs_is_refused(self):
+        config = fig9_configs("tiny", schemes=("BFC",), seed=FIG9_SEED)["BFC"]
+        with pytest.raises(PartitionError, match="2-DC topology into 3 shards"):
+            run_experiment(replace(config, shards=3))
+
+
+class TestFormerDivergenceSeeds:
+    """The refused single-DC reproductions, run clean across the per-DC cut.
+
+    The same 120 us ``fig5a`` traces (seeds 120 and 989 once diverged under
+    the removed pod/greedy cuts; 121 was the control) on two copies of their
+    fabric: every tie that used to break differently inside a DC now stays
+    on one shard.
+    """
+
+    @pytest.mark.parametrize(
+        "scheme,seed", [("BFC", 120), ("HPCC", 989), ("BFC", 121)]
+    )
+    def test_two_dcs_match_serial(self, scheme, seed):
+        config = two_dc(_short_fig5a(scheme, seed))
+        serial = shard_canonical(run_experiment(config))
+        result = run_experiment(replace(config, shards=2))
+        assert shard_canonical(result) == serial, (
+            f"{scheme} seed={seed}: two-DC sharded run diverged"
+        )
+        assert result.shard_stats["boundary_packets"] > 0
 
 
 class TestSingleShardDegradesToPlainRunner:
@@ -308,62 +376,13 @@ class TestSingleShardDegradesToPlainRunner:
         assert one_shard.shard_stats is None
 
 
-class TestCrossDcSharding:
-    """Per-DC sharding: the inter-DC link is the (large) lookahead window."""
-
-    @pytest.fixture(scope="class")
-    def fig9_config(self):
-        config = fig9_configs("tiny", schemes=("BFC",), seed=3)["BFC"]
-        return replace(
-            config,
-            duration_ns=units.microseconds(150),
-            drain_ns=units.microseconds(75),
-        )
-
-    def test_two_dc_shards_byte_identical(self, fig9_config):
-        serial = shard_canonical(run_experiment(fig9_config))
-        sharded_result = run_experiment(replace(fig9_config, shards=2))
-        assert shard_canonical(sharded_result) == serial
-        stats = sharded_result.shard_stats
-        assert stats["strategy"] == "dc"
-        assert stats["cut_links_by_class"] == {"inter-dc": 1}
-        # Lookahead equals the cross-DC propagation delay.
-        assert stats["window_ns"] == fig9_config.cross_dc.gateway_delay_ns
-
-    @pytest.mark.parametrize("scheme", ["DCQCN", "HPCC"])
-    @pytest.mark.parametrize("shards,strategy", [(2, "dc"), (4, "pod")])
-    def test_other_kernels_across_dcs_byte_identical(
-        self, scheme, shards, strategy
-    ):
-        config = fig9_configs("tiny", schemes=(scheme,), seed=3)[scheme]
-        config = replace(
-            config,
-            duration_ns=units.microseconds(150),
-            drain_ns=units.microseconds(75),
-        )
-        serial = shard_canonical(run_experiment(config))
-        sharded = run_experiment(
-            replace(config, shards=shards, shard_strategy=strategy)
-        )
-        assert shard_canonical(sharded) == serial
-        assert sharded.shard_stats["strategy"] == strategy
-        assert_shard_stats_schema(sharded.shard_stats)
-
-    def test_pod_sharding_across_dcs_byte_identical(self, fig9_config):
-        serial = shard_canonical(run_experiment(fig9_config))
-        sharded = run_experiment(
-            replace(fig9_config, shards=4, shard_strategy="pod")
-        )
-        assert shard_canonical(sharded) == serial
-
-
 class TestCampaignComposition:
     """Sharded trials ride through the serial and scheduled executors unchanged."""
 
     def test_parallel_executor_runs_sharded_trials(self):
         configs = {
             scheme: replace(config, shards=2)
-            for scheme, config in golden_configs().items()
+            for scheme, config in fig9_golden_configs().items()
             if scheme in ("BFC", "DCQCN")
         }
         serial = Campaign.from_configs("shard-camp", configs).run(
@@ -386,37 +405,39 @@ class TestFlowGraphSharding:
     end: every prerequisite terminates at its dependent's source host, hence
     completions (and the launches they trigger) happen on the owning shard
     and the merged records are byte-identical to a single-process run —
-    including ``start_ns``, which is stamped dynamically at launch.
+    including ``start_ns``, which is stamped dynamically at launch.  Each
+    graph runs on two copies of the golden fabric (:func:`two_dc`), one
+    shard per copy.
     """
 
-    @pytest.fixture(scope="class")
-    def collective_config(self):
-        from repro.experiments.scenarios import collective_configs
-
+    @staticmethod
+    def collective(kind):
         config = collective_configs(
-            "tiny", kinds=("all-to-all",), schemes=("BFC",), iterations=2,
-            seed=7,
-        )["all-to-all/BFC"]
-        return replace(config, duration_ns=units.microseconds(300))
+            "tiny", kinds=(kind,), schemes=("BFC",), iterations=2, seed=7,
+        )[f"{kind}/BFC"]
+        return two_dc(replace(config, duration_ns=units.microseconds(300)))
 
     @pytest.fixture(scope="class")
     def rpc_config(self):
-        from repro.experiments.scenarios import rpc_fanout_configs
-
         config = rpc_fanout_configs(
             "tiny", schemes=("BFC",), background_load=0.20, seed=7
         )["BFC"]
-        return replace(config, duration_ns=units.microseconds(300))
+        return two_dc(replace(config, duration_ns=units.microseconds(300)))
 
-    def test_collective_two_shards_byte_identical(self, collective_config):
-        serial = shard_canonical(run_experiment(collective_config))
-        result = run_experiment(replace(collective_config, shards=2))
+    @pytest.mark.parametrize(
+        "kind", ["ring-allreduce", "tree-allreduce", "all-to-all"]
+    )
+    def test_collective_two_shards_byte_identical(self, kind):
+        config = self.collective(kind)
+        serial = shard_canonical(run_experiment(config))
+        result = run_experiment(replace(config, shards=2))
         sharded = shard_canonical(result)
         for key in serial:
             assert sharded[key] == serial[key], (
-                f"collective: {key} diverged from single-process"
+                f"{kind}: {key} diverged from single-process"
             )
         assert sharded == serial
+        assert result.shard_stats["boundary_packets"] > 0
         assert_shard_stats_schema(result.shard_stats)
 
     def test_rpc_two_shards_byte_identical(self, rpc_config):
@@ -428,35 +449,14 @@ class TestFlowGraphSharding:
                 f"rpc: {key} diverged from single-process"
             )
         assert sharded == serial
+        assert result.shard_stats["boundary_packets"] > 0
         assert_shard_stats_schema(result.shard_stats)
 
-    @pytest.mark.parametrize(
-        "kind", ["ring-allreduce", "tree-allreduce", "all-to-all"]
-    )
-    def test_collective_kinds_four_shards_byte_identical(self, kind):
-        from repro.experiments.scenarios import collective_configs
-
-        config = collective_configs(
-            "tiny", kinds=(kind,), schemes=("BFC",), iterations=2, seed=7,
-        )[f"{kind}/BFC"]
-        config = replace(config, duration_ns=units.microseconds(300))
-        serial = shard_canonical(run_experiment(config))
-        result = run_experiment(replace(config, shards=4))
-        assert shard_canonical(result) == serial, (
-            f"{kind}: four-shard records diverged from single-process"
-        )
-        assert_shard_stats_schema(result.shard_stats)
-
-    def test_rpc_four_shards_byte_identical(self, rpc_config):
-        serial = shard_canonical(run_experiment(rpc_config))
-        result = run_experiment(replace(rpc_config, shards=4))
-        assert shard_canonical(result) == serial
-        assert_shard_stats_schema(result.shard_stats)
-
-    def test_dynamic_start_times_survive_the_merge(self, collective_config):
+    def test_dynamic_start_times_survive_the_merge(self):
         """Dependent flows' stamped start_ns reach the coordinator's records."""
-        serial = run_experiment(collective_config)
-        sharded = run_experiment(replace(collective_config, shards=2))
+        config = self.collective("all-to-all")
+        serial = run_experiment(config)
+        sharded = run_experiment(replace(config, shards=2))
         starts_serial = sorted(
             (r.flow_id, r.start_ns) for r in serial.flow_stats.records
         )
