@@ -1,6 +1,6 @@
 """Kernel throughput microbenchmark: events/sec and packets/sec.
 
-Unlike the ``bench_fig*`` harnesses (which reproduce the paper's figures),
+Unlike ``repro figure NAME`` (which reproduces one of the paper's figures),
 this benchmark measures the simulation kernel itself: how many events and
 packets per wall-clock second the engine pushes through a fixed fig5a-style
 slice.  It is the baseline every kernel-performance PR is judged against.

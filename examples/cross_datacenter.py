@@ -19,7 +19,7 @@ import sys
 
 from repro.analysis.fct import summarize_slowdowns
 from repro.analysis.report import format_comparison_table
-from repro.experiments.scenarios import fig9_campaign
+from repro.experiments.figures import FIGURES
 
 
 def main() -> int:
@@ -28,7 +28,7 @@ def main() -> int:
     schemes = ("BFC", "DCQCN+Win")
     print(f"Cross-DC experiment at scale {scale!r} for {schemes} (cores={cores}) ...")
 
-    result_set = fig9_campaign(scale, schemes=schemes).run(cores=cores)
+    result_set = FIGURES["fig9"].campaign(scale, schemes=schemes).run(cores=cores)
     rows = {}
     for scheme, result in result_set.experiment_results_by_label().items():
         intra = [r for r in result.flow_stats.records if r.tag == "intra-dc"]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.report import format_comparison_table
-from repro.experiments.scenarios import fig8_campaign
+from repro.experiments.figures import FIGURES
 
 
 def main() -> int:
@@ -29,7 +29,7 @@ def main() -> int:
 
     # Only the tidy records are read below, so skip retaining (and, with
     # cores > 1, shipping) the full per-trial results.
-    result_set = fig8_campaign(scale, schemes=schemes).run(
+    result_set = FIGURES["fig8"].campaign(scale, schemes=schemes).run(
         cores=cores, keep_results=False
     )
     # Labels are "scheme/fan_in" (the nested config map, flattened).

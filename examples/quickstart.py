@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.report import format_series_table
-from repro.experiments.scenarios import fig5a_campaign
+from repro.experiments.figures import FIGURES
 
 
 def main() -> int:
@@ -30,7 +30,7 @@ def main() -> int:
         f"(cores={cores}) ..."
     )
 
-    result_set = fig5a_campaign(scale, schemes=schemes).run(cores=cores)
+    result_set = FIGURES["fig5a"].campaign(scale, schemes=schemes).run(cores=cores)
     results = result_set.experiment_results_by_label()
     for record in result_set:
         print(

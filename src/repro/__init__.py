@@ -36,9 +36,9 @@ Quickstart::
 
 The paper's figures are ready-made campaigns::
 
-    from repro.experiments.scenarios import fig5a_campaign
+    from repro.experiments.figures import FIGURES
 
-    result_set = fig5a_campaign("tiny", schemes=["BFC", "DCQCN"]).run()
+    result_set = FIGURES["fig5a"].campaign("tiny", schemes=["BFC", "DCQCN"]).run()
     for record in result_set:
         print(record.label, record.metrics["p99_slowdown"])
 

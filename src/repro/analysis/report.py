@@ -1,7 +1,8 @@
 """Plain-text renderers for the paper's figures and tables.
 
-The benchmark harness prints these tables so the reproduced series can be
-compared against the paper by eye (and recorded in EXPERIMENTS.md).
+``repro figure NAME`` prints these tables (each figure's ``render`` in
+``repro.experiments.figures``) so the reproduced series can be compared
+against the paper by eye.
 """
 
 from __future__ import annotations

@@ -132,7 +132,7 @@ def _check_unique_names(trials: List[Trial]) -> List[Trial]:
     return trials
 
 
-def _flatten_configs(
+def flatten_configs(
     configs: Mapping[str, object], prefix: str = ""
 ) -> List[Tuple[str, ExperimentConfig]]:
     """Flatten possibly-nested ``{label: config}`` maps to ``label/sublabel`` pairs."""
@@ -142,7 +142,7 @@ def _flatten_configs(
         if isinstance(value, ExperimentConfig):
             flat.append((label, value))
         elif isinstance(value, Mapping):
-            flat.extend(_flatten_configs(value, prefix=f"{label}/"))
+            flat.extend(flatten_configs(value, prefix=f"{label}/"))
         else:
             raise TypeError(
                 f"config map entry {label!r} is neither an ExperimentConfig "
@@ -261,7 +261,7 @@ class Campaign:
         ``repeats``/``seeds`` still apply: each repeat re-seeds the configs.
         """
         campaign = cls(name)
-        campaign._configs = _flatten_configs(configs)
+        campaign._configs = flatten_configs(configs)
         return campaign
 
     @classmethod
@@ -362,7 +362,7 @@ class Campaign:
         trials: List[Trial] = []
         for repeat in range(self._repeats):
             seed = self._seed_for(repeat)
-            for label, config in _flatten_configs(self._config_factory(seed)):
+            for label, config in flatten_configs(self._config_factory(seed)):
                 full_label = f"{label}/rep{repeat}" if self._repeats > 1 else label
                 name = f"{self.name}/{full_label}"
                 trial_config = replace(config, name=name)

@@ -254,7 +254,7 @@ class ResultSet:
     def experiment_results_by_label(self) -> Dict[str, "ExperimentResult"]:
         """Full results keyed by the trial's short label.
 
-        This is the shape the benchmark harness and the CLI tables want:
+        This is the shape the figure tables and the CLI want:
         ``Campaign.from_configs`` keeps the original ``{label: config}`` keys
         as labels, so this round-trips a config map to a result map.
 

@@ -22,7 +22,8 @@ common workflows need no Python code:
     without simulating anything.
 
 ``repro figure fig5a --scale tiny --schemes BFC DCQCN``
-    Run one of the paper's figures and print the reproduced table.
+    Run one of the figures registered in ``repro.experiments.figures`` and
+    print its table and a summary; ``--schemes`` keeps some of its schemes.
 
 ``repro compare --scale tiny --schemes BFC DCQCN HPCC``
     Run several schemes on the same trace and print the comparison table.
@@ -51,7 +52,6 @@ common workflows need no Python code:
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -62,31 +62,10 @@ from repro.campaign import Campaign, CampaignError, summarize_result
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.schemes import SCHEMES, UnknownSchemeError, available_schemes
 from repro.experiments import scenarios
+from repro.experiments.figures import FIGURES
 from repro.shard import PartitionError, ShardError
 from repro.sim import units
 from repro.workloads.distributions import WORKLOADS
-
-
-#: Figures that can be driven directly from the CLI (single-config-per-label
-#: scenarios; the sweep figures 8 and 10 need the benchmark harness).
-FIGURE_FACTORIES = {
-    "fig2": scenarios.fig2_configs,
-    "fig3": scenarios.fig3_configs,
-    "fig5a": scenarios.fig5a_configs,
-    "fig5b": scenarios.fig5b_configs,
-    "fig5c": scenarios.fig5c_configs,
-    "fig6": scenarios.fig6_configs,
-    "fig7": scenarios.fig7_configs,
-    "fig9": scenarios.fig9_configs,
-    "fig11": scenarios.fig11_configs,
-    "fig12": scenarios.fig12_configs,
-    "fig13": scenarios.fig13_configs,
-    "fig14": scenarios.fig14_configs,
-    # Beyond-the-paper scenarios (see docs/workloads.md).
-    "fig_est": scenarios.fig_est_configs,
-    "fig_collective": scenarios.collective_configs,
-    "fig_rpc": scenarios.rpc_fanout_configs,
-}
 
 
 def _cores_arg(value: str):
@@ -109,11 +88,6 @@ CORES_HELP = (
     "shards=N counts as N slots; 'auto' detects the usable cores"
 )
 DRY_RUN_HELP = "print the execution plan and exit without running"
-
-
-def _takes_schemes(figure: str) -> bool:
-    """Whether a figure's config factory accepts a ``schemes`` filter."""
-    return "schemes" in inspect.signature(FIGURE_FACTORIES[figure]).parameters
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,11 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--json", action="store_true")
 
     figure = sub.add_parser("figure", help="run one of the paper's figures")
-    figure.add_argument("name", choices=sorted(FIGURE_FACTORIES))
+    figure.add_argument("name", choices=sorted(FIGURES))
     figure.add_argument("--scale", default="tiny", choices=["tiny", "small", "paper"])
-    with_schemes = ", ".join(f for f in sorted(FIGURE_FACTORIES) if _takes_schemes(f))
     figure.add_argument("--schemes", nargs="*", default=None,
-                        help=f"restrict to these schemes ({with_schemes} only)")
+                        help="restrict to these of the figure's schemes")
     figure.add_argument("--seed", type=int, default=1)
     figure.add_argument("--cores", type=_cores_arg, default=None, metavar="N|auto",
                         help=CORES_HELP)
@@ -204,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     topology.add_argument("action", choices=["info"])
     topology.add_argument("--figure", default="fig5a",
-                          choices=sorted(FIGURE_FACTORIES),
+                          choices=sorted(FIGURES),
                           help="scenario whose topology to describe (fig9 = cross-DC)")
     topology.add_argument("--scale", default="tiny", choices=["tiny", "small", "paper"])
     topology.add_argument("--json", action="store_true")
@@ -579,16 +552,11 @@ def cmd_report(args: argparse.Namespace, out) -> int:
 
 
 def cmd_figure(args: argparse.Namespace, out) -> int:
-    factory = FIGURE_FACTORIES[args.name]
-    kwargs = {"seed": args.seed}
-    if args.schemes:
-        if not _takes_schemes(args.name):
-            raise CampaignError(
-                f"figure {args.name!r} has a fixed scheme set; --schemes does not apply"
-            )
-        kwargs["schemes"] = args.schemes
-    configs = factory(args.scale, **kwargs)
-    campaign = Campaign.from_configs(args.name, configs)
+    figure = FIGURES[args.name]
+    try:
+        campaign = figure.campaign(args.scale, schemes=args.schemes, seed=args.seed)
+    except CampaignError as exc:
+        raise CampaignError(f"--schemes: {exc}") from None
     if args.dry_run:
         plan = campaign.plan(cores=args.cores)
         if args.json:
@@ -603,13 +571,7 @@ def cmd_figure(args: argparse.Namespace, out) -> int:
         json.dump({label: _result_summary(r) for label, r in results.items()}, out, indent=2)
         print(file=out)
         return 0
-    print(
-        format_series_table(
-            f"{args.name}: p99 FCT slowdown vs flow size (scale={args.scale})",
-            {label: result.slowdown_series() for label, result in results.items()},
-        ),
-        file=out,
-    )
+    print(figure.render(results), file=out)
     summary_rows = {label: _result_summary(r) for label, r in results.items()}
     print(
         format_comparison_table(
@@ -729,9 +691,7 @@ def cmd_topology(args: argparse.Namespace, out) -> int:
     from repro.experiments.runner import build_topology_only
     from repro.shard import partition_topology
 
-    factory = FIGURE_FACTORIES[args.figure]
-    configs = factory(args.scale)
-    config = next(iter(configs.values()))
+    config = next(iter(FIGURES[args.figure].configs(args.scale).values()))
     topo = build_topology_only(config)
 
     switches_by_tier: Dict[str, int] = {}

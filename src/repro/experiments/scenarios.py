@@ -10,8 +10,9 @@ regenerate it, at one of three scales:
 * ``paper`` — the published parameters (T1/T2 at 100 Gbps, 12 MB buffers).
   Provided for completeness; a pure-Python run at this scale takes hours.
 
-The factories only build configurations; the benchmarks (and users) run them
-via :func:`repro.experiments.runner.run_experiment`.
+The factories only build configurations.  :data:`repro.experiments.figures.FIGURES`
+pairs each figure's factory with its table and the paper's claims, and runs
+it as a campaign.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.sim import units
 from repro.topology.clos import ClosParams, paper_t1_params, scaled_params
 from repro.topology.crossdc import CrossDcParams
 from repro.workloads.collectives import CollectiveSpec
-from repro.workloads.distributions import FB_HADOOP, GOOGLE, WEBSEARCH, EmpiricalSizeDistribution
+from repro.workloads.distributions import FB_HADOOP, GOOGLE, EmpiricalSizeDistribution
 from repro.workloads.generator import WorkloadSpec, generate_workload
 from repro.workloads.longlived import long_lived_flows, many_to_one_flows
 from repro.workloads.openloop import OpenLoopSpec
@@ -204,15 +205,6 @@ def fig3_configs(scale_name: str = "tiny", seed: int = 1) -> Dict[str, Experimen
             f"fig3/{buffer_us:g}us", "DCQCN", sized, traffic, seed=seed
         )
     return configs
-
-
-# ---------------------------------------------------------------------------
-# Fig. 4 — byte-weighted flow size CDFs (no simulation needed)
-# ---------------------------------------------------------------------------
-
-
-def fig4_distributions() -> Dict[str, EmpiricalSizeDistribution]:
-    return {"Google": GOOGLE, "FB_Hadoop": FB_HADOOP, "WebSearch": WEBSEARCH}
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +447,7 @@ def openloop_crossdc_config(
 def fig10_configs(
     scale_name: str = "tiny",
     schemes: Sequence[str] = ("BFC", "BFC-BufferOpt"),
-    flow_counts: Sequence[int] = (8, 32, 64),
+    flow_counts: Sequence[int] = (8, 32, 128),
     seed: int = 1,
 ) -> Dict[str, Dict[int, ExperimentConfig]]:
     """Concurrent long-lived flows to one receiver; per-physical-queue backlog."""
@@ -499,11 +491,10 @@ def fig11_configs(scale_name: str = "tiny", seed: int = 1) -> Dict[str, Experime
 
 def fig12_configs(
     scale_name: str = "tiny",
-    queue_counts: Sequence[int] = (8, 16, 32, 64),
-    include_ideal: bool = True,
+    queue_counts: Sequence[int] = (4, 8, 32),
     seed: int = 1,
 ) -> Dict[str, ExperimentConfig]:
-    """BFC with 8-128 physical queues per port on the Fig. 5a workload."""
+    """BFC with 4-32 physical queues per port, plus Ideal-FQ, on the Fig. 5a workload."""
     scale = get_scale(scale_name)
     traffic = _background_traffic(scale, GOOGLE, 0.60, incast_load=0.05, seed=seed)
     configs: Dict[str, ExperimentConfig] = {}
@@ -516,10 +507,7 @@ def fig12_configs(
             seed=seed,
             bfc_config=BfcConfig(num_physical_queues=count, mtu=scale.mtu),
         )
-    if include_ideal:
-        configs["Ideal-FQ"] = _base_config(
-            "fig12/Ideal-FQ", "Ideal-FQ", scale, traffic, seed=seed
-        )
+    configs["Ideal-FQ"] = _base_config("fig12/Ideal-FQ", "Ideal-FQ", scale, traffic, seed=seed)
     return configs
 
 
@@ -530,7 +518,7 @@ def fig12_configs(
 
 def fig13_configs(
     scale_name: str = "tiny",
-    vfid_counts: Sequence[int] = (1_024, 4_096, 16_384, 65_536),
+    vfid_counts: Sequence[int] = (256, 1_024, 16_384),
     seed: int = 1,
 ) -> Dict[str, ExperimentConfig]:
     """BFC with varying virtual-flow hash table sizes on the Fig. 5a workload."""
@@ -556,10 +544,10 @@ def fig13_configs(
 
 def fig14_configs(
     scale_name: str = "tiny",
-    bloom_sizes: Sequence[int] = (16, 32, 64, 128),
+    bloom_sizes: Sequence[int] = (4, 16, 128),
     seed: int = 1,
 ) -> Dict[str, ExperimentConfig]:
-    """BFC with 16-128 byte pause-frame Bloom filters on the Fig. 5a workload."""
+    """BFC with 4-128 byte pause-frame Bloom filters on the Fig. 5a workload."""
     scale = get_scale(scale_name)
     traffic = _background_traffic(scale, GOOGLE, 0.60, incast_load=0.05, seed=seed)
     return {
@@ -723,175 +711,10 @@ def rpc_fanout_configs(
 
 
 # ---------------------------------------------------------------------------
-# Campaign forms of the per-figure factories
+# Every figure's campaign is FIGURES[name].campaign; fig5a's keeps this name
+# too, for the observatory's campaign_grid workload.
 # ---------------------------------------------------------------------------
-#
-# Each figure also exists as a ready-to-run Campaign, so the declarative API
-# ("run it, in parallel, with repeats, save the records") composes with the
-# exact config grids above::
-#
-#     from repro.experiments.scenarios import fig5a_campaign
-#     results = fig5a_campaign("tiny", repeats=3).run(cores=4)
 
+from .figures import FIGURES  # noqa: E402
 
-def _figure_campaign(figure: str, make_configs, repeats: int, seed: int):
-    from repro.campaign import Campaign
-
-    # from_config_factory re-invokes the figure's config factory with each
-    # repeat's seed (base seed + repeat index), so even figures that bake
-    # explicit flow lists into their configs (fig8/9/10) genuinely resample
-    # their traffic per repeat.
-    return (
-        Campaign.from_config_factory(figure, make_configs)
-        .repeats(repeats)
-        .seeds(base=seed)
-    )
-
-
-def fig2_campaign(scale_name: str = "tiny", seed: int = 1, repeats: int = 1):
-    return _figure_campaign(
-        "fig2", lambda s: fig2_configs(scale_name, seed=s), repeats, seed
-    )
-
-
-def fig3_campaign(scale_name: str = "tiny", seed: int = 1, repeats: int = 1):
-    return _figure_campaign(
-        "fig3", lambda s: fig3_configs(scale_name, seed=s), repeats, seed
-    )
-
-
-def fig5a_campaign(
-    scale_name: str = "tiny",
-    schemes: Optional[Sequence[str]] = None,
-    seed: int = 1,
-    repeats: int = 1,
-):
-    return _figure_campaign(
-        "fig5a", lambda s: fig5a_configs(scale_name, schemes=schemes, seed=s), repeats, seed
-    )
-
-
-def fig5b_campaign(
-    scale_name: str = "tiny",
-    schemes: Optional[Sequence[str]] = None,
-    seed: int = 1,
-    repeats: int = 1,
-):
-    return _figure_campaign(
-        "fig5b", lambda s: fig5b_configs(scale_name, schemes=schemes, seed=s), repeats, seed
-    )
-
-
-def fig5c_campaign(
-    scale_name: str = "tiny",
-    schemes: Optional[Sequence[str]] = None,
-    seed: int = 1,
-    repeats: int = 1,
-):
-    return _figure_campaign(
-        "fig5c", lambda s: fig5c_configs(scale_name, schemes=schemes, seed=s), repeats, seed
-    )
-
-
-def fig6_campaign(
-    scale_name: str = "tiny",
-    schemes: Optional[Sequence[str]] = None,
-    seed: int = 1,
-    repeats: int = 1,
-):
-    return _figure_campaign(
-        "fig6", lambda s: fig6_configs(scale_name, schemes=schemes, seed=s), repeats, seed
-    )
-
-
-def fig7_campaign(scale_name: str = "tiny", seed: int = 1, repeats: int = 1):
-    return _figure_campaign(
-        "fig7", lambda s: fig7_configs(scale_name, seed=s), repeats, seed
-    )
-
-
-def fig8_campaign(
-    scale_name: str = "tiny", seed: int = 1, repeats: int = 1, **kwargs
-):
-    """Fan-in sweep as a campaign; nested {scheme: {fan_in: config}} flattens
-    to "scheme/fan_in" labels.  ``**kwargs`` (schemes, fan_ins) forward to
-    :func:`fig8_configs` so its defaults stay the single source of truth."""
-    return _figure_campaign(
-        "fig8", lambda s: fig8_configs(scale_name, seed=s, **kwargs), repeats, seed
-    )
-
-
-def fig9_campaign(
-    scale_name: str = "tiny", seed: int = 1, repeats: int = 1, **kwargs
-):
-    return _figure_campaign(
-        "fig9", lambda s: fig9_configs(scale_name, seed=s, **kwargs), repeats, seed
-    )
-
-
-def fig10_campaign(
-    scale_name: str = "tiny", seed: int = 1, repeats: int = 1, **kwargs
-):
-    return _figure_campaign(
-        "fig10", lambda s: fig10_configs(scale_name, seed=s, **kwargs), repeats, seed
-    )
-
-
-def fig11_campaign(scale_name: str = "tiny", seed: int = 1, repeats: int = 1):
-    return _figure_campaign(
-        "fig11", lambda s: fig11_configs(scale_name, seed=s), repeats, seed
-    )
-
-
-def fig12_campaign(
-    scale_name: str = "tiny", seed: int = 1, repeats: int = 1, **kwargs
-):
-    return _figure_campaign(
-        "fig12", lambda s: fig12_configs(scale_name, seed=s, **kwargs), repeats, seed
-    )
-
-
-def fig13_campaign(
-    scale_name: str = "tiny", seed: int = 1, repeats: int = 1, **kwargs
-):
-    return _figure_campaign(
-        "fig13", lambda s: fig13_configs(scale_name, seed=s, **kwargs), repeats, seed
-    )
-
-
-def fig14_campaign(
-    scale_name: str = "tiny", seed: int = 1, repeats: int = 1, **kwargs
-):
-    return _figure_campaign(
-        "fig14", lambda s: fig14_configs(scale_name, seed=s, **kwargs), repeats, seed
-    )
-
-
-def fig_est_campaign(
-    scale_name: str = "tiny", seed: int = 1, repeats: int = 1, **kwargs
-):
-    return _figure_campaign(
-        "fig_est", lambda s: fig_est_configs(scale_name, seed=s, **kwargs), repeats, seed
-    )
-
-
-def collective_campaign(
-    scale_name: str = "tiny", seed: int = 1, repeats: int = 1, **kwargs
-):
-    return _figure_campaign(
-        "fig_collective",
-        lambda s: collective_configs(scale_name, seed=s, **kwargs),
-        repeats,
-        seed,
-    )
-
-
-def rpc_fanout_campaign(
-    scale_name: str = "tiny", seed: int = 1, repeats: int = 1, **kwargs
-):
-    return _figure_campaign(
-        "fig_rpc",
-        lambda s: rpc_fanout_configs(scale_name, seed=s, **kwargs),
-        repeats,
-        seed,
-    )
+fig5a_campaign = FIGURES["fig5a"].campaign

@@ -182,3 +182,8 @@ class TestReportRendering:
         rows = hardware_trend_table()
         capacities = [r["capacity_tbps"] for r in rows]
         assert capacities == sorted(capacities)
+
+    def test_tomahawk3_has_ten_times_trident2_capacity(self):
+        # Fig. 1: capacity grew tenfold (1.28 -> 12.8 Tbps) in six years.
+        by_chip = {r["chip"]: r for r in hardware_trend_table()}
+        assert by_chip["Tomahawk3"]["capacity_tbps"] == 10 * by_chip["Trident2"]["capacity_tbps"]

@@ -190,7 +190,7 @@ class TestCampaignExpansion:
         ).trials()
         assert t_tiny.params["config"] == t_tiny2.params["config"]
 
-    def test_grid_methods_on_a_configs_campaign_fail_loudly(self):
+    def test_grid_methods_on_prebuilt_configs_fail_loudly(self):
         configs = fig5a_configs("tiny", schemes=["BFC"])
         campaign = Campaign.from_configs("fig5a", configs).sweep(load=[0.6, 0.8])
         with pytest.raises(ValueError, match="prebuilt configs"):
@@ -223,19 +223,19 @@ class TestCampaignExpansion:
             assert trial.config.seed == trial.seed
             assert trial.config.traffic.seed == trial.seed
 
-    def test_figure_campaigns_honor_the_caller_seed_across_repeats(self):
+    def test_figure_repeats_honor_the_caller_seed(self):
         from repro.experiments.scenarios import fig5a_campaign
 
         trials = fig5a_campaign("tiny", schemes=["BFC"], seed=7, repeats=2).trials()
         assert [t.seed for t in trials] == [7, 8]
         assert all(t.config.traffic.seed == t.seed for t in trials)
 
-    def test_figure_campaign_repeats_resample_explicit_flows(self):
+    def test_figure_repeats_resample_explicit_flows(self):
         # fig9 bakes pre-generated flow lists into its configs; the factory
         # form must rebuild them per repeat, not replay one trace.
-        from repro.experiments.scenarios import fig9_campaign
+        from repro.experiments.figures import FIGURES
 
-        trials = fig9_campaign("tiny", schemes=("BFC",), repeats=2).trials()
+        trials = FIGURES["fig9"].campaign("tiny", schemes=("BFC",), repeats=2).trials()
         rep0, rep1 = (t.config.traffic.explicit_flows for t in trials)
         assert [(f.size, f.start_ns) for f in rep0] != [
             (f.size, f.start_ns) for f in rep1

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from repro.cli import FIGURE_FACTORIES, build_parser, main
+from repro.cli import build_parser, main
 from repro.experiments import scenarios
+from repro.experiments.figures import FIGURES
 from repro.experiments.schemes import available_schemes
 
 from tests.test_shard_determinism import assert_shard_stats_schema
@@ -34,7 +35,7 @@ class TestParser:
     def test_figure_names_match_registry(self):
         args = build_parser().parse_args(["figure", "fig5a"])
         assert args.name == "fig5a"
-        assert "fig5a" in FIGURE_FACTORIES
+        assert "fig5a" in FIGURES
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
@@ -288,6 +289,34 @@ class TestCompareAndFigure:
         assert output == ""
         assert "--schemes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("figure, scheme", [("fig5a", "Nope"), ("fig5a", "PFC")])
+    @pytest.mark.parametrize("dry_run", [True, False])
+    def test_figure_refuses_a_scheme_it_does_not_run(self, capsys, figure, scheme, dry_run):
+        code, output = run_cli(
+            ["figure", figure, "--schemes", "BFC", scheme] + (["--dry-run"] if dry_run else [])
+        )
+        assert code == 2
+        assert output == ""
+        err = capsys.readouterr().err
+        assert f"does not run {scheme};" in err
+        # The message lists what the figure does run.
+        assert "BFC, Ideal-FQ, DCQCN, DCQCN+Win, HPCC, DCQCN+Win+SFQ" in err
+
+    @pytest.mark.parametrize("figure, scheme", [("fig7", "BFC"), ("fig2", "DCQCN")])
+    def test_figure_accepts_a_scheme_it_runs(self, figure, scheme):
+        code, output = run_cli(["figure", figure, "--schemes", scheme, "--dry-run", "--json"])
+        assert code == 0
+        trials = [t for w in json.loads(output)["waves"] for t in w["trials"]]
+        assert trials
+        assert all(t["name"].startswith(f"{figure}/") for t in trials)
+
+    @pytest.mark.parametrize("figure", sorted(FIGURES))
+    def test_every_registered_figure_plans_its_factory_grid(self, figure):
+        code, output = run_cli(["figure", figure, "--dry-run", "--json"])
+        assert code == 0
+        names = sorted(t["name"] for w in json.loads(output)["waves"] for t in w["trials"])
+        assert names == sorted(f"{figure}/{label}" for label in FIGURES[figure].configs("tiny"))
+
     def test_figure_text_output(self):
         code, output = run_cli(["figure", "fig13", "--json"])
         assert code == 0
@@ -336,12 +365,12 @@ class TestTopologyCommand:
         assert code == 0
         assert "single DC: no cut" in output
 
-    @pytest.mark.parametrize("figure", sorted(FIGURE_FACTORIES))
+    @pytest.mark.parametrize("figure", sorted(FIGURES))
     def test_info_partition_follows_the_dc_count(self, figure):
         code, output = run_cli(["topology", "info", "--figure", figure, "--json"])
         assert code == 0
         payload = json.loads(output)
-        config = next(iter(FIGURE_FACTORIES[figure]("tiny").values()))
+        config = next(iter(FIGURES[figure].configs("tiny").values()))
         partition = payload["partition"]
         if config.cross_dc is None:
             assert payload["dcs"] == 1

@@ -149,7 +149,7 @@ class TestScenarioFactories:
             get_scale("huge")
 
     def test_fig12_varies_queue_count(self):
-        configs = fig12_configs("tiny", queue_counts=(8, 32), include_ideal=True)
+        configs = fig12_configs("tiny", queue_counts=(8, 32))
         assert configs["8q"].bfc_config.num_physical_queues == 8
         assert configs["32q"].bfc_config.num_physical_queues == 32
         assert configs["Ideal-FQ"].scheme == "Ideal-FQ"

@@ -82,6 +82,20 @@ class TestDistributions:
         at_1kb = next(f for size, f in points if size >= 1_000)
         assert at_1kb < GOOGLE.cdf(1_000)
 
+    def test_google_carries_most_bytes_within_one_bdp(self):
+        # Fig. 4: most Google bytes are in flows that fit in one end-to-end
+        # BDP (~100 KB at 100 Gbps / 8 us); WebSearch carries a smaller share.
+        def bytes_at_or_below(distribution, size_limit):
+            return max(
+                [f for size, f in byte_weighted_cdf(distribution) if size <= size_limit],
+                default=0.0,
+            )
+
+        bdp = 100_000
+        google = bytes_at_or_below(GOOGLE, bdp)
+        assert google > 0.5
+        assert bytes_at_or_below(WEBSEARCH, bdp) < google
+
 
 class TestGenerator:
     def test_arrival_rate_formula(self):
