@@ -515,7 +515,7 @@ def build_simulation(
     shard reproduces the exact same component RNG states and flow ids as a
     single-process run.
     """
-    reset_flow_ids()
+    reset_flow_ids(f.flow_id for f in config.traffic.explicit_flows or ())
     sim = Simulator(seed=config.seed)
     env = _build_environment(config, sim)
     topo = _build_topology(config, env)

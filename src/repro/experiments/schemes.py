@@ -41,7 +41,7 @@ from repro.core.config import BfcConfig
 from repro.core.nic import BfcNicScheduler
 from repro.core.switchlogic import BfcSwitch
 from repro.sim.buffer import PfcPolicy
-from repro.sim.disciplines import FifoDiscipline, IdealFqDiscipline, SfqDiscipline
+from repro.sim.disciplines import IdealFqDiscipline, SfqDiscipline, fifo_for
 from repro.sim.flow import Flow
 from repro.sim.host import (
     CongestionControl,
@@ -164,7 +164,7 @@ def _fifo_switch(
         env.sim,
         name,
         buffer_bytes=env.buffer_for(tier),
-        discipline_factory=lambda iface: FifoDiscipline(),
+        discipline_factory=lambda iface: fifo_for(iface.tx),
         pfc=env.pfc() if use_pfc else env.no_pfc(),
         ecn=env.ecn() if ecn else EcnConfig(enabled=False),
         int_enabled=int_enabled,

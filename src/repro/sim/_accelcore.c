@@ -7,9 +7,14 @@
  * The run loop lives in C as well: it pops entries, maintains the
  * simulator's clock/ancestry registers through direct instance-dict stores,
  * and only enters the interpreter to execute the callbacks themselves.
- * Every scheduling call (schedule, schedule_at, post, schedule_boundary)
- * stays in Python and files its entry through insert(); the sequence
+ * The Python scheduling calls (schedule, schedule_at, post,
+ * schedule_boundary) file their entries through insert(); the sequence
  * counter lives only in the simulator.
+ *
+ * The second half of the file is the compiled forwarding plane (egress
+ * port, FIFO queue, shared buffer, the switch's data hop): it posts its
+ * deliveries and wake-ups straight into the heap, reading the registers
+ * and the sequence counter from the same instance dict.
  *
  * Built on demand by repro.sim.accel_build (no toolchain -> the pure
  * backend is used); see docs/architecture.md, "Engine backends".
@@ -18,6 +23,8 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h> /* T_LONGLONG / READONLY on Python <= 3.11 */
+#include <limits.h>
+#include <math.h>
 
 #if PY_VERSION_HEX < 0x030A0000
 /* Py_NewRef and PyModule_AddObjectRef are new in Python 3.10. */
@@ -439,34 +446,2153 @@ static PyTypeObject EventHeapType = {
     .tp_new = EventHeap_new,
 };
 
+/* ===================================================================== *
+ * The compiled forwarding plane.
+ *
+ * C twins of repro.sim.port.EgressPort (kick / send_control / notify),
+ * repro.sim.disciplines.FifoDiscipline, repro.sim.buffer.SharedBuffer and
+ * the data hop of repro.sim.switch.Switch (ECMP memo, admission, ECN check,
+ * PFC pause/resume checks, the dequeue hook).  Every statement mirrors the
+ * Python reference in order, so both planes post the same events with the
+ * same keys and sequence numbers; whatever is not here (non-FIFO
+ * disciplines, host NICs, congestion control, route misses, PFC/Bloom
+ * frame construction, ECN draws, INT stamps) is called back in Python.
+ *
+ * Posts go straight into the simulator's EventHeap with the entry layout of
+ * AccelSimulator.post: the clock, the ancestry registers and _seq are read
+ * from (and _seq written back to) the simulator's instance dict, which is
+ * where the Python scheduling calls keep them too.
+ * ===================================================================== */
+
+static PyObject *str_seq, *str_popleft, *str_append, *str_dequeue,
+    *str_enqueue, *str_has_backlog, *str_backlog_bytes, *str_set_paused,
+    *str_paused, *str_kick, *str_ecmp_pick, *str_maybe_mark_ecn,
+    *str_send_pfc, *str_stamp_int, *str_handle_pfc, *str_handle_bloom,
+    *str_data_bytes, *str_data_packets,
+    *str_control_bytes, *str_control_packets, *str_forwarded_packets,
+    *str_dropped_packets, *str_dropped_bytes, *str_heap, *str_post, *str_name,
+    *str_tx_memo;
+static PyObject *empty_tuple;
+
+/* -- Packet slots through cached member offsets ----------------------- */
+
+enum {
+    P_KIND,
+    P_IS_CONTROL,
+    P_KEY,
+    P_SIZE,
+    P_ECN_CAPABLE,
+    P_INT_ENABLED,
+    P_HOPS,
+    P_CUR_INGRESS,
+    P_NSLOTS
+};
+static const char *const slot_names[P_NSLOTS] = {
+    "kind", "is_control", "key", "size",
+    "ecn_capable", "int_enabled", "hops", "cur_ingress",
+};
+static PyObject *slot_strs[P_NSLOTS];
+static Py_ssize_t slot_offsets[P_NSLOTS];
+static PyTypeObject *packet_type; /* NULL until bind() */
+static PyObject *kind_pfc, *kind_bloom;
+
+/* New reference to a packet attribute (NULL with an exception set). */
+static PyObject *
+pkt_get(PyObject *pkt, int slot)
+{
+    if (Py_TYPE(pkt) == packet_type) {
+        PyObject *value = *(PyObject **)((char *)pkt + slot_offsets[slot]);
+        if (value != NULL)
+            return Py_NewRef(value);
+    }
+    return PyObject_GetAttr(pkt, slot_strs[slot]);
+}
+
+static int
+pkt_set(PyObject *pkt, int slot, PyObject *value)
+{
+    if (Py_TYPE(pkt) == packet_type) {
+        PyObject **addr = (PyObject **)((char *)pkt + slot_offsets[slot]);
+        PyObject *old = *addr;
+        *addr = Py_NewRef(value);
+        Py_XDECREF(old);
+        return 0;
+    }
+    return PyObject_SetAttr(pkt, slot_strs[slot], value);
+}
+
+static int
+pkt_ll(PyObject *pkt, int slot, long long *out)
+{
+    PyObject *value = pkt_get(pkt, slot);
+    if (value == NULL)
+        return -1;
+    *out = PyLong_AsLongLong(value);
+    Py_DECREF(value);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* Truth value of a packet attribute: 1, 0, or -1 on error. */
+static int
+pkt_truth(PyObject *pkt, int slot)
+{
+    PyObject *value = pkt_get(pkt, slot);
+    int truth;
+    if (value == NULL)
+        return -1;
+    truth = value == Py_True ? 1 : value == Py_False ? 0 : PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return truth;
+}
+
+/* Set by bind(): what a compiled port builds for its queue and meters. */
+static PyObject *deque_type, *pause_meter_type, *byte_meter_type;
+
+static PyObject *
+bind(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    int i;
+    if (nargs != 6 || !PyType_Check(args[0])) {
+        PyErr_SetString(PyExc_TypeError,
+                        "bind expects (Packet, PacketKind.PFC, PacketKind.BLOOM, "
+                        "deque, PauseMeter, ByteMeter)");
+        return NULL;
+    }
+    for (i = 0; i < P_NSLOTS; i++) {
+        PyObject *descr = PyObject_GetAttr(args[0], slot_strs[i]);
+        PyMemberDef *member;
+        if (descr == NULL)
+            return NULL;
+        if (Py_TYPE(descr) != &PyMemberDescr_Type) {
+            Py_DECREF(descr);
+            PyErr_Format(PyExc_TypeError, "Packet.%s is not a slot", slot_names[i]);
+            return NULL;
+        }
+        member = ((PyMemberDescrObject *)descr)->d_member;
+        if (member->type != T_OBJECT_EX) {
+            Py_DECREF(descr);
+            PyErr_Format(PyExc_TypeError, "Packet.%s is not an object slot",
+                         slot_names[i]);
+            return NULL;
+        }
+        slot_offsets[i] = member->offset;
+        Py_DECREF(descr);
+    }
+    Py_XSETREF(packet_type, (PyTypeObject *)Py_NewRef(args[0]));
+    Py_XSETREF(kind_pfc, Py_NewRef(args[1]));
+    Py_XSETREF(kind_bloom, Py_NewRef(args[2]));
+    Py_XSETREF(deque_type, Py_NewRef(args[3]));
+    Py_XSETREF(pause_meter_type, Py_NewRef(args[4]));
+    Py_XSETREF(byte_meter_type, Py_NewRef(args[5]));
+    Py_RETURN_NONE;
+}
+
+/* -- Small helpers ---------------------------------------------------- */
+
+static int
+dict_ll(PyObject *dict, PyObject *name, long long *out)
+{
+    PyObject *value = PyDict_GetItemWithError(dict, name);
+    if (value == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_AttributeError, name);
+        return -1;
+    }
+    *out = PyLong_AsLongLong(value);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* counters.values[name] += amount on a (default)dict of ints. */
+static int
+counter_add(PyObject *values, PyObject *name, long long amount)
+{
+    PyObject *cur = PyDict_GetItemWithError(values, name), *next;
+    long long total = amount;
+    int rc;
+    if (cur != NULL) {
+        long long have = PyLong_AsLongLong(cur);
+        if (have == -1 && PyErr_Occurred())
+            return -1;
+        total += have;
+    }
+    else if (PyErr_Occurred()) {
+        return -1;
+    }
+    next = PyLong_FromLongLong(total);
+    if (next == NULL)
+        return -1;
+    rc = PyDict_SetItem(values, name, next);
+    Py_DECREF(next);
+    return rc;
+}
+
+/* Call obj.name(*args) with one or two positional arguments. */
+static PyObject *
+call_method2(PyObject *obj, PyObject *name, PyObject *a, PyObject *b)
+{
+    PyObject *stack[3] = {obj, a, b};
+    return PyObject_VectorcallMethod(
+        name, stack, (b == NULL ? 2 : 3) | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+}
+
+/* Python's round() of a float: half to even. */
+static double
+round_half_even(double x)
+{
+    double r = round(x);
+    if (fabs(x - r) == 0.5)
+        r = 2.0 * round(x / 2.0);
+    return r;
+}
+
+/* -- Posting into the event heap --------------------------------------- */
+
+/* sim.post(delay, callback, *args): args is a tuple and is stolen. */
+static int
+heap_post(EventHeapObject *heap, PyObject *sim_dict, long long delay,
+          PyObject *callback, PyObject *args)
+{
+    entry_t e;
+    PyObject *next;
+    if (dict_ll(sim_dict, str_now, &e.k[1]) < 0 ||
+        dict_ll(sim_dict, str_cur_origin, &e.k[2]) < 0 ||
+        dict_ll(sim_dict, str_cur_parent, &e.k[3]) < 0 ||
+        dict_ll(sim_dict, str_cur_parent2, &e.k[4]) < 0 ||
+        dict_ll(sim_dict, str_seq, &e.k[5]) < 0)
+        goto fail;
+    if (delay > LLONG_MAX - e.k[1]) {
+        PyErr_SetString(PyExc_OverflowError, "event time out of range");
+        goto fail;
+    }
+    e.k[0] = e.k[1] + delay;
+    if (heap->size >= heap->capacity && heap_grow(heap) < 0)
+        goto fail;
+    next = PyLong_FromLongLong(e.k[5] + 1);
+    if (next == NULL)
+        goto fail;
+    e.callback = Py_NewRef(callback);
+    e.args = args;
+    heap->heap[heap->size] = e;
+    heap->size += 1;
+    sift_up(heap->heap, heap->size - 1);
+    if (PyDict_SetItem(sim_dict, str_seq, next) < 0) {
+        Py_DECREF(next);
+        return -1;
+    }
+    Py_DECREF(next);
+    return 0;
+fail:
+    Py_DECREF(args);
+    return -1;
+}
+
+/* ===================================================================== *
+ * FifoDiscipline
+ * ===================================================================== */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject **ring;
+    Py_ssize_t head;
+    Py_ssize_t count;
+    Py_ssize_t capacity;
+    long long bytes;
+} FifoObject;
+
+static PyTypeObject FifoType;
+#define Fifo_Check(op) PyObject_TypeCheck(op, &FifoType)
+
+static int
+fifo_push(FifoObject *self, PyObject *packet)
+{
+    long long size;
+    if (pkt_ll(packet, P_SIZE, &size) < 0)
+        return -1;
+    if (self->count == self->capacity) {
+        Py_ssize_t cap = self->capacity ? self->capacity * 2 : 16, i;
+        PyObject **ring = PyMem_Malloc((size_t)cap * sizeof(PyObject *));
+        if (ring == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (i = 0; i < self->count; i++)
+            ring[i] = self->ring[(self->head + i) % self->capacity];
+        PyMem_Free(self->ring);
+        self->ring = ring;
+        self->head = 0;
+        self->capacity = cap;
+    }
+    self->ring[(self->head + self->count) % self->capacity] = Py_NewRef(packet);
+    self->count += 1;
+    self->bytes += size;
+    return 0;
+}
+
+/* New reference to the head packet, or NULL *without* an exception when
+ * the queue is empty. */
+static PyObject *
+fifo_pop(FifoObject *self, int *failed)
+{
+    PyObject *packet;
+    long long size;
+    *failed = 0;
+    if (self->count == 0)
+        return NULL;
+    packet = self->ring[self->head];
+    if (pkt_ll(packet, P_SIZE, &size) < 0) {
+        *failed = 1;
+        return NULL;
+    }
+    self->head = (self->head + 1) % self->capacity;
+    self->count -= 1;
+    self->bytes -= size;
+    return packet;
+}
+
+static int Fifo_clear(FifoObject *self);
+
+static int
+Fifo_init(FifoObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "", kwlist))
+        return -1;
+    return Fifo_clear(self);
+}
+
+static PyObject *
+Fifo_enqueue(FifoObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"packet", "ingress", NULL};
+    PyObject *packet, *ingress;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO", kwlist, &packet, &ingress))
+        return NULL;
+    if (fifo_push(self, packet) < 0)
+        return NULL;
+    Py_RETURN_TRUE;
+}
+
+static PyObject *
+Fifo_dequeue(FifoObject *self, PyObject *Py_UNUSED(ignored))
+{
+    int failed;
+    PyObject *packet = fifo_pop(self, &failed);
+    if (packet == NULL && !failed)
+        Py_RETURN_NONE;
+    return packet;
+}
+
+static PyObject *
+Fifo_backlog_bytes(FifoObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyLong_FromLongLong(self->bytes);
+}
+
+static PyObject *
+Fifo_backlog_packets(FifoObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyLong_FromSsize_t(self->count);
+}
+
+static PyObject *
+Fifo_has_backlog(FifoObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyBool_FromLong(self->count > 0);
+}
+
+static int
+Fifo_traverse(FifoObject *self, visitproc visit, void *arg)
+{
+    Py_ssize_t i;
+    for (i = 0; i < self->count; i++)
+        Py_VISIT(self->ring[(self->head + i) % self->capacity]);
+    return 0;
+}
+
+static int
+Fifo_clear(FifoObject *self)
+{
+    Py_ssize_t i, count = self->count;
+    self->count = 0;
+    self->bytes = 0;
+    for (i = 0; i < count; i++)
+        Py_CLEAR(self->ring[(self->head + i) % self->capacity]);
+    return 0;
+}
+
+static void
+Fifo_dealloc(FifoObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    Fifo_clear(self);
+    PyMem_Free(self->ring);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMethodDef Fifo_methods[] = {
+    {"enqueue", (PyCFunction)(void (*)(void))Fifo_enqueue, METH_VARARGS | METH_KEYWORDS,
+     "Queue a packet at the tail; always accepts."},
+    {"dequeue", (PyCFunction)Fifo_dequeue, METH_NOARGS,
+     "Pop the head packet, or None when empty."},
+    {"backlog_bytes", (PyCFunction)Fifo_backlog_bytes, METH_NOARGS, NULL},
+    {"backlog_packets", (PyCFunction)Fifo_backlog_packets, METH_NOARGS, NULL},
+    {"has_backlog", (PyCFunction)Fifo_has_backlog, METH_NOARGS, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject FifoType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.FifoDiscipline",
+    .tp_basicsize = sizeof(FifoObject),
+    .tp_dealloc = (destructor)Fifo_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "A single first-in first-out data queue (compiled plane).",
+    .tp_traverse = (traverseproc)Fifo_traverse,
+    .tp_clear = (inquiry)Fifo_clear,
+    .tp_methods = Fifo_methods,
+    .tp_init = (initproc)Fifo_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* Discipline calls: the compiled FIFO directly, anything else in Python. */
+
+/* New reference, Py_None when nothing is eligible, NULL on error. */
+static PyObject *
+disc_dequeue(PyObject *disc)
+{
+    if (Fifo_Check(disc)) {
+        int failed;
+        PyObject *packet = fifo_pop((FifoObject *)disc, &failed);
+        if (packet == NULL && !failed)
+            Py_RETURN_NONE;
+        return packet;
+    }
+    return PyObject_CallMethodNoArgs(disc, str_dequeue);
+}
+
+static int
+disc_has_backlog(PyObject *disc)
+{
+    PyObject *res;
+    int truth;
+    if (Fifo_Check(disc))
+        return ((FifoObject *)disc)->count > 0;
+    res = PyObject_CallMethodNoArgs(disc, str_has_backlog);
+    if (res == NULL)
+        return -1;
+    truth = PyObject_IsTrue(res);
+    Py_DECREF(res);
+    return truth;
+}
+
+static int
+disc_backlog_bytes(PyObject *disc, long long *out)
+{
+    PyObject *res;
+    if (Fifo_Check(disc)) {
+        *out = ((FifoObject *)disc)->bytes;
+        return 0;
+    }
+    res = PyObject_CallMethodNoArgs(disc, str_backlog_bytes);
+    if (res == NULL)
+        return -1;
+    *out = PyLong_AsLongLong(res);
+    Py_DECREF(res);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+disc_enqueue(PyObject *disc, PyObject *packet, PyObject *ingress)
+{
+    PyObject *res;
+    int truth;
+    if (Fifo_Check(disc))
+        return fifo_push((FifoObject *)disc, packet) < 0 ? -1 : 1;
+    res = call_method2(disc, str_enqueue, packet, ingress);
+    if (res == NULL)
+        return -1;
+    truth = PyObject_IsTrue(res);
+    Py_DECREF(res);
+    return truth;
+}
+
+/* ===================================================================== *
+ * ByteCounts / PauseState: the C halves of the port's meters
+ * ===================================================================== */
+
+typedef struct {
+    PyObject_HEAD
+    long long data_bytes;
+    long long control_bytes;
+    long long data_packets;
+    long long control_packets;
+} ByteCountsObject;
+
+static int
+ByteCounts_init(ByteCountsObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "", kwlist))
+        return -1;
+    self->data_bytes = self->control_bytes = 0;
+    self->data_packets = self->control_packets = 0;
+    return 0;
+}
+
+static PyMemberDef ByteCounts_members[] = {
+    {"data_bytes", T_LONGLONG, offsetof(ByteCountsObject, data_bytes), 0, NULL},
+    {"control_bytes", T_LONGLONG, offsetof(ByteCountsObject, control_bytes), 0, NULL},
+    {"data_packets", T_LONGLONG, offsetof(ByteCountsObject, data_packets), 0, NULL},
+    {"control_packets", T_LONGLONG, offsetof(ByteCountsObject, control_packets), 0, NULL},
+    {NULL},
+};
+
+static PyTypeObject ByteCountsType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.ByteCounts",
+    .tp_basicsize = sizeof(ByteCountsObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "A ByteMeter's counters, stored in C.",
+    .tp_members = ByteCounts_members,
+    .tp_init = (initproc)ByteCounts_init,
+    .tp_new = PyType_GenericNew,
+};
+
+typedef struct {
+    PyObject_HEAD
+    char paused;
+    PyObject *paused_since; /* int, or NULL (None) while running */
+    long long accumulated;
+    long long pause_events;
+} PauseStateObject;
+
+static int
+PauseState_init(PauseStateObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "", kwlist))
+        return -1;
+    self->paused = 0;
+    Py_CLEAR(self->paused_since);
+    self->accumulated = 0;
+    self->pause_events = 0;
+    return 0;
+}
+
+static void
+PauseState_dealloc(PauseStateObject *self)
+{
+    Py_CLEAR(self->paused_since);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMemberDef PauseState_members[] = {
+    {"paused", T_BOOL, offsetof(PauseStateObject, paused), 0, NULL},
+    {"_paused_since", T_OBJECT, offsetof(PauseStateObject, paused_since), 0, NULL},
+    {"_accumulated", T_LONGLONG, offsetof(PauseStateObject, accumulated), 0, NULL},
+    {"pause_events", T_LONGLONG, offsetof(PauseStateObject, pause_events), 0, NULL},
+    {NULL},
+};
+
+static PyTypeObject PauseStateType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.PauseState",
+    .tp_basicsize = sizeof(PauseStateObject),
+    .tp_dealloc = (destructor)PauseState_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "A PauseMeter's state, stored in C.",
+    .tp_members = PauseState_members,
+    .tp_init = (initproc)PauseState_init,
+    .tp_new = PyType_GenericNew,
+};
+
+static int
+meter_missing(PyObject *meter)
+{
+    if (meter != NULL)
+        return 0;
+    PyErr_SetString(PyExc_AttributeError, "egress port meter is not set");
+    return -1;
+}
+
+static int
+meter_paused(PyObject *meter)
+{
+    PyObject *value;
+    int truth;
+    if (meter_missing(meter) < 0)
+        return -1;
+    if (PyObject_TypeCheck(meter, &PauseStateType))
+        return ((PauseStateObject *)meter)->paused;
+    value = PyObject_GetAttr(meter, str_paused);
+    if (value == NULL)
+        return -1;
+    truth = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return truth;
+}
+
+static int
+meter_add(PyObject *meter, int is_data, long long size)
+{
+    PyObject *names[2];
+    long long amounts[2] = {size, 1};
+    int i;
+    if (meter_missing(meter) < 0)
+        return -1;
+    if (PyObject_TypeCheck(meter, &ByteCountsType)) {
+        ByteCountsObject *counts = (ByteCountsObject *)meter;
+        if (is_data) {
+            counts->data_bytes += size;
+            counts->data_packets += 1;
+        }
+        else {
+            counts->control_bytes += size;
+            counts->control_packets += 1;
+        }
+        return 0;
+    }
+    names[0] = is_data ? str_data_bytes : str_control_bytes;
+    names[1] = is_data ? str_data_packets : str_control_packets;
+    for (i = 0; i < 2; i++) {
+        PyObject *cur = PyObject_GetAttr(meter, names[i]), *delta, *next;
+        int rc;
+        if (cur == NULL)
+            return -1;
+        delta = PyLong_FromLongLong(amounts[i]);
+        if (delta == NULL) {
+            Py_DECREF(cur);
+            return -1;
+        }
+        next = PyNumber_Add(cur, delta);
+        Py_DECREF(cur);
+        Py_DECREF(delta);
+        if (next == NULL)
+            return -1;
+        rc = PyObject_SetAttr(meter, names[i], next);
+        Py_DECREF(next);
+        if (rc < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* ===================================================================== *
+ * SharedBuffer (and its BufferStats)
+ * ===================================================================== */
+
+typedef struct {
+    PyObject_HEAD
+    long long dropped_packets;
+    long long dropped_bytes;
+    long long max_occupancy;
+    long long admitted_packets;
+    long long admitted_bytes;
+} BufferStatsObject;
+
+static PyMemberDef BufferStats_members[] = {
+    {"dropped_packets", T_LONGLONG, offsetof(BufferStatsObject, dropped_packets), 0, NULL},
+    {"dropped_bytes", T_LONGLONG, offsetof(BufferStatsObject, dropped_bytes), 0, NULL},
+    {"max_occupancy", T_LONGLONG, offsetof(BufferStatsObject, max_occupancy), 0, NULL},
+    {"admitted_packets", T_LONGLONG, offsetof(BufferStatsObject, admitted_packets), 0, NULL},
+    {"admitted_bytes", T_LONGLONG, offsetof(BufferStatsObject, admitted_bytes), 0, NULL},
+    {NULL},
+};
+
+static PyTypeObject BufferStatsType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.BufferStats",
+    .tp_basicsize = sizeof(BufferStatsObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Drop and high-water-mark accounting for a shared buffer.",
+    .tp_members = BufferStats_members,
+    .tp_new = PyType_GenericNew,
+};
+
+typedef struct {
+    PyObject_HEAD
+    long long capacity;
+    long long used;
+    PyObject *per_ingress; /* dict: ingress -> bytes, as in the Python class */
+    BufferStatsObject *stats;
+} BufferObject;
+
+static PyTypeObject BufferType;
+#define Buffer_Check(op) PyObject_TypeCheck(op, &BufferType)
+
+static int
+Buffer_init(BufferObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"capacity_bytes", NULL};
+    PyObject *arg, *as_int;
+    long long capacity;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &arg))
+        return -1;
+    as_int = PyNumber_Long(arg);
+    if (as_int == NULL)
+        return -1;
+    capacity = PyLong_AsLongLong(as_int);
+    Py_DECREF(as_int);
+    if (capacity == -1 && PyErr_Occurred())
+        return -1;
+    if (capacity <= 0) {
+        PyErr_SetString(PyExc_ValueError, "buffer capacity must be positive");
+        return -1;
+    }
+    self->capacity = capacity;
+    self->used = 0;
+    Py_XSETREF(self->per_ingress, PyDict_New());
+    if (self->per_ingress == NULL)
+        return -1;
+    Py_XSETREF(self->stats,
+               (BufferStatsObject *)PyObject_CallNoArgs((PyObject *)&BufferStatsType));
+    return self->stats == NULL ? -1 : 0;
+}
+
+static int
+ingress_bytes(BufferObject *self, PyObject *ingress, long long *out)
+{
+    PyObject *cur = PyDict_GetItemWithError(self->per_ingress, ingress);
+    if (cur == NULL) {
+        *out = 0;
+        return PyErr_Occurred() ? -1 : 0;
+    }
+    *out = PyLong_AsLongLong(cur);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+set_ingress_bytes(BufferObject *self, PyObject *ingress, long long value)
+{
+    PyObject *num = PyLong_FromLongLong(value);
+    int rc;
+    if (num == NULL)
+        return -1;
+    rc = PyDict_SetItem(self->per_ingress, ingress, num);
+    Py_DECREF(num);
+    return rc;
+}
+
+/* 1 admitted, 0 dropped, -1 error. */
+static int
+buffer_admit(BufferObject *self, long long size, PyObject *ingress)
+{
+    BufferStatsObject *stats = self->stats;
+    long long used, current;
+    if (size < 0) {
+        PyErr_SetString(PyExc_ValueError, "packet size must be non-negative");
+        return -1;
+    }
+    used = self->used + size;
+    if (used > self->capacity) {
+        stats->dropped_packets += 1;
+        stats->dropped_bytes += size;
+        return 0;
+    }
+    if (ingress_bytes(self, ingress, &current) < 0 ||
+        set_ingress_bytes(self, ingress, current + size) < 0)
+        return -1;
+    self->used = used;
+    stats->admitted_packets += 1;
+    stats->admitted_bytes += size;
+    if (used > stats->max_occupancy)
+        stats->max_occupancy = used;
+    return 1;
+}
+
+static int
+buffer_release(BufferObject *self, long long size, PyObject *ingress)
+{
+    long long current;
+    if (size < 0) {
+        PyErr_SetString(PyExc_ValueError, "packet size must be non-negative");
+        return -1;
+    }
+    if (size > self->used) {
+        PyErr_Format(PyExc_ValueError,
+                     "releasing %lld bytes but only %lld are in use", size,
+                     self->used);
+        return -1;
+    }
+    if (ingress_bytes(self, ingress, &current) < 0)
+        return -1;
+    if (size > current) {
+        PyErr_Format(PyExc_ValueError,
+                     "releasing %lld bytes from ingress %R but only %lld are "
+                     "attributed to it",
+                     size, ingress, current);
+        return -1;
+    }
+    self->used -= size;
+    return set_ingress_bytes(self, ingress, current - size);
+}
+
+static PyObject *
+Buffer_admit(BufferObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"size", "ingress", NULL};
+    long long size;
+    PyObject *ingress;
+    int rc;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LO", kwlist, &size, &ingress))
+        return NULL;
+    rc = buffer_admit(self, size, ingress);
+    if (rc < 0)
+        return NULL;
+    return PyBool_FromLong(rc);
+}
+
+static PyObject *
+Buffer_release(BufferObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"size", "ingress", NULL};
+    long long size;
+    PyObject *ingress;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LO", kwlist, &size, &ingress))
+        return NULL;
+    if (buffer_release(self, size, ingress) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Buffer_occupancy(BufferObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyLong_FromLongLong(self->used);
+}
+
+static PyObject *
+Buffer_ingress_occupancy(BufferObject *self, PyObject *ingress)
+{
+    long long value;
+    if (ingress_bytes(self, ingress, &value) < 0)
+        return NULL;
+    return PyLong_FromLongLong(value);
+}
+
+static PyObject *
+Buffer_can_admit(BufferObject *self, PyObject *arg)
+{
+    long long size = PyLong_AsLongLong(arg);
+    if (size == -1 && PyErr_Occurred())
+        return NULL;
+    return PyBool_FromLong(self->used + size <= self->capacity);
+}
+
+static PyObject *
+Buffer_infinite(PyObject *cls, PyObject *Py_UNUSED(ignored))
+{
+    return PyObject_CallFunction(cls, "L", (long long)1 << 60);
+}
+
+static long long
+buffer_free(BufferObject *self)
+{
+    return self->capacity > self->used ? self->capacity - self->used : 0;
+}
+
+static PyObject *
+Buffer_get_free(BufferObject *self, void *closure)
+{
+    return PyLong_FromLongLong(buffer_free(self));
+}
+
+static int
+Buffer_traverse(BufferObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->per_ingress);
+    Py_VISIT(self->stats);
+    return 0;
+}
+
+static int
+Buffer_clear(BufferObject *self)
+{
+    Py_CLEAR(self->per_ingress);
+    Py_CLEAR(self->stats);
+    return 0;
+}
+
+static void
+Buffer_dealloc(BufferObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    Buffer_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMethodDef Buffer_methods[] = {
+    {"admit", (PyCFunction)(void (*)(void))Buffer_admit, METH_VARARGS | METH_KEYWORDS,
+     "Try to admit size bytes from ingress; False (and a drop) on overflow."},
+    {"release", (PyCFunction)(void (*)(void))Buffer_release, METH_VARARGS | METH_KEYWORDS,
+     "Return size bytes attributed to ingress to the pool."},
+    {"occupancy", (PyCFunction)Buffer_occupancy, METH_NOARGS, NULL},
+    {"ingress_occupancy", (PyCFunction)Buffer_ingress_occupancy, METH_O, NULL},
+    {"can_admit", (PyCFunction)Buffer_can_admit, METH_O, NULL},
+    {"infinite", (PyCFunction)Buffer_infinite, METH_NOARGS | METH_CLASS,
+     "A buffer so large it never fills (used by Ideal-FQ)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef Buffer_members[] = {
+    {"capacity", T_LONGLONG, offsetof(BufferObject, capacity), 0, NULL},
+    {"used", T_LONGLONG, offsetof(BufferObject, used), 0, NULL},
+    {"per_ingress", T_OBJECT_EX, offsetof(BufferObject, per_ingress), 0, NULL},
+    {"stats", T_OBJECT_EX, offsetof(BufferObject, stats), READONLY, NULL},
+    {NULL},
+};
+
+static PyGetSetDef Buffer_getset[] = {
+    {"free", (getter)Buffer_get_free, NULL, "Unallocated bytes.", NULL},
+    {NULL},
+};
+
+static PyTypeObject BufferType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.SharedBuffer",
+    .tp_basicsize = sizeof(BufferObject),
+    .tp_dealloc = (destructor)Buffer_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "A byte-counted shared memory pool with per-ingress accounting.",
+    .tp_traverse = (traverseproc)Buffer_traverse,
+    .tp_clear = (inquiry)Buffer_clear,
+    .tp_methods = Buffer_methods,
+    .tp_members = Buffer_members,
+    .tp_getset = Buffer_getset,
+    .tp_init = (initproc)Buffer_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ===================================================================== *
+ * EgressPort
+ * ===================================================================== */
+
+typedef struct SwitchPlaneObject SwitchPlaneObject;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *sim;
+    PyObject *sim_dict;
+    EventHeapObject *heap; /* NULL on a simulator without an EventHeap */
+    PyObject *post;        /* the _post alias */
+    int post_direct;       /* _post is the simulator's own post */
+    PyObject *owner;
+    PyObject *name;
+    long long iface_index;
+    PyObject *iface_index_obj;
+    PyObject *rate_obj; /* rate_bps as given */
+    double rate_bps;
+    long long delay_ns;
+    PyObject *peer_node;
+    PyObject *peer_iface;
+    PyObject *peer_receive;
+    PyObject *tx_memo;
+    PyObject *control_queue;
+    PyObject *discipline;
+    char busy;
+    long long busy_until;
+    long long wake_at;
+    PyObject *pfc_meter;
+    PyObject *bytes;
+    long long tx_data_bytes_total;
+    PyObject *wake_check;
+    PyObject *on_data_dequeue;
+    PyObject *on_data_transmitted;
+    PyObject *kick_method; /* self.kick, bound once */
+} PortObject;
+
+static PyTypeObject PortType;
+#define Port_Check(op) PyObject_TypeCheck(op, &PortType)
+
+static int port_kick(PortObject *self);
+static int plane_on_dequeue(SwitchPlaneObject *plane, PyObject *packet,
+                            PyObject *iface_index);
+static PyObject *SwitchPlane_on_data_dequeue(SwitchPlaneObject *self,
+                                             PyObject *const *args,
+                                             Py_ssize_t nargs);
+
+static int
+port_post(PortObject *self, long long delay, PyObject *callback, PyObject *args)
+{
+    PyObject *stack[5], *delay_obj, *post, *res;
+    Py_ssize_t n, i;
+    if (callback == NULL) {
+        Py_DECREF(args);
+        PyErr_SetString(PyExc_TypeError, "egress port is not connected");
+        return -1;
+    }
+    if (self->post_direct && self->heap != NULL)
+        return heap_post(self->heap, self->sim_dict, delay, callback, args);
+    delay_obj = PyLong_FromLongLong(delay);
+    if (delay_obj == NULL) {
+        Py_DECREF(args);
+        return -1;
+    }
+    n = PyTuple_GET_SIZE(args);
+    stack[0] = delay_obj;
+    stack[1] = Py_NewRef(callback);
+    for (i = 0; i < n && i < 3; i++)
+        stack[2 + i] = PyTuple_GET_ITEM(args, i);
+    post = Py_NewRef(self->post);
+    res = PyObject_Vectorcall(post, stack, 2 + i, NULL);
+    Py_DECREF(post);
+    Py_DECREF(stack[1]);
+    Py_DECREF(delay_obj);
+    Py_DECREF(args);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+static int
+port_now(PortObject *self, long long *now)
+{
+    return dict_ll(self->sim_dict, str_now, now);
+}
+
+/* hook(packet, iface_index), entering a switch plane's hook directly. */
+static int
+port_call_hook(PortObject *self, PyObject *hook, PyObject *packet)
+{
+    PyObject *res, *stack[2];
+    if (PyCFunction_Check(hook) &&
+        PyCFunction_GET_FUNCTION(hook) == (PyCFunction)(void (*)(void))SwitchPlane_on_data_dequeue)
+        return plane_on_dequeue((SwitchPlaneObject *)PyCFunction_GET_SELF(hook),
+                                packet, self->iface_index_obj);
+    stack[0] = packet;
+    stack[1] = self->iface_index_obj;
+    res = PyObject_Vectorcall(hook, stack, 2, NULL);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* The tx time of one packet size, through the shared per-rate memo. */
+static int
+port_tx_ns(PortObject *self, PyObject *size_obj, long long size, long long *out)
+{
+    PyObject *hit = PyDict_GetItemWithError(self->tx_memo, size_obj), *num;
+    long long tx_ns;
+    int rc;
+    if (hit != NULL) {
+        *out = PyLong_AsLongLong(hit);
+        return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+    }
+    if (PyErr_Occurred())
+        return -1;
+    /* Arithmetically identical to units.transmission_time_ns. */
+    tx_ns = (long long)round_half_even((double)(size * 8 * 1000000000LL) / self->rate_bps);
+    if (tx_ns <= 0)
+        tx_ns = 1;
+    num = PyLong_FromLongLong(tx_ns);
+    if (num == NULL)
+        return -1;
+    rc = PyDict_SetItem(self->tx_memo, size_obj, num);
+    Py_DECREF(num);
+    *out = tx_ns;
+    return rc;
+}
+
+static int
+port_kick(PortObject *self)
+{
+    PyObject *packet, *size_obj, *args;
+    long long now, size, tx_ns, end;
+    Py_ssize_t backlog;
+    int is_data, paused;
+
+    if (self->busy) {
+        long long until = self->busy_until;
+        if (port_now(self, &now) < 0)
+            return -1;
+        if (now < until) {
+            if (self->wake_at != until) {
+                self->wake_at = until;
+                return port_post(self, until - now, self->kick_method,
+                                 Py_NewRef(empty_tuple));
+            }
+            return 0;
+        }
+        self->busy = 0;
+    }
+    if (self->peer_node == NULL || self->peer_node == Py_None)
+        return 0;
+    backlog = PyObject_Size(self->control_queue);
+    if (backlog < 0)
+        return -1;
+    if (backlog > 0) {
+        packet = PyObject_CallMethodNoArgs(self->control_queue, str_popleft);
+        if (packet == NULL)
+            return -1;
+        is_data = 0;
+    }
+    else {
+        PyObject *discipline = self->discipline, *hook;
+        paused = meter_paused(self->pfc_meter);
+        if (paused < 0)
+            return -1;
+        if (paused || discipline == NULL || discipline == Py_None)
+            return 0;
+        packet = disc_dequeue(discipline);
+        if (packet == NULL)
+            return -1;
+        if (packet == Py_None) {
+            Py_DECREF(packet);
+            return 0;
+        }
+        hook = self->on_data_dequeue;
+        if (hook != NULL && hook != Py_None) {
+            Py_INCREF(hook);
+            if (port_call_hook(self, hook, packet) < 0) {
+                Py_DECREF(hook);
+                Py_DECREF(packet);
+                return -1;
+            }
+            Py_DECREF(hook);
+        }
+        is_data = 1;
+    }
+    self->busy = 1;
+    if (port_now(self, &now) < 0)
+        goto error;
+    size_obj = pkt_get(packet, P_SIZE);
+    if (size_obj == NULL)
+        goto error;
+    size = PyLong_AsLongLong(size_obj);
+    if ((size == -1 && PyErr_Occurred()) ||
+        port_tx_ns(self, size_obj, size, &tx_ns) < 0) {
+        Py_DECREF(size_obj);
+        goto error;
+    }
+    Py_DECREF(size_obj);
+    if (meter_add(self->bytes, is_data, size) < 0)
+        goto error;
+    if (is_data) {
+        PyObject *hook = self->on_data_transmitted;
+        self->tx_data_bytes_total += size;
+        if (hook != NULL && hook != Py_None) {
+            int rc;
+            Py_INCREF(hook);
+            rc = port_call_hook(self, hook, packet);
+            Py_DECREF(hook);
+            if (rc < 0)
+                goto error;
+        }
+    }
+    /* The fused delivery: one event at now + tx + propagation. */
+    args = PyTuple_Pack(2, packet, self->peer_iface);
+    Py_DECREF(packet);
+    if (args == NULL)
+        return -1;
+    if (port_post(self, tx_ns + self->delay_ns, self->peer_receive, args) < 0)
+        return -1;
+    end = now + tx_ns;
+    self->busy_until = end;
+    /* Chain wake-up at the commit horizon, exactly as EgressPort.kick. */
+    backlog = PyObject_Size(self->control_queue);
+    if (backlog < 0)
+        return -1;
+    if (backlog == 0) {
+        paused = meter_paused(self->pfc_meter);
+        if (paused < 0)
+            return -1;
+        if (paused)
+            return 0;
+        if (self->wake_check != NULL && self->wake_check != Py_None) {
+            PyObject *end_obj = PyLong_FromLongLong(end), *res;
+            int truth;
+            if (end_obj == NULL)
+                return -1;
+            res = PyObject_CallOneArg(self->wake_check, end_obj);
+            Py_DECREF(end_obj);
+            if (res == NULL)
+                return -1;
+            truth = PyObject_IsTrue(res);
+            Py_DECREF(res);
+            if (truth <= 0)
+                return truth;
+        }
+        else {
+            int has;
+            if (self->discipline == NULL || self->discipline == Py_None)
+                return 0;
+            has = disc_has_backlog(self->discipline);
+            if (has <= 0)
+                return has;
+        }
+    }
+    if (self->wake_at != end) {
+        self->wake_at = end;
+        return port_post(self, tx_ns, self->kick_method, Py_NewRef(empty_tuple));
+    }
+    return 0;
+
+error:
+    Py_DECREF(packet);
+    return -1;
+}
+
+static int
+port_send_control(PortObject *self, PyObject *packet)
+{
+    PyObject *res;
+    int control = pkt_truth(packet, P_IS_CONTROL);
+    if (control < 0)
+        return -1;
+    if (!control) {
+        PyErr_SetString(PyExc_ValueError,
+                        "send_control() is only for control packets");
+        return -1;
+    }
+    res = PyObject_CallMethodOneArg(self->control_queue, str_append, packet);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return port_kick(self);
+}
+
+static int
+Port_init(PortObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"sim", "owner", "iface_index", "rate_bps",
+                             "delay_ns", "name", NULL};
+    PyObject *sim, *owner, *rate, *delay, *name = NULL, *heap, *as_int;
+    long long iface_index;
+    int named;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOLOO|O", kwlist, &sim,
+                                     &owner, &iface_index, &rate, &delay, &name))
+        return -1;
+    if (deque_type == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "_accelcore.bind() has not run");
+        return -1;
+    }
+    self->rate_bps = PyFloat_AsDouble(rate);
+    if (self->rate_bps == -1.0 && PyErr_Occurred())
+        return -1;
+    if (self->rate_bps <= 0) {
+        PyErr_SetString(PyExc_ValueError, "link rate must be positive");
+        return -1;
+    }
+    as_int = PyNumber_Long(delay);
+    if (as_int == NULL)
+        return -1;
+    self->delay_ns = PyLong_AsLongLong(as_int);
+    Py_DECREF(as_int);
+    if (self->delay_ns == -1 && PyErr_Occurred())
+        return -1;
+    if (self->delay_ns < 0) {
+        PyErr_SetString(PyExc_ValueError, "propagation delay cannot be negative");
+        return -1;
+    }
+    Py_XSETREF(self->rate_obj, Py_NewRef(rate));
+    Py_XSETREF(self->sim, Py_NewRef(sim));
+    Py_XSETREF(self->sim_dict, PyObject_GetAttr(sim, str_dict));
+    if (self->sim_dict == NULL)
+        return -1;
+    if (!PyDict_Check(self->sim_dict)) {
+        PyErr_SetString(PyExc_TypeError, "the simulator's __dict__ is not a dict");
+        return -1;
+    }
+    heap = PyDict_GetItemWithError(self->sim_dict, str_heap);
+    if (heap == NULL && PyErr_Occurred())
+        return -1;
+    Py_CLEAR(self->heap);
+    if (heap != NULL && Py_TYPE(heap) == &EventHeapType)
+        self->heap = (EventHeapObject *)Py_NewRef(heap);
+    Py_XSETREF(self->post, PyObject_GetAttr(sim, str_post));
+    if (self->post == NULL)
+        return -1;
+    self->post_direct = 1;
+    Py_XSETREF(self->owner, Py_NewRef(owner));
+    self->iface_index = iface_index;
+    Py_XSETREF(self->iface_index_obj, PyLong_FromLongLong(iface_index));
+    if (self->iface_index_obj == NULL)
+        return -1;
+    /* name or f"{owner.name}.if{iface_index}" */
+    named = name == NULL ? 0 : PyObject_IsTrue(name);
+    if (named < 0)
+        return -1;
+    if (named) {
+        Py_XSETREF(self->name, Py_NewRef(name));
+    }
+    else {
+        PyObject *owner_name = PyObject_GetAttr(owner, str_name);
+        if (owner_name == NULL)
+            return -1;
+        Py_XSETREF(self->name, PyUnicode_FromFormat("%S.if%lld", owner_name, iface_index));
+        Py_DECREF(owner_name);
+        if (self->name == NULL)
+            return -1;
+    }
+    Py_XSETREF(self->tx_memo, PyObject_CallMethodOneArg(sim, str_tx_memo, rate));
+    Py_XSETREF(self->control_queue, PyObject_CallNoArgs(deque_type));
+    Py_XSETREF(self->pfc_meter, PyObject_CallNoArgs(pause_meter_type));
+    Py_XSETREF(self->bytes, PyObject_CallNoArgs(byte_meter_type));
+    if (self->tx_memo == NULL || self->control_queue == NULL ||
+        self->pfc_meter == NULL || self->bytes == NULL)
+        return -1;
+    Py_XSETREF(self->peer_iface, PyLong_FromLong(-1));
+    if (self->peer_iface == NULL)
+        return -1;
+    self->busy = 0;
+    self->busy_until = 0;
+    self->wake_at = -1;
+    self->tx_data_bytes_total = 0;
+    Py_XSETREF(self->kick_method, PyObject_GetAttr((PyObject *)self, str_kick));
+    return self->kick_method == NULL ? -1 : 0;
+}
+
+static PyObject *
+Port_kick(PortObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (port_kick(self) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Port_send_control(PortObject *self, PyObject *packet)
+{
+    if (port_send_control(self, packet) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Port_set_pfc_paused(PortObject *self, PyObject *paused)
+{
+    PyObject *now, *res;
+    int truth = PyObject_IsTrue(paused);
+    if (truth < 0)
+        return NULL;
+    now = PyDict_GetItemWithError(self->sim_dict, str_now);
+    if (now == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_AttributeError, str_now);
+        return NULL;
+    }
+    res = call_method2(self->pfc_meter, str_set_paused, paused, now);
+    if (res == NULL)
+        return NULL;
+    Py_DECREF(res);
+    if (!truth && port_kick(self) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Port_get_post(PortObject *self, void *closure)
+{
+    return Py_NewRef(self->post);
+}
+
+static int
+Port_set_post(PortObject *self, PyObject *value, void *closure)
+{
+    if (value == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete _post");
+        return -1;
+    }
+    Py_XSETREF(self->post, Py_NewRef(value));
+    self->post_direct = 0;
+    return 0;
+}
+
+static int
+Port_traverse(PortObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->sim);
+    Py_VISIT(self->sim_dict);
+    Py_VISIT(self->heap);
+    Py_VISIT(self->rate_obj);
+    Py_VISIT(self->post);
+    Py_VISIT(self->owner);
+    Py_VISIT(self->name);
+    Py_VISIT(self->peer_node);
+    Py_VISIT(self->peer_receive);
+    Py_VISIT(self->tx_memo);
+    Py_VISIT(self->control_queue);
+    Py_VISIT(self->discipline);
+    Py_VISIT(self->pfc_meter);
+    Py_VISIT(self->bytes);
+    Py_VISIT(self->wake_check);
+    Py_VISIT(self->on_data_dequeue);
+    Py_VISIT(self->on_data_transmitted);
+    Py_VISIT(self->kick_method);
+    return 0;
+}
+
+static int
+Port_clear(PortObject *self)
+{
+    Py_CLEAR(self->sim);
+    Py_CLEAR(self->sim_dict);
+    Py_CLEAR(self->heap);
+    Py_CLEAR(self->post);
+    Py_CLEAR(self->owner);
+    Py_CLEAR(self->name);
+    Py_CLEAR(self->iface_index_obj);
+    Py_CLEAR(self->rate_obj);
+    Py_CLEAR(self->peer_node);
+    Py_CLEAR(self->peer_iface);
+    Py_CLEAR(self->peer_receive);
+    Py_CLEAR(self->tx_memo);
+    Py_CLEAR(self->control_queue);
+    Py_CLEAR(self->discipline);
+    Py_CLEAR(self->pfc_meter);
+    Py_CLEAR(self->bytes);
+    Py_CLEAR(self->wake_check);
+    Py_CLEAR(self->on_data_dequeue);
+    Py_CLEAR(self->on_data_transmitted);
+    Py_CLEAR(self->kick_method);
+    return 0;
+}
+
+static void
+Port_dealloc(PortObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    Port_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMethodDef Port_methods[] = {
+    {"kick", (PyCFunction)Port_kick, METH_NOARGS,
+     "Transmit the next eligible packet, or arm a wake-up if committed."},
+    {"notify", (PyCFunction)Port_kick, METH_NOARGS,
+     "Tell the port that the data discipline may have become non-empty."},
+    {"send_control", (PyCFunction)Port_send_control, METH_O,
+     "Queue a control packet for transmission at strict priority."},
+    {"set_pfc_paused", (PyCFunction)Port_set_pfc_paused, METH_O,
+     "Pause/resume the data class of this port (control still flows)."},
+    {NULL, NULL, 0, NULL},
+};
+
+#define PORT_OBJ(name, field) \
+    {name, T_OBJECT, offsetof(PortObject, field), 0, NULL}
+static PyMemberDef Port_members[] = {
+    {"sim", T_OBJECT, offsetof(PortObject, sim), READONLY, NULL},
+    {"owner", T_OBJECT, offsetof(PortObject, owner), READONLY, NULL},
+    {"iface_index", T_LONGLONG, offsetof(PortObject, iface_index), READONLY, NULL},
+    {"rate_bps", T_OBJECT, offsetof(PortObject, rate_obj), READONLY, NULL},
+    {"delay_ns", T_LONGLONG, offsetof(PortObject, delay_ns), READONLY, NULL},
+    PORT_OBJ("name", name),
+    PORT_OBJ("peer_node", peer_node),
+    PORT_OBJ("peer_iface", peer_iface),
+    PORT_OBJ("_peer_receive", peer_receive),
+    PORT_OBJ("_tx_memo", tx_memo),
+    PORT_OBJ("control_queue", control_queue),
+    PORT_OBJ("discipline", discipline),
+    {"busy", T_BOOL, offsetof(PortObject, busy), 0, NULL},
+    {"_busy_until", T_LONGLONG, offsetof(PortObject, busy_until), 0, NULL},
+    {"_wake_at", T_LONGLONG, offsetof(PortObject, wake_at), 0, NULL},
+    PORT_OBJ("pfc_meter", pfc_meter),
+    PORT_OBJ("bytes", bytes),
+    {"tx_data_bytes_total", T_LONGLONG, offsetof(PortObject, tx_data_bytes_total), 0, NULL},
+    PORT_OBJ("_wake_check", wake_check),
+    PORT_OBJ("on_data_dequeue", on_data_dequeue),
+    PORT_OBJ("on_data_transmitted", on_data_transmitted),
+    {NULL},
+};
+#undef PORT_OBJ
+
+static PyGetSetDef Port_getset[] = {
+    {"_post", (getter)Port_get_post, (setter)Port_set_post,
+     "The post alias; replacing it routes every post through the replacement.",
+     NULL},
+    {NULL},
+};
+
+static PyTypeObject PortType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.EgressPort",
+    .tp_basicsize = sizeof(PortObject),
+    .tp_dealloc = (destructor)Port_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "The transmit path of an egress port (compiled plane).",
+    .tp_traverse = (traverseproc)Port_traverse,
+    .tp_clear = (inquiry)Port_clear,
+    .tp_methods = Port_methods,
+    .tp_members = Port_members,
+    .tp_getset = Port_getset,
+    .tp_init = (initproc)Port_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ===================================================================== *
+ * SwitchPlane: the data hop of one switch
+ * ===================================================================== */
+
+typedef struct {
+    PyObject *key;
+    Py_ssize_t egress;
+} memo_entry;
+
+struct SwitchPlaneObject {
+    PyObject_HEAD
+    PyObject *owner;     /* the Switch node: cold paths call back into it */
+    PyObject *ports;     /* list: interface index -> egress port */
+    BufferObject *buffer;
+    PyObject *counters;  /* the switch's counters.values */
+    PyObject *pfc_sent;  /* the switch's _pfc_sent dict */
+    PyObject *admit_override; /* a replaced _admit_data, or NULL */
+    char pfc_enabled;
+    double pfc_fraction;
+    double pfc_resume_ratio;
+    char ecn_enabled;
+    double ecn_kmin;
+    char int_enabled;
+    /* ECMP memo: FlowKey identity -> egress index, open addressing at a
+     * load of at most one half; it holds a reference to each key. */
+    memo_entry *memo;
+    Py_ssize_t memo_mask;
+    Py_ssize_t memo_count;
+    Py_ssize_t memo_limit;
+};
+
+static PyTypeObject SwitchPlaneType;
+
+static void
+memo_clear(SwitchPlaneObject *self)
+{
+    Py_ssize_t i;
+    if (self->memo == NULL)
+        return;
+    for (i = 0; i <= self->memo_mask; i++)
+        Py_CLEAR(self->memo[i].key);
+    self->memo_count = 0;
+}
+
+static inline Py_ssize_t
+memo_slot(memo_entry *memo, Py_ssize_t mask, PyObject *key)
+{
+    size_t h = ((size_t)key >> 4) * (size_t)0x9E3779B97F4A7C15ULL;
+    Py_ssize_t i = (Py_ssize_t)(h >> 20) & mask;
+    while (memo[i].key != NULL && memo[i].key != key)
+        i = (i + 1) & mask;
+    return i;
+}
+
+static int
+memo_resize(SwitchPlaneObject *self, Py_ssize_t capacity)
+{
+    memo_entry *memo = PyMem_Calloc((size_t)capacity, sizeof(memo_entry));
+    Py_ssize_t i;
+    if (memo == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; self->memo != NULL && i <= self->memo_mask; i++) {
+        if (self->memo[i].key != NULL)
+            memo[memo_slot(memo, capacity - 1, self->memo[i].key)] = self->memo[i];
+    }
+    PyMem_Free(self->memo);
+    self->memo = memo;
+    self->memo_mask = capacity - 1;
+    return 0;
+}
+
+/* Egress interface of a packet: the memo, else the switch's egress_for. */
+static Py_ssize_t
+plane_egress(SwitchPlaneObject *self, PyObject *packet)
+{
+    PyObject *key = pkt_get(packet, P_KEY), *res;
+    Py_ssize_t slot, egress;
+    if (key == NULL)
+        return -1;
+    slot = memo_slot(self->memo, self->memo_mask, key);
+    if (self->memo[slot].key == key) {
+        Py_DECREF(key);
+        return self->memo[slot].egress;
+    }
+    res = PyObject_CallMethodOneArg(self->owner, str_ecmp_pick, key);
+    if (res == NULL) {
+        Py_DECREF(key);
+        return -1;
+    }
+    egress = PyLong_AsSsize_t(res);
+    Py_DECREF(res);
+    if (egress == -1 && PyErr_Occurred()) {
+        Py_DECREF(key);
+        return -1;
+    }
+    if (self->memo_count >= self->memo_limit) {
+        memo_clear(self);
+    }
+    else if (2 * (self->memo_count + 1) > self->memo_mask + 1 &&
+             memo_resize(self, 2 * (self->memo_mask + 1)) < 0) {
+        Py_DECREF(key);
+        return -1;
+    }
+    slot = memo_slot(self->memo, self->memo_mask, key);
+    self->memo[slot].key = key; /* the memo keeps the reference */
+    self->memo[slot].egress = egress;
+    self->memo_count += 1;
+    return egress;
+}
+
+static int
+pfc_flag(SwitchPlaneObject *self, PyObject *ingress)
+{
+    PyObject *sent = PyDict_GetItemWithError(self->pfc_sent, ingress);
+    if (sent == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    return PyObject_IsTrue(sent);
+}
+
+static int
+plane_send_pfc(SwitchPlaneObject *self, PyObject *ingress, int pause)
+{
+    PyObject *res;
+    if (PyDict_SetItem(self->pfc_sent, ingress, pause ? Py_True : Py_False) < 0)
+        return -1;
+    res = call_method2(self->owner, str_send_pfc, ingress, pause ? Py_True : Py_False);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* Switch._check_pfc_pause with PfcPolicy.should_pause inlined. */
+static int
+plane_check_pause(SwitchPlaneObject *self, PyObject *ingress)
+{
+    long long occupancy, free_bytes;
+    int sent = pfc_flag(self, ingress);
+    if (sent != 0)
+        return sent < 0 ? -1 : 0;
+    if (ingress_bytes(self->buffer, ingress, &occupancy) < 0)
+        return -1;
+    free_bytes = buffer_free(self->buffer);
+    if ((double)occupancy > self->pfc_fraction * (double)free_bytes)
+        return plane_send_pfc(self, ingress, 1);
+    return 0;
+}
+
+/* Switch._check_pfc_resume with PfcPolicy.should_resume inlined. */
+static int
+plane_check_resume(SwitchPlaneObject *self, PyObject *ingress)
+{
+    long long occupancy, free_bytes;
+    int sent = pfc_flag(self, ingress);
+    if (sent <= 0)
+        return sent;
+    if (ingress_bytes(self->buffer, ingress, &occupancy) < 0)
+        return -1;
+    free_bytes = buffer_free(self->buffer);
+    if ((double)occupancy <=
+        self->pfc_fraction * (double)free_bytes * self->pfc_resume_ratio)
+        return plane_send_pfc(self, ingress, 0);
+    return 0;
+}
+
+static int
+plane_drop(SwitchPlaneObject *self, long long size)
+{
+    if (counter_add(self->counters, str_dropped_packets, 1) < 0 ||
+        counter_add(self->counters, str_dropped_bytes, size) < 0)
+        return -1;
+    return 0;
+}
+
+/* Switch._admit_data. */
+static int
+plane_admit_data(SwitchPlaneObject *self, PyObject *packet, PyObject *in_index,
+                 PyObject *port)
+{
+    PyObject *discipline, *hops, *next;
+    long long size, hop_count;
+    int rc, capable;
+
+    discipline = ((PortObject *)port)->discipline;
+    if (discipline == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "egress port has no discipline");
+        return -1;
+    }
+    if (pkt_ll(packet, P_SIZE, &size) < 0)
+        return -1;
+    rc = buffer_admit(self->buffer, size, in_index);
+    if (rc <= 0)
+        return rc < 0 ? -1 : plane_drop(self, size);
+    if (pkt_set(packet, P_CUR_INGRESS, in_index) < 0)
+        return -1;
+    hops = pkt_get(packet, P_HOPS);
+    if (hops == NULL)
+        return -1;
+    hop_count = PyLong_AsLongLong(hops);
+    Py_DECREF(hops);
+    if (hop_count == -1 && PyErr_Occurred())
+        return -1;
+    next = PyLong_FromLongLong(hop_count + 1);
+    if (next == NULL)
+        return -1;
+    rc = pkt_set(packet, P_HOPS, next);
+    Py_DECREF(next);
+    if (rc < 0)
+        return -1;
+    Py_INCREF(discipline);
+    if (self->ecn_enabled) {
+        capable = pkt_truth(packet, P_ECN_CAPABLE);
+        if (capable < 0)
+            goto error;
+        if (capable) {
+            long long backlog;
+            if (disc_backlog_bytes(discipline, &backlog) < 0)
+                goto error;
+            if ((double)backlog > self->ecn_kmin) {
+                PyObject *res = call_method2(self->owner, str_maybe_mark_ecn, packet, port);
+                if (res == NULL)
+                    goto error;
+                Py_DECREF(res);
+            }
+        }
+    }
+    rc = disc_enqueue(discipline, packet, in_index);
+    Py_DECREF(discipline);
+    if (rc < 0)
+        return -1;
+    if (rc == 0) {
+        if (buffer_release(self->buffer, size, in_index) < 0)
+            return -1;
+        return plane_drop(self, size);
+    }
+    if (counter_add(self->counters, str_forwarded_packets, 1) < 0)
+        return -1;
+    if (port_kick((PortObject *)port) < 0)
+        return -1;
+    if (self->pfc_enabled)
+        return plane_check_pause(self, in_index);
+    return 0;
+
+error:
+    Py_DECREF(discipline);
+    return -1;
+}
+
+/* Switch._on_data_dequeue. */
+static int
+plane_on_dequeue(SwitchPlaneObject *self, PyObject *packet, PyObject *iface_index)
+{
+    PyObject *ingress = pkt_get(packet, P_CUR_INGRESS);
+    long long in_index, size;
+    if (ingress == NULL)
+        return -1;
+    in_index = PyLong_AsLongLong(ingress);
+    if (in_index == -1 && PyErr_Occurred())
+        goto error;
+    if (in_index >= 0) {
+        PyObject *minus_one;
+        if (pkt_ll(packet, P_SIZE, &size) < 0 ||
+            buffer_release(self->buffer, size, ingress) < 0)
+            goto error;
+        minus_one = PyLong_FromLong(-1);
+        if (minus_one == NULL)
+            goto error;
+        if (pkt_set(packet, P_CUR_INGRESS, minus_one) < 0) {
+            Py_DECREF(minus_one);
+            goto error;
+        }
+        Py_DECREF(minus_one);
+        if (self->pfc_enabled && plane_check_resume(self, ingress) < 0)
+            goto error;
+    }
+    Py_DECREF(ingress);
+    if (self->int_enabled) {
+        int stamped = pkt_truth(packet, P_INT_ENABLED);
+        if (stamped < 0)
+            return -1;
+        if (stamped) {
+            PyObject *res = call_method2(self->owner, str_stamp_int, packet, iface_index);
+            if (res == NULL)
+                return -1;
+            Py_DECREF(res);
+        }
+    }
+    return 0;
+
+error:
+    Py_DECREF(ingress);
+    return -1;
+}
+
+/* A replaced Switch._admit_data: called as the Python hop calls it. */
+static int
+plane_admit_override(SwitchPlaneObject *self, PyObject *packet,
+                     PyObject *iface_index, Py_ssize_t egress)
+{
+    PyObject *interfaces, *stack[3], *override, *res;
+    interfaces = PyObject_GetAttrString(self->owner, "interfaces");
+    if (interfaces == NULL)
+        return -1;
+    stack[0] = packet;
+    stack[1] = iface_index;
+    stack[2] = PySequence_GetItem(interfaces, egress);
+    Py_DECREF(interfaces);
+    if (stack[2] == NULL)
+        return -1;
+    override = Py_NewRef(self->admit_override);
+    res = PyObject_Vectorcall(override, stack, 3, NULL);
+    Py_DECREF(override);
+    Py_DECREF(stack[2]);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* Switch.handle_packet. */
+static int
+plane_handle(SwitchPlaneObject *self, PyObject *packet, PyObject *iface_index)
+{
+    PyObject *port, *res;
+    Py_ssize_t egress;
+    int rc, is_control = pkt_truth(packet, P_IS_CONTROL);
+    if (is_control < 0)
+        return -1;
+    if (is_control) {
+        PyObject *kind = pkt_get(packet, P_KIND), *handler = NULL;
+        if (kind == NULL)
+            return -1;
+        if (kind == kind_pfc)
+            handler = str_handle_pfc;
+        else if (kind == kind_bloom)
+            handler = str_handle_bloom;
+        Py_DECREF(kind);
+        if (handler != NULL) {
+            res = call_method2(self->owner, handler, packet, iface_index);
+            if (res == NULL)
+                return -1;
+            Py_DECREF(res);
+            return 0;
+        }
+    }
+    egress = plane_egress(self, packet);
+    if (egress < 0)
+        return -1;
+    if (egress >= PyList_GET_SIZE(self->ports)) {
+        PyErr_SetString(PyExc_IndexError, "list index out of range");
+        return -1;
+    }
+    port = Py_NewRef(PyList_GET_ITEM(self->ports, egress));
+    if (is_control)
+        rc = port_send_control((PortObject *)port, packet);
+    else if (self->admit_override != NULL)
+        rc = plane_admit_override(self, packet, iface_index, egress);
+    else
+        rc = plane_admit_data(self, packet, iface_index, port);
+    Py_DECREF(port);
+    return rc;
+}
+
+static int
+check_args2(Py_ssize_t nargs, const char *what)
+{
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "%s(packet, iface_index)", what);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+SwitchPlane_handle_packet(SwitchPlaneObject *self, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    if (check_args2(nargs, "handle_packet") < 0 ||
+        plane_handle(self, args[0], args[1]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+SwitchPlane_on_data_dequeue(SwitchPlaneObject *self, PyObject *const *args,
+                            Py_ssize_t nargs)
+{
+    if (check_args2(nargs, "on_data_dequeue") < 0 ||
+        plane_on_dequeue(self, args[0], args[1]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+SwitchPlane_add_port(SwitchPlaneObject *self, PyObject *port)
+{
+    if (!Port_Check(port)) {
+        PyErr_SetString(PyExc_TypeError, "the compiled hop needs compiled ports");
+        return NULL;
+    }
+    if (PyList_Append(self->ports, port) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+SwitchPlane_clear_routes(SwitchPlaneObject *self, PyObject *Py_UNUSED(ignored))
+{
+    memo_clear(self);
+    Py_RETURN_NONE;
+}
+
+/* configure(buffer, counters, pfc_sent, pfc, ecn, int_enabled, admit_override)
+ * -- re-read whenever the switch rebinds one of them. */
+static PyObject *
+SwitchPlane_configure(SwitchPlaneObject *self, PyObject *const *args,
+                      Py_ssize_t nargs)
+{
+    PyObject *pfc, *ecn, *value;
+    double fraction, ratio;
+    double kmin = 0.0;
+    int pfc_enabled, ecn_enabled, int_enabled;
+    if (nargs != 7) {
+        PyErr_SetString(PyExc_TypeError,
+                        "configure(buffer, counters, pfc_sent, pfc, ecn, "
+                        "int_enabled, admit_override)");
+        return NULL;
+    }
+    if (!Buffer_Check(args[0])) {
+        PyErr_SetString(PyExc_TypeError, "the compiled hop needs the compiled SharedBuffer");
+        return NULL;
+    }
+    if (!PyDict_Check(args[1]) || !PyDict_Check(args[2])) {
+        PyErr_SetString(PyExc_TypeError, "counters and pfc_sent must be dicts");
+        return NULL;
+    }
+    pfc = args[3];
+    ecn = args[4];
+#define READ_BOOL(obj, name, out)                          \
+    value = PyObject_GetAttrString(obj, name);             \
+    if (value == NULL)                                     \
+        return NULL;                                       \
+    out = PyObject_IsTrue(value);                          \
+    Py_DECREF(value);                                      \
+    if (out < 0)                                           \
+        return NULL;
+#define READ_NUM(obj, name, out, conv)                     \
+    value = PyObject_GetAttrString(obj, name);             \
+    if (value == NULL)                                     \
+        return NULL;                                       \
+    out = conv(value);                                     \
+    Py_DECREF(value);                                      \
+    if (PyErr_Occurred())                                  \
+        return NULL;
+    READ_BOOL(pfc, "enabled", pfc_enabled)
+    READ_NUM(pfc, "threshold_fraction", fraction, PyFloat_AsDouble)
+    READ_NUM(pfc, "resume_ratio", ratio, PyFloat_AsDouble)
+    READ_BOOL(ecn, "enabled", ecn_enabled)
+    if (ecn_enabled) {
+        READ_NUM(ecn, "kmin", kmin, PyFloat_AsDouble)
+    }
+#undef READ_BOOL
+#undef READ_NUM
+    int_enabled = PyObject_IsTrue(args[5]);
+    if (int_enabled < 0)
+        return NULL;
+    Py_XSETREF(self->buffer, (BufferObject *)Py_NewRef(args[0]));
+    Py_XSETREF(self->counters, Py_NewRef(args[1]));
+    Py_XSETREF(self->pfc_sent, Py_NewRef(args[2]));
+    Py_CLEAR(self->admit_override);
+    if (args[6] != Py_None)
+        self->admit_override = Py_NewRef(args[6]);
+    self->pfc_enabled = (char)pfc_enabled;
+    self->pfc_fraction = fraction;
+    self->pfc_resume_ratio = ratio;
+    self->ecn_enabled = (char)ecn_enabled;
+    self->ecn_kmin = kmin;
+    self->int_enabled = (char)int_enabled;
+    Py_RETURN_NONE;
+}
+
+static int
+SwitchPlane_init(SwitchPlaneObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"owner", "route_cache_limit", NULL};
+    PyObject *owner;
+    Py_ssize_t limit;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "On", kwlist, &owner, &limit))
+        return -1;
+    if (limit < 1) {
+        PyErr_SetString(PyExc_ValueError, "route_cache_limit must be positive");
+        return -1;
+    }
+    memo_clear(self);
+    PyMem_Free(self->memo);
+    self->memo = NULL;
+    if (memo_resize(self, 16) < 0)
+        return -1;
+    self->memo_limit = limit;
+    Py_XSETREF(self->owner, Py_NewRef(owner));
+    Py_XSETREF(self->ports, PyList_New(0));
+    return self->ports == NULL ? -1 : 0;
+}
+
+static int
+SwitchPlane_traverse(SwitchPlaneObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->owner);
+    Py_VISIT(self->ports);
+    Py_VISIT(self->buffer);
+    Py_VISIT(self->counters);
+    Py_VISIT(self->pfc_sent);
+    Py_VISIT(self->admit_override);
+    return 0;
+}
+
+static int
+SwitchPlane_clear(SwitchPlaneObject *self)
+{
+    Py_CLEAR(self->owner);
+    Py_CLEAR(self->ports);
+    Py_CLEAR(self->buffer);
+    Py_CLEAR(self->counters);
+    Py_CLEAR(self->pfc_sent);
+    Py_CLEAR(self->admit_override);
+    memo_clear(self);
+    return 0;
+}
+
+static void
+SwitchPlane_dealloc(SwitchPlaneObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    SwitchPlane_clear(self);
+    PyMem_Free(self->memo);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMethodDef SwitchPlane_methods[] = {
+    {"handle_packet", (PyCFunction)(void (*)(void))SwitchPlane_handle_packet,
+     METH_FASTCALL, "Switch.handle_packet for the compiled plane."},
+    {"on_data_dequeue", (PyCFunction)(void (*)(void))SwitchPlane_on_data_dequeue,
+     METH_FASTCALL, "Switch._on_data_dequeue for the compiled plane."},
+    {"add_port", (PyCFunction)SwitchPlane_add_port, METH_O,
+     "Register the egress port of the next interface."},
+    {"clear_routes", (PyCFunction)SwitchPlane_clear_routes, METH_NOARGS,
+     "Forget every memoized ECMP pick."},
+    {"configure", (PyCFunction)(void (*)(void))SwitchPlane_configure, METH_FASTCALL,
+     "Re-read the switch's buffer, counters, PFC/ECN/INT settings."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject SwitchPlaneType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.SwitchPlane",
+    .tp_basicsize = sizeof(SwitchPlaneObject),
+    .tp_dealloc = (destructor)SwitchPlane_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "The data hop of one switch (compiled plane).",
+    .tp_traverse = (traverseproc)SwitchPlane_traverse,
+    .tp_clear = (inquiry)SwitchPlane_clear,
+    .tp_methods = SwitchPlane_methods,
+    .tp_init = (initproc)SwitchPlane_init,
+    .tp_new = PyType_GenericNew,
+};
+
+static PyMethodDef module_methods[] = {
+    {"bind", (PyCFunction)(void (*)(void))bind, METH_FASTCALL,
+     "bind(Packet, PacketKind.PFC, PacketKind.BLOOM, deque, PauseMeter, "
+     "ByteMeter): cache the packet slots' member offsets and the types a "
+     "compiled port builds."},
+    {NULL, NULL, 0, NULL},
+};
+
 static struct PyModuleDef accelcore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_accelcore",
-    .m_doc = "C event heap and run loop for the accel engine backend.",
+    .m_doc = "C event heap, run loop and forwarding plane for the accel backend.",
     .m_size = -1,
+    .m_methods = module_methods,
 };
+
+static int
+intern_names(void)
+{
+    struct {
+        PyObject **slot;
+        const char *text;
+    } names[] = {
+        {&str_now, "now"},
+        {&str_cur_origin, "_cur_origin"},
+        {&str_cur_parent, "_cur_parent"},
+        {&str_cur_parent2, "_cur_parent2"},
+        {&str_dict, "__dict__"},
+        {&str_seq, "_seq"},
+        {&str_popleft, "popleft"},
+        {&str_append, "append"},
+        {&str_dequeue, "dequeue"},
+        {&str_enqueue, "enqueue"},
+        {&str_has_backlog, "has_backlog"},
+        {&str_backlog_bytes, "backlog_bytes"},
+        {&str_set_paused, "set_paused"},
+        {&str_paused, "paused"},
+        {&str_kick, "kick"},
+        {&str_ecmp_pick, "_ecmp_pick"},
+        {&str_maybe_mark_ecn, "_maybe_mark_ecn"},
+        {&str_send_pfc, "_send_pfc"},
+        {&str_stamp_int, "_stamp_int"},
+        {&str_handle_pfc, "_handle_pfc"},
+        {&str_handle_bloom, "handle_bloom"},
+        {&str_data_bytes, "data_bytes"},
+        {&str_data_packets, "data_packets"},
+        {&str_control_bytes, "control_bytes"},
+        {&str_control_packets, "control_packets"},
+        {&str_forwarded_packets, "forwarded_packets"},
+        {&str_dropped_packets, "dropped_packets"},
+        {&str_dropped_bytes, "dropped_bytes"},
+        {&str_heap, "_heap"},
+        {&str_post, "post"},
+        {&str_name, "name"},
+        {&str_tx_memo, "tx_memo"},
+    };
+    size_t i;
+    for (i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
+        *names[i].slot = PyUnicode_InternFromString(names[i].text);
+        if (*names[i].slot == NULL)
+            return -1;
+    }
+    for (i = 0; i < P_NSLOTS; i++) {
+        slot_strs[i] = PyUnicode_InternFromString(slot_names[i]);
+        if (slot_strs[i] == NULL)
+            return -1;
+    }
+    empty_tuple = PyTuple_New(0);
+    return empty_tuple == NULL ? -1 : 0;
+}
 
 PyMODINIT_FUNC
 PyInit__accelcore(void)
 {
     PyObject *module;
-    str_now = PyUnicode_InternFromString("now");
-    str_cur_origin = PyUnicode_InternFromString("_cur_origin");
-    str_cur_parent = PyUnicode_InternFromString("_cur_parent");
-    str_cur_parent2 = PyUnicode_InternFromString("_cur_parent2");
-    str_dict = PyUnicode_InternFromString("__dict__");
-    if (!str_now || !str_cur_origin || !str_cur_parent || !str_cur_parent2 ||
-        !str_dict)
+    struct {
+        const char *name;
+        PyTypeObject *type;
+    } types[] = {
+        {"EventHeap", &EventHeapType},
+        {"FifoDiscipline", &FifoType},
+        {"ByteCounts", &ByteCountsType},
+        {"PauseState", &PauseStateType},
+        {"BufferStats", &BufferStatsType},
+        {"SharedBuffer", &BufferType},
+        {"EgressPort", &PortType},
+        {"SwitchPlane", &SwitchPlaneType},
+    };
+    size_t i;
+    if (intern_names() < 0)
         return NULL;
-    if (PyType_Ready(&EventHeapType) < 0)
-        return NULL;
+    for (i = 0; i < sizeof(types) / sizeof(types[0]); i++) {
+        if (PyType_Ready(types[i].type) < 0)
+            return NULL;
+    }
     module = PyModule_Create(&accelcore_module);
     if (module == NULL)
         return NULL;
-    if (PyModule_AddObjectRef(module, "EventHeap",
-                              (PyObject *)&EventHeapType) < 0) {
-        Py_DECREF(module);
-        return NULL;
+    for (i = 0; i < sizeof(types) / sizeof(types[0]); i++) {
+        if (PyModule_AddObjectRef(module, types[i].name,
+                                  (PyObject *)types[i].type) < 0) {
+            Py_DECREF(module);
+            return NULL;
+        }
     }
     return module;
 }

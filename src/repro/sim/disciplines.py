@@ -283,6 +283,17 @@ class FifoDiscipline:
         return bool(self._queue)
 
 
+def fifo_for(port) -> FifoDiscipline:
+    """A FIFO queue for ``port``, of the port's forwarding plane.
+
+    On the compiled plane this is the C twin of :class:`FifoDiscipline`
+    (same methods, same behaviour), which the compiled port and switch hop
+    drive without entering the interpreter.
+    """
+    plane = getattr(port.sim, "compiled_plane", None)
+    return FifoDiscipline() if plane is None else plane.FifoDiscipline()
+
+
 class SfqDiscipline:
     """Stochastic fair queueing: hash flows onto ``num_queues`` DRR queues."""
 

@@ -60,6 +60,7 @@ byte-identical event order; ``REPRO_ENGINE=pure`` keeps this one (see
 from __future__ import annotations
 
 import heapq
+import logging
 import random
 import sys
 from typing import Any, Callable, Optional
@@ -155,6 +156,11 @@ class Simulator:
         property) so the per-event hot paths read it without descriptor
         overhead; treat it as read-only.
     """
+
+    #: The compiled forwarding plane (:mod:`repro.sim.plane`) that nodes
+    #: built on this simulator use, or None: the pure engine keeps the
+    #: Python plane.
+    compiled_plane = None
 
     def __init__(self, seed: int = 1) -> None:
         self.now: int = 0
@@ -742,9 +748,10 @@ def _select_backend() -> str:
     compiled backend (:class:`repro.sim.engine_accel.AccelSimulator`)
     wherever its C extension builds; both produce byte-identical event
     orderings, so this is purely a speed choice.  When the extension cannot
-    be built or loaded the pure calendar queue is used silently
-    (``engine_accel.unavailable_reason`` says why).  ``REPRO_ENGINE=pure``
-    forces the pure engine; any other value warns and is ignored.
+    be built or loaded the pure calendar queue is used, and one warning on
+    the ``repro.sim`` logger says why (``engine_accel.unavailable_reason``).
+    ``REPRO_ENGINE=pure`` forces the pure engine; any other value warns and
+    is ignored.
     """
     global Simulator
     import os
@@ -763,6 +770,12 @@ def _select_backend() -> str:
     from . import engine_accel
 
     if engine_accel.unavailable_reason is not None:
+        # One line, so a slow run says why: the fallback costs the compiled
+        # event heap and the compiled forwarding plane together.
+        logging.getLogger("repro.sim").warning(
+            "compiled engine unavailable, using the pure-Python engine: %s",
+            engine_accel.unavailable_reason,
+        )
         return "pure"
     Simulator = engine_accel.AccelSimulator
     return "accel"

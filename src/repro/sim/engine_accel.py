@@ -19,7 +19,9 @@ instance attributes, which the C run loop writes in the instance dict.
 
 This is the default backend wherever the extension builds (see
 ``engine.py``'s backend selector); ``REPRO_ENGINE=pure`` forces the pure
-engine, which is also the silent fallback when it cannot be built.
+engine, which is also the fallback, logged once, when it cannot be built.
+Nodes built on an :class:`AccelSimulator` also forward through the
+compiled plane (:mod:`repro.sim.plane`).
 """
 
 from __future__ import annotations
@@ -158,3 +160,12 @@ class AccelSimulator(Simulator):
         ):
             self.now = until
         return processed
+
+
+if _accelcore is not None:
+    # The plane wraps the extension loaded above, so it comes last.
+    from . import plane
+
+    #: Ports, switches and FIFO queues built on an AccelSimulator forward
+    #: through the compiled plane.
+    AccelSimulator.compiled_plane = plane

@@ -12,17 +12,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from .packet import FlowKey
 
 _flow_ids = itertools.count(1)
 
 
-def reset_flow_ids() -> None:
-    """Reset the global flow-id counter (used by tests for determinism)."""
+def reset_flow_ids(taken: Iterable[int] = ()) -> None:
+    """Restart the global flow-id counter at 1, skipping the ``taken`` ids.
+
+    A build passes the ids its explicit flows already hold, so no generated
+    flow can share an id with one of them (hosts key flow state by id).
+    Where no taken id falls in the generated range, every id is unchanged.
+    """
     global _flow_ids
-    _flow_ids = itertools.count(1)
+    skip = frozenset(taken)
+    if skip:
+        _flow_ids = (i for i in itertools.count(1) if i not in skip)
+    else:
+        _flow_ids = itertools.count(1)
 
 
 @dataclass

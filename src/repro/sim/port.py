@@ -31,6 +31,11 @@ node, bound once by :meth:`EgressPort.connect`.  Whoever wants to observe or
 redirect deliveries replaces the port's ``_peer_receive`` after wiring (as
 the shard boundary and :func:`repro.sim.tracing.tap_deliveries` do);
 replacing the node's ``handle_packet`` then has no effect.
+
+:class:`EgressPort` is the pure engine's port and the reference for the
+compiled one (:class:`repro.sim.plane.EgressPort`, a subclass whose
+transmit path runs in C); an :class:`Interface` builds the one of its
+simulator's plane.
 """
 
 from __future__ import annotations
@@ -270,7 +275,9 @@ class Interface:
         self.index = index
         self.owner = owner
         self.link_class = link_class
-        self.tx = EgressPort(sim, owner, index, rate_bps, delay_ns)
+        plane = getattr(sim, "compiled_plane", None)
+        port_class = EgressPort if plane is None else plane.EgressPort
+        self.tx = port_class(sim, owner, index, rate_bps, delay_ns)
 
     @property
     def peer_node(self) -> Optional["Node"]:

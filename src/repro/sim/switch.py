@@ -11,6 +11,11 @@ The switch implements everything common to all evaluated schemes:
 
 Scheme-specific behaviour is provided either by the discipline factory
 (baselines) or by the :class:`repro.core.switchlogic.BfcSwitch` subclass.
+
+On the compiled engine the data hop (``handle_packet``, ``_admit_data``,
+``_on_data_dequeue``) runs in C (:mod:`repro.sim.plane`); the methods here
+are the pure engine's hop and the reference the compiled one is tested
+against, and the cold paths of both.
 """
 
 from __future__ import annotations
@@ -35,6 +40,13 @@ _PFC_KEY = FlowKey(src=-1, dst=-1, src_port=0, dst_port=0)
 #: RSS flat on million-flow open-loop runs (a 64K cap per switch was the
 #: dominant memory-growth term between 1e4 and 1e5 offered flows).
 _ROUTE_CACHE_LIMIT = 1 << 12
+
+#: Switch attributes the compiled data hop reads; rebinding one re-syncs it.
+#: ``_admit_data`` is among them so an instance-level replacement (a test
+#: that injects drops) is honoured by the compiled hop too.
+_PLANE_SETTINGS = frozenset(
+    ("buffer", "counters", "_pfc_sent", "pfc", "ecn", "int_enabled", "_admit_data")
+)
 
 
 @dataclass
@@ -70,8 +82,10 @@ class Switch(Node):
         seed: int = 0,
     ) -> None:
         super().__init__(sim, name)
+        plane = getattr(sim, "compiled_plane", None)
+        buffer_class = SharedBuffer if plane is None else plane.SharedBuffer
         self.buffer = (
-            SharedBuffer(buffer_bytes) if buffer_bytes > 0 else SharedBuffer.infinite()
+            buffer_class(buffer_bytes) if buffer_bytes > 0 else buffer_class.infinite()
         )
         self.discipline_factory = discipline_factory
         self.pfc = pfc or PfcPolicy()
@@ -89,23 +103,60 @@ class Switch(Node):
         # (Python's str hash is randomised per interpreter run).
         self._name_salt = zlib.crc32(name.encode("utf-8"))
         self._rng = sim.rng(seed ^ (self._name_salt & 0xFFFF))
+        # On the compiled plane the data hop runs in C: deliveries enter the
+        # plane's handle_packet, and the Python methods below stay the
+        # pure plane and the reference.  A subclass that overrides the hop
+        # keeps the Python one.
+        self._plane = None
+        if plane is not None and type(self).handle_packet is Switch.handle_packet:
+            self._plane = plane.SwitchPlane(self, _ROUTE_CACHE_LIMIT)
+            self._configure_plane()
+            self.handle_packet = self._plane.handle_packet
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name in _PLANE_SETTINGS and self.__dict__.get("_plane") is not None:
+            self._configure_plane()
+
+    def _configure_plane(self) -> None:
+        """Hand the compiled hop what it reads: re-run on every rebinding of
+        a setting (``switch.pfc = ...``); a policy object mutated in place
+        is not seen."""
+        self._plane.configure(
+            self.buffer,
+            self.counters.values,
+            self._pfc_sent,
+            self.pfc,
+            self.ecn,
+            self.int_enabled,
+            self.__dict__.get("_admit_data"),
+        )
 
     # -- wiring -----------------------------------------------------------------
 
     def add_interface(self, rate_bps: float, delay_ns: int, link_class: str = "link") -> Interface:
         iface = super().add_interface(rate_bps, delay_ns, link_class)
         iface.tx.discipline = self.discipline_factory(iface)
-        iface.tx.on_data_dequeue = self._on_data_dequeue
+        if self._plane is None:
+            iface.tx.on_data_dequeue = self._on_data_dequeue
+        else:
+            iface.tx.on_data_dequeue = self._plane.on_data_dequeue
+            self._plane.add_port(iface.tx)
         return iface
 
     def set_routes(self, routes: Dict[int, List[int]]) -> None:
         """Install the destination-host → egress-interface-list routing table."""
         self.routes = dict(routes)
-        self._route_cache.clear()
+        self._clear_route_cache()
 
     def add_route(self, dst_host: int, iface_indices: List[int]) -> None:
         self.routes[dst_host] = list(iface_indices)
+        self._clear_route_cache()
+
+    def _clear_route_cache(self) -> None:
         self._route_cache.clear()
+        if self._plane is not None:
+            self._plane.clear_routes()
 
     # -- routing ---------------------------------------------------------------
 
@@ -115,18 +166,21 @@ class Switch(Node):
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
-        choices = self.routes.get(key.dst)
-        if not choices:
-            raise KeyError(f"{self.name}: no route to host {key.dst}")
-        if len(choices) == 1:
-            egress = choices[0]
-        else:
-            egress = choices[(hash((key, self._name_salt)) & 0x7FFFFFFF) % len(choices)]
+        egress = self._ecmp_pick(key)
         cache = self._route_cache
         if len(cache) >= _ROUTE_CACHE_LIMIT:
             cache.clear()
         cache[key] = egress
         return egress
+
+    def _ecmp_pick(self, key: FlowKey) -> int:
+        """The uncached ECMP pick (the compiled hop memoizes it itself)."""
+        choices = self.routes.get(key.dst)
+        if not choices:
+            raise KeyError(f"{self.name}: no route to host {key.dst}")
+        if len(choices) == 1:
+            return choices[0]
+        return choices[(hash((key, self._name_salt)) & 0x7FFFFFFF) % len(choices)]
 
     # -- receive path ---------------------------------------------------------------
 
@@ -204,16 +258,19 @@ class Switch(Node):
             if self.pfc.enabled:
                 self._check_pfc_resume(ingress)
         if self.int_enabled and packet.int_enabled:
-            port = self.interfaces[iface_index].tx
-            packet.int_stack.append(
-                IntHop(
-                    node=self.name,
-                    timestamp_ns=self.sim.now,
-                    tx_bytes=port.tx_data_bytes_total,
-                    queue_bytes=port.discipline.backlog_bytes(),
-                    rate_bps=port.rate_bps,
-                )
+            self._stamp_int(packet, iface_index)
+
+    def _stamp_int(self, packet: Packet, iface_index: int) -> None:
+        port = self.interfaces[iface_index].tx
+        packet.int_stack.append(
+            IntHop(
+                node=self.name,
+                timestamp_ns=self.sim.now,
+                tx_bytes=port.tx_data_bytes_total,
+                queue_bytes=port.discipline.backlog_bytes(),
+                rate_bps=port.rate_bps,
             )
+        )
 
     # -- PFC generation ----------------------------------------------------------------
 

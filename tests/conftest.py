@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from planes import PLANES
 from repro.sim.engine import Simulator
 from repro.sim.flow import reset_flow_ids
 
@@ -19,3 +20,9 @@ def _fresh_flow_ids():
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator(seed=42)
+
+
+@pytest.fixture(params=PLANES)
+def plane_sim(request):
+    """A simulator of each forwarding plane (modules alias it as ``sim``)."""
+    return request.param(seed=42)

@@ -1,0 +1,36 @@
+"""The two forwarding planes, as pytest parameters.
+
+A simulator selects its plane: the pure engine keeps the Python plane, the
+compiled engine the C one.  ``PLANES`` parametrizes a test over the
+simulator class of each; the compiled one skips where the extension does
+not build.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.sim.engine import PureSimulator
+
+
+def _compiled_simulator():
+    """The compiled engine's simulator class, or the reason there is none."""
+    try:
+        from repro.sim.engine_accel import AccelSimulator, unavailable_reason
+    except Exception as exc:  # pragma: no cover - import itself should not fail
+        return None, repr(exc)
+    return (AccelSimulator if unavailable_reason is None else None), unavailable_reason
+
+
+_COMPILED, _COMPILED_MISSING = _compiled_simulator()
+
+PLANES = [
+    pytest.param(PureSimulator, id="pure"),
+    pytest.param(
+        _COMPILED,
+        id="compiled",
+        marks=pytest.mark.skipif(
+            _COMPILED is None, reason=f"compiled plane unavailable: {_COMPILED_MISSING}"
+        ),
+    ),
+]

@@ -141,17 +141,24 @@ class TestDeficitRoundRobin:
         assert served.count(0) == served.count(1) == served.count(2) == 3
 
 
+@pytest.fixture
+def fifo_class(plane_sim):
+    """The FIFO of each forwarding plane."""
+    plane = plane_sim.compiled_plane
+    return FifoDiscipline if plane is None else plane.FifoDiscipline
+
+
 class TestFifoDiscipline:
-    def test_fifo_order(self):
-        fifo = FifoDiscipline()
+    def test_fifo_order(self, fifo_class):
+        fifo = fifo_class()
         packets = [make_packet(i) for i in range(5)]
         for p in packets:
             fifo.enqueue(p, ingress=0)
         out = [fifo.dequeue() for _ in range(5)]
         assert out == packets
 
-    def test_backlog_accounting(self):
-        fifo = FifoDiscipline()
+    def test_backlog_accounting(self, fifo_class):
+        fifo = fifo_class()
         fifo.enqueue(make_packet(1, size=100), 0)
         fifo.enqueue(make_packet(2, size=200), 0)
         assert fifo.backlog_bytes() == 300
@@ -159,8 +166,8 @@ class TestFifoDiscipline:
         fifo.dequeue()
         assert fifo.backlog_bytes() == 200
 
-    def test_dequeue_empty(self):
-        assert FifoDiscipline().dequeue() is None
+    def test_dequeue_empty(self, fifo_class):
+        assert fifo_class().dequeue() is None
 
 
 class TestSfqDiscipline:

@@ -12,7 +12,7 @@ the contract four ways:
   compared step for step,
 * one golden-records scheme recomputed in a default-engine (accel)
   subprocess and compared byte-for-byte against the committed fixture,
-* backend selection and the silent fallback to pure, in subprocesses.
+* backend selection and the logged fallback to pure, in subprocesses.
 
 When no C toolchain is available the whole module skips — loudly, with the
 build error in the skip reason — and every other test module then runs on
@@ -363,7 +363,7 @@ class TestBackendSelection:
         assert result.stdout.split() == ["pure", "Simulator"], result.stderr
         assert result.stderr == ""
 
-    def test_failed_build_falls_back_to_pure_silently(self):
+    def test_failed_build_falls_back_to_pure_with_one_logged_line(self):
         result = self._run(
             self.FAILED_BUILD + self.PROBE
             + ";from repro.sim import engine_accel;"
@@ -372,7 +372,43 @@ class TestBackendSelection:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == ["pure Simulator", "forced build failure"]
-        assert result.stderr == ""
+        assert result.stderr.splitlines() == [
+            "compiled engine unavailable, using the pure-Python engine: "
+            "forced build failure"
+        ]
+
+    def test_missing_compiler_is_logged_once_on_the_repro_sim_logger(self, tmp_path):
+        # A copy of the package with no built object, run with no compiler
+        # on PATH: the build really fails, and says so once.
+        package = tmp_path / "src" / "repro"
+        shutil.copytree(
+            REPO_ROOT / "src" / "repro",
+            package,
+            ignore=shutil.ignore_patterns("__pycache__", "*.so", ".accelcore-build-*"),
+        )
+        code = (
+            "import logging, sys;"
+            "logging.basicConfig(stream=sys.stdout, format='%(name)s %(levelname)s %(message)s');"
+            "from repro.sim.engine import ENGINE_BACKEND;"
+            "from repro.sim import accel_build;"
+            "print(ENGINE_BACKEND);"
+            "print(accel_build.last_error)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**SUBPROCESS_ENV, "PYTHONPATH": str(tmp_path / "src"), "PATH": ""},
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        reason = "no C compiler (cc/gcc/clang) on PATH"
+        assert lines == [
+            f"repro.sim WARNING compiled engine unavailable, using the pure-Python engine: {reason}",
+            "pure",
+            reason,
+        ]
+        assert not list(package.glob("sim/_accelcore*.so"))
 
     def test_unknown_backend_warns_and_falls_back(self):
         result = self._run(

@@ -5,7 +5,11 @@ is its own test, so a failure names the paper sentence that stopped holding
 and shows the measured values it was checked on.
 """
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from repro.experiments.scenarios import get_scale
 
 SCALE = "tiny"
 SEED = 1
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 CLAIMS = [
     pytest.param(name, index, id=f"{name}-{index}")
@@ -61,3 +66,20 @@ def test_claim_holds(name, index):
         f"{name}: {claim.statement}\n\nmeasured at scale={SCALE}, seed={SEED}:\n"
         f"{measured(name, results)}"
     )
+
+
+def test_fig8_flows_keep_distinct_ids_in_a_fresh_process():
+    # fig8 bakes its long-lived flows (ids from the process-wide counter) into
+    # the config; the build must not hand the periodic incast the same ids.
+    # A fresh interpreter is what exposes it: there both start counting at 1.
+    code = (
+        "from repro.experiments.runner import build_simulation\n"
+        "from repro.experiments.scenarios import fig8_configs\n"
+        "config = fig8_configs('tiny', ['BFC'], fan_ins=[7], seed=1)['BFC'][7]\n"
+        "ids = [flow.flow_id for flow in build_simulation(config)[3]]\n"
+        "print(len(ids), len(set(ids)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["60", "60"]

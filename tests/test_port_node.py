@@ -1,9 +1,13 @@
-"""Unit tests for interfaces, egress ports, link wiring and PFC handling."""
+"""Unit tests for interfaces, egress ports, link wiring and PFC handling.
+
+Every test runs on both forwarding planes (the ``sim`` fixture is
+parametrized over the pure and the compiled simulator).
+"""
 
 import pytest
 
 from repro.sim import units
-from repro.sim.disciplines import FifoDiscipline
+from repro.sim.disciplines import fifo_for
 from repro.sim.node import Node
 from repro.sim.packet import FlowKey, Packet, PacketKind, PFC_FRAME_SIZE
 from repro.sim.port import connect
@@ -44,12 +48,17 @@ def make_pfc(pause: bool) -> Packet:
 
 
 @pytest.fixture
+def sim(plane_sim):
+    return plane_sim
+
+
+@pytest.fixture
 def pair(sim):
     a = RecordingNode(sim, "a")
     b = RecordingNode(sim, "b")
     iface_a, iface_b = connect(a, b, rate_bps=units.gbps(10), delay_ns=1_000)
-    iface_a.tx.discipline = FifoDiscipline()
-    iface_b.tx.discipline = FifoDiscipline()
+    iface_a.tx.discipline = fifo_for(iface_a.tx)
+    iface_b.tx.discipline = fifo_for(iface_b.tx)
     return a, b, iface_a, iface_b
 
 
@@ -139,7 +148,7 @@ class TestTransmission:
         a = RecordingNode(sim, "a")
         b = RecordingNode(sim, "b")
         iface_a, _ = connect(a, b, rate_bps=rate_bps, delay_ns=0)
-        iface_a.tx.discipline = FifoDiscipline()
+        iface_a.tx.discipline = fifo_for(iface_a.tx)
         iface_a.tx.discipline.enqueue(make_data_packet(size=size), 0)
         iface_a.tx.notify()
         sim.run_until_idle()

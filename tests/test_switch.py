@@ -1,10 +1,14 @@
-"""Unit tests for the base switch: routing, buffering, ECN, PFC, INT."""
+"""Unit tests for the base switch: routing, buffering, ECN, PFC, INT.
+
+Every test runs on both forwarding planes (the ``sim`` fixture is
+parametrized over the pure and the compiled simulator).
+"""
 
 import pytest
 
 from repro.sim import units
 from repro.sim.buffer import PfcPolicy
-from repro.sim.disciplines import FifoDiscipline
+from repro.sim.disciplines import fifo_for
 from repro.sim.node import Node
 from repro.sim.packet import FlowKey, Packet, PacketKind
 from repro.sim.port import connect
@@ -38,20 +42,25 @@ def data_packet(src, dst, flow_id=1, size=1_000, seq=0, int_enabled=False):
 
 
 @pytest.fixture
+def sim(plane_sim):
+    return plane_sim
+
+
+@pytest.fixture
 def star(sim):
     """One switch with three attached sink nodes (0, 1, 2)."""
     switch = Switch(
         sim,
         "sw",
         buffer_bytes=100_000,
-        discipline_factory=lambda iface: FifoDiscipline(),
+        discipline_factory=lambda iface: fifo_for(iface.tx),
         pfc=PfcPolicy(enabled=True, threshold_fraction=0.11),
     )
     nodes = []
     for i in range(3):
         node = SinkNode(sim, f"n{i}")
         connect(node, switch, rate_bps=units.gbps(10), delay_ns=1_000)
-        node.interfaces[0].tx.discipline = FifoDiscipline()
+        node.interfaces[0].tx.discipline = fifo_for(node.interfaces[0].tx)
         nodes.append(node)
     switch.set_routes({i: [switch.interface_to(nodes[i]).index] for i in range(3)})
     return switch, nodes
