@@ -58,7 +58,7 @@ class BfcEgressDiscipline:
         self.agent = agent
         self.config: BfcConfig = agent.config
         self.egress_index = egress_index
-        self.scheduler = BfcScheduler(self.config, agent.codec)
+        self.scheduler = BfcScheduler(self.config, agent.codec, agent.sim)
         self.pool = PhysicalQueuePool(self.config, rng=rng)
         self.thresholds = PauseThresholds(self.config, link_rate_bps, link_delay_ns)
         self.resume_lists: Dict[int, ResumeList] = {}

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
-from repro.sim.disciplines import BLOCKED, DeficitRoundRobin
+from repro.sim.disciplines import BLOCKED, drr_for
 from repro.sim.packet import Packet
 
 from .bloom import BloomFilterCodec
@@ -41,7 +41,7 @@ HIGH_PRIORITY_QUEUE = -1
 class BfcScheduler:
     """Packet storage and DRR service for one BFC egress port."""
 
-    def __init__(self, config: BfcConfig, codec: BloomFilterCodec) -> None:
+    def __init__(self, config: BfcConfig, codec: BloomFilterCodec, sim=None) -> None:
         self.config = config
         self.num_queues = config.num_physical_queues
         # Everything per-queue is a list indexed by queue id: the physical
@@ -53,7 +53,7 @@ class BfcScheduler:
         self.total_packets = 0
         # The DRR's active list is the set of non-empty physical/overflow
         # queues (the high-priority queue is served ahead of the DRR).
-        self._drr = DeficitRoundRobin(quantum=config.mtu + 48)
+        self._drr = drr_for(sim, config.mtu + 48)
         self._codec = codec
         self._num_vfids = config.num_vfids
         #: The most recent Bloom filter received from the next hop.

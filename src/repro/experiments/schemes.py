@@ -179,7 +179,7 @@ def _sfq_switch(env: SchemeEnvironment, name: str, tier: str, *, ecn: bool, infi
         name,
         buffer_bytes=0 if infinite else env.buffer_for(tier),
         discipline_factory=lambda iface: SfqDiscipline(
-            num_queues=env.num_sfq_queues, quantum=env.mtu + 48, salt=name_salt
+            num_queues=env.num_sfq_queues, quantum=env.mtu + 48, salt=name_salt, sim=env.sim
         ),
         pfc=env.no_pfc() if infinite else env.pfc(),
         ecn=env.ecn() if ecn else EcnConfig(enabled=False),
@@ -193,7 +193,7 @@ def _ideal_fq_switch(env: SchemeEnvironment, name: str, tier: str) -> Switch:
         env.sim,
         name,
         buffer_bytes=0,  # infinite
-        discipline_factory=lambda iface: IdealFqDiscipline(quantum=env.mtu + 48),
+        discipline_factory=lambda iface: IdealFqDiscipline(quantum=env.mtu + 48, sim=env.sim),
         pfc=env.no_pfc(),
         ecn=EcnConfig(enabled=False),
         int_enabled=False,

@@ -474,7 +474,18 @@ static PyObject *str_seq, *str_popleft, *str_append, *str_dequeue,
     *str_tx_memo;
 static PyObject *empty_tuple;
 
-/* -- Packet slots through cached member offsets ----------------------- */
+/* -- Slots of Python classes through cached member offsets ------------ */
+
+/* A __slots__ class whose attributes the plane reads and writes in C: the
+ * member offsets are looked up once (bind()), and an object of exactly that
+ * class is read and written at them; anything else goes through getattr. */
+typedef struct {
+    int n;
+    const char *const *names;
+    PyObject **strs;
+    Py_ssize_t *offsets;
+    PyTypeObject *type; /* NULL until bound */
+} slot_class;
 
 enum {
     P_KIND,
@@ -485,46 +496,116 @@ enum {
     P_INT_ENABLED,
     P_HOPS,
     P_CUR_INGRESS,
+    P_FLOW_ID,
+    P_SEQ,
+    P_ACK_SEQ,
+    P_FLOW_SIZE,
+    P_CREATED_NS,
+    P_ECN_MARKED,
+    P_ECN_ECHO,
+    P_INT_STACK,
+    P_FIRST_OF_FLOW,
+    P_LAST_OF_FLOW,
+    P_PAUSE,
+    P_PAUSE_CLASS,
+    P_BLOOM_BITS,
+    P_ENTRY,
+    P_VFID,
+    P_VFID_SPACE,
     P_NSLOTS
 };
-static const char *const slot_names[P_NSLOTS] = {
+static const char *const packet_slot_names[P_NSLOTS] = {
     "kind", "is_control", "key", "size",
     "ecn_capable", "int_enabled", "hops", "cur_ingress",
+    "flow_id", "seq", "ack_seq", "flow_size", "created_ns",
+    "ecn_marked", "ecn_echo", "int_stack", "first_of_flow", "last_of_flow",
+    "pause", "pause_class", "bloom_bits", "entry", "vfid", "vfid_space",
 };
-static PyObject *slot_strs[P_NSLOTS];
-static Py_ssize_t slot_offsets[P_NSLOTS];
-static PyTypeObject *packet_type; /* NULL until bind() */
+static PyObject *packet_slot_strs[P_NSLOTS];
+static Py_ssize_t packet_slot_offsets[P_NSLOTS];
+static slot_class packet_class = {P_NSLOTS, packet_slot_names, packet_slot_strs,
+                                  packet_slot_offsets, NULL};
+#define packet_type (packet_class.type)
 static PyObject *kind_pfc, *kind_bloom;
 
-/* New reference to a packet attribute (NULL with an exception set). */
-static PyObject *
-pkt_get(PyObject *pkt, int slot)
+/* Cache the member offsets of every name of cls in type; the names must be
+ * all of type's own __slots__, so a slot added in Python cannot be missed
+ * by the objects the plane builds. */
+static int
+slot_class_bind(slot_class *cls, PyObject *type)
 {
-    if (Py_TYPE(pkt) == packet_type) {
-        PyObject *value = *(PyObject **)((char *)pkt + slot_offsets[slot]);
+    PyObject *slots;
+    Py_ssize_t declared;
+    int i;
+    if (!PyType_Check(type)) {
+        PyErr_SetString(PyExc_TypeError, "expected a class");
+        return -1;
+    }
+    for (i = 0; i < cls->n; i++) {
+        PyObject *descr = PyObject_GetAttr(type, cls->strs[i]);
+        PyMemberDef *member;
+        if (descr == NULL)
+            return -1;
+        if (Py_TYPE(descr) != &PyMemberDescr_Type) {
+            Py_DECREF(descr);
+            PyErr_Format(PyExc_TypeError, "%R.%s is not a slot", type, cls->names[i]);
+            return -1;
+        }
+        member = ((PyMemberDescrObject *)descr)->d_member;
+        if (member->type != T_OBJECT_EX) {
+            Py_DECREF(descr);
+            PyErr_Format(PyExc_TypeError, "%R.%s is not an object slot", type,
+                         cls->names[i]);
+            return -1;
+        }
+        cls->offsets[i] = member->offset;
+        Py_DECREF(descr);
+    }
+    slots = PyObject_GetAttrString(type, "__slots__");
+    if (slots == NULL)
+        return -1;
+    declared = PyObject_Size(slots);
+    Py_DECREF(slots);
+    if (declared < 0)
+        return -1;
+    if (declared != cls->n) {
+        PyErr_Format(PyExc_TypeError, "%R has %zd slots, the compiled plane knows %d",
+                     type, declared, cls->n);
+        return -1;
+    }
+    Py_XSETREF(cls->type, (PyTypeObject *)Py_NewRef(type));
+    return 0;
+}
+
+/* New reference to an attribute (NULL with an exception set). */
+static PyObject *
+cls_get(const slot_class *cls, PyObject *obj, int slot)
+{
+    if (Py_TYPE(obj) == cls->type) {
+        PyObject *value = *(PyObject **)((char *)obj + cls->offsets[slot]);
         if (value != NULL)
             return Py_NewRef(value);
     }
-    return PyObject_GetAttr(pkt, slot_strs[slot]);
+    return PyObject_GetAttr(obj, cls->strs[slot]);
 }
 
 static int
-pkt_set(PyObject *pkt, int slot, PyObject *value)
+cls_set(const slot_class *cls, PyObject *obj, int slot, PyObject *value)
 {
-    if (Py_TYPE(pkt) == packet_type) {
-        PyObject **addr = (PyObject **)((char *)pkt + slot_offsets[slot]);
+    if (Py_TYPE(obj) == cls->type) {
+        PyObject **addr = (PyObject **)((char *)obj + cls->offsets[slot]);
         PyObject *old = *addr;
         *addr = Py_NewRef(value);
         Py_XDECREF(old);
         return 0;
     }
-    return PyObject_SetAttr(pkt, slot_strs[slot], value);
+    return PyObject_SetAttr(obj, cls->strs[slot], value);
 }
 
 static int
-pkt_ll(PyObject *pkt, int slot, long long *out)
+cls_ll(const slot_class *cls, PyObject *obj, int slot, long long *out)
 {
-    PyObject *value = pkt_get(pkt, slot);
+    PyObject *value = cls_get(cls, obj, slot);
     if (value == NULL)
         return -1;
     *out = PyLong_AsLongLong(value);
@@ -532,11 +613,23 @@ pkt_ll(PyObject *pkt, int slot, long long *out)
     return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
 }
 
-/* Truth value of a packet attribute: 1, 0, or -1 on error. */
 static int
-pkt_truth(PyObject *pkt, int slot)
+cls_set_ll(const slot_class *cls, PyObject *obj, int slot, long long value)
 {
-    PyObject *value = pkt_get(pkt, slot);
+    PyObject *num = PyLong_FromLongLong(value);
+    int rc;
+    if (num == NULL)
+        return -1;
+    rc = cls_set(cls, obj, slot, num);
+    Py_DECREF(num);
+    return rc;
+}
+
+/* Truth value of an attribute: 1, 0, or -1 on error. */
+static int
+cls_truth(const slot_class *cls, PyObject *obj, int slot)
+{
+    PyObject *value = cls_get(cls, obj, slot);
     int truth;
     if (value == NULL)
         return -1;
@@ -545,40 +638,25 @@ pkt_truth(PyObject *pkt, int slot)
     return truth;
 }
 
+#define pkt_get(pkt, slot) cls_get(&packet_class, (pkt), (slot))
+#define pkt_set(pkt, slot, value) cls_set(&packet_class, (pkt), (slot), (value))
+#define pkt_ll(pkt, slot, out) cls_ll(&packet_class, (pkt), (slot), (out))
+#define pkt_truth(pkt, slot) cls_truth(&packet_class, (pkt), (slot))
+
 /* Set by bind(): what a compiled port builds for its queue and meters. */
 static PyObject *deque_type, *pause_meter_type, *byte_meter_type;
 
 static PyObject *
 bind(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    int i;
-    if (nargs != 6 || !PyType_Check(args[0])) {
+    if (nargs != 6) {
         PyErr_SetString(PyExc_TypeError,
                         "bind expects (Packet, PacketKind.PFC, PacketKind.BLOOM, "
                         "deque, PauseMeter, ByteMeter)");
         return NULL;
     }
-    for (i = 0; i < P_NSLOTS; i++) {
-        PyObject *descr = PyObject_GetAttr(args[0], slot_strs[i]);
-        PyMemberDef *member;
-        if (descr == NULL)
-            return NULL;
-        if (Py_TYPE(descr) != &PyMemberDescr_Type) {
-            Py_DECREF(descr);
-            PyErr_Format(PyExc_TypeError, "Packet.%s is not a slot", slot_names[i]);
-            return NULL;
-        }
-        member = ((PyMemberDescrObject *)descr)->d_member;
-        if (member->type != T_OBJECT_EX) {
-            Py_DECREF(descr);
-            PyErr_Format(PyExc_TypeError, "Packet.%s is not an object slot",
-                         slot_names[i]);
-            return NULL;
-        }
-        slot_offsets[i] = member->offset;
-        Py_DECREF(descr);
-    }
-    Py_XSETREF(packet_type, (PyTypeObject *)Py_NewRef(args[0]));
+    if (slot_class_bind(&packet_class, args[0]) < 0)
+        return NULL;
     Py_XSETREF(kind_pfc, Py_NewRef(args[1]));
     Py_XSETREF(kind_bloom, Py_NewRef(args[2]));
     Py_XSETREF(deque_type, Py_NewRef(args[3]));
@@ -854,7 +932,16 @@ static PyTypeObject FifoType = {
     .tp_new = PyType_GenericNew,
 };
 
-/* Discipline calls: the compiled FIFO directly, anything else in Python. */
+/* Discipline calls: the compiled FIFO and NIC directly, anything else in
+ * Python. */
+
+typedef struct NicObject NicObject;
+static PyTypeObject NicType;
+#define Nic_Check(op) PyObject_TypeCheck(op, &NicType)
+static PyObject *nic_dequeue(NicObject *self);
+static int nic_has_work_at(NicObject *self, long long horizon);
+static PyObject *Nic_has_work_at(NicObject *self, PyObject *horizon);
+static PyObject *instance_attr(PyObject *obj, PyObject *name, int *failed);
 
 /* New reference, Py_None when nothing is eligible, NULL on error. */
 static PyObject *
@@ -866,6 +953,15 @@ disc_dequeue(PyObject *disc)
         if (packet == NULL && !failed)
             Py_RETURN_NONE;
         return packet;
+    }
+    if (Nic_Check(disc)) {
+        /* unless a dequeue was set on the instance */
+        int failed;
+        PyObject *own = instance_attr(disc, str_dequeue, &failed);
+        if (failed)
+            return NULL;
+        if (own == NULL)
+            return nic_dequeue((NicObject *)disc);
     }
     return PyObject_CallMethodNoArgs(disc, str_dequeue);
 }
@@ -1601,8 +1697,17 @@ port_kick(PortObject *self)
         if (paused)
             return 0;
         if (self->wake_check != NULL && self->wake_check != Py_None) {
-            PyObject *end_obj = PyLong_FromLongLong(end), *res;
+            PyObject *check = self->wake_check, *end_obj, *res;
             int truth;
+            if (PyCFunction_Check(check) &&
+                PyCFunction_GET_FUNCTION(check) == (PyCFunction)Nic_has_work_at &&
+                Nic_Check(PyCFunction_GET_SELF(check))) {
+                truth = nic_has_work_at((NicObject *)PyCFunction_GET_SELF(check), end);
+                if (truth <= 0)
+                    return truth;
+                goto wake;
+            }
+            end_obj = PyLong_FromLongLong(end);
             if (end_obj == NULL)
                 return -1;
             res = PyObject_CallOneArg(self->wake_check, end_obj);
@@ -1623,6 +1728,7 @@ port_kick(PortObject *self)
                 return has;
         }
     }
+wake:
     if (self->wake_at != end) {
         self->wake_at = end;
         return port_post(self, tx_ns, self->kick_method, Py_NewRef(empty_tuple));
@@ -2489,11 +2595,1963 @@ static PyTypeObject SwitchPlaneType = {
     .tp_new = PyType_GenericNew,
 };
 
+/* ===================================================================== *
+ * DeficitRoundRobin
+ *
+ * repro.sim.disciplines.DeficitRoundRobin statement for statement: the
+ * round (queue ids in activation order with their stamps), its unparked
+ * part, the deficits, the cursor and the queue being served.  The
+ * compiled NIC drives it with a C probe; everything else passes a Python
+ * callable to select().
+ * ===================================================================== */
+
+/* What a probe answers: nothing to send (park the queue), or a size in
+ * *size (BLOCKED, i.e. negative, for a queue that may not send now). */
+#define PROBE_NONE 0
+#define PROBE_SIZE 1
+typedef int (*drr_probe_fn)(void *ctx, PyObject *queue_id, long long *size);
+
+typedef struct {
+    PyObject *key; /* the queue id as first activated; NULL marks a free slot */
+    long long qid;
+    long long deficit;
+    long long stamp;
+    char parked;
+} drr_rec;
+
+typedef struct {
+    long long qid;
+    long long stamp;
+    PyObject *key; /* borrowed from the queue's drr_rec */
+} drr_pos;
+
+typedef struct {
+    PyObject_HEAD
+    long long quantum;
+    /* queue id -> record: open addressing, load at most one half */
+    drr_rec *recs;
+    Py_ssize_t mask;
+    Py_ssize_t used;
+    /* The round and its unparked part, in stamp order. */
+    drr_pos *active;
+    Py_ssize_t n;
+    drr_pos *live;
+    Py_ssize_t m;
+    Py_ssize_t cap;
+    long long next_stamp;
+    Py_ssize_t cursor;
+    PyObject *current; /* borrowed key of the queue being served, or NULL */
+    long long current_qid;
+    char selecting;    /* a select() is probing: the round may not change */
+} DrrObject;
+
+static PyTypeObject DrrType;
+#define Drr_Check(op) PyObject_TypeCheck(op, &DrrType)
+
+static inline Py_ssize_t
+drr_home(long long qid, Py_ssize_t mask)
+{
+    unsigned long long h = (unsigned long long)qid * 0x9E3779B97F4A7C15ULL;
+    return (Py_ssize_t)(h >> 32) & mask;
+}
+
+/* The record of qid, or NULL. */
+static drr_rec *
+drr_find(DrrObject *self, long long qid)
+{
+    Py_ssize_t i = drr_home(qid, self->mask);
+    while (self->recs[i].key != NULL) {
+        if (self->recs[i].qid == qid)
+            return &self->recs[i];
+        i = (i + 1) & self->mask;
+    }
+    return NULL;
+}
+
+static int
+drr_rehash(DrrObject *self, Py_ssize_t capacity)
+{
+    drr_rec *recs = PyMem_Calloc((size_t)capacity, sizeof(drr_rec)), *old = self->recs;
+    Py_ssize_t i, old_size = self->mask + 1;
+    if (recs == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; old != NULL && i < old_size; i++) {
+        if (old[i].key != NULL) {
+            Py_ssize_t j = drr_home(old[i].qid, capacity - 1);
+            while (recs[j].key != NULL)
+                j = (j + 1) & (capacity - 1);
+            recs[j] = old[i];
+        }
+    }
+    PyMem_Free(old);
+    self->recs = recs;
+    self->mask = capacity - 1;
+    return 0;
+}
+
+/* Remove a record, shifting its probe chain back (no tombstones). */
+static void
+drr_forget(DrrObject *self, drr_rec *rec)
+{
+    Py_ssize_t i = rec - self->recs, j = i, mask = self->mask;
+    Py_CLEAR(self->recs[i].key);
+    for (;;) {
+        Py_ssize_t home;
+        j = (j + 1) & mask;
+        if (self->recs[j].key == NULL)
+            break;
+        home = drr_home(self->recs[j].qid, mask);
+        /* The entry at j stays unless its home lies cyclically outside (i, j]. */
+        if ((i <= j) ? (home <= i || home > j) : (home <= i && home > j)) {
+            self->recs[i] = self->recs[j];
+            self->recs[j].key = NULL;
+            i = j;
+        }
+    }
+    self->used -= 1;
+}
+
+static Py_ssize_t
+pos_bisect(const drr_pos *a, Py_ssize_t n, long long stamp)
+{
+    Py_ssize_t lo = 0, hi = n;
+    while (lo < hi) {
+        Py_ssize_t mid = (lo + hi) / 2;
+        if (a[mid].stamp < stamp)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+static void
+pos_insert(drr_pos *a, Py_ssize_t *n, Py_ssize_t idx, drr_pos pos)
+{
+    memmove(&a[idx + 1], &a[idx], (size_t)(*n - idx) * sizeof(drr_pos));
+    a[idx] = pos;
+    *n += 1;
+}
+
+static void
+pos_delete(drr_pos *a, Py_ssize_t *n, Py_ssize_t idx)
+{
+    memmove(&a[idx], &a[idx + 1], (size_t)(*n - idx - 1) * sizeof(drr_pos));
+    *n -= 1;
+}
+
+static int
+drr_refuse_while_selecting(DrrObject *self)
+{
+    if (!self->selecting)
+        return 0;
+    PyErr_SetString(PyExc_RuntimeError, "a select() probe must not change the round");
+    return -1;
+}
+
+static int
+drr_activate(DrrObject *self, PyObject *key)
+{
+    long long qid = PyLong_AsLongLong(key);
+    drr_rec *rec;
+    drr_pos pos;
+    Py_ssize_t i;
+    if (qid == -1 && PyErr_Occurred())
+        return -1;
+    if (drr_refuse_while_selecting(self) < 0)
+        return -1;
+    rec = drr_find(self, qid);
+    if (rec != NULL) {
+        if (rec->parked) {
+            rec->parked = 0;
+            pos.qid = qid;
+            pos.stamp = rec->stamp;
+            pos.key = rec->key;
+            pos_insert(self->live, &self->m, pos_bisect(self->live, self->m, rec->stamp), pos);
+        }
+        return 0;
+    }
+    if (2 * (self->used + 1) > self->mask + 1 && drr_rehash(self, 2 * (self->mask + 1)) < 0)
+        return -1;
+    if (self->n == self->cap) {
+        Py_ssize_t cap = self->cap ? 2 * self->cap : 8;
+        drr_pos *active = PyMem_Realloc(self->active, (size_t)cap * sizeof(drr_pos));
+        drr_pos *live;
+        if (active == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        self->active = active;
+        live = PyMem_Realloc(self->live, (size_t)cap * sizeof(drr_pos));
+        if (live == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        self->live = live;
+        self->cap = cap;
+    }
+    i = drr_home(qid, self->mask);
+    while (self->recs[i].key != NULL)
+        i = (i + 1) & self->mask;
+    rec = &self->recs[i];
+    rec->key = Py_NewRef(key);
+    rec->qid = qid;
+    rec->deficit = 0;
+    rec->stamp = self->next_stamp++;
+    rec->parked = 0;
+    self->used += 1;
+    pos.qid = qid;
+    pos.stamp = rec->stamp;
+    pos.key = rec->key;
+    self->active[self->n++] = pos;
+    self->live[self->m++] = pos;
+    return 0;
+}
+
+static int
+drr_deactivate(DrrObject *self, PyObject *key)
+{
+    long long qid = PyLong_AsLongLong(key);
+    drr_rec *rec;
+    Py_ssize_t idx;
+    if (qid == -1 && PyErr_Occurred())
+        return -1;
+    if (drr_refuse_while_selecting(self) < 0)
+        return -1;
+    rec = drr_find(self, qid);
+    if (rec == NULL)
+        return 0;
+    idx = pos_bisect(self->active, self->n, rec->stamp);
+    pos_delete(self->active, &self->n, idx);
+    if (!rec->parked)
+        pos_delete(self->live, &self->m, pos_bisect(self->live, self->m, rec->stamp));
+    if (idx < self->cursor)
+        self->cursor -= 1;
+    if (self->n)
+        self->cursor %= self->n;
+    else
+        self->cursor = 0;
+    if (self->current == rec->key)
+        self->current = NULL;
+    drr_forget(self, rec);
+    return 0;
+}
+
+static void
+drr_park(DrrObject *self, Py_ssize_t live_idx)
+{
+    drr_find(self, self->live[live_idx].qid)->parked = 1;
+    pos_delete(self->live, &self->m, live_idx);
+}
+
+/* DeficitRoundRobin.select: 1 with the picked queue's id in *out
+ * (borrowed), 0 when nothing may send, -1 on error. */
+static int
+drr_select_inner(DrrObject *self, drr_probe_fn probe, void *ctx, PyObject **out)
+{
+    Py_ssize_t n, m, k, start, remaining;
+    long long size, at_cursor = 0;
+    int rc, have_at_cursor = 0;
+    drr_rec *rec;
+
+    if (self->current != NULL) {
+        rec = drr_find(self, self->current_qid);
+        rc = probe(ctx, rec->key, &size);
+        if (rc < 0)
+            return -1;
+        if (rc == PROBE_NONE) {
+            rec->deficit = 0; /* an empty queue forfeits its deficit */
+            drr_park(self, pos_bisect(self->live, self->m, rec->stamp));
+        }
+        else if (size >= 0 && rec->deficit >= size) {
+            rec->deficit -= size;
+            *out = rec->key;
+            return 1;
+        }
+        self->current = NULL;
+    }
+    n = self->n;
+    if (!n)
+        return 0;
+    start = self->cursor;
+    m = self->m;
+    k = 0;
+    if (m == n) {
+        k = start;
+        at_cursor = self->live[k].qid;
+        have_at_cursor = 1;
+        remaining = 2 * n + 1;
+    }
+    else if (m) {
+        long long cursor_stamp = self->active[start].stamp;
+        k = pos_bisect(self->live, m, cursor_stamp);
+        if (k == m)
+            k = 0;
+        have_at_cursor = self->live[k].stamp == cursor_stamp;
+        at_cursor = self->live[k].qid;
+        remaining = 2 * m + have_at_cursor;
+    }
+    else {
+        remaining = 0;
+    }
+    while (remaining > 0) {
+        long long qid;
+        if (k == m)
+            k = 0;
+        qid = self->live[k].qid;
+        remaining -= 1;
+        rc = probe(ctx, self->live[k].key, &size);
+        if (rc < 0)
+            return -1;
+        if (rc == PROBE_NONE) {
+            drr_park(self, k);
+            m -= 1;
+            remaining -= (have_at_cursor && qid == at_cursor) ? 2 : 1;
+            continue;
+        }
+        if (size >= 0) {
+            long long deficit;
+            rec = drr_find(self, qid);
+            deficit = rec->deficit + self->quantum;
+            if (deficit >= size) {
+                rec->deficit = deficit - size;
+                self->current = rec->key;
+                self->current_qid = qid;
+                if (m != n)
+                    k = pos_bisect(self->active, n, self->live[k].stamp);
+                k += 1;
+                self->cursor = k < n ? k : 0;
+                *out = rec->key;
+                return 1;
+            }
+            rec->deficit = deficit;
+        }
+        k += 1;
+    }
+    /* Fruitless: 2n + 1 arrivals leave the cursor one step on. */
+    start += 1;
+    self->cursor = start < n ? start : 0;
+    return 0;
+}
+
+static int
+drr_select(DrrObject *self, drr_probe_fn probe, void *ctx, PyObject **out)
+{
+    int rc;
+    if (drr_refuse_while_selecting(self) < 0)
+        return -1;
+    self->selecting = 1;
+    rc = drr_select_inner(self, probe, ctx, out);
+    self->selecting = 0;
+    return rc;
+}
+
+/* A Python callable as the probe. */
+static int
+drr_call_probe(void *ctx, PyObject *queue_id, long long *size)
+{
+    PyObject *res = PyObject_CallOneArg((PyObject *)ctx, queue_id);
+    if (res == NULL)
+        return -1;
+    if (res == Py_None) {
+        Py_DECREF(res);
+        return PROBE_NONE;
+    }
+    *size = PyLong_AsLongLong(res);
+    Py_DECREF(res);
+    return (*size == -1 && PyErr_Occurred()) ? -1 : PROBE_SIZE;
+}
+
+static int Drr_clear(DrrObject *self);
+
+static int
+Drr_init(DrrObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"quantum", NULL};
+    long long quantum = 1000;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|L", kwlist, &quantum))
+        return -1;
+    if (quantum <= 0) {
+        PyErr_SetString(PyExc_ValueError, "quantum must be positive");
+        return -1;
+    }
+    Drr_clear(self);
+    if (drr_rehash(self, 8) < 0)
+        return -1;
+    self->quantum = quantum;
+    self->next_stamp = 0;
+    return 0;
+}
+
+static PyObject *
+Drr_activate(DrrObject *self, PyObject *key)
+{
+    if (drr_activate(self, key) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Drr_deactivate(DrrObject *self, PyObject *key)
+{
+    if (drr_deactivate(self, key) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Drr_select(DrrObject *self, PyObject *probe)
+{
+    PyObject *picked;
+    int rc = drr_select(self, drr_call_probe, probe, &picked);
+    if (rc < 0)
+        return NULL;
+    if (rc == 0)
+        Py_RETURN_NONE;
+    return Py_NewRef(picked);
+}
+
+static PyObject *
+Drr_idle(DrrObject *self, PyObject *Py_UNUSED(ignored))
+{
+    self->current = NULL;
+    if (self->n)
+        self->cursor = (self->cursor + 1) % self->n;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+pos_list(const drr_pos *a, Py_ssize_t n)
+{
+    PyObject *list = PyList_New(n);
+    Py_ssize_t i;
+    if (list == NULL)
+        return NULL;
+    for (i = 0; i < n; i++)
+        PyList_SET_ITEM(list, i, Py_NewRef(a[i].key));
+    return list;
+}
+
+static PyObject *
+Drr_active_queues(DrrObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return pos_list(self->active, self->n);
+}
+
+static PyObject *
+Drr_unparked_queues(DrrObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return pos_list(self->live, self->m);
+}
+
+static drr_rec *
+drr_lookup(DrrObject *self, PyObject *key, int *failed)
+{
+    long long qid = PyLong_AsLongLong(key);
+    *failed = qid == -1 && PyErr_Occurred();
+    return *failed ? NULL : drr_find(self, qid);
+}
+
+static PyObject *
+Drr_is_active(DrrObject *self, PyObject *key)
+{
+    int failed;
+    drr_rec *rec = drr_lookup(self, key, &failed);
+    if (failed)
+        return NULL;
+    return PyBool_FromLong(rec != NULL);
+}
+
+static PyObject *
+Drr_deficit(DrrObject *self, PyObject *key)
+{
+    int failed;
+    drr_rec *rec = drr_lookup(self, key, &failed);
+    if (failed)
+        return NULL;
+    return PyLong_FromLongLong(rec != NULL ? rec->deficit : 0);
+}
+
+static PyObject *
+Drr_get_cursor(DrrObject *self, void *closure)
+{
+    return PyLong_FromSsize_t(self->cursor);
+}
+
+static PyObject *
+Drr_get_current(DrrObject *self, void *closure)
+{
+    return Py_NewRef(self->current != NULL ? self->current : Py_None);
+}
+
+static int
+Drr_clear(DrrObject *self)
+{
+    Py_ssize_t i;
+    for (i = 0; self->recs != NULL && i <= self->mask; i++)
+        Py_CLEAR(self->recs[i].key);
+    PyMem_Free(self->recs);
+    PyMem_Free(self->active);
+    PyMem_Free(self->live);
+    self->recs = NULL;
+    self->active = self->live = NULL;
+    self->mask = -1;
+    self->used = self->n = self->m = self->cap = 0;
+    self->cursor = 0;
+    self->current = NULL;
+    self->selecting = 0;
+    return 0;
+}
+
+static void
+Drr_dealloc(DrrObject *self)
+{
+    Drr_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMethodDef Drr_methods[] = {
+    {"activate", (PyCFunction)Drr_activate, METH_O,
+     "Add a queue to the round, or unpark it if it is already there."},
+    {"deactivate", (PyCFunction)Drr_deactivate, METH_O,
+     "Remove a queue (e.g. it became empty); its deficit is forgotten."},
+    {"select", (PyCFunction)Drr_select, METH_O,
+     "Pick the next queue to serve (one packet per call), or None."},
+    {"idle", (PyCFunction)Drr_idle, METH_NOARGS,
+     "Move the state as a select() that finds nothing sendable would."},
+    {"active_queues", (PyCFunction)Drr_active_queues, METH_NOARGS,
+     "Every queue in the round (parked ones too), in round order."},
+    {"unparked_queues", (PyCFunction)Drr_unparked_queues, METH_NOARGS,
+     "The queues a scan would probe, in round order."},
+    {"is_active", (PyCFunction)Drr_is_active, METH_O, NULL},
+    {"deficit", (PyCFunction)Drr_deficit, METH_O, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef Drr_members[] = {
+    {"quantum", T_LONGLONG, offsetof(DrrObject, quantum), 0, NULL},
+    {NULL},
+};
+
+static PyGetSetDef Drr_getset[] = {
+    {"cursor", (getter)Drr_get_cursor, NULL,
+     "Where the next scan starts: an index into active_queues().", NULL},
+    {"current", (getter)Drr_get_current, NULL,
+     "The queue whose service turn is in progress, if any.", NULL},
+    {NULL},
+};
+
+static PyTypeObject DrrType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.DeficitRoundRobin",
+    .tp_basicsize = sizeof(DrrObject),
+    .tp_dealloc = (destructor)Drr_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "Deficit round robin over numbered queues (compiled plane).",
+    .tp_methods = Drr_methods,
+    .tp_members = Drr_members,
+    .tp_getset = Drr_getset,
+    .tp_init = (initproc)Drr_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ===================================================================== *
+ * NicScheduler: the host NIC (repro.sim.host.NicScheduler and the
+ * fast paths of repro.sim.host.Host)
+ *
+ * The transmit side (dequeue, the DRR probe, has_work_at, the pacing
+ * wake-up), Host.build_data_packet, and the go-back-N receive path of
+ * Host.handle_packet for DATA and ACK packets, with the batched control
+ * flush into the port.  The NIC's state stays where the Python classes
+ * keep it -- the flow dict, the SenderFlowState / ReceiverFlowState slots,
+ * the host's instance dict -- so the Python methods around it (add_flow,
+ * revive, start_flow, the RTO, BFC's on_bloom) work unchanged.  Congestion
+ * control hooks (unless the module is the plain CongestionControl), the
+ * window of a windowed host, flow completion, CNPs, tombstoned receivers,
+ * selective repeat and every other packet kind call back into Python.
+ * ===================================================================== */
+
+enum {
+    S_FLOW,
+    S_KEY,
+    S_NUM_PACKETS,
+    S_NEXT_SEQ,
+    S_UNA,
+    S_NEXT_ALLOWED_NS,
+    S_CC_STATE,
+    S_PAUSED,
+    S_LAST_PROGRESS_NS,
+    S_RTO_EVENT,
+    S_COMPLETED,
+    S_MTU,
+    S_RETRANSMIT_QUEUE,
+    S_VFID,
+    S_NSLOTS
+};
+static const char *const sender_slot_names[S_NSLOTS] = {
+    "flow", "key", "num_packets", "next_seq", "una", "next_allowed_ns",
+    "cc_state", "paused", "last_progress_ns", "rto_event", "completed", "mtu",
+    "retransmit_queue", "vfid",
+};
+static PyObject *sender_slot_strs[S_NSLOTS];
+static Py_ssize_t sender_slot_offsets[S_NSLOTS];
+static slot_class sender_class = {S_NSLOTS, sender_slot_names, sender_slot_strs,
+                                  sender_slot_offsets, NULL};
+
+enum {
+    R_FLOW_ID,
+    R_EXPECTED_SEQ,
+    R_NUM_PACKETS,
+    R_BYTES_RECEIVED,
+    R_FLOW_SIZE,
+    R_LAST_CNP_NS,
+    R_LAST_NACK_SEQ,
+    R_COMPLETED,
+    R_SRC,
+    R_OUT_OF_ORDER,
+    R_NSLOTS
+};
+static const char *const receiver_slot_names[R_NSLOTS] = {
+    "flow_id", "expected_seq", "num_packets", "bytes_received", "flow_size",
+    "last_cnp_ns", "last_nack_seq", "completed", "src", "out_of_order",
+};
+static PyObject *receiver_slot_strs[R_NSLOTS];
+static Py_ssize_t receiver_slot_offsets[R_NSLOTS];
+static slot_class receiver_class = {R_NSLOTS, receiver_slot_names, receiver_slot_strs,
+                                    receiver_slot_offsets, NULL};
+
+#define fs_get(obj, slot) cls_get(&sender_class, (obj), (slot))
+#define fs_set(obj, slot, value) cls_set(&sender_class, (obj), (slot), (value))
+#define fs_ll(obj, slot, out) cls_ll(&sender_class, (obj), (slot), (out))
+#define rs_get(obj, slot) cls_get(&receiver_class, (obj), (slot))
+#define rs_set(obj, slot, value) cls_set(&receiver_class, (obj), (slot), (value))
+#define rs_ll(obj, slot, out) cls_ll(&receiver_class, (obj), (slot), (out))
+
+/* Set by bind_host(). */
+static PyObject *cc_base_type, *kind_data, *kind_ack, *kind_nack;
+static long long header_size, ack_size, nack_size;
+static PyObject *int_zero, *int_minus_one;
+
+static PyObject *
+bind_host(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long sizes[3];
+    int i;
+    if (nargs != 9 || !PyType_Check(args[2])) {
+        PyErr_SetString(PyExc_TypeError,
+                        "bind_host expects (SenderFlowState, ReceiverFlowState, "
+                        "CongestionControl, PacketKind.DATA, PacketKind.ACK, "
+                        "PacketKind.NACK, DATA_HEADER_SIZE, ACK_SIZE, NACK_SIZE)");
+        return NULL;
+    }
+    for (i = 0; i < 3; i++) {
+        sizes[i] = PyLong_AsLongLong(args[6 + i]);
+        if (sizes[i] == -1 && PyErr_Occurred())
+            return NULL;
+    }
+    if (slot_class_bind(&sender_class, args[0]) < 0 ||
+        slot_class_bind(&receiver_class, args[1]) < 0)
+        return NULL;
+    Py_XSETREF(cc_base_type, Py_NewRef(args[2]));
+    Py_XSETREF(kind_data, Py_NewRef(args[3]));
+    Py_XSETREF(kind_ack, Py_NewRef(args[4]));
+    Py_XSETREF(kind_nack, Py_NewRef(args[5]));
+    header_size = sizes[0];
+    ack_size = sizes[1];
+    nack_size = sizes[2];
+    Py_RETURN_NONE;
+}
+
+/* A new Packet with Packet.__init__'s defaults: what Packet(kind=kind,
+ * flow_id=flow_id, key=key, size=size) builds, without running __init__. */
+static PyObject *
+packet_new(PyObject *kind, PyObject *flow_id, PyObject *key, long long size)
+{
+    PyObject *packet, *values[P_NSLOTS];
+    int i;
+    if (packet_type == NULL || kind_data == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "_accelcore.bind_host() has not run");
+        return NULL;
+    }
+    values[P_SIZE] = PyLong_FromLongLong(size);
+    values[P_INT_STACK] = PyList_New(0);
+    if (values[P_SIZE] == NULL || values[P_INT_STACK] == NULL) {
+        Py_XDECREF(values[P_SIZE]);
+        Py_XDECREF(values[P_INT_STACK]);
+        return NULL;
+    }
+    packet = packet_type->tp_alloc(packet_type, 0);
+    if (packet == NULL) {
+        Py_DECREF(values[P_SIZE]);
+        Py_DECREF(values[P_INT_STACK]);
+        return NULL;
+    }
+    values[P_KIND] = Py_NewRef(kind);
+    values[P_IS_CONTROL] = Py_NewRef(kind != kind_data ? Py_True : Py_False);
+    values[P_FLOW_ID] = Py_NewRef(flow_id);
+    values[P_KEY] = Py_NewRef(key);
+    values[P_SEQ] = Py_NewRef(int_zero);
+    values[P_ACK_SEQ] = Py_NewRef(int_zero);
+    values[P_FLOW_SIZE] = Py_NewRef(int_zero);
+    values[P_CREATED_NS] = Py_NewRef(int_zero);
+    values[P_ECN_CAPABLE] = Py_NewRef(Py_True);
+    values[P_ECN_MARKED] = Py_NewRef(Py_False);
+    values[P_ECN_ECHO] = Py_NewRef(Py_False);
+    values[P_INT_ENABLED] = Py_NewRef(Py_False);
+    values[P_FIRST_OF_FLOW] = Py_NewRef(Py_False);
+    values[P_LAST_OF_FLOW] = Py_NewRef(Py_False);
+    values[P_PAUSE] = Py_NewRef(Py_False);
+    values[P_PAUSE_CLASS] = Py_NewRef(int_zero);
+    values[P_BLOOM_BITS] = Py_NewRef(Py_None);
+    values[P_HOPS] = Py_NewRef(int_zero);
+    values[P_CUR_INGRESS] = Py_NewRef(int_minus_one);
+    values[P_ENTRY] = Py_NewRef(Py_None);
+    values[P_VFID] = Py_NewRef(int_minus_one);
+    values[P_VFID_SPACE] = Py_NewRef(int_zero);
+    for (i = 0; i < P_NSLOTS; i++)
+        *(PyObject **)((char *)packet + packet_class.offsets[i]) = values[i];
+    return packet;
+}
+
+struct NicObject {
+    PyObject_HEAD
+    PyObject *host;
+    PyObject *flows;        /* flow id -> SenderFlowState */
+    PyObject *drr;
+    PyObject *wakeup_event;
+    long long now;          /* the time the probe tests pacing against */
+    long long wake_at;      /* the earliest pacing timer it saw ... */
+    char has_wake_at;       /* ... if it saw one */
+    char no_window;         /* the host's _no_window, read per dequeue */
+    /* Read off the host when it is bound. */
+    PyObject *host_dict;
+    PyObject *sim;
+    PyObject *sim_dict;
+    PyObject *py_handle;    /* type(host).handle_packet: the cold receive paths */
+    /* The fields of the host's (frozen) HostConfig, for as long as it is bound. */
+    PyObject *config;
+    long long cfg_mtu;
+    PyObject *cfg_int_enabled;
+    PyObject *cfg_mark_first;
+};
+
+static PyObject *str_receivers, *str_selective, *str_cv, *str_pending_control,
+    *str_uplink_port, *str_needs_kick, *str_cc, *str_uplink_rate, *str_config,
+    *str_mtu, *str_mark_first_packet, *str_no_window, *str_effective_window,
+    *str_build_data_packet, *str_probe, *str_maybe_send_cnp,
+    *str_record_completion, *str_finish_sender, *str_on_ack, *str_rate_bps,
+    *str_on_packet_sent, *str_line_rate_bps, *str_schedule_at, *str_cancelled,
+    *str_time, *str_cancel, *str_sim, *str_handle_packet, *str_extend,
+    *str_size, *str_first_tx_ns, *str_retransmitted_packets, *str_reversed_slot,
+    *str_reversed, *str_src, *str_data_packets_received, *str_out_of_order_packets,
+    *str_duplicate_packets, *str_acks_sent, *str_nacks_sent, *str_data_packets_sent,
+    *str_selective_retransmissions;
+
+/* A borrowed entry of the host's instance dict (NULL with an exception). */
+static PyObject *
+host_attr(NicObject *self, PyObject *name)
+{
+    PyObject *value;
+    if (self->host_dict == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "the NIC has no host");
+        return NULL;
+    }
+    value = PyDict_GetItemWithError(self->host_dict, name);
+    if (value == NULL && !PyErr_Occurred())
+        PyErr_SetObject(PyExc_AttributeError, name);
+    return value;
+}
+
+static int
+host_truth(NicObject *self, PyObject *name)
+{
+    PyObject *value = host_attr(self, name);
+    if (value == NULL)
+        return -1;
+    return value == Py_True ? 1 : value == Py_False ? 0 : PyObject_IsTrue(value);
+}
+
+/* Re-read the HostConfig fields when the host has a different config. */
+static int
+nic_config(NicObject *self)
+{
+    PyObject *config = host_attr(self, str_config), *mtu, *int_enabled, *mark_first;
+    long long value;
+    if (config == NULL)
+        return -1;
+    if (config == self->config)
+        return 0;
+    mtu = PyObject_GetAttr(config, str_mtu);
+    if (mtu == NULL)
+        return -1;
+    value = PyLong_AsLongLong(mtu);
+    Py_DECREF(mtu);
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    int_enabled = PyObject_GetAttr(config, packet_slot_strs[P_INT_ENABLED]);
+    if (int_enabled == NULL)
+        return -1;
+    mark_first = PyObject_GetAttr(config, str_mark_first_packet);
+    if (mark_first == NULL) {
+        Py_DECREF(int_enabled);
+        return -1;
+    }
+    Py_XSETREF(self->config, Py_NewRef(config));
+    Py_XSETREF(self->cfg_int_enabled, int_enabled);
+    Py_XSETREF(self->cfg_mark_first, mark_first);
+    self->cfg_mtu = value;
+    return 0;
+}
+
+/* 1 when obj is this NIC's own compiled method cfunc (not a replacement). */
+static int
+own_method(NicObject *self, PyObject *obj, void *cfunc)
+{
+    return PyCFunction_Check(obj) &&
+           (void *)PyCFunction_GET_FUNCTION(obj) == cfunc &&
+           PyCFunction_GET_SELF(obj) == (PyObject *)self;
+}
+
+/* A borrowed entry of obj's own instance dict, or NULL (and no error). */
+static PyObject *
+instance_attr(PyObject *obj, PyObject *name, int *failed)
+{
+    PyObject *dict, *value;
+    *failed = 0;
+    if (Py_TYPE(obj)->tp_dictoffset == 0)
+        return NULL;
+    dict = PyObject_GenericGetDict(obj, NULL);
+    if (dict == NULL) {
+        *failed = 1;
+        return NULL;
+    }
+    value = PyDict_GetItemWithError(dict, name);
+    Py_DECREF(dict); /* the object keeps its dict, and so the value */
+    if (value == NULL && PyErr_Occurred())
+        *failed = 1;
+    return value;
+}
+
+/* SenderFlowState.packet_payload(seq). */
+static int
+fs_payload(PyObject *fstate, long long seq, long long num_packets, long long *out)
+{
+    PyObject *flow, *size_obj;
+    long long mtu, size, last;
+    if (fs_ll(fstate, S_MTU, &mtu) < 0)
+        return -1;
+    if (seq < num_packets - 1) {
+        *out = mtu;
+        return 0;
+    }
+    flow = fs_get(fstate, S_FLOW);
+    if (flow == NULL)
+        return -1;
+    size_obj = PyObject_GetAttr(flow, str_size);
+    Py_DECREF(flow);
+    if (size_obj == NULL)
+        return -1;
+    size = PyLong_AsLongLong(size_obj);
+    Py_DECREF(size_obj);
+    if (size == -1 && PyErr_Occurred())
+        return -1;
+    last = size - mtu * (num_packets - 1);
+    *out = last > 0 ? last : mtu;
+    return 0;
+}
+
+/* Length of the flow's retransmit queue; its head in *head when non-empty. */
+static Py_ssize_t
+fs_retransmits(PyObject *fstate, long long *head)
+{
+    PyObject *queue = fs_get(fstate, S_RETRANSMIT_QUEUE), *first;
+    Py_ssize_t len;
+    if (queue == NULL)
+        return -1;
+    len = PyObject_Size(queue);
+    if (len > 0 && head != NULL) {
+        first = PySequence_GetItem(queue, 0);
+        if (first == NULL) {
+            Py_DECREF(queue);
+            return -1;
+        }
+        *head = PyLong_AsLongLong(first);
+        Py_DECREF(first);
+        if (*head == -1 && PyErr_Occurred())
+            len = -1;
+    }
+    Py_DECREF(queue);
+    return len;
+}
+
+/* Host.effective_window(fstate) against inflight bytes: 1 out of window. */
+static int
+nic_out_of_window(NicObject *self, PyObject *fstate)
+{
+    PyObject *window, *need_obj;
+    long long next_seq, una, mtu;
+    int over;
+    window = call_method2(self->host, str_effective_window, fstate, NULL);
+    if (window == NULL)
+        return -1;
+    if (window == Py_None) {
+        Py_DECREF(window);
+        return 0;
+    }
+    if (fs_ll(fstate, S_NEXT_SEQ, &next_seq) < 0 || fs_ll(fstate, S_UNA, &una) < 0 ||
+        fs_ll(fstate, S_MTU, &mtu) < 0) {
+        Py_DECREF(window);
+        return -1;
+    }
+    need_obj = PyLong_FromLongLong((next_seq - una) * (mtu + header_size) + self->cfg_mtu);
+    if (need_obj == NULL) {
+        Py_DECREF(window);
+        return -1;
+    }
+    over = PyObject_RichCompareBool(need_obj, window, Py_GT);
+    Py_DECREF(need_obj);
+    Py_DECREF(window);
+    return over;
+}
+
+/* NicScheduler._probe_flow. */
+static int
+nic_probe(void *ctx, PyObject *flow_id, long long *size)
+{
+    NicObject *self = (NicObject *)ctx;
+    PyObject *fstate = PyDict_GetItemWithError(self->flows, flow_id);
+    long long seq, num_packets, allowed, payload;
+    Py_ssize_t retransmits;
+    int truth;
+    if (fstate == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_KeyError, flow_id);
+        return -1;
+    }
+    Py_INCREF(fstate);
+    retransmits = fs_retransmits(fstate, &seq);
+    if (retransmits < 0 || fs_ll(fstate, S_NUM_PACKETS, &num_packets) < 0)
+        goto error;
+    if (!retransmits) {
+        if (fs_ll(fstate, S_NEXT_SEQ, &seq) < 0)
+            goto error;
+        if (seq >= num_packets) {
+            Py_DECREF(fstate);
+            return PROBE_NONE;
+        }
+    }
+    truth = cls_truth(&sender_class, fstate, S_PAUSED);
+    if (truth < 0)
+        goto error;
+    if (truth)
+        goto blocked;
+    /* Retransmissions do not grow the in-flight window. */
+    if (!(retransmits || self->no_window)) {
+        truth = nic_out_of_window(self, fstate);
+        if (truth < 0)
+            goto error;
+        if (truth)
+            goto blocked;
+    }
+    if (fs_ll(fstate, S_NEXT_ALLOWED_NS, &allowed) < 0)
+        goto error;
+    if (allowed > self->now) {
+        if (!self->has_wake_at || allowed < self->wake_at) {
+            self->wake_at = allowed;
+            self->has_wake_at = 1;
+        }
+        goto blocked;
+    }
+    if (fs_payload(fstate, seq, num_packets, &payload) < 0)
+        goto error;
+    Py_DECREF(fstate);
+    *size = payload + header_size;
+    return PROBE_SIZE;
+blocked:
+    Py_DECREF(fstate);
+    *size = -1; /* BLOCKED */
+    return PROBE_SIZE;
+error:
+    Py_DECREF(fstate);
+    return -1;
+}
+
+static int
+nic_bound(NicObject *self)
+{
+    if (self->host_dict == NULL || self->flows == NULL || !PyDict_Check(self->flows)) {
+        PyErr_SetString(PyExc_TypeError, "the NIC needs a host and a flow dict");
+        return -1;
+    }
+    if (self->drr == NULL || !Drr_Check(self->drr)) {
+        PyErr_SetString(PyExc_TypeError, "the compiled NIC needs the compiled DeficitRoundRobin");
+        return -1;
+    }
+    return 0;
+}
+
+/* What every probe of one scan reads off the host: _no_window, the config. */
+static int
+nic_begin_scan(NicObject *self)
+{
+    int no_window;
+    if (nic_bound(self) < 0)
+        return -1;
+    no_window = host_truth(self, str_no_window);
+    if (no_window < 0 || nic_config(self) < 0)
+        return -1;
+    self->no_window = (char)no_window;
+    return 0;
+}
+
+/* NicScheduler._arm_wakeup. */
+static int
+nic_arm_wakeup(NicObject *self, long long earliest)
+{
+    PyObject *event = self->wakeup_event, *kick, *at, *res;
+    long long now;
+    if (dict_ll(self->sim_dict, str_now, &now) < 0)
+        return -1;
+    /* A handle whose time has passed belongs to an already-fired event
+     * (Event.cancelled stays False after firing): treat it as dead. */
+    if (event != NULL && event != Py_None) {
+        long long time;
+        PyObject *cancelled = PyObject_GetAttr(event, str_cancelled), *time_obj;
+        int dead;
+        if (cancelled == NULL)
+            return -1;
+        dead = PyObject_IsTrue(cancelled);
+        Py_DECREF(cancelled);
+        if (dead < 0)
+            return -1;
+        time_obj = PyObject_GetAttr(event, str_time);
+        if (time_obj == NULL)
+            return -1;
+        time = PyLong_AsLongLong(time_obj);
+        Py_DECREF(time_obj);
+        if (time == -1 && PyErr_Occurred())
+            return -1;
+        if (!dead && time > now) {
+            if (time <= earliest)
+                return 0;
+            res = PyObject_CallMethodNoArgs(event, str_cancel);
+            if (res == NULL)
+                return -1;
+            Py_DECREF(res);
+        }
+    }
+    kick = PyObject_GetAttr(self->host, str_kick);
+    if (kick == NULL)
+        return -1;
+    at = PyLong_FromLongLong(earliest);
+    if (at == NULL) {
+        Py_DECREF(kick);
+        return -1;
+    }
+    res = call_method2(self->sim, str_schedule_at, at, kick);
+    Py_DECREF(at);
+    Py_DECREF(kick);
+    if (res == NULL)
+        return -1;
+    Py_XSETREF(self->wakeup_event, res);
+    return 0;
+}
+
+/* NicScheduler.has_work_at: 1, 0 or -1. */
+static int
+nic_has_work_at(NicObject *self, long long horizon)
+{
+    DrrObject *drr;
+    long long earliest = 0;
+    int have_earliest = 0;
+    Py_ssize_t i;
+    if (nic_bound(self) < 0)
+        return -1;
+    drr = (DrrObject *)self->drr;
+    for (i = 0; i < drr->m; i++) {
+        PyObject *key = drr->live[i].key;
+        PyObject *fstate = PyDict_GetItemWithError(self->flows, key);
+        long long next_seq, num_packets, allowed;
+        Py_ssize_t retransmits;
+        int paused;
+        if (fstate == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_SetObject(PyExc_KeyError, key);
+            return -1;
+        }
+        retransmits = fs_retransmits(fstate, NULL);
+        if (retransmits < 0 || fs_ll(fstate, S_NEXT_SEQ, &next_seq) < 0 ||
+            fs_ll(fstate, S_NUM_PACKETS, &num_packets) < 0)
+            return -1;
+        if (!retransmits && next_seq >= num_packets)
+            continue;
+        paused = cls_truth(&sender_class, fstate, S_PAUSED);
+        if (paused < 0)
+            return -1;
+        if (paused)
+            continue;
+        if (fs_ll(fstate, S_NEXT_ALLOWED_NS, &allowed) < 0)
+            return -1;
+        if (allowed <= horizon)
+            return 1;
+        if (!have_earliest || allowed < earliest) {
+            earliest = allowed;
+            have_earliest = 1;
+        }
+    }
+    if (have_earliest && nic_arm_wakeup(self, earliest) < 0)
+        return -1;
+    return 0;
+}
+
+static PyObject *
+incremented(PyObject *obj, PyObject *name)
+{
+    PyObject *cur = PyObject_GetAttr(obj, name), *next;
+    long long value;
+    if (cur == NULL)
+        return NULL;
+    value = PyLong_AsLongLong(cur);
+    Py_DECREF(cur);
+    if (value == -1 && PyErr_Occurred())
+        return NULL;
+    next = PyLong_FromLongLong(value + 1);
+    return next;
+}
+
+/* Host.build_data_packet. */
+static PyObject *
+nic_build(NicObject *self, PyObject *fstate)
+{
+    PyObject *flow = NULL, *now_obj, *seq_obj = NULL, *packet = NULL, *value, *cv;
+    PyObject *cc, *rate_obj = NULL, *res;
+    long long now, seq, num_packets, payload, size, allowed, pace;
+    double rate, uplink;
+    Py_ssize_t retransmits;
+    int cc_hooks, rc;
+
+    if (self->host_dict == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "the NIC has no host");
+        return NULL;
+    }
+    if (nic_config(self) < 0)
+        return NULL;
+    now_obj = PyDict_GetItemWithError(self->sim_dict, str_now);
+    if (now_obj == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_AttributeError, str_now);
+        return NULL;
+    }
+    Py_INCREF(now_obj);
+    now = PyLong_AsLongLong(now_obj);
+    if (now == -1 && PyErr_Occurred())
+        goto error;
+    flow = fs_get(fstate, S_FLOW);
+    if (flow == NULL)
+        goto error;
+    retransmits = fs_retransmits(fstate, NULL);
+    if (retransmits < 0)
+        goto error;
+    if (retransmits) {
+        PyObject *queue = fs_get(fstate, S_RETRANSMIT_QUEUE);
+        if (queue == NULL)
+            goto error;
+        seq_obj = PyObject_CallMethodNoArgs(queue, str_popleft);
+        Py_DECREF(queue);
+    }
+    else {
+        seq_obj = fs_get(fstate, S_NEXT_SEQ);
+    }
+    if (seq_obj == NULL)
+        goto error;
+    seq = PyLong_AsLongLong(seq_obj);
+    if ((seq == -1 && PyErr_Occurred()) ||
+        fs_ll(fstate, S_NUM_PACKETS, &num_packets) < 0 ||
+        fs_payload(fstate, seq, num_packets, &payload) < 0)
+        goto error;
+    size = payload + header_size;
+    {
+        PyObject *flow_id = PyObject_GetAttr(flow, packet_slot_strs[P_FLOW_ID]);
+        PyObject *key = fs_get(fstate, S_KEY), *flow_size;
+        if (flow_id == NULL || key == NULL) {
+            Py_XDECREF(flow_id);
+            Py_XDECREF(key);
+            goto error;
+        }
+        packet = packet_new(kind_data, flow_id, key, size);
+        Py_DECREF(flow_id);
+        Py_DECREF(key);
+        if (packet == NULL)
+            goto error;
+        flow_size = PyObject_GetAttr(flow, str_size);
+        if (flow_size == NULL)
+            goto error;
+        pkt_set(packet, P_FLOW_SIZE, flow_size);
+        Py_DECREF(flow_size);
+    }
+    pkt_set(packet, P_SEQ, seq_obj);
+    pkt_set(packet, P_CREATED_NS, now_obj);
+    pkt_set(packet, P_INT_ENABLED, self->cfg_int_enabled);
+    pkt_set(packet, P_FIRST_OF_FLOW, seq == 0 ? self->cfg_mark_first : Py_False);
+    pkt_set(packet, P_LAST_OF_FLOW, seq == num_packets - 1 ? Py_True : Py_False);
+    cv = host_attr(self, str_cv);
+    if (cv == NULL)
+        goto error;
+    if (retransmits) {
+        value = incremented(flow, str_retransmitted_packets);
+        if (value == NULL)
+            goto error;
+        rc = PyObject_SetAttr(flow, str_retransmitted_packets, value);
+        Py_DECREF(value);
+        if (rc < 0 || counter_add(cv, str_selective_retransmissions, 1) < 0)
+            goto error;
+    }
+    else if (cls_set_ll(&sender_class, fstate, S_NEXT_SEQ, seq + 1) < 0) {
+        goto error;
+    }
+    value = PyObject_GetAttr(flow, str_first_tx_ns);
+    if (value == NULL)
+        goto error;
+    rc = value == Py_None ? PyObject_SetAttr(flow, str_first_tx_ns, now_obj) : 0;
+    Py_DECREF(value);
+    if (rc < 0)
+        goto error;
+    /* The rate: the cc module's, capped by the uplink (the plain
+     * CongestionControl's is its line rate, read without the call). */
+    cc = host_attr(self, str_cc);
+    value = host_attr(self, str_uplink_rate);
+    if (cc == NULL || value == NULL)
+        goto error;
+    Py_INCREF(cc);
+    uplink = PyFloat_AsDouble(value);
+    if (uplink == -1.0 && PyErr_Occurred())
+        goto error_cc;
+    cc_hooks = cc == Py_None ? 0 : PyObject_IsTrue(cc);
+    if (cc_hooks < 0)
+        goto error_cc;
+    if (cc_hooks && Py_TYPE(cc) == (PyTypeObject *)cc_base_type) {
+        rate_obj = PyObject_GetAttr(cc, str_line_rate_bps);
+        cc_hooks = 0;
+    }
+    else if (cc_hooks) {
+        rate_obj = PyObject_CallMethodOneArg(cc, str_rate_bps, fstate);
+    }
+    else {
+        rate_obj = Py_NewRef(value);
+    }
+    if (rate_obj == NULL)
+        goto error_cc;
+    rate = PyFloat_AsDouble(rate_obj);
+    Py_DECREF(rate_obj);
+    if (rate == -1.0 && PyErr_Occurred())
+        goto error_cc;
+    /* max(1.0, min(rate, uplink_rate)), as Python's min/max pick. */
+    if (uplink < rate)
+        rate = uplink;
+    if (!(rate > 1.0))
+        rate = 1.0;
+    /* Pacing delay; arithmetically identical to units.transmission_time_ns
+     * (integer product, then float divide, round half to even). */
+    pace = (long long)round_half_even((double)(size * 8 * 1000000000LL) / rate);
+    if (pace < 1)
+        pace = 1;
+    if (fs_ll(fstate, S_NEXT_ALLOWED_NS, &allowed) < 0 ||
+        cls_set_ll(&sender_class, fstate, S_NEXT_ALLOWED_NS, (allowed > now ? allowed : now) + pace) < 0)
+        goto error_cc;
+    if (cc_hooks) {
+        PyObject *stack[4] = {cc, fstate, packet, now_obj};
+        res = PyObject_VectorcallMethod(str_on_packet_sent, stack,
+                                        4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+        if (res == NULL)
+            goto error_cc;
+        Py_DECREF(res);
+    }
+    Py_DECREF(cc);
+    if (counter_add(cv, str_data_packets_sent, 1) < 0)
+        goto error;
+    Py_DECREF(flow);
+    Py_DECREF(seq_obj);
+    Py_DECREF(now_obj);
+    return packet;
+
+error_cc:
+    Py_DECREF(cc);
+error:
+    Py_XDECREF(flow);
+    Py_XDECREF(seq_obj);
+    Py_XDECREF(packet);
+    Py_DECREF(now_obj);
+    return NULL;
+}
+
+static PyObject *Nic_probe_flow(NicObject *self, PyObject *flow_id);
+static PyObject *Nic_build_data_packet(NicObject *self, PyObject *fstate);
+
+/* NicScheduler.dequeue. */
+static PyObject *
+nic_dequeue(NicObject *self)
+{
+    PyObject *probe, *picked, *fstate, *build;
+    int rc, failed;
+    if (nic_begin_scan(self) < 0 || dict_ll(self->sim_dict, str_now, &self->now) < 0)
+        return NULL;
+    self->has_wake_at = 0;
+    probe = instance_attr((PyObject *)self, str_probe, &failed);
+    if (failed)
+        return NULL;
+    if (probe != NULL && !own_method(self, probe, (void *)Nic_probe_flow)) {
+        Py_INCREF(probe);
+        rc = drr_select((DrrObject *)self->drr, drr_call_probe, probe, &picked);
+        Py_DECREF(probe);
+    }
+    else {
+        rc = drr_select((DrrObject *)self->drr, nic_probe, self, &picked);
+    }
+    if (rc < 0)
+        return NULL;
+    if (rc == 0) {
+        if (self->has_wake_at && nic_arm_wakeup(self, self->wake_at) < 0)
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    fstate = PyDict_GetItemWithError(self->flows, picked);
+    if (fstate == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_KeyError, picked);
+        return NULL;
+    }
+    Py_INCREF(fstate);
+    build = PyDict_GetItemWithError(self->host_dict, str_build_data_packet);
+    if (build == NULL && PyErr_Occurred()) {
+        Py_DECREF(fstate);
+        return NULL;
+    }
+    if (build != NULL && own_method(self, build, (void *)Nic_build_data_packet)) {
+        picked = nic_build(self, fstate);
+    }
+    else {
+        picked = PyObject_CallMethodOneArg(self->host, str_build_data_packet, fstate);
+    }
+    Py_DECREF(fstate);
+    return picked;
+}
+
+/* -- The receive path -------------------------------------------------- */
+
+/* The reverse key of a packet's flow key (FlowKey.reversed, memoized). */
+static PyObject *
+reversed_key(PyObject *packet)
+{
+    PyObject *key = pkt_get(packet, P_KEY), *rev;
+    if (key == NULL)
+        return NULL;
+    rev = PyObject_GetAttr(key, str_reversed_slot);
+    if (rev == Py_None) {
+        Py_DECREF(rev);
+        rev = PyObject_CallMethodNoArgs(key, str_reversed);
+    }
+    Py_DECREF(key);
+    return rev;
+}
+
+static int
+host_queue_control(NicObject *self, PyObject *frame)
+{
+    PyObject *pending = host_attr(self, str_pending_control);
+    return pending == NULL ? -1 : PyList_Append(pending, frame);
+}
+
+/* A control frame answering a data packet: kind, size, ack_seq. */
+static PyObject *
+answer_frame(NicObject *self, PyObject *packet, PyObject *kind, long long size,
+             PyObject *ack_seq)
+{
+    PyObject *flow_id = pkt_get(packet, P_FLOW_ID), *rev, *frame, *now;
+    if (flow_id == NULL)
+        return NULL;
+    rev = reversed_key(packet);
+    if (rev == NULL) {
+        Py_DECREF(flow_id);
+        return NULL;
+    }
+    frame = packet_new(kind, flow_id, rev, size);
+    Py_DECREF(flow_id);
+    Py_DECREF(rev);
+    if (frame == NULL)
+        return NULL;
+    now = PyDict_GetItemWithError(self->sim_dict, str_now);
+    if (now == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_AttributeError, str_now);
+        Py_DECREF(frame);
+        return NULL;
+    }
+    pkt_set(frame, P_ACK_SEQ, ack_seq);
+    pkt_set(frame, P_CREATED_NS, now);
+    return frame;
+}
+
+/* Host._send_ack. */
+static int
+nic_send_ack(NicObject *self, PyObject *packet, PyObject *ack_seq, PyObject *cv)
+{
+    PyObject *ack = answer_frame(self, packet, kind_ack, ack_size, ack_seq), *value;
+    int rc;
+    if (ack == NULL)
+        return -1;
+    value = pkt_get(packet, P_ECN_MARKED);
+    if (value == NULL)
+        goto error;
+    pkt_set(ack, P_ECN_ECHO, value);
+    Py_DECREF(value);
+    rc = pkt_truth(packet, P_INT_ENABLED);
+    if (rc < 0)
+        goto error;
+    if (rc) {
+        PyObject *stack = pkt_get(packet, P_INT_STACK), *copy;
+        if (stack == NULL)
+            goto error;
+        copy = PySequence_List(stack);
+        Py_DECREF(stack);
+        if (copy == NULL)
+            goto error;
+        pkt_set(ack, P_INT_ENABLED, Py_False);
+        pkt_set(ack, P_INT_STACK, copy);
+        Py_DECREF(copy);
+    }
+    rc = host_queue_control(self, ack);
+    Py_DECREF(ack);
+    if (rc < 0)
+        return -1;
+    return counter_add(cv, str_acks_sent, 1);
+error:
+    Py_DECREF(ack);
+    return -1;
+}
+
+/* Host._send_nack. */
+static int
+nic_send_nack(NicObject *self, PyObject *packet, PyObject *rstate, PyObject *expected,
+              PyObject *cv)
+{
+    PyObject *last = rs_get(rstate, R_LAST_NACK_SEQ), *nack;
+    int same, rc;
+    if (last == NULL)
+        return -1;
+    same = PyObject_RichCompareBool(last, expected, Py_EQ);
+    Py_DECREF(last);
+    if (same)
+        return same < 0 ? -1 : 0; /* already asked for this packet */
+    if (rs_set(rstate, R_LAST_NACK_SEQ, expected) < 0)
+        return -1;
+    nack = answer_frame(self, packet, kind_nack, nack_size, expected);
+    if (nack == NULL)
+        return -1;
+    rc = host_queue_control(self, nack);
+    Py_DECREF(nack);
+    if (rc < 0)
+        return -1;
+    return counter_add(cv, str_nacks_sent, 1);
+}
+
+/* Host._handle_data for a go-back-N receiver that is not a tombstone. */
+static int
+nic_receive_data(NicObject *self, PyObject *packet, PyObject *rstate)
+{
+    PyObject *cv = host_attr(self, str_cv), *expected = NULL, *res;
+    long long seq, expected_seq, size, bytes, num_packets;
+    int rc;
+    if (cv == NULL || counter_add(cv, str_data_packets_received, 1) < 0)
+        return -1;
+    if (rstate == NULL) {
+        PyObject *receivers = host_attr(self, str_receivers), *flow_id, *flow_size,
+                 *key, *src, *mtu;
+        if (receivers == NULL || nic_config(self) < 0)
+            return -1;
+        flow_id = pkt_get(packet, P_FLOW_ID);
+        flow_size = pkt_get(packet, P_FLOW_SIZE);
+        key = pkt_get(packet, P_KEY);
+        src = key == NULL ? NULL : PyObject_GetAttr(key, str_src);
+        mtu = PyObject_GetAttr(self->config, str_mtu);
+        if (flow_id != NULL && flow_size != NULL && src != NULL && mtu != NULL)
+            rstate = PyObject_CallFunctionObjArgs((PyObject *)receiver_class.type, flow_id,
+                                                  flow_size, mtu, src, NULL);
+        rc = rstate == NULL ? -1 : PyDict_SetItem(receivers, flow_id, rstate);
+        Py_XDECREF(flow_id);
+        Py_XDECREF(flow_size);
+        Py_XDECREF(key);
+        Py_XDECREF(src);
+        Py_XDECREF(mtu);
+        if (rc < 0) {
+            Py_XDECREF(rstate);
+            return -1;
+        }
+    }
+    else {
+        Py_INCREF(rstate);
+    }
+    rc = pkt_truth(packet, P_ECN_MARKED);
+    if (rc < 0)
+        goto error;
+    if (rc) {
+        res = call_method2(self->host, str_maybe_send_cnp, packet, rstate);
+        if (res == NULL)
+            goto error;
+        Py_DECREF(res);
+    }
+    if (pkt_ll(packet, P_SEQ, &seq) < 0 || rs_ll(rstate, R_EXPECTED_SEQ, &expected_seq) < 0)
+        goto error;
+    if (seq == expected_seq) {
+        int completed;
+        if (cls_set_ll(&receiver_class, rstate, R_EXPECTED_SEQ, expected_seq + 1) < 0 ||
+            pkt_ll(packet, P_SIZE, &size) < 0 ||
+            rs_ll(rstate, R_BYTES_RECEIVED, &bytes) < 0)
+            goto error;
+        /* packet.payload_bytes() of a data packet */
+        size -= header_size;
+        if (cls_set_ll(&receiver_class, rstate, R_BYTES_RECEIVED, bytes + (size > 0 ? size : 0)) < 0 ||
+            rs_set(rstate, R_LAST_NACK_SEQ, int_minus_one) < 0 ||
+            rs_ll(rstate, R_NUM_PACKETS, &num_packets) < 0)
+            goto error;
+        completed = cls_truth(&receiver_class, rstate, R_COMPLETED);
+        if (completed < 0)
+            goto error;
+        if (expected_seq + 1 >= num_packets && !completed) {
+            if (rs_set(rstate, R_COMPLETED, Py_True) < 0)
+                goto error;
+            res = call_method2(self->host, str_record_completion, packet, rstate);
+            if (res == NULL)
+                goto error;
+            Py_DECREF(res);
+        }
+        expected = rs_get(rstate, R_EXPECTED_SEQ);
+        if (expected == NULL || nic_send_ack(self, packet, expected, cv) < 0)
+            goto error;
+    }
+    else if (seq > expected_seq) {
+        expected = rs_get(rstate, R_EXPECTED_SEQ);
+        if (expected == NULL || counter_add(cv, str_out_of_order_packets, 1) < 0 ||
+            nic_send_nack(self, packet, rstate, expected, cv) < 0)
+            goto error;
+    }
+    else {
+        expected = rs_get(rstate, R_EXPECTED_SEQ);
+        if (expected == NULL || counter_add(cv, str_duplicate_packets, 1) < 0 ||
+            nic_send_ack(self, packet, expected, cv) < 0)
+            goto error;
+    }
+    Py_XDECREF(expected);
+    Py_DECREF(rstate);
+    return 0;
+error:
+    Py_XDECREF(expected);
+    Py_DECREF(rstate);
+    return -1;
+}
+
+/* Host._handle_ack for a flow with no queued retransmissions. */
+static int
+nic_receive_ack(NicObject *self, PyObject *packet, PyObject *fstate)
+{
+    PyObject *now = PyDict_GetItemWithError(self->sim_dict, str_now), *cc, *res;
+    long long ack_seq, una, num_packets;
+    int hooks, completed;
+    if (now == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_AttributeError, str_now);
+        return -1;
+    }
+    if (pkt_ll(packet, P_ACK_SEQ, &ack_seq) < 0 || fs_ll(fstate, S_UNA, &una) < 0)
+        return -1;
+    if (ack_seq > una) {
+        PyObject *value = pkt_get(packet, P_ACK_SEQ);
+        int rc;
+        if (value == NULL)
+            return -1;
+        rc = fs_set(fstate, S_UNA, value);
+        Py_DECREF(value);
+        if (rc < 0 || fs_set(fstate, S_LAST_PROGRESS_NS, now) < 0)
+            return -1;
+    }
+    cc = host_attr(self, str_cc);
+    if (cc == NULL)
+        return -1;
+    hooks = cc == Py_None ? 0 : PyObject_IsTrue(cc);
+    if (hooks < 0)
+        return -1;
+    if (hooks && Py_TYPE(cc) != (PyTypeObject *)cc_base_type) {
+        PyObject *stack[4] = {cc, fstate, packet, now};
+        Py_INCREF(cc);
+        Py_INCREF(now);
+        res = PyObject_VectorcallMethod(str_on_ack, stack,
+                                        4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+        Py_DECREF(cc);
+        Py_DECREF(now);
+        if (res == NULL)
+            return -1;
+        Py_DECREF(res);
+    }
+    if (fs_ll(fstate, S_UNA, &una) < 0 || fs_ll(fstate, S_NUM_PACKETS, &num_packets) < 0)
+        return -1;
+    completed = cls_truth(&sender_class, fstate, S_COMPLETED);
+    if (completed < 0)
+        return -1;
+    if (una >= num_packets && !completed) {
+        if (fs_set(fstate, S_COMPLETED, Py_True) < 0)
+            return -1;
+        res = call_method2(self->host, str_finish_sender, fstate, NULL);
+        if (res == NULL)
+            return -1;
+        Py_DECREF(res);
+    }
+    return PyDict_SetItem(self->host_dict, str_needs_kick, Py_True);
+}
+
+static int
+kick_port(PyObject *port)
+{
+    PyObject *res;
+    if (Port_Check(port))
+        return port_kick((PortObject *)port);
+    res = PyObject_CallMethodNoArgs(port, str_kick);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* The end of Host.handle_packet: the control frames generated go to the
+ * port in one burst, with at most one port kick. */
+static int
+host_flush(NicObject *self)
+{
+    PyObject *pending = host_attr(self, str_pending_control), *port, *queue, *res;
+    int has_pending, rc;
+    if (pending == NULL)
+        return -1;
+    has_pending = PyObject_IsTrue(pending);
+    if (has_pending < 0)
+        return -1;
+    if (!has_pending) {
+        rc = host_truth(self, str_needs_kick);
+        if (rc <= 0)
+            return rc;
+    }
+    port = host_attr(self, str_uplink_port);
+    if (port == NULL)
+        return -1;
+    Py_INCREF(port);
+    if (has_pending) {
+        queue = Port_Check(port) ? Py_NewRef(((PortObject *)port)->control_queue)
+                                 : PyObject_GetAttrString(port, "control_queue");
+        res = queue == NULL ? NULL : PyObject_CallMethodOneArg(queue, str_extend, pending);
+        Py_XDECREF(queue);
+        if (res == NULL || PyList_SetSlice(pending, 0, PY_SSIZE_T_MAX, NULL) < 0) {
+            Py_XDECREF(res);
+            goto error;
+        }
+        Py_DECREF(res);
+    }
+    if (PyDict_SetItem(self->host_dict, str_needs_kick, Py_False) < 0 || kick_port(port) < 0)
+        goto error;
+    Py_DECREF(port);
+    return 0;
+error:
+    Py_DECREF(port);
+    return -1;
+}
+
+/* Host.handle_packet: DATA to a go-back-N receiver and ACK of a flow with no
+ * queued retransmissions here, everything else in Python. */
+static int
+nic_receive(NicObject *self, PyObject *packet, PyObject *iface_index)
+{
+    PyObject *kind, *flow_id, *res, *stack[3];
+    int handled = 0, rc = 0;
+    if (nic_bound(self) < 0)
+        return -1;
+    kind = pkt_get(packet, P_KIND);
+    if (kind == NULL)
+        return -1;
+    Py_DECREF(kind); /* the enum member lives on */
+    if (kind == kind_data || kind == kind_ack) {
+        flow_id = pkt_get(packet, P_FLOW_ID);
+        if (flow_id == NULL)
+            return -1;
+        if (kind == kind_data) {
+            int selective = host_truth(self, str_selective);
+            PyObject *receivers = host_attr(self, str_receivers), *rstate = NULL;
+            if (selective < 0 || receivers == NULL)
+                rc = -1;
+            else if (!selective) {
+                rstate = PyDict_GetItemWithError(receivers, flow_id);
+                if (rstate == NULL && PyErr_Occurred())
+                    rc = -1;
+                else if (rstate == NULL || Py_TYPE(rstate) == receiver_class.type) {
+                    handled = 1;
+                    rc = nic_receive_data(self, packet, rstate);
+                }
+            }
+        }
+        else {
+            PyObject *fstate = PyDict_GetItemWithError(self->flows, flow_id);
+            if (fstate == NULL && PyErr_Occurred())
+                rc = -1;
+            else if (fstate != NULL && Py_TYPE(fstate) == sender_class.type) {
+                Py_ssize_t retransmits = fs_retransmits(fstate, NULL);
+                if (retransmits < 0)
+                    rc = -1;
+                else if (retransmits == 0) {
+                    handled = 1;
+                    Py_INCREF(fstate);
+                    rc = nic_receive_ack(self, packet, fstate);
+                    Py_DECREF(fstate);
+                }
+            }
+        }
+        Py_DECREF(flow_id);
+        if (rc < 0)
+            return -1;
+        if (handled)
+            return host_flush(self);
+    }
+    stack[0] = self->host;
+    stack[1] = packet;
+    stack[2] = iface_index;
+    res = PyObject_Vectorcall(self->py_handle, stack, 3, NULL);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* -- The Python face ------------------------------------------------------ */
+
+static PyObject *
+Nic_dequeue(NicObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return nic_dequeue(self);
+}
+
+static PyObject *
+Nic_probe_flow(NicObject *self, PyObject *flow_id)
+{
+    long long size;
+    int rc;
+    if (nic_begin_scan(self) < 0)
+        return NULL;
+    rc = nic_probe(self, flow_id, &size);
+    if (rc < 0)
+        return NULL;
+    if (rc == PROBE_NONE)
+        Py_RETURN_NONE;
+    return PyLong_FromLongLong(size);
+}
+
+static PyObject *
+Nic_has_work_at(NicObject *self, PyObject *horizon)
+{
+    long long at = PyLong_AsLongLong(horizon);
+    int rc;
+    if (at == -1 && PyErr_Occurred())
+        return NULL;
+    rc = nic_has_work_at(self, at);
+    if (rc < 0)
+        return NULL;
+    return PyBool_FromLong(rc);
+}
+
+static PyObject *
+Nic_arm_wakeup(NicObject *self, PyObject *earliest)
+{
+    long long at = PyLong_AsLongLong(earliest);
+    if (at == -1 && PyErr_Occurred())
+        return NULL;
+    if (self->sim_dict == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "the NIC has no host");
+        return NULL;
+    }
+    if (nic_arm_wakeup(self, at) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Nic_build_data_packet(NicObject *self, PyObject *fstate)
+{
+    return nic_build(self, fstate);
+}
+
+static PyObject *
+Nic_receive(NicObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_args2(nargs, "receive") < 0 || nic_receive(self, args[0], args[1]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Nic_get_host(NicObject *self, void *closure)
+{
+    return Py_NewRef(self->host != NULL ? self->host : Py_None);
+}
+
+/* Binding the host also reads what the hot paths use of it. */
+static int
+Nic_set_host(NicObject *self, PyObject *host, void *closure)
+{
+    PyObject *host_dict, *sim, *sim_dict, *handle;
+    if (host == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete host");
+        return -1;
+    }
+    host_dict = PyObject_GetAttr(host, str_dict);
+    if (host_dict == NULL)
+        return -1;
+    sim = PyObject_GetAttr(host, str_sim);
+    sim_dict = sim == NULL ? NULL : PyObject_GetAttr(sim, str_dict);
+    handle = PyObject_GetAttr((PyObject *)Py_TYPE(host), str_handle_packet);
+    if (sim_dict == NULL || handle == NULL || !PyDict_Check(host_dict) ||
+        !PyDict_Check(sim_dict)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "the host and its simulator need a __dict__");
+        Py_DECREF(host_dict);
+        Py_XDECREF(sim);
+        Py_XDECREF(sim_dict);
+        Py_XDECREF(handle);
+        return -1;
+    }
+    Py_XSETREF(self->host, Py_NewRef(host));
+    Py_XSETREF(self->host_dict, host_dict);
+    Py_XSETREF(self->sim, sim);
+    Py_XSETREF(self->sim_dict, sim_dict);
+    Py_XSETREF(self->py_handle, handle);
+    Py_CLEAR(self->config);
+    return 0;
+}
+
+static PyObject *
+Nic_get_wake_at(NicObject *self, void *closure)
+{
+    if (!self->has_wake_at)
+        Py_RETURN_NONE;
+    return PyLong_FromLongLong(self->wake_at);
+}
+
+static int
+Nic_set_wake_at(NicObject *self, PyObject *value, void *closure)
+{
+    if (value == NULL || value == Py_None) {
+        self->has_wake_at = 0;
+        return 0;
+    }
+    self->wake_at = PyLong_AsLongLong(value);
+    if (self->wake_at == -1 && PyErr_Occurred())
+        return -1;
+    self->has_wake_at = 1;
+    return 0;
+}
+
+static int
+Nic_traverse(NicObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->host);
+    Py_VISIT(self->flows);
+    Py_VISIT(self->drr);
+    Py_VISIT(self->wakeup_event);
+    Py_VISIT(self->host_dict);
+    Py_VISIT(self->sim);
+    Py_VISIT(self->sim_dict);
+    Py_VISIT(self->py_handle);
+    Py_VISIT(self->config);
+    Py_VISIT(self->cfg_int_enabled);
+    Py_VISIT(self->cfg_mark_first);
+    return 0;
+}
+
+static int
+Nic_clear(NicObject *self)
+{
+    Py_CLEAR(self->host);
+    Py_CLEAR(self->flows);
+    Py_CLEAR(self->drr);
+    Py_CLEAR(self->wakeup_event);
+    Py_CLEAR(self->host_dict);
+    Py_CLEAR(self->sim);
+    Py_CLEAR(self->sim_dict);
+    Py_CLEAR(self->py_handle);
+    Py_CLEAR(self->config);
+    Py_CLEAR(self->cfg_int_enabled);
+    Py_CLEAR(self->cfg_mark_first);
+    return 0;
+}
+
+static void
+Nic_dealloc(NicObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    Nic_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMethodDef Nic_methods[] = {
+    {"dequeue", (PyCFunction)Nic_dequeue, METH_NOARGS,
+     "Pick the next flow (deficit round robin) and build its packet."},
+    {"_probe_flow", (PyCFunction)Nic_probe_flow, METH_O,
+     "The DRR probe: a flow's next packet size if it may send now."},
+    {"has_work_at", (PyCFunction)Nic_has_work_at, METH_O,
+     "Could a wake-up at the commit horizon find transmittable work?"},
+    {"_arm_wakeup", (PyCFunction)Nic_arm_wakeup, METH_O,
+     "Arm (or tighten) the pacing wake-up kick at earliest."},
+    {"build_data_packet", (PyCFunction)Nic_build_data_packet, METH_O,
+     "Host.build_data_packet for the compiled plane."},
+    {"receive", (PyCFunction)(void (*)(void))Nic_receive, METH_FASTCALL,
+     "Host.handle_packet for the compiled plane."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef Nic_members[] = {
+    {"_flows", T_OBJECT, offsetof(NicObject, flows), 0, NULL},
+    {"_drr", T_OBJECT, offsetof(NicObject, drr), 0, NULL},
+    {"_wakeup_event", T_OBJECT, offsetof(NicObject, wakeup_event), 0, NULL},
+    {"_now", T_LONGLONG, offsetof(NicObject, now), 0, NULL},
+    {NULL},
+};
+
+static PyGetSetDef Nic_getset[] = {
+    {"host", (getter)Nic_get_host, (setter)Nic_set_host, "The host this NIC serves.", NULL},
+    {"_wake_at", (getter)Nic_get_wake_at, (setter)Nic_set_wake_at,
+     "The earliest pacing timer the last dequeue's probe saw, or None.", NULL},
+    {NULL},
+};
+
+static PyTypeObject NicType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.NicScheduler",
+    .tp_basicsize = sizeof(NicObject),
+    .tp_dealloc = (destructor)Nic_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "The host NIC's transmit and receive fast paths (compiled plane); "
+              "the Python NicScheduler it is mixed into initialises it.",
+    .tp_traverse = (traverseproc)Nic_traverse,
+    .tp_clear = (inquiry)Nic_clear,
+    .tp_methods = Nic_methods,
+    .tp_members = Nic_members,
+    .tp_getset = Nic_getset,
+    .tp_new = PyType_GenericNew,
+};
+
 static PyMethodDef module_methods[] = {
     {"bind", (PyCFunction)(void (*)(void))bind, METH_FASTCALL,
      "bind(Packet, PacketKind.PFC, PacketKind.BLOOM, deque, PauseMeter, "
      "ByteMeter): cache the packet slots' member offsets and the types a "
      "compiled port builds."},
+    {"bind_host", (PyCFunction)(void (*)(void))bind_host, METH_FASTCALL,
+     "bind_host(SenderFlowState, ReceiverFlowState, CongestionControl, "
+     "PacketKind.DATA, PacketKind.ACK, PacketKind.NACK, DATA_HEADER_SIZE, "
+     "ACK_SIZE, NACK_SIZE): what the compiled NIC reads and builds."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2544,6 +4602,48 @@ intern_names(void)
         {&str_post, "post"},
         {&str_name, "name"},
         {&str_tx_memo, "tx_memo"},
+        {&str_receivers, "receivers"},
+        {&str_selective, "_selective"},
+        {&str_cv, "_cv"},
+        {&str_pending_control, "_pending_control"},
+        {&str_uplink_port, "_uplink_port"},
+        {&str_needs_kick, "_needs_kick"},
+        {&str_cc, "cc"},
+        {&str_uplink_rate, "_uplink_rate"},
+        {&str_config, "config"},
+        {&str_mtu, "mtu"},
+        {&str_mark_first_packet, "mark_first_packet"},
+        {&str_no_window, "_no_window"},
+        {&str_effective_window, "effective_window"},
+        {&str_build_data_packet, "build_data_packet"},
+        {&str_probe, "_probe"},
+        {&str_maybe_send_cnp, "_maybe_send_cnp"},
+        {&str_record_completion, "_record_completion"},
+        {&str_finish_sender, "_finish_sender"},
+        {&str_on_ack, "on_ack"},
+        {&str_rate_bps, "rate_bps"},
+        {&str_on_packet_sent, "on_packet_sent"},
+        {&str_line_rate_bps, "line_rate_bps"},
+        {&str_schedule_at, "schedule_at"},
+        {&str_cancelled, "cancelled"},
+        {&str_time, "time"},
+        {&str_cancel, "cancel"},
+        {&str_sim, "sim"},
+        {&str_handle_packet, "handle_packet"},
+        {&str_extend, "extend"},
+        {&str_size, "size"},
+        {&str_first_tx_ns, "first_tx_ns"},
+        {&str_retransmitted_packets, "retransmitted_packets"},
+        {&str_reversed_slot, "_reversed"},
+        {&str_reversed, "reversed"},
+        {&str_src, "src"},
+        {&str_data_packets_received, "data_packets_received"},
+        {&str_out_of_order_packets, "out_of_order_packets"},
+        {&str_duplicate_packets, "duplicate_packets"},
+        {&str_acks_sent, "acks_sent"},
+        {&str_nacks_sent, "nacks_sent"},
+        {&str_data_packets_sent, "data_packets_sent"},
+        {&str_selective_retransmissions, "selective_retransmissions"},
     };
     size_t i;
     for (i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
@@ -2552,12 +4652,24 @@ intern_names(void)
             return -1;
     }
     for (i = 0; i < P_NSLOTS; i++) {
-        slot_strs[i] = PyUnicode_InternFromString(slot_names[i]);
-        if (slot_strs[i] == NULL)
+        packet_slot_strs[i] = PyUnicode_InternFromString(packet_slot_names[i]);
+        if (packet_slot_strs[i] == NULL)
             return -1;
     }
+    for (i = 0; i < S_NSLOTS; i++) {
+        sender_slot_strs[i] = PyUnicode_InternFromString(sender_slot_names[i]);
+        if (sender_slot_strs[i] == NULL)
+            return -1;
+    }
+    for (i = 0; i < R_NSLOTS; i++) {
+        receiver_slot_strs[i] = PyUnicode_InternFromString(receiver_slot_names[i]);
+        if (receiver_slot_strs[i] == NULL)
+            return -1;
+    }
+    int_zero = PyLong_FromLong(0);
+    int_minus_one = PyLong_FromLong(-1);
     empty_tuple = PyTuple_New(0);
-    return empty_tuple == NULL ? -1 : 0;
+    return (empty_tuple == NULL || int_zero == NULL || int_minus_one == NULL) ? -1 : 0;
 }
 
 PyMODINIT_FUNC
@@ -2576,6 +4688,8 @@ PyInit__accelcore(void)
         {"SharedBuffer", &BufferType},
         {"EgressPort", &PortType},
         {"SwitchPlane", &SwitchPlaneType},
+        {"DeficitRoundRobin", &DrrType},
+        {"NicScheduler", &NicType},
     };
     size_t i;
     if (intern_names() < 0)

@@ -108,6 +108,7 @@ class SharedBuffer:
         self.per_ingress[ingress] = current - size
 
 
+@dataclass(frozen=True)
 class PfcPolicy:
     """PFC pause/resume thresholds against a :class:`SharedBuffer`.
 
@@ -115,21 +116,20 @@ class PfcPolicy:
     occupies more than 11% of the free buffer".  Resume happens with
     hysteresis when the ingress occupancy drops below ``resume_ratio`` of the
     pause threshold.
+
+    Frozen: the compiled switch hop keeps a copy of the thresholds, so a
+    change of policy is a new object bound to ``Switch.pfc``.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        threshold_fraction: float = 0.11,
-        resume_ratio: float = 0.5,
-    ) -> None:
-        if not 0 < threshold_fraction <= 1:
+    enabled: bool = True
+    threshold_fraction: float = 0.11
+    resume_ratio: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not 0 < self.threshold_fraction <= 1:
             raise ValueError("threshold_fraction must be in (0, 1]")
-        if not 0 < resume_ratio <= 1:
+        if not 0 < self.resume_ratio <= 1:
             raise ValueError("resume_ratio must be in (0, 1]")
-        self.enabled = enabled
-        self.threshold_fraction = threshold_fraction
-        self.resume_ratio = resume_ratio
 
     def pause_threshold(self, buffer: SharedBuffer) -> float:
         """Current per-ingress pause threshold in bytes."""

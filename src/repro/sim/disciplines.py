@@ -283,6 +283,18 @@ class FifoDiscipline:
         return bool(self._queue)
 
 
+def drr_for(sim, quantum: int) -> DeficitRoundRobin:
+    """A deficit round robin for a discipline of ``sim``, of its plane.
+
+    On the compiled plane this is the C twin of :class:`DeficitRoundRobin`
+    (same methods, same state, same picks), which the compiled NIC drives
+    without entering the interpreter.  ``sim`` may be ``None`` (a discipline
+    built on its own): that is the Python class.
+    """
+    plane = getattr(sim, "compiled_plane", None)
+    return DeficitRoundRobin(quantum) if plane is None else plane.DeficitRoundRobin(quantum)
+
+
 def fifo_for(port) -> FifoDiscipline:
     """A FIFO queue for ``port``, of the port's forwarding plane.
 
@@ -297,7 +309,9 @@ def fifo_for(port) -> FifoDiscipline:
 class SfqDiscipline:
     """Stochastic fair queueing: hash flows onto ``num_queues`` DRR queues."""
 
-    def __init__(self, num_queues: int = 32, quantum: int = 1000, salt: int = 0) -> None:
+    def __init__(
+        self, num_queues: int = 32, quantum: int = 1000, salt: int = 0, sim=None
+    ) -> None:
         if num_queues <= 0:
             raise ValueError("num_queues must be positive")
         self.num_queues = num_queues
@@ -306,7 +320,7 @@ class SfqDiscipline:
         self._queue_bytes: List[int] = [0] * num_queues
         self._bytes = 0
         self._packets = 0
-        self._drr = DeficitRoundRobin(quantum=quantum)
+        self._drr = drr_for(sim, quantum)
 
     def queue_for(self, packet: Packet) -> int:
         return (hash((packet.key, self.salt)) & 0x7FFFFFFF) % self.num_queues
@@ -360,11 +374,11 @@ class IdealFqDiscipline:
     simulate.  Pair it with :meth:`repro.sim.buffer.SharedBuffer.infinite`.
     """
 
-    def __init__(self, quantum: int = 1000) -> None:
+    def __init__(self, quantum: int = 1000, sim=None) -> None:
         self._queues: "OrderedDict[int, Deque[Packet]]" = OrderedDict()
         self._bytes = 0
         self._packets = 0
-        self._drr = DeficitRoundRobin(quantum=quantum)
+        self._drr = drr_for(sim, quantum)
 
     def enqueue(self, packet: Packet, ingress: int) -> bool:
         queue = self._queues.get(packet.flow_id)

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
-from .disciplines import BLOCKED, DeficitRoundRobin
+from .disciplines import BLOCKED, drr_for
 from .flow import Flow
 from .node import Node
 from .packet import (
@@ -42,9 +42,9 @@ from .stats import Counters
 CNP_INTERVAL_NS = 50_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class HostConfig:
-    """Per-host NIC configuration.
+    """Per-host NIC configuration (frozen: the compiled NIC keeps a copy).
 
     Attributes
     ----------
@@ -278,7 +278,7 @@ class NicScheduler:
 
     def __init__(self, host: "Host") -> None:
         self.host = host
-        self._drr = DeficitRoundRobin(quantum=host.config.mtu + DATA_HEADER_SIZE)
+        self._drr = drr_for(host.sim, host.config.mtu + DATA_HEADER_SIZE)
         self._flows: Dict[int, SenderFlowState] = {}
         self._wakeup_event = None
         # Per-dequeue state of the probe: the time it tests pacing against,
@@ -446,7 +446,11 @@ class Host(Node):
         self._cc_factory = cc_factory
         self.cc: Optional[CongestionControl] = None
         self.flow_registry = flow_registry if flow_registry is not None else {}
-        self.nic: NicScheduler = (nic_class or NicScheduler)(self)
+        plane = getattr(sim, "compiled_plane", None)
+        nic_factory = nic_class or NicScheduler
+        if plane is not None:
+            nic_factory = plane.nic_factory(nic_factory)
+        self.nic: NicScheduler = nic_factory(self)
         self.receivers: Dict[int, ReceiverFlowState] = {}
         self.counters = Counters()
         # Direct alias of the counter dict for the per-packet increments.
@@ -465,6 +469,15 @@ class Host(Node):
         # interfaces[0].tx property chain.
         self._uplink_port = None
         self._uplink_rate = 0.0
+        # On the compiled plane the NIC's C base also builds this host's data
+        # packets and runs the go-back-N receive path of handle_packet (the
+        # cold cases call back into the methods below).  A subclass that
+        # overrides either keeps its own.
+        if plane is not None and plane.is_compiled_nic(self.nic):
+            if type(self).build_data_packet is Host.build_data_packet:
+                self.build_data_packet = self.nic.build_data_packet
+            if type(self).handle_packet is Host.handle_packet:
+                self.handle_packet = self.nic.receive
 
     # -- wiring ------------------------------------------------------------------
 
@@ -653,7 +666,7 @@ class Host(Node):
             # The CNP rate-limit clock went away with the released state, so
             # no CNP is sent for marked duplicates — see docs/results.md.
             self.counters.incr("duplicate_packets")
-            self._send_release_ack(packet, rstate)
+            self._send_ack(packet, rstate)
             return
         if packet.ecn_marked:
             self._maybe_send_cnp(packet, rstate)
@@ -670,7 +683,7 @@ class Host(Node):
             if rstate.expected_seq >= rstate.num_packets and not rstate.completed:
                 rstate.completed = True
                 self._record_completion(packet, rstate)
-            self._send_ack(packet, rstate)
+            self._send_ack(packet, rstate.expected_seq)
         elif packet.seq > rstate.expected_seq:
             self.counters.incr("out_of_order_packets")
             if selective and packet.seq not in rstate.out_of_order:
@@ -678,7 +691,7 @@ class Host(Node):
             self._send_nack(packet, rstate)
         else:
             self.counters.incr("duplicate_packets")
-            self._send_ack(packet, rstate)
+            self._send_ack(packet, rstate.expected_seq)
 
     def _record_completion(self, packet: Packet, rstate: ReceiverFlowState) -> None:
         flow = self.flow_registry.get(packet.flow_id)
@@ -705,32 +718,14 @@ class Host(Node):
         if rstate is not None and type(rstate) is not int:
             self.receivers[flow_id] = rstate.num_packets
 
-    def _send_release_ack(self, packet: Packet, final_seq: int) -> None:
-        # Mirrors _send_ack for a tombstoned flow (same size, echo and INT
-        # handling); ack_seq is the tombstone == the final cumulative seq.
+    def _send_ack(self, packet: Packet, ack_seq: int) -> None:
+        """Queue the ACK of a data packet carrying cumulative seq ``ack_seq``."""
         ack = Packet(
             kind=PacketKind.ACK,
             flow_id=packet.flow_id,
             key=packet.key.reversed(),
             size=ACK_SIZE,
-            ack_seq=final_seq,
-            created_ns=self.sim.now,
-            ecn_echo=packet.ecn_marked,
-        )
-        if packet.int_enabled:
-            ack.int_enabled = False
-            ack.int_stack = list(packet.int_stack)
-        self._pending_control.append(ack)
-        cv = self._cv
-        cv["acks_sent"] += 1
-
-    def _send_ack(self, packet: Packet, rstate: ReceiverFlowState) -> None:
-        ack = Packet(
-            kind=PacketKind.ACK,
-            flow_id=packet.flow_id,
-            key=packet.key.reversed(),
-            size=ACK_SIZE,
-            ack_seq=rstate.expected_seq,
+            ack_seq=ack_seq,
             created_ns=self.sim.now,
             ecn_echo=packet.ecn_marked,
         )

@@ -49,9 +49,13 @@ _PLANE_SETTINGS = frozenset(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class EcnConfig:
-    """RED-style ECN marking thresholds (bytes) for the egress queue."""
+    """RED-style ECN marking thresholds (bytes) for the egress queue.
+
+    Frozen, like :class:`repro.sim.buffer.PfcPolicy`: the compiled switch hop
+    keeps a copy of ``enabled`` and ``kmin``.
+    """
 
     enabled: bool = False
     kmin: int = 100_000
@@ -120,8 +124,8 @@ class Switch(Node):
 
     def _configure_plane(self) -> None:
         """Hand the compiled hop what it reads: re-run on every rebinding of
-        a setting (``switch.pfc = ...``); a policy object mutated in place
-        is not seen."""
+        a setting (``switch.pfc = ...``).  The policies are frozen, so a
+        rebinding is the only way they change."""
         self._plane.configure(
             self.buffer,
             self.counters.values,

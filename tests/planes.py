@@ -3,13 +3,15 @@
 A simulator selects its plane: the pure engine keeps the Python plane, the
 compiled engine the C one.  ``PLANES`` parametrizes a test over the
 simulator class of each; the compiled one skips where the extension does
-not build.
+not build.  ``DRR_CLASSES`` does the same for the deficit round robin of
+each plane, for tests that drive one without a simulator.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.sim.disciplines import DeficitRoundRobin
 from repro.sim.engine import PureSimulator
 
 
@@ -32,5 +34,18 @@ PLANES = [
         marks=pytest.mark.skipif(
             _COMPILED is None, reason=f"compiled plane unavailable: {_COMPILED_MISSING}"
         ),
+    ),
+]
+
+_COMPILED_MARK = pytest.mark.skipif(
+    _COMPILED is None, reason=f"compiled plane unavailable: {_COMPILED_MISSING}"
+)
+
+DRR_CLASSES = [
+    pytest.param(DeficitRoundRobin, id="pure"),
+    pytest.param(
+        None if _COMPILED is None else _COMPILED.compiled_plane.DeficitRoundRobin,
+        id="compiled",
+        marks=_COMPILED_MARK,
     ),
 ]

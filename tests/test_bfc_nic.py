@@ -1,6 +1,9 @@
-"""Unit tests for the BFC host NIC (Bloom-filter pause handling)."""
+"""Unit tests for the BFC host NIC (Bloom-filter pause handling), on both
+forwarding planes: on the compiled one the BFC NIC's transmit path is C."""
 
 from functools import partial
+
+import pytest
 
 from repro.core.bloom import BloomFilterCodec
 from repro.core.config import BfcConfig
@@ -11,6 +14,11 @@ from repro.sim.host import Host, HostConfig
 from repro.sim.node import Node
 from repro.sim.packet import FlowKey, Packet, PacketKind
 from repro.sim.port import connect
+
+
+@pytest.fixture
+def sim(plane_sim):
+    return plane_sim
 
 
 class SinkNode(Node):

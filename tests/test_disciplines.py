@@ -4,9 +4,9 @@ import itertools
 
 import pytest
 
+from planes import DRR_CLASSES
 from repro.sim.disciplines import (
     BLOCKED,
-    DeficitRoundRobin,
     FifoDiscipline,
     IdealFqDiscipline,
     SfqDiscipline,
@@ -24,18 +24,19 @@ def make_packet(flow_id: int, size: int = 1048, src: int = 1) -> Packet:
     )
 
 
+@pytest.mark.parametrize("drr_class", DRR_CLASSES)
 class TestDeficitRoundRobin:
-    def test_single_queue_served_repeatedly(self):
-        drr = DeficitRoundRobin(quantum=1000)
+    def test_single_queue_served_repeatedly(self, drr_class):
+        drr = drr_class(quantum=1000)
         drr.activate(0)
         sizes = {0: 500}
         for _ in range(5):
             assert drr.select(lambda q: sizes[q]) == 0
 
-    def test_two_queues_alternate(self):
+    def test_two_queues_alternate(self, drr_class):
         """The regression that motivated the DRR rewrite: equal-demand queues
         must be interleaved rather than one queue monopolising the scheduler."""
-        drr = DeficitRoundRobin(quantum=1000)
+        drr = drr_class(quantum=1000)
         drr.activate(0)
         drr.activate(1)
         sizes = {0: 1000, 1: 1000}
@@ -46,8 +47,8 @@ class TestDeficitRoundRobin:
         longest_run = max(len(list(group)) for _, group in itertools.groupby(served))
         assert longest_run <= 2
 
-    def test_byte_fairness_with_unequal_packet_sizes(self):
-        drr = DeficitRoundRobin(quantum=1000)
+    def test_byte_fairness_with_unequal_packet_sizes(self, drr_class):
+        drr = drr_class(quantum=1000)
         drr.activate(0)  # sends 1000-byte packets
         drr.activate(1)  # sends 250-byte packets
         sizes = {0: 1000, 1: 250}
@@ -58,29 +59,29 @@ class TestDeficitRoundRobin:
         ratio = bytes_served[0] / bytes_served[1]
         assert 0.8 <= ratio <= 1.25
 
-    def test_empty_queue_skipped(self):
-        drr = DeficitRoundRobin(quantum=1000)
+    def test_empty_queue_skipped(self, drr_class):
+        drr = drr_class(quantum=1000)
         drr.activate(0)
         drr.activate(1)
         sizes = {0: None, 1: 500}
         assert drr.select(lambda q: sizes[q]) == 1
 
-    def test_blocked_queue_skipped(self):
-        drr = DeficitRoundRobin(quantum=1000)
+    def test_blocked_queue_skipped(self, drr_class):
+        drr = drr_class(quantum=1000)
         drr.activate(0)
         drr.activate(1)
         sizes = {0: BLOCKED, 1: 500}
         served = [drr.select(lambda q: sizes[q]) for _ in range(4)]
         assert served == [1, 1, 1, 1]
 
-    def test_all_blocked_returns_none(self):
-        drr = DeficitRoundRobin(quantum=1000)
+    def test_all_blocked_returns_none(self, drr_class):
+        drr = drr_class(quantum=1000)
         drr.activate(0)
         assert drr.select(lambda q: BLOCKED) is None
         assert drr.select(lambda q: None) is None
 
-    def test_blocked_queue_keeps_deficit_and_empty_queue_forfeits_it(self):
-        drr = DeficitRoundRobin(quantum=1000)
+    def test_blocked_queue_keeps_deficit_and_empty_queue_forfeits_it(self, drr_class):
+        drr = drr_class(quantum=1000)
         drr.activate(0)
         assert drr.select(lambda q: 300) == 0
         assert drr.deficit(0) == 700
@@ -91,8 +92,8 @@ class TestDeficitRoundRobin:
         assert drr.select(lambda q: None) is None
         assert drr.deficit(0) == 0
 
-    def test_idle_ends_the_turn_and_steps_the_cursor(self):
-        drr = DeficitRoundRobin(quantum=1000)
+    def test_idle_ends_the_turn_and_steps_the_cursor(self, drr_class):
+        drr = drr_class(quantum=1000)
         for q in range(3):
             drr.activate(q)
         assert drr.select(lambda q: 400) == 0
@@ -101,20 +102,20 @@ class TestDeficitRoundRobin:
         assert drr.select(lambda q: 400) == 2
         assert drr.deficit(0) == 600
 
-    def test_no_active_queues(self):
-        drr = DeficitRoundRobin()
+    def test_no_active_queues(self, drr_class):
+        drr = drr_class()
         assert drr.select(lambda q: 100) is None
 
-    def test_deactivate_removes_queue(self):
-        drr = DeficitRoundRobin(quantum=1000)
+    def test_deactivate_removes_queue(self, drr_class):
+        drr = drr_class(quantum=1000)
         drr.activate(0)
         drr.activate(1)
         drr.deactivate(0)
         assert drr.active_queues() == [1]
         assert drr.select(lambda q: 100) == 1
 
-    def test_deactivate_current_queue_is_safe(self):
-        drr = DeficitRoundRobin(quantum=1000)
+    def test_deactivate_current_queue_is_safe(self, drr_class):
+        drr = drr_class(quantum=1000)
         drr.activate(0)
         drr.activate(1)
         first = drr.select(lambda q: 1000)
@@ -122,19 +123,19 @@ class TestDeficitRoundRobin:
         other = 1 - first
         assert drr.select(lambda q: 1000) == other
 
-    def test_reactivation_after_deactivate(self):
-        drr = DeficitRoundRobin(quantum=1000)
+    def test_reactivation_after_deactivate(self, drr_class):
+        drr = drr_class(quantum=1000)
         drr.activate(5)
         drr.deactivate(5)
         drr.activate(5)
         assert drr.select(lambda q: 100) == 5
 
-    def test_quantum_must_be_positive(self):
+    def test_quantum_must_be_positive(self, drr_class):
         with pytest.raises(ValueError):
-            DeficitRoundRobin(quantum=0)
+            drr_class(quantum=0)
 
-    def test_three_queues_round_robin_order(self):
-        drr = DeficitRoundRobin(quantum=1000)
+    def test_three_queues_round_robin_order(self, drr_class):
+        drr = drr_class(quantum=1000)
         for q in range(3):
             drr.activate(q)
         served = [drr.select(lambda q: 1000) for _ in range(9)]

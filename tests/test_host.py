@@ -1,7 +1,9 @@
 """Unit/integration tests for hosts, NICs, Go-Back-N and windows.
 
 Most tests use a minimal two-host topology joined by a single switch so that
-real ACK/NACK round trips exercise the sender state machine.
+real ACK/NACK round trips exercise the sender state machine.  Every test runs
+on both forwarding planes: on the compiled one the NIC's transmit path, the
+data-packet build and the go-back-N receive path are C.
 """
 
 import pytest
@@ -15,6 +17,11 @@ from repro.sim.packet import DATA_HEADER_SIZE, PacketKind
 from repro.sim.port import connect
 from repro.sim.switch import Switch
 from repro.sim.tracing import tap_deliveries
+
+
+@pytest.fixture
+def sim(plane_sim):
+    return plane_sim
 
 
 def build_pair(
@@ -444,12 +451,11 @@ class TestDequeueMatchesReferenceNic:
     #: ``(start_ns, src, dst, size)``.
     FLOWS = ((0, 0, 2, 12_000), (0, 1, 2, 8_000), (2_000, 0, 2, 5_500))
 
-    def _run_scenario(self, use_reference, cc_factory=None, config=None, flows=FLOWS):
-        from repro.sim.engine import Simulator
+    def _run_scenario(self, sim_class, use_reference, cc_factory=None, config=None, flows=FLOWS):
         from repro.sim.flow import reset_flow_ids
 
         reset_flow_ids()
-        sim = Simulator(seed=42)
+        sim = sim_class(seed=42)
         hosts, switch, registry = build_pair(
             sim, num_hosts=3, cc_factory=cc_factory, host_config=config
         )
@@ -473,16 +479,16 @@ class TestDequeueMatchesReferenceNic:
         sim.run(until=units.microseconds(200))
         return seen, sim.events_processed
 
-    def test_line_rate_and_windowed_cc_match_reference(self):
+    def test_line_rate_and_windowed_cc_match_reference(self, sim):
         for cc_factory in (
             None,  # windowless fast path (_no_window True)
             lambda rate: WindowedCongestionControl(rate, window_bytes=3_000),
         ):
-            probed = self._run_scenario(False, cc_factory=cc_factory)
-            reference = self._run_scenario(True, cc_factory=cc_factory)
+            probed = self._run_scenario(type(sim), False, cc_factory=cc_factory)
+            reference = self._run_scenario(type(sim), True, cc_factory=cc_factory)
             assert probed == reference
 
-    def test_paced_flows_wake_as_the_reference_does(self):
+    def test_paced_flows_wake_as_the_reference_does(self, sim):
         # Four flows share host 0's NIC, each paced at its own rate.
         flows = (
             (0, 0, 2, 40_000),
@@ -492,8 +498,8 @@ class TestDequeueMatchesReferenceNic:
             (0, 1, 2, 20_000),
         )
         cc_factory = lambda rate: UnevenRateControl(rate, window_bytes=6_000)
-        probed = self._run_scenario(False, cc_factory=cc_factory, flows=flows)
-        assert probed == self._run_scenario(True, cc_factory=cc_factory, flows=flows)
+        probed = self._run_scenario(type(sim), False, cc_factory=cc_factory, flows=flows)
+        assert probed == self._run_scenario(type(sim), True, cc_factory=cc_factory, flows=flows)
         assert len(probed[0]) == 135  # every data packet of every flow
 
 

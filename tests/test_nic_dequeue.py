@@ -16,12 +16,15 @@ end:
 * a flow that has sent everything and waits for ACKs costs the scan nothing,
   and each way it can get data back (a selective NACK, a Go-Back-N rewind, a
   retransmission timeout) sends it again to completion.
+
+Every test runs on both forwarding planes.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.sim import units
-from repro.sim.engine import Simulator
 from repro.sim.flow import Flow, reset_flow_ids
 from repro.sim.host import Host, HostConfig
 from repro.sim.packet import DATA_HEADER_SIZE, PacketKind
@@ -30,6 +33,12 @@ from repro.sim.tracing import tap_deliveries
 
 from test_bfc_nic import SinkNode, bloom_frame, make_host
 from test_host import build_pair, force_drops
+
+
+@pytest.fixture
+def sim(plane_sim):
+    return plane_sim
+
 
 #: Serialization time of one full data packet (1000-byte MTU plus header)
 #: on the 10 Gbps links both topologies use.
@@ -52,10 +61,10 @@ def _spy_all_hosts(sim, hosts):
     return seen
 
 
-def _run_fan_out(staggered=False):
+def _run_fan_out(sim_class, staggered=False):
     """Host 0 sends to hosts 1 and 2 over one uplink; returns the delivery log."""
     reset_flow_ids()
-    sim = Simulator(seed=42)
+    sim = sim_class(seed=42)
     hosts, _, _ = build_pair(
         sim, num_hosts=3, host_config=HostConfig(mtu=1_000)
     )
@@ -75,15 +84,15 @@ def _run_fan_out(staggered=False):
 
 
 class TestFanOutFromOneNic:
-    def test_every_packet_delivered_once_in_order_per_flow(self):
-        seen, _, flows = _run_fan_out()
+    def test_every_packet_delivered_once_in_order_per_flow(self, sim):
+        seen, _, flows = _run_fan_out(type(sim))
         for flow in flows:
             seqs = [seq for _, _, fid, seq in seen if fid == flow.flow_id]
             assert seqs == list(range(flow.num_packets))
             assert flow.completed
 
-    def test_backlogged_flows_share_the_uplink_packet_by_packet(self):
-        seen, _, flows = _run_fan_out()
+    def test_backlogged_flows_share_the_uplink_packet_by_packet(self, sim):
+        seen, _, flows = _run_fan_out(type(sim))
         long, short = flows
         # Both receivers sit one switch hop away over identical links, so
         # arrival order is the order the NIC put packets on the uplink.
@@ -99,8 +108,8 @@ class TestFanOutFromOneNic:
         # Once the short flow is done the long one has the line to itself.
         assert set(order[last_short + 1:]) == {long.flow_id}
 
-    def test_flow_started_mid_run_joins_within_one_round(self):
-        seen, _, flows = _run_fan_out(staggered=True)
+    def test_flow_started_mid_run_joins_within_one_round(self, sim):
+        seen, _, flows = _run_fan_out(type(sim), staggered=True)
         late = flows[2]
         late_times = [t for t, _, fid, _ in seen if fid == late.flow_id]
         assert len(late_times) == late.num_packets
@@ -111,9 +120,9 @@ class TestFanOutFromOneNic:
         others_last = max(t for t, _, fid, _ in seen if fid != late.flow_id)
         assert max(late_times) < others_last
 
-    def test_delivery_schedule_repeats_run_to_run(self):
-        first, first_events, _ = _run_fan_out(staggered=True)
-        second, second_events, _ = _run_fan_out(staggered=True)
+    def test_delivery_schedule_repeats_run_to_run(self, sim):
+        first, first_events, _ = _run_fan_out(type(sim), staggered=True)
+        second, second_events, _ = _run_fan_out(type(sim), staggered=True)
         assert first == second
         assert first_events == second_events
 
@@ -189,9 +198,9 @@ class TestDrainedFlowsLeaveTheScan:
     """Flows waiting only for ACKs are parked: the scan does not probe them."""
 
     @staticmethod
-    def _probe_and_dequeue_calls(drained):
+    def _probe_and_dequeue_calls(sim_class, drained):
         """Calls while one live flow sends beside ``drained`` sent-out flows."""
-        sim = Simulator(seed=42)
+        sim = sim_class(seed=42)
         host = Host(sim, "h0", host_id=0, config=HostConfig(mtu=1_000))
         # The sink never ACKs: a one-packet flow has sent everything after
         # its first packet and waits (its timeout is 2 ms away) from then on.
@@ -220,9 +229,9 @@ class TestDrainedFlowsLeaveTheScan:
         assert 25 <= live.next_seq < live.num_packets
         return calls
 
-    def test_probes_per_dequeue_do_not_grow_with_waiting_flows(self):
-        one = self._probe_and_dequeue_calls(1)
-        many = self._probe_and_dequeue_calls(500)
+    def test_probes_per_dequeue_do_not_grow_with_waiting_flows(self, sim):
+        one = self._probe_and_dequeue_calls(type(sim), 1)
+        many = self._probe_and_dequeue_calls(type(sim), 500)
         assert one == many
         assert one["probe"] <= 2 * one["dequeue"] + 1
 
@@ -235,9 +244,9 @@ class TestDrainedFlowsAreRevived:
     must make the NIC send again, with no other recovery to fall back on.
     """
 
-    def _run(self, config, lost_seq):
+    def _run(self, sim_class, config, lost_seq):
         reset_flow_ids()
-        sim = Simulator(seed=42)
+        sim = sim_class(seed=42)
         hosts, switch, _ = build_pair(sim, host_config=config)
         dropped = force_drops(switch, lambda p: p.seq == lost_seq and not dropped)
         sender = hosts[0]
@@ -258,31 +267,30 @@ class TestDrainedFlowsAreRevived:
         assert len(dropped) == 1
         return flow, sender, parked_at_revive
 
-    def test_selective_nack_sends_a_drained_flow_again(self):
+    def test_selective_nack_sends_a_drained_flow_again(self, sim):
         config = HostConfig(loss_recovery="selective-repeat", rto_ns=0)
-        flow, sender, parked = self._run(config, lost_seq=1)
+        flow, sender, parked = self._run(type(sim), config, lost_seq=1)
         assert parked == [True]
         assert flow.completed
         assert sender.counters.get("selective_retransmissions") == 1
 
-    def test_go_back_n_rewind_sends_a_drained_flow_again(self):
-        flow, sender, parked = self._run(HostConfig(rto_ns=0), lost_seq=1)
+    def test_go_back_n_rewind_sends_a_drained_flow_again(self, sim):
+        flow, sender, parked = self._run(type(sim), HostConfig(rto_ns=0), lost_seq=1)
         assert parked == [True]
         assert flow.completed
         assert sender.counters.get("go_back_n_rewinds") == 1
 
-    def test_timeout_rewind_sends_a_drained_flow_again(self):
+    def test_timeout_rewind_sends_a_drained_flow_again(self, sim):
         # The tail is lost, so no later packet makes the receiver NACK.
         config = HostConfig(rto_ns=50_000)
-        flow, sender, parked = self._run(config, lost_seq=2)
+        flow, sender, parked = self._run(type(sim), config, lost_seq=2)
         assert parked == [True]
         assert flow.completed
         assert sender.counters.get("rto_rewinds") == 1
 
-    def test_a_replaced_state_is_not_revived(self):
+    def test_a_replaced_state_is_not_revived(self, sim):
         # A flow restarted under its id replaces its state; the old state's
         # timeout can still fire after the new one has finished.
-        sim = Simulator(seed=42)
         host = Host(sim, "h0", host_id=0, config=HostConfig(mtu=1_000))
         connect(host, SinkNode(sim, "sink"), rate_bps=units.gbps(10), delay_ns=1_000)
         flow = Flow(src=0, dst=1, size=2_000, start_ns=0)

@@ -11,10 +11,12 @@ stalled forever unless unrelated traffic kicked the port.
 The fix treats ``handle.time <= now`` as dead and re-arms; this test pins
 the repaired behaviour.  (It started life as a strict xfail documenting the
 bug; the fix landed alongside the event-fusion work, so a regression now
-fails outright.)
+fails outright.)  Both tests run on both forwarding planes.
 """
 
-from repro.sim.engine import Simulator
+import pytest
+
+from planes import PLANES
 from repro.sim.flow import Flow, reset_flow_ids
 from repro.sim.host import CongestionControl, Host, HostConfig
 from repro.sim.port import connect
@@ -30,9 +32,9 @@ class QuarterRateControl(CongestionControl):
         return self.line_rate_bps / 4
 
 
-def build_host_pair(cc_factory=None):
+def build_host_pair(sim_class, cc_factory=None):
     reset_flow_ids()
-    sim = Simulator(seed=1)
+    sim = sim_class(seed=1)
     registry = {}
     sender = Host(
         sim, "sender", 0, HostConfig(mtu=1000), cc_factory, flow_registry=registry
@@ -42,8 +44,9 @@ def build_host_pair(cc_factory=None):
     return sim, sender, registry
 
 
-def test_lone_paced_flow_completes():
-    sim, sender, registry = build_host_pair(lambda rate: QuarterRateControl(rate))
+@pytest.mark.parametrize("sim_class", PLANES)
+def test_lone_paced_flow_completes(sim_class):
+    sim, sender, registry = build_host_pair(sim_class, lambda rate: QuarterRateControl(rate))
     flow = Flow(src=0, dst=1, size=10_000, start_ns=0)
     registry[flow.flow_id] = flow
     sender.start_flow(flow)
@@ -54,9 +57,10 @@ def test_lone_paced_flow_completes():
     assert flow.finish_ns is not None, "flow stalled on the pacing wake-up"
 
 
-def test_line_rate_flow_completes():
+@pytest.mark.parametrize("sim_class", PLANES)
+def test_line_rate_flow_completes(sim_class):
     """Control case: without pacing gaps the same flow finishes quickly."""
-    sim, sender, registry = build_host_pair()
+    sim, sender, registry = build_host_pair(sim_class)
     flow = Flow(src=0, dst=1, size=10_000, start_ns=0)
     registry[flow.flow_id] = flow
     sender.start_flow(flow)

@@ -5,24 +5,32 @@ it), and driven identically.  The planes must agree on every delivery and,
 after every step, on the events they posted (sequence counter, pending
 count, next firing time, events fired) and on the state they keep: the
 shared buffer, the switch counters and PFC flags, every port's registers
-and meters.  Each scenario also checks that it exercised what it is named
-after, so a parity pass cannot come from a scenario that does nothing.
+and meters, and for the host leg the senders' and receivers' flow state,
+the host counters, the NIC's pacing wake-up and its DRR.  Each scenario
+also checks that it exercised what it is named after, so a parity pass
+cannot come from a scenario that does nothing.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planes import PLANES
+from repro.congestion.dcqcn import DcqcnControl
+from repro.core.bloom import BloomFilterCodec
+from repro.core.config import BfcConfig
+from repro.core.nic import BfcNicScheduler
 from repro.sim import units
 from repro.sim.buffer import PfcPolicy
 from repro.sim.disciplines import fifo_for
 from repro.sim.flow import Flow
-from repro.sim.host import Host, HostConfig
+from repro.sim.host import Host, HostConfig, WindowedCongestionControl
 from repro.sim.node import Node
-from repro.sim.packet import FlowKey, Packet, PacketKind, PFC_FRAME_SIZE
+from repro.sim.packet import DATA_HEADER_SIZE, FlowKey, Packet, PacketKind, PFC_FRAME_SIZE
 from repro.sim.port import connect
 from repro.sim.switch import EcnConfig, Switch
 
@@ -31,6 +39,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 PURE, COMPILED = (param.values[0] for param in PLANES)
+plane = getattr(COMPILED, "compiled_plane", None)
 SINKS = 3
 
 
@@ -275,3 +284,247 @@ def test_host_kick_skips_a_committed_port_with_an_armed_wake(sim_class):
     port._wake_at = -1
     host.kick()
     assert kicks == [sim.now]
+
+
+# -- The host NIC ----------------------------------------------------------------
+#
+# Two hosts, each wired to a sink that records every frame its NIC puts on the
+# wire.  Packets are handed to the hosts' handle_packet as if the network had
+# delivered them: DATA of flows the other host started (or of flows no host
+# started), ACK/NACK/CNP of the host's own flows, Bloom pause frames.
+
+CODEC_CONFIG = BfcConfig(num_vfids=64, bloom_filter_bytes=8)
+CODEC = BloomFilterCodec(*CODEC_CONFIG.bloom_geometry)
+#: Flows no host started: flow id -> size.
+STRANGERS = {101: 1_000, 102: 3_000, 103: 5_500}
+
+CC_FACTORIES = {
+    "line-rate": None,
+    "dcqcn": lambda rate: DcqcnControl(rate),
+    "windowed": lambda rate: WindowedCongestionControl(rate, window_bytes=4_000),
+}
+
+
+class WireSink(Node):
+    """Records every field of every frame it receives."""
+
+    def __init__(self, sim, name):
+        super().__init__(sim, name)
+        self.received = []
+
+    def handle_packet(self, packet, iface_index):
+        key = packet.key
+        self.received.append(
+            (self.sim.now, packet.kind.value, packet.flow_id,
+             (key.src, key.dst, key.src_port, key.dst_port), packet.size, packet.seq,
+             packet.ack_seq, packet.flow_size, packet.created_ns, packet.is_control,
+             packet.ecn_capable, packet.ecn_marked, packet.ecn_echo, packet.int_enabled,
+             len(packet.int_stack), packet.first_of_flow, packet.last_of_flow,
+             packet.pause, packet.hops, packet.cur_ingress, packet.vfid, packet.entry)
+        )
+
+
+class HostWorld:
+    """Two hosts and their sinks, on one plane."""
+
+    def __init__(self, sim_class, cc, config, bfc):
+        self.sim = sim = sim_class(seed=7)
+        self.registry = {}
+        self.completed = []
+        nic_class = partial(BfcNicScheduler, config=CODEC_CONFIG, codec=CODEC) if bfc else None
+        self.hosts, self.sinks, self.started = [], [], [[], []]
+        for i in range(2):
+            host = Host(sim, f"h{i}", host_id=i, config=config,
+                        cc_factory=CC_FACTORIES[cc], flow_registry=self.registry,
+                        nic_class=nic_class)
+            host.on_flow_complete = lambda flow, now: self.completed.append((flow.flow_id, now))
+            sink = WireSink(sim, f"s{i}")
+            connect(host, sink, rate_bps=units.gbps(10), delay_ns=500)
+            self.hosts.append(host)
+            self.sinks.append(sink)
+        self.next_flow_id = 1
+
+    def sent_flow(self, host, pick):
+        """A flow ``host`` started, or an id it never used."""
+        started = self.started[host]
+        return started[pick % len(started)] if started else Flow(
+            src=host, dst=1 - host, size=1_000, start_ns=0, flow_id=99)
+
+    def data(self, host, pick, seq, ecn, int_enabled):
+        """A data packet toward ``host``, of a flow the other host started or a stranger."""
+        started = self.started[1 - host]
+        if pick < len(started):
+            flow_id, size = started[pick].flow_id, started[pick].size
+        else:
+            flow_id = 101 + pick % len(STRANGERS)
+            size = STRANGERS[flow_id]
+        packet = Packet(kind=PacketKind.DATA, flow_id=flow_id,
+                        key=FlowKey(src=1 - host, dst=host, src_port=flow_id, dst_port=4791),
+                        size=1_000 + DATA_HEADER_SIZE, seq=seq, flow_size=size,
+                        ecn_marked=ecn, int_enabled=int_enabled)
+        if int_enabled:
+            packet.int_stack.append("hop")
+        return packet
+
+    def control(self, kind, host, pick, ack_seq=0):
+        flow = self.sent_flow(host, pick)
+        return Packet(kind=kind, flow_id=flow.flow_id,
+                      key=FlowKey(src=1 - host, dst=host, src_port=4791, dst_port=flow.flow_id),
+                      size=64, ack_seq=ack_seq)
+
+    def snapshot(self):
+        sim = self.sim
+        state = {
+            "engine": (sim.now, sim._seq, sim.pending_events(), sim.next_event_time(),
+                       sim.events_processed),
+            "flows": {fid: (f.first_tx_ns, f.finish_ns, f.bytes_delivered,
+                            f.retransmitted_packets, f.num_packets)
+                      for fid, f in self.registry.items()},
+            "completed": list(self.completed),
+        }
+        for host, sink in zip(self.hosts, self.sinks):
+            nic, port = host.nic, host._uplink_port
+            drr = nic._drr
+            active = drr.active_queues()
+            event = nic._wakeup_event
+            state[host.name] = {
+                "senders": {fid: (f.next_seq, f.una, f.next_allowed_ns, f.paused,
+                                  f.last_progress_ns, f.completed, list(f.retransmit_queue),
+                                  f.vfid, f.rto_event and (f.rto_event.time, f.rto_event.cancelled),
+                                  cc_state(f))
+                            for fid, f in nic._flows.items()},
+                "receivers": {fid: r if type(r) is int else
+                              (r.expected_seq, r.bytes_received, r.last_cnp_ns, r.last_nack_seq,
+                               r.completed, dict(r.out_of_order), r.num_packets, r.src)
+                              for fid, r in host.receivers.items()},
+                "counters": dict(host.counters.values),
+                "nic": (nic._now, nic._wake_at, event and (event.time, event.cancelled)),
+                "drr": (active, drr.unparked_queues(), drr.cursor, drr.current,
+                        [drr.deficit(q) for q in active]),
+                "host": (list(host._pending_control), host._needs_kick),
+                "port": (port.busy, port._busy_until, port._wake_at, port.tx_data_bytes_total,
+                         port.bytes.data_packets, port.bytes.control_packets,
+                         len(port.control_queue)),
+                "wire": list(sink.received),
+            }
+        return state
+
+
+def cc_state(fstate):
+    return {name: tuple(getattr(value, slot) for slot in value.__slots__)
+            for name, value in fstate.cc_state.items()}
+
+
+def host_step(world, op):
+    kind = op[0]
+    if kind == "start":
+        _, host, size = op
+        flow = Flow(src=host, dst=1 - host, size=size, start_ns=world.sim.now,
+                    flow_id=world.next_flow_id, src_port=world.next_flow_id)
+        world.next_flow_id += 1
+        world.started[host].append(flow)
+        world.hosts[host].start_flow(flow)
+    elif kind == "data":
+        _, host, pick, seq, ecn, int_enabled = op
+        world.hosts[host].handle_packet(world.data(host, pick, seq, ecn, int_enabled), 0)
+    elif kind in ("ack", "nack"):
+        _, host, pick, ack_seq = op
+        packet_kind = PacketKind.ACK if kind == "ack" else PacketKind.NACK
+        world.hosts[host].handle_packet(world.control(packet_kind, host, pick, ack_seq), 0)
+    elif kind == "cnp":
+        _, host, pick = op
+        world.hosts[host].handle_packet(world.control(PacketKind.CNP, host, pick), 0)
+    elif kind == "bloom":
+        _, host, vfids = op
+        frame = Packet(kind=PacketKind.BLOOM, flow_id=0, key=FlowKey(-2, -2, 0, 0),
+                       size=CODEC.size_bytes + 18, bloom_bits=CODEC.encode(vfids))
+        world.hosts[host].handle_packet(frame, 0)
+    elif kind == "release":
+        _, host, pick = op
+        world.hosts[host].release_receiver_state(101 + pick % len(STRANGERS))
+    elif kind == "run":
+        world.sim.run(until=world.sim.now + op[1])
+    else:  # pragma: no cover - the strategy only draws the kinds above
+        raise ValueError(kind)
+
+
+def run_hosts_both(ops, cc="line-rate", bfc=False, **config):
+    config = HostConfig(**config)
+    worlds = [HostWorld(PURE, cc, config, bfc), HostWorld(COMPILED, cc, config, bfc)]
+    assert not plane.is_compiled_nic(worlds[0].hosts[0].nic)
+    assert plane.is_compiled_nic(worlds[1].hosts[0].nic)
+    for op in ops:
+        for world in worlds:
+            host_step(world, op)
+        pure, compiled = (world.snapshot() for world in worlds)
+        assert compiled == pure, op
+    for world in worlds:
+        world.sim.run(until=world.sim.now + 200_000)
+    pure, compiled = (world.snapshot() for world in worlds)
+    assert compiled == pure
+    return pure
+
+
+sides = st.integers(min_value=0, max_value=1)
+picks = st.integers(min_value=0, max_value=5)
+seqs = st.integers(min_value=0, max_value=8)
+starts = st.tuples(st.just("start"), sides, st.sampled_from([500, 1_000, 2_500, 6_000, 9_000]))
+datas = st.tuples(st.just("data"), sides, picks, seqs, st.booleans(), st.booleans())
+acks = st.tuples(st.just("ack"), sides, picks, seqs)
+runs = st.tuples(st.just("run"), st.integers(min_value=0, max_value=4_000))
+# Starts, data, ACKs and runs are drawn twice as often as the rest: most
+# host state changes need a flow, time passing and its feedback.
+host_operations = st.one_of(
+    starts, starts, datas, datas, acks, acks, runs, runs,
+    st.tuples(st.just("nack"), sides, picks, seqs),
+    st.tuples(st.just("cnp"), sides, picks),
+    st.tuples(st.just("bloom"), sides, st.sets(st.integers(0, 63), max_size=6)),
+    st.tuples(st.just("release"), sides, picks),
+)
+
+
+@given(
+    ops=st.lists(host_operations, max_size=50),
+    cc=st.sampled_from(sorted(CC_FACTORIES)),
+    bfc=st.booleans(),
+    window_cap=st.sampled_from([None, 3_000]),
+    mark_first=st.booleans(),
+    loss_recovery=st.sampled_from(["go-back-n", "selective-repeat"]),
+    int_enabled=st.booleans(),
+    rto_ns=st.sampled_from([0, 30_000]),
+)
+@settings(max_examples=300, deadline=None)
+def test_random_host_traffic_keeps_both_nics_in_step(
+    ops, cc, bfc, window_cap, mark_first, loss_recovery, int_enabled, rto_ns
+):
+    run_hosts_both(ops, cc=cc, bfc=bfc, window_cap_bytes=window_cap,
+                   mark_first_packet=mark_first, loss_recovery=loss_recovery,
+                   int_enabled=int_enabled, rto_ns=rto_ns)
+
+
+def test_the_host_scenario_takes_every_fast_path():
+    # Host 0 starts two flows; host 1 receives a stranger in order, with a
+    # gap, a duplicate and an ECN mark; host 0 gets a NACK, ACKs (one
+    # completing a flow), a Bloom frame that pauses a flow, and a CNP that
+    # slows a DCQCN flow into pacing.
+    vfid = FlowKey(src=0, dst=1, src_port=1, dst_port=0).vfid(CODEC_CONFIG.num_vfids)
+    ops = [
+        ("start", 0, 2_500), ("start", 0, 1_000), ("run", 5_000),
+        ("data", 1, 4, 0, False, False), ("data", 1, 4, 2, False, False),
+        ("data", 1, 4, 0, True, True), ("data", 1, 4, 1, False, False),
+        ("data", 1, 4, 2, False, False),
+        ("nack", 0, 0, 1), ("ack", 0, 1, 1), ("ack", 0, 0, 2), ("cnp", 0, 0),
+        ("run", 3_000), ("bloom", 0, {vfid}), ("start", 0, 4_000), ("run", 6_000),
+        ("bloom", 0, set()), ("run", 30_000),
+        ("start", 0, 9_000), ("run", 500), ("cnp", 0, 3), ("run", 20_000),
+    ]
+    final = run_hosts_both(ops, cc="dcqcn", bfc=True, mark_first_packet=True)
+    receiver, sender = final["h1"]["counters"], final["h0"]["counters"]
+    assert receiver["data_packets_received"] == 5
+    assert receiver["out_of_order_packets"] == receiver["nacks_sent"] == 1
+    assert receiver["duplicate_packets"] == 1
+    assert receiver["acks_sent"] == 4 and receiver["cnps_sent"] == 1
+    assert receiver["flows_completed"] == 1
+    assert sender["go_back_n_rewinds"] == 1 and sender["cnps_received"] == 2
+    assert final["h0"]["nic"][2] is not None  # a pacing wake-up was armed
+    assert sender["data_packets_sent"] > 7

@@ -16,12 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from planes import DRR_CLASSES
 from repro.core.bloom import BloomFilterCodec, CountingBloomFilter
 from repro.core.config import BfcConfig
 from repro.core.queues import PhysicalQueuePool
 from repro.core.vfid import FlowTable
 from repro.sim.buffer import SharedBuffer
-from repro.sim.disciplines import BLOCKED, DeficitRoundRobin
+from repro.sim.disciplines import BLOCKED
 from repro.sim.packet import FlowKey
 from repro.sim.stats import percentile
 from repro.workloads.distributions import GOOGLE, WEBSEARCH
@@ -75,14 +76,15 @@ def test_counting_bloom_bitmap_agrees_with_codec_encode(members):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("drr_class", DRR_CLASSES)
 @given(
     backlogs=st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8),
     packet_size=st.integers(min_value=64, max_value=1_048),
 )
 @settings(max_examples=50)
-def test_drr_is_work_conserving(backlogs, packet_size):
+def test_drr_is_work_conserving(drr_class, backlogs, packet_size):
     """Every queued packet is eventually served, and no extra selections happen."""
-    drr = DeficitRoundRobin(quantum=1_048)
+    drr = drr_class(quantum=1_048)
     remaining = {qid: count for qid, count in enumerate(backlogs)}
     for qid in remaining:
         drr.activate(qid)
@@ -102,11 +104,12 @@ def test_drr_is_work_conserving(backlogs, packet_size):
     assert sum(remaining.values()) == 0
 
 
+@pytest.mark.parametrize("drr_class", DRR_CLASSES)
 @given(num_queues=st.integers(min_value=2, max_value=8))
 @settings(max_examples=30)
-def test_drr_fairness_for_backlogged_queues(num_queues):
+def test_drr_fairness_for_backlogged_queues(drr_class, num_queues):
     """Continuously-backlogged queues with equal packet sizes get equal service."""
-    drr = DeficitRoundRobin(quantum=1_000)
+    drr = drr_class(quantum=1_000)
     for qid in range(num_queues):
         drr.activate(qid)
     counts = {qid: 0 for qid in range(num_queues)}
@@ -241,6 +244,7 @@ class DrainingQueues:
         return None
 
 
+@pytest.mark.parametrize("drr_class", DRR_CLASSES)
 @given(ops=DRR_OPS)
 @example(
     ops=[
@@ -256,13 +260,13 @@ class DrainingQueues:
     ]
 )
 @settings(max_examples=300, deadline=None)
-def test_drr_select_matches_the_textbook_loop(ops):
+def test_drr_select_matches_the_textbook_loop(drr_class, ops):
     """Same choice and same observable state after every step.
 
     Drained queues answer ``None`` (and are parked) until re-activated; a
     queue missing from a select's mapping has a 1,000-byte head.
     """
-    drr = DeficitRoundRobin(quantum=1_048)
+    drr = drr_class(quantum=1_048)
     ref = TextbookDrr(quantum=1_048)
     queues = DrainingQueues()
     for op in ops:
@@ -272,9 +276,10 @@ def test_drr_select_matches_the_textbook_loop(ops):
         assert drr_state(drr) == ref.state()
 
 
+@pytest.mark.parametrize("drr_class", DRR_CLASSES)
 @given(ops=DRR_OPS)
 @settings(max_examples=150, deadline=None)
-def test_drr_idle_matches_a_select_that_finds_every_queue_blocked(ops):
+def test_drr_idle_matches_a_select_that_finds_every_queue_blocked(drr_class, ops):
     """``idle()`` is the state change of a fruitless ``select``, without the scan.
 
     The state is reached by the same random operations (parked queues
@@ -282,7 +287,7 @@ def test_drr_idle_matches_a_select_that_finds_every_queue_blocked(ops):
     """
 
     def drr_in_state():
-        drr, ref = DeficitRoundRobin(quantum=1_048), TextbookDrr(quantum=1_048)
+        drr, ref = drr_class(quantum=1_048), TextbookDrr(quantum=1_048)
         queues = DrainingQueues()
         for op in ops:
             queues.apply(op, drr, ref)

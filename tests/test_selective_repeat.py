@@ -3,7 +3,8 @@
 The BFC paper's related-work section discusses replacing Go-Back-N with
 selective retransmission (IRN); this optional mode implements it: the
 receiver buffers out-of-order packets and the sender retransmits only what is
-missing.
+missing.  Every test runs on both forwarding planes: on the compiled one the
+go-back-N receive path is C, and selective repeat calls back into Python.
 """
 
 import pytest
@@ -14,6 +15,11 @@ from repro.sim.flow import Flow
 from repro.sim.host import HostConfig
 
 from tests.test_host import build_pair, force_drops
+
+
+@pytest.fixture
+def sim(plane_sim):
+    return plane_sim
 
 
 def sr_config(**overrides):
@@ -53,9 +59,7 @@ class TestSingleLoss:
         """The headline benefit of IRN: far fewer retransmitted packets."""
 
         def run(mode):
-            from repro.sim.engine import Simulator
-
-            local_sim = Simulator(seed=5)
+            local_sim = type(sim)(seed=5)
             hosts, switch, _ = build_pair(
                 local_sim,
                 host_config=HostConfig(loss_recovery=mode, rto_ns=units.microseconds(200)),

@@ -35,8 +35,11 @@ def test_one_codec_per_simulation():
     )
     assert all(codec is codecs[0] for codec in codecs)
     assert codecs[0] is env.bloom_codec(env.effective_bfc_config())
-    # One NIC class for every host, not one minted per host.
-    assert {type(nic) for nic in nics} == {BfcNicScheduler}
+    # One NIC class for every host, not one minted per host: BfcNicScheduler,
+    # or on the compiled plane its one compiled twin.
+    plane = sim.compiled_plane
+    expected = BfcNicScheduler if plane is None else plane.nic_factory(BfcNicScheduler)
+    assert {type(nic) for nic in nics} == {expected}
 
 
 def test_a_second_simulation_gets_its_own_codec():

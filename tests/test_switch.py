@@ -4,11 +4,14 @@ Every test runs on both forwarding planes (the ``sim`` fixture is
 parametrized over the pure and the compiled simulator).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.sim import units
 from repro.sim.buffer import PfcPolicy
 from repro.sim.disciplines import fifo_for
+from repro.sim.host import HostConfig
 from repro.sim.node import Node
 from repro.sim.packet import FlowKey, Packet, PacketKind
 from repro.sim.port import connect
@@ -205,6 +208,15 @@ class TestPfcGeneration:
             switch.handle_packet(data_packet(src=0, dst=1, flow_id=1, seq=i), 0)
         sim.run_until_idle()
         assert switch.counters.get("pfc_pause_frames") == 0
+
+
+@pytest.mark.parametrize("policy", [PfcPolicy(), EcnConfig(), HostConfig()],
+                         ids=["PfcPolicy", "EcnConfig", "HostConfig"])
+def test_a_policy_cannot_change_in_place(policy):
+    """The compiled hop and NIC keep copies of these: a change is a rebinding."""
+    for field in dataclasses.fields(policy):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(policy, field.name, getattr(policy, field.name))
 
 
 class TestIntStamping:
