@@ -4,17 +4,19 @@
  * (time, origin, parent, parent2, parent3, seq) -- seq is unique, so the
  * order is total and the heap fires events in exactly the same sequence as
  * the pure-Python calendar queue (the golden-records parity tests pin this).
- * The run loop lives in C as well: it pops entries, maintains the
- * simulator's clock/ancestry registers through direct instance-dict stores,
- * and only enters the interpreter to execute the callbacks themselves.
- * The Python scheduling calls (schedule, schedule_at, post,
- * schedule_boundary) file their entries through insert(); the sequence
- * counter lives only in the simulator.
+ * EventHeap is the C base of AccelSimulator and the one home of the
+ * engine's bookkeeping: the clock, the ancestry registers of the event
+ * being fired, the sequence counter and the set of cancelled seqs are C
+ * fields (Python reads and writes them as now, _cur_origin, _cur_parent,
+ * _cur_parent2, _seq and _cancelled), and the scheduling calls (post,
+ * schedule, schedule_at and schedule_boundary's _insert), cancellation and
+ * the run loop are C methods.  The run loop only enters the interpreter to
+ * execute the callbacks themselves.
  *
  * The second half of the file is the compiled forwarding plane (egress
- * port, FIFO queue, shared buffer, the switch's data hop): it posts its
- * deliveries and wake-ups straight into the heap, reading the registers
- * and the sequence counter from the same instance dict.
+ * port, FIFO queue, shared buffer, the switch's data hop, the host NIC): it
+ * posts its deliveries and wake-ups straight into the heap and reads the
+ * clock from the same fields.
  *
  * Built on demand by repro.sim.accel_build (no toolchain -> the pure
  * backend is used); see docs/architecture.md, "Engine backends".
@@ -49,6 +51,27 @@ compat_AddObjectRef(PyObject *module, const char *name, PyObject *value)
 #define PyModule_AddObjectRef compat_AddObjectRef
 #endif
 
+static PyObject *empty_tuple, *int_zero, *int_minus_one;
+
+/* -- Slots of Python classes through cached member offsets ------------ */
+
+/* A __slots__ class whose attributes the core reads and writes in C: the
+ * member offsets are looked up once (bind()), and an object of exactly that
+ * class is read and written at them; anything else goes through getattr. */
+typedef struct {
+    int n;
+    const char *const *names;
+    PyObject **strs;
+    Py_ssize_t *offsets;
+    PyTypeObject *type; /* NULL until bound */
+} slot_class;
+
+static int slot_class_bind(slot_class *cls, PyObject *type);
+
+/* ===================================================================== *
+ * The event engine
+ * ===================================================================== */
+
 #define NKEYS 6 /* time, origin, parent, parent2, parent3, seq */
 
 typedef struct {
@@ -57,20 +80,156 @@ typedef struct {
     PyObject *args; /* tuple */
 } entry_t;
 
+/* A set of sequence numbers: open addressing with linear probing and
+ * backward-shift deletion, so it never holds tombstones. */
+#define SEQSET_EMPTY LLONG_MIN
+
+typedef struct {
+    long long *slots; /* NULL while the set has never held a seq */
+    Py_ssize_t used;
+    int bits;         /* capacity is 1 << bits */
+} seqset_t;
+
+static inline Py_ssize_t
+seqset_home(const seqset_t *set, long long seq)
+{
+    return (Py_ssize_t)(((unsigned long long)seq * 0x9E3779B97F4A7C15ULL) >> (64 - set->bits));
+}
+
+/* The slot holding seq, or the empty slot where it would go. */
+static inline Py_ssize_t
+seqset_find(const seqset_t *set, long long seq)
+{
+    Py_ssize_t mask = ((Py_ssize_t)1 << set->bits) - 1, i = seqset_home(set, seq);
+    while (set->slots[i] != seq && set->slots[i] != SEQSET_EMPTY)
+        i = (i + 1) & mask;
+    return i;
+}
+
+static int
+seqset_contains(const seqset_t *set, long long seq)
+{
+    return set->used > 0 && set->slots[seqset_find(set, seq)] == seq;
+}
+
+static int
+seqset_resize(seqset_t *set, int bits)
+{
+    long long *old = set->slots;
+    Py_ssize_t i, old_cap = old == NULL ? 0 : (Py_ssize_t)1 << set->bits;
+    Py_ssize_t cap = (Py_ssize_t)1 << bits;
+    long long *slots = PyMem_Malloc((size_t)cap * sizeof(long long));
+    if (slots == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < cap; i++)
+        slots[i] = SEQSET_EMPTY;
+    set->slots = slots;
+    set->bits = bits;
+    for (i = 0; i < old_cap; i++) {
+        if (old[i] != SEQSET_EMPTY)
+            slots[seqset_find(set, old[i])] = old[i];
+    }
+    PyMem_Free(old);
+    return 0;
+}
+
+static int
+seqset_add(seqset_t *set, long long seq)
+{
+    Py_ssize_t i;
+    if (seq == SEQSET_EMPTY) {
+        PyErr_SetString(PyExc_OverflowError, "sequence number out of range");
+        return -1;
+    }
+    if (set->slots == NULL || 2 * (set->used + 1) > ((Py_ssize_t)1 << set->bits)) {
+        if (seqset_resize(set, set->slots == NULL ? 7 : set->bits + 1) < 0)
+            return -1;
+    }
+    i = seqset_find(set, seq);
+    if (set->slots[i] == SEQSET_EMPTY) {
+        set->slots[i] = seq;
+        set->used += 1;
+    }
+    return 0;
+}
+
+/* Remove seq; 1 if it was there. */
+static int
+seqset_discard(seqset_t *set, long long seq)
+{
+    Py_ssize_t mask, i, j;
+    if (set->used == 0)
+        return 0;
+    i = seqset_find(set, seq);
+    if (set->slots[i] != seq)
+        return 0;
+    /* Shift back every later member of the probe run that may move into
+     * the hole, so lookups never need a tombstone. */
+    mask = ((Py_ssize_t)1 << set->bits) - 1;
+    j = i;
+    for (;;) {
+        Py_ssize_t home;
+        j = (j + 1) & mask;
+        if (set->slots[j] == SEQSET_EMPTY)
+            break;
+        home = seqset_home(set, set->slots[j]);
+        /* Keep slots[j] where it is when its home lies cyclically in (i, j]. */
+        if (i <= j ? (i < home && home <= j) : (i < home || home <= j))
+            continue;
+        set->slots[i] = set->slots[j];
+        i = j;
+    }
+    set->slots[i] = SEQSET_EMPTY;
+    set->used -= 1;
+    return 1;
+}
+
+static void
+seqset_clear(seqset_t *set)
+{
+    PyMem_Free(set->slots);
+    set->slots = NULL;
+    set->used = 0;
+    set->bits = 0;
+}
+
 typedef struct {
     PyObject_HEAD
     entry_t *heap;
     Py_ssize_t size;
     Py_ssize_t capacity;
-    /* Events fired by the most recent run() call, including a partial count
-     * when a callback raised: the Python wrapper reads this in its finally
-     * block to keep events_processed exact across exceptions. */
+    /* Events fired by the most recent _run() call, including a partial
+     * count when a callback raised: AccelSimulator.run reads this in its
+     * finally block to keep events_processed exact across exceptions. */
     long long last_processed;
+    /* The registers: the clock, the ancestry of the event being fired
+     * (its origin and the two nearest ancestor origins), the next seq. */
+    long long now;
+    long long cur_origin;
+    long long cur_parent;
+    long long cur_parent2;
+    long long seq;
+    /* The clock as a Python int, made when first asked for at now_obj_at. */
+    PyObject *now_obj;
+    long long now_obj_at;
+    /* Seqs of cancelled events not reaped yet (popped or compacted). */
+    seqset_t cancelled;
 } EventHeapObject;
 
-/* Interned attribute names for the per-event register stores. */
-static PyObject *str_now, *str_cur_origin, *str_cur_parent, *str_cur_parent2;
-static PyObject *str_dict;
+static PyTypeObject EventHeapType;
+
+/* Set by bind_engine(): the handle schedule() returns, the error a bad
+ * scheduling call raises, and the cancelled-set size that may compact. */
+enum { E_TIME, E_SEQ, E_CANCELLED, E_SIM, E_NSLOTS };
+static const char *const event_slot_names[E_NSLOTS] = {"time", "seq", "cancelled", "_sim"};
+static PyObject *event_slot_strs[E_NSLOTS];
+static Py_ssize_t event_slot_offsets[E_NSLOTS];
+static slot_class event_class = {E_NSLOTS, event_slot_names, event_slot_strs,
+                                 event_slot_offsets, NULL};
+static PyObject *simulation_error;
+static Py_ssize_t compact_min_cancelled = 64;
 
 static inline int
 entry_lt(const entry_t *a, const entry_t *b)
@@ -127,239 +286,453 @@ heap_pop_root(EventHeapObject *self, entry_t *out)
     }
 }
 
+/* File e; its callback and args references are stolen, also on failure. */
 static int
-heap_grow(EventHeapObject *self)
+heap_push(EventHeapObject *self, entry_t *e)
 {
-    Py_ssize_t cap = self->capacity ? self->capacity * 2 : 256;
-    entry_t *mem = PyMem_Realloc(self->heap, (size_t)cap * sizeof(entry_t));
-    if (mem == NULL) {
-        PyErr_NoMemory();
-        return -1;
+    if (self->size >= self->capacity) {
+        Py_ssize_t cap = self->capacity ? self->capacity * 2 : 256;
+        entry_t *mem = PyMem_Realloc(self->heap, (size_t)cap * sizeof(entry_t));
+        if (mem == NULL) {
+            Py_DECREF(e->callback);
+            Py_DECREF(e->args);
+            PyErr_NoMemory();
+            return -1;
+        }
+        self->heap = mem;
+        self->capacity = cap;
     }
-    self->heap = mem;
-    self->capacity = cap;
+    self->heap[self->size] = *e;
+    self->size += 1;
+    sift_up(self->heap, self->size - 1);
     return 0;
 }
 
-static PyObject *
-EventHeap_insert(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* sim.schedule_at(time, callback, *args) with args already a tuple (stolen):
+ * the entry inherits the clock and the ancestry registers and takes the
+ * next seq.  A refused entry consumes no seq. */
+static int
+heap_post_at(EventHeapObject *self, long long time, PyObject *callback, PyObject *args)
 {
     entry_t e;
-    int i;
-    if (nargs != NKEYS + 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "insert expects (time, origin, parent, parent2, "
-                        "parent3, seq, callback, args_tuple)");
-        return NULL;
+    e.k[0] = time;
+    e.k[1] = self->now;
+    e.k[2] = self->cur_origin;
+    e.k[3] = self->cur_parent;
+    e.k[4] = self->cur_parent2;
+    e.k[5] = self->seq;
+    e.callback = Py_NewRef(callback);
+    e.args = args;
+    if (heap_push(self, &e) < 0)
+        return -1;
+    self->seq += 1;
+    return 0;
+}
+
+/* sim.post(delay, callback, *args) for a delay already known to be >= 0. */
+static int
+heap_post(EventHeapObject *self, long long delay, PyObject *callback, PyObject *args)
+{
+    if (delay > LLONG_MAX - self->now) {
+        Py_DECREF(args);
+        PyErr_SetString(PyExc_OverflowError, "event time out of range");
+        return -1;
     }
-    for (i = 0; i < NKEYS; i++) {
-        e.k[i] = PyLong_AsLongLong(args[i]);
-        if (e.k[i] == -1 && PyErr_Occurred())
+    return heap_post_at(self, self->now + delay, callback, args);
+}
+
+/* sim.now as a Python int (a new reference), made at most once per clock
+ * value however often it is asked for. */
+static PyObject *
+heap_now_obj(EventHeapObject *self)
+{
+    if (self->now_obj == NULL || self->now_obj_at != self->now) {
+        PyObject *now = PyLong_FromLongLong(self->now);
+        if (now == NULL)
             return NULL;
+        Py_XSETREF(self->now_obj, now);
+        self->now_obj_at = self->now;
     }
-    if (!PyTuple_Check(args[NKEYS + 1])) {
-        PyErr_SetString(PyExc_TypeError, "args must be a tuple");
+    return Py_NewRef(self->now_obj);
+}
+
+/* int(obj) as a long long; past the range raises OverflowError. */
+static int
+as_time_ll(PyObject *obj, long long *out)
+{
+    PyObject *num = PyLong_CheckExact(obj) ? Py_NewRef(obj) : PyNumber_Long(obj);
+    if (num == NULL)
+        return -1;
+    *out = PyLong_AsLongLong(num);
+    Py_DECREF(num);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* Compare an exact int with bound: -1, 0 or 1 in *sign, and its value in
+ * *out when it fits a long long (*sign is then that of value - bound). */
+static int
+exact_int_vs(PyObject *obj, long long bound, long long *out, int *sign)
+{
+    int overflow;
+    *out = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (*out == -1 && PyErr_Occurred())
+        return -1;
+    *sign = overflow ? overflow : (*out > bound) - (*out < bound);
+    if (overflow > 0) {
+        PyErr_SetString(PyExc_OverflowError, "event time out of range");
+        return -1;
+    }
+    return 0;
+}
+
+/* The delay of post/schedule: negative refused, then truncated by int(). */
+static int
+as_delay(PyObject *obj, long long *out)
+{
+    int sign;
+    if (PyLong_CheckExact(obj)) {
+        if (exact_int_vs(obj, 0, out, &sign) < 0)
+            return -1;
+    }
+    else {
+        int negative = PyObject_RichCompareBool(obj, int_zero, Py_LT);
+        if (negative < 0)
+            return -1;
+        sign = negative ? -1 : 0;
+    }
+    if (sign < 0) {
+        PyErr_Format(simulation_error, "cannot schedule into the past (delay=%S)", obj);
+        return -1;
+    }
+    return PyLong_CheckExact(obj) ? 0 : as_time_ll(obj, out);
+}
+
+/* The firing time of schedule_at: before the clock refused, then int(). */
+static int
+as_firing_time(EventHeapObject *self, PyObject *obj, long long *out)
+{
+    int sign;
+    if (PyLong_CheckExact(obj)) {
+        if (exact_int_vs(obj, self->now, out, &sign) < 0)
+            return -1;
+    }
+    else {
+        PyObject *now = heap_now_obj(self);
+        int past;
+        if (now == NULL)
+            return -1;
+        past = PyObject_RichCompareBool(obj, now, Py_LT);
+        Py_DECREF(now);
+        if (past < 0)
+            return -1;
+        sign = past ? -1 : 0;
+    }
+    if (sign < 0) {
+        PyErr_Format(simulation_error, "cannot schedule at %S ns, current time is %lld ns",
+                     obj, self->now);
+        return -1;
+    }
+    return PyLong_CheckExact(obj) ? 0 : as_time_ll(obj, out);
+}
+
+/* (callback, *args) of a scheduling call: a new tuple of the args. */
+static PyObject *
+scheduled_args(PyObject *const *args, Py_ssize_t nargs, const char *what)
+{
+    PyObject *tail;
+    Py_ssize_t i;
+    if (nargs < 2) {
+        PyErr_Format(PyExc_TypeError, "%s expects a time, a callback and its arguments",
+                     what);
         return NULL;
     }
-    if (self->size >= self->capacity && heap_grow(self) < 0)
+    if (simulation_error == NULL || event_class.type == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "_accelcore.bind_engine() has not run");
         return NULL;
-    e.callback = Py_NewRef(args[NKEYS]);
-    e.args = Py_NewRef(args[NKEYS + 1]);
-    self->heap[self->size] = e;
-    self->size += 1;
-    sift_up(self->heap, self->size - 1);
+    }
+    if (nargs == 2)
+        return Py_NewRef(empty_tuple);
+    tail = PyTuple_New(nargs - 2);
+    if (tail == NULL)
+        return NULL;
+    for (i = 2; i < nargs; i++)
+        PyTuple_SET_ITEM(tail, i - 2, Py_NewRef(args[i]));
+    return tail;
+}
+
+/* Event(time, seq, sim), built without running Event.__init__. */
+static PyObject *
+event_new(EventHeapObject *self, long long time, long long seq)
+{
+    PyTypeObject *type = event_class.type;
+    PyObject *values[E_NSLOTS], *event;
+    int i;
+    values[E_TIME] = PyLong_FromLongLong(time);
+    values[E_SEQ] = PyLong_FromLongLong(seq);
+    event = values[E_TIME] && values[E_SEQ] ? type->tp_alloc(type, 0) : NULL;
+    if (event == NULL) {
+        Py_XDECREF(values[E_TIME]);
+        Py_XDECREF(values[E_SEQ]);
+        return NULL;
+    }
+    values[E_CANCELLED] = Py_NewRef(Py_False);
+    values[E_SIM] = Py_NewRef(self);
+    for (i = 0; i < E_NSLOTS; i++)
+        *(PyObject **)((char *)event + event_slot_offsets[i]) = values[i];
+    return event;
+}
+
+static PyObject *
+EventHeap_post(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long delay;
+    PyObject *tail = scheduled_args(args, nargs, "post");
+    if (tail == NULL)
+        return NULL;
+    if (as_delay(args[0], &delay) < 0) {
+        Py_DECREF(tail);
+        return NULL;
+    }
+    if (heap_post(self, delay, args[1], tail) < 0)
+        return NULL;
     Py_RETURN_NONE;
 }
 
 static PyObject *
-EventHeap_peek_time(EventHeapObject *self, PyObject *Py_UNUSED(ignored))
+EventHeap_schedule(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long delay;
+    PyObject *tail = scheduled_args(args, nargs, "schedule");
+    if (tail == NULL)
+        return NULL;
+    if (as_delay(args[0], &delay) < 0) {
+        Py_DECREF(tail);
+        return NULL;
+    }
+    if (heap_post(self, delay, args[1], tail) < 0)
+        return NULL;
+    return event_new(self, self->now + delay, self->seq - 1);
+}
+
+static PyObject *
+EventHeap_schedule_at(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long time;
+    PyObject *tail = scheduled_args(args, nargs, "schedule_at");
+    if (tail == NULL)
+        return NULL;
+    if (as_firing_time(self, args[0], &time) < 0) {
+        Py_DECREF(tail);
+        return NULL;
+    }
+    if (heap_post_at(self, time, args[1], tail) < 0)
+        return NULL;
+    return event_new(self, time, self->seq - 1);
+}
+
+/* _insert(entry): file one whole (time, origin, parent, parent2, parent3,
+ * seq, callback, args) entry, as schedule_boundary builds it. */
+static PyObject *
+EventHeap_insert(EventHeapObject *self, PyObject *entry)
+{
+    entry_t e;
+    int i;
+    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != NKEYS + 2 ||
+        !PyTuple_Check(PyTuple_GET_ITEM(entry, NKEYS + 1))) {
+        PyErr_SetString(PyExc_TypeError,
+                        "_insert expects (time, origin, parent, parent2, "
+                        "parent3, seq, callback, args_tuple)");
+        return NULL;
+    }
+    for (i = 0; i < NKEYS; i++) {
+        e.k[i] = PyLong_AsLongLong(PyTuple_GET_ITEM(entry, i));
+        if (e.k[i] == -1 && PyErr_Occurred())
+            return NULL;
+    }
+    e.callback = Py_NewRef(PyTuple_GET_ITEM(entry, NKEYS));
+    e.args = Py_NewRef(PyTuple_GET_ITEM(entry, NKEYS + 1));
+    if (heap_push(self, &e) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+EventHeap_pending_events(EventHeapObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyLong_FromSsize_t(self->size);
+}
+
+static PyObject *
+EventHeap_next_event_time(EventHeapObject *self, PyObject *Py_UNUSED(ignored))
 {
     if (self->size == 0)
         Py_RETURN_NONE;
     return PyLong_FromLongLong(self->heap[0].k[0]);
 }
 
-static PyObject *
-entry_as_tuple(const entry_t *e)
+/* Drop every entry whose seq is cancelled, and forget every cancelled seq
+ * (also those whose event already fired), like the pure engine's _compact. */
+static int
+heap_compact(EventHeapObject *self)
 {
-    PyObject *tup = PyTuple_New(NKEYS + 2);
-    int i;
-    if (tup == NULL)
-        return NULL;
-    for (i = 0; i < NKEYS; i++) {
-        PyObject *num = PyLong_FromLongLong(e->k[i]);
-        if (num == NULL) {
-            Py_DECREF(tup);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(tup, i, num);
-    }
-    PyTuple_SET_ITEM(tup, NKEYS, Py_NewRef(e->callback));
-    PyTuple_SET_ITEM(tup, NKEYS + 1, Py_NewRef(e->args));
-    return tup;
-}
-
-static PyObject *
-EventHeap_pop(EventHeapObject *self, PyObject *Py_UNUSED(ignored))
-{
-    entry_t e;
-    PyObject *tup;
-    if (self->size == 0) {
-        PyErr_SetString(PyExc_IndexError, "pop from an empty EventHeap");
-        return NULL;
-    }
-    heap_pop_root(self, &e);
-    tup = entry_as_tuple(&e);
-    Py_DECREF(e.callback);
-    Py_DECREF(e.args);
-    return tup;
-}
-
-static PyObject *
-EventHeap_compact(EventHeapObject *self, PyObject *cancelled)
-{
-    Py_ssize_t kept = 0, i;
-    if (!PySet_Check(cancelled)) {
-        PyErr_SetString(PyExc_TypeError, "compact expects a set of seqs");
-        return NULL;
+    Py_ssize_t kept = 0, ndead = 0, i;
+    entry_t *dead = PyMem_Malloc((size_t)(self->size ? self->size : 1) * sizeof(entry_t));
+    if (dead == NULL) {
+        PyErr_NoMemory();
+        return -1;
     }
     for (i = 0; i < self->size; i++) {
         entry_t *e = &self->heap[i];
-        PyObject *seq = PyLong_FromLongLong(e->k[NKEYS - 1]);
-        int dead;
-        if (seq == NULL)
-            return NULL;
-        dead = PySet_Contains(cancelled, seq);
-        Py_DECREF(seq);
-        if (dead < 0)
-            return NULL;
-        if (dead) {
-            Py_DECREF(e->callback);
-            Py_DECREF(e->args);
-        }
-        else {
-            self->heap[kept] = *e;
-            kept += 1;
-        }
+        if (seqset_contains(&self->cancelled, e->k[NKEYS - 1]))
+            dead[ndead++] = *e;
+        else
+            self->heap[kept++] = *e;
     }
     self->size = kept;
     /* Bottom-up heapify restores the invariant in O(n). */
     for (i = kept / 2 - 1; i >= 0; i--)
         sift_down(self->heap, kept, i);
+    seqset_clear(&self->cancelled);
+    /* Released last: a finalizer may schedule into the heap. */
+    for (i = 0; i < ndead; i++) {
+        Py_DECREF(dead[i].callback);
+        Py_DECREF(dead[i].args);
+    }
+    PyMem_Free(dead);
+    return 0;
+}
+
+/* Event.cancel: the seq joins the cancelled set, and once cancelled seqs
+ * dominate the heap it is compacted. */
+static PyObject *
+EventHeap_cancel(EventHeapObject *self, PyObject *seq_obj)
+{
+    long long seq = PyLong_AsLongLong(seq_obj);
+    if (seq == -1 && PyErr_Occurred())
+        return NULL;
+    if (seqset_add(&self->cancelled, seq) < 0)
+        return NULL;
+    if (self->cancelled.used >= compact_min_cancelled &&
+        self->cancelled.used * 2 > self->size && heap_compact(self) < 0)
+        return NULL;
     Py_RETURN_NONE;
 }
 
 /* The engine run loop: fire events until the queue drains, the next event
  * lies beyond stop_after (it stays queued), or max_events have fired.  The
- * clock and ancestry registers are stored into the simulator's instance
- * dict (looked up once per call) before each callback. */
+ * clock and the ancestry registers are set from the entry before each
+ * callback. */
 static PyObject *
 EventHeap_run(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    PyObject *cancelled, *dict;
     long long stop_after, cap, processed = 0;
 
     self->last_processed = 0;
-    if (nargs != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "run expects (sim, cancelled_set, stop_after, max_events)");
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "_run expects (stop_after, max_events)");
         return NULL;
     }
-    cancelled = args[1];
-    stop_after = PyLong_AsLongLong(args[2]);
+    stop_after = PyLong_AsLongLong(args[0]);
     if (stop_after == -1 && PyErr_Occurred())
         return NULL;
-    cap = PyLong_AsLongLong(args[3]);
+    cap = PyLong_AsLongLong(args[1]);
     if (cap == -1 && PyErr_Occurred())
         return NULL;
-    if (!PySet_Check(cancelled)) {
-        PyErr_SetString(PyExc_TypeError, "cancelled must be a set");
-        return NULL;
-    }
-    dict = PyObject_GetAttr(args[0], str_dict);
-    if (dict == NULL)
-        return NULL;
-    if (!PyDict_Check(dict)) {
-        Py_DECREF(dict);
-        PyErr_SetString(PyExc_TypeError, "the simulator's __dict__ is not a dict");
-        return NULL;
-    }
 
     while (processed < cap && self->size > 0) {
         entry_t e;
         PyObject *result;
-        int rc = 0;
 
-        if (PySet_GET_SIZE(cancelled) > 0) {
-            PyObject *seq = PyLong_FromLongLong(self->heap[0].k[NKEYS - 1]);
-            int dead;
-            if (seq == NULL)
-                goto error;
-            dead = PySet_Contains(cancelled, seq);
-            if (dead < 0) {
-                Py_DECREF(seq);
-                goto error;
-            }
-            if (dead) {
-                if (PySet_Discard(cancelled, seq) < 0) {
-                    Py_DECREF(seq);
-                    goto error;
-                }
-                Py_DECREF(seq);
-                heap_pop_root(self, &e);
-                Py_DECREF(e.callback);
-                Py_DECREF(e.args);
-                continue;
-            }
-            Py_DECREF(seq);
+        if (self->cancelled.used > 0 &&
+            seqset_discard(&self->cancelled, self->heap[0].k[NKEYS - 1])) {
+            heap_pop_root(self, &e);
+            Py_DECREF(e.callback);
+            Py_DECREF(e.args);
+            continue;
         }
         if (self->heap[0].k[0] > stop_after)
             break;
         heap_pop_root(self, &e);
-        {
-            int i;
-            static PyObject **names[4];
-            names[0] = &str_now;
-            names[1] = &str_cur_origin;
-            names[2] = &str_cur_parent;
-            names[3] = &str_cur_parent2;
-            for (i = 0; i < 4 && rc == 0; i++) {
-                PyObject *val = PyLong_FromLongLong(e.k[i]);
-                if (val == NULL) {
-                    rc = -1;
-                    break;
-                }
-                rc = PyDict_SetItem(dict, *names[i], val);
-                Py_DECREF(val);
-            }
-        }
-        if (rc < 0) {
-            Py_DECREF(e.callback);
-            Py_DECREF(e.args);
-            goto error;
-        }
-        result = PyObject_CallObject(e.callback, e.args);
+        self->now = e.k[0];
+        self->cur_origin = e.k[1];
+        self->cur_parent = e.k[2];
+        self->cur_parent2 = e.k[3];
+        result = PyObject_Call(e.callback, e.args, NULL);
         Py_DECREF(e.callback);
         Py_DECREF(e.args);
-        if (result == NULL)
-            goto error;
+        if (result == NULL) {
+            self->last_processed = processed;
+            return NULL;
+        }
         Py_DECREF(result);
         processed += 1;
     }
     self->last_processed = processed;
-    Py_DECREF(dict);
     return PyLong_FromLongLong(processed);
-
-error:
-    self->last_processed = processed;
-    Py_DECREF(dict);
-    return NULL;
 }
 
-static Py_ssize_t
-EventHeap_length(EventHeapObject *self)
+static PyObject *
+EventHeap_get_now(EventHeapObject *self, void *closure)
 {
-    return self->size;
+    return heap_now_obj(self);
+}
+
+static int
+EventHeap_set_now(EventHeapObject *self, PyObject *value, void *closure)
+{
+    long long now;
+    if (value == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete now");
+        return -1;
+    }
+    now = PyLong_AsLongLong(value);
+    if (now == -1 && PyErr_Occurred())
+        return -1;
+    self->now = now;
+    return 0;
+}
+
+/* A snapshot of the cancelled seqs; assigning an iterable replaces them. */
+static PyObject *
+EventHeap_get_cancelled(EventHeapObject *self, void *closure)
+{
+    PyObject *seqs = PyFrozenSet_New(NULL);
+    Py_ssize_t i, cap = self->cancelled.slots == NULL ? 0 : (Py_ssize_t)1 << self->cancelled.bits;
+    for (i = 0; seqs != NULL && i < cap; i++) {
+        long long seq = self->cancelled.slots[i];
+        PyObject *num;
+        if (seq == SEQSET_EMPTY)
+            continue;
+        num = PyLong_FromLongLong(seq);
+        if (num == NULL || PySet_Add(seqs, num) < 0)
+            Py_CLEAR(seqs);
+        Py_XDECREF(num);
+    }
+    return seqs;
+}
+
+static int
+EventHeap_set_cancelled(EventHeapObject *self, PyObject *value, void *closure)
+{
+    PyObject *iter, *item;
+    if (value == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete _cancelled");
+        return -1;
+    }
+    iter = PyObject_GetIter(value);
+    if (iter == NULL)
+        return -1;
+    seqset_clear(&self->cancelled);
+    while ((item = PyIter_Next(iter)) != NULL) {
+        long long seq = PyLong_AsLongLong(item);
+        Py_DECREF(item);
+        if ((seq == -1 && PyErr_Occurred()) || seqset_add(&self->cancelled, seq) < 0) {
+            Py_DECREF(iter);
+            return -1;
+        }
+    }
+    Py_DECREF(iter);
+    return PyErr_Occurred() ? -1 : 0;
 }
 
 static int
@@ -391,44 +764,51 @@ EventHeap_dealloc(EventHeapObject *self)
     PyObject_GC_UnTrack(self);
     EventHeap_clear(self);
     PyMem_Free(self->heap);
+    seqset_clear(&self->cancelled);
+    Py_CLEAR(self->now_obj);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-static PyObject *
-EventHeap_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    EventHeapObject *self = (EventHeapObject *)type->tp_alloc(type, 0);
-    if (self == NULL)
-        return NULL;
-    self->heap = NULL;
-    self->size = 0;
-    self->capacity = 0;
-    self->last_processed = 0;
-    return (PyObject *)self;
-}
-
 static PyMethodDef EventHeap_methods[] = {
-    {"insert", (PyCFunction)(void (*)(void))EventHeap_insert, METH_FASTCALL,
-     "insert(time, origin, parent, parent2, parent3, seq, callback, args)"},
-    {"peek_time", (PyCFunction)EventHeap_peek_time, METH_NOARGS,
+    {"post", (PyCFunction)(void (*)(void))EventHeap_post, METH_FASTCALL,
+     "post(delay_ns, callback, *args): schedule without a cancellation handle."},
+    {"schedule", (PyCFunction)(void (*)(void))EventHeap_schedule, METH_FASTCALL,
+     "schedule(delay_ns, callback, *args) -> Event"},
+    {"schedule_at", (PyCFunction)(void (*)(void))EventHeap_schedule_at, METH_FASTCALL,
+     "schedule_at(time_ns, callback, *args) -> Event"},
+    {"_insert", (PyCFunction)EventHeap_insert, METH_O,
+     "_insert((time, origin, parent, parent2, parent3, seq, callback, args))"},
+    {"pending_events", (PyCFunction)EventHeap_pending_events, METH_NOARGS,
+     "Queued entries, cancelled ones not reaped yet included."},
+    {"next_event_time", (PyCFunction)EventHeap_next_event_time, METH_NOARGS,
      "Earliest pending entry's firing time, or None when empty."},
-    {"pop", (PyCFunction)EventHeap_pop, METH_NOARGS,
-     "Pop and return the earliest entry as a plain tuple."},
-    {"compact", (PyCFunction)EventHeap_compact, METH_O,
-     "Drop every entry whose seq is in the given set."},
-    {"run", (PyCFunction)(void (*)(void))EventHeap_run, METH_FASTCALL,
-     "run(sim, cancelled_set, stop_after, max_events) -> events fired"},
+    {"_cancel", (PyCFunction)EventHeap_cancel, METH_O,
+     "Cancel the entry of one seq (Event.cancel)."},
+    {"_run", (PyCFunction)(void (*)(void))EventHeap_run, METH_FASTCALL,
+     "_run(stop_after, max_events) -> events fired"},
     {NULL, NULL, 0, NULL},
 };
 
 static PyMemberDef EventHeap_members[] = {
     {"last_processed", T_LONGLONG, offsetof(EventHeapObject, last_processed),
-     READONLY, "Events fired by the most recent run() call."},
+     READONLY, "Events fired by the most recent _run() call."},
+    {"_cur_origin", T_LONGLONG, offsetof(EventHeapObject, cur_origin), 0,
+     "Origin of the event being fired."},
+    {"_cur_parent", T_LONGLONG, offsetof(EventHeapObject, cur_parent), 0,
+     "Origin of the event that scheduled it."},
+    {"_cur_parent2", T_LONGLONG, offsetof(EventHeapObject, cur_parent2), 0,
+     "Origin one scheduling level further up."},
+    {"_seq", T_LONGLONG, offsetof(EventHeapObject, seq), 0,
+     "The sequence number of the next entry."},
     {NULL},
 };
 
-static PySequenceMethods EventHeap_as_sequence = {
-    .sq_length = (lenfunc)EventHeap_length,
+static PyGetSetDef EventHeap_getset[] = {
+    {"now", (getter)EventHeap_get_now, (setter)EventHeap_set_now,
+     "Current simulated time in nanoseconds.", NULL},
+    {"_cancelled", (getter)EventHeap_get_cancelled, (setter)EventHeap_set_cancelled,
+     "The cancelled seqs not reaped yet (a snapshot).", NULL},
+    {NULL},
 };
 
 static PyTypeObject EventHeapType = {
@@ -436,15 +816,36 @@ static PyTypeObject EventHeapType = {
     .tp_name = "_accelcore.EventHeap",
     .tp_basicsize = sizeof(EventHeapObject),
     .tp_dealloc = (destructor)EventHeap_dealloc,
-    .tp_as_sequence = &EventHeap_as_sequence,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Binary min-heap over the engine's total event order.",
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "The compiled engine: a binary min-heap over the total event "
+              "order, its registers, scheduling calls and run loop.",
     .tp_traverse = (traverseproc)EventHeap_traverse,
     .tp_clear = (inquiry)EventHeap_clear,
     .tp_methods = EventHeap_methods,
     .tp_members = EventHeap_members,
-    .tp_new = EventHeap_new,
+    .tp_getset = EventHeap_getset,
+    .tp_new = PyType_GenericNew,
 };
+
+static PyObject *
+bind_engine(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t threshold;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "bind_engine expects (Event, SimulationError, "
+                        "compact_min_cancelled)");
+        return NULL;
+    }
+    threshold = PyLong_AsSsize_t(args[2]);
+    if (threshold == -1 && PyErr_Occurred())
+        return NULL;
+    if (slot_class_bind(&event_class, args[0]) < 0)
+        return NULL;
+    Py_XSETREF(simulation_error, Py_NewRef(args[1]));
+    compact_min_cancelled = threshold;
+    Py_RETURN_NONE;
+}
 
 /* ===================================================================== *
  * The compiled forwarding plane.
@@ -458,34 +859,18 @@ static PyTypeObject EventHeapType = {
  * disciplines, host NICs, congestion control, route misses, PFC/Bloom
  * frame construction, ECN draws, INT stamps) is called back in Python.
  *
- * Posts go straight into the simulator's EventHeap with the entry layout of
- * AccelSimulator.post: the clock, the ancestry registers and _seq are read
- * from (and _seq written back to) the simulator's instance dict, which is
- * where the Python scheduling calls keep them too.
+ * Posts go straight into the simulator's EventHeap (heap_post, the layout
+ * of AccelSimulator.post), and the clock is read from its fields.
  * ===================================================================== */
 
-static PyObject *str_seq, *str_popleft, *str_append, *str_dequeue,
+static PyObject *str_dict, *str_popleft, *str_append, *str_dequeue,
     *str_enqueue, *str_has_backlog, *str_backlog_bytes, *str_set_paused,
     *str_paused, *str_kick, *str_ecmp_pick, *str_maybe_mark_ecn,
     *str_send_pfc, *str_stamp_int, *str_handle_pfc, *str_handle_bloom,
     *str_data_bytes, *str_data_packets,
     *str_control_bytes, *str_control_packets, *str_forwarded_packets,
-    *str_dropped_packets, *str_dropped_bytes, *str_heap, *str_post, *str_name,
+    *str_dropped_packets, *str_dropped_bytes, *str_post, *str_name,
     *str_tx_memo;
-static PyObject *empty_tuple;
-
-/* -- Slots of Python classes through cached member offsets ------------ */
-
-/* A __slots__ class whose attributes the plane reads and writes in C: the
- * member offsets are looked up once (bind()), and an object of exactly that
- * class is read and written at them; anything else goes through getattr. */
-typedef struct {
-    int n;
-    const char *const *names;
-    PyObject **strs;
-    Py_ssize_t *offsets;
-    PyTypeObject *type; /* NULL until bound */
-} slot_class;
 
 enum {
     P_KIND,
@@ -530,7 +915,7 @@ static PyObject *kind_pfc, *kind_bloom;
 
 /* Cache the member offsets of every name of cls in type; the names must be
  * all of type's own __slots__, so a slot added in Python cannot be missed
- * by the objects the plane builds. */
+ * by the objects the core builds. */
 static int
 slot_class_bind(slot_class *cls, PyObject *type)
 {
@@ -667,19 +1052,6 @@ bind(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 /* -- Small helpers ---------------------------------------------------- */
 
-static int
-dict_ll(PyObject *dict, PyObject *name, long long *out)
-{
-    PyObject *value = PyDict_GetItemWithError(dict, name);
-    if (value == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetObject(PyExc_AttributeError, name);
-        return -1;
-    }
-    *out = PyLong_AsLongLong(value);
-    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
-}
-
 /* counters.values[name] += amount on a (default)dict of ints. */
 static int
 counter_add(PyObject *values, PyObject *name, long long amount)
@@ -721,47 +1093,6 @@ round_half_even(double x)
     if (fabs(x - r) == 0.5)
         r = 2.0 * round(x / 2.0);
     return r;
-}
-
-/* -- Posting into the event heap --------------------------------------- */
-
-/* sim.post(delay, callback, *args): args is a tuple and is stolen. */
-static int
-heap_post(EventHeapObject *heap, PyObject *sim_dict, long long delay,
-          PyObject *callback, PyObject *args)
-{
-    entry_t e;
-    PyObject *next;
-    if (dict_ll(sim_dict, str_now, &e.k[1]) < 0 ||
-        dict_ll(sim_dict, str_cur_origin, &e.k[2]) < 0 ||
-        dict_ll(sim_dict, str_cur_parent, &e.k[3]) < 0 ||
-        dict_ll(sim_dict, str_cur_parent2, &e.k[4]) < 0 ||
-        dict_ll(sim_dict, str_seq, &e.k[5]) < 0)
-        goto fail;
-    if (delay > LLONG_MAX - e.k[1]) {
-        PyErr_SetString(PyExc_OverflowError, "event time out of range");
-        goto fail;
-    }
-    e.k[0] = e.k[1] + delay;
-    if (heap->size >= heap->capacity && heap_grow(heap) < 0)
-        goto fail;
-    next = PyLong_FromLongLong(e.k[5] + 1);
-    if (next == NULL)
-        goto fail;
-    e.callback = Py_NewRef(callback);
-    e.args = args;
-    heap->heap[heap->size] = e;
-    heap->size += 1;
-    sift_up(heap->heap, heap->size - 1);
-    if (PyDict_SetItem(sim_dict, str_seq, next) < 0) {
-        Py_DECREF(next);
-        return -1;
-    }
-    Py_DECREF(next);
-    return 0;
-fail:
-    Py_DECREF(args);
-    return -1;
 }
 
 /* ===================================================================== *
@@ -1467,9 +1798,7 @@ typedef struct SwitchPlaneObject SwitchPlaneObject;
 
 typedef struct {
     PyObject_HEAD
-    PyObject *sim;
-    PyObject *sim_dict;
-    EventHeapObject *heap; /* NULL on a simulator without an EventHeap */
+    EventHeapObject *sim;
     PyObject *post;        /* the _post alias */
     int post_direct;       /* _post is the simulator's own post */
     PyObject *owner;
@@ -1517,8 +1846,8 @@ port_post(PortObject *self, long long delay, PyObject *callback, PyObject *args)
         PyErr_SetString(PyExc_TypeError, "egress port is not connected");
         return -1;
     }
-    if (self->post_direct && self->heap != NULL)
-        return heap_post(self->heap, self->sim_dict, delay, callback, args);
+    if (self->post_direct)
+        return heap_post(self->sim, delay, callback, args);
     delay_obj = PyLong_FromLongLong(delay);
     if (delay_obj == NULL) {
         Py_DECREF(args);
@@ -1541,11 +1870,6 @@ port_post(PortObject *self, long long delay, PyObject *callback, PyObject *args)
     return 0;
 }
 
-static int
-port_now(PortObject *self, long long *now)
-{
-    return dict_ll(self->sim_dict, str_now, now);
-}
 
 /* hook(packet, iface_index), entering a switch plane's hook directly. */
 static int
@@ -1601,8 +1925,7 @@ port_kick(PortObject *self)
 
     if (self->busy) {
         long long until = self->busy_until;
-        if (port_now(self, &now) < 0)
-            return -1;
+        now = self->sim->now;
         if (now < until) {
             if (self->wake_at != until) {
                 self->wake_at = until;
@@ -1651,8 +1974,7 @@ port_kick(PortObject *self)
         is_data = 1;
     }
     self->busy = 1;
-    if (port_now(self, &now) < 0)
-        goto error;
+    now = self->sim->now;
     size_obj = pkt_get(packet, P_SIZE);
     if (size_obj == NULL)
         goto error;
@@ -1764,7 +2086,7 @@ Port_init(PortObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"sim", "owner", "iface_index", "rate_bps",
                              "delay_ns", "name", NULL};
-    PyObject *sim, *owner, *rate, *delay, *name = NULL, *heap, *as_int;
+    PyObject *sim, *owner, *rate, *delay, *name = NULL, *as_int;
     long long iface_index;
     int named;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOLOO|O", kwlist, &sim,
@@ -1772,6 +2094,10 @@ Port_init(PortObject *self, PyObject *args, PyObject *kwds)
         return -1;
     if (deque_type == NULL) {
         PyErr_SetString(PyExc_RuntimeError, "_accelcore.bind() has not run");
+        return -1;
+    }
+    if (!PyObject_TypeCheck(sim, &EventHeapType)) {
+        PyErr_SetString(PyExc_TypeError, "a compiled port needs the compiled engine's simulator");
         return -1;
     }
     self->rate_bps = PyFloat_AsDouble(rate);
@@ -1793,20 +2119,7 @@ Port_init(PortObject *self, PyObject *args, PyObject *kwds)
         return -1;
     }
     Py_XSETREF(self->rate_obj, Py_NewRef(rate));
-    Py_XSETREF(self->sim, Py_NewRef(sim));
-    Py_XSETREF(self->sim_dict, PyObject_GetAttr(sim, str_dict));
-    if (self->sim_dict == NULL)
-        return -1;
-    if (!PyDict_Check(self->sim_dict)) {
-        PyErr_SetString(PyExc_TypeError, "the simulator's __dict__ is not a dict");
-        return -1;
-    }
-    heap = PyDict_GetItemWithError(self->sim_dict, str_heap);
-    if (heap == NULL && PyErr_Occurred())
-        return -1;
-    Py_CLEAR(self->heap);
-    if (heap != NULL && Py_TYPE(heap) == &EventHeapType)
-        self->heap = (EventHeapObject *)Py_NewRef(heap);
+    Py_XSETREF(self->sim, (EventHeapObject *)Py_NewRef(sim));
     Py_XSETREF(self->post, PyObject_GetAttr(sim, str_post));
     if (self->post == NULL)
         return -1;
@@ -1873,13 +2186,11 @@ Port_set_pfc_paused(PortObject *self, PyObject *paused)
     int truth = PyObject_IsTrue(paused);
     if (truth < 0)
         return NULL;
-    now = PyDict_GetItemWithError(self->sim_dict, str_now);
-    if (now == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetObject(PyExc_AttributeError, str_now);
+    now = heap_now_obj(self->sim);
+    if (now == NULL)
         return NULL;
-    }
     res = call_method2(self->pfc_meter, str_set_paused, paused, now);
+    Py_DECREF(now);
     if (res == NULL)
         return NULL;
     Py_DECREF(res);
@@ -1910,8 +2221,6 @@ static int
 Port_traverse(PortObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->sim);
-    Py_VISIT(self->sim_dict);
-    Py_VISIT(self->heap);
     Py_VISIT(self->rate_obj);
     Py_VISIT(self->post);
     Py_VISIT(self->owner);
@@ -1934,8 +2243,6 @@ static int
 Port_clear(PortObject *self)
 {
     Py_CLEAR(self->sim);
-    Py_CLEAR(self->sim_dict);
-    Py_CLEAR(self->heap);
     Py_CLEAR(self->post);
     Py_CLEAR(self->owner);
     Py_CLEAR(self->name);
@@ -3167,10 +3474,11 @@ static PyTypeObject DrrType = {
  * flush into the port.  The NIC's state stays where the Python classes
  * keep it -- the flow dict, the SenderFlowState / ReceiverFlowState slots,
  * the host's instance dict -- so the Python methods around it (add_flow,
- * revive, start_flow, the RTO, BFC's on_bloom) work unchanged.  Congestion
- * control hooks (unless the module is the plain CongestionControl), the
- * window of a windowed host, flow completion, CNPs, tombstoned receivers,
- * selective repeat and every other packet kind call back into Python.
+ * revive, start_flow, the RTO, BFC's on_bloom) work unchanged.  The
+ * congestion control hooks the module overrides (an inherited no-op is
+ * skipped), the window of a windowed host, flow completion, CNPs,
+ * tombstoned receivers, selective repeat and every other packet kind call
+ * back into Python.
  * ===================================================================== */
 
 enum {
@@ -3230,9 +3538,10 @@ static slot_class receiver_class = {R_NSLOTS, receiver_slot_names, receiver_slot
 #define rs_ll(obj, slot, out) cls_ll(&receiver_class, (obj), (slot), (out))
 
 /* Set by bind_host(). */
-static PyObject *cc_base_type, *kind_data, *kind_ack, *kind_nack;
+static PyObject *kind_data, *kind_ack, *kind_nack;
+/* The hooks CongestionControl defines as no-ops (rate_bps: the line rate). */
+static PyObject *cc_noop_on_ack, *cc_noop_on_packet_sent, *cc_noop_rate_bps;
 static long long header_size, ack_size, nack_size;
-static PyObject *int_zero, *int_minus_one;
 
 static PyObject *
 bind_host(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -3254,7 +3563,11 @@ bind_host(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (slot_class_bind(&sender_class, args[0]) < 0 ||
         slot_class_bind(&receiver_class, args[1]) < 0)
         return NULL;
-    Py_XSETREF(cc_base_type, Py_NewRef(args[2]));
+    Py_XSETREF(cc_noop_on_ack, PyObject_GetAttrString(args[2], "on_ack"));
+    Py_XSETREF(cc_noop_on_packet_sent, PyObject_GetAttrString(args[2], "on_packet_sent"));
+    Py_XSETREF(cc_noop_rate_bps, PyObject_GetAttrString(args[2], "rate_bps"));
+    if (cc_noop_on_ack == NULL || cc_noop_on_packet_sent == NULL || cc_noop_rate_bps == NULL)
+        return NULL;
     Py_XSETREF(kind_data, Py_NewRef(args[3]));
     Py_XSETREF(kind_ack, Py_NewRef(args[4]));
     Py_XSETREF(kind_nack, Py_NewRef(args[5]));
@@ -3327,8 +3640,7 @@ struct NicObject {
     char no_window;         /* the host's _no_window, read per dequeue */
     /* Read off the host when it is bound. */
     PyObject *host_dict;
-    PyObject *sim;
-    PyObject *sim_dict;
+    EventHeapObject *sim;
     PyObject *py_handle;    /* type(host).handle_packet: the cold receive paths */
     /* The fields of the host's (frozen) HostConfig, for as long as it is bound. */
     PyObject *config;
@@ -3342,8 +3654,7 @@ static PyObject *str_receivers, *str_selective, *str_cv, *str_pending_control,
     *str_mtu, *str_mark_first_packet, *str_no_window, *str_effective_window,
     *str_build_data_packet, *str_probe, *str_maybe_send_cnp,
     *str_record_completion, *str_finish_sender, *str_on_ack, *str_rate_bps,
-    *str_on_packet_sent, *str_line_rate_bps, *str_schedule_at, *str_cancelled,
-    *str_time, *str_cancel, *str_sim, *str_handle_packet, *str_extend,
+    *str_on_packet_sent, *str_line_rate_bps, *str_cancel, *str_sim, *str_handle_packet, *str_extend,
     *str_size, *str_first_tx_ns, *str_retransmitted_packets, *str_reversed_slot,
     *str_reversed, *str_src, *str_data_packets_received, *str_out_of_order_packets,
     *str_duplicate_packets, *str_acks_sent, *str_nacks_sent, *str_data_packets_sent,
@@ -3610,28 +3921,16 @@ nic_begin_scan(NicObject *self)
 static int
 nic_arm_wakeup(NicObject *self, long long earliest)
 {
-    PyObject *event = self->wakeup_event, *kick, *at, *res;
-    long long now;
-    if (dict_ll(self->sim_dict, str_now, &now) < 0)
-        return -1;
+    EventHeapObject *sim = self->sim;
+    PyObject *event = self->wakeup_event, *kick, *res;
+    long long now = sim->now;
+    int rc;
     /* A handle whose time has passed belongs to an already-fired event
      * (Event.cancelled stays False after firing): treat it as dead. */
     if (event != NULL && event != Py_None) {
         long long time;
-        PyObject *cancelled = PyObject_GetAttr(event, str_cancelled), *time_obj;
-        int dead;
-        if (cancelled == NULL)
-            return -1;
-        dead = PyObject_IsTrue(cancelled);
-        Py_DECREF(cancelled);
-        if (dead < 0)
-            return -1;
-        time_obj = PyObject_GetAttr(event, str_time);
-        if (time_obj == NULL)
-            return -1;
-        time = PyLong_AsLongLong(time_obj);
-        Py_DECREF(time_obj);
-        if (time == -1 && PyErr_Occurred())
+        int dead = cls_truth(&event_class, event, E_CANCELLED);
+        if (dead < 0 || cls_ll(&event_class, event, E_TIME, &time) < 0)
             return -1;
         if (!dead && time > now) {
             if (time <= earliest)
@@ -3642,17 +3941,18 @@ nic_arm_wakeup(NicObject *self, long long earliest)
             Py_DECREF(res);
         }
     }
+    /* sim.schedule_at(earliest, host.kick) */
+    if (earliest < now) {
+        PyErr_Format(simulation_error, "cannot schedule at %lld ns, current time is %lld ns",
+                     earliest, now);
+        return -1;
+    }
     kick = PyObject_GetAttr(self->host, str_kick);
     if (kick == NULL)
         return -1;
-    at = PyLong_FromLongLong(earliest);
-    if (at == NULL) {
-        Py_DECREF(kick);
-        return -1;
-    }
-    res = call_method2(self->sim, str_schedule_at, at, kick);
-    Py_DECREF(at);
+    rc = heap_post_at(sim, earliest, kick, Py_NewRef(empty_tuple));
     Py_DECREF(kick);
+    res = rc < 0 ? NULL : event_new(sim, earliest, sim->seq - 1);
     if (res == NULL)
         return -1;
     Py_XSETREF(self->wakeup_event, res);
@@ -3721,16 +4021,32 @@ incremented(PyObject *obj, PyObject *name)
     return next;
 }
 
+/* cc.name as it would be called, or NULL when it is the no-op
+ * CongestionControl defines (neither the module's class nor the instance
+ * overrides it), so the call can be skipped; *failed says NULL is an error. */
+static PyObject *
+cc_hook(PyObject *cc, PyObject *name, PyObject *noop, int *failed)
+{
+    PyObject *hook = PyObject_GetAttr(cc, name);
+    *failed = hook == NULL;
+    if (hook != NULL && PyMethod_Check(hook) && PyMethod_GET_FUNCTION(hook) == noop &&
+        PyMethod_GET_SELF(hook) == cc) {
+        Py_DECREF(hook);
+        return NULL;
+    }
+    return hook;
+}
+
 /* Host.build_data_packet. */
 static PyObject *
 nic_build(NicObject *self, PyObject *fstate)
 {
     PyObject *flow = NULL, *now_obj, *seq_obj = NULL, *packet = NULL, *value, *cv;
-    PyObject *cc, *rate_obj = NULL, *res;
+    PyObject *cc, *hook, *rate_obj = NULL, *res;
     long long now, seq, num_packets, payload, size, allowed, pace;
     double rate, uplink;
     Py_ssize_t retransmits;
-    int cc_hooks, rc;
+    int has_cc, failed, rc;
 
     if (self->host_dict == NULL) {
         PyErr_SetString(PyExc_AttributeError, "the NIC has no host");
@@ -3738,16 +4054,10 @@ nic_build(NicObject *self, PyObject *fstate)
     }
     if (nic_config(self) < 0)
         return NULL;
-    now_obj = PyDict_GetItemWithError(self->sim_dict, str_now);
-    if (now_obj == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetObject(PyExc_AttributeError, str_now);
+    now_obj = heap_now_obj(self->sim);
+    if (now_obj == NULL)
         return NULL;
-    }
-    Py_INCREF(now_obj);
-    now = PyLong_AsLongLong(now_obj);
-    if (now == -1 && PyErr_Occurred())
-        goto error;
+    now = self->sim->now;
     flow = fs_get(fstate, S_FLOW);
     if (flow == NULL)
         goto error;
@@ -3818,8 +4128,8 @@ nic_build(NicObject *self, PyObject *fstate)
     Py_DECREF(value);
     if (rc < 0)
         goto error;
-    /* The rate: the cc module's, capped by the uplink (the plain
-     * CongestionControl's is its line rate, read without the call). */
+    /* The rate: the cc module's, capped by the uplink (an inherited
+     * CongestionControl.rate_bps is its line rate, read without the call). */
     cc = host_attr(self, str_cc);
     value = host_attr(self, str_uplink_rate);
     if (cc == NULL || value == NULL)
@@ -3828,15 +4138,16 @@ nic_build(NicObject *self, PyObject *fstate)
     uplink = PyFloat_AsDouble(value);
     if (uplink == -1.0 && PyErr_Occurred())
         goto error_cc;
-    cc_hooks = cc == Py_None ? 0 : PyObject_IsTrue(cc);
-    if (cc_hooks < 0)
+    has_cc = cc == Py_None ? 0 : PyObject_IsTrue(cc);
+    if (has_cc < 0)
         goto error_cc;
-    if (cc_hooks && Py_TYPE(cc) == (PyTypeObject *)cc_base_type) {
-        rate_obj = PyObject_GetAttr(cc, str_line_rate_bps);
-        cc_hooks = 0;
-    }
-    else if (cc_hooks) {
-        rate_obj = PyObject_CallMethodOneArg(cc, str_rate_bps, fstate);
+    if (has_cc) {
+        hook = cc_hook(cc, str_rate_bps, cc_noop_rate_bps, &failed);
+        if (failed)
+            goto error_cc;
+        rate_obj = hook == NULL ? PyObject_GetAttr(cc, str_line_rate_bps)
+                                : PyObject_CallOneArg(hook, fstate);
+        Py_XDECREF(hook);
     }
     else {
         rate_obj = Py_NewRef(value);
@@ -3860,13 +4171,17 @@ nic_build(NicObject *self, PyObject *fstate)
     if (fs_ll(fstate, S_NEXT_ALLOWED_NS, &allowed) < 0 ||
         cls_set_ll(&sender_class, fstate, S_NEXT_ALLOWED_NS, (allowed > now ? allowed : now) + pace) < 0)
         goto error_cc;
-    if (cc_hooks) {
-        PyObject *stack[4] = {cc, fstate, packet, now_obj};
-        res = PyObject_VectorcallMethod(str_on_packet_sent, stack,
-                                        4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+    hook = has_cc ? cc_hook(cc, str_on_packet_sent, cc_noop_on_packet_sent, &failed) : NULL;
+    if (hook != NULL) {
+        PyObject *stack[3] = {fstate, packet, now_obj};
+        res = PyObject_Vectorcall(hook, stack, 3, NULL);
+        Py_DECREF(hook);
         if (res == NULL)
             goto error_cc;
         Py_DECREF(res);
+    }
+    else if (has_cc && failed) {
+        goto error_cc;
     }
     Py_DECREF(cc);
     if (counter_add(cv, str_data_packets_sent, 1) < 0)
@@ -3895,8 +4210,9 @@ nic_dequeue(NicObject *self)
 {
     PyObject *probe, *picked, *fstate, *build;
     int rc, failed;
-    if (nic_begin_scan(self) < 0 || dict_ll(self->sim_dict, str_now, &self->now) < 0)
+    if (nic_begin_scan(self) < 0)
         return NULL;
+    self->now = self->sim->now;
     self->has_wake_at = 0;
     probe = instance_attr((PyObject *)self, str_probe, &failed);
     if (failed)
@@ -3981,15 +4297,14 @@ answer_frame(NicObject *self, PyObject *packet, PyObject *kind, long long size,
     Py_DECREF(rev);
     if (frame == NULL)
         return NULL;
-    now = PyDict_GetItemWithError(self->sim_dict, str_now);
+    now = heap_now_obj(self->sim);
     if (now == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetObject(PyExc_AttributeError, str_now);
         Py_DECREF(frame);
         return NULL;
     }
     pkt_set(frame, P_ACK_SEQ, ack_seq);
     pkt_set(frame, P_CREATED_NS, now);
+    Py_DECREF(now);
     return frame;
 }
 
@@ -4155,14 +4470,9 @@ error:
 static int
 nic_receive_ack(NicObject *self, PyObject *packet, PyObject *fstate)
 {
-    PyObject *now = PyDict_GetItemWithError(self->sim_dict, str_now), *cc, *res;
+    PyObject *now, *cc, *hook, *res;
     long long ack_seq, una, num_packets;
-    int hooks, completed;
-    if (now == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetObject(PyExc_AttributeError, str_now);
-        return -1;
-    }
+    int has_cc, failed, completed;
     if (pkt_ll(packet, P_ACK_SEQ, &ack_seq) < 0 || fs_ll(fstate, S_UNA, &una) < 0)
         return -1;
     if (ack_seq > una) {
@@ -4172,26 +4482,33 @@ nic_receive_ack(NicObject *self, PyObject *packet, PyObject *fstate)
             return -1;
         rc = fs_set(fstate, S_UNA, value);
         Py_DECREF(value);
-        if (rc < 0 || fs_set(fstate, S_LAST_PROGRESS_NS, now) < 0)
+        now = rc < 0 ? NULL : heap_now_obj(self->sim);
+        if (now == NULL)
+            return -1;
+        rc = fs_set(fstate, S_LAST_PROGRESS_NS, now);
+        Py_DECREF(now);
+        if (rc < 0)
             return -1;
     }
     cc = host_attr(self, str_cc);
     if (cc == NULL)
         return -1;
-    hooks = cc == Py_None ? 0 : PyObject_IsTrue(cc);
-    if (hooks < 0)
+    has_cc = cc == Py_None ? 0 : PyObject_IsTrue(cc);
+    if (has_cc < 0)
         return -1;
-    if (hooks && Py_TYPE(cc) != (PyTypeObject *)cc_base_type) {
-        PyObject *stack[4] = {cc, fstate, packet, now};
-        Py_INCREF(cc);
-        Py_INCREF(now);
-        res = PyObject_VectorcallMethod(str_on_ack, stack,
-                                        4 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-        Py_DECREF(cc);
-        Py_DECREF(now);
+    hook = has_cc ? cc_hook(cc, str_on_ack, cc_noop_on_ack, &failed) : NULL;
+    if (hook != NULL) {
+        PyObject *stack[3] = {fstate, packet, NULL};
+        stack[2] = now = heap_now_obj(self->sim);
+        res = now == NULL ? NULL : PyObject_Vectorcall(hook, stack, 3, NULL);
+        Py_DECREF(hook);
+        Py_XDECREF(now);
         if (res == NULL)
             return -1;
         Py_DECREF(res);
+    }
+    else if (has_cc && failed) {
+        return -1;
     }
     if (fs_ll(fstate, S_UNA, &una) < 0 || fs_ll(fstate, S_NUM_PACKETS, &num_packets) < 0)
         return -1;
@@ -4369,7 +4686,7 @@ Nic_arm_wakeup(NicObject *self, PyObject *earliest)
     long long at = PyLong_AsLongLong(earliest);
     if (at == -1 && PyErr_Occurred())
         return NULL;
-    if (self->sim_dict == NULL) {
+    if (self->sim == NULL) {
         PyErr_SetString(PyExc_AttributeError, "the NIC has no host");
         return NULL;
     }
@@ -4402,7 +4719,7 @@ Nic_get_host(NicObject *self, void *closure)
 static int
 Nic_set_host(NicObject *self, PyObject *host, void *closure)
 {
-    PyObject *host_dict, *sim, *sim_dict, *handle;
+    PyObject *host_dict, *sim, *handle;
     if (host == NULL) {
         PyErr_SetString(PyExc_AttributeError, "cannot delete host");
         return -1;
@@ -4411,22 +4728,20 @@ Nic_set_host(NicObject *self, PyObject *host, void *closure)
     if (host_dict == NULL)
         return -1;
     sim = PyObject_GetAttr(host, str_sim);
-    sim_dict = sim == NULL ? NULL : PyObject_GetAttr(sim, str_dict);
     handle = PyObject_GetAttr((PyObject *)Py_TYPE(host), str_handle_packet);
-    if (sim_dict == NULL || handle == NULL || !PyDict_Check(host_dict) ||
-        !PyDict_Check(sim_dict)) {
+    if (sim == NULL || handle == NULL || !PyDict_Check(host_dict) ||
+        !PyObject_TypeCheck(sim, &EventHeapType)) {
         if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "the host and its simulator need a __dict__");
+            PyErr_SetString(PyExc_TypeError, "a compiled NIC needs a host with a __dict__ "
+                                             "on the compiled engine's simulator");
         Py_DECREF(host_dict);
         Py_XDECREF(sim);
-        Py_XDECREF(sim_dict);
         Py_XDECREF(handle);
         return -1;
     }
     Py_XSETREF(self->host, Py_NewRef(host));
     Py_XSETREF(self->host_dict, host_dict);
-    Py_XSETREF(self->sim, sim);
-    Py_XSETREF(self->sim_dict, sim_dict);
+    Py_XSETREF(self->sim, (EventHeapObject *)sim);
     Py_XSETREF(self->py_handle, handle);
     Py_CLEAR(self->config);
     return 0;
@@ -4463,7 +4778,6 @@ Nic_traverse(NicObject *self, visitproc visit, void *arg)
     Py_VISIT(self->wakeup_event);
     Py_VISIT(self->host_dict);
     Py_VISIT(self->sim);
-    Py_VISIT(self->sim_dict);
     Py_VISIT(self->py_handle);
     Py_VISIT(self->config);
     Py_VISIT(self->cfg_int_enabled);
@@ -4480,7 +4794,6 @@ Nic_clear(NicObject *self)
     Py_CLEAR(self->wakeup_event);
     Py_CLEAR(self->host_dict);
     Py_CLEAR(self->sim);
-    Py_CLEAR(self->sim_dict);
     Py_CLEAR(self->py_handle);
     Py_CLEAR(self->config);
     Py_CLEAR(self->cfg_int_enabled);
@@ -4544,6 +4857,10 @@ static PyTypeObject NicType = {
 };
 
 static PyMethodDef module_methods[] = {
+    {"bind_engine", (PyCFunction)(void (*)(void))bind_engine, METH_FASTCALL,
+     "bind_engine(Event, SimulationError, compact_min_cancelled): the handle "
+     "schedule() returns, the error a refused scheduling call raises, and "
+     "when cancellations compact the heap."},
     {"bind", (PyCFunction)(void (*)(void))bind, METH_FASTCALL,
      "bind(Packet, PacketKind.PFC, PacketKind.BLOOM, deque, PauseMeter, "
      "ByteMeter): cache the packet slots' member offsets and the types a "
@@ -4558,7 +4875,7 @@ static PyMethodDef module_methods[] = {
 static struct PyModuleDef accelcore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_accelcore",
-    .m_doc = "C event heap, run loop and forwarding plane for the accel backend.",
+    .m_doc = "C event engine and forwarding plane for the accel backend.",
     .m_size = -1,
     .m_methods = module_methods,
 };
@@ -4570,12 +4887,7 @@ intern_names(void)
         PyObject **slot;
         const char *text;
     } names[] = {
-        {&str_now, "now"},
-        {&str_cur_origin, "_cur_origin"},
-        {&str_cur_parent, "_cur_parent"},
-        {&str_cur_parent2, "_cur_parent2"},
         {&str_dict, "__dict__"},
-        {&str_seq, "_seq"},
         {&str_popleft, "popleft"},
         {&str_append, "append"},
         {&str_dequeue, "dequeue"},
@@ -4598,7 +4910,6 @@ intern_names(void)
         {&str_forwarded_packets, "forwarded_packets"},
         {&str_dropped_packets, "dropped_packets"},
         {&str_dropped_bytes, "dropped_bytes"},
-        {&str_heap, "_heap"},
         {&str_post, "post"},
         {&str_name, "name"},
         {&str_tx_memo, "tx_memo"},
@@ -4624,9 +4935,6 @@ intern_names(void)
         {&str_rate_bps, "rate_bps"},
         {&str_on_packet_sent, "on_packet_sent"},
         {&str_line_rate_bps, "line_rate_bps"},
-        {&str_schedule_at, "schedule_at"},
-        {&str_cancelled, "cancelled"},
-        {&str_time, "time"},
         {&str_cancel, "cancel"},
         {&str_sim, "sim"},
         {&str_handle_packet, "handle_packet"},
@@ -4649,6 +4957,11 @@ intern_names(void)
     for (i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
         *names[i].slot = PyUnicode_InternFromString(names[i].text);
         if (*names[i].slot == NULL)
+            return -1;
+    }
+    for (i = 0; i < E_NSLOTS; i++) {
+        event_slot_strs[i] = PyUnicode_InternFromString(event_slot_names[i]);
+        if (event_slot_strs[i] == NULL)
             return -1;
     }
     for (i = 0; i < P_NSLOTS; i++) {

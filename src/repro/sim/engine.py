@@ -152,9 +152,10 @@ class Simulator:
     Attributes
     ----------
     now:
-        Current simulated time in nanoseconds.  A plain attribute (not a
-        property) so the per-event hot paths read it without descriptor
-        overhead; treat it as read-only.
+        Current simulated time in nanoseconds.  A plain attribute here (not
+        a property) so the per-event hot paths read it without descriptor
+        overhead, and a C field of the compiled engine, which makes it an
+        int at most once per clock value; treat it as read-only.
     """
 
     #: The compiled forwarding plane (:mod:`repro.sim.plane`) that nodes

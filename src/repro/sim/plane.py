@@ -10,7 +10,8 @@ methods and stores the hot state; the Python classes in
 :mod:`repro.sim.disciplines` and :mod:`repro.sim.host` remain the pure
 engine's plane and the reference the compiled one is tested against.  Both
 post the same events with the same keys, so records are byte-identical
-either way.
+either way.  They read the clock from the simulator's C fields and post
+into its heap directly (see :mod:`repro.sim.engine_accel`).
 
 The host NIC's C base runs the transmit side (``dequeue``, the DRR probe,
 ``has_work_at``, the pacing wake-up), ``Host.build_data_packet`` and the
@@ -20,8 +21,9 @@ or past a gap; ACK), with the batched control flush into the port.
 The module is loaded with the compiled engine, which hands it to every
 simulator it makes (``AccelSimulator.compiled_plane``); the pure engine
 never loads it.  What stays in Python on the compiled plane: the non-FIFO
-disciplines' own logic (BFC, SFQ, Ideal-FQ), congestion control (unless a
-host's module is the plain line-rate one), the window of a windowed host,
+disciplines' own logic (BFC, SFQ, Ideal-FQ), the congestion-control hooks
+a host's module overrides (one it inherits as a no-op from
+``CongestionControl`` is skipped), the window of a windowed host,
 flow start and completion, selective repeat, CNPs, Bloom and PFC frames,
 the port hooks a node installs, and the cold paths of the switch (a route
 memo miss, ECN marking draws, INT stamps).

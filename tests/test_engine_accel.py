@@ -6,8 +6,9 @@ engine — same event order, same clock/ancestry bookkeeping, same
 cancellation and stop semantics — at a higher events/sec.  These tests pin
 the contract four ways:
 
-* EventHeap unit tests against the engine's 6-key total order, and of
-  ``AccelSimulator.post`` against ``PureSimulator.post``,
+* EventHeap unit tests against the engine's 6-key total order and of its
+  C set of cancelled seqs, and of ``AccelSimulator.post`` against
+  ``PureSimulator.post``,
 * randomized storms (some post-heavy) replayed on both backends and
   compared step for step,
 * one golden-records scheme recomputed in a default-engine (accel)
@@ -75,38 +76,62 @@ class TestEventHeap:
             (10, 9, 9, 9, 9, 7),
             (50, 0, 0, 0, 1, 0),  # same time, later parent2
         ]
+        fired = []
         for entry in entries:
-            heap.insert(*entry, (lambda: None), ())
-        popped = [heap.pop()[:6] for _ in range(len(entries))]
-        assert popped == sorted(entries)
-        assert heap.peek_time() is None
+            heap._insert(entry + (fired.append, (entry,)))
+        heap._run(2**63 - 1, 2**63 - 1)
+        assert fired == sorted(entries)
+        assert heap.next_event_time() is None
 
     def test_len_and_peek(self):
         heap = _heap()
-        assert len(heap) == 0 and heap.peek_time() is None
-        heap.insert(42, 0, 0, 0, 0, 0, (lambda: None), ())
-        assert len(heap) == 1 and heap.peek_time() == 42
+        assert heap.pending_events() == 0 and heap.next_event_time() is None
+        heap._insert((42, 0, 0, 0, 0, 0, (lambda: None), ()))
+        assert heap.pending_events() == 1 and heap.next_event_time() == 42
 
     def test_compact_drops_cancelled_seqs(self):
         heap = _heap()
-        for seq in range(10):
-            heap.insert(seq, 0, 0, 0, 0, seq, (lambda: None), ())
-        heap.compact({2, 5, 9, 77})  # 77 never inserted: ignored
-        assert len(heap) == 7
-        assert [heap.pop()[5] for _ in range(7)] == [0, 1, 3, 4, 6, 7, 8]
+        fired = []
+        for seq in range(100):
+            heap._insert((seq, 0, 0, 0, 0, seq, fired.append, (seq,)))
+        heap._cancel(500)  # never inserted: reaped by the compaction too
+        for seq in range(1, 64):
+            heap._cancel(seq * 3 // 2)
+        # The 64th cancelled seq (64 >= 64, 128 > 100 queued) compacts.
+        assert heap.pending_events() == 37 and heap._cancelled == frozenset()
+        heap._run(2**63 - 1, 2**63 - 1)
+        assert fired == sorted(set(range(100)) - {seq * 3 // 2 for seq in range(1, 64)})
 
     def test_growth_beyond_initial_capacity(self):
         heap = _heap()
+        fired = []
         order = random.Random(3).sample(range(5000), 5000)
         for seq in order:
-            heap.insert(seq, 0, 0, 0, 0, seq, (lambda: None), ())
-        assert len(heap) == 5000
-        assert [heap.pop()[0] for _ in range(5000)] == list(range(5000))
+            heap._insert((seq, 0, 0, 0, 0, seq, fired.append, (seq,)))
+        assert heap.pending_events() == 5000
+        heap._run(2**63 - 1, 2**63 - 1)
+        assert fired == list(range(5000))
 
     def test_insert_rejects_non_tuple_args(self):
         heap = _heap()
         with pytest.raises(TypeError):
-            heap.insert(0, 0, 0, 0, 0, 0, (lambda: None), [1, 2])
+            heap._insert((0, 0, 0, 0, 0, 0, (lambda: None), [1, 2]))
+
+    def test_cancelled_seqs_are_reaped_as_they_surface(self):
+        # The C set of cancelled seqs grows through several resizes and is
+        # emptied again one discard at a time as the run loop meets them.
+        heap = _heap()
+        fired = []
+        order = random.Random(11).sample(range(5000), 5000)
+        for seq in order:
+            heap._insert((seq, 0, 0, 0, 0, seq, fired.append, (seq,)))
+        cancelled = set(random.Random(12).sample(range(5000), 2000))
+        for seq in cancelled:
+            heap._cancel(seq)  # 2000 of 5000: below the compaction share
+        assert heap._cancelled == cancelled and heap.pending_events() == 5000
+        heap._run(2**63 - 1, 2**63 - 1)
+        assert fired == sorted(set(range(5000)) - cancelled)
+        assert heap._cancelled == frozenset() and heap.pending_events() == 0
 
 
 BACKENDS = pytest.mark.parametrize(
@@ -118,8 +143,8 @@ class TestPost:
     """``AccelSimulator.post`` keeps every promise of ``PureSimulator.post``."""
 
     def test_bound_simulator_is_still_collected(self):
-        # A queued bound method holds the simulator, whose instance dict
-        # holds the heap: the garbage collector must see that cycle
+        # A queued bound method holds the simulator, which is the heap
+        # holding it: the garbage collector must see that cycle
         # (tp_traverse) to free it.
         sim = AccelSimulator(seed=1)
         sim.post(5, sim.run_until_idle)
@@ -287,6 +312,14 @@ class TestBackendEquivalence:
         sim.schedule(1, lambda: sim.run(until=10))
         with pytest.raises(SimulationError):
             sim.run_until_idle()
+
+    def test_the_bookkeeping_calls_are_the_c_ones(self):
+        # No Python copy shadows the C base: schedule_boundary files through
+        # the C _insert, Event.cancel through the C _cancel.
+        core = accel_build.load().EventHeap
+        for name in ("post", "schedule", "schedule_at", "_insert", "_cancel",
+                     "pending_events", "next_event_time"):
+            assert getattr(AccelSimulator, name) is getattr(core, name), name
 
     def test_schedule_boundary_path(self):
         sim = AccelSimulator(seed=1)
@@ -489,8 +522,8 @@ class TestBuild:
             ["_accelcore.c", built[0].name]
         )
         heap = self._load(built[0]).EventHeap()
-        heap.insert(3, 0, 0, 0, 0, 0, (lambda: None), ())
-        assert heap.pop()[0] == 3
+        heap._insert((3, 0, 0, 0, 0, 0, (lambda: None), ()))
+        assert heap.next_event_time() == 3
 
     def test_staleness_follows_the_source_not_mtime(self, build_dir):
         first = accel_build.build()

@@ -2,17 +2,19 @@
 
 Each scenario is built twice, once on each plane (the simulator selects
 it), and driven identically.  The planes must agree on every delivery and,
-after every step, on the events they posted (sequence counter, pending
-count, next firing time, events fired) and on the state they keep: the
-shared buffer, the switch counters and PFC flags, every port's registers
-and meters, and for the host leg the senders' and receivers' flow state,
-the host counters, the NIC's pacing wake-up and its DRR.  Each scenario
+after every step, on the engine's registers and the events they posted
+(clock, ancestry registers, sequence counter, pending count, next firing
+time, events fired) and on the state they keep: the shared buffer, the
+switch counters and PFC flags, every port's registers and meters, and for
+the host leg the senders' and receivers' flow state, the host counters,
+the NIC's pacing wake-up and its DRR.  Each scenario
 also checks that it exercised what it is named after, so a parity pass
 cannot come from a scenario that does nothing.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import partial
 
 import pytest
@@ -28,7 +30,7 @@ from repro.sim import units
 from repro.sim.buffer import PfcPolicy
 from repro.sim.disciplines import fifo_for
 from repro.sim.flow import Flow
-from repro.sim.host import Host, HostConfig, WindowedCongestionControl
+from repro.sim.host import CongestionControl, Host, HostConfig, WindowedCongestionControl
 from repro.sim.node import Node
 from repro.sim.packet import DATA_HEADER_SIZE, FlowKey, Packet, PacketKind, PFC_FRAME_SIZE
 from repro.sim.port import connect
@@ -124,7 +126,8 @@ class World:
         buffer = switch.buffer
         stats = buffer.stats
         return {
-            "engine": (sim.now, sim._seq, sim.pending_events(), sim.next_event_time(),
+            "engine": (sim.now, sim._cur_origin, sim._cur_parent, sim._cur_parent2,
+                       sim._seq, sim.pending_events(), sim.next_event_time(),
                        sim.events_processed),
             "buffer": (buffer.used, dict(buffer.per_ingress), stats.dropped_packets,
                        stats.dropped_bytes, stats.max_occupancy, stats.admitted_packets,
@@ -298,10 +301,22 @@ CODEC = BloomFilterCodec(*CODEC_CONFIG.bloom_geometry)
 #: Flows no host started: flow id -> size.
 STRANGERS = {101: 1_000, 102: 3_000, 103: 5_500}
 
+class AckLoggingControl(CongestionControl):
+    """Overrides ``on_ack`` alone: its other hooks are CongestionControl's."""
+
+    def __init__(self, line_rate_bps):
+        super().__init__(line_rate_bps)
+        self.acks = []
+
+    def on_ack(self, fstate, packet, now_ns):
+        self.acks.append((fstate.flow.flow_id, packet.ack_seq, now_ns))
+
+
 CC_FACTORIES = {
     "line-rate": None,
     "dcqcn": lambda rate: DcqcnControl(rate),
     "windowed": lambda rate: WindowedCongestionControl(rate, window_bytes=4_000),
+    "ack-logging": AckLoggingControl,
 }
 
 
@@ -375,7 +390,8 @@ class HostWorld:
     def snapshot(self):
         sim = self.sim
         state = {
-            "engine": (sim.now, sim._seq, sim.pending_events(), sim.next_event_time(),
+            "engine": (sim.now, sim._cur_origin, sim._cur_parent, sim._cur_parent2,
+                       sim._seq, sim.pending_events(), sim.next_event_time(),
                        sim.events_processed),
             "flows": {fid: (f.first_tx_ns, f.finish_ns, f.bytes_delivered,
                             f.retransmitted_packets, f.num_packets)
@@ -528,3 +544,60 @@ def test_the_host_scenario_takes_every_fast_path():
     assert sender["go_back_n_rewinds"] == 1 and sender["cnps_received"] == 2
     assert final["h0"]["nic"][2] is not None  # a pacing wake-up was armed
     assert sender["data_packets_sent"] > 7
+
+
+#: Two flows from host 0, then ACKs for both.
+ACK_OPS = [("start", 0, 6_000), ("start", 0, 2_500), ("run", 5_000),
+           ("ack", 0, 0, 2), ("ack", 0, 1, 1), ("ack", 0, 0, 4), ("run", 20_000)]
+#: The hooks CongestionControl leaves as no-ops (rate_bps: the line rate).
+NO_OP_HOOKS = {getattr(CongestionControl, name).__code__: name
+               for name in ("on_ack", "on_packet_sent", "rate_bps")}
+
+
+def run_counting_no_ops(sim_class, cc, ops):
+    """Drive one host world; count the Python entries into each no-op hook."""
+    world = HostWorld(sim_class, cc, HostConfig(), bfc=False)
+    entered = dict.fromkeys(NO_OP_HOOKS.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in NO_OP_HOOKS:
+            entered[NO_OP_HOOKS[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        for op in ops:
+            host_step(world, op)
+    finally:
+        sys.setprofile(None)
+    return world, entered
+
+
+@pytest.mark.parametrize("cc, skipped", [
+    ("dcqcn", ["on_ack"]),
+    ("windowed", ["on_ack", "on_packet_sent", "rate_bps"]),
+    ("ack-logging", ["on_packet_sent", "rate_bps"]),
+])
+def test_the_compiled_nic_skips_the_hooks_a_module_inherits_as_no_ops(cc, skipped):
+    pure, pure_entered = run_counting_no_ops(PURE, cc, ACK_OPS)
+    compiled, compiled_entered = run_counting_no_ops(COMPILED, cc, ACK_OPS)
+    assert compiled.snapshot() == pure.snapshot()
+    for name in skipped:
+        assert pure_entered[name] > 0 and compiled_entered[name] == 0, name
+    if cc == "ack-logging":  # the override itself still runs on every ACK
+        assert compiled.hosts[0].cc.acks == pure.hosts[0].cc.acks
+        assert len(pure.hosts[0].cc.acks) == 3
+
+
+def test_a_hook_assigned_on_the_instance_is_called():
+    logs, snapshots = [], []
+    for sim_class in (PURE, COMPILED):
+        world = HostWorld(sim_class, "dcqcn", HostConfig(), bfc=False)
+        log = []
+        world.hosts[0].cc.on_ack = lambda fstate, packet, now_ns: log.append(
+            (fstate.flow.flow_id, packet.ack_seq, now_ns))
+        for op in ACK_OPS:
+            host_step(world, op)
+        logs.append(log)
+        snapshots.append(world.snapshot())
+    assert logs[1] == logs[0] and len(logs[0]) == 3
+    assert snapshots[1] == snapshots[0]
