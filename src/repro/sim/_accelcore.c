@@ -2,16 +2,17 @@
  *
  * A binary min-heap of events keyed by the engine's total order
  * (time, origin, parent, parent2, parent3, seq) -- seq is unique, so the
- * order is total and the heap fires events in exactly the same sequence as
- * the pure-Python calendar queue (the golden-records parity tests pin this).
+ * order is total.  It is the algorithm of the pure-Python engine's heapq
+ * heap, entry for entry and loop for loop, so both fire events in exactly
+ * the same sequence (the golden-records parity tests pin this).
  * EventHeap is the C base of AccelSimulator and the one home of the
  * engine's bookkeeping: the clock, the ancestry registers of the event
  * being fired, the sequence counter and the set of cancelled seqs are C
  * fields (Python reads and writes them as now, _cur_origin, _cur_parent,
  * _cur_parent2, _seq and _cancelled), and the scheduling calls (post,
  * schedule, schedule_at and schedule_boundary's _insert), cancellation and
- * the run loop are C methods.  The run loop only enters the interpreter to
- * execute the callbacks themselves.
+ * the run loop (_run, which Simulator.run calls) are C methods.  The run
+ * loop only enters the interpreter to execute the callbacks themselves.
  *
  * The second half of the file is the compiled forwarding plane (egress
  * port, FIFO queue, shared buffer, the switch's data hop, the host NIC): it
@@ -201,7 +202,7 @@ typedef struct {
     Py_ssize_t size;
     Py_ssize_t capacity;
     /* Events fired by the most recent _run() call, including a partial
-     * count when a callback raised: AccelSimulator.run reads this in its
+     * count when a callback raised: Simulator.run reads this in its
      * finally block to keep events_processed exact across exceptions. */
     long long last_processed;
     /* The registers: the clock, the ancestry of the event being fired

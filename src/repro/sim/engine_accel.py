@@ -9,15 +9,14 @@ under either backend produces byte-identical results; the golden-records
 parity tests in ``tests/test_engine_accel.py`` pin this for every supported
 scheme.
 
-Where the pure engine keeps a calendar queue (O(1) inserts at high density,
-but every event pays interpreter-loop overhead), the accel backend keeps a
-plain binary heap in C: the log-factor is dwarfed by executing the pop,
-clock/ancestry updates and cancellation checks outside the interpreter.
-The clock, the ancestry registers, ``_seq`` and the cancelled seqs are C
-fields that Python reads and writes under the pure engine's names (``now``,
-``_cur_origin``, ``_cur_parent``, ``_cur_parent2``, ``_seq``,
-``_cancelled``), and ``post``, ``schedule``, ``schedule_at``,
-``schedule_boundary``'s ``_insert`` and ``Event.cancel``'s ``_cancel`` are C
+Both engines keep one binary heap in the same order and fire it with the
+same loop; the C one executes the pop, the clock/ancestry updates and the
+cancellation checks outside the interpreter.  The clock, the ancestry
+registers, ``_seq`` and the cancelled seqs are C fields that Python reads
+and writes under the pure engine's names (``now``, ``_cur_origin``,
+``_cur_parent``, ``_cur_parent2``, ``_seq``, ``_cancelled``), and ``post``,
+``schedule``, ``schedule_at``, ``schedule_boundary``'s ``_insert``,
+``Event.cancel``'s ``_cancel`` and ``Simulator.run``'s ``_run`` are C
 methods, so no event stores into or reads from the instance dict.
 
 This is the default backend wherever the extension builds (see
@@ -32,7 +31,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import accel_build
-from .engine import _COMPACT_MIN_CANCELLED, _NEVER, Event, SimulationError, Simulator
+from .engine import _COMPACT_MIN_CANCELLED, Event, SimulationError, Simulator
 
 _accelcore = accel_build.load()
 
@@ -57,38 +56,6 @@ class AccelSimulator(_EngineCore, Simulator):
                 f"accel backend unavailable: {unavailable_reason}"
             )
         super().__init__(seed)
-
-    def calendar_stats(self) -> dict:
-        """Backend introspection; the accel heap has no calendar geometry."""
-        return {
-            "backend": "accel",
-            "heap_entries": self.pending_events(),
-            "retunes": 0,
-        }
-
-    def run(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        if self._running:
-            raise SimulationError("simulator is already running (re-entrant run call)")
-        self._running = True
-        stop_after = _NEVER if until is None else until
-        cap = _NEVER if max_events is None else max_events
-        try:
-            processed = self._run(stop_after, cap)
-        finally:
-            self._running = False
-            # last_processed is exact even when a callback raised mid-loop.
-            self._events_processed += self.last_processed
-        if (
-            until is not None
-            and self.now < until
-            and (max_events is None or processed < max_events)
-        ):
-            self.now = until
-        return processed
 
 
 if _accelcore is not None:

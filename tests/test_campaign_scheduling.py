@@ -15,6 +15,7 @@ The load-bearing properties:
 
 import json
 import multiprocessing
+import time
 from dataclasses import replace
 
 import pytest
@@ -374,6 +375,7 @@ class TestScheduledExecution:
         lock = ctx.Lock()
         current = ctx.Value("i", 0, lock=False)
         peak = ctx.Value("i", 0, lock=False)
+        held = ctx.Value("i", 0, lock=False)
         original_run = Simulator.run
 
         def counting_run(self, *args, **kwargs):
@@ -381,6 +383,15 @@ class TestScheduledExecution:
                 current.value += 1
                 if current.value > peak.value:
                     peak.value = current.value
+                hold = not held.value
+                held.value = 1
+            # The first live run waits (bounded) for a second one to start,
+            # so two concurrent simulator processes are seen however briefly
+            # each one runs.
+            if hold:
+                deadline = time.monotonic() + 30.0
+                while peak.value < 2 and time.monotonic() < deadline:
+                    time.sleep(0.001)
             try:
                 return original_run(self, *args, **kwargs)
             finally:

@@ -1,8 +1,20 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the discrete-event engine.
+
+The scheduling, cancellation and run-control contract is checked on both
+engines (``tests/planes.PLANES``): the pure heap and the compiled one must
+fire the same events in the same order.
+"""
+
+import random
 
 import pytest
 
-from repro.sim.engine import PureSimulator, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
+
+
+@pytest.fixture
+def sim(plane_sim):
+    return plane_sim
 
 
 class TestScheduling:
@@ -56,6 +68,55 @@ class TestScheduling:
         sim.run_until_idle()
         with pytest.raises(SimulationError):
             sim.schedule_at(50, lambda: None)
+
+
+    def test_reverse_order_schedule_fires_sorted(self, sim):
+        """Events queued in the reverse of their firing order fire sorted."""
+        fired = []
+        for i in range(3_000):
+            sim.schedule(40 * (3_000 - i), fired.append, 3_000 - i)
+        sim.run_until_idle()
+        assert fired == list(range(1, 3_001))
+
+    def test_far_future_events_interleave_with_near_ones(self, sim):
+        """Far-future events fire in exact (time, seq) order after near ones."""
+        rng = random.Random(7)
+        expected = []
+        times = [1_000_000 + 977 * i for i in range(500)]
+        # Duplicate a few instants to exercise the FIFO (seq) tiebreak.
+        times += times[:50]
+        rng.shuffle(times)
+        fired = []
+        for idx, t in enumerate(times):
+            sim.schedule_at(t, fired.append, (t, idx))
+            expected.append((t, idx))
+        # A few near events, scheduled last, fire first.
+        for t in (100, 200, 300):
+            sim.schedule_at(t, fired.append, (t, -1))
+            expected.append((t, -1))
+        sim.run_until_idle()
+        assert fired == sorted(expected, key=lambda p: (p[0], expected.index(p)))
+
+    def test_mixed_storm_is_totally_ordered(self, sim):
+        """A random storm of near, far and cancelled events stays sorted."""
+        rng = random.Random(3)
+        fired = []
+
+        def record(label):
+            fired.append((sim.now, label))
+            # Occasionally schedule follow-ups from inside a callback.
+            if label % 97 == 0:
+                sim.post(rng.randrange(0, 5_000), record, label + 1_000_000)
+
+        for i in range(2_000):
+            delay = rng.choice((rng.randrange(0, 300), rng.randrange(0, 200_000)))
+            handle = sim.schedule(delay, record, i)
+            if i % 11 == 0:
+                handle.cancel()
+        sim.run_until_idle()
+        times = [t for t, _ in fired]
+        assert times == sorted(times)
+        assert not any(label % 11 == 0 for _, label in fired if label < 1_000_000)
 
 
 class TestCancellation:
@@ -128,6 +189,36 @@ class TestCancellation:
         sim.schedule(20, fired.append, "y")
         sim.run_until_idle()
         assert fired == ["x", "y"]
+
+
+    def test_cancel_from_inside_the_current_instant(self, sim):
+        """Cancelling a later event from a firing callback must stick."""
+        order = []
+        handles = {}
+
+        def first():
+            order.append("a")
+            handles["later"].cancel()
+
+        sim.schedule(10, first)
+        handles["later"] = sim.schedule(12, order.append, "b")
+        sim.schedule(14, order.append, "c")
+        sim.run_until_idle()
+        assert order == ["a", "c"]
+
+    def test_cancel_of_an_insert_made_during_serve(self, sim):
+        """Cancel an event that a firing callback has just scheduled."""
+        order = []
+
+        def first():
+            order.append("a")
+            handle = sim.schedule(5, order.append, "b")
+            sim.schedule(6, order.append, "c")
+            handle.cancel()
+
+        sim.schedule(10, first)
+        sim.run_until_idle()
+        assert order == ["a", "c"]
 
 
 class TestRunControl:
@@ -230,6 +321,45 @@ class TestRunControl:
             sim.run_until_idle()
 
 
+    def test_until_landing_exactly_on_an_event_time(self, sim):
+        """run(until=) is inclusive: an event at exactly ``until`` fires."""
+        edge = 512
+        fired = []
+        sim.schedule_at(edge - 1, fired.append, "before")
+        sim.schedule_at(edge, fired.append, "edge")
+        sim.schedule_at(edge + 1, fired.append, "after")
+        sim.run(until=edge)
+        assert fired == ["before", "edge"]
+        assert sim.now == edge
+        sim.run(until=2 * edge)
+        assert fired == ["before", "edge", "after"]
+
+    def test_far_future_peek_then_near_insert(self, sim):
+        """Regression: a run(until=) that stops short of a far-future event
+        must not strand later near-term inserts behind it."""
+        order = []
+        sim.schedule(2_000_000, order.append, "rto")
+        sim.run(until=50_000)  # stops with the far event at the head
+        assert order == []
+        sim.post(838, order.append, "tx")  # now + 838 ns, before the far one
+        sim.run(until=3_000_000)
+        assert order == ["tx", "rto"]
+
+    def test_cancelled_tail_then_near_insert(self, sim):
+        """Regression: draining a queue whose tail is cancelled must not
+        leave later inserts out of order."""
+        order = []
+        sim.schedule(10, order.append, "w")
+        sim.schedule(100_000, order.append, "x").cancel()
+        sim.run_until_idle()
+        assert order == ["w"]
+        sim.schedule(20, order.append, "a")
+        sim.schedule_at(102_400, order.append, "b")
+        sim.run_until_idle()
+        assert order == ["w", "a", "b"]
+        assert sim.now == 102_400
+
+
 class TestDeterminism:
     def test_rng_is_seed_deterministic(self):
         a = Simulator(seed=7).rng().random()
@@ -253,157 +383,3 @@ class TestDeterminism:
             return order
 
         assert run_once() == run_once()
-
-
-class TestCalendarQueue:
-    """Edge cases of the calendar-queue scheduler (ring + overflow heap)."""
-
-    @pytest.fixture
-    def sim(self):
-        # These tests assert on calendar geometry (bucket widths, overflow
-        # promotion, retunes), which only the pure backend has — pin it so
-        # the class keeps testing the calendar under the default accel engine.
-        return PureSimulator(seed=42)
-
-    def test_bucket_width_resize_mid_run(self, sim):
-        """A dense event stream must retune the bucket width while running."""
-        fired = []
-        for i in range(40_000):
-            sim.post(4 * i, fired.append, i)
-        before = sim.calendar_stats()
-        sim.run_until_idle()
-        after = sim.calendar_stats()
-        assert fired == list(range(40_000))
-        assert after["retunes"] > 0
-        # 4 ns gaps are far below the initial 512 ns width: the tuner must
-        # have narrowed the buckets (and/or grown the ring) mid-run.
-        assert (
-            after["shift"] < before["shift"]
-            or after["num_buckets"] > before["num_buckets"]
-        )
-
-    def test_resize_preserves_pending_event_order(self, sim):
-        """Events already queued must survive a forced ring rebuild intact."""
-        fired = []
-        # Overstuff the ring (grow trigger fires on the insert path) with
-        # events whose schedule order differs from their firing order.
-        for i in range(3_000):
-            sim.schedule(40 * (3_000 - i), fired.append, 3_000 - i)
-        assert sim.calendar_stats()["retunes"] > 0
-        sim.run_until_idle()
-        assert fired == list(range(1, 3_001))
-
-    def test_cancellation_inside_current_bucket(self, sim):
-        """Cancelling a later event in the bucket being served must stick."""
-        order = []
-        handles = {}
-
-        def first():
-            order.append("a")
-            handles["later"].cancel()
-
-        sim.schedule(10, first)
-        handles["later"] = sim.schedule(12, order.append, "b")  # same bucket
-        sim.schedule(14, order.append, "c")
-        sim.run_until_idle()
-        assert order == ["a", "c"]
-
-    def test_cancellation_of_same_bucket_insert_during_serve(self, sim):
-        """Cancel an event that was added to the in-service bucket (extra heap)."""
-        order = []
-
-        def first():
-            order.append("a")
-            handle = sim.schedule(5, order.append, "b")  # lands in current bucket
-            sim.schedule(6, order.append, "c")
-            handle.cancel()
-
-        sim.schedule(10, first)
-        sim.run_until_idle()
-        assert order == ["a", "c"]
-
-    def test_overflow_promotion_preserves_order(self, sim):
-        """Far-future events (overflow heap) fire in exact (time, seq) order."""
-        import random as _random
-
-        rng = _random.Random(7)
-        expected = []
-        times = [1_000_000 + 977 * i for i in range(500)]
-        # Duplicate a few instants to exercise the FIFO (seq) tiebreak.
-        times += times[:50]
-        rng.shuffle(times)
-        fired = []
-        for idx, t in enumerate(times):
-            sim.schedule_at(t, fired.append, (t, idx))
-            expected.append((t, idx))
-        # Everything beyond the ring horizon must start out in overflow.
-        assert sim.calendar_stats()["overflow_entries"] > 0
-        # A few near events keep the serve pointer busy before the jump.
-        for t in (100, 200, 300):
-            sim.schedule_at(t, fired.append, (t, -1))
-            expected.append((t, -1))
-        sim.run_until_idle()
-        assert fired == sorted(expected, key=lambda p: (p[0], expected.index(p)))
-        assert sim.calendar_stats()["overflow_entries"] == 0
-
-    def test_until_on_exact_bucket_boundary(self, sim):
-        """run(until=) landing exactly on a bucket edge must not over/under-run."""
-        width = sim.calendar_stats()["bucket_width_ns"]
-        fired = []
-        sim.schedule_at(width - 1, fired.append, "before")
-        sim.schedule_at(width, fired.append, "edge")
-        sim.schedule_at(width + 1, fired.append, "after")
-        sim.run(until=width)
-        # `until` is inclusive: the event at exactly the boundary fires.
-        assert fired == ["before", "edge"]
-        assert sim.now == width
-        sim.run(until=2 * width)
-        assert fired == ["before", "edge", "after"]
-
-    def test_far_future_peek_then_near_insert(self, sim):
-        """Regression: a run(until=) that peeks a far-future event must not
-        strand later near-term inserts behind the serve pointer."""
-        order = []
-        sim.schedule(2_000_000, order.append, "rto")
-        sim.run(until=50_000)  # peeks the far event and puts it back
-        assert order == []
-        sim.post(838, order.append, "tx")  # now + 838 ns, behind the peek
-        sim.run(until=3_000_000)
-        assert order == ["tx", "rto"]
-
-    def test_cancelled_tail_then_near_insert(self, sim):
-        """Regression: draining a queue whose tail is cancelled must not
-        leave the serve pointer ahead of the clock."""
-        order = []
-        sim.schedule(10, order.append, "w")
-        sim.schedule(100_000, order.append, "x").cancel()
-        sim.run_until_idle()
-        assert order == ["w"]
-        sim.schedule(20, order.append, "a")
-        sim.schedule_at(102_400, order.append, "b")  # exact bucket multiple
-        sim.run_until_idle()
-        assert order == ["w", "a", "b"]
-        assert sim.now == 102_400
-
-    def test_mixed_storm_is_totally_ordered(self, sim):
-        """Random storm across ring, current bucket and overflow stays sorted."""
-        import random as _random
-
-        rng = _random.Random(3)
-        fired = []
-
-        def record(label):
-            fired.append((sim.now, label))
-            # Occasionally schedule follow-ups from inside a callback.
-            if label % 97 == 0:
-                sim.post(rng.randrange(0, 5_000), record, label + 1_000_000)
-
-        for i in range(2_000):
-            delay = rng.choice((rng.randrange(0, 300), rng.randrange(0, 200_000)))
-            handle = sim.schedule(delay, record, i)
-            if i % 11 == 0:
-                handle.cancel()
-        sim.run_until_idle()
-        times = [t for t, _ in fired]
-        assert times == sorted(times)
-        assert not any(label % 11 == 0 for _, label in fired if label < 1_000_000)
