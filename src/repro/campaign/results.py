@@ -342,12 +342,6 @@ class ResultSet:
         """Mean (over repeats) p99 FCT slowdown per ``by`` group."""
         return self.aggregate("p99_slowdown", by or ("scheme",))
 
-    def mean_slowdown_by(self, *by: str) -> Dict[GroupKey, float]:
-        return self.aggregate("mean_slowdown", by or ("scheme",))
-
-    def completion_rate_by(self, *by: str) -> Dict[GroupKey, float]:
-        return self.aggregate("completion_rate", by or ("scheme",))
-
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> Path:

@@ -169,6 +169,3 @@ class HpccControl(CongestionControl):
 
     def current_window(self, fstate: SenderFlowState) -> float:
         return self._state(fstate).window
-
-    def current_utilisation(self, fstate: SenderFlowState) -> float:
-        return self._state(fstate).utilisation

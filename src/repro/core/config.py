@@ -163,15 +163,3 @@ def bfc_no_high_priority_config(base: Optional[BfcConfig] = None) -> BfcConfig:
 def bfc_no_buffer_opt_config(base: Optional[BfcConfig] = None) -> BfcConfig:
     """BFC without the two-resumes-per-RTT limit (BFC-BufferOpt)."""
     return (base or BfcConfig()).with_overrides(limit_resume_rate=False)
-
-
-def bfc_estimated_config(
-    staleness_ns: int = 0,
-    sample_period_ns: int = 0,
-    base: Optional[BfcConfig] = None,
-) -> BfcConfig:
-    """BFC-Est: pause decisions driven by stale/sampled occupancy telemetry."""
-    return (base or BfcConfig()).with_overrides(
-        telemetry_staleness_ns=staleness_ns,
-        telemetry_sample_period_ns=sample_period_ns,
-    )

@@ -162,9 +162,6 @@ class BfcScheduler:
     def queue_bytes(self, qid: int) -> int:
         return self._queue_bytes[qid]
 
-    def queue_packets(self, qid: int) -> int:
-        return len(self._queues[qid])
-
     def nonempty_queues(self) -> List[int]:
         """Physical queues (and the overflow queue) that hold packets."""
         active = self._drr.active_queues()

@@ -104,8 +104,3 @@ class QueueTelemetry:
         # be needed again.
         while len(history) > 1 and history[1][0] <= instant:
             history.popleft()
-
-    def history_length(self, key: Hashable) -> int:
-        """Retained change points for ``key`` (introspection/tests only)."""
-        history = self._histories.get(key)
-        return len(history) if history else 0

@@ -402,16 +402,6 @@ class FlowRecorder:
         )
 
 
-def _harvest_flow_records(
-    topo: Topology, flows: Sequence[Flow], mtu: int
-) -> FlowStats:
-    stats = FlowStats()
-    recorder = FlowRecorder(topo, mtu)
-    for flow in flows:
-        stats.add(recorder.record(flow))
-    return stats
-
-
 def _harvest_pause_fractions(topo: Topology, now_ns: int) -> Dict[str, List[float]]:
     result: Dict[str, List[float]] = {}
     for switch in topo.all_switches():

@@ -294,9 +294,6 @@ class StreamingQueueSampler:
     def queue_percentile(self, q: float) -> float:
         return self.queue_sketch.percentile(q)
 
-    def occupied_percentile(self, q: float) -> float:
-        return self.occupied_sketch.percentile(q)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "queue_stats": self.queue_stats.to_dict(),

@@ -16,9 +16,8 @@ The adapter plugs into :class:`~repro.sim.port.EgressPort` without touching
 its hot path: the port's ``_post`` alias is wrapped so the delivery post the
 port issues at commit runs the capture *inline* (no engine event), with the
 post's own delay forwarded, while every other post goes through unchanged.
-Running inside the kick event means ``sim.now`` and the current ancestry
-registers are exactly the origin chain the single-process peer-delivery post
-would carry.
+Running inside the kick event means ``sim.now`` is exactly the origin the
+single-process peer-delivery post would carry.
 
 Wire format: packets cross the process boundary as tuples of primitives (no
 pickled simulator objects), and each worker interns :class:`FlowKey` objects
@@ -34,11 +33,10 @@ from repro.sim.packet import FlowKey, IntHop, Packet, PacketKind
 from .partition import PartitionSpec
 
 #: A captured boundary transmission, ready for the coordinator:
-#: (dest_shard, arrival_ns, ancestry, dest_node, dest_iface, wire_packet),
-#: where ``ancestry`` is the 4-tuple of scheduling origins the single-process
-#: peer-delivery post would carry: (departure, serialization start, and two
-#: further upstream scheduling instants) — the engine's ordering key.
-Export = Tuple[int, int, tuple, str, int, tuple]
+#: (dest_shard, arrival_ns, departure_ns, dest_node, dest_iface, wire_packet),
+#: where ``departure_ns`` is the commit instant, the origin the
+#: single-process peer-delivery post would carry in the engine's ordering key.
+Export = Tuple[int, int, int, str, int, tuple]
 
 
 def packet_to_wire(packet: Packet) -> tuple:
@@ -136,16 +134,15 @@ class BoundaryChannel:
         transmission — meters, hooks and the delivery post — at dequeue
         time), so ``sim.now`` is the serialization start and ``delay_ns`` is
         the delivery post's own delay (serialization + propagation): the
-        arrival is ``now + delay_ns``, and ``(now, cur ancestry)`` is exactly
-        the origin chain the single-process peer-delivery post would carry.
+        arrival is ``now + delay_ns``, and ``now`` is exactly the origin the
+        single-process peer-delivery post would carry.
         """
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         self.outbox.append(
             (
                 self.dest_shard,
                 now + delay_ns,
-                (now, sim._cur_origin, sim._cur_parent, sim._cur_parent2),
+                now,
                 self.dest_node,
                 self.dest_iface,
                 packet_to_wire(packet),
@@ -230,8 +227,8 @@ class InjectionQueue:
         sim = self.sim
         key_cache = self._key_cache
         node_of = self._node_of
-        for arrival, ancestry, node_name, iface_index, wire in batch:
+        for arrival, departure, node_name, iface_index, wire in batch:
             packet = packet_from_wire(wire, key_cache)
             node = node_of[node_name]
-            sim.schedule_boundary(arrival, ancestry, node.handle_packet, packet, iface_index)
+            sim.schedule_boundary(arrival, departure, node.handle_packet, packet, iface_index)
             self.injected += 1

@@ -16,9 +16,9 @@ Determinism
   order), so every component's RNG state is identical to a single-process
   run; only the nodes of its own shard ever see traffic.
 * Boundary packets are injected in a single globally sorted order —
-  ``(arrival_time, departure_time, ancestry origins, src_shard, seq)`` with
-  ``seq`` the per-shard capture order — so the injection sequence (and
-  therefore the engine tie-break) is bit-identical run to run.
+  ``(arrival_time, departure_time, src_shard, seq)`` with ``seq`` the
+  per-shard capture order — so the injection sequence (and therefore the
+  engine tie-break) is bit-identical run to run.
 * Injected deliveries carry their departure instant as the engine ordering
   *origin* (see :meth:`repro.sim.engine.Simulator.schedule_boundary`), which
   places them among local same-time events exactly where the single-process
@@ -402,11 +402,11 @@ class ShardCoordinator:
                     _, exports, next_time = self._recv(shard_id)
                     next_times[shard_id] = next_time
                     seq = export_seq[shard_id]
-                    for dest, arrival, ancestry, node, iface, wire in exports:
+                    for dest, arrival, departure, node, iface, wire in exports:
                         pending[dest].append(
                             (
-                                (arrival, ancestry, shard_id, seq),
-                                (arrival, ancestry, node, iface, wire),
+                                (arrival, departure, shard_id, seq),
+                                (arrival, departure, node, iface, wire),
                             )
                         )
                         seq += 1

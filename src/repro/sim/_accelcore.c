@@ -1,18 +1,17 @@
 /* Accelerated event core for the discrete-event engine.
  *
  * A binary min-heap of events keyed by the engine's total order
- * (time, origin, parent, parent2, parent3, seq) -- seq is unique, so the
- * order is total.  It is the algorithm of the pure-Python engine's heapq
- * heap, entry for entry and loop for loop, so both fire events in exactly
- * the same sequence (the golden-records parity tests pin this).
- * EventHeap is the C base of AccelSimulator and the one home of the
- * engine's bookkeeping: the clock, the ancestry registers of the event
- * being fired, the sequence counter and the set of cancelled seqs are C
- * fields (Python reads and writes them as now, _cur_origin, _cur_parent,
- * _cur_parent2, _seq and _cancelled), and the scheduling calls (post,
- * schedule, schedule_at and schedule_boundary's _insert), cancellation and
- * the run loop (_run, which Simulator.run calls) are C methods.  The run
- * loop only enters the interpreter to execute the callbacks themselves.
+ * (time, origin, seq) -- seq is unique, so the order is total.  It is the
+ * algorithm of the pure-Python engine's heapq heap, entry for entry and
+ * loop for loop, so both fire events in exactly the same sequence (the
+ * golden-records parity tests pin this).  EventHeap is the C base of
+ * AccelSimulator and the one home of the engine's bookkeeping: the clock,
+ * the sequence counter and the set of cancelled seqs are C fields (Python
+ * reads and writes them as now, _seq and _cancelled), and the scheduling
+ * calls (post, schedule, schedule_at and schedule_boundary's _insert),
+ * cancellation and the run loop (_run, which Simulator.run calls) are C
+ * methods.  The run loop only enters the interpreter to execute the
+ * callbacks themselves.
  *
  * The second half of the file is the compiled forwarding plane (egress
  * port, FIFO queue, shared buffer, the switch's data hop, the host NIC): it
@@ -73,7 +72,7 @@ static int slot_class_bind(slot_class *cls, PyObject *type);
  * The event engine
  * ===================================================================== */
 
-#define NKEYS 6 /* time, origin, parent, parent2, parent3, seq */
+#define NKEYS 3 /* time, origin, seq */
 
 typedef struct {
     long long k[NKEYS];
@@ -205,12 +204,8 @@ typedef struct {
      * count when a callback raised: Simulator.run reads this in its
      * finally block to keep events_processed exact across exceptions. */
     long long last_processed;
-    /* The registers: the clock, the ancestry of the event being fired
-     * (its origin and the two nearest ancestor origins), the next seq. */
+    /* The registers: the clock and the next seq. */
     long long now;
-    long long cur_origin;
-    long long cur_parent;
-    long long cur_parent2;
     long long seq;
     /* The clock as a Python int, made when first asked for at now_obj_at. */
     PyObject *now_obj;
@@ -310,18 +305,15 @@ heap_push(EventHeapObject *self, entry_t *e)
 }
 
 /* sim.schedule_at(time, callback, *args) with args already a tuple (stolen):
- * the entry inherits the clock and the ancestry registers and takes the
- * next seq.  A refused entry consumes no seq. */
+ * the entry takes the clock as its origin and the next seq.  A refused
+ * entry consumes no seq. */
 static int
 heap_post_at(EventHeapObject *self, long long time, PyObject *callback, PyObject *args)
 {
     entry_t e;
     e.k[0] = time;
     e.k[1] = self->now;
-    e.k[2] = self->cur_origin;
-    e.k[3] = self->cur_parent;
-    e.k[4] = self->cur_parent2;
-    e.k[5] = self->seq;
+    e.k[2] = self->seq;
     e.callback = Py_NewRef(callback);
     e.args = args;
     if (heap_push(self, &e) < 0)
@@ -531,8 +523,8 @@ EventHeap_schedule_at(EventHeapObject *self, PyObject *const *args, Py_ssize_t n
     return event_new(self, time, self->seq - 1);
 }
 
-/* _insert(entry): file one whole (time, origin, parent, parent2, parent3,
- * seq, callback, args) entry, as schedule_boundary builds it. */
+/* _insert(entry): file one whole (time, origin, seq, callback, args) entry,
+ * as schedule_boundary builds it. */
 static PyObject *
 EventHeap_insert(EventHeapObject *self, PyObject *entry)
 {
@@ -541,8 +533,8 @@ EventHeap_insert(EventHeapObject *self, PyObject *entry)
     if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != NKEYS + 2 ||
         !PyTuple_Check(PyTuple_GET_ITEM(entry, NKEYS + 1))) {
         PyErr_SetString(PyExc_TypeError,
-                        "_insert expects (time, origin, parent, parent2, "
-                        "parent3, seq, callback, args_tuple)");
+                        "_insert expects (time, origin, seq, callback, "
+                        "args_tuple)");
         return NULL;
     }
     for (i = 0; i < NKEYS; i++) {
@@ -621,8 +613,7 @@ EventHeap_cancel(EventHeapObject *self, PyObject *seq_obj)
 
 /* The engine run loop: fire events until the queue drains, the next event
  * lies beyond stop_after (it stays queued), or max_events have fired.  The
- * clock and the ancestry registers are set from the entry before each
- * callback. */
+ * clock is set from the entry before each callback. */
 static PyObject *
 EventHeap_run(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -655,9 +646,6 @@ EventHeap_run(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
             break;
         heap_pop_root(self, &e);
         self->now = e.k[0];
-        self->cur_origin = e.k[1];
-        self->cur_parent = e.k[2];
-        self->cur_parent2 = e.k[3];
         result = PyObject_Call(e.callback, e.args, NULL);
         Py_DECREF(e.callback);
         Py_DECREF(e.args);
@@ -778,7 +766,7 @@ static PyMethodDef EventHeap_methods[] = {
     {"schedule_at", (PyCFunction)(void (*)(void))EventHeap_schedule_at, METH_FASTCALL,
      "schedule_at(time_ns, callback, *args) -> Event"},
     {"_insert", (PyCFunction)EventHeap_insert, METH_O,
-     "_insert((time, origin, parent, parent2, parent3, seq, callback, args))"},
+     "_insert((time, origin, seq, callback, args))"},
     {"pending_events", (PyCFunction)EventHeap_pending_events, METH_NOARGS,
      "Queued entries, cancelled ones not reaped yet included."},
     {"next_event_time", (PyCFunction)EventHeap_next_event_time, METH_NOARGS,
@@ -793,12 +781,6 @@ static PyMethodDef EventHeap_methods[] = {
 static PyMemberDef EventHeap_members[] = {
     {"last_processed", T_LONGLONG, offsetof(EventHeapObject, last_processed),
      READONLY, "Events fired by the most recent _run() call."},
-    {"_cur_origin", T_LONGLONG, offsetof(EventHeapObject, cur_origin), 0,
-     "Origin of the event being fired."},
-    {"_cur_parent", T_LONGLONG, offsetof(EventHeapObject, cur_parent), 0,
-     "Origin of the event that scheduled it."},
-    {"_cur_parent2", T_LONGLONG, offsetof(EventHeapObject, cur_parent2), 0,
-     "Origin one scheduling level further up."},
     {"_seq", T_LONGLONG, offsetof(EventHeapObject, seq), 0,
      "The sequence number of the next entry."},
     {NULL},

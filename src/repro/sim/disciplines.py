@@ -359,9 +359,6 @@ class SfqDiscipline:
     def has_backlog(self) -> bool:
         return self._packets > 0
 
-    def queue_backlog_bytes(self, qid: int) -> int:
-        return self._queue_bytes[qid]
-
     def occupied_queues(self) -> int:
         return sum(1 for q in self._queues if q)
 

@@ -1,28 +1,25 @@
 """Discrete-event simulation engine.
 
 The event queue is a binary min-heap (:mod:`heapq`) of plain
-``(time, origin, parent, parent2, parent3, seq, callback, args)`` tuples —
-the same algorithm, entry layout and run loop as the compiled
-``_accelcore.EventHeap``, so this module is the readable reference the C
-code is checked against.
+``(time, origin, seq, callback, args)`` tuples — the same algorithm, entry
+layout and run loop as the compiled ``_accelcore.EventHeap``, so this module
+is the readable reference the C code is checked against.
 
 Events scheduled for the same instant run in strictly increasing
-``(origin, parent, parent2, parent3, seq)`` order: ``origin`` is the
-simulated time at which the event was *scheduled*, and the ``parent*``
-fields are the origins one, two and three levels up its scheduling ancestry
-(the origin of the event that scheduled it, and so on).  For everything
-scheduled through the public API the origin is simply ``now`` — which is
-non-decreasing over a run — and, at any one instant, events fire in ancestry
-order, so the inherited ancestry prefixes are non-decreasing too: the
-``(time, ancestry, seq)`` order is provably identical to plain ``seq`` order
+``(origin, seq)`` order: ``origin`` is the simulated time at which the event
+was *scheduled*.  For everything scheduled through the public API the origin
+is simply ``now``, which is non-decreasing over a run, so the
+``(time, origin, seq)`` order is provably identical to plain ``seq`` order
 and a fixed seed still produces bit-identical runs (the golden-records
-fixture pins this).  The ancestry fields exist for the sharded runtime
+fixture pins this).  The origin exists for the sharded runtime
 (:mod:`repro.shard`): a boundary packet re-injected from another shard
-carries its departure instant, serialization start and two further upstream
-scheduling instants as its ancestry, which slots the delivery among local
-same-time events exactly where a single-process run inserts the
-peer-delivery post — four ancestry levels deep.  ``seq`` is unique, so an
-ordering decision never compares into the callback.
+carries its departure instant as its origin, which slots the delivery among
+local same-time events where a single-process run inserts the
+peer-delivery post.  One level is enough on the per-DC cut: no local event
+at a gateway is scheduled with a delay equal to serialization plus gateway
+propagation, so no local event ties a delivery on ``(time, origin)``
+(docs/determinism.md).  ``seq`` is unique, so an ordering decision never
+compares into the callback.
 
 Cancellation is handled by the :class:`Event` handle that
 :meth:`Simulator.schedule` returns: cancelled sequence numbers are recorded
@@ -121,15 +118,6 @@ class Simulator:
     def __init__(self, seed: int = 1) -> None:
         self.now: int = 0
         self._seq: int = 0
-        #: Scheduling ancestry (origin, then the two nearest ancestor
-        #: origins) of the event that is currently executing; new events inherit
-        #: ``(_cur_origin, _cur_parent, _cur_parent2)`` as their
-        #: ``(parent, parent2, parent3)``.  Read by the sharded runtime's
-        #: boundary capture (:mod:`repro.shard.boundary`), which ships them
-        #: as the ancestry of a cross-shard delivery.
-        self._cur_origin: int = 0
-        self._cur_parent: int = 0
-        self._cur_parent2: int = 0
         self._cancelled: set = set()
         self._rng = random.Random(seed)
         self._events_processed: int = 0
@@ -168,11 +156,7 @@ class Simulator:
         time_ns = self.now + int(delay_ns)
         seq = self._seq
         self._seq = seq + 1
-        heappush(
-            self._heap,
-            (time_ns, self.now, self._cur_origin, self._cur_parent,
-             self._cur_parent2, seq, callback, args),
-        )
+        heappush(self._heap, (time_ns, self.now, seq, callback, args))
         return Event(time_ns, seq, self)
 
     def schedule_at(self, time_ns: int, callback: Callable[..., None], *args: Any) -> Event:
@@ -184,46 +168,37 @@ class Simulator:
         time_ns = int(time_ns)
         seq = self._seq
         self._seq = seq + 1
-        heappush(
-            self._heap,
-            (time_ns, self.now, self._cur_origin, self._cur_parent,
-             self._cur_parent2, seq, callback, args),
-        )
+        heappush(self._heap, (time_ns, self.now, seq, callback, args))
         return Event(time_ns, seq, self)
 
     def schedule_boundary(
         self,
         time_ns: int,
-        ancestry: tuple,
+        origin_ns: int,
         callback: Callable[..., None],
         *args: Any,
     ) -> None:
-        """Schedule an event whose scheduling ancestry lies in another shard.
+        """Schedule an event that another shard scheduled.
 
         Used only by the sharded runtime to re-inject a boundary packet
-        another shard transmitted: ``ancestry`` is the 4-tuple
-        ``(origin, parent, parent2, parent3)`` of the peer-delivery post the
-        transmitting shard captured (departure instant, serialization start,
-        and two further upstream scheduling instants).  Among events firing
-        at the same time, this entry orders exactly where the single-process
-        schedule places that post, down to four ancestry levels.
+        another shard transmitted: ``origin_ns`` is the departure instant
+        at which the transmitting shard committed it, the origin the
+        single-process peer-delivery post carries.  Among events firing at
+        the same time, this entry orders where the single-process schedule
+        places that post.
         """
         if time_ns < self.now:
             raise SimulationError(
                 f"cannot schedule at {time_ns} ns, current time is {self.now} ns"
             )
-        origin_ns, parent_ns, parent2_ns, parent3_ns = ancestry
-        if not parent3_ns <= parent2_ns <= parent_ns <= origin_ns <= time_ns:
+        if origin_ns > time_ns:
             raise SimulationError(
-                f"boundary ancestry must be non-increasing and precede the "
-                f"delivery time, got {ancestry} for delivery at {time_ns}"
+                f"boundary origin {origin_ns} ns must not follow its "
+                f"delivery at {time_ns} ns"
             )
         seq = self._seq
         self._seq = seq + 1
-        self._insert(
-            (int(time_ns), int(origin_ns), int(parent_ns), int(parent2_ns),
-             int(parent3_ns), seq, callback, args)
-        )
+        self._insert((int(time_ns), int(origin_ns), seq, callback, args))
 
     def post(self, delay_ns: int, callback: Callable[..., None], *args: Any) -> None:
         """Like :meth:`schedule`, but fire-and-forget: no cancellation handle.
@@ -237,14 +212,10 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         now = self.now
-        heappush(
-            self._heap,
-            (now + int(delay_ns), now, self._cur_origin, self._cur_parent,
-             self._cur_parent2, seq, callback, args),
-        )
+        heappush(self._heap, (now + int(delay_ns), now, seq, callback, args))
 
     def _insert(self, entry: tuple) -> None:
-        """File one ``(time, origin, parent, parent2, parent3, seq, callback, args)`` entry."""
+        """File one ``(time, origin, seq, callback, args)`` entry."""
         heappush(self._heap, entry)
 
     def pending_events(self) -> int:
@@ -284,7 +255,7 @@ class Simulator:
         """
         cancelled = self._cancelled
         heap = self._heap
-        heap[:] = [entry for entry in heap if entry[5] not in cancelled]
+        heap[:] = [entry for entry in heap if entry[2] not in cancelled]
         heapify(heap)
         cancelled.clear()
 
@@ -344,7 +315,7 @@ class Simulator:
         processed = 0
         try:
             while processed < cap and heap:
-                time, origin, parent, parent2, _, seq, callback, args = heap[0]
+                time, _, seq, callback, args = heap[0]
                 if cancelled and seq in cancelled:
                     cancelled.discard(seq)
                     heappop(heap)
@@ -353,9 +324,6 @@ class Simulator:
                     break
                 heappop(heap)
                 self.now = time
-                self._cur_origin = origin
-                self._cur_parent = parent
-                self._cur_parent2 = parent2
                 callback(*args)
                 processed += 1
         finally:

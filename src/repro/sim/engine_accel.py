@@ -4,17 +4,15 @@
 whose C base, ``_accelcore.EventHeap`` (see ``_accelcore.c``), holds the
 event queue and all of its bookkeeping.  The public contract is identical —
 same scheduling API, same :class:`~repro.sim.engine.Event` handles, same
-``(time, origin, parent, parent2, parent3, seq)`` total order — so a run
-under either backend produces byte-identical results; the golden-records
-parity tests in ``tests/test_engine_accel.py`` pin this for every supported
-scheme.
+``(time, origin, seq)`` total order — so a run under either backend
+produces byte-identical results; the golden-records parity tests in
+``tests/test_engine_accel.py`` pin this for every supported scheme.
 
 Both engines keep one binary heap in the same order and fire it with the
-same loop; the C one executes the pop, the clock/ancestry updates and the
-cancellation checks outside the interpreter.  The clock, the ancestry
-registers, ``_seq`` and the cancelled seqs are C fields that Python reads
-and writes under the pure engine's names (``now``, ``_cur_origin``,
-``_cur_parent``, ``_cur_parent2``, ``_seq``, ``_cancelled``), and ``post``,
+same loop; the C one executes the pop, the clock update and the
+cancellation checks outside the interpreter.  The clock, ``_seq`` and the
+cancelled seqs are C fields that Python reads and writes under the pure
+engine's names (``now``, ``_seq``, ``_cancelled``), and ``post``,
 ``schedule``, ``schedule_at``, ``schedule_boundary``'s ``_insert``,
 ``Event.cancel``'s ``_cancel`` and ``Simulator.run``'s ``_run`` are C
 methods, so no event stores into or reads from the instance dict.

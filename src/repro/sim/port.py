@@ -149,10 +149,6 @@ class EgressPort:
 
     # -- PFC -------------------------------------------------------------------
 
-    @property
-    def pfc_paused(self) -> bool:
-        return self.pfc_meter.paused
-
     def set_pfc_paused(self, paused: bool) -> None:
         """Pause/resume the data class of this port (control still flows)."""
         self.pfc_meter.set_paused(paused, self.sim.now)
@@ -252,9 +248,6 @@ class EgressPort:
             self._post(tx_ns, self.kick)
 
     # -- introspection ------------------------------------------------------------
-
-    def data_backlog_bytes(self) -> int:
-        return self.discipline.backlog_bytes() if self.discipline else 0
 
     def utilization(self, duration_ns: int, include_control: bool = False) -> float:
         return self.bytes.utilization(self.rate_bps, duration_ns, include_control)

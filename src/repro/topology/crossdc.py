@@ -36,10 +36,6 @@ class CrossDcParams:
             + self.gateway_delay_ns
         )
 
-    def inter_dc_base_rtt_ns(self) -> int:
-        """Base RTT between hosts in different data centers."""
-        return 2 * self.inter_dc_one_way_delay_ns()
-
 
 def build_cross_dc(
     sim,

@@ -91,22 +91,6 @@ class Topology:
     def base_rtt_ns(self, src: int, dst: int) -> int:
         return 2 * self.one_way_delay_ns(src, dst)
 
-    def max_base_rtt_ns(self) -> int:
-        """The largest base RTT between any pair of hosts (used for BDP caps)."""
-        ids = self.host_ids()
-        if len(ids) < 2:
-            return 2 * self.link_delay_ns
-        worst = 0
-        # Checking one representative pair per (rack, dc) combination is
-        # enough because the topologies are symmetric; fall back to a simple
-        # scan capped at a few hundred pairs.
-        sample = ids[: min(len(ids), 32)]
-        for a in sample:
-            for b in sample:
-                if a != b:
-                    worst = max(worst, self.base_rtt_ns(a, b))
-        return worst
-
     # -- flow helpers -------------------------------------------------------------------
 
     def start_flow(self, flow: Flow) -> None:

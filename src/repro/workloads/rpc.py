@@ -25,7 +25,7 @@ dispatches its child calls *serially* — successive requests leave
 ``dispatch_gap_ns`` (plus jitter) apart, the way a CPU's send loop actually
 behaves.  The stagger also keeps sibling subtrees off each other's exact
 event timings: perfectly simultaneous identical sends would tie in time and
-full scheduling ancestry, where the engine's ordering contract no longer
+scheduling origin, where the engine's ordering contract no longer
 guarantees a shard-independent tie-break.
 """
 
@@ -67,7 +67,7 @@ class RpcFanoutSpec:
         Per-call dispatch overhead of a service's send loop: the ``i``-th
         child request leaves roughly ``i * dispatch_gap_ns`` after the
         first, with seed-driven jitter.  Must stay positive — simultaneous
-        identical sibling sends would tie beyond the engine's ancestry
+        identical sibling sends would tie beyond the engine's origin
         tie-break and lose shard-independence.
     start_ns:
         Arrival time of the first request.

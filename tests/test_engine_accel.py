@@ -2,11 +2,11 @@
 
 The accel backend is the default engine wherever its C extension builds.
 Its whole contract is *byte-identical behaviour* to the pure heapq
-engine — same event order, same clock/ancestry bookkeeping, same
+engine — same event order, same clock bookkeeping, same
 cancellation and stop semantics — at a higher events/sec.  These tests pin
 the contract four ways:
 
-* EventHeap unit tests against the engine's 6-key total order and of its
+* EventHeap unit tests against the engine's 3-key total order and of its
   C set of cancelled seqs, and of ``AccelSimulator.post`` against
   ``PureSimulator.post``,
 * randomized storms (some post-heavy) replayed on both backends and
@@ -68,13 +68,13 @@ def _heap():
 
 
 class TestEventHeap:
-    def test_orders_by_six_key_lexicographic(self):
+    def test_orders_by_three_key_lexicographic(self):
         heap = _heap()
         entries = [
-            (50, 0, 0, 0, 0, 3),
-            (50, 0, 0, 0, 0, 1),  # same time: seq breaks the tie
-            (10, 9, 9, 9, 9, 7),
-            (50, 0, 0, 0, 1, 0),  # same time, later parent2
+            (50, 0, 3),
+            (50, 0, 1),  # same time: seq breaks the tie
+            (10, 9, 7),
+            (50, 1, 0),  # same time, later origin
         ]
         fired = []
         for entry in entries:
@@ -86,14 +86,14 @@ class TestEventHeap:
     def test_len_and_peek(self):
         heap = _heap()
         assert heap.pending_events() == 0 and heap.next_event_time() is None
-        heap._insert((42, 0, 0, 0, 0, 0, (lambda: None), ()))
+        heap._insert((42, 0, 0, (lambda: None), ()))
         assert heap.pending_events() == 1 and heap.next_event_time() == 42
 
     def test_compact_drops_cancelled_seqs(self):
         heap = _heap()
         fired = []
         for seq in range(100):
-            heap._insert((seq, 0, 0, 0, 0, seq, fired.append, (seq,)))
+            heap._insert((seq, 0, seq, fired.append, (seq,)))
         heap._cancel(500)  # never inserted: reaped by the compaction too
         for seq in range(1, 64):
             heap._cancel(seq * 3 // 2)
@@ -107,7 +107,7 @@ class TestEventHeap:
         fired = []
         order = random.Random(3).sample(range(5000), 5000)
         for seq in order:
-            heap._insert((seq, 0, 0, 0, 0, seq, fired.append, (seq,)))
+            heap._insert((seq, 0, seq, fired.append, (seq,)))
         assert heap.pending_events() == 5000
         heap._run(2**63 - 1, 2**63 - 1)
         assert fired == list(range(5000))
@@ -115,7 +115,7 @@ class TestEventHeap:
     def test_insert_rejects_non_tuple_args(self):
         heap = _heap()
         with pytest.raises(TypeError):
-            heap._insert((0, 0, 0, 0, 0, 0, (lambda: None), [1, 2]))
+            heap._insert((0, 0, 0, (lambda: None), [1, 2]))
 
     def test_cancelled_seqs_are_reaped_as_they_surface(self):
         # The C set of cancelled seqs grows through several resizes and is
@@ -124,7 +124,7 @@ class TestEventHeap:
         fired = []
         order = random.Random(11).sample(range(5000), 5000)
         for seq in order:
-            heap._insert((seq, 0, 0, 0, 0, seq, fired.append, (seq,)))
+            heap._insert((seq, 0, seq, fired.append, (seq,)))
         cancelled = set(random.Random(12).sample(range(5000), 2000))
         for seq in cancelled:
             heap._cancel(seq)  # 2000 of 5000: below the compaction share
@@ -180,35 +180,43 @@ class TestPost:
         assert sim._seq == 4 and sim.pending_events() == 4
 
     @BACKENDS
-    def test_entry_inherits_the_ancestry_registers(self, make):
+    def test_entry_takes_the_clock_as_its_origin(self, make):
+        # Boundary entries on either side of each post's origin (the clock
+        # when it was posted) bracket it among same-time events.
         sim = make(seed=1)
         log = []
 
         def step(depth):
-            log.append((sim.now, sim._cur_origin, sim._cur_parent, sim._cur_parent2))
+            log.append((sim.now, "step"))
             if depth:
                 sim.post(depth, step, depth - 1)
 
         sim.schedule(5, step, 3)
+        sim.schedule_boundary(8, 6, log.append, (8, "origin 6"))  # after origin 5
+        sim.schedule_boundary(10, 7, log.append, (10, "origin 7"))  # before origin 8
         sim.run_until_idle()
-        assert log == [(5, 0, 0, 0), (8, 5, 0, 0), (10, 8, 5, 0), (11, 10, 8, 5)]
+        assert log == [(5, "step"), (8, "step"), (8, "origin 6"),
+                       (10, "origin 7"), (10, "step"), (11, "step")]
 
     @BACKENDS
     def test_posts_before_the_first_run_use_time_zero(self, make):
         sim = make(seed=1)
         log = []
-        sim.post(4, lambda: log.append((sim.now, sim._cur_origin)))
+        sim.schedule_boundary(4, 1, log.append, "origin 1")  # filed first
+        sim.post(4, log.append, "post")
         sim.run_until_idle()
-        assert log == [(4, 0)]
+        assert log == ["post", "origin 1"]
 
     @BACKENDS
     def test_post_reads_the_clock_a_run_left(self, make):
         sim = make(seed=1)
         sim.run(until=100)  # an empty window still moves the clock
         log = []
-        sim.post(5, lambda: log.append((sim.now, sim._cur_origin)))
+        sim.schedule_boundary(105, 101, log.append, "origin 101")  # filed first
+        sim.post(5, log.append, "post")
+        sim.schedule_boundary(105, 99, log.append, "origin 99")
         sim.run_until_idle()
-        assert log == [(105, 100)]
+        assert log == ["origin 99", "post", "origin 101"]
 
     def test_firing_time_past_the_clock_range_raises(self):
         # The heap keys are C long longs: like schedule() (via insert), post
@@ -227,23 +235,26 @@ class TestPost:
 def _storm(sim, seed: int, n: int = 400, p_schedule: float = 0.4, p_post: float = 0.2):
     """A deterministic scheduling storm exercising every scheduling path.
 
-    Each fired event schedules a child with probability ``p_schedule`` and
-    posts one (half of them with a float delay) with ``p_post``; keep the
-    sum below 1 or the storm never drains.
+    Each fired event schedules a child with probability ``p_schedule``,
+    posts one (half of them with a float delay) with ``p_post``, and files
+    a boundary entry with an earlier origin with probability 0.05, which
+    orders it among the same-time children by origin rather than by seq;
+    keep the sum below 1 or the storm never drains.
     """
     rng = random.Random(seed)
     log = []
     handles = {}
 
     def fire(tag):
-        log.append(
-            (sim.now, tag, sim._seq, sim._cur_origin, sim._cur_parent, sim._cur_parent2)
-        )
+        log.append((sim.now, tag, sim._seq))
         if rng.random() < p_schedule:
             sim.schedule(rng.randint(0, 50), fire, tag * 31 + 1)
         if rng.random() < p_post:
             delay = rng.randint(0, 30) if rng.random() < 0.5 else rng.random() * 30
             sim.post(delay, fire, tag * 17 + 2)
+        if rng.random() < 0.05:
+            origin = sim.now - rng.randint(0, min(sim.now, 40))
+            sim.schedule_boundary(sim.now + rng.randint(0, 30), origin, fire, tag * 13 + 3)
         if rng.random() < 0.15 and handles:
             handles.pop(next(iter(handles))).cancel()
 
@@ -326,26 +337,31 @@ class TestBackendEquivalence:
     def test_schedule_boundary_path(self):
         sim = AccelSimulator(seed=1)
         fired = []
-        sim.schedule_boundary(10, (4, 3, 2, 1), fired.append, "b")
+        sim.schedule_boundary(10, 4, fired.append, "b")
         sim.schedule(5, fired.append, "a")
         sim.run_until_idle()
         assert fired == ["a", "b"]
 
-    def test_ancestry_keys_propagate(self):
-        """The C loop must publish origin/parent chains exactly like pure."""
+    def test_origin_keys_order_like_pure(self):
+        """The C heap must order a chain against boundary origins like pure."""
 
         def capture(sim, log):
-            log.append((sim.now, sim._cur_origin, sim._cur_parent, sim._cur_parent2))
-            if len(log) < 3:
+            log.append((sim.now, "chain"))
+            if len(log) < 6:
                 sim.schedule(10, capture, sim, log)
 
         logs = []
         for sim in (PureSimulator(seed=1), AccelSimulator(seed=1)):
             log = []
             sim.schedule(5, capture, sim, log)
+            # The chain link firing at 15 (25) was filed at origin 5 (15).
+            sim.schedule_boundary(15, 6, log.append, (15, "origin 6"))
+            sim.schedule_boundary(25, 14, log.append, (25, "origin 14"))
             sim.run_until_idle()
             logs.append(log)
         assert logs[0] == logs[1]
+        assert logs[0][:5] == [(5, "chain"), (15, "chain"), (15, "origin 6"),
+                               (25, "origin 14"), (25, "chain")]
 
     def test_cancellation_compaction_threshold(self):
         sim = AccelSimulator(seed=1)
@@ -528,7 +544,7 @@ class TestBuild:
             ["_accelcore.c", built[0].name]
         )
         heap = self._load(built[0]).EventHeap()
-        heap._insert((3, 0, 0, 0, 0, 0, (lambda: None), ()))
+        heap._insert((3, 0, 0, (lambda: None), ()))
         assert heap.next_event_time() == 3
 
     def test_staleness_follows_the_source_not_mtime(self, build_dir):

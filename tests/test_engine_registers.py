@@ -1,12 +1,14 @@
 """The engine's registers, on both engines.
 
-The clock, the ancestry registers (``_cur_origin``, ``_cur_parent``,
-``_cur_parent2``), the sequence counter and the cancelled seqs are plain
-attributes of the pure engine and C fields of the compiled one: its run loop
-writes them, and its scheduling calls and its forwarding plane read them.
-Each test below states what the registers must read at each step and holds
-both engines to it, so a C path that reads a stale register, forgets to
-write one or leaks a cancelled seq differs from the reference.
+The clock, the sequence counter and the cancelled seqs are plain attributes
+of the pure engine and C fields of the compiled one: its run loop writes
+them, and its scheduling calls and its forwarding plane read them.  Every
+entry takes the clock as its origin, which is observable only against a
+boundary entry filed with an explicit origin, so the tests below bracket
+entries with boundary entries on either side of the origin they must carry.
+Each test states what the registers must read at each step and holds both
+engines to it, so a C path that reads a stale register, forgets to write
+one or leaks a cancelled seq differs from the reference.
 """
 
 from __future__ import annotations
@@ -24,23 +26,19 @@ from repro.sim.packet import FlowKey, Packet, PacketKind
 from repro.sim.port import connect
 
 
-def ancestry(sim):
-    return (sim.now, sim._cur_origin, sim._cur_parent, sim._cur_parent2)
-
-
 class Recorder(Node):
-    """Logs the registers at each delivery, then posts a two-deep chain."""
+    """Logs the clock at each delivery, then posts a two-deep chain."""
 
     def __init__(self, sim, name):
         super().__init__(sim, name)
         self.log = []
 
     def handle_packet(self, packet, iface_index):
-        self.log.append(("deliver",) + ancestry(self.sim))
+        self.log.append(("deliver", self.sim.now))
         self.sim.post(7, self.child, 2)
 
     def child(self, depth):
-        self.log.append(("child",) + ancestry(self.sim))
+        self.log.append(("child", self.sim.now))
         if depth > 1:
             self.sim.post(5, self.child, depth - 1)
 
@@ -52,7 +50,7 @@ def data_packet(size=1_000):
 
 
 @pytest.mark.parametrize("sim_class", PLANES)
-def test_a_port_post_reads_the_clock_and_ancestry_the_engine_left(sim_class):
+def test_a_port_post_takes_the_clock_the_engine_left_as_its_origin(sim_class):
     sim = sim_class(seed=1)
     sender, receiver = Recorder(sim, "a"), Recorder(sim, "b")
     connect(sender, receiver, rate_bps=units.gbps(10), delay_ns=500)
@@ -64,39 +62,46 @@ def test_a_port_post_reads_the_clock_and_ancestry_the_engine_left(sim_class):
         port.notify()  # the port's kick posts the delivery
 
     sim.run(until=1_000)  # an empty window: only the clock moves
-    assert ancestry(sim) == (1_000, 0, 0, 0)
+    assert sim.now == 1_000
     sim.post(100, send)  # filed at origin 1 000
+    sim.run(until=1_500)  # the kick at 1 100 posts the delivery
+    # 1 000 B take 800 ns at 10 Gb/s, then 500 ns on the wire.  Filed after
+    # it, boundary entries either side of its origin 1 100 bracket it.
+    sim.schedule_boundary(2_400, 1_101, receiver.log.append, ("after", 2_400))
+    sim.schedule_boundary(2_400, 1_099, receiver.log.append, ("before", 2_400))
     sim.run_until_idle()
-    # 1 000 B take 800 ns at 10 Gb/s, then 500 ns on the wire.
     assert receiver.log == [
-        ("deliver", 2_400, 1_100, 1_000, 0),
-        ("child", 2_407, 2_400, 1_100, 1_000),
-        ("child", 2_412, 2_407, 2_400, 1_100),
+        ("before", 2_400),
+        ("deliver", 2_400),
+        ("after", 2_400),
+        ("child", 2_407),
+        ("child", 2_412),
     ]
-    assert sim._seq == 4 and sim.events_processed == 4  # send, delivery, two children
+    # send, delivery, two boundary entries, two children
+    assert sim._seq == 6 and sim.events_processed == 6
 
 
 @pytest.mark.parametrize("sim_class", PLANES)
-def test_a_boundary_entry_fires_with_its_shipped_ancestry(sim_class):
+def test_a_boundary_entry_fires_at_its_shipped_origin(sim_class):
     sim = sim_class(seed=1)
     log = []
 
     def record(tag):
-        log.append((tag,) + ancestry(sim))
+        log.append((tag, sim.now))
         if tag == "boundary":
             sim.post(3, record, "boundary child")
 
     sim.run(until=50)
-    sim.schedule_boundary(100, (90, 80, 70, 60), record, "boundary")
+    sim.schedule_boundary(100, 90, record, "boundary")
     sim.schedule_at(100, record, "local")  # origin 50 < 90: fires first
     sim.schedule_at(95, lambda: sim.schedule_at(100, record, "late"))  # origin 95 > 90
     assert sim._seq == 3 and sim.pending_events() == 3
     sim.run_until_idle()
     assert log == [
-        ("local", 100, 50, 0, 0),
-        ("boundary", 100, 90, 80, 70),
-        ("late", 100, 95, 50, 0),
-        ("boundary child", 103, 100, 90, 80),
+        ("local", 100),
+        ("boundary", 100),
+        ("late", 100),
+        ("boundary child", 103),
     ]
     assert sim._seq == 5
 
@@ -104,7 +109,6 @@ def test_a_boundary_entry_fires_with_its_shipped_ancestry(sim_class):
 @pytest.mark.parametrize("sim_class", PLANES)
 def test_the_registers_can_be_read_and_written_by_their_names(sim_class):
     sim = sim_class(seed=1)
-    sim._cur_origin, sim._cur_parent, sim._cur_parent2 = 30, 20, 10
     sim.now, sim._seq = 40, 100
     handle = sim.schedule(5, lambda: None)
     assert (handle.time, handle.seq) == (45, 100) and sim._seq == 101
@@ -128,7 +132,7 @@ def cancel_heavy(sim_class, seed):
     trace = []
 
     def fire(tag):
-        trace.append(("fire", tag) + ancestry(sim))
+        trace.append(("fire", tag, sim.now))
         if rng.random() < 0.3:
             handles.append(sim.schedule(rng.randint(0, 400), fire, tag * 7 + 1))
         if rng.random() < 0.3 and handles:
@@ -155,12 +159,11 @@ def cancel_heavy(sim_class, seed):
             kind = "run capped"
             sim.run(max_events=rng.randint(1, 5))
         trace.append(
-            ("step", kind) + ancestry(sim)
-            + (sim._seq, sim.pending_events(), sim.next_event_time(),
-               len(sim._cancelled), sim.events_processed)
+            ("step", kind, sim.now, sim._seq, sim.pending_events(),
+             sim.next_event_time(), len(sim._cancelled), sim.events_processed)
         )
     sim.run_until_idle()
-    trace.append(("end",) + ancestry(sim) + (sim._seq, sim.events_processed))
+    trace.append(("end", sim.now, sim._seq, sim.events_processed))
     return trace
 
 

@@ -3,8 +3,7 @@
 Each scenario is built twice, once on each plane (the simulator selects
 it), and driven identically.  The planes must agree on every delivery and,
 after every step, on the engine's registers and the events they posted
-(clock, ancestry registers, sequence counter, pending count, next firing
-time, events fired) and on the state they keep: the shared buffer, the
+(clock, sequence counter, pending count, next firing time, events fired) and on the state they keep: the shared buffer, the
 switch counters and PFC flags, every port's registers and meters, and for
 the host leg the senders' and receivers' flow state, the host counters,
 the NIC's pacing wake-up and its DRR.  Each scenario
@@ -126,8 +125,7 @@ class World:
         buffer = switch.buffer
         stats = buffer.stats
         return {
-            "engine": (sim.now, sim._cur_origin, sim._cur_parent, sim._cur_parent2,
-                       sim._seq, sim.pending_events(), sim.next_event_time(),
+            "engine": (sim.now, sim._seq, sim.pending_events(), sim.next_event_time(),
                        sim.events_processed),
             "buffer": (buffer.used, dict(buffer.per_ingress), stats.dropped_packets,
                        stats.dropped_bytes, stats.max_occupancy, stats.admitted_packets,
@@ -390,8 +388,7 @@ class HostWorld:
     def snapshot(self):
         sim = self.sim
         state = {
-            "engine": (sim.now, sim._cur_origin, sim._cur_parent, sim._cur_parent2,
-                       sim._seq, sim.pending_events(), sim.next_event_time(),
+            "engine": (sim.now, sim._seq, sim.pending_events(), sim.next_event_time(),
                        sim.events_processed),
             "flows": {fid: (f.first_tx_ns, f.finish_ns, f.bytes_delivered,
                             f.retransmitted_packets, f.num_packets)

@@ -98,34 +98,34 @@ class TestPacketWireCodec:
 class TestScheduleBoundary:
     def test_orders_like_the_serial_insertion_point(self):
         # A local event scheduled at instant 60 for time 100 must yield to a
-        # boundary event whose ancestry says it was scheduled earlier (50) —
-        # and must precede one whose ancestry says later (80) — even though
+        # boundary event whose origin says it was scheduled earlier (50) —
+        # and must precede one whose origin says later (80) — even though
         # both boundary events are injected afterwards.
         sim = Simulator()
         fired = []
         sim.schedule_at(60, lambda: sim.schedule_at(100, fired.append, "local-60"))
         sim.run(until=90)  # conservative epoch boundary before the deliveries
-        sim.schedule_boundary(100, (80, 70, 60, 50), fired.append, "boundary-80")
-        sim.schedule_boundary(100, (50, 40, 30, 20), fired.append, "boundary-50")
+        sim.schedule_boundary(100, 80, fired.append, "boundary-80")
+        sim.schedule_boundary(100, 50, fired.append, "boundary-50")
         sim.run()
         assert fired == ["boundary-50", "local-60", "boundary-80"]
 
-    def test_equal_ancestry_fires_in_injection_order(self):
+    def test_equal_origin_fires_in_injection_order(self):
         sim = Simulator()
         fired = []
-        sim.schedule_boundary(10, (5, 4, 3, 2), fired.append, "first")
-        sim.schedule_boundary(10, (5, 4, 3, 2), fired.append, "second")
+        sim.schedule_boundary(10, 5, fired.append, "first")
+        sim.schedule_boundary(10, 5, fired.append, "second")
         sim.run()
         assert fired == ["first", "second"]
 
-    def test_rejects_past_delivery_and_bad_ancestry(self):
+    def test_rejects_past_delivery_and_late_origin(self):
         sim = Simulator()
         sim.schedule(5, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.schedule_boundary(1, (0, 0, 0, 0), lambda: None)
+            sim.schedule_boundary(1, 0, lambda: None)
         with pytest.raises(SimulationError):
-            sim.schedule_boundary(100, (50, 60, 30, 20), lambda: None)
+            sim.schedule_boundary(100, 101, lambda: None)
 
     def test_serial_schedule_ignores_boundary_fields(self):
         # Public-API scheduling must keep firing in plain seq order.
@@ -138,7 +138,7 @@ class TestScheduleBoundary:
 
 
 class TestBoundaryChannel:
-    def test_capture_records_departure_arrival_and_ancestry(self):
+    def test_capture_records_departure_and_arrival(self):
         sim = Simulator()
         outbox = []
         channel = BoundaryChannel(
@@ -150,10 +150,10 @@ class TestBoundaryChannel:
         # 800 + propagation 1000) and computes arrival from it.
         sim.schedule(70, channel.receive, 800 + 1000, packet, 4)
         sim.run()
-        ((dest, arrival, ancestry, node, iface, wire),) = outbox
+        ((dest, arrival, departure, node, iface, wire),) = outbox
         assert (dest, node, iface) == (1, "tor1", 4)
         assert arrival == 70 + 800 + 1000
-        assert ancestry[0] == 70  # commit (serialization start) instant
+        assert departure == 70  # commit (serialization start) instant
         assert packet_from_wire(wire, {}).flow_id == packet.flow_id
 
     def test_attach_boundaries_rewires_only_local_cut_ports(self):
@@ -210,8 +210,8 @@ class TestBoundaryChannel:
         wire_b = packet_to_wire(make_data_packet(seq=22))
         injector.inject(
             [
-                (500, (100, 90, 80, 70), target.name, 0, wire_a),
-                (500, (100, 90, 80, 70), target.name, 0, wire_b),
+                (500, 100, target.name, 0, wire_a),
+                (500, 100, target.name, 0, wire_b),
             ]
         )
         sim.run()

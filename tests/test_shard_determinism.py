@@ -289,17 +289,23 @@ def test_schema_table_in_architecture_doc_matches_keys():
 
 
 class TestRandomizedStorm:
-    @pytest.mark.parametrize("draw", range(3))
-    def test_fresh_scenarios_match_serial(self, draw):
+    # The ``small`` draws diverge from serial when the engine key drops its
+    # origin level, ``(time, seq)``: HPCC seed 862, BFC seed 456 and DCQCN
+    # seed 434.  No ``tiny`` draw sees the key (docs/determinism.md).
+    @pytest.mark.parametrize(
+        "scale,draw",
+        [("tiny", 0), ("tiny", 1), ("tiny", 2), ("small", 0), ("small", 13), ("small", 17)],
+    )
+    def test_fresh_scenarios_match_serial(self, scale, draw):
         """Sharded == serial on scenarios no fixture ever saw."""
         rng = random.Random(0xBFC0 + draw)
         scheme = rng.choice(["BFC", "DCQCN", "HPCC"])
         seed = rng.randrange(1, 1_000)
-        config = fig9_configs("tiny", schemes=(scheme,), seed=seed)[scheme]
+        config = fig9_configs(scale, schemes=(scheme,), seed=seed)[scheme]
         serial = run_experiment(config)
         sharded = run_experiment(replace(config, shards=2))
         assert shard_canonical(sharded) == shard_canonical(serial), (
-            f"draw {draw}: {scheme} seed={seed} diverged"
+            f"{scale} draw {draw}: {scheme} seed={seed} diverged"
         )
         assert_shard_stats_schema(sharded.shard_stats)
 
