@@ -106,7 +106,7 @@ def run_one(config: ExperimentConfig) -> Dict[str, float]:
     topo.start_flows(trace)
     _schedule_sampling(
         sim,
-        topo,
+        topo.all_switches(),
         config.effective_sample_interval_ns(),
         config.total_duration_ns(),
         InMemorySink(),

@@ -33,15 +33,16 @@ run — ``tests/test_distributed.py`` asserts this for every fault path.
 
 **Trust model**: the transport is pickle-over-HTTP between peers running the
 same repro checkout.  A worker will execute whatever a coordinator sends it,
-so bind agents to loopback or a private network you trust, and use
-``token=`` for a shared-secret check against accidental cross-talk.  See
-``docs/distributed.md`` for the operator guide.
+so bind agents to loopback or a private network you trust.  An agent
+refuses a non-loopback bind without ``token=``, the shared secret every
+request must carry.  See ``docs/distributed.md`` for the operator guide.
 """
 
 from __future__ import annotations
 
 import hmac
 import http.client
+import ipaddress
 import json
 import os
 import pickle
@@ -276,6 +277,16 @@ class _WorkerHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
+def _is_loopback(host: str) -> bool:
+    """Whether binding ``host`` serves only this machine."""
+    if host == "localhost":
+        return True
+    try:
+        return ipaddress.ip_address(host).is_loopback
+    except ValueError:  # a hostname other than localhost, or "" (every interface)
+        return False
+
+
 class WorkerAgent:
     """A dumb trial-running HTTP service (the remote half of distribution).
 
@@ -312,6 +323,11 @@ class WorkerAgent:
     ) -> None:
         if slots < 1:
             raise CampaignError(f"slots must be >= 1, got {slots}")
+        if not token and not _is_loopback(host):
+            raise CampaignError(
+                f"refusing to serve on {host!r} without a token: a worker runs "
+                "whatever it is sent, so a non-loopback bind needs --token"
+            )
         self.token = token
         self.slots = slots
         self.state = _WorkerState()

@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serve: accept and execute trials until stopped")
     worker.add_argument("--host", default="127.0.0.1",
                         help="bind address (default loopback; bind a private "
-                             "network address to serve a remote coordinator)")
+                             "network address to serve a remote coordinator, "
+                             "which requires --token)")
     worker.add_argument("--port", type=int, default=0,
                         help="bind port (default 0: pick an ephemeral port "
                              "and print it)")

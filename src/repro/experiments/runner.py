@@ -24,12 +24,14 @@ from repro.congestion.hpcc import HpccConfig
 from repro.results.sinks import InMemorySink, ResultSink, SpillSink
 from repro.sim.engine import Simulator
 from repro.sim.flow import Flow, reset_flow_ids
+from repro.sim.host import Host
 from repro.sim.stats import (
     BufferSampler,
     FlowRecord,
     FlowStats,
     QueueSampler,
 )
+from repro.sim.switch import Switch
 from repro.topology.clos import ClosParams, build_leaf_spine
 from repro.topology.crossdc import CrossDcParams, build_cross_dc
 from repro.topology.topology import Topology
@@ -335,15 +337,22 @@ def _build_topology(config: ExperimentConfig, env: SchemeEnvironment) -> Topolog
 
 def _schedule_sampling(
     sim: Simulator,
-    topo: Topology,
+    switches: Sequence[Switch],
     interval_ns: int,
     until_ns: int,
     sink: ResultSink,
 ) -> None:
-    # NOTE: the sharded runtime's _ShardSampler mirrors this per-tick loop;
-    # keep the two in sync (same switch order, same record calls per tick).
+    """Sample ``switches`` into ``sink`` every ``interval_ns`` until ``until_ns``.
+
+    Per tick and per switch, in list order: one ``on_buffer_sample``, then
+    for a BFC switch one ``on_queue_sample`` per backlogged physical queue
+    and one ``on_occupied_sample``.  A serial run passes every switch and
+    its own sink; a shard worker passes its local switches and a recorder
+    whose calls the coordinator replays in topology order.
+    """
+
     def sample() -> None:
-        for switch in topo.all_switches():
+        for switch in switches:
             sink.on_buffer_sample(switch.name, switch.buffer_occupancy())
             if isinstance(switch, BfcSwitch):
                 occupied = 0
@@ -402,95 +411,177 @@ class FlowRecorder:
         )
 
 
-def _harvest_pause_fractions(topo: Topology, now_ns: int) -> Dict[str, List[float]]:
-    result: Dict[str, List[float]] = {}
-    for switch in topo.all_switches():
-        for iface in switch.interfaces:
-            fraction = iface.tx.pfc_meter.paused_fraction(now_ns)
-            result.setdefault(iface.link_class, []).append(fraction)
-    for host in topo.hosts.values():
-        for iface in host.interfaces:
-            fraction = iface.tx.pfc_meter.paused_fraction(now_ns)
-            result.setdefault(iface.link_class, []).append(fraction)
-    return result
+def _add_counts(totals: Dict[str, int], counts: Dict[str, int]) -> None:
+    for name, value in counts.items():
+        totals[name] = totals.get(name, 0) + value
 
 
-def _harvest_utilization(topo: Topology, duration_ns: int) -> Dict[int, float]:
-    """Utilization of each receiver's downlink (ToR -> host)."""
-    result: Dict[int, float] = {}
-    for host_id, host in topo.hosts.items():
-        tor = topo.tor_switch_of(host_id)
-        iface = tor.interface_to(host)
-        if iface is None:
-            continue
-        result[host_id] = iface.tx.utilization(duration_ns)
-    return result
+def _add_vfid_stats(totals: Dict[str, int], stats: Dict[str, int]) -> None:
+    """Add BFC table/agent statistics; the table high-water takes the maximum."""
+    for name, value in stats.items():
+        if name == "max_active_entries":
+            totals[name] = max(totals.get(name, 0), value)
+        else:
+            totals[name] = totals.get(name, 0) + value
 
 
-def _collect_bfc_stats(switches) -> Optional[Tuple[int, int, Dict[str, int]]]:
-    """Raw BFC statistics over an iterable of switches, or ``None``.
+def harvest(
+    sim: Simulator,
+    topo: Topology,
+    switches: Sequence[Switch],
+    hosts: Sequence[Host],
+    duration_ns: int,
+) -> Dict[str, object]:
+    """End-of-run measurements of ``switches`` and ``hosts``, keyed by node.
 
-    Returns ``(assignments, collisions, vfid_stats)`` so callers can combine
-    several partial collections before dividing (the sharded runtime sums
-    per-shard numerators and denominators; :func:`_harvest_bfc_stats` divides
-    directly).
+    Counters and drops are summed over the given nodes, and ``bfc`` holds
+    the raw ``(assignments, collisions, vfid_stats)`` of their BFC switches
+    (``None`` without one).  ``pause`` is keyed ``(node name, iface
+    index)`` and ``utilization`` (of each host's ToR downlink) by host id,
+    so :func:`assemble_result` can fold the parts of several shards in
+    topology order.  A serial run is the one part over every node.
     """
+    counters: Dict[str, int] = {}
+    for switch in switches:
+        _add_counts(counters, switch.counters.as_dict())
+    host_counters: Dict[str, int] = {}
+    for host in hosts:
+        _add_counts(host_counters, host.counters.as_dict())
+
+    bfc = None
     bfc_switches = [s for s in switches if isinstance(s, BfcSwitch)]
-    if not bfc_switches:
-        return None
-    assignments = 0
-    collisions = 0
-    vfid_stats = {
-        "vfid_collisions": 0,
-        "bucket_overflows": 0,
-        "cache_overflows": 0,
-        "table_inserts": 0,
-        "max_active_entries": 0,
-        "pauses": 0,
-        "resumes": 0,
-        "bloom_frames_sent": 0,
+    if bfc_switches:
+        assignments = collisions = 0
+        vfid_stats: Dict[str, int] = {}
+        for switch in bfc_switches:
+            for discipline in switch.bfc_disciplines():
+                assignments += discipline.pool.stats.assignments
+                collisions += discipline.pool.stats.collisions
+            table = switch.agent.flow_table.stats
+            agent_counters = switch.agent.counters
+            _add_vfid_stats(
+                vfid_stats,
+                {
+                    "vfid_collisions": table.vfid_collisions,
+                    "bucket_overflows": table.bucket_overflows,
+                    "cache_overflows": table.cache_overflows,
+                    "table_inserts": table.inserts,
+                    "max_active_entries": table.max_active_entries,
+                    "pauses": agent_counters.get("pauses"),
+                    "resumes": agent_counters.get("resumes"),
+                    "bloom_frames_sent": agent_counters.get("bloom_frames_sent"),
+                },
+            )
+        bfc = (assignments, collisions, vfid_stats)
+
+    now = sim.now
+    pause = {
+        (node.name, iface.index): iface.tx.pfc_meter.paused_fraction(now)
+        for node in (*switches, *hosts)
+        for iface in node.interfaces
     }
-    for switch in bfc_switches:
-        for discipline in switch.bfc_disciplines():
-            assignments += discipline.pool.stats.assignments
-            collisions += discipline.pool.stats.collisions
-        table = switch.agent.flow_table.stats
-        vfid_stats["vfid_collisions"] += table.vfid_collisions
-        vfid_stats["bucket_overflows"] += table.bucket_overflows
-        vfid_stats["cache_overflows"] += table.cache_overflows
-        vfid_stats["table_inserts"] += table.inserts
-        vfid_stats["max_active_entries"] = max(
-            vfid_stats["max_active_entries"], table.max_active_entries
-        )
-        vfid_stats["pauses"] += switch.agent.counters.get("pauses")
-        vfid_stats["resumes"] += switch.agent.counters.get("resumes")
-        vfid_stats["bloom_frames_sent"] += switch.agent.counters.get("bloom_frames_sent")
-    return assignments, collisions, vfid_stats
+    utilization: Dict[int, float] = {}
+    for host in hosts:
+        iface = topo.tor_switch_of(host.host_id).interface_to(host)
+        if iface is not None:
+            utilization[host.host_id] = iface.tx.utilization(duration_ns)
+    return {
+        "counters": counters,
+        "host_counters": host_counters,
+        "dropped": sum(s.dropped_packets() for s in switches),
+        "bfc": bfc,
+        "pause": pause,
+        "utilization": utilization,
+        "events": sim.events_processed,
+    }
 
 
-def _harvest_bfc_stats(topo: Topology) -> Tuple[Optional[float], Dict[str, int]]:
-    collected = _collect_bfc_stats(topo.all_switches())
-    if collected is None:
-        return None, {}
-    assignments, collisions, vfid_stats = collected
-    collision_fraction = collisions / assignments if assignments else 0.0
-    return collision_fraction, vfid_stats
+def assemble_result(
+    config: ExperimentConfig,
+    topo: Topology,
+    parts: Sequence[Dict[str, object]],
+    sink: ResultSink,
+    flows_offered: int,
+    started: float,
+    shard_stats: Optional[Dict[str, object]] = None,
+) -> ExperimentResult:
+    """Fold :func:`harvest` parts into one :class:`ExperimentResult`.
 
+    Counters, drops, events and the BFC statistics are summed (the table
+    high-water ``max_active_entries`` takes the maximum); pause fractions
+    and utilization are read back in topology order, so the folded result
+    does not depend on how the nodes were split into parts.  Calls
+    ``sink.finalize`` once, after every record and sample reached it.
+    """
+    switch_counters: Dict[str, int] = {}
+    host_counters: Dict[str, int] = {}
+    pause_by_iface: Dict[Tuple[str, int], float] = {}
+    by_host: Dict[int, float] = {}
+    for part in parts:
+        _add_counts(switch_counters, part["counters"])
+        _add_counts(host_counters, part["host_counters"])
+        pause_by_iface.update(part["pause"])
+        by_host.update(part["utilization"])
+    dropped = sum(part["dropped"] for part in parts)
+    events_processed = sum(part["events"] for part in parts)
 
-def _aggregate_switch_counters(topo: Topology, switches=None) -> Dict[str, int]:
-    totals: Dict[str, int] = {}
-    for switch in topo.all_switches() if switches is None else switches:
-        for name, value in switch.counters.as_dict().items():
-            totals[name] = totals.get(name, 0) + value
-    return totals
+    collision_fraction: Optional[float] = None
+    vfid_stats: Dict[str, int] = {}
+    bfc_parts = [part["bfc"] for part in parts if part["bfc"] is not None]
+    if bfc_parts:
+        assignments = sum(bfc[0] for bfc in bfc_parts)
+        collisions = sum(bfc[1] for bfc in bfc_parts)
+        collision_fraction = collisions / assignments if assignments else 0.0
+        for _, _, part_stats in bfc_parts:
+            _add_vfid_stats(vfid_stats, part_stats)
 
+    pause_fractions: Dict[str, List[float]] = {}
+    for node in (*topo.all_switches(), *topo.hosts.values()):
+        for iface in node.interfaces:
+            pause_fractions.setdefault(iface.link_class, []).append(
+                pause_by_iface[(node.name, iface.index)]
+            )
+    utilization = {h: by_host[h] for h in topo.hosts if h in by_host}
 
-def _aggregate_host_counters(topo: Topology, hosts=None) -> Dict[str, int]:
-    totals: Dict[str, int] = {}
-    for host in topo.hosts.values() if hosts is None else hosts:
-        for name, value in host.counters.as_dict().items():
-            totals[name] = totals.get(name, 0) + value
-    return totals
+    extras = {
+        "name": config.name,
+        "scheme": config.scheme,
+        "seed": config.seed,
+        "flows_offered": flows_offered,
+        "events_processed": events_processed,
+        "dropped_packets": dropped,
+        "switch_counters": dict(sorted(switch_counters.items())),
+        "host_counters": dict(sorted(host_counters.items())),
+        "collision_fraction": collision_fraction,
+        "vfid_stats": dict(sorted(vfid_stats.items())),
+        "utilization_per_receiver": {
+            str(host_id): value for host_id, value in sorted(utilization.items())
+        },
+        "pause_fractions": {
+            cls: values for cls, values in sorted(pause_fractions.items())
+        },
+    }
+    flow_stats, buffer_sampler, queue_sampler = sink.finalize(extras)
+
+    return ExperimentResult(
+        config=config,
+        scheme=config.scheme,
+        flow_stats=flow_stats,
+        buffer_sampler=buffer_sampler,
+        queue_sampler=queue_sampler,
+        pause_fractions=pause_fractions,
+        utilization_per_receiver=utilization,
+        dropped_packets=dropped,
+        switch_counters=switch_counters,
+        collision_fraction=collision_fraction,
+        vfid_stats=vfid_stats,
+        flows_offered=flows_offered,
+        events_processed=events_processed,
+        wall_seconds=time.monotonic() - started,
+        shard_stats=shard_stats,
+        results_ref=sink.results_ref,
+        host_counters=host_counters,
+    )
 
 
 def build_simulation(
@@ -657,7 +748,7 @@ def run_experiment(
 
     _schedule_sampling(
         sim,
-        topo,
+        topo.all_switches(),
         config.effective_sample_interval_ns(),
         config.total_duration_ns(),
         sink,
@@ -671,50 +762,8 @@ def run_experiment(
         for flow in source.unfinished_flows():
             sink.on_flow_record(recorder.record(flow))
 
-    pause_fractions = _harvest_pause_fractions(topo, sim.now)
-    utilization = _harvest_utilization(topo, config.duration_ns)
-    collision_fraction, vfid_stats = _harvest_bfc_stats(topo)
-    counters = _aggregate_switch_counters(topo)
-    host_counters = _aggregate_host_counters(topo)
-    flows_offered = len(trace) + (source.flows_started if source is not None else 0)
-    events_processed = sim.events_processed
-
-    extras = {
-        "name": config.name,
-        "scheme": config.scheme,
-        "seed": config.seed,
-        "flows_offered": flows_offered,
-        "events_processed": events_processed,
-        "dropped_packets": topo.total_dropped_packets(),
-        "switch_counters": dict(sorted(counters.items())),
-        "host_counters": dict(sorted(host_counters.items())),
-        "collision_fraction": collision_fraction,
-        "vfid_stats": dict(sorted(vfid_stats.items())),
-        "utilization_per_receiver": {
-            str(host_id): value for host_id, value in sorted(utilization.items())
-        },
-        "pause_fractions": {
-            cls: values for cls, values in sorted(pause_fractions.items())
-        },
-    }
-    flow_stats, buffer_sampler, queue_sampler = sink.finalize(extras)
-
-    return ExperimentResult(
-        config=config,
-        scheme=config.scheme,
-        flow_stats=flow_stats,
-        buffer_sampler=buffer_sampler,
-        queue_sampler=queue_sampler,
-        pause_fractions=pause_fractions,
-        utilization_per_receiver=utilization,
-        dropped_packets=topo.total_dropped_packets(),
-        switch_counters=counters,
-        collision_fraction=collision_fraction,
-        vfid_stats=vfid_stats,
-        flows_offered=flows_offered,
-        events_processed=events_processed,
-        wall_seconds=time.monotonic() - started,
-        results_ref=sink.results_ref,
-        host_counters=host_counters,
+    part = harvest(
+        sim, topo, topo.all_switches(), list(topo.hosts.values()), config.duration_ns
     )
-
+    flows_offered = len(trace) + (source.flows_started if source is not None else 0)
+    return assemble_result(config, topo, [part], sink, flows_offered, started)

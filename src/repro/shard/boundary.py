@@ -10,7 +10,7 @@ dequeue), which serializes it to a plain-tuple wire format and buffers it in
 the shard's outbox.  At the next conservative barrier the coordinator routes
 every buffered packet to the shard owning the destination node, where it is
 re-injected as a ``node.handle_packet`` event at the original arrival time
-``commit + serialization + delay_ns``.
+``commit + serialization + propagation``.
 
 The adapter plugs into :class:`~repro.sim.port.EgressPort` without touching
 its hot path: the port's ``_post`` alias is wrapped so the delivery post the
@@ -109,19 +109,17 @@ def packet_from_wire(
 class BoundaryChannel:
     """Transmit-side adapter for one cut egress port."""
 
-    __slots__ = ("sim", "delay_ns", "dest_shard", "dest_node", "dest_iface", "outbox")
+    __slots__ = ("sim", "dest_shard", "dest_node", "dest_iface", "outbox")
 
     def __init__(
         self,
         sim,
-        delay_ns: int,
         dest_shard: int,
         dest_node: str,
         dest_iface: int,
         outbox: List[Export],
     ) -> None:
         self.sim = sim
-        self.delay_ns = delay_ns
         self.dest_shard = dest_shard
         self.dest_node = dest_node
         self.dest_iface = dest_iface
@@ -173,7 +171,6 @@ def attach_boundaries(
             port = iface.tx
             channel = BoundaryChannel(
                 sim,
-                delay_ns=port.delay_ns,
                 dest_shard=shard_of[peer.name],
                 dest_node=peer.name,
                 dest_iface=port.peer_iface,

@@ -24,10 +24,12 @@ Determinism
   places them among local same-time events exactly where the single-process
   schedule inserts the peer-delivery post.
 
-The merged :class:`~repro.experiments.runner.ExperimentResult` reconstructs
-flow records, counters, samplers and pause/utilization tables in the same
-iteration order as the single-process harvest, so the canonical record
-reduction of a sharded run is directly comparable (and byte-identical — see
+Each worker harvests its own nodes with the runner's own collector
+(:func:`~repro.experiments.runner.harvest`) and records its sampling ticks
+per switch; the coordinator replays the ticks in topology order and folds
+the parts with the runner's :func:`~repro.experiments.runner.assemble_result`,
+so a serial run is the one-shard case of the same harvest and the
+canonical records of both are byte-identical (see
 ``tests/test_shard_determinism.py``).
 """
 
@@ -42,6 +44,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.core.switchlogic import BfcSwitch
+from repro.results.sinks import ResultSink
 
 from .boundary import InjectionQueue, attach_boundaries
 from .partition import PartitionSpec, partition_topology
@@ -84,46 +87,34 @@ def _noop() -> None:
 # ---------------------------------------------------------------------------
 
 
-class _ShardSampler:
-    """Per-shard replica of the runner's periodic switch sampling.
+class _TickRecorder(ResultSink):
+    """A shard's sampling sink: files each sampling call under its switch and tick.
 
-    Mirrors :func:`repro.experiments.runner._schedule_sampling` switch for
-    switch, but records per-switch *per-tick* series so the coordinator can
-    re-interleave the shards into the exact flat sample lists a
-    single-process run produces.  ``tests/test_shard_determinism.py`` pins
-    the two implementations to each other — a change to the runner's
-    sampling loop must be reflected here.
+    The sampling loop opens each switch's share of a tick with
+    ``on_buffer_sample``; the queue and occupancy calls that follow belong
+    to that switch.  The coordinator replays the filed calls into the real
+    sink tick by tick, switches in topology order.
     """
 
-    def __init__(self, switches: list) -> None:
-        self.switches = switches
-        self.buffer_ticks: Dict[str, List[int]] = {s.name: [] for s in switches}
-        self.queue_ticks: Dict[str, List[List[int]]] = {
-            s.name: [] for s in switches if isinstance(s, BfcSwitch)
-        }
-        self.occupied_ticks: Dict[str, List[int]] = {
-            s.name: [] for s in switches if isinstance(s, BfcSwitch)
-        }
+    def __init__(self) -> None:
+        self.ticks: Dict[str, List[list]] = {}
+        self._calls: list = []
 
-    def sample(self) -> None:
-        for switch in self.switches:
-            self.buffer_ticks[switch.name].append(switch.buffer_occupancy())
-            if isinstance(switch, BfcSwitch):
-                occupied = 0
-                backlogs: List[int] = []
-                for discipline in switch.bfc_disciplines():
-                    occupied += discipline.occupied_physical_queues()
-                    for backlog in discipline.per_queue_bytes():
-                        if backlog > 0:
-                            backlogs.append(backlog)
-                self.queue_ticks[switch.name].append(backlogs)
-                self.occupied_ticks[switch.name].append(occupied)
+    def on_buffer_sample(self, switch_name: str, occupancy_bytes: int) -> None:
+        self._calls = [("on_buffer_sample", switch_name, occupancy_bytes)]
+        self.ticks.setdefault(switch_name, []).append(self._calls)
+
+    def on_queue_sample(self, backlog_bytes: int) -> None:
+        self._calls.append(("on_queue_sample", backlog_bytes))
+
+    def on_occupied_sample(self, count: int) -> None:
+        self._calls.append(("on_occupied_sample", count))
 
 
 def _shard_worker(conn, config, shard_id: int, num_shards: int) -> None:
     """Entry point of one shard process."""
     try:
-        from repro.experiments.runner import build_simulation
+        from repro.experiments.runner import _schedule_sampling, build_simulation
 
         sim, env, topo, trace = build_simulation(config)
         # The partition is a pure function of the deterministically built
@@ -145,6 +136,7 @@ def _shard_worker(conn, config, shard_id: int, num_shards: int) -> None:
         local_switches = [
             s for s in topo.all_switches() if shard_of[s.name] == shard_id
         ]
+        local_hosts = [h for h in topo.hosts.values() if shard_of[h.name] == shard_id]
         # Remote switches are idle replicas that exist only so the build-time
         # RNG draws match the single-process run; their periodic BFC agent
         # ticks would never send a frame (no state ever changes), so cut the
@@ -152,16 +144,14 @@ def _shard_worker(conn, config, shard_id: int, num_shards: int) -> None:
         for switch in topo.all_switches():
             if shard_of[switch.name] != shard_id and isinstance(switch, BfcSwitch):
                 switch.agent._tick = _noop
-        sampler = _ShardSampler(local_switches)
-        total_ns = config.total_duration_ns()
-        interval_ns = config.effective_sample_interval_ns()
-
-        def sample_tick() -> None:
-            sampler.sample()
-            if sim.now + interval_ns <= total_ns:
-                sim.schedule(interval_ns, sample_tick)
-
-        sim.schedule(interval_ns, sample_tick)
+        recorder = _TickRecorder()
+        _schedule_sampling(
+            sim,
+            local_switches,
+            config.effective_sample_interval_ns(),
+            config.total_duration_ns(),
+            recorder,
+        )
 
         conn.send(("state", [], sim.next_event_time()))
         while True:
@@ -176,15 +166,11 @@ def _shard_worker(conn, config, shard_id: int, num_shards: int) -> None:
             outbox.clear()
             conn.send(("state", exports, sim.next_event_time()))
 
-        conn.send(
-            (
-                "result",
-                _harvest_shard(
-                    config, sim, topo, trace, spec, shard_id, sampler,
-                    boundary_ports, injector.injected,
-                ),
-            )
+        payload = _harvest_shard(
+            config, sim, topo, trace, shard_of, shard_id, local_switches, local_hosts
         )
+        payload.update(shard=shard_id, ticks=recorder.ticks, boundary_ports=boundary_ports)
+        conn.send(("result", payload))
     except Exception:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -195,11 +181,11 @@ def _shard_worker(conn, config, shard_id: int, num_shards: int) -> None:
 
 
 def _harvest_shard(
-    config, sim, topo, trace, spec: PartitionSpec, shard_id: int,
-    sampler: _ShardSampler, boundary_ports: int, injected: int,
+    config, sim, topo, trace, shard_of, shard_id: int, local_switches, local_hosts
 ) -> Dict[str, object]:
-    """Collect this shard's share of the experiment measurements."""
-    shard_of = spec.shard_of
+    """The runner's harvest of this shard's nodes, plus its side of every flow."""
+    from repro.experiments.runner import harvest
+
     sender_flows: Dict[int, tuple] = {}
     receiver_flows: Dict[int, tuple] = {}
     for flow in trace:
@@ -212,64 +198,9 @@ def _harvest_shard(
             )
         if shard_of[topo.hosts[flow.dst].name] == shard_id:
             receiver_flows[flow.flow_id] = (flow.finish_ns, flow.bytes_delivered)
-
-    from repro.experiments.runner import (
-        _aggregate_host_counters,
-        _aggregate_switch_counters,
-        _collect_bfc_stats,
-    )
-
-    local_switches = [s for s in topo.all_switches() if shard_of[s.name] == shard_id]
-    counters = _aggregate_switch_counters(topo, local_switches)
-    local_hosts = [h for h in topo.hosts.values() if shard_of[h.name] == shard_id]
-    host_counters = _aggregate_host_counters(topo, local_hosts)
-    dropped = sum(s.dropped_packets() for s in local_switches)
-
-    # Same collectors as the single-process harvest, restricted to the local
-    # switches; the coordinator recombines the raw sums across shards.
-    collected = _collect_bfc_stats(local_switches)
-    bfc = None
-    if collected is not None:
-        assignments, collisions, vfid_stats = collected
-        bfc = {
-            "assignments": assignments,
-            "collisions": collisions,
-            "vfid_stats": vfid_stats,
-        }
-
-    now = sim.now
-    pause: Dict[tuple, float] = {}
-    for switch in local_switches:
-        for iface in switch.interfaces:
-            pause[(switch.name, iface.index)] = iface.tx.pfc_meter.paused_fraction(now)
-    utilization: Dict[int, float] = {}
-    for host_id, host in topo.hosts.items():
-        if shard_of[host.name] != shard_id:
-            continue
-        for iface in host.interfaces:
-            pause[(host.name, iface.index)] = iface.tx.pfc_meter.paused_fraction(now)
-        tor = topo.tor_switch_of(host_id)
-        iface = tor.interface_to(host)
-        if iface is not None:
-            utilization[host_id] = iface.tx.utilization(config.duration_ns)
-
-    return {
-        "shard": shard_id,
-        "sender_flows": sender_flows,
-        "receiver_flows": receiver_flows,
-        "counters": counters,
-        "host_counters": host_counters,
-        "dropped": dropped,
-        "bfc": bfc,
-        "pause": pause,
-        "utilization": utilization,
-        "buffer_ticks": sampler.buffer_ticks,
-        "queue_ticks": sampler.queue_ticks,
-        "occupied_ticks": sampler.occupied_ticks,
-        "events": sim.events_processed,
-        "boundary_ports": boundary_ports,
-        "packets_injected": injected,
-    }
+    payload = harvest(sim, topo, local_switches, local_hosts, config.duration_ns)
+    payload.update(sender_flows=sender_flows, receiver_flows=receiver_flows)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -434,22 +365,15 @@ def _merge_results(
 ):
     """Fold the shard payloads into one single-process-shaped ExperimentResult.
 
-    The merge streams through the same :class:`~repro.results.ResultSink`
-    seam as the single-process runner: flow records and re-interleaved
-    sampler ticks are pushed one at a time, so a spilling sink keeps the
-    merge memory bounded instead of materializing full in-RAM collectors.
+    The flow records and the replayed sampling ticks stream through the
+    same :class:`~repro.results.ResultSink` seam as the single-process
+    runner, so a spilling sink keeps the merge memory bounded; the runner's
+    :func:`~repro.experiments.runner.assemble_result` folds the rest.
     """
-    barriers = coordinator.barriers
-    boundary_packets = coordinator.boundary_packets
-    from repro.experiments.runner import (
-        ExperimentResult,
-        FlowRecorder,
-        make_sink,
-    )
+    from repro.experiments.runner import FlowRecorder, assemble_result, make_sink
 
     if sink is None:
         sink = make_sink(config)
-    by_shard = {payload["shard"]: payload for payload in payloads}
 
     # Flow records: apply each side's fields to the coordinator's own trace
     # copy (sender shard owns tx-side fields, receiver shard completion).
@@ -469,138 +393,36 @@ def _merge_results(
             flow.finish_ns, flow.bytes_delivered = received
         sink.on_flow_record(recorder.record(flow))
 
-    # Counters / drops / BFC stats: plain sums (max for the table high-water).
-    switch_counters: Dict[str, int] = {}
-    host_counters: Dict[str, int] = {}
-    dropped = 0
-    assignments = collisions = 0
-    vfid_stats: Dict[str, int] = {}
-    any_bfc = False
+    # Sampling ticks: per tick, each switch's filed calls in topology order,
+    # the order a single-process run makes them in.
+    ticks: Dict[str, List[list]] = {}
     for payload in payloads:
-        for name, value in payload["counters"].items():
-            switch_counters[name] = switch_counters.get(name, 0) + value
-        for name, value in payload.get("host_counters", {}).items():
-            host_counters[name] = host_counters.get(name, 0) + value
-        dropped += payload["dropped"]
-        bfc = payload["bfc"]
-        if bfc is not None:
-            any_bfc = True
-            assignments += bfc["assignments"]
-            collisions += bfc["collisions"]
-            for name, value in bfc["vfid_stats"].items():
-                if name == "max_active_entries":
-                    vfid_stats[name] = max(vfid_stats.get(name, 0), value)
-                else:
-                    vfid_stats[name] = vfid_stats.get(name, 0) + value
-    if any_bfc:
-        collision_fraction = collisions / assignments if assignments else 0.0
-    else:
-        collision_fraction, vfid_stats = None, {}
-
-    # Pause fractions and utilization: walk the coordinator's topology in the
-    # exact single-process harvest order, pulling each value from the shard
-    # that owns the node.
-    pause_by_iface: Dict[tuple, float] = {}
-    for payload in payloads:
-        pause_by_iface.update(payload["pause"])
-    pause_fractions: Dict[str, List[float]] = {}
-    for switch in topo.all_switches():
-        for iface in switch.interfaces:
-            pause_fractions.setdefault(iface.link_class, []).append(
-                pause_by_iface[(switch.name, iface.index)]
-            )
-    for host in topo.hosts.values():
-        for iface in host.interfaces:
-            pause_fractions.setdefault(iface.link_class, []).append(
-                pause_by_iface[(host.name, iface.index)]
-            )
-    utilization: Dict[int, float] = {}
-    merged_util: Dict[int, float] = {}
-    for payload in payloads:
-        merged_util.update(payload["utilization"])
-    for host_id in topo.hosts:
-        if host_id in merged_util:
-            utilization[host_id] = merged_util[host_id]
-
-    # Samplers: re-interleave the per-switch per-tick series in single-process
-    # order (per tick, switches in topology order).
-    buffer_ticks: Dict[str, List[int]] = {}
-    queue_ticks: Dict[str, List[List[int]]] = {}
-    occupied_ticks: Dict[str, List[int]] = {}
-    for payload in payloads:
-        buffer_ticks.update(payload["buffer_ticks"])
-        queue_ticks.update(payload["queue_ticks"])
-        occupied_ticks.update(payload["occupied_ticks"])
-    tick_counts = {len(series) for series in buffer_ticks.values()}
+        ticks.update(payload["ticks"])
+    tick_counts = {len(series) for series in ticks.values()}
     if len(tick_counts) > 1:
         raise ShardError(f"shards disagree on sampling tick count: {tick_counts}")
-    ticks = tick_counts.pop() if tick_counts else 0
-    for tick in range(ticks):
+    for tick in range(tick_counts.pop() if tick_counts else 0):
         for switch in topo.all_switches():
-            name = switch.name
-            sink.on_buffer_sample(name, buffer_ticks[name][tick])
-            if name in queue_ticks:
-                for backlog in queue_ticks[name][tick]:
-                    sink.on_queue_sample(backlog)
-                sink.on_occupied_sample(occupied_ticks[name][tick])
+            for method, *args in ticks[switch.name][tick]:
+                getattr(sink, method)(*args)
 
-    events_processed = sum(payload["events"] for payload in payloads)
     shard_stats = spec.stats(topo)
     if coordinator.slot_budget is not None:
         shard_stats["slot_budget"] = coordinator.slot_budget
         shard_stats["oversubscribed"] = len(coordinator.shard_ids) > coordinator.slot_budget
     shard_stats.update(
         {
-            "barriers": barriers,
-            "boundary_packets": boundary_packets,
-            "events_per_shard": {
-                str(shard): by_shard[shard]["events"] for shard in sorted(by_shard)
-            },
+            "barriers": coordinator.barriers,
+            "boundary_packets": coordinator.boundary_packets,
+            # The payloads arrive in shard order.
+            "events_per_shard": {str(p["shard"]): p["events"] for p in payloads},
             "boundary_ports_per_shard": {
-                str(shard): by_shard[shard]["boundary_ports"]
-                for shard in sorted(by_shard)
+                str(p["shard"]): p["boundary_ports"] for p in payloads
             },
         }
     )
-
-    extras = {
-        "name": config.name,
-        "scheme": config.scheme,
-        "seed": config.seed,
-        "flows_offered": len(trace),
-        "events_processed": events_processed,
-        "dropped_packets": dropped,
-        "switch_counters": dict(sorted(switch_counters.items())),
-        "host_counters": dict(sorted(host_counters.items())),
-        "collision_fraction": collision_fraction,
-        "vfid_stats": dict(sorted(vfid_stats.items())),
-        "utilization_per_receiver": {
-            str(host_id): value for host_id, value in sorted(utilization.items())
-        },
-        "pause_fractions": {
-            cls: values for cls, values in sorted(pause_fractions.items())
-        },
-    }
-    flow_stats, buffer_sampler, queue_sampler = sink.finalize(extras)
-
-    return ExperimentResult(
-        config=config,
-        scheme=config.scheme,
-        flow_stats=flow_stats,
-        buffer_sampler=buffer_sampler,
-        queue_sampler=queue_sampler,
-        pause_fractions=pause_fractions,
-        utilization_per_receiver=utilization,
-        dropped_packets=dropped,
-        switch_counters=switch_counters,
-        collision_fraction=collision_fraction,
-        vfid_stats=vfid_stats,
-        flows_offered=len(trace),
-        events_processed=events_processed,
-        wall_seconds=time.monotonic() - wall_started,
-        shard_stats=shard_stats,
-        results_ref=sink.results_ref,
-        host_counters=host_counters,
+    return assemble_result(
+        config, topo, payloads, sink, len(trace), wall_started, shard_stats
     )
 
 

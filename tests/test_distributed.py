@@ -412,6 +412,22 @@ class TestWorkerAgentProtocol:
         finally:
             agent.stop()
 
+    def test_non_loopback_bind_without_token_is_refused(self):
+        # Refused before a socket is bound, so nothing is ever served.
+        with pytest.raises(CampaignError, match="without a token"):
+            WorkerAgent(host="0.0.0.0")
+
+    @pytest.mark.parametrize(
+        "host, token", [("0.0.0.0", "sesame"), ("127.0.0.1", None)]
+    )
+    def test_token_or_loopback_bind_is_accepted(self, host, token):
+        agent = WorkerAgent(host=host, token=token).start()
+        try:
+            _, port = agent.address
+            assert WorkerClient(f"http://127.0.0.1:{port}", token=token).probe()
+        finally:
+            agent.stop()
+
     def test_shutdown_endpoint_stops_the_agent(self):
         agent = WorkerAgent().start()
         client = WorkerClient(agent.url)

@@ -142,8 +142,7 @@ class TestBoundaryChannel:
         sim = Simulator()
         outbox = []
         channel = BoundaryChannel(
-            sim, delay_ns=1000, dest_shard=1, dest_node="tor1",
-            dest_iface=4, outbox=outbox,
+            sim, dest_shard=1, dest_node="tor1", dest_iface=4, outbox=outbox
         )
         packet = make_data_packet()
         # The capture receives the delivery post's own delay (serialization

@@ -20,11 +20,6 @@ copies of the golden fabric joined the same way, and so does the whole
 golden slice, on that fabric and on a four-pod one.  A cut the topology does
 not have — ``shards > 1`` on one DC, or more shards than DCs — is refused
 before any worker process starts.
-
-These tests also pin the coordinator's sampling replica
-(:class:`repro.shard.coordinator._ShardSampler`) to the runner's
-``_schedule_sampling`` loop: a change to either that breaks the interleaving
-shows up here as a byte diff.
 """
 
 import json
@@ -380,6 +375,34 @@ class TestSingleShardDegradesToPlainRunner:
         b = json.loads(json.dumps(canonical_records(one_shard), sort_keys=True))
         assert a == b  # includes events_processed: same engine, same schedule
         assert one_shard.shard_stats is None
+
+
+class TestMergeSinkPath:
+    """A sharded run spills the same artifacts as the serial run.
+
+    The merge streams flow records and replayed sampling ticks into the
+    spilling sink; only the raw engine event count may differ.
+    """
+
+    @pytest.mark.parametrize("scheme", ["BFC", "DCQCN"])
+    def test_spilled_artifacts_match_serial(self, tmp_path, scheme):
+        config = fig9_configs("tiny", schemes=(scheme,), seed=FIG9_SEED)[scheme]
+        run_dirs = []
+        for shards in (1, 2):
+            run = replace(config, shards=shards, results_dir=str(tmp_path / str(shards)))
+            run_dirs.append(Path(run_experiment(run).results_ref))
+        serial, sharded = run_dirs
+
+        def read(run_dir, name):
+            return (run_dir / name).read_bytes()
+
+        assert read(serial, "flows.jsonl") == read(sharded, "flows.jsonl")
+        index = "flows.idx.json"
+        assert json.loads(read(serial, index)) == json.loads(read(sharded, index))
+        summaries = [json.loads(read(d, "summary.json")) for d in run_dirs]
+        for run_summary in summaries:
+            run_summary["extras"].pop("events_processed")
+        assert summaries[0] == summaries[1]
 
 
 class TestCampaignComposition:
