@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Distributed campaign walkthrough: two localhost workers, one killed mid-wave.
+"""Distributed campaign walkthrough: two localhost workers, one killed mid-trial.
 
 This is the full fault-tolerance story on one machine:
 
 1. start two ``repro worker serve`` agents as subprocesses;
 2. run a small fig5a-style campaign through the
    :class:`~repro.campaign.DistributedExecutor` into an experiment
-   workspace — and, while the wave is in flight, SIGKILL one worker the
+   workspace — and, while the campaign is in flight, SIGKILL one worker the
    moment it reports a running trial;
-3. the coordinator detects the loss, re-plans the remaining trials over the
-   survivor, and the campaign completes;
+3. the coordinator logs the loss, puts the lost trial back on the queue for
+   the survivor, and the campaign completes;
 4. the final records are verified identical to a serial run of the same
    campaign, and the workspace (results.jsonl + manifest.json + report.md)
    is printed.
@@ -22,6 +22,7 @@ This script is also CI's ``distributed-smoke`` job.  Run with::
 from __future__ import annotations
 
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -29,7 +30,6 @@ import sys
 import threading
 import time
 import urllib.request
-import warnings
 from pathlib import Path
 
 from repro.campaign import Campaign, DistributedExecutor, SerialExecutor, Workspace
@@ -73,6 +73,8 @@ def kill_when_running(proc: subprocess.Popen, url: str, done: threading.Event):
 
 def main() -> int:
     root = sys.argv[1] if len(sys.argv) > 1 else "workspace-demo"
+    # Show the coordinator's worker-loss line.
+    logging.basicConfig(format="  %(name)s: %(message)s", level=logging.WARNING)
 
     print("Serial baseline ...")
     baseline = make_campaign().run(executor=SerialExecutor())
@@ -90,11 +92,7 @@ def main() -> int:
         executor = DistributedExecutor(
             [victim_url, survivor_url], backoff_s=0.1
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")  # show the loss/re-plan warnings
-            result_set = make_campaign().run(
-                executor=executor, workspace=workspace
-            )
+        result_set = make_campaign().run(executor=executor, workspace=workspace)
     finally:
         for proc in (victim, survivor):
             proc.kill()

@@ -6,8 +6,8 @@ pluggable executor — serial, the resource-aware scheduler on a local core
 budget, or a fault-tolerant distributed coordinator dispatching to remote
 :class:`WorkerAgent` services — and returns a :class:`ResultSet` of tidy
 per-trial records with aggregation helpers and JSONL persistence.  A run can
-land in a :class:`Workspace`: one timestamped folder with the JSONL, cost
-cache, collected artifacts, a provenance manifest and a Markdown report.
+land in a :class:`Workspace`: one timestamped folder with the JSONL,
+collected artifacts, a provenance manifest and a Markdown report.
 See :mod:`repro.campaign.core` for examples, ``docs/campaigns.md`` and
 ``docs/distributed.md`` for the guides.
 """
@@ -30,7 +30,6 @@ from .executors import (
 from .results import CampaignError, ResultSet, TrialRecord, summarize_result
 from .scheduling import (
     CORES_ENV,
-    CostCache,
     ExecutionPlan,
     PlannedTrial,
     ScheduledExecutor,
@@ -62,7 +61,6 @@ __all__ = [
     "execute_trial",
     "execute_trial_record_only",
     "make_executor",
-    "CostCache",
     "ExecutionPlan",
     "PlannedTrial",
     "plan_trials",

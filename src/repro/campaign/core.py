@@ -502,30 +502,22 @@ class Campaign:
         return done, stale, pending
 
     def plan(
-        self,
-        cores: Optional[object] = None,
-        save: Optional[object] = None,
-        resume: Optional[object] = None,
+        self, cores: Optional[object] = None, resume: Optional[object] = None
     ):
         """Preview the resource-aware execution plan without running anything.
 
         Expands the campaign, drops trials already recorded in ``resume``
-        (exactly as :meth:`run` would) and packs the remainder onto ``cores``
-        CPU slots (default one, as in :meth:`run`) — a sharded trial counts
-        as ``shards`` slots.  Pass the same ``save``/``resume`` paths as the
-        run you are previewing: the measured-cost cache lives next to that
-        file (``resume`` doubles as ``save``, as in :meth:`run`), so the
-        preview packs with the same costs the run will.  Returns an
+        (exactly as :meth:`run` would) and orders the remainder longest
+        first on ``cores`` CPU slots (default one, as in :meth:`run`) — a
+        sharded trial counts as ``shards`` slots.  Returns an
         :class:`~repro.campaign.scheduling.ExecutionPlan`; its
         :meth:`~repro.campaign.scheduling.ExecutionPlan.describe` is what the
         CLI prints for ``--dry-run``.
         """
-        from .scheduling import CostCache, plan_trials
+        from .scheduling import plan_trials
 
         _, _, pending = self._split_resume(self.trials(), resume)
-        target = save if save is not None else resume
-        cache = CostCache.for_results_file(target) if target is not None else None
-        return plan_trials(pending, 1 if cores is None else cores, cache)
+        return plan_trials(pending, 1 if cores is None else cores)
 
     def run(
         self,
@@ -549,9 +541,7 @@ class Campaign:
         run: trials already recorded there are skipped.  ``save`` writes the
         merged result set back out after every finished trial, atomically,
         so an interrupt loses only the trials in flight (``resume`` doubles
-        as ``save`` when only ``resume`` is given).  A measured-cost cache
-        (``<save>.costs.json`` next to the JSONL) is maintained so later
-        runs pack trials by their real wall-clock cost.
+        as ``save`` when only ``resume`` is given).
 
         ``keep_results=False`` drops the full per-trial
         :class:`ExperimentResult` objects (and keeps them out of the
@@ -590,14 +580,6 @@ class Campaign:
         done, stale, pending = self._split_resume(trials, resume)
         target = save if save is not None else resume
         chosen = make_executor(executor, cores, records_only=not keep_results)
-        # An executor that understands cost caches but was built without one
-        # gets the cache riding the save target, so scheduled runs pack by
-        # measured costs and distributed runs derive timeouts from them with
-        # no extra plumbing.  Attach-only: never replaces a caller's cache.
-        if target is not None and getattr(chosen, "cost_cache", "absent") is None:
-            from .scheduling import CostCache
-
-            chosen.cost_cache = CostCache.for_results_file(target)
 
         def persist(result_set: ResultSet) -> None:
             if target is None:

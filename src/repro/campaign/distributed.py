@@ -16,15 +16,13 @@ Two halves:
   state: all scheduling, retrying and persistence intelligence lives in the
   coordinator, so a worker that crashes loses nothing but its in-flight
   trial.
-* :class:`DistributedExecutor` — the coordinator.  It extends
-  :func:`~repro.campaign.scheduling.plan_trials`' waves across machines:
-  the wave budget is the sum of the live workers' advertised slots, trials
-  are dispatched longest-first over a shared work queue, and real fault
-  handling keeps the campaign running — per-trial timeouts derived from the
-  :class:`~repro.campaign.scheduling.CostCache` estimate, exponential-backoff
-  retries for transient errors, health probes, loss detection that re-plans
-  the remaining waves over the surviving workers, and graceful degradation
-  to local execution when no worker is reachable at all.
+* :class:`DistributedExecutor` — the coordinator.  It streams
+  :func:`~repro.campaign.scheduling.plan_trials`' longest-first order over
+  the live workers from one shared work queue, and real fault handling
+  keeps the campaign running — a per-trial deadline, exponential-backoff
+  retries for transient errors, health probes, loss detection that hands a
+  dead worker's trial to the survivors, and graceful degradation to local
+  execution when no worker is reachable at all.
 
 Because every trial is a pure function of its config and seed, a retry (on
 the same worker, another worker, or locally) is idempotent, and the final
@@ -44,13 +42,14 @@ import hmac
 import http.client
 import ipaddress
 import json
+import logging
 import os
 import pickle
+import queue
 import socket
 import threading
 import time
 import urllib.parse
-import warnings
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -61,7 +60,7 @@ from repro.sim.engine import ENGINE_BACKEND
 from .core import _config_fingerprint
 from .executors import Executor, OnDone, Pair, execute_trial, run_local
 from .results import CampaignError, TrialRecord
-from .scheduling import CostCache, ExecutionPlan, plan_trials
+from .scheduling import ExecutionPlan, plan_trials
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import Trial
@@ -70,9 +69,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: version so silent coordinator/worker skew cannot corrupt a campaign.
 PROTOCOL_VERSION = 1
 
-#: Default per-trial timeout (seconds) when the cost cache has no measured
-#: wall-clock for the trial yet.
+#: Default per-trial deadline (seconds) on a worker.
 DEFAULT_TRIAL_TIMEOUT_S = 300.0
+
+log = logging.getLogger("repro.campaign")
 
 
 class DistributedError(CampaignError):
@@ -190,7 +190,6 @@ class _WorkerHandler(BaseHTTPRequestHandler):
                 "protocol": PROTOCOL_VERSION,
                 "pid": os.getpid(),
                 "engine_backend": ENGINE_BACKEND,
-                "slots": self.agent.slots,
                 "running": state.running,
                 "completed": state.completed,
                 "failed": state.failed,
@@ -292,9 +291,9 @@ class WorkerAgent:
 
     Endpoints:
 
-    * ``GET /health`` — JSON status: pid, ``engine_backend``, advertised
-      ``slots``, the trial currently running (if any), completed/failed
-      counts.  This is the coordinator's liveness probe.
+    * ``GET /health`` — JSON status: pid, ``engine_backend``, the trial
+      currently running (if any), completed/failed counts.  This is the
+      coordinator's liveness probe.
     * ``POST /run`` — pickled ``{trial, fingerprint, slot_budget,
       records_only, protocol}``; the agent verifies the protocol version and
       the config fingerprint (version-skew guard), runs the trial through
@@ -319,17 +318,13 @@ class WorkerAgent:
         host: str = "127.0.0.1",
         port: int = 0,
         token: Optional[str] = None,
-        slots: int = 1,
     ) -> None:
-        if slots < 1:
-            raise CampaignError(f"slots must be >= 1, got {slots}")
         if not token and not _is_loopback(host):
             raise CampaignError(
                 f"refusing to serve on {host!r} without a token: a worker runs "
                 "whatever it is sent, so a non-loopback bind needs --token"
             )
         self.token = token
-        self.slots = slots
         self.state = _WorkerState()
         self._server = ThreadingHTTPServer((host, port), _WorkerHandler)
         self._server.daemon_threads = True
@@ -405,7 +400,6 @@ class WorkerClient:
         self._scheme = parsed.scheme
         self.token = token
         self.alive = True
-        self.slots = 1
         #: The worker's engine backend, as its last /health reported it.
         self.engine_backend: Optional[str] = None
         self.completed = 0
@@ -426,7 +420,7 @@ class WorkerClient:
         return {} if self.token is None else {"X-Repro-Token": self.token}
 
     def probe(self, timeout: float = 5.0) -> bool:
-        """``GET /health``; updates :attr:`alive` and the advertised slots."""
+        """``GET /health``; updates :attr:`alive` and :attr:`engine_backend`."""
         if self.banned:
             self.alive = False
             return False
@@ -437,7 +431,6 @@ class WorkerClient:
             payload = json.loads(response.read().decode("utf-8"))
             ok = response.status == 200 and payload.get("kind") == "repro.worker"
             if ok:
-                self.slots = max(1, int(payload.get("slots", 1)))
                 self.engine_backend = payload.get("engine_backend")
             self.alive = ok
         except (OSError, ValueError):
@@ -557,26 +550,21 @@ class WorkerClient:
 class DistributedExecutor(Executor):
     """Run campaign trials across remote :class:`WorkerAgent` processes.
 
-    The coordinator extends the scheduling layer across machines:
+    The coordinator streams the local executors' dispatch order across
+    machines:
 
-    * :meth:`run` executes wave by wave: before each wave it re-probes the
-      roster and packs the remaining trials with
-      :func:`~repro.campaign.scheduling.plan_trials` onto a budget of
-      ``sum(slots of live workers)``, runs the first wave, and reports its
-      finished trials through ``on_done`` from the calling thread — so
-      ``Campaign.run`` persists at each wave barrier (a roster re-probe is a
-      real boundary, unlike the local executors, which stream);
-    * within a wave, trials are dispatched longest-first over a shared work
-      queue, one puller thread per live worker — when a worker dies, its
-      in-flight trial goes back on the queue and the survivors drain it
-      (the queue *is* the re-plan), and the remaining waves are re-planned
-      over the shrunken roster;
-    * per-trial timeouts come from the cost cache: a trial with a measured
-      wall-clock gets ``timeout_factor ×`` that (clamped to at least
-      ``min_timeout_s``), an unmeasured one gets ``default_timeout_s``; an
-      explicit ``trial_timeout`` overrides both;
-    * if every worker is dead (at construction or mid-campaign), execution
-      degrades to in-process serial execution with a ``RuntimeWarning`` —
+    * :meth:`run` probes the roster once, then drains the whole
+      longest-first order (:func:`~repro.campaign.scheduling.plan_trials`)
+      from one shared work queue, one puller thread per live worker, and
+      reports each finished trial through ``on_done`` from the calling
+      thread — so ``Campaign.run`` persists per trial, as local runs do;
+    * when a worker dies, its in-flight trial goes back on the front of the
+      queue and the surviving pullers drain it;
+    * each trial gets ``trial_timeout`` seconds on a worker
+      (:data:`DEFAULT_TRIAL_TIMEOUT_S` by default); a worker that overruns
+      it is lost for the campaign;
+    * if every worker is dead (at the probe or mid-campaign), execution
+      degrades to in-process serial execution with a logged warning —
       unless ``local_fallback=False``, which raises
       :class:`DistributedError` instead.
 
@@ -595,12 +583,8 @@ class DistributedExecutor(Executor):
         self,
         workers: Union[str, Path, Sequence[Union[str, WorkerClient]]],
         records_only: bool = False,
-        cost_cache: Optional[CostCache] = None,
         token: Optional[str] = None,
-        trial_timeout: Optional[float] = None,
-        default_timeout_s: float = DEFAULT_TRIAL_TIMEOUT_S,
-        min_timeout_s: float = 30.0,
-        timeout_factor: float = 8.0,
+        trial_timeout: float = DEFAULT_TRIAL_TIMEOUT_S,
         retries: int = 2,
         backoff_s: float = 0.5,
         probe_timeout_s: float = 5.0,
@@ -615,11 +599,7 @@ class DistributedExecutor(Executor):
         if not self.clients:
             raise CampaignError("DistributedExecutor needs at least one worker")
         self.records_only = records_only
-        self.cost_cache = cost_cache
         self.trial_timeout = trial_timeout
-        self.default_timeout_s = default_timeout_s
-        self.min_timeout_s = min_timeout_s
-        self.timeout_factor = timeout_factor
         self.retries = retries
         self.backoff_s = backoff_s
         self.probe_timeout_s = probe_timeout_s
@@ -637,147 +617,118 @@ class DistributedExecutor(Executor):
     def roster(self) -> List[Dict[str, object]]:
         """The worker roster as recorded in workspace manifests."""
         return [
-            {"url": c.url, "alive": c.alive, "slots": c.slots,
+            {"url": c.url, "alive": c.alive,
              "engine_backend": c.engine_backend,
              "trials_completed": c.completed}
             for c in self.clients
         ]
 
-    def _slot_budget(self) -> int:
-        return max(1, sum(c.slots for c in self.clients if c.alive))
-
-    # -- planning ------------------------------------------------------------
-
     def plan(self, trials: Sequence["Trial"]) -> ExecutionPlan:
-        """The wave plan over the currently-live roster's slot total."""
-        self.probe_workers()
-        return plan_trials(trials, self._slot_budget(), self.cost_cache)
-
-    def _timeout_for(self, trial: "Trial") -> float:
-        if self.trial_timeout is not None:
-            return self.trial_timeout
-        measured = (
-            self.cost_cache.lookup(trial) if self.cost_cache is not None else None
-        )
-        if measured is None:
-            return self.default_timeout_s
-        return max(self.min_timeout_s, self.timeout_factor * measured)
+        """Probe the roster; the dispatch order, one slot per live worker."""
+        return plan_trials(trials, max(1, len(self.probe_workers())))
 
     # -- dispatch ------------------------------------------------------------
 
-    def _drain_wave(
-        self, trials: Sequence["Trial"]
+    def run(
+        self, trials: Sequence["Trial"], on_done: Optional[OnDone] = None
     ) -> List[Pair]:
-        """Drain one wave, given longest first, over the live workers.
-
-        A trial whose worker is lost goes back on the front of the queue.
-        """
+        pending = deque(self.plan(trials).order)
         results: Dict[int, Pair] = {}
-        queue = deque(trials)
-        lock = threading.Lock()
-        errors: List[BaseException] = []
+        # Guards `pending`, `in_flight` and `stop`.  A puller whose queue is
+        # empty waits while other trials are in flight: a lost worker puts
+        # its trial back, and a survivor must be there to take it.
+        cond = threading.Condition()
+        in_flight = 0
+        stop = False
+        finished: "queue.SimpleQueue" = queue.SimpleQueue()
 
         def pull(client: WorkerClient) -> None:
-            while True:
-                with lock:
-                    if errors or not queue:
-                        return
-                    trial = queue.popleft()
-                try:
-                    pair = client.run_trial(
-                        trial,
-                        timeout=self._timeout_for(trial),
-                        records_only=self.records_only,
-                        retries=self.retries,
-                        backoff_s=self.backoff_s,
-                        probe_timeout=self.probe_timeout_s,
-                    )
-                except WorkerUnavailable as exc:
-                    warnings.warn(
-                        f"worker lost, re-dispatching {trial.name!r}: {exc}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    with lock:
-                        queue.appendleft(trial)
-                    return  # this worker is out for the campaign
-                except BaseException as exc:  # poison trial / real bug
-                    with lock:
-                        errors.append(exc)
-                    return
-                with lock:
-                    results[id(trial)] = pair
-                if self.cost_cache is not None:
-                    self.cost_cache.record(trial, pair[0].wall_seconds)
+            nonlocal in_flight, stop
+            try:
+                while True:
+                    with cond:
+                        while not pending and in_flight and not stop:
+                            cond.wait()
+                        if stop or not pending:
+                            return
+                        entry = pending.popleft()
+                        in_flight += 1
+                    trial = trials[entry.index]
+                    try:
+                        outcome = client.run_trial(
+                            trial,
+                            timeout=self.trial_timeout,
+                            records_only=self.records_only,
+                            retries=self.retries,
+                            backoff_s=self.backoff_s,
+                            probe_timeout=self.probe_timeout_s,
+                        )
+                    except WorkerUnavailable as exc:
+                        log.warning(
+                            "worker lost, re-dispatching %r: %s", trial.name, exc
+                        )
+                        with cond:
+                            pending.appendleft(entry)
+                            in_flight -= 1
+                            cond.notify_all()
+                        return  # this worker is out for the campaign
+                    except BaseException as exc:  # poison trial / real bug
+                        outcome = exc
+                    with cond:
+                        in_flight -= 1
+                        if isinstance(outcome, BaseException):
+                            stop = True  # finish what runs, start nothing new
+                        cond.notify_all()
+                    finished.put((entry, outcome))
+            finally:
+                finished.put(None)  # this puller is done
 
-        live = [c for c in self.clients if c.alive]
-        if live:
-            threads = [
-                threading.Thread(target=pull, args=(client,), daemon=True)
-                for client in live
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
-        leftovers = [t for t in trials if id(t) not in results]
-        if leftovers:
+        pullers = [c for c in self.clients if c.alive]
+        for client in pullers:
+            threading.Thread(target=pull, args=(client,), daemon=True).start()
+        error: Optional[BaseException] = None
+        active = len(pullers)
+        try:
+            while active:
+                item = finished.get()
+                if item is None:
+                    active -= 1
+                    continue
+                entry, outcome = item
+                if isinstance(outcome, BaseException):
+                    error = error or outcome
+                    continue
+                results[entry.index] = outcome
+                if on_done is not None:
+                    on_done(outcome)
+        finally:
+            with cond:
+                stop = True
+                cond.notify_all()
+        if error is not None:
+            raise error
+        if pending:
             # Every worker died (or none was ever reachable): graceful
             # degradation to the local serial path, loudly.
+            leftovers = list(pending)
             if not self.local_fallback:
                 raise DistributedError(
                     f"no live workers left and local_fallback=False; "
                     f"{len(leftovers)} trial(s) not run "
                     f"(first: {leftovers[0].name!r})"
                 )
-            warnings.warn(
-                f"no live workers remain; running {len(leftovers)} trial(s) "
-                "locally (records are identical either way)",
-                RuntimeWarning,
-                stacklevel=2,
+            log.warning(
+                "no live workers remain; running %d trial(s) locally "
+                "(records are identical either way)",
+                len(leftovers),
             )
-            for trial, pair in zip(
-                leftovers, run_local(leftovers, 1, self.records_only)
-            ):
-                results[id(trial)] = pair
-                if self.cost_cache is not None:
-                    self.cost_cache.record(trial, pair[0].wall_seconds)
-        if self.cost_cache is not None:
-            self.cost_cache.save()
-        return [results[id(t)] for t in trials]
-
-    def run(
-        self, trials: Sequence["Trial"], on_done: Optional[OnDone] = None
-    ) -> List[Pair]:
-        # Plan, execute a wave, re-plan the remainder whenever the roster
-        # shrank — the explicit "re-plan remaining waves over surviving
-        # workers" path.
-        results: Dict[int, Pair] = {}
-        remaining = list(trials)
-        while remaining:
-            # self.plan() re-probes the roster, so each wave is planned over
-            # the workers that are actually alive *now*.
-            plan = self.plan(remaining)
-            live_before = sum(1 for c in self.clients if c.alive)
-            first = {entry.index for entry in plan.waves[0]}
-            wave = [remaining[e.index] for e in plan.order if e.index in first]
-            for trial, pair in zip(wave, self._drain_wave(wave)):
-                results[id(trial)] = pair
-                if on_done is not None:
-                    on_done(pair)
-            remaining = [t for t in remaining if id(t) not in results]
-            live_after = sum(1 for c in self.clients if c.alive)
-            if remaining and live_after != live_before:
-                warnings.warn(
-                    f"worker roster changed ({live_before} -> {live_after} "
-                    f"live); re-planning the remaining {len(remaining)} "
-                    "trial(s)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        return [results[id(t)] for t in trials]
+            pairs = run_local(
+                [trials[entry.index] for entry in leftovers], 1,
+                self.records_only, on_done,
+            )
+            for entry, pair in zip(leftovers, pairs):
+                results[entry.index] = pair
+        return [results[index] for index in range(len(trials))]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

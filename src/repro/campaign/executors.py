@@ -9,8 +9,8 @@ trials submitted as CPU slots free up, and a callback per finished trial.
 resource-aware :class:`~repro.campaign.scheduling.ScheduledExecutor`
 (``Campaign.run(cores=...)``, serial by default) feeds it the planner's
 longest-first queue with a sharded trial charged ``shards`` slots.
-:class:`~repro.campaign.distributed.DistributedExecutor` extends the same
-planning across machines with fault-tolerant dispatch to worker agents.
+:class:`~repro.campaign.distributed.DistributedExecutor` streams the same
+order across machines with fault-tolerant dispatch to worker agents.
 All three run trials through :func:`execute_trial`, and every trial is
 deterministic in its config and seed, which is what makes their records
 interchangeable.
@@ -83,14 +83,13 @@ def execute_trial_record_only(
 
 @dataclass(frozen=True)
 class PlannedTrial:
-    """One trial's placement in a dispatch queue or an execution plan."""
+    """One trial's place in a dispatch queue."""
 
     index: int  #: position in the planned trial list
     name: str
     slots: int  #: concurrent slots charged against the budget (capped at cores)
     requested_slots: int  #: the trial's true footprint (``max(1, shards)``)
-    cost: float  #: packing cost (seconds when measured/calibrated, else relative)
-    measured: bool  #: True when the cost came from the cost cache
+    cost: float  #: relative cost estimate (the longest-first sort key)
     oversubscribed: bool  #: ``requested_slots > cores``: runs alone, time-sliced
 
 
@@ -133,7 +132,7 @@ def run_local(
     """
     if queue is None:
         queue = [
-            PlannedTrial(i, t.name, 1, 1, 0.0, False, False)
+            PlannedTrial(i, t.name, 1, 1, 0.0, False)
             for i, t in enumerate(trials)
         ]
     fn = execute_trial_record_only if records_only else execute_trial
@@ -197,8 +196,7 @@ class Executor:
     and contains, for each trial, its record and full experiment result
     (``None`` with ``records_only``, which skips materializing the result
     past the worker).  ``on_done(pair)`` is called in the calling thread as
-    each trial (or, for the distributed coordinator, each wave) finishes,
-    which is where ``Campaign.run`` persists.
+    each trial finishes, which is where ``Campaign.run`` persists.
     """
 
     records_only: bool = False

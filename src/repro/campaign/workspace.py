@@ -1,17 +1,15 @@
 """Experiment workspaces: one campaign run = one browsable folder.
 
-A big parameter grid is more than its JSONL: there is the measured-cost
-cache that makes the next run pack better, the per-trial spill artifacts,
-the provenance of the code and machines that produced it, and the tables a
-reader actually wants to see.  A :class:`Workspace` gathers all of that
-under one timestamped directory::
+A big parameter grid is more than its JSONL: there are the per-trial spill
+artifacts, the provenance of the code and machines that produced it, and
+the tables a reader actually wants to see.  A :class:`Workspace` gathers
+all of that under one timestamped directory, writing each file atomically::
 
     <root>/<campaign>-<UTC timestamp>/
-        results.jsonl       # the campaign JSONL (resume/identity contract)
-        results.costs.json  # measured-cost cache (rides the JSONL, as always)
-        artifacts/          # per-trial spill dirs, copied in and re-pointed
-        manifest.json       # git SHA, platform, engine, worker roster, plan
-        report.md           # aggregate + p99-slowdown tables per sweep axis
+        results.jsonl   # the campaign JSONL (resume/identity contract)
+        artifacts/      # per-trial spill dirs, copied in and re-pointed
+        manifest.json   # git SHA, platform, engine, worker roster, plan
+        report.md       # aggregate + p99-slowdown tables per sweep axis
 
 Entry points: ``Campaign.run(workspace=...)`` (a root path or a ready
 :class:`Workspace`), the CLI's ``repro campaign --workspace``, and
@@ -32,7 +30,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.sim.engine import ENGINE_BACKEND
 
-from .results import ResultSet, TrialRecord
+from .results import ResultSet, TrialRecord, atomic_writer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .executors import Executor
@@ -195,7 +193,7 @@ def render_report(result_set: ResultSet, title: Optional[str] = None) -> str:
 
 
 class Workspace:
-    """A campaign run's folder: results, costs, artifacts, manifest, report.
+    """A campaign run's folder: results, artifacts, manifest, report.
 
     :meth:`create` makes a fresh timestamped run directory under a root;
     the constructor wraps an existing one (e.g. to resume an interrupted
@@ -293,8 +291,8 @@ class Workspace:
                 "machine": platform.machine(),
                 "cpu_count": os.cpu_count(),
             },
-            # Records are identical under either engine; wall-clock costs
-            # (results.costs.json, trial wall_seconds) are not.
+            # Records are identical under either engine; trial wall_seconds
+            # are not.
             "engine_backend": ENGINE_BACKEND,
             "executor": type(executor).__name__ if executor is not None else None,
             "workers": (
@@ -304,14 +302,13 @@ class Workspace:
         }
         if extra:
             manifest.update(extra)
-        self.manifest_path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n",
-            encoding="utf-8",
-        )
+        with atomic_writer(self.manifest_path) as fh:
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
         return self.manifest_path
 
     def write_report(self, result_set: ResultSet) -> Path:
-        self.report_path.write_text(render_report(result_set), encoding="utf-8")
+        with atomic_writer(self.report_path) as fh:
+            fh.write(render_report(result_set))
         return self.report_path
 
     def manifest(self) -> Dict[str, object]:

@@ -87,7 +87,7 @@ CORES_HELP = (
     "CPU-slot budget (default 1: serial, in this process); a trial with "
     "shards=N counts as N slots; 'auto' detects the usable cores"
 )
-DRY_RUN_HELP = "print the execution plan and exit without running"
+DRY_RUN_HELP = "print the longest-first dispatch order and exit without running"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="shared secret sent to workers (X-Repro-Token)")
     campaign.add_argument("--workspace", default=None, metavar="DIR",
                           help="land the run in a timestamped experiment workspace "
-                               "under DIR: results.jsonl + cost cache + artifacts + "
-                               "manifest.json + report.md (replaces --save/--resume)")
+                               "under DIR: results.jsonl + artifacts + manifest.json + "
+                               "report.md (replaces --save/--resume)")
     campaign.add_argument("--json", action="store_true")
 
     figure = sub.add_parser("figure", help="run one of the paper's figures")
@@ -233,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--port", type=int, default=0,
                         help="bind port (default 0: pick an ephemeral port "
                              "and print it)")
-    worker.add_argument("--slots", type=int, default=1,
-                        help="CPU slots advertised to the coordinator's planner")
     worker.add_argument("--token", default=None,
                         help="require this X-Repro-Token on /run and /shutdown")
 
@@ -440,7 +438,7 @@ def cmd_campaign(args: argparse.Namespace, out) -> int:
 
         workspace = Workspace.create(args.workspace, args.name)
     if args.dry_run:
-        plan = campaign.plan(cores=args.cores, save=args.save, resume=args.resume)
+        plan = campaign.plan(cores=args.cores, resume=args.resume)
         if args.json:
             json.dump(plan.to_dict(), out, indent=2)
             print(file=out)
@@ -514,13 +512,10 @@ def cmd_worker(args: argparse.Namespace, out) -> int:
     """
     from repro.campaign import WorkerAgent
 
-    agent = WorkerAgent(
-        host=args.host, port=args.port, token=args.token, slots=args.slots
-    )
+    agent = WorkerAgent(host=args.host, port=args.port, token=args.token)
     host, port = agent.address
     print(
-        f"repro worker listening on http://{host}:{port} "
-        f"(slots={args.slots}, pid={os.getpid()})",
+        f"repro worker listening on http://{host}:{port} (pid={os.getpid()})",
         file=out,
     )
     if hasattr(out, "flush"):

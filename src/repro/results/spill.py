@@ -138,10 +138,7 @@ class SpillWriter:
             "rows": self.rows_written,
             "chunks": self._chunks,
         }
-        index_path = os.path.join(self.run_dir, INDEX_FILENAME)
-        with open(index_path, "w", encoding="ascii") as handle:
-            json.dump(index, handle, separators=(",", ":"))
-            handle.write("\n")
+        _replace_json(os.path.join(self.run_dir, INDEX_FILENAME), index)
         self._closed = True
 
     def __enter__(self) -> "SpillWriter":
@@ -227,10 +224,18 @@ def write_summary(run_dir: str, summary: Dict[str, object]) -> None:
     payload = dict(summary)
     payload.setdefault("kind", SUMMARY_KIND)
     payload.setdefault("version", FORMAT_VERSION)
-    path = os.path.join(run_dir, SUMMARY_FILENAME)
+    _replace_json(os.path.join(run_dir, SUMMARY_FILENAME), payload, sort_keys=True)
+
+
+def _replace_json(path: str, payload: Dict[str, object], **dump_kwargs) -> None:
+    """Write ``payload`` as one compact JSON line: a temp file, then ``os.replace``.
+
+    A kill mid-write leaves the previous file (or none) rather than a
+    truncated one.
+    """
     tmp_path = path + ".tmp"
     with open(tmp_path, "w", encoding="ascii") as handle:
-        json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
+        json.dump(payload, handle, separators=(",", ":"), **dump_kwargs)
         handle.write("\n")
     os.replace(tmp_path, path)
 

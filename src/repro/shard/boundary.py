@@ -212,7 +212,6 @@ class InjectionQueue:
             self._node_of[host.name] = host
         for name, switch in topo.switches.items():
             self._node_of[name] = switch
-        self.injected = 0
 
     def inject(self, batch) -> None:
         """Schedule one barrier's worth of deliveries.
@@ -228,4 +227,3 @@ class InjectionQueue:
             packet = packet_from_wire(wire, key_cache)
             node = node_of[node_name]
             sim.schedule_boundary(arrival, departure, node.handle_packet, packet, iface_index)
-            self.injected += 1

@@ -49,7 +49,6 @@ def _entry(index, requested, budget):
         slots=min(requested, budget),
         requested_slots=requested,
         cost=0.0,
-        measured=False,
         oversubscribed=requested > budget,
     )
 

@@ -9,8 +9,8 @@ The load-bearing properties:
 * planned execution is *measurement-invisible*: records are identical to a
   serial run of the same campaign, and the persisted JSONL is byte-identical
   up to wall-clock times;
-* plans are deterministic, pack longest-first, honor measured costs from the
-  cache, and degrade clearly when one trial's shards exceed the budget.
+* plans are deterministic, order longest-first, and degrade clearly when
+  one trial's shards exceed the budget.
 """
 
 import json
@@ -23,7 +23,6 @@ import pytest
 from repro.campaign import (
     Campaign,
     CampaignError,
-    CostCache,
     ScheduledExecutor,
     SerialExecutor,
     make_executor,
@@ -56,9 +55,12 @@ def mixed_campaign(name="mix"):
     )
 
 
-def grid_trials(durations, shards=None):
-    """Unsharded trials whose relative cost is controlled via duration_ns."""
-    campaign = Campaign("grid").schemes("BFC").sweep(duration_ns=list(durations))
+def grid_trials(durations, shards=None, schemes=("BFC",)):
+    """Trials whose relative cost is controlled via duration_ns.
+
+    Trials are scheme-major; schemes sharing a duration share its cost.
+    """
+    campaign = Campaign("grid").schemes(*schemes).sweep(duration_ns=list(durations))
     trials = campaign.trials()
     if shards:
         import dataclasses
@@ -122,60 +124,75 @@ class TestPlanning:
         assert (trial_slots(single), trial_slots(sharded)) == (1, 4)
         assert estimate_cost(sharded.config) == estimate_cost(single.config)
 
-    def test_wave_slots_never_exceed_budget(self):
-        trials = grid_trials(
-            [301, 101, 201, 202, 102, 302], shards=[1, 2, 1, 2, 1, 1]
-        )
-        for cores in (2, 3, 4):
-            plan = plan_trials(trials, cores)
-            assert plan.num_trials == len(trials)
-            for wave in plan.waves:
-                assert plan.wave_slots(wave) <= cores
-            assert plan.max_live_processes() <= cores
-
-    def test_lpt_packs_longest_first(self):
-        # Costs are proportional to duration; FFD at 2 slots pairs the two
-        # largest in wave 1 and the two smallest in wave 2.
-        trials = grid_trials([400_000, 100_000, 300_000, 200_000])
-        plan = plan_trials(trials, 2)
-        names = [[e.name for e in wave] for wave in plan.waves]
-        assert names == [
-            ["grid/BFC/duration_ns=400000", "grid/BFC/duration_ns=300000"],
-            ["grid/BFC/duration_ns=100000", "grid/BFC/duration_ns=200000"],
-        ]
-
-    def test_sharded_trial_counts_as_n_slots(self):
-        # One shards=2 trial + two unsharded trials at 2 cores: the sharded
-        # trial can never share a wave.
-        trials = grid_trials([FAST_NS, FAST_NS + 1, FAST_NS + 2], shards=[2, 1, 1])
-        plan = plan_trials(trials, 2)
-        for wave in plan.waves:
-            if any(e.requested_slots == 2 for e in wave):
-                assert len(wave) == 1
-
-    def test_budget_of_one_core_serializes_everything(self):
-        trials = grid_trials([1, 2, 3, 4])
-        plan = plan_trials(trials, 1)
-        assert len(plan.waves) == len(trials)
-        assert all(len(wave) == 1 for wave in plan.waves)
-
-    def test_shards_beyond_budget_degrade_to_exclusive_wave(self):
-        trials = grid_trials([FAST_NS, FAST_NS + 1], shards=[4, 1])
-        plan = plan_trials(trials, 2)
-        (entry,) = [e for wave in plan.waves for e in wave if e.requested_slots == 4]
-        assert entry.oversubscribed
-        assert entry.slots == 2  # charged at the whole budget
-        (wave,) = [w for w in plan.waves if entry in w]
-        assert len(wave) == 1  # nothing else runs beside it
-        assert "oversubscribed" in plan.describe()
-
-    def test_order_is_longest_first_over_every_wave(self):
+    def test_order_is_longest_first(self):
         trials = grid_trials([100_000, 400_000, 200_000, 300_000, 250_000])
         plan = plan_trials(trials, 2)
         assert [e.index for e in plan.order] == [1, 3, 4, 2, 0]
-        assert sorted(e.index for e in plan.order) == sorted(
-            e.index for wave in plan.waves for e in wave
+        assert [e.name for e in plan.order][:2] == [
+            "grid/BFC/duration_ns=400000", "grid/BFC/duration_ns=300000",
+        ]
+
+    def test_sharded_trial_counts_as_n_slots(self):
+        trials = grid_trials([FAST_NS, FAST_NS + 1, FAST_NS + 2], shards=[2, 1, 1])
+        plan = plan_trials(trials, 2)
+        by_index = {e.index: e for e in plan.order}
+        assert [by_index[i].slots for i in range(3)] == [2, 1, 1]
+        assert not plan.oversubscribed()
+
+    def test_budget_of_one_core_orders_every_trial(self):
+        trials = grid_trials([1, 2, 3, 4])
+        plan = plan_trials(trials, 1)
+        assert [e.index for e in plan.order] == [3, 2, 1, 0]
+        assert all(e.slots == 1 for e in plan.order)
+
+    def test_shards_beyond_budget_are_marked_oversubscribed(self):
+        trials = grid_trials([FAST_NS, FAST_NS + 1], shards=[4, 1])
+        plan = plan_trials(trials, 2)
+        (entry,) = plan.oversubscribed()
+        assert entry.requested_slots == 4
+        assert entry.slots == 2  # charged at the whole budget
+        assert "oversubscribed" in plan.describe()
+
+    def test_equal_costs_keep_input_order(self):
+        trials = grid_trials([FAST_NS], schemes=("BFC", "DCQCN", "HPCC", "PFC"))
+        plan = plan_trials(trials, 2)
+        assert len({e.cost for e in plan.order}) == 1
+        assert [e.index for e in plan.order] == [0, 1, 2, 3]
+        assert [e.name for e in plan.order] == [t.name for t in trials]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_order_is_a_longest_first_permutation(self, seed):
+        # Random grids with ties, sharded trials and too-wide trials: every
+        # trial appears once, sorted by (-cost, input position), charged
+        # min(shards, cores) slots and marked oversubscribed iff too wide.
+        import random
+
+        rng = random.Random(seed)
+        durations = rng.sample(range(100_000, 400_000, 10_000), rng.randint(2, 5))
+        count = 2 * len(durations)  # two schemes: every cost is tied once
+        shards = [rng.choice([1, 1, 2, 4]) for _ in range(count)]
+        trials = grid_trials(durations, shards=shards, schemes=("BFC", "DCQCN"))
+        cores = rng.randint(1, 3)
+        plan = plan_trials(trials, cores)
+        assert sorted(e.index for e in plan.order) == list(range(count))
+        keys = [(-e.cost, e.index) for e in plan.order]
+        assert keys == sorted(keys)
+        for entry in plan.order:
+            assert entry.name == trials[entry.index].name
+            assert entry.requested_slots == shards[entry.index]
+            assert entry.slots == min(shards[entry.index], cores)
+            assert entry.oversubscribed == (shards[entry.index] > cores)
+
+    def test_describe_and_to_dict_list_the_same_order(self):
+        trials = grid_trials([100_000, 300_000, 200_000])
+        plan = plan_trials(trials, 1)
+        text = plan.describe()
+        assert text.splitlines()[0] == (
+            "plan: 3 trial(s) on 1 core(s), longest first"
         )
+        numbered = [line.split()[1] for line in text.splitlines()[1:]]
+        assert numbered == [t["name"] for t in plan.to_dict()["order"]]
+        assert numbered == [e.name for e in plan.order]
 
     def test_plan_is_deterministic(self):
         # Same plan twice, including a mixed sharded/unsharded grid.
@@ -185,127 +202,18 @@ class TestPlanning:
         a = plan_trials(trials, 3)
         b = plan_trials(trials, 3)
         assert a.describe() == b.describe()
-        assert [[e.index for e in w] for w in a.waves] == [
-            [e.index for e in w] for w in b.waves
-        ]
+        assert a.order == b.order
 
     def test_campaign_plan_skips_resumed_trials(self, tmp_path):
         target = tmp_path / "camp.jsonl"
         campaign = Campaign("camp").schemes("BFC", "DCQCN").fixed(duration_ns=FAST_NS)
-        preview = campaign.plan(save=target)
+        preview = campaign.plan()
         assert preview.cores == 1  # the same default as run()
-        assert preview.num_trials == 2
+        assert len(preview.order) == 2
         campaign.run(save=target)
         replay = Campaign("camp").schemes("BFC", "DCQCN").fixed(duration_ns=FAST_NS)
         plan = replay.plan(cores=2, resume=target)
-        assert plan.num_trials == 0
-        assert plan.waves == []
-        # The default run measured both trials for the next plan.
-        assert all(entry.measured for entry in replay.plan(save=target).order)
-
-
-# ---------------------------------------------------------------------------
-# The measured-cost cache
-# ---------------------------------------------------------------------------
-
-
-class TestCostCache:
-    def test_round_trip(self, tmp_path):
-        trials = grid_trials([100_000, 200_000])
-        cache = CostCache(tmp_path / "costs.json")
-        cache.record(trials[0], 1.25)
-        cache.record(trials[1], 0.5)
-        cache.save()
-        reloaded = CostCache(tmp_path / "costs.json")
-        assert len(reloaded) == 2
-        assert reloaded.lookup(trials[0]) == 1.25
-        assert reloaded.lookup(trials[1]) == 0.5
-
-    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
-        import repro.campaign.scheduling as scheduling
-
-        trials = grid_trials([100_000, 200_000])
-        cache = CostCache(tmp_path / "c.costs.json")
-        cache.record(trials[0], 1.5)
-        cache.save()
-
-        def explode(*args, **kwargs):
-            raise OSError("disk full")
-
-        cache.record(trials[1], 2.5)
-        monkeypatch.setattr(scheduling.json, "dumps", explode)
-        with pytest.raises(OSError, match="disk full"):
-            cache.save()
-        monkeypatch.undo()
-        reloaded = CostCache(tmp_path / "c.costs.json")
-        assert len(reloaded) == 1
-        assert reloaded.lookup(trials[0]) == 1.5
-        assert [p.name for p in tmp_path.iterdir()] == ["c.costs.json"]
-
-    def test_identity_includes_params_and_seed(self, tmp_path):
-        (a,) = grid_trials([100_000])
-        cache = CostCache(tmp_path / "costs.json")
-        cache.record(a, 2.0)
-        import dataclasses
-
-        reseeded = dataclasses.replace(a, seed=a.seed + 1)
-        assert cache.lookup(reseeded) is None
-
-    @pytest.mark.parametrize(
-        "content",
-        [
-            "{not json",                      # unparsable
-            '{"costs": []}',                  # wrong structure
-            '{"costs": "x"}',                 # wrong structure
-            '[1, 2, 3]',                      # wrong top-level type
-            '{"costs": {"k": "fast"}}',       # non-numeric value dropped
-        ],
-    )
-    def test_corrupt_cache_degrades_to_estimates(self, tmp_path, content):
-        path = tmp_path / "costs.json"
-        path.write_text(content, encoding="utf-8")
-        cache = CostCache(path)
-        assert len(cache) == 0
-        (a,) = grid_trials([100_000])
-        assert cache.lookup(a) is None
-
-    def test_measured_costs_override_estimate_order(self, tmp_path):
-        # By estimate, the 400k-ns trial is the longest.  Measurements say
-        # the 100k one actually dominates; LPT must follow the measurements.
-        trials = grid_trials([400_000, 100_000, 200_000])
-        cache = CostCache(tmp_path / "costs.json")
-        cache.record(trials[0], 0.1)
-        cache.record(trials[1], 9.0)
-        cache.record(trials[2], 1.0)
-        plan = plan_trials(trials, 1, cache)
-        assert plan.cost_unit == "s"
-        assert [wave[0].name for wave in plan.waves] == [
-            trials[1].name, trials[2].name, trials[0].name,
-        ]
-        assert all(wave[0].measured for wave in plan.waves)
-
-    def test_unmeasured_estimates_are_calibrated_into_seconds(self, tmp_path):
-        trials = grid_trials([100_000, 200_000])
-        cache = CostCache(tmp_path / "costs.json")
-        cache.record(trials[0], 2.0)  # measured/estimate ratio known
-        plan = plan_trials(trials, 2, cache)
-        by_name = {e.name: e for wave in plan.waves for e in wave}
-        measured = by_name[trials[0].name]
-        estimated = by_name[trials[1].name]
-        assert measured.measured and not estimated.measured
-        # The 200k trial costs 2x the measured 100k trial after calibration.
-        assert estimated.cost == pytest.approx(2 * measured.cost)
-
-    def test_run_with_cores_and_save_populates_cache(self, tmp_path):
-        target = tmp_path / "camp.jsonl"
-        campaign = Campaign("camp").schemes("BFC").fixed(duration_ns=FAST_NS)
-        campaign.run(cores=1, save=target)
-        cache = CostCache.for_results_file(target)
-        assert cache.path == tmp_path / "camp.costs.json"
-        assert len(cache) == 1
-        (trial,) = Campaign("camp").schemes("BFC").fixed(duration_ns=FAST_NS).trials()
-        assert cache.lookup(trial) is not None
-        assert cache.lookup(trial) > 0
+        assert plan.order == []
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +241,9 @@ class TestExecutorResolution:
         plan = plan_trials(trials, 2)
         payload = json.loads(json.dumps(plan.to_dict()))
         assert payload["cores"] == 2
-        assert payload["num_trials"] == 2
-        names = [t["name"] for w in payload["waves"] for t in w["trials"]]
-        assert sorted(names) == sorted(t.name for t in trials)
-        sharded = [
-            t for w in payload["waves"] for t in w["trials"] if t["slots"] == 2
-        ]
-        assert len(sharded) == 1 and not sharded[0]["oversubscribed"]
+        assert [t["name"] for t in payload["order"]] == [t.name for t in trials]
+        assert [t["slots"] for t in payload["order"]] == [2, 1]
+        assert not any(t["oversubscribed"] for t in payload["order"])
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +349,23 @@ class TestScheduledExecution:
         assert result.shard_stats["slot_budget"] == 1
         assert result.shard_stats["oversubscribed"] is True
 
+    def test_one_core_runs_the_plan_order_in_process(self):
+        trials = grid_trials([100_000, 300_000, 200_000])
+        executor = ScheduledExecutor(cores=1)
+        done = []
+        pairs = executor.run(trials, lambda pair: done.append(pair[0].name))
+        assert done == [e.name for e in executor.plan(trials).order]
+        assert [record.name for record, _ in pairs] == [t.name for t in trials]
+        assert all(result is not None for _, result in pairs)
+
     def test_records_only_mode_keeps_results_out(self):
         result_set = mixed_campaign("lean").run(cores=2, keep_results=False)
         assert len(result_set) == 4
         assert not result_set.has_experiment_results()
 
     def test_resume_after_interrupt_shaped_file(self, tmp_path):
-        # A file holding only the first wave's records (as an interrupted
-        # run would leave) resumes to the full campaign.
+        # A file holding only some of the records (as an interrupted run
+        # would leave) resumes to the full campaign.
         target = tmp_path / "partial.jsonl"
         full = mixed_campaign("resume").run(cores=2, save=target)
         lines = target.read_text(encoding="utf-8").splitlines()

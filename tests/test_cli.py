@@ -55,6 +55,16 @@ class TestParser:
         assert args.command == "sweep"
         assert args.schemes == ["BFC"]
 
+    def test_worker_serve_has_no_slots_flag(self):
+        # A worker runs one trial at a time; there is no slot count to set.
+        args = build_parser().parse_args(
+            ["worker", "serve", "--port", "0", "--token", "t"]
+        )
+        assert (args.port, args.token) == (0, "t")
+        assert not hasattr(args, "slots")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["worker", "serve", "--slots", "4"])
+
     def test_campaign_rejects_unknown_scheme(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "--schemes", "NotAScheme"])
@@ -187,7 +197,7 @@ class TestCampaignCommand:
         )
         assert code == 0
         assert "4 trial(s) on 2 core(s)" in output
-        assert "wave 1" in output
+        assert "longest first" in output
         assert not path.exists()  # nothing simulated, nothing written
 
     def test_campaign_cores_runs_and_reports_cores(self, tmp_path):
@@ -199,7 +209,6 @@ class TestCampaignCommand:
         assert code == 0
         assert "cores=2" in output
         assert path.exists()
-        assert path.with_name("records.costs.json").exists()
 
     @pytest.mark.parametrize("command", ["campaign", "figure fig5a", "compare"])
     def test_workers_flag_is_gone(self, command):
@@ -210,6 +219,17 @@ class TestCampaignCommand:
         args = build_parser().parse_args(command.split() + ["--cores", "2"])
         assert args.cores == 2
 
+    def test_campaign_dry_run_numbers_the_dispatch_order(self):
+        code, output = run_cli(
+            ["campaign", "--schemes", "BFC", "DCQCN", "--load", "0.6",
+             "--dry-run"]
+        )
+        assert code == 0
+        lines = output.splitlines()
+        assert "2 trial(s) on 1 core(s)" in lines[0]
+        assert lines[1].split()[:2] == ["1.", "campaign/BFC/load=0.6"]
+        assert lines[2].split()[:2] == ["2.", "campaign/DCQCN/load=0.6"]
+
     def test_campaign_dry_run_json_is_machine_readable(self):
         code, output = run_cli(
             ["campaign", "--schemes", "BFC", "DCQCN", "--load", "0.6",
@@ -218,11 +238,10 @@ class TestCampaignCommand:
         assert code == 0
         plan = json.loads(output)
         assert plan["cores"] == 2
-        assert plan["num_trials"] == 2
-        assert plan["max_live_processes"] <= 2
-        assert [t["name"] for w in plan["waves"] for t in w["trials"]] == [
+        assert [t["name"] for t in plan["order"]] == [
             "campaign/BFC/load=0.6", "campaign/DCQCN/load=0.6",
         ]
+        assert all(t["slots"] <= 2 for t in plan["order"])
 
     def test_dry_run_without_cores_previews_the_serial_default(self):
         code, output = run_cli(
@@ -231,8 +250,8 @@ class TestCampaignCommand:
         assert code == 0
         plan = json.loads(output)
         assert plan["cores"] == 1
-        assert plan["num_trials"] == 2
-        assert [len(wave["trials"]) for wave in plan["waves"]] == [1, 1]
+        assert len(plan["order"]) == 2
+        assert all(t["slots"] == 1 for t in plan["order"])
 
     def test_cores_flag_validates(self):
         with pytest.raises(SystemExit):
@@ -277,9 +296,7 @@ class TestCompareAndFigure:
         assert code == 0
         plan = json.loads(output)
         assert plan["cores"] == 1
-        assert [t["name"] for w in plan["waves"] for t in w["trials"]] == [
-            "fig5a/BFC"
-        ]
+        assert [t["name"] for t in plan["order"]] == ["fig5a/BFC"]
 
     def test_figure_without_a_scheme_axis_rejects_schemes(self, capsys):
         code, output = run_cli(
@@ -306,7 +323,7 @@ class TestCompareAndFigure:
     def test_figure_accepts_a_scheme_it_runs(self, figure, scheme):
         code, output = run_cli(["figure", figure, "--schemes", scheme, "--dry-run", "--json"])
         assert code == 0
-        trials = [t for w in json.loads(output)["waves"] for t in w["trials"]]
+        trials = json.loads(output)["order"]
         assert trials
         assert all(t["name"].startswith(f"{figure}/") for t in trials)
 
@@ -314,7 +331,7 @@ class TestCompareAndFigure:
     def test_every_registered_figure_plans_its_factory_grid(self, figure):
         code, output = run_cli(["figure", figure, "--dry-run", "--json"])
         assert code == 0
-        names = sorted(t["name"] for w in json.loads(output)["waves"] for t in w["trials"])
+        names = sorted(t["name"] for t in json.loads(output)["order"])
         assert names == sorted(f"{figure}/{label}" for label in FIGURES[figure].configs("tiny"))
 
     def test_figure_text_output(self):
@@ -330,7 +347,7 @@ class TestCompareAndFigure:
         )
         assert code == 0
         assert "2 trial(s) on 2 core(s)" in output
-        assert "wave 1" in output
+        assert "fig5a/BFC" in output
 
 
 class TestTopologyCommand:

@@ -19,6 +19,7 @@ Fault injection used here:
 
 import http.client
 import json
+import logging
 import os
 import pickle
 import signal
@@ -27,6 +28,7 @@ import sys
 import threading
 import time
 import urllib.request
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -35,16 +37,21 @@ import pytest
 from repro.campaign import (
     Campaign,
     CampaignError,
-    CostCache,
     DistributedError,
     DistributedExecutor,
+    ResultSet,
     SerialExecutor,
     WorkerAgent,
     WorkerClient,
     load_workers_file,
 )
 from repro.campaign.core import _config_fingerprint
-from repro.campaign.distributed import PROTOCOL_VERSION
+from repro.campaign.distributed import (
+    DEFAULT_TRIAL_TIMEOUT_S,
+    PROTOCOL_VERSION,
+    WorkerUnavailable,
+)
+from repro.campaign.executors import execute_trial
 from repro.results import pack_dir, unpack_dir
 from repro.sim.engine import ENGINE_BACKEND
 
@@ -139,26 +146,202 @@ class TestDistributedMatchesSerial:
         baseline = {r.name: r for r in serial_records}
         assert record.metrics == baseline[record.name].metrics
 
-    def test_cost_cache_records_measured_costs(self, tmp_path):
-        cache = CostCache(tmp_path / "c.costs.json")
-        agent = WorkerAgent().start()
+
+class TestStreaming:
+    def test_short_trials_are_reported_while_a_long_one_runs(self, tmp_path):
+        # One trial ~40x longer than each short one.  With two workers the
+        # long one occupies one worker while the other drains the three short
+        # ones; each must be reported (and persisted) before the long one ends.
+        # Subprocess workers: in-process agents share one execution lock.
+        campaign = (
+            Campaign("stream")
+            .schemes("BFC")
+            .sweep(duration_ns=[60_000_000, 100_000, 110_000, 120_000])
+            .fixed(load=0.6)
+        )
+        long_name = "stream/BFC/duration_ns=60000000"
+        save = tmp_path / "stream.jsonl"
+        workers = [spawn_worker(), spawn_worker()]
+        urls = [url for _, url in workers]
+        seen = []
+
+        def running():
+            names = set()
+            for url in urls:
+                with urllib.request.urlopen(url + "/health", timeout=5) as resp:
+                    names.add(json.loads(resp.read())["running"])
+            return names
+
+        class Watched(DistributedExecutor):
+            def run(self, trials, on_done=None):
+                def watch(pair):
+                    on_done(pair)  # Campaign.run persists here
+                    name = pair[0].name
+                    saved = {r.name for r in ResultSet.load(save)}
+                    seen.append((name, name in saved, long_name in running()))
+
+                return super().run(trials, watch)
+
         try:
-            executor = DistributedExecutor([agent.url], cost_cache=cache)
-            make_campaign(loads=LOADS[:2]).run(executor=executor)
+            result_set = campaign.run(executor=Watched(urls), save=save)
         finally:
-            agent.stop()
-        assert len(cache) == 2
-        assert (tmp_path / "c.costs.json").exists()
+            for proc, _ in workers:
+                proc.kill()
+                proc.wait()
+        assert [name for name, _, _ in seen][-1] == long_name
+        assert all(saved for _, saved, _ in seen)
+        assert [live for name, _, live in seen if name != long_name] == [True] * 3
+        assert result_set == campaign.run(executor=SerialExecutor())
 
 
 # ---------------------------------------------------------------------------
 # Fault paths
+
+class FakeWorker(WorkerClient):
+    """A worker that runs trials in this process, scripted per dispatch.
+
+    ``script`` maps a dispatch number (0-based, on this worker) to a
+    callable run before the trial; it may raise to fake a loss or a poison
+    reply.  Every dispatch is logged with its trial name, deadline and thread.
+    """
+
+    def __init__(self, url, script=None):
+        super().__init__(url)
+        self.script = dict(script or {})
+        self.dispatched = []
+
+    def probe(self, timeout=5.0):
+        return self.alive
+
+    def run_trial(self, trial, timeout, records_only=False, **kwargs):
+        number = len(self.dispatched)
+        self.dispatched.append((trial.name, timeout, threading.current_thread()))
+        if number in self.script:
+            self.script[number](self)
+        record, result = execute_trial(trial)
+        self.completed += 1
+        return record, (None if records_only else result)
+
+
+def lose(worker):
+    worker.alive = False
+    raise WorkerUnavailable(f"{worker.url}: connection refused (probe failed)")
+
+
+def duration_campaign(durations):
+    return Campaign("ord").schemes("BFC").sweep(duration_ns=list(durations))
+
+
+class TestStreamDispatch:
+    def test_one_worker_runs_the_longest_first_order(self):
+        trials = duration_campaign([100_000, 300_000, 200_000]).trials()
+        worker = FakeWorker("http://fake-a")
+        done = []
+        pairs = DistributedExecutor([worker]).run(
+            trials, lambda pair: done.append(pair[0].name)
+        )
+        longest_first = [trials[1].name, trials[2].name, trials[0].name]
+        assert [name for name, _, _ in worker.dispatched] == longest_first
+        assert done == longest_first
+        # Results come back in input order whatever the dispatch order was.
+        assert [record.name for record, _ in pairs] == [t.name for t in trials]
+
+    def test_on_done_runs_in_the_calling_thread(self):
+        trials = make_campaign().trials()
+        workers = [FakeWorker("http://fake-a"), FakeWorker("http://fake-b")]
+        threads = []
+        DistributedExecutor(workers).run(
+            trials, lambda pair: threads.append(threading.get_ident())
+        )
+        assert threads == [threading.get_ident()] * len(trials)
+        # The trials themselves ran on the pullers, not here.
+        assert all(
+            thread is not threading.current_thread()
+            for worker in workers
+            for _, _, thread in worker.dispatched
+        )
+
+    def test_lost_workers_trial_goes_back_on_the_front(self, serial_records):
+        # Both workers hold a trial when the victim is lost; the survivor
+        # finishes its own only after the victim's puller has requeued the
+        # lost trial and exited, so the survivor's next pull shows where the
+        # lost trial went.
+        trials = make_campaign().trials()
+
+        def wait_for(started):
+            for _ in range(1000):
+                if started.dispatched:
+                    return
+                time.sleep(0.01)
+            raise AssertionError(f"{started.url} never received a trial")
+
+        def lose_while_both_run(worker):
+            wait_for(survivor)
+            lose(worker)
+
+        def finish_after_the_loss(worker):
+            wait_for(victim)
+            victim.dispatched[0][2].join(timeout=10)
+
+        victim = FakeWorker("http://victim", {0: lose_while_both_run})
+        survivor = FakeWorker("http://survivor", {0: finish_after_the_loss})
+        pairs = DistributedExecutor([victim, survivor]).run(trials)
+        lost_name = victim.dispatched[0][0]
+        survivor_names = [name for name, _, _ in survivor.dispatched]
+        assert survivor_names[0] != lost_name
+        assert survivor_names[1] == lost_name
+        assert sorted(survivor_names) == sorted(t.name for t in trials)
+        assert sorted((r for r, _ in pairs), key=lambda r: r.name) == serial_records
+
+    def test_every_worker_lost_mid_campaign_falls_back_locally(
+        self, serial_records, caplog
+    ):
+        workers = [
+            FakeWorker("http://fake-a", {0: lose}),
+            FakeWorker("http://fake-b", {0: lose}),
+        ]
+        with caplog.at_level(logging.WARNING, logger="repro.campaign"):
+            records = make_campaign().run(
+                executor=DistributedExecutor(workers)
+            ).records
+        assert caplog.text.count("worker lost") == 2
+        assert "no live workers remain; running 4 trial(s) locally" in caplog.text
+        assert sorted(records, key=lambda r: r.name) == serial_records
+
+    def test_worker_loss_is_logged_not_warned(self):
+        workers = [FakeWorker("http://fake-a", {0: lose})]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = make_campaign(loads=LOADS[:1]).run(
+                executor=DistributedExecutor(workers)
+            ).records
+        assert len(records) == 1
+
+    def test_fallback_disabled_mid_campaign_raises(self):
+        workers = [FakeWorker("http://fake-a", {0: lose})]
+        executor = DistributedExecutor(workers, local_fallback=False)
+        with pytest.raises(DistributedError, match="no live workers left"):
+            make_campaign(loads=LOADS[:2]).run(executor=executor)
+
+    def test_poison_trial_stops_further_dispatches(self):
+        def poison(worker):
+            raise CampaignError("worker rejected trial: fingerprint mismatch")
+
+        worker = FakeWorker("http://fake-a", {0: poison})
+        done = []
+        with pytest.raises(CampaignError, match="fingerprint mismatch"):
+            DistributedExecutor([worker]).run(
+                make_campaign().trials(), done.append
+            )
+        assert len(worker.dispatched) == 1
+        assert done == []
+
 # ---------------------------------------------------------------------------
 
 
 class TestWorkerLoss:
-    def test_sigkill_mid_trial_completes_via_replanning(
-        self, tmp_path, serial_records
+    def test_sigkill_mid_trial_completes_via_requeue(
+        self, tmp_path, serial_records, caplog
     ):
         # Full-length trials here: the victim must be killable mid-trial.
         campaign = (
@@ -193,7 +376,7 @@ class TestWorkerLoss:
             executor = DistributedExecutor(
                 [victim_url, survivor_url], backoff_s=0.05
             )
-            with pytest.warns(RuntimeWarning):
+            with caplog.at_level(logging.WARNING, logger="repro.campaign"):
                 result_set = campaign.run(
                     executor=executor, save=distributed_path
                 )
@@ -202,6 +385,7 @@ class TestWorkerLoss:
             survivor.kill(), survivor.wait()
         killer.join(timeout=60)
         assert killed.is_set(), "victim was never observed running a trial"
+        assert "worker lost" in caplog.text
         assert sorted(result_set.records, key=lambda r: r.name) == sorted(
             (r for r in campaign.run(executor=SerialExecutor()).records),
             key=lambda r: r.name,
@@ -210,7 +394,9 @@ class TestWorkerLoss:
         # serial run's (modulo wall_seconds, which equality also excludes).
         assert_jsonl_identical(serial_path, distributed_path)
 
-    def test_hanging_worker_hits_timeout_and_work_moves_on(self, serial_records):
+    def test_hanging_worker_hits_timeout_and_work_moves_on(
+        self, serial_records, caplog
+    ):
         hang = _start_hanging_worker()
         agent = WorkerAgent().start()
         try:
@@ -219,8 +405,13 @@ class TestWorkerLoss:
                 trial_timeout=1.0,
                 backoff_s=0.05,
             )
-            with pytest.warns(RuntimeWarning, match="deadline"):
+            with caplog.at_level(logging.WARNING, logger="repro.campaign"):
                 records = make_campaign().run(executor=executor).records
+            assert "deadline" in caplog.text
+            # The survivor waited for the hung trial and took it back; the
+            # campaign never fell back to local execution.
+            assert "no live workers" not in caplog.text
+            assert agent.state.completed == len(LOADS)
             # The hung worker is banned for the campaign: probes must not
             # resurrect it even though its /health still answers.
             hung_client = executor.clients[0]
@@ -231,12 +422,13 @@ class TestWorkerLoss:
             agent.stop()
         assert sorted(records, key=lambda r: r.name) == serial_records
 
-    def test_all_workers_dead_falls_back_to_local(self, serial_records):
+    def test_all_workers_dead_falls_back_to_local(self, serial_records, caplog):
         executor = DistributedExecutor(
             ["http://127.0.0.1:9", "http://127.0.0.1:10"]
         )
-        with pytest.warns(RuntimeWarning, match="no live workers"):
+        with caplog.at_level(logging.WARNING, logger="repro.campaign"):
             records = make_campaign().run(executor=executor).records
+        assert "no live workers" in caplog.text
         assert sorted(records, key=lambda r: r.name) == serial_records
 
     def test_local_fallback_can_be_disabled(self):
@@ -278,7 +470,7 @@ def _start_hanging_worker() -> ThreadingHTTPServer:
         def do_GET(self):
             body = json.dumps(
                 {"kind": "repro.worker", "protocol": PROTOCOL_VERSION,
-                 "slots": 1, "running": None, "completed": 0, "failed": 0}
+                 "running": None, "completed": 0, "failed": 0}
             ).encode()
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))
@@ -325,7 +517,7 @@ class TestWorkerAgentProtocol:
             payload = json.loads(resp.read())
         assert payload["kind"] == "repro.worker"
         assert payload["protocol"] == PROTOCOL_VERSION
-        assert payload["slots"] == 1
+        assert "slots" not in payload
         assert payload["running"] is None
         assert payload["completed"] == 0
         assert payload["engine_backend"] == ENGINE_BACKEND
@@ -477,39 +669,16 @@ class TestWorkersFile:
         assert [c.url for c in executor.clients] == ["http://127.0.0.1:9"]
 
 
-class TestTimeoutDerivation:
-    def test_unmeasured_trials_get_the_default(self):
-        executor = DistributedExecutor(["http://127.0.0.1:9"],
-                                       default_timeout_s=123.0)
-        (trial,) = make_campaign(loads=LOADS[:1]).trials()
-        assert executor._timeout_for(trial) == 123.0
+class TestTimeout:
+    def test_trials_get_the_default_deadline(self):
+        executor = DistributedExecutor(["http://127.0.0.1:9"])
+        assert executor.trial_timeout == DEFAULT_TRIAL_TIMEOUT_S == 300.0
 
-    def test_measured_cost_scales_the_deadline(self, tmp_path):
-        cache = CostCache(tmp_path / "c.json")
-        (trial,) = make_campaign(loads=LOADS[:1]).trials()
-        cache.record(trial, 10.0)
-        executor = DistributedExecutor(
-            ["http://127.0.0.1:9"], cost_cache=cache, timeout_factor=8.0
-        )
-        assert executor._timeout_for(trial) == 80.0
-
-    def test_short_measurements_are_clamped_to_the_floor(self, tmp_path):
-        cache = CostCache(tmp_path / "c.json")
-        (trial,) = make_campaign(loads=LOADS[:1]).trials()
-        cache.record(trial, 0.01)
-        executor = DistributedExecutor(
-            ["http://127.0.0.1:9"], cost_cache=cache, min_timeout_s=30.0
-        )
-        assert executor._timeout_for(trial) == 30.0
-
-    def test_explicit_timeout_overrides_everything(self, tmp_path):
-        cache = CostCache(tmp_path / "c.json")
-        (trial,) = make_campaign(loads=LOADS[:1]).trials()
-        cache.record(trial, 10.0)
-        executor = DistributedExecutor(
-            ["http://127.0.0.1:9"], cost_cache=cache, trial_timeout=7.0
-        )
-        assert executor._timeout_for(trial) == 7.0
+    def test_explicit_timeout_is_every_trials_deadline(self):
+        worker = FakeWorker("http://fake-a")
+        executor = DistributedExecutor([worker], trial_timeout=7.0)
+        make_campaign(loads=LOADS[:2]).run(executor=executor)
+        assert [timeout for _, timeout, _ in worker.dispatched] == [7.0, 7.0]
 
 
 class TestArtifactShipping:
@@ -538,7 +707,3 @@ class TestValidation:
     def test_rejects_bogus_worker_url(self):
         with pytest.raises(CampaignError, match="not an http"):
             DistributedExecutor(["ftp://example.com"])
-
-    def test_agent_rejects_silly_slot_counts(self):
-        with pytest.raises(CampaignError, match="slots"):
-            WorkerAgent(slots=0)

@@ -118,6 +118,37 @@ class TestCrashSafety:
         assert reader.count_rows() == 9
         assert len(list(reader)) == 9
 
+    def test_close_leaves_no_temp_residue(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        with SpillWriter(run_dir, chunk_rows=4) as writer:
+            for i in range(9):
+                writer.write(make_record(i))
+        assert sorted(os.listdir(run_dir)) == sorted([FLOWS_FILENAME, INDEX_FILENAME])
+
+    def test_failed_index_write_leaves_no_partial_index(self, tmp_path, monkeypatch):
+        # A write that dies after the file is opened must not leave a
+        # truncated flows.idx.json behind; readers then scan the flows file.
+        import repro.results.spill as spill
+
+        run_dir = str(tmp_path / "run")
+        writer = SpillWriter(run_dir, chunk_rows=4)
+        for i in range(9):
+            writer.write(make_record(i))
+
+        def half_dump(payload, handle, **kwargs):
+            text = json.dumps(payload, **kwargs)
+            handle.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(spill.json, "dump", half_dump)
+        with pytest.raises(OSError, match="disk full"):
+            writer.close()
+        monkeypatch.undo()
+        assert not os.path.exists(os.path.join(run_dir, INDEX_FILENAME))
+        reader = SpillReader(run_dir)
+        assert reader._index is None
+        assert [r.flow_id for r in reader.iter_records()] == list(range(9))
+
 
 class TestSummary:
     def test_round_trip(self, tmp_path):

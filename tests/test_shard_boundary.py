@@ -215,7 +215,6 @@ class TestBoundaryChannel:
         )
         sim.run()
         assert seen == [11, 22]
-        assert injector.injected == 2
 
 
 class TestShardEntryPoint:

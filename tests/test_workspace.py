@@ -40,8 +40,8 @@ class TestWorkspaceRun:
     @pytest.fixture(scope="class")
     def workspace_run(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("ws-root")
-        # cores=1 = the scheduled executor: serial execution order, plus the
-        # measured-cost cache and plan the workspace is expected to capture.
+        # cores=1 = the scheduled executor: serial execution, plus the plan
+        # the workspace is expected to capture.
         result_set = make_campaign().run(cores=1, workspace=root)
         return root, result_set
 
@@ -52,7 +52,6 @@ class TestWorkspaceRun:
         assert sorted(p.name for p in run_dir.iterdir()) == [
             "manifest.json",
             "report.md",
-            "results.costs.json",
             "results.jsonl",
         ]
 
@@ -70,7 +69,7 @@ class TestWorkspaceRun:
         assert manifest["campaign"] == "ws"
         assert manifest["trials"] == 4
         assert manifest["executor"] == "ScheduledExecutor"
-        assert manifest["plan"]["num_trials"] == 4
+        assert len(manifest["plan"]["order"]) == 4
         assert manifest["platform"]["python"]
         assert manifest["platform"]["cpu_count"] >= 1
         assert manifest["engine_backend"] == ENGINE_BACKEND
@@ -86,13 +85,48 @@ class TestWorkspaceRun:
         # one row per (load, scheme) pair
         assert report.count("| 0.4 |") == 2 and report.count("| 0.6 |") == 2
 
-    def test_cost_cache_lands_in_the_workspace(self, workspace_run):
-        root, _ = workspace_run
-        payload = json.loads(
-            (run_dir_of(root) / "results.costs.json").read_text()
-        )
-        assert payload["kind"] == "repro.campaign.costcache"
-        assert len(payload["costs"]) == 4
+    def test_failed_manifest_write_keeps_the_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        workspace = Workspace(tmp_path / "run")
+        workspace.write_manifest(campaign="first")
+        before = workspace.manifest_path.read_bytes()
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            workspace.write_manifest(campaign="second")
+        monkeypatch.undo()
+        assert workspace.manifest_path.read_bytes() == before
+        assert [p.name for p in workspace.run_dir.iterdir()] == ["manifest.json"]
+
+    def test_failed_report_write_keeps_the_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        workspace = Workspace(tmp_path / "run")
+        workspace.write_report(ResultSet())
+        before = workspace.report_path.read_bytes()
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            workspace.write_report(ResultSet())
+        monkeypatch.undo()
+        assert workspace.report_path.read_bytes() == before
+        assert [p.name for p in workspace.run_dir.iterdir()] == ["report.md"]
+
+
+def fail_writes_halfway(monkeypatch):
+    """Make every file opened for writing take half its data, then fail."""
+    real_open = Path.open
+
+    def failing_open(self, mode="r", *args, **kwargs):
+        handle = real_open(self, mode, *args, **kwargs)
+        if "w" in mode:
+            def write(data):
+                type(handle).write(handle, data[: len(data) // 2])
+                raise OSError("disk full")
+
+            handle.write = write
+        return handle
+
+    monkeypatch.setattr(Path, "open", failing_open)
 
 
 class TestWorkspaceArtifacts:
