@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 from repro.sim.engine import ENGINE_BACKEND
 
 from .core import _config_fingerprint
-from .executors import Executor, OnDone, Pair, execute_trial, run_local
+from .executors import Executor, OnDone, Pair, execute_trial, run_local, slot_budget
 from .results import CampaignError, TrialRecord
 from .scheduling import ExecutionPlan, plan_trials
 
@@ -658,6 +658,7 @@ class DistributedExecutor(Executor):
                         outcome = client.run_trial(
                             trial,
                             timeout=self.trial_timeout,
+                            slot_budget=slot_budget(entry),
                             records_only=self.records_only,
                             retries=self.retries,
                             backoff_s=self.backoff_s,

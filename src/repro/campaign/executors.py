@@ -93,6 +93,15 @@ class PlannedTrial:
     oversubscribed: bool  #: ``requested_slots > cores``: runs alone, time-sliced
 
 
+def slot_budget(entry: PlannedTrial) -> Optional[int]:
+    """The CPU slots a planned trial runs with, as every executor hands them.
+
+    Only a sharded trial's coordinator has a use for its budget, so a
+    one-slot trial gets ``None``.
+    """
+    return entry.slots if entry.requested_slots > 1 else None
+
+
 def next_dispatch(
     queue: Sequence[PlannedTrial], free: int, running: bool
 ) -> Optional[int]:
@@ -142,10 +151,6 @@ def run_local(
         results[entry.index] = pair
         if on_done is not None:
             on_done(pair)
-
-    def slot_budget(entry: PlannedTrial) -> Optional[int]:
-        # Only a sharded trial's coordinator has a use for its budget.
-        return entry.slots if entry.requested_slots > 1 else None
 
     if budget <= 1 or len(queue) <= 1:
         for entry in queue:

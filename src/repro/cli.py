@@ -434,9 +434,6 @@ def cmd_campaign(args: argparse.Namespace, out) -> int:
                 "pass --workspace or --save/--resume, not both "
                 "(the workspace owns its results.jsonl)"
             )
-        from repro.campaign import Workspace
-
-        workspace = Workspace.create(args.workspace, args.name)
     if args.dry_run:
         plan = campaign.plan(cores=args.cores, resume=args.resume)
         if args.json:
@@ -445,6 +442,11 @@ def cmd_campaign(args: argparse.Namespace, out) -> int:
         else:
             print(f"Campaign {args.name!r} {plan.describe()}", file=out)
         return 0
+    if args.workspace is not None:
+        # Only a real run gets a run folder: a dry run writes nothing.
+        from repro.campaign import Workspace
+
+        workspace = Workspace.create(args.workspace, args.name)
     result_set = campaign.run(
         executor=executor,
         cores=args.cores,

@@ -253,6 +253,10 @@ class BfcEgressDiscipline:
             self.stats.resumes_sent += 1
         return resumed
 
+    def pending_resume_lists(self) -> Dict[int, List[Tuple[int, int]]]:
+        """``{queue: [(vfid, ingress), ...]}`` in the order the lists were made."""
+        return {queue: list(lst._pending) for queue, lst in self.resume_lists.items()}
+
     # ------------------------------------------------------------------ queries --
 
     def apply_downstream_filter(self, bitmap: Optional[bytes]) -> None:

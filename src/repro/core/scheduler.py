@@ -162,6 +162,10 @@ class BfcScheduler:
     def queue_bytes(self, qid: int) -> int:
         return self._queue_bytes[qid]
 
+    def queued(self, qid: int) -> List[Packet]:
+        """The packets of one queue, head first."""
+        return list(self._queues[qid])
+
     def nonempty_queues(self) -> List[int]:
         """Physical queues (and the overflow queue) that hold packets."""
         active = self._drr.active_queues()

@@ -10,8 +10,9 @@ switch:
   resumes and retransmits the (idempotent) pause frames upstream.
 
 :class:`BfcSwitch` is a :class:`repro.sim.switch.Switch` whose egress ports
-use :class:`repro.core.discipline.BfcEgressDiscipline` and which understands
-incoming Bloom-filter pause frames from its downstream neighbours.
+use :class:`repro.core.discipline.BfcEgressDiscipline` (its C twin on the
+compiled plane, see :func:`bfc_plane`) and which understands incoming
+Bloom-filter pause frames from its downstream neighbours.
 """
 
 from __future__ import annotations
@@ -33,6 +34,26 @@ _BLOOM_KEY = FlowKey(src=-2, dst=-2, src_port=0, dst_port=0)
 _BLOOM_HEADER_BYTES = 18  # Ethernet-style header around the filter payload
 
 
+def bfc_plane(sim, config: BfcConfig):
+    """The compiled plane whose BFC classes a switch of ``sim`` uses, or None.
+
+    On the compiled engine the flow table and the egress disciplines are C
+    twins (:mod:`repro.sim.plane`).  BFC-Est's telemetry shim and BFC-Est-Cap's
+    capacity weight have none, so a configuration that sets one of their
+    knobs keeps the Python classes, as every configuration does on the pure
+    engine.
+    """
+    plane = getattr(sim, "compiled_plane", None)
+    if (
+        plane is None
+        or config.telemetry_staleness_ns > 0
+        or config.telemetry_sample_period_ns > 0
+        or config.capacity_weight_reference_bps is not None
+    ):
+        return None
+    return plane
+
+
 class BfcAgent:
     """Switch-wide BFC state machine.
 
@@ -44,7 +65,9 @@ class BfcAgent:
         self.sim = sim
         self.config = config
         self.codec = codec or BloomFilterCodec(*config.bloom_geometry)
-        self.flow_table = FlowTable(config)
+        #: Where the flow table and the disciplines come from (see bfc_plane).
+        self.plane = bfc_plane(sim, config)
+        self.flow_table = (FlowTable if self.plane is None else self.plane.FlowTable)(config)
         self.disciplines: List[BfcEgressDiscipline] = []
         self._pause_filters: Dict[int, CountingBloomFilter] = {}
         self._paused_vfids: Dict[int, Set[int]] = {}
@@ -57,6 +80,13 @@ class BfcAgent:
         self._started = False
 
     # -- wiring -------------------------------------------------------------------
+
+    def make_discipline(
+        self, egress_index: int, link_rate_bps: float, link_delay_ns: int, rng=None
+    ) -> BfcEgressDiscipline:
+        """A new egress discipline of this switch, of the agent's plane."""
+        cls = BfcEgressDiscipline if self.plane is None else self.plane.BfcEgressDiscipline
+        return cls(self, egress_index, link_rate_bps, link_delay_ns, rng)
 
     def register_discipline(self, discipline: BfcEgressDiscipline) -> None:
         self.disciplines.append(discipline)
@@ -189,11 +219,10 @@ class BfcSwitch(Switch):
         self.agent.start()
 
     def _make_discipline(self, iface: Interface) -> BfcEgressDiscipline:
-        return BfcEgressDiscipline(
-            agent=self.agent,
-            egress_index=iface.index,
-            link_rate_bps=iface.rate_bps,
-            link_delay_ns=iface.delay_ns,
+        return self.agent.make_discipline(
+            iface.index,
+            iface.rate_bps,
+            iface.delay_ns,
             rng=self.sim.rng(self._discipline_seed ^ (iface.index + 1)),
         )
 

@@ -188,6 +188,10 @@ class FlowTable:
     def entries(self) -> List[FlowEntry]:
         return list(self._entries.values())
 
+    def bucket_counts(self) -> Dict[int, int]:
+        """``{vfid: entries outside the overflow cache}``."""
+        return dict(self._bucket_counts)
+
     def memory_bytes(self, entry_bytes: int = 16) -> int:
         """Rough hardware memory footprint (the paper's table is 256 KB)."""
         return self.config.num_vfids * self.config.table_bucket_size * entry_bytes

@@ -1257,6 +1257,14 @@ static int nic_has_work_at(NicObject *self, long long horizon);
 static PyObject *Nic_has_work_at(NicObject *self, PyObject *horizon);
 static PyObject *instance_attr(PyObject *obj, PyObject *name, int *failed);
 
+/* The compiled BFC discipline, with the BFC plane below. */
+typedef struct BfcDiscObject BfcDiscObject;
+static PyTypeObject BfcDiscType;
+static int bfc_direct(PyObject *disc);
+static int bfc_enqueue(BfcDiscObject *self, PyObject *packet, PyObject *ingress);
+static PyObject *bfc_dequeue(BfcDiscObject *self);
+static long long bfc_backlog(BfcDiscObject *self, long long *bytes);
+
 /* New reference, Py_None when nothing is eligible, NULL on error. */
 static PyObject *
 disc_dequeue(PyObject *disc)
@@ -1277,6 +1285,8 @@ disc_dequeue(PyObject *disc)
         if (own == NULL)
             return nic_dequeue((NicObject *)disc);
     }
+    if (bfc_direct(disc))
+        return bfc_dequeue((BfcDiscObject *)disc);
     return PyObject_CallMethodNoArgs(disc, str_dequeue);
 }
 
@@ -1287,6 +1297,10 @@ disc_has_backlog(PyObject *disc)
     int truth;
     if (Fifo_Check(disc))
         return ((FifoObject *)disc)->count > 0;
+    if (bfc_direct(disc)) {
+        long long bytes;
+        return bfc_backlog((BfcDiscObject *)disc, &bytes) > 0;
+    }
     res = PyObject_CallMethodNoArgs(disc, str_has_backlog);
     if (res == NULL)
         return -1;
@@ -1301,6 +1315,10 @@ disc_backlog_bytes(PyObject *disc, long long *out)
     PyObject *res;
     if (Fifo_Check(disc)) {
         *out = ((FifoObject *)disc)->bytes;
+        return 0;
+    }
+    if (bfc_direct(disc)) {
+        bfc_backlog((BfcDiscObject *)disc, out);
         return 0;
     }
     res = PyObject_CallMethodNoArgs(disc, str_backlog_bytes);
@@ -1318,6 +1336,8 @@ disc_enqueue(PyObject *disc, PyObject *packet, PyObject *ingress)
     int truth;
     if (Fifo_Check(disc))
         return fifo_push((FifoObject *)disc, packet) < 0 ? -1 : 1;
+    if (bfc_direct(disc))
+        return bfc_enqueue((BfcDiscObject *)disc, packet, ingress);
     res = call_method2(disc, str_enqueue, packet, ingress);
     if (res == NULL)
         return -1;
@@ -3303,12 +3323,19 @@ Drr_select(DrrObject *self, PyObject *probe)
     return Py_NewRef(picked);
 }
 
-static PyObject *
-Drr_idle(DrrObject *self, PyObject *Py_UNUSED(ignored))
+/* DeficitRoundRobin.idle. */
+static void
+drr_idle(DrrObject *self)
 {
     self->current = NULL;
     if (self->n)
         self->cursor = (self->cursor + 1) % self->n;
+}
+
+static PyObject *
+Drr_idle(DrrObject *self, PyObject *Py_UNUSED(ignored))
+{
+    drr_idle(self);
     Py_RETURN_NONE;
 }
 
@@ -3444,6 +3471,2399 @@ static PyTypeObject DrrType = {
     .tp_members = Drr_members,
     .tp_getset = Drr_getset,
     .tp_init = (initproc)Drr_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ===================================================================== *
+ * The BFC data plane
+ *
+ * The egress discipline of a BFC switch port (repro.core.discipline), its
+ * scheduler (repro.core.scheduler), the switch-wide virtual-flow table
+ * (repro.core.vfid), physical-queue assignment (repro.core.queues) and
+ * packet_vfid, statement for statement.  Pauses and unlimited resumes call
+ * the agent back (pause_flow, resume_flow), a collision draws from the
+ * pool's random.Random, and a filter test reads the codec's memoized int
+ * masks, so both planes change the same state in the same order.  The
+ * stats objects are the dataclasses of repro.core with their fields
+ * stored in C (bind_bfc).
+ * ===================================================================== */
+
+#define BLOCKED (-1LL)
+#define OVERFLOW_QUEUE (-2LL)
+#define HIGH_PRIORITY_QUEUE (-1LL)
+
+static PyObject *str_pause_flow, *str_resume_flow, *str_randrange, *str_digest,
+    *str_masks, *str_mask, *str_bits, *str_flow_table, *str_by_count;
+
+/* -- An int64 -> int64 hash map ----------------------------------------- */
+
+/* Open addressing with linear probing and backward-shift deletion; it
+ * grows at half full and shrinks at one eighth, so its memory follows the
+ * live keys. */
+#define IMAP_EMPTY LLONG_MIN
+
+typedef struct {
+    long long key;
+    long long value;
+} imap_slot;
+
+typedef struct {
+    imap_slot *slots; /* NULL until the first put */
+    Py_ssize_t mask;
+    Py_ssize_t used;
+} imap_t;
+
+static inline Py_ssize_t
+imap_home(long long key, Py_ssize_t mask)
+{
+    return (Py_ssize_t)(((unsigned long long)key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+}
+
+/* The slot holding key, or the empty slot where it would go. */
+static inline Py_ssize_t
+imap_find(const imap_t *m, long long key)
+{
+    Py_ssize_t i = imap_home(key, m->mask);
+    while (m->slots[i].key != key && m->slots[i].key != IMAP_EMPTY)
+        i = (i + 1) & m->mask;
+    return i;
+}
+
+/* 1 with the value in *value, or 0 when key is absent. */
+static inline int
+imap_get(const imap_t *m, long long key, long long *value)
+{
+    Py_ssize_t i;
+    if (m->used == 0)
+        return 0;
+    i = imap_find(m, key);
+    if (m->slots[i].key != key)
+        return 0;
+    *value = m->slots[i].value;
+    return 1;
+}
+
+static int
+imap_resize(imap_t *m, Py_ssize_t capacity)
+{
+    imap_slot *old = m->slots, *slots;
+    Py_ssize_t i, old_cap = old == NULL ? 0 : m->mask + 1;
+    slots = PyMem_Malloc((size_t)capacity * sizeof(imap_slot));
+    if (slots == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < capacity; i++)
+        slots[i].key = IMAP_EMPTY;
+    m->slots = slots;
+    m->mask = capacity - 1;
+    for (i = 0; i < old_cap; i++) {
+        if (old[i].key != IMAP_EMPTY)
+            slots[imap_find(m, old[i].key)] = old[i];
+    }
+    PyMem_Free(old);
+    return 0;
+}
+
+static int
+imap_put(imap_t *m, long long key, long long value)
+{
+    Py_ssize_t i;
+    if (m->slots == NULL || 2 * (m->used + 1) > m->mask + 1) {
+        if (imap_resize(m, m->slots == NULL ? 16 : 2 * (m->mask + 1)) < 0)
+            return -1;
+    }
+    i = imap_find(m, key);
+    if (m->slots[i].key == IMAP_EMPTY) {
+        m->slots[i].key = key;
+        m->used += 1;
+    }
+    m->slots[i].value = value;
+    return 0;
+}
+
+static void
+imap_del(imap_t *m, long long key)
+{
+    Py_ssize_t i, j, mask;
+    if (m->used == 0)
+        return;
+    i = imap_find(m, key);
+    if (m->slots[i].key != key)
+        return;
+    mask = m->mask;
+    j = i;
+    for (;;) {
+        Py_ssize_t home;
+        j = (j + 1) & mask;
+        if (m->slots[j].key == IMAP_EMPTY)
+            break;
+        home = imap_home(m->slots[j].key, mask);
+        /* Keep slots[j] where it is when its home lies cyclically in (i, j]. */
+        if (i <= j ? (i < home && home <= j) : (i < home || home <= j))
+            continue;
+        m->slots[i] = m->slots[j];
+        i = j;
+    }
+    m->slots[i].key = IMAP_EMPTY;
+    m->used -= 1;
+    if (m->mask + 1 > 16 && 8 * m->used < m->mask + 1 && imap_resize(m, (m->mask + 1) / 2) < 0)
+        PyErr_Clear(); /* out of memory: keep the larger table */
+}
+
+static void
+imap_free(imap_t *m)
+{
+    PyMem_Free(m->slots);
+    m->slots = NULL;
+    m->mask = -1;
+    m->used = 0;
+}
+
+/* -- Stats: the dataclasses' fields, stored in C ------------------------ */
+
+typedef struct {
+    PyObject_HEAD
+    long long inserts;
+    long long vfid_collisions;
+    long long bucket_overflows;
+    long long cache_overflows;
+    long long max_active_entries;
+} TableStatsObject;
+
+typedef struct {
+    PyObject_HEAD
+    long long assignments;
+    long long collisions;
+} PoolStatsObject;
+
+typedef struct {
+    PyObject_HEAD
+    long long enqueued_packets;
+    long long dequeued_packets;
+    long long high_priority_packets;
+    long long overflow_packets;
+    long long pauses_sent;
+    long long resumes_sent;
+    long long max_queue_bytes;
+    long long max_occupied_queues;
+} EgressStatsObject;
+
+#define STAT(type, name) {#name, T_LONGLONG, offsetof(type, name), 0, NULL}
+static PyMemberDef TableStats_members[] = {
+    STAT(TableStatsObject, inserts),
+    STAT(TableStatsObject, vfid_collisions),
+    STAT(TableStatsObject, bucket_overflows),
+    STAT(TableStatsObject, cache_overflows),
+    STAT(TableStatsObject, max_active_entries),
+    {NULL},
+};
+static PyMemberDef PoolStats_members[] = {
+    STAT(PoolStatsObject, assignments),
+    STAT(PoolStatsObject, collisions),
+    {NULL},
+};
+static PyMemberDef EgressStats_members[] = {
+    STAT(EgressStatsObject, enqueued_packets),
+    STAT(EgressStatsObject, dequeued_packets),
+    STAT(EgressStatsObject, high_priority_packets),
+    STAT(EgressStatsObject, overflow_packets),
+    STAT(EgressStatsObject, pauses_sent),
+    STAT(EgressStatsObject, resumes_sent),
+    STAT(EgressStatsObject, max_queue_bytes),
+    STAT(EgressStatsObject, max_occupied_queues),
+    {NULL},
+};
+#undef STAT
+
+/* No tp_init: the dataclass the plane mixes in sets the fields. */
+#define STATS_TYPE(cname, pyname, doc)                                  \
+    static PyTypeObject cname##Type = {                                 \
+        PyVarObject_HEAD_INIT(NULL, 0)                                  \
+        .tp_name = "_accelcore." pyname,                                \
+        .tp_basicsize = sizeof(cname##Object),                          \
+        .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,           \
+        .tp_doc = doc,                                                  \
+        .tp_members = cname##_members,                                  \
+        .tp_new = PyType_GenericNew,                                    \
+    };
+STATS_TYPE(TableStats, "FlowTableStats", "FlowTableStats' counters, stored in C.")
+STATS_TYPE(PoolStats, "QueueAssignmentStats", "QueueAssignmentStats' counters, stored in C.")
+STATS_TYPE(EgressStats, "BfcEgressStats", "BfcEgressStats' counters, stored in C.")
+#undef STATS_TYPE
+
+/* Set by bind_bfc(): the plane's stats classes, the C types above with
+ * their dataclass mixed in. */
+static PyObject *table_stats_class, *pool_stats_class, *egress_stats_class;
+
+/* A new stats object of a bound class. */
+static PyObject *
+new_stats(PyObject *cls, PyTypeObject *base)
+{
+    PyObject *stats;
+    if (cls == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "_accelcore.bind_bfc() has not run");
+        return NULL;
+    }
+    stats = PyObject_CallNoArgs(cls);
+    if (stats != NULL && !PyObject_TypeCheck(stats, base)) {
+        Py_DECREF(stats);
+        PyErr_Format(PyExc_TypeError, "%R does not store its fields in C", cls);
+        return NULL;
+    }
+    return stats;
+}
+
+static PyObject *
+bind_bfc(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyTypeObject *bases[3] = {&TableStatsType, &PoolStatsType, &EgressStatsType};
+    int i;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "bind_bfc expects (FlowTableStats, QueueAssignmentStats, "
+                        "BfcEgressStats)");
+        return NULL;
+    }
+    for (i = 0; i < 3; i++) {
+        if (!PyType_Check(args[i]) ||
+            !PyType_IsSubtype((PyTypeObject *)args[i], bases[i])) {
+            PyErr_Format(PyExc_TypeError, "%R is not a subclass of %s", args[i],
+                         bases[i]->tp_name);
+            return NULL;
+        }
+    }
+    Py_XSETREF(table_stats_class, Py_NewRef(args[0]));
+    Py_XSETREF(pool_stats_class, Py_NewRef(args[1]));
+    Py_XSETREF(egress_stats_class, Py_NewRef(args[2]));
+    Py_RETURN_NONE;
+}
+
+/* -- packet_vfid -------------------------------------------------------- */
+
+/* repro.core.vfid.packet_vfid: the packet's VFID in a space of `space`
+ * (new reference, value in *out), cached on the packet. */
+static PyObject *
+packet_vfid_obj(PyObject *packet, long long space, PyObject *space_obj, long long *out)
+{
+    PyObject *vfid = pkt_get(packet, P_VFID), *key, *digest;
+    long long value, have_space;
+    if (vfid == NULL)
+        return NULL;
+    value = PyLong_AsLongLong(vfid);
+    if (value == -1 && PyErr_Occurred())
+        goto error;
+    if (value >= 0) {
+        if (pkt_ll(packet, P_VFID_SPACE, &have_space) < 0)
+            goto error;
+        if (have_space == space) {
+            *out = value;
+            return vfid;
+        }
+    }
+    Py_DECREF(vfid);
+    key = pkt_get(packet, P_KEY);
+    if (key == NULL)
+        return NULL;
+    digest = PyObject_GetAttr(key, str_digest);
+    Py_DECREF(key);
+    if (digest == NULL)
+        return NULL;
+    vfid = PyNumber_Remainder(digest, space_obj);
+    Py_DECREF(digest);
+    if (vfid == NULL)
+        return NULL;
+    if (pkt_set(packet, P_VFID, vfid) < 0 || pkt_set(packet, P_VFID_SPACE, space_obj) < 0)
+        goto error;
+    *out = PyLong_AsLongLong(vfid);
+    if (*out == -1 && PyErr_Occurred())
+        goto error;
+    return vfid;
+
+error:
+    Py_DECREF(vfid);
+    return NULL;
+}
+
+static PyObject *
+module_packet_vfid(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long space, vfid;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "packet_vfid(packet, space)");
+        return NULL;
+    }
+    space = PyLong_AsLongLong(args[1]);
+    if (space == -1 && PyErr_Occurred())
+        return NULL;
+    if (space <= 0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "the VFID space must be positive");
+        return NULL;
+    }
+    return packet_vfid_obj(args[0], space, args[1], &vfid);
+}
+
+/* -- FlowEntry ---------------------------------------------------------- */
+
+typedef struct {
+    PyObject_HEAD
+    long long vfid;
+    long long ingress;
+    long long egress;
+    long long queue; /* -1 while no physical queue is assigned (None) */
+    long long packets;
+    long long bytes;
+    char paused_upstream;
+    char resume_pending;
+    char in_overflow_cache;
+    PyObject *current_key; /* NULL reads as None */
+} FlowEntryObject;
+
+static PyTypeObject FlowEntryType;
+#define FlowEntry_Check(op) PyObject_TypeCheck(op, &FlowEntryType)
+
+/* Every field, whatever state the entry's previous flow left behind. */
+static void
+entry_reset(FlowEntryObject *e, long long vfid, long long ingress, long long egress,
+            PyObject *key)
+{
+    e->vfid = vfid;
+    e->ingress = ingress;
+    e->egress = egress;
+    e->queue = -1;
+    e->packets = e->bytes = 0;
+    e->paused_upstream = e->resume_pending = e->in_overflow_cache = 0;
+    Py_XSETREF(e->current_key, (key == NULL || key == Py_None) ? NULL : Py_NewRef(key));
+}
+
+static int
+FlowEntry_init(FlowEntryObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"vfid", "ingress", "egress", "current_key", NULL};
+    long long vfid, ingress, egress;
+    PyObject *key = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LLL|O", kwlist, &vfid, &ingress,
+                                     &egress, &key))
+        return -1;
+    entry_reset(self, vfid, ingress, egress, key);
+    return 0;
+}
+
+static void
+FlowEntry_dealloc(FlowEntryObject *self)
+{
+    Py_CLEAR(self->current_key);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+FlowEntry_get_queue(FlowEntryObject *self, void *closure)
+{
+    if (self->queue < 0)
+        Py_RETURN_NONE;
+    return PyLong_FromLongLong(self->queue);
+}
+
+static int
+FlowEntry_set_queue(FlowEntryObject *self, PyObject *value, void *closure)
+{
+    long long queue;
+    if (value == NULL || value == Py_None) {
+        self->queue = -1;
+        return 0;
+    }
+    queue = PyLong_AsLongLong(value);
+    if (queue == -1 && PyErr_Occurred())
+        return -1;
+    if (queue < 0) {
+        PyErr_SetString(PyExc_ValueError, "a physical queue id is not negative");
+        return -1;
+    }
+    self->queue = queue;
+    return 0;
+}
+
+static PyObject *
+FlowEntry_is_idle(FlowEntryObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyBool_FromLong(self->packets == 0);
+}
+
+static PyObject *
+FlowEntry_identity(FlowEntryObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return Py_BuildValue("(LLL)", self->vfid, self->ingress, self->egress);
+}
+
+static PyMethodDef FlowEntry_methods[] = {
+    {"is_idle", (PyCFunction)FlowEntry_is_idle, METH_NOARGS, NULL},
+    {"identity", (PyCFunction)FlowEntry_identity, METH_NOARGS,
+     "(vfid, ingress, egress)."},
+    {NULL, NULL, 0, NULL},
+};
+
+#define ENTRY_LL(name) {#name, T_LONGLONG, offsetof(FlowEntryObject, name), 0, NULL}
+#define ENTRY_BOOL(name) {#name, T_BOOL, offsetof(FlowEntryObject, name), 0, NULL}
+static PyMemberDef FlowEntry_members[] = {
+    ENTRY_LL(vfid),
+    ENTRY_LL(ingress),
+    ENTRY_LL(egress),
+    ENTRY_LL(packets),
+    ENTRY_LL(bytes),
+    ENTRY_BOOL(paused_upstream),
+    ENTRY_BOOL(resume_pending),
+    ENTRY_BOOL(in_overflow_cache),
+    {"current_key", T_OBJECT, offsetof(FlowEntryObject, current_key), 0, NULL},
+    {NULL},
+};
+#undef ENTRY_LL
+#undef ENTRY_BOOL
+
+static PyGetSetDef FlowEntry_getset[] = {
+    {"queue", (getter)FlowEntry_get_queue, (setter)FlowEntry_set_queue,
+     "The assigned physical queue, or None.", NULL},
+    {NULL},
+};
+
+static PyTypeObject FlowEntryType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.FlowEntry",
+    .tp_basicsize = sizeof(FlowEntryObject),
+    .tp_dealloc = (destructor)FlowEntry_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Per-active-flow switch state (repro.core.vfid.FlowEntry) in C.",
+    .tp_methods = FlowEntry_methods,
+    .tp_members = FlowEntry_members,
+    .tp_getset = FlowEntry_getset,
+    .tp_init = (initproc)FlowEntry_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* -- FlowTable ---------------------------------------------------------- */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *config;
+    TableStatsObject *stats;
+    long long bucket_size;
+    long long cache_entries;
+    imap_t entries; /* packed (vfid, ingress, egress) -> owned FlowEntryObject * */
+    imap_t buckets; /* vfid -> its entries outside the overflow cache */
+    long long cached;
+    FlowEntryObject **free; /* recycled entries, owned */
+    Py_ssize_t nfree;
+    Py_ssize_t free_cap;
+} FlowTableObject;
+
+static PyTypeObject FlowTableType;
+
+static inline long long
+flow_pack(long long vfid, long long ingress, long long egress)
+{
+    return (long long)(((unsigned long long)vfid << 32) + ((unsigned long long)ingress << 16) +
+                       (unsigned long long)egress);
+}
+
+static FlowEntryObject *
+table_lookup(FlowTableObject *t, long long vfid, long long ingress, long long egress)
+{
+    long long found;
+    return imap_get(&t->entries, flow_pack(vfid, ingress, egress), &found)
+               ? (FlowEntryObject *)(intptr_t)found
+               : NULL;
+}
+
+/* FlowTable.lookup_or_insert: 0 with the entry (borrowed) in *out, NULL
+ * when neither the bucket nor the overflow cache has room; -1 on error.
+ * key may be NULL or None (no key). */
+static int
+table_lookup_or_insert(FlowTableObject *t, long long vfid, long long ingress,
+                       long long egress, PyObject *key, FlowEntryObject **out)
+{
+    long long packed = flow_pack(vfid, ingress, egress), found, in_bucket = 0;
+    FlowEntryObject *entry;
+    int cached;
+    if (imap_get(&t->entries, packed, &found)) {
+        entry = (FlowEntryObject *)(intptr_t)found;
+        if (key != NULL && key != Py_None && key != entry->current_key) {
+            PyObject *current = entry->current_key;
+            if (current != NULL && current != Py_None && entry->packets > 0) {
+                int differs = PyObject_RichCompareBool(key, current, Py_NE);
+                if (differs < 0)
+                    return -1;
+                /* A different real flow hashed onto the same live entry. */
+                if (differs)
+                    t->stats->vfid_collisions += 1;
+            }
+            Py_XSETREF(entry->current_key, Py_NewRef(key));
+        }
+        *out = entry;
+        return 0;
+    }
+    t->stats->inserts += 1;
+    imap_get(&t->buckets, vfid, &in_bucket);
+    cached = in_bucket >= t->bucket_size;
+    if (cached) {
+        t->stats->bucket_overflows += 1;
+        if (t->cached >= t->cache_entries) {
+            t->stats->cache_overflows += 1;
+            *out = NULL;
+            return 0;
+        }
+    }
+    if (t->nfree) {
+        entry = t->free[--t->nfree]; /* its reference moves to the table */
+    }
+    else {
+        entry = (FlowEntryObject *)FlowEntryType.tp_alloc(&FlowEntryType, 0);
+        if (entry == NULL)
+            return -1;
+    }
+    if (imap_put(&t->entries, packed, (long long)(intptr_t)entry) < 0 ||
+        (!cached && imap_put(&t->buckets, vfid, in_bucket + 1) < 0)) {
+        imap_del(&t->entries, packed);
+        Py_DECREF(entry);
+        return -1;
+    }
+    if (cached)
+        t->cached += 1;
+    entry_reset(entry, vfid, ingress, egress, key);
+    entry->in_overflow_cache = (char)cached;
+    if (t->entries.used > t->stats->max_active_entries)
+        t->stats->max_active_entries = t->entries.used;
+    *out = entry;
+    return 0;
+}
+
+/* FlowTable.remove: the flow's last packet left the switch. */
+static int
+table_remove(FlowTableObject *t, FlowEntryObject *entry)
+{
+    long long packed = flow_pack(entry->vfid, entry->ingress, entry->egress), found;
+    if (!imap_get(&t->entries, packed, &found) || (FlowEntryObject *)(intptr_t)found != entry) {
+        /* Fail loudly: a second remove would put the entry on the free
+         * list twice and hand one object to two flows. */
+        PyErr_Format(PyExc_KeyError, "flow entry (%lld, %lld, %lld) is not in the table",
+                     entry->vfid, entry->ingress, entry->egress);
+        return -1;
+    }
+    if (t->nfree == t->free_cap) {
+        Py_ssize_t cap = t->free_cap ? 2 * t->free_cap : 16;
+        FlowEntryObject **grown = PyMem_Realloc(t->free, (size_t)cap * sizeof(*grown));
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        t->free = grown;
+        t->free_cap = cap;
+    }
+    imap_del(&t->entries, packed);
+    if (entry->in_overflow_cache) {
+        t->cached -= 1;
+    }
+    else {
+        long long left = 0;
+        imap_get(&t->buckets, entry->vfid, &left);
+        left -= 1;
+        if (left > 0) {
+            if (imap_put(&t->buckets, entry->vfid, left) < 0)
+                return -1;
+        }
+        else {
+            imap_del(&t->buckets, entry->vfid);
+        }
+    }
+    t->free[t->nfree++] = entry; /* the table's reference moves here */
+    return 0;
+}
+
+static int FlowTable_clear(FlowTableObject *self);
+
+static int
+FlowTable_init(FlowTableObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"config", NULL};
+    PyObject *config, *value;
+    long long sizes[2];
+    const char *names[2] = {"table_bucket_size", "overflow_cache_entries"};
+    int i;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &config))
+        return -1;
+    for (i = 0; i < 2; i++) {
+        value = PyObject_GetAttrString(config, names[i]);
+        if (value == NULL)
+            return -1;
+        sizes[i] = PyLong_AsLongLong(value);
+        Py_DECREF(value);
+        if (sizes[i] == -1 && PyErr_Occurred())
+            return -1;
+    }
+    FlowTable_clear(self);
+    self->stats = (TableStatsObject *)new_stats(table_stats_class, &TableStatsType);
+    if (self->stats == NULL)
+        return -1;
+    self->config = Py_NewRef(config);
+    self->bucket_size = sizes[0];
+    self->cache_entries = sizes[1];
+    return 0;
+}
+
+static int
+table_args(PyObject *const *args, Py_ssize_t nargs, long long out[3])
+{
+    Py_ssize_t i;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "expected (vfid, ingress, egress)");
+        return -1;
+    }
+    for (i = 0; i < 3; i++) {
+        out[i] = PyLong_AsLongLong(args[i]);
+        if (out[i] == -1 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+FlowTable_lookup(FlowTableObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long ids[3];
+    FlowEntryObject *entry;
+    if (table_args(args, nargs, ids) < 0)
+        return NULL;
+    entry = table_lookup(self, ids[0], ids[1], ids[2]);
+    return Py_NewRef(entry != NULL ? (PyObject *)entry : Py_None);
+}
+
+static PyObject *
+FlowTable_lookup_or_insert(FlowTableObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"vfid", "ingress", "egress", "key", NULL};
+    long long vfid, ingress, egress;
+    PyObject *key = NULL;
+    FlowEntryObject *entry;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LLL|O", kwlist, &vfid, &ingress,
+                                     &egress, &key))
+        return NULL;
+    if (table_lookup_or_insert(self, vfid, ingress, egress, key, &entry) < 0)
+        return NULL;
+    return Py_NewRef(entry != NULL ? (PyObject *)entry : Py_None);
+}
+
+static PyObject *
+FlowTable_remove(FlowTableObject *self, PyObject *entry)
+{
+    if (!FlowEntry_Check(entry)) {
+        PyErr_SetString(PyExc_TypeError, "expected a compiled FlowEntry");
+        return NULL;
+    }
+    if (table_remove(self, (FlowEntryObject *)entry) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+FlowTable_active_entries(FlowTableObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyLong_FromSsize_t(self->entries.used);
+}
+
+static PyObject *
+FlowTable_entries(FlowTableObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *list = PyList_New(0);
+    Py_ssize_t i;
+    if (list == NULL)
+        return NULL;
+    for (i = 0; self->entries.slots != NULL && i <= self->entries.mask; i++) {
+        if (self->entries.slots[i].key != IMAP_EMPTY &&
+            PyList_Append(list, (PyObject *)(intptr_t)self->entries.slots[i].value) < 0) {
+            Py_DECREF(list);
+            return NULL;
+        }
+    }
+    return list;
+}
+
+static PyObject *
+FlowTable_bucket_counts(FlowTableObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *counts = PyDict_New();
+    Py_ssize_t i;
+    if (counts == NULL)
+        return NULL;
+    for (i = 0; self->buckets.slots != NULL && i <= self->buckets.mask; i++) {
+        imap_slot *slot = &self->buckets.slots[i];
+        PyObject *vfid, *count;
+        int rc;
+        if (slot->key == IMAP_EMPTY)
+            continue;
+        vfid = PyLong_FromLongLong(slot->key);
+        count = PyLong_FromLongLong(slot->value);
+        rc = (vfid == NULL || count == NULL) ? -1 : PyDict_SetItem(counts, vfid, count);
+        Py_XDECREF(vfid);
+        Py_XDECREF(count);
+        if (rc < 0) {
+            Py_DECREF(counts);
+            return NULL;
+        }
+    }
+    return counts;
+}
+
+static PyObject *
+FlowTable_get_cached(FlowTableObject *self, void *closure)
+{
+    return PyLong_FromLongLong(self->cached);
+}
+
+static int
+FlowTable_traverse(FlowTableObject *self, visitproc visit, void *arg)
+{
+    Py_ssize_t i;
+    Py_VISIT(self->config);
+    Py_VISIT(self->stats);
+    for (i = 0; self->entries.slots != NULL && i <= self->entries.mask; i++) {
+        if (self->entries.slots[i].key != IMAP_EMPTY)
+            Py_VISIT((PyObject *)(intptr_t)self->entries.slots[i].value);
+    }
+    for (i = 0; i < self->nfree; i++)
+        Py_VISIT(self->free[i]);
+    return 0;
+}
+
+static int
+FlowTable_clear(FlowTableObject *self)
+{
+    Py_ssize_t i;
+    Py_CLEAR(self->config);
+    Py_CLEAR(self->stats);
+    for (i = 0; self->entries.slots != NULL && i <= self->entries.mask; i++) {
+        if (self->entries.slots[i].key != IMAP_EMPTY)
+            Py_DECREF((PyObject *)(intptr_t)self->entries.slots[i].value);
+    }
+    imap_free(&self->entries);
+    imap_free(&self->buckets);
+    for (i = 0; i < self->nfree; i++)
+        Py_DECREF(self->free[i]);
+    PyMem_Free(self->free);
+    self->free = NULL;
+    self->nfree = self->free_cap = 0;
+    self->cached = 0;
+    return 0;
+}
+
+static void
+FlowTable_dealloc(FlowTableObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    FlowTable_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMethodDef FlowTable_methods[] = {
+    {"lookup", (PyCFunction)(void (*)(void))FlowTable_lookup, METH_FASTCALL,
+     "Find the entry for (vfid, ingress, egress), if any."},
+    {"lookup_or_insert", (PyCFunction)(void (*)(void))FlowTable_lookup_or_insert,
+     METH_VARARGS | METH_KEYWORDS,
+     "Return the entry for a packet, creating one if needed (None: no room)."},
+    {"remove", (PyCFunction)FlowTable_remove, METH_O,
+     "Reclaim an entry (the flow's last packet left the switch)."},
+    {"active_entries", (PyCFunction)FlowTable_active_entries, METH_NOARGS, NULL},
+    {"entries", (PyCFunction)FlowTable_entries, METH_NOARGS, NULL},
+    {"bucket_counts", (PyCFunction)FlowTable_bucket_counts, METH_NOARGS,
+     "{vfid: entries outside the overflow cache}."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef FlowTable_members[] = {
+    {"config", T_OBJECT, offsetof(FlowTableObject, config), READONLY, NULL},
+    {"stats", T_OBJECT, offsetof(FlowTableObject, stats), READONLY, NULL},
+    {NULL},
+};
+
+static PyGetSetDef FlowTable_getset[] = {
+    {"_cached", (getter)FlowTable_get_cached, NULL, "Entries in the overflow cache.", NULL},
+    {NULL},
+};
+
+static PyTypeObject FlowTableType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.FlowTable",
+    .tp_basicsize = sizeof(FlowTableObject),
+    .tp_dealloc = (destructor)FlowTable_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "The virtual-flow hash table plus the overflow cache (compiled plane).",
+    .tp_traverse = (traverseproc)FlowTable_traverse,
+    .tp_clear = (inquiry)FlowTable_clear,
+    .tp_methods = FlowTable_methods,
+    .tp_members = FlowTable_members,
+    .tp_getset = FlowTable_getset,
+    .tp_init = (initproc)FlowTable_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* -- PhysicalQueuePool -------------------------------------------------- */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *config;
+    PyObject *rng;
+    PyObject *num_queues_obj;
+    PoolStatsObject *stats;
+    Py_ssize_t num_queues;
+    char is_static;
+    long long *assigned; /* flows per queue */
+    long long *free;     /* unallocated queues, most recently released last */
+    Py_ssize_t nfree;
+    long long occupied;
+} PoolObject;
+
+static PyTypeObject PoolType;
+
+/* PhysicalQueuePool.assign: the queue in *out. */
+static int
+pool_assign(PoolObject *p, long long vfid, long long *out)
+{
+    long long queue;
+    PyObject *drawn;
+    p->stats->assignments += 1;
+    if (p->is_static) {
+        queue = ((vfid % p->num_queues) + p->num_queues) % p->num_queues;
+        if (p->assigned[queue] > 0)
+            p->stats->collisions += 1;
+        else
+            p->occupied += 1;
+        p->assigned[queue] += 1;
+        *out = queue;
+        return 0;
+    }
+    if (p->nfree) {
+        queue = p->free[--p->nfree];
+        p->occupied += 1;
+        p->assigned[queue] = 1;
+        *out = queue;
+        return 0;
+    }
+    /* Every queue is occupied: a random one, as the paper assigns (§3.3). */
+    drawn = call_method2(p->rng, str_randrange, p->num_queues_obj, NULL);
+    if (drawn == NULL)
+        return -1;
+    queue = PyLong_AsLongLong(drawn);
+    Py_DECREF(drawn);
+    if (queue == -1 && PyErr_Occurred())
+        return -1;
+    if (queue < 0 || queue >= p->num_queues) {
+        PyErr_SetString(PyExc_ValueError, "randrange() left the queue range");
+        return -1;
+    }
+    p->stats->collisions += 1;
+    p->assigned[queue] += 1;
+    *out = queue;
+    return 0;
+}
+
+static int
+pool_check(PoolObject *p, long long queue)
+{
+    if (queue >= 0 && queue < p->num_queues)
+        return 0;
+    PyErr_SetString(PyExc_IndexError, "physical queue out of range");
+    return -1;
+}
+
+/* PhysicalQueuePool.release: a flow assigned to queue went idle. */
+static int
+pool_release(PoolObject *p, long long queue)
+{
+    if (pool_check(p, queue) < 0)
+        return -1;
+    if (p->assigned[queue] <= 0) {
+        PyErr_Format(PyExc_ValueError, "queue %lld has no assigned flows to release", queue);
+        return -1;
+    }
+    p->assigned[queue] -= 1;
+    if (p->assigned[queue] == 0) {
+        p->occupied -= 1;
+        if (!p->is_static)
+            p->free[p->nfree++] = queue;
+    }
+    return 0;
+}
+
+static int Pool_clear(PoolObject *self);
+
+static int
+Pool_init(PoolObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"config", "rng", NULL};
+    PyObject *config, *rng = Py_None, *value;
+    Py_ssize_t i, num_queues;
+    int is_static;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|O", kwlist, &config, &rng))
+        return -1;
+    value = PyObject_GetAttrString(config, "num_physical_queues");
+    if (value == NULL)
+        return -1;
+    num_queues = PyLong_AsSsize_t(value);
+    Py_DECREF(value);
+    if (num_queues == -1 && PyErr_Occurred())
+        return -1;
+    if (num_queues < 1) {
+        PyErr_SetString(PyExc_ValueError, "need at least one physical queue per port");
+        return -1;
+    }
+    value = PyObject_GetAttrString(config, "static_queue_assignment");
+    if (value == NULL)
+        return -1;
+    is_static = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    if (is_static < 0)
+        return -1;
+    Pool_clear(self);
+    if (rng == Py_None) {
+        PyObject *random = PyImport_ImportModule("random");
+        if (random == NULL)
+            return -1;
+        self->rng = PyObject_CallMethod(random, "Random", "i", 0);
+        Py_DECREF(random);
+        if (self->rng == NULL)
+            return -1;
+    }
+    else {
+        self->rng = Py_NewRef(rng);
+    }
+    self->stats = (PoolStatsObject *)new_stats(pool_stats_class, &PoolStatsType);
+    self->num_queues_obj = PyLong_FromSsize_t(num_queues);
+    self->assigned = PyMem_Calloc((size_t)num_queues, sizeof(long long));
+    self->free = PyMem_Calloc((size_t)num_queues, sizeof(long long));
+    if (self->stats == NULL || self->num_queues_obj == NULL)
+        return -1;
+    if (self->assigned == NULL || self->free == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    self->config = Py_NewRef(config);
+    self->num_queues = num_queues;
+    self->is_static = (char)is_static;
+    /* Static assignment (BFC-VFID) never consults the free list. */
+    self->nfree = is_static ? 0 : num_queues;
+    for (i = 0; i < self->nfree; i++)
+        self->free[i] = i;
+    self->occupied = 0;
+    return 0;
+}
+
+static PyObject *
+Pool_assign(PoolObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"vfid", NULL};
+    long long vfid, queue;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "L", kwlist, &vfid))
+        return NULL;
+    if (pool_assign(self, vfid, &queue) < 0)
+        return NULL;
+    return PyLong_FromLongLong(queue);
+}
+
+static PyObject *
+Pool_release(PoolObject *self, PyObject *queue_obj)
+{
+    long long queue = PyLong_AsLongLong(queue_obj);
+    if (queue == -1 && PyErr_Occurred())
+        return NULL;
+    if (pool_release(self, queue) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Pool_assigned_flows(PoolObject *self, PyObject *queue_obj)
+{
+    long long queue = PyLong_AsLongLong(queue_obj);
+    if ((queue == -1 && PyErr_Occurred()) || pool_check(self, queue) < 0)
+        return NULL;
+    return PyLong_FromLongLong(self->assigned[queue]);
+}
+
+static PyObject *
+Pool_occupied_queues(PoolObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyLong_FromLongLong(self->occupied);
+}
+
+static PyObject *
+ll_list(const long long *values, Py_ssize_t n)
+{
+    PyObject *list = PyList_New(n);
+    Py_ssize_t i;
+    if (list == NULL)
+        return NULL;
+    for (i = 0; i < n; i++) {
+        PyObject *value = PyLong_FromLongLong(values[i]);
+        if (value == NULL) {
+            Py_DECREF(list);
+            return NULL;
+        }
+        PyList_SET_ITEM(list, i, value);
+    }
+    return list;
+}
+
+static PyObject *
+Pool_get_free(PoolObject *self, void *closure)
+{
+    return ll_list(self->free, self->nfree);
+}
+
+static PyObject *
+Pool_get_assigned(PoolObject *self, void *closure)
+{
+    return ll_list(self->assigned, self->num_queues);
+}
+
+static int
+Pool_traverse(PoolObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->config);
+    Py_VISIT(self->rng);
+    Py_VISIT(self->stats);
+    return 0;
+}
+
+static int
+Pool_clear(PoolObject *self)
+{
+    Py_CLEAR(self->config);
+    Py_CLEAR(self->rng);
+    Py_CLEAR(self->stats);
+    Py_CLEAR(self->num_queues_obj);
+    PyMem_Free(self->assigned);
+    PyMem_Free(self->free);
+    self->assigned = self->free = NULL;
+    self->num_queues = self->nfree = 0;
+    return 0;
+}
+
+static void
+Pool_dealloc(PoolObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    Pool_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMethodDef Pool_methods[] = {
+    {"assign", (PyCFunction)(void (*)(void))Pool_assign, METH_VARARGS | METH_KEYWORDS, "Pick a physical queue for a newly-active flow."},
+    {"release", (PyCFunction)Pool_release, METH_O, "A flow assigned to queue went idle."},
+    {"assigned_flows", (PyCFunction)Pool_assigned_flows, METH_O, NULL},
+    {"occupied_queues", (PyCFunction)Pool_occupied_queues, METH_NOARGS, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef Pool_members[] = {
+    {"config", T_OBJECT, offsetof(PoolObject, config), READONLY, NULL},
+    {"stats", T_OBJECT, offsetof(PoolObject, stats), READONLY, NULL},
+    {"num_queues", T_PYSSIZET, offsetof(PoolObject, num_queues), READONLY, NULL},
+    {NULL},
+};
+
+static PyGetSetDef Pool_getset[] = {
+    {"_free", (getter)Pool_get_free, NULL, "Unallocated queues, next one last.", NULL},
+    {"_assigned_flows", (getter)Pool_get_assigned, NULL, "Flows per queue.", NULL},
+    {NULL},
+};
+
+static PyTypeObject PoolType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.PhysicalQueuePool",
+    .tp_basicsize = sizeof(PoolObject),
+    .tp_dealloc = (destructor)Pool_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "Which physical queues are free and how many flows use each (compiled plane).",
+    .tp_traverse = (traverseproc)Pool_traverse,
+    .tp_clear = (inquiry)Pool_clear,
+    .tp_methods = Pool_methods,
+    .tp_members = Pool_members,
+    .tp_getset = Pool_getset,
+    .tp_init = (initproc)Pool_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* -- BfcScheduler ------------------------------------------------------- */
+
+typedef struct {
+    PyObject *packet;
+    long long size;
+} qitem;
+
+/* One packet queue: a ring, allocated with its first packet. */
+typedef struct {
+    qitem *ring;
+    Py_ssize_t head;
+    Py_ssize_t count;
+    Py_ssize_t cap;
+    long long bytes;
+    long long ready; /* the head's size if it may send, else BLOCKED */
+} bfcq;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *config;
+    PyObject *codec;
+    PyObject *masks; /* codec._masks */
+    PyObject *space; /* num_vfids as an int */
+    long long num_vfids;
+    Py_ssize_t num_queues;
+    /* The physical queues, then the overflow queue at [num_queues] and the
+     * high-priority queue at [num_queues + 1]; NULL until the first push. */
+    bfcq *queues;
+    long long total_bytes;
+    long long total_packets;
+    long long eligible_count;
+    DrrObject *drr;
+    PyObject *filter;      /* downstream_filter: bytes, or NULL for None */
+    PyObject *filter_bits; /* the same filter as the codec's int */
+    char filtering;        /* filter_bits != 0 */
+} SchedObject;
+
+static PyTypeObject SchedType;
+
+static int
+sched_index(SchedObject *s, long long qid, Py_ssize_t *out)
+{
+    if (qid < -2 || qid >= s->num_queues) {
+        PyErr_Format(PyExc_IndexError, "queue %lld out of range", qid);
+        return -1;
+    }
+    *out = qid >= 0 ? (Py_ssize_t)qid : s->num_queues + 2 + (Py_ssize_t)qid;
+    return 0;
+}
+
+static int
+sched_alloc(SchedObject *s)
+{
+    Py_ssize_t i, n = s->num_queues + 2;
+    if (s->queues != NULL)
+        return 0;
+    s->queues = PyMem_Calloc((size_t)n, sizeof(bfcq));
+    if (s->queues == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < n; i++)
+        s->queues[i].ready = BLOCKED;
+    return 0;
+}
+
+static int
+bfcq_push(bfcq *q, PyObject *packet, long long size)
+{
+    if (q->count == q->cap) {
+        Py_ssize_t cap = q->cap ? 2 * q->cap : 8, i;
+        qitem *ring = PyMem_Malloc((size_t)cap * sizeof(qitem));
+        if (ring == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (i = 0; i < q->count; i++)
+            ring[i] = q->ring[(q->head + i) % q->cap];
+        PyMem_Free(q->ring);
+        q->ring = ring;
+        q->head = 0;
+        q->cap = cap;
+    }
+    q->ring[(q->head + q->count) % q->cap].packet = Py_NewRef(packet);
+    q->ring[(q->head + q->count) % q->cap].size = size;
+    q->count += 1;
+    q->bytes += size;
+    return 0;
+}
+
+/* The head packet (the queue's reference moves to the caller). */
+static PyObject *
+bfcq_pop(bfcq *q, long long *size)
+{
+    qitem item = q->ring[q->head];
+    q->head = (q->head + 1) % q->cap;
+    q->count -= 1;
+    q->bytes -= item.size;
+    *size = item.size;
+    return item.packet;
+}
+
+/* BfcScheduler._blocked: is the VFID of head in the installed filter?
+ * The codec's memoized mask, tested as bits & mask == mask. */
+static int
+sched_blocked(SchedObject *s, PyObject *head)
+{
+    long long vfid;
+    PyObject *vfid_obj = packet_vfid_obj(head, s->num_vfids, s->space, &vfid), *mask, *both;
+    int blocked;
+    if (vfid_obj == NULL)
+        return -1;
+    mask = PyDict_GetItemWithError(s->masks, vfid_obj);
+    if (mask != NULL)
+        Py_INCREF(mask);
+    else if (!PyErr_Occurred())
+        mask = PyObject_CallMethodOneArg(s->codec, str_mask, vfid_obj);
+    Py_DECREF(vfid_obj);
+    if (mask == NULL)
+        return -1;
+    both = PyNumber_And(s->filter_bits, mask);
+    if (both == NULL) {
+        Py_DECREF(mask);
+        return -1;
+    }
+    blocked = PyObject_RichCompareBool(both, mask, Py_EQ);
+    Py_DECREF(both);
+    Py_DECREF(mask);
+    return blocked;
+}
+
+/* Is head allowed to send under the installed filter: 1, 0, or -1. */
+static inline int
+sched_may_send(SchedObject *s, PyObject *head)
+{
+    int blocked;
+    if (!s->filtering)
+        return 1;
+    blocked = sched_blocked(s, head);
+    return blocked < 0 ? -1 : !blocked;
+}
+
+/* BfcScheduler.push_queue: the queue's bytes in *queue_bytes. */
+static int
+sched_push(SchedObject *s, long long qid, PyObject *packet, long long size,
+           long long *queue_bytes)
+{
+    Py_ssize_t i;
+    bfcq *q;
+    if (sched_index(s, qid, &i) < 0 || sched_alloc(s) < 0)
+        return -1;
+    if (qid == HIGH_PRIORITY_QUEUE) {
+        PyErr_SetString(PyExc_ValueError, "push_queue() takes a physical or the overflow queue");
+        return -1;
+    }
+    q = &s->queues[i];
+    if (q->count == 0) {
+        PyObject *key = PyLong_FromLongLong(qid);
+        int rc, ok;
+        if (key == NULL)
+            return -1;
+        rc = drr_activate(s->drr, key);
+        Py_DECREF(key);
+        if (rc < 0)
+            return -1;
+        ok = sched_may_send(s, packet);
+        if (ok < 0)
+            return -1;
+        if (ok) {
+            q->ready = size;
+            s->eligible_count += 1;
+        }
+    }
+    if (bfcq_push(q, packet, size) < 0)
+        return -1;
+    s->total_bytes += size;
+    s->total_packets += 1;
+    *queue_bytes = q->bytes;
+    return 0;
+}
+
+static int
+sched_push_high_priority(SchedObject *s, PyObject *packet, long long size)
+{
+    if (sched_alloc(s) < 0 || bfcq_push(&s->queues[s->num_queues + 1], packet, size) < 0)
+        return -1;
+    s->total_bytes += size;
+    s->total_packets += 1;
+    return 0;
+}
+
+/* BfcScheduler.install_filter: 1 if installed, 0 if it is the one installed. */
+static int
+sched_install(SchedObject *s, PyObject *bitmap)
+{
+    PyObject *bits;
+    Py_ssize_t k;
+    long long count = 0;
+    int same = PyObject_RichCompareBool(bitmap, s->filter != NULL ? s->filter : Py_None, Py_EQ);
+    if (same != 0)
+        return same < 0 ? -1 : 0;
+    Py_XSETREF(s->filter, bitmap == Py_None ? NULL : Py_NewRef(bitmap));
+    bits = PyObject_CallMethodOneArg(s->codec, str_bits, bitmap);
+    if (bits == NULL)
+        return -1;
+    Py_XSETREF(s->filter_bits, bits);
+    same = PyObject_IsTrue(bits);
+    if (same < 0)
+        return -1;
+    s->filtering = (char)same;
+    for (k = 0; k < s->drr->n; k++) {
+        Py_ssize_t i;
+        bfcq *q;
+        int ok;
+        if (sched_index(s, s->drr->active[k].qid, &i) < 0)
+            return -1;
+        q = &s->queues[i];
+        ok = sched_may_send(s, q->ring[q->head].packet);
+        if (ok < 0)
+            return -1;
+        if (ok) {
+            q->ready = q->ring[q->head].size;
+            count += 1;
+        }
+        else {
+            q->ready = BLOCKED;
+        }
+    }
+    s->eligible_count = count;
+    return 1;
+}
+
+/* The DRR's probe: a queue's ready value. */
+static int
+sched_probe(void *ctx, PyObject *queue_id, long long *size)
+{
+    SchedObject *s = (SchedObject *)ctx;
+    long long qid = PyLong_AsLongLong(queue_id);
+    Py_ssize_t i;
+    if ((qid == -1 && PyErr_Occurred()) || sched_index(s, qid, &i) < 0)
+        return -1;
+    *size = s->queues[i].ready;
+    return PROBE_SIZE;
+}
+
+/* BfcScheduler.pop: 1 with the packet (new reference), its size and its
+ * source queue, 0 when nothing may send, -1 on error. */
+static int
+sched_pop(SchedObject *s, PyObject **packet, long long *size, long long *qid)
+{
+    PyObject *key;
+    Py_ssize_t i;
+    bfcq *q;
+    int rc;
+    if (s->queues != NULL && s->queues[s->num_queues + 1].count) {
+        *packet = bfcq_pop(&s->queues[s->num_queues + 1], size);
+        s->total_bytes -= *size;
+        s->total_packets -= 1;
+        *qid = HIGH_PRIORITY_QUEUE;
+        return 1;
+    }
+    if (!s->eligible_count) {
+        drr_idle(s->drr); /* nothing may send: skip the fruitless scan */
+        return 0;
+    }
+    rc = drr_select(s->drr, sched_probe, s, &key);
+    if (rc <= 0)
+        return rc;
+    *qid = PyLong_AsLongLong(key);
+    if ((*qid == -1 && PyErr_Occurred()) || sched_index(s, *qid, &i) < 0)
+        return -1;
+    q = &s->queues[i];
+    *packet = bfcq_pop(q, size);
+    s->total_bytes -= *size;
+    s->total_packets -= 1;
+    if (q->count == 0) {
+        q->ready = BLOCKED;
+        s->eligible_count -= 1;
+        Py_INCREF(key); /* deactivate() drops the round's reference */
+        rc = drr_deactivate(s->drr, key);
+        Py_DECREF(key);
+    }
+    else {
+        rc = sched_may_send(s, q->ring[q->head].packet);
+        if (rc > 0) {
+            q->ready = q->ring[q->head].size;
+        }
+        else if (rc == 0) {
+            q->ready = BLOCKED;
+            s->eligible_count -= 1;
+        }
+    }
+    if (rc < 0) {
+        Py_CLEAR(*packet);
+        return -1;
+    }
+    return 1;
+}
+
+static long long
+sched_queue_bytes(SchedObject *s, Py_ssize_t index)
+{
+    return s->queues == NULL ? 0 : s->queues[index].bytes;
+}
+
+static int Sched_clear(SchedObject *self);
+
+static int
+Sched_init(SchedObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"config", "codec", "sim", NULL};
+    PyObject *config, *codec, *sim = Py_None, *value;
+    long long values[3];
+    const char *names[3] = {"num_physical_queues", "num_vfids", "mtu"};
+    int i;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|O", kwlist, &config, &codec, &sim))
+        return -1;
+    for (i = 0; i < 3; i++) {
+        value = PyObject_GetAttrString(config, names[i]);
+        if (value == NULL)
+            return -1;
+        values[i] = PyLong_AsLongLong(value);
+        Py_DECREF(value);
+        if (values[i] == -1 && PyErr_Occurred())
+            return -1;
+    }
+    if (values[0] < 1 || values[1] < 1) {
+        PyErr_SetString(PyExc_ValueError, "need physical queues and a VFID space");
+        return -1;
+    }
+    Sched_clear(self);
+    self->masks = PyObject_GetAttr(codec, str_masks);
+    if (self->masks == NULL)
+        return -1;
+    if (!PyDict_Check(self->masks)) {
+        PyErr_SetString(PyExc_TypeError, "the codec's mask memo must be a dict");
+        return -1;
+    }
+    self->space = PyLong_FromLongLong(values[1]);
+    self->drr = (DrrObject *)PyObject_CallFunction((PyObject *)&DrrType, "L", values[2] + 48);
+    if (self->space == NULL || self->drr == NULL)
+        return -1;
+    self->config = Py_NewRef(config);
+    self->codec = Py_NewRef(codec);
+    self->num_queues = (Py_ssize_t)values[0];
+    self->num_vfids = values[1];
+    self->filter_bits = Py_NewRef(int_zero);
+    return 0;
+}
+
+static PyObject *
+Sched_push_high_priority(SchedObject *self, PyObject *packet)
+{
+    long long size;
+    if (pkt_ll(packet, P_SIZE, &size) < 0 || sched_push_high_priority(self, packet, size) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Sched_push_queue(SchedObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long qid, size, queue_bytes;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "push_queue(qid, packet)");
+        return NULL;
+    }
+    qid = PyLong_AsLongLong(args[0]);
+    if ((qid == -1 && PyErr_Occurred()) || pkt_ll(args[1], P_SIZE, &size) < 0 ||
+        sched_push(self, qid, args[1], size, &queue_bytes) < 0)
+        return NULL;
+    return PyLong_FromLongLong(queue_bytes);
+}
+
+static PyObject *
+Sched_install_filter(SchedObject *self, PyObject *bitmap)
+{
+    int rc = sched_install(self, bitmap);
+    if (rc < 0)
+        return NULL;
+    return PyBool_FromLong(rc);
+}
+
+static PyObject *
+Sched_pop(SchedObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *packet, *result;
+    long long size, qid;
+    int rc = sched_pop(self, &packet, &size, &qid);
+    if (rc < 0)
+        return NULL;
+    if (rc == 0)
+        Py_RETURN_NONE;
+    result = Py_BuildValue("(NL)", packet, qid);
+    return result;
+}
+
+static PyObject *
+Sched_queue_bytes(SchedObject *self, PyObject *qid_obj)
+{
+    long long qid = PyLong_AsLongLong(qid_obj);
+    Py_ssize_t i;
+    if ((qid == -1 && PyErr_Occurred()) || sched_index(self, qid, &i) < 0)
+        return NULL;
+    return PyLong_FromLongLong(sched_queue_bytes(self, i));
+}
+
+static PyObject *
+Sched_queued(SchedObject *self, PyObject *qid_obj)
+{
+    long long qid = PyLong_AsLongLong(qid_obj);
+    Py_ssize_t i, k;
+    PyObject *list;
+    bfcq *q;
+    if ((qid == -1 && PyErr_Occurred()) || sched_index(self, qid, &i) < 0)
+        return NULL;
+    if (self->queues == NULL)
+        return PyList_New(0);
+    q = &self->queues[i];
+    list = PyList_New(q->count);
+    if (list == NULL)
+        return NULL;
+    for (k = 0; k < q->count; k++)
+        PyList_SET_ITEM(list, k, Py_NewRef(q->ring[(q->head + k) % q->cap].packet));
+    return list;
+}
+
+static PyObject *
+Sched_nonempty_queues(SchedObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *list = PyList_New(0), *overflow = NULL;
+    Py_ssize_t k;
+    if (list == NULL)
+        return NULL;
+    for (k = 0; k < self->drr->n; k++) {
+        PyObject *key = self->drr->active[k].key;
+        if (self->drr->active[k].qid == OVERFLOW_QUEUE)
+            overflow = key;
+        else if (PyList_Append(list, key) < 0)
+            goto error;
+    }
+    if (PyList_Sort(list) < 0 || (overflow != NULL && PyList_Append(list, overflow) < 0))
+        goto error;
+    return list;
+
+error:
+    Py_DECREF(list);
+    return NULL;
+}
+
+static PyObject *
+Sched_per_queue_bytes(SchedObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *list = PyList_New(self->num_queues);
+    Py_ssize_t i;
+    if (list == NULL)
+        return NULL;
+    for (i = 0; i < self->num_queues; i++) {
+        PyObject *value = PyLong_FromLongLong(sched_queue_bytes(self, i));
+        if (value == NULL) {
+            Py_DECREF(list);
+            return NULL;
+        }
+        PyList_SET_ITEM(list, i, value);
+    }
+    return list;
+}
+
+static PyObject *
+Sched_get_ready(SchedObject *self, void *closure)
+{
+    Py_ssize_t i, n = self->num_queues + 2;
+    PyObject *list = PyList_New(n);
+    if (list == NULL)
+        return NULL;
+    for (i = 0; i < n; i++) {
+        PyObject *value = PyLong_FromLongLong(self->queues == NULL ? BLOCKED : self->queues[i].ready);
+        if (value == NULL) {
+            Py_DECREF(list);
+            return NULL;
+        }
+        PyList_SET_ITEM(list, i, value);
+    }
+    return list;
+}
+
+static PyObject *
+Sched_get_filter(SchedObject *self, void *closure)
+{
+    return Py_NewRef(self->filter != NULL ? self->filter : Py_None);
+}
+
+static int
+Sched_traverse(SchedObject *self, visitproc visit, void *arg)
+{
+    Py_ssize_t i, k;
+    Py_VISIT(self->config);
+    Py_VISIT(self->codec);
+    Py_VISIT(self->masks);
+    Py_VISIT(self->drr);
+    Py_VISIT(self->filter);
+    Py_VISIT(self->filter_bits);
+    for (i = 0; self->queues != NULL && i < self->num_queues + 2; i++) {
+        bfcq *q = &self->queues[i];
+        for (k = 0; k < q->count; k++)
+            Py_VISIT(q->ring[(q->head + k) % q->cap].packet);
+    }
+    return 0;
+}
+
+static int
+Sched_clear(SchedObject *self)
+{
+    Py_ssize_t i, k;
+    Py_CLEAR(self->config);
+    Py_CLEAR(self->codec);
+    Py_CLEAR(self->masks);
+    Py_CLEAR(self->space);
+    Py_CLEAR(self->drr);
+    Py_CLEAR(self->filter);
+    Py_CLEAR(self->filter_bits);
+    for (i = 0; self->queues != NULL && i < self->num_queues + 2; i++) {
+        bfcq *q = &self->queues[i];
+        for (k = 0; k < q->count; k++)
+            Py_DECREF(q->ring[(q->head + k) % q->cap].packet);
+        PyMem_Free(q->ring);
+    }
+    PyMem_Free(self->queues);
+    self->queues = NULL;
+    self->total_bytes = self->total_packets = self->eligible_count = 0;
+    self->filtering = 0;
+    return 0;
+}
+
+static void
+Sched_dealloc(SchedObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    Sched_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMethodDef Sched_methods[] = {
+    {"push_high_priority", (PyCFunction)Sched_push_high_priority, METH_O, NULL},
+    {"push_queue", (PyCFunction)(void (*)(void))Sched_push_queue, METH_FASTCALL,
+     "Append to a physical queue or OVERFLOW_QUEUE; returns its bytes."},
+    {"install_filter", (PyCFunction)Sched_install_filter, METH_O,
+     "Install the next hop's pause filter; False if it is the one installed."},
+    {"pop", (PyCFunction)Sched_pop, METH_NOARGS,
+     "Pick the next packet to send: (packet, source_queue) or None."},
+    {"queue_bytes", (PyCFunction)Sched_queue_bytes, METH_O, NULL},
+    {"queued", (PyCFunction)Sched_queued, METH_O, "The packets of one queue, head first."},
+    {"nonempty_queues", (PyCFunction)Sched_nonempty_queues, METH_NOARGS, NULL},
+    {"per_queue_bytes", (PyCFunction)Sched_per_queue_bytes, METH_NOARGS, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef Sched_members[] = {
+    {"config", T_OBJECT, offsetof(SchedObject, config), READONLY, NULL},
+    {"num_queues", T_PYSSIZET, offsetof(SchedObject, num_queues), READONLY, NULL},
+    {"total_bytes", T_LONGLONG, offsetof(SchedObject, total_bytes), READONLY, NULL},
+    {"total_packets", T_LONGLONG, offsetof(SchedObject, total_packets), READONLY, NULL},
+    {"eligible_count", T_LONGLONG, offsetof(SchedObject, eligible_count), READONLY, NULL},
+    {"_codec", T_OBJECT, offsetof(SchedObject, codec), READONLY, NULL},
+    {"_drr", T_OBJECT, offsetof(SchedObject, drr), READONLY, NULL},
+    {"_filter_bits", T_OBJECT, offsetof(SchedObject, filter_bits), READONLY, NULL},
+    {"_num_vfids", T_LONGLONG, offsetof(SchedObject, num_vfids), READONLY, NULL},
+    {NULL},
+};
+
+static PyGetSetDef Sched_getset[] = {
+    {"downstream_filter", (getter)Sched_get_filter, NULL,
+     "The most recent Bloom filter received from the next hop.", NULL},
+    {"_ready", (getter)Sched_get_ready, NULL,
+     "Per queue: the head's size if it may send, else BLOCKED.", NULL},
+    {NULL},
+};
+
+static PyTypeObject SchedType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.BfcScheduler",
+    .tp_basicsize = sizeof(SchedObject),
+    .tp_dealloc = (destructor)Sched_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "Packet storage and DRR service for one BFC egress port (compiled plane).",
+    .tp_traverse = (traverseproc)Sched_traverse,
+    .tp_clear = (inquiry)Sched_clear,
+    .tp_methods = Sched_methods,
+    .tp_members = Sched_members,
+    .tp_getset = Sched_getset,
+    .tp_init = (initproc)Sched_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* -- BfcEgressDiscipline ------------------------------------------------ */
+
+typedef struct {
+    long long vfid;
+    long long ingress;
+} rpair;
+
+/* A physical queue's to-be-resumed list, FIFO without duplicates. */
+typedef struct {
+    rpair *items; /* items[head .. head + count) */
+    Py_ssize_t head;
+    Py_ssize_t count;
+    Py_ssize_t cap;
+    char created;
+} rlist;
+
+struct BfcDiscObject {
+    PyObject_HEAD
+    PyObject *agent;
+    PyObject *config;
+    PyObject *thresholds;
+    PyObject *space; /* num_vfids as an int */
+    long long egress_index;
+    long long num_vfids;
+    SchedObject *scheduler;
+    PoolObject *pool;
+    FlowTableObject *table;
+    EgressStatsObject *stats;
+    double *by_count; /* Th by the number of active queues */
+    Py_ssize_t nthresholds;
+    long long resumes_per_interval;
+    long long pending_resumes;
+    char use_high_priority;
+    char limit_resume_rate;
+    char direct; /* the hot methods are this type's own */
+    rlist *lists;           /* by physical queue; NULL until the first is made */
+    Py_ssize_t *list_order; /* queues whose list exists, in creation order */
+    Py_ssize_t nlists;
+};
+
+#define BfcDisc_Check(op) PyObject_TypeCheck(op, &BfcDiscType)
+
+static int
+bfc_threshold(BfcDiscObject *d, long long active, double *out)
+{
+    if (active < 0 || active >= d->nthresholds) {
+        PyErr_SetString(PyExc_IndexError, "active queue count outside the threshold table");
+        return -1;
+    }
+    *out = d->by_count[active];
+    return 0;
+}
+
+/* BfcEgressDiscipline._resume_list: made on first use. */
+static rlist *
+bfc_rlist(BfcDiscObject *d, long long queue)
+{
+    Py_ssize_t n = d->pool->num_queues;
+    rlist *l;
+    if (queue < 0 || queue >= n) {
+        PyErr_Format(PyExc_IndexError, "resume list of queue %lld out of range", queue);
+        return NULL;
+    }
+    if (d->lists == NULL) {
+        d->lists = PyMem_Calloc((size_t)n, sizeof(rlist));
+        d->list_order = PyMem_Calloc((size_t)n, sizeof(Py_ssize_t));
+        if (d->lists == NULL || d->list_order == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+    }
+    l = &d->lists[queue];
+    if (!l->created) {
+        l->created = 1;
+        d->list_order[d->nlists++] = (Py_ssize_t)queue;
+    }
+    return l;
+}
+
+static Py_ssize_t
+rlist_find(const rlist *l, long long vfid, long long ingress)
+{
+    Py_ssize_t k;
+    for (k = 0; k < l->count; k++) {
+        const rpair *item = &l->items[l->head + k];
+        if (item->vfid == vfid && item->ingress == ingress)
+            return k;
+    }
+    return -1;
+}
+
+/* ResumeList.add: 1 if queued, 0 if it already was. */
+static int
+rlist_add(rlist *l, long long vfid, long long ingress)
+{
+    if (rlist_find(l, vfid, ingress) >= 0)
+        return 0;
+    if (l->head + l->count == l->cap) {
+        if (l->head > 0) {
+            memmove(l->items, &l->items[l->head], (size_t)l->count * sizeof(rpair));
+            l->head = 0;
+        }
+        else {
+            Py_ssize_t cap = l->cap ? 2 * l->cap : 4;
+            rpair *items = PyMem_Realloc(l->items, (size_t)cap * sizeof(rpair));
+            if (items == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            l->items = items;
+            l->cap = cap;
+        }
+    }
+    l->items[l->head + l->count].vfid = vfid;
+    l->items[l->head + l->count].ingress = ingress;
+    l->count += 1;
+    return 1;
+}
+
+/* ResumeList.discard: 1 if it was queued. */
+static int
+rlist_discard(rlist *l, long long vfid, long long ingress)
+{
+    Py_ssize_t k = rlist_find(l, vfid, ingress);
+    if (k < 0)
+        return 0;
+    memmove(&l->items[l->head + k], &l->items[l->head + k + 1],
+            (size_t)(l->count - k - 1) * sizeof(rpair));
+    l->count -= 1;
+    return 1;
+}
+
+/* BfcEgressDiscipline._add_resume. */
+static int
+bfc_add_resume(BfcDiscObject *d, long long queue, FlowEntryObject *entry)
+{
+    rlist *l = bfc_rlist(d, queue);
+    int added;
+    if (l == NULL)
+        return -1;
+    added = rlist_add(l, entry->vfid, entry->ingress);
+    if (added > 0)
+        d->pending_resumes += 1;
+    return added < 0 ? -1 : 0;
+}
+
+/* agent.name(vfid, ingress): its truth value, or -1. */
+static int
+bfc_agent_call(BfcDiscObject *d, PyObject *name, long long vfid, long long ingress)
+{
+    PyObject *vfid_obj = PyLong_FromLongLong(vfid), *ingress_obj, *res;
+    int truth;
+    if (vfid_obj == NULL)
+        return -1;
+    ingress_obj = PyLong_FromLongLong(ingress);
+    if (ingress_obj == NULL) {
+        Py_DECREF(vfid_obj);
+        return -1;
+    }
+    res = call_method2(d->agent, name, vfid_obj, ingress_obj);
+    Py_DECREF(vfid_obj);
+    Py_DECREF(ingress_obj);
+    if (res == NULL)
+        return -1;
+    truth = PyObject_IsTrue(res);
+    Py_DECREF(res);
+    return truth;
+}
+
+/* BfcEgressDiscipline._check_resume (§3.5): consider resuming a paused
+ * flow when its queue drains below Th. */
+static int
+bfc_check_resume(BfcDiscObject *d, FlowEntryObject *entry, long long source_queue)
+{
+    long long queue = entry->queue >= 0 ? entry->queue : source_queue, queue_bytes;
+    double threshold;
+    int resumed;
+    if (queue < 0) {
+        /* Only its high-priority packet was queued: no physical queue yet. */
+        queue_bytes = 0;
+        queue = 0;
+    }
+    else {
+        queue_bytes = sched_queue_bytes(d->scheduler, (Py_ssize_t)queue);
+    }
+    if (bfc_threshold(d, d->scheduler->eligible_count, &threshold) < 0)
+        return -1;
+    if ((double)queue_bytes > threshold)
+        return 0;
+    if (d->limit_resume_rate) {
+        if (bfc_add_resume(d, queue, entry) < 0)
+            return -1;
+        entry->resume_pending = 1;
+        return 0;
+    }
+    /* BFC-BufferOpt ablation: resume immediately, without rate limiting. */
+    resumed = bfc_agent_call(d, str_resume_flow, entry->vfid, entry->ingress);
+    if (resumed < 0)
+        return -1;
+    if (resumed)
+        d->stats->resumes_sent += 1;
+    entry->paused_upstream = 0;
+    return 0;
+}
+
+/* BfcEgressDiscipline.enqueue: 1, or -1 on error. */
+static int
+bfc_enqueue(BfcDiscObject *d, PyObject *packet, PyObject *ingress_obj)
+{
+    SchedObject *s = d->scheduler;
+    EgressStatsObject *stats = d->stats;
+    FlowEntryObject *entry;
+    PyObject *vfid_obj, *key;
+    long long vfid, ingress, size, queue_bytes;
+    double threshold;
+    int rc;
+
+    ingress = PyLong_AsLongLong(ingress_obj);
+    if (ingress == -1 && PyErr_Occurred())
+        return -1;
+    vfid_obj = packet_vfid_obj(packet, d->num_vfids, d->space, &vfid);
+    if (vfid_obj == NULL)
+        return -1;
+    Py_DECREF(vfid_obj); /* the packet keeps it */
+    key = pkt_get(packet, P_KEY);
+    if (key == NULL)
+        return -1;
+    rc = table_lookup_or_insert(d->table, vfid, ingress, d->egress_index, key, &entry);
+    Py_DECREF(key);
+    if (rc < 0 || pkt_ll(packet, P_SIZE, &size) < 0)
+        return -1;
+    stats->enqueued_packets += 1;
+    if (entry == NULL) {
+        /* Neither the bucket nor the overflow cache had room: divert to the
+         * per-egress overflow queue (§3.8), with no entry handle. */
+        if (sched_push(s, OVERFLOW_QUEUE, packet, size, &queue_bytes) < 0)
+            return -1;
+        stats->overflow_packets += 1;
+        return 1;
+    }
+    if (pkt_set(packet, P_ENTRY, (PyObject *)entry) < 0)
+        return -1;
+    entry->packets += 1;
+    entry->bytes += size;
+    if (d->use_high_priority && entry->packets == 1 && !entry->paused_upstream) {
+        int first = pkt_truth(packet, P_FIRST_OF_FLOW);
+        if (first < 0)
+            return -1;
+        if (first) {
+            /* §3.7: first (marked) packet of a flow, nothing else queued. */
+            if (sched_push_high_priority(s, packet, size) < 0)
+                return -1;
+            stats->high_priority_packets += 1;
+            return 1;
+        }
+    }
+    if (entry->queue < 0) {
+        if (pool_assign(d->pool, vfid, &entry->queue) < 0)
+            return -1;
+        if (d->pool->occupied > stats->max_occupied_queues)
+            stats->max_occupied_queues = d->pool->occupied;
+    }
+    if (sched_push(s, entry->queue, packet, size, &queue_bytes) < 0)
+        return -1;
+    if (queue_bytes > stats->max_queue_bytes)
+        stats->max_queue_bytes = queue_bytes;
+    if (entry->paused_upstream)
+        return 1;
+    /* §3.4: pause the arriving flow if its queue exceeds Th(Nactive). */
+    if (bfc_threshold(d, s->eligible_count, &threshold) < 0)
+        return -1;
+    if ((double)queue_bytes > threshold) {
+        long long queue = entry->queue;
+        rlist *l;
+        rc = bfc_agent_call(d, str_pause_flow, vfid, ingress);
+        if (rc < 0)
+            return -1;
+        if (rc)
+            stats->pauses_sent += 1;
+        entry->paused_upstream = 1;
+        /* A pause supersedes any pending resume for the same flow. */
+        l = bfc_rlist(d, queue);
+        if (l == NULL)
+            return -1;
+        if (rlist_discard(l, vfid, ingress))
+            d->pending_resumes -= 1;
+    }
+    return 1;
+}
+
+/* BfcEgressDiscipline.dequeue: a new reference, Py_None, or NULL. */
+static PyObject *
+bfc_dequeue(BfcDiscObject *d)
+{
+    PyObject *packet, *handle;
+    FlowEntryObject *entry;
+    long long size, source_queue;
+    int rc = sched_pop(d->scheduler, &packet, &size, &source_queue);
+    if (rc < 0)
+        return NULL;
+    if (rc == 0)
+        Py_RETURN_NONE;
+    d->stats->dequeued_packets += 1;
+    handle = pkt_get(packet, P_ENTRY);
+    if (handle == NULL)
+        goto error;
+    if (handle == Py_None) {
+        /* Overflow-queue packets belong to flows without a table entry. */
+        Py_DECREF(handle);
+        return packet;
+    }
+    if (!FlowEntry_Check(handle)) {
+        PyErr_SetString(PyExc_TypeError, "a compiled BFC port holds a foreign entry handle");
+        goto error_handle;
+    }
+    entry = (FlowEntryObject *)handle;
+    if (pkt_set(packet, P_ENTRY, Py_None) < 0)
+        goto error_handle;
+    entry->packets -= 1;
+    entry->bytes -= size;
+    if (entry->paused_upstream && bfc_check_resume(d, entry, source_queue) < 0)
+        goto error_handle;
+    if (entry->packets <= 0) {
+        /* The flow's last packet left this switch: release its queue and
+         * recycle its table entry. */
+        long long queue = entry->queue;
+        if (entry->paused_upstream && !entry->resume_pending &&
+            bfc_add_resume(d, queue >= 0 ? queue : 0, entry) < 0)
+            goto error_handle;
+        if (queue >= 0) {
+            if (pool_release(d->pool, queue) < 0)
+                goto error_handle;
+            entry->queue = -1;
+        }
+        if (table_remove(d->table, entry) < 0)
+            goto error_handle;
+    }
+    Py_DECREF(handle);
+    return packet;
+
+error_handle:
+    Py_DECREF(handle);
+error:
+    Py_DECREF(packet);
+    return NULL;
+}
+
+static int
+bfc_direct(PyObject *disc)
+{
+    return BfcDisc_Check(disc) && ((BfcDiscObject *)disc)->direct;
+}
+
+static long long
+bfc_backlog(BfcDiscObject *d, long long *bytes)
+{
+    *bytes = d->scheduler->total_bytes;
+    return d->scheduler->total_packets;
+}
+
+static int BfcDisc_clear(BfcDiscObject *self);
+
+/* Is every hot method of this object's type the compiled one? */
+static int
+bfc_own_hot_methods(PyObject *self)
+{
+    static const char *const names[] = {"enqueue", "dequeue", "has_backlog", "backlog_bytes"};
+    size_t i;
+    for (i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
+        PyObject *mine = PyObject_GetAttrString((PyObject *)&BfcDiscType, names[i]);
+        PyObject *theirs = PyObject_GetAttrString((PyObject *)Py_TYPE(self), names[i]);
+        int same = mine == theirs;
+        Py_XDECREF(mine);
+        Py_XDECREF(theirs);
+        if (mine == NULL || theirs == NULL)
+            return -1;
+        if (!same)
+            return 0;
+    }
+    return 1;
+}
+
+static int
+BfcDisc_init(BfcDiscObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"agent", "egress_index", "scheduler", "pool", "thresholds", NULL};
+    PyObject *agent, *scheduler, *pool, *thresholds, *config, *table, *by_count, *value;
+    long long egress_index, knobs[3];
+    const char *knob_names[3] = {"use_high_priority_queue", "limit_resume_rate",
+                                 "resumes_per_interval"};
+    Py_ssize_t i, n;
+    int direct;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OLO!O!O", kwlist, &agent, &egress_index,
+                                     &SchedType, &scheduler, &PoolType, &pool, &thresholds))
+        return -1;
+    BfcDisc_clear(self);
+    config = PyObject_GetAttrString(agent, "config");
+    if (config == NULL)
+        return -1;
+    self->config = config;
+    table = PyObject_GetAttr(agent, str_flow_table);
+    if (table == NULL)
+        return -1;
+    if (!PyObject_TypeCheck(table, &FlowTableType)) {
+        Py_DECREF(table);
+        PyErr_SetString(PyExc_TypeError, "a compiled BFC port needs the compiled FlowTable");
+        return -1;
+    }
+    self->table = (FlowTableObject *)table;
+    for (i = 0; i < 3; i++) {
+        value = PyObject_GetAttrString(config, knob_names[i]);
+        if (value == NULL)
+            return -1;
+        knobs[i] = i < 2 ? PyObject_IsTrue(value) : PyLong_AsLongLong(value);
+        Py_DECREF(value);
+        if (knobs[i] == -1 && PyErr_Occurred())
+            return -1;
+    }
+    by_count = PyObject_GetAttr(thresholds, str_by_count);
+    if (by_count == NULL)
+        return -1;
+    n = PySequence_Size(by_count);
+    if (n != ((SchedObject *)scheduler)->num_queues + 2) {
+        Py_DECREF(by_count);
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError,
+                            "the threshold table needs one entry per active count");
+        return -1;
+    }
+    self->by_count = PyMem_Calloc((size_t)n, sizeof(double));
+    if (self->by_count == NULL) {
+        Py_DECREF(by_count);
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < n; i++) {
+        PyObject *item = PySequence_GetItem(by_count, i);
+        if (item == NULL) {
+            Py_DECREF(by_count);
+            return -1;
+        }
+        self->by_count[i] = PyFloat_AsDouble(item);
+        Py_DECREF(item);
+        if (self->by_count[i] == -1.0 && PyErr_Occurred()) {
+            Py_DECREF(by_count);
+            return -1;
+        }
+    }
+    Py_DECREF(by_count);
+    self->nthresholds = n;
+    self->stats = (EgressStatsObject *)new_stats(egress_stats_class, &EgressStatsType);
+    if (self->stats == NULL)
+        return -1;
+    self->num_vfids = ((SchedObject *)scheduler)->num_vfids;
+    self->space = Py_NewRef(((SchedObject *)scheduler)->space);
+    self->agent = Py_NewRef(agent);
+    self->thresholds = Py_NewRef(thresholds);
+    self->scheduler = (SchedObject *)Py_NewRef(scheduler);
+    self->pool = (PoolObject *)Py_NewRef(pool);
+    self->egress_index = egress_index;
+    self->use_high_priority = (char)knobs[0];
+    self->limit_resume_rate = (char)knobs[1];
+    self->resumes_per_interval = knobs[2];
+    self->pending_resumes = 0;
+    direct = bfc_own_hot_methods((PyObject *)self);
+    if (direct < 0)
+        return -1;
+    self->direct = (char)direct;
+    return 0;
+}
+
+static PyObject *
+BfcDisc_enqueue(BfcDiscObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"packet", "ingress", NULL};
+    PyObject *packet, *ingress;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO", kwlist, &packet, &ingress))
+        return NULL;
+    if (bfc_enqueue(self, packet, ingress) < 0)
+        return NULL;
+    Py_RETURN_TRUE;
+}
+
+static PyObject *
+BfcDisc_dequeue(BfcDiscObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return bfc_dequeue(self);
+}
+
+static PyObject *
+BfcDisc_collect_resumes(BfcDiscObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *resumed = PyList_New(0);
+    Py_ssize_t k;
+    if (resumed == NULL)
+        return NULL;
+    for (k = 0; k < self->nlists; k++) {
+        rlist *l = &self->lists[self->list_order[k]];
+        long long taken;
+        for (taken = 0; taken < self->resumes_per_interval && l->count; taken++) {
+            rpair item = l->items[l->head];
+            FlowEntryObject *entry;
+            PyObject *pair = Py_BuildValue("(LL)", item.vfid, item.ingress);
+            int rc;
+            l->head += 1;
+            l->count -= 1;
+            if (l->count == 0)
+                l->head = 0;
+            self->pending_resumes -= 1;
+            if (pair == NULL) {
+                Py_DECREF(resumed);
+                return NULL;
+            }
+            rc = PyList_Append(resumed, pair);
+            Py_DECREF(pair);
+            if (rc < 0) {
+                Py_DECREF(resumed);
+                return NULL;
+            }
+            entry = table_lookup(self->table, item.vfid, item.ingress, self->egress_index);
+            if (entry != NULL) {
+                entry->paused_upstream = 0;
+                entry->resume_pending = 0;
+            }
+            self->stats->resumes_sent += 1;
+        }
+    }
+    return resumed;
+}
+
+static PyObject *
+BfcDisc_pending_resume_lists(BfcDiscObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *lists = PyDict_New();
+    Py_ssize_t k, j;
+    if (lists == NULL)
+        return NULL;
+    for (k = 0; k < self->nlists; k++) {
+        rlist *l = &self->lists[self->list_order[k]];
+        PyObject *queue, *items = PyList_New(l->count);
+        int rc;
+        if (items == NULL)
+            goto error;
+        for (j = 0; j < l->count; j++) {
+            PyObject *pair = Py_BuildValue("(LL)", l->items[l->head + j].vfid,
+                                           l->items[l->head + j].ingress);
+            if (pair == NULL) {
+                Py_DECREF(items);
+                goto error;
+            }
+            PyList_SET_ITEM(items, j, pair);
+        }
+        queue = PyLong_FromSsize_t(self->list_order[k]);
+        rc = queue == NULL ? -1 : PyDict_SetItem(lists, queue, items);
+        Py_XDECREF(queue);
+        Py_DECREF(items);
+        if (rc < 0)
+            goto error;
+    }
+    return lists;
+
+error:
+    Py_DECREF(lists);
+    return NULL;
+}
+
+static PyObject *
+BfcDisc_apply_downstream_filter(BfcDiscObject *self, PyObject *bitmap)
+{
+    if (sched_install(self->scheduler, bitmap) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+BfcDisc_backlog_bytes(BfcDiscObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyLong_FromLongLong(self->scheduler->total_bytes);
+}
+
+static PyObject *
+BfcDisc_backlog_packets(BfcDiscObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyLong_FromLongLong(self->scheduler->total_packets);
+}
+
+static PyObject *
+BfcDisc_has_backlog(BfcDiscObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyBool_FromLong(self->scheduler->total_packets > 0);
+}
+
+static int
+BfcDisc_traverse(BfcDiscObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->agent);
+    Py_VISIT(self->config);
+    Py_VISIT(self->thresholds);
+    Py_VISIT(self->scheduler);
+    Py_VISIT(self->pool);
+    Py_VISIT(self->table);
+    Py_VISIT(self->stats);
+    return 0;
+}
+
+static int
+BfcDisc_clear(BfcDiscObject *self)
+{
+    Py_ssize_t k;
+    Py_CLEAR(self->agent);
+    Py_CLEAR(self->config);
+    Py_CLEAR(self->thresholds);
+    Py_CLEAR(self->space);
+    Py_CLEAR(self->scheduler);
+    Py_CLEAR(self->pool);
+    Py_CLEAR(self->table);
+    Py_CLEAR(self->stats);
+    PyMem_Free(self->by_count);
+    self->by_count = NULL;
+    self->nthresholds = 0;
+    for (k = 0; k < self->nlists; k++)
+        PyMem_Free(self->lists[self->list_order[k]].items);
+    PyMem_Free(self->lists);
+    PyMem_Free(self->list_order);
+    self->lists = NULL;
+    self->list_order = NULL;
+    self->nlists = 0;
+    self->direct = 0;
+    return 0;
+}
+
+static void
+BfcDisc_dealloc(BfcDiscObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    BfcDisc_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyMethodDef BfcDisc_methods[] = {
+    {"enqueue", (PyCFunction)(void (*)(void))BfcDisc_enqueue, METH_VARARGS | METH_KEYWORDS,
+     "File a packet under its flow (pausing it upstream past Th); True."},
+    {"dequeue", (PyCFunction)BfcDisc_dequeue, METH_NOARGS,
+     "The next packet to send, or None."},
+    {"collect_resumes", (PyCFunction)BfcDisc_collect_resumes, METH_NOARGS,
+     "Pop up to resumes_per_interval flows per queue to unpause now."},
+    {"pending_resume_lists", (PyCFunction)BfcDisc_pending_resume_lists, METH_NOARGS,
+     "{queue: [(vfid, ingress), ...]} in the order the lists were made."},
+    {"apply_downstream_filter", (PyCFunction)BfcDisc_apply_downstream_filter, METH_O,
+     "Install the most recent Bloom filter received from the next hop."},
+    {"backlog_bytes", (PyCFunction)BfcDisc_backlog_bytes, METH_NOARGS, NULL},
+    {"backlog_packets", (PyCFunction)BfcDisc_backlog_packets, METH_NOARGS, NULL},
+    {"has_backlog", (PyCFunction)BfcDisc_has_backlog, METH_NOARGS, NULL},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef BfcDisc_members[] = {
+    {"agent", T_OBJECT, offsetof(BfcDiscObject, agent), READONLY, NULL},
+    {"config", T_OBJECT, offsetof(BfcDiscObject, config), READONLY, NULL},
+    {"egress_index", T_LONGLONG, offsetof(BfcDiscObject, egress_index), READONLY, NULL},
+    {"scheduler", T_OBJECT, offsetof(BfcDiscObject, scheduler), READONLY, NULL},
+    {"pool", T_OBJECT, offsetof(BfcDiscObject, pool), READONLY, NULL},
+    {"thresholds", T_OBJECT, offsetof(BfcDiscObject, thresholds), READONLY, NULL},
+    {"stats", T_OBJECT, offsetof(BfcDiscObject, stats), READONLY, NULL},
+    {"pending_resumes", T_LONGLONG, offsetof(BfcDiscObject, pending_resumes), READONLY, NULL},
+    {NULL},
+};
+
+static PyTypeObject BfcDiscType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.BfcEgressDiscipline",
+    .tp_basicsize = sizeof(BfcDiscObject),
+    .tp_dealloc = (destructor)BfcDisc_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "The data-plane discipline of one BFC egress port (compiled plane).",
+    .tp_traverse = (traverseproc)BfcDisc_traverse,
+    .tp_clear = (inquiry)BfcDisc_clear,
+    .tp_methods = BfcDisc_methods,
+    .tp_members = BfcDisc_members,
+    .tp_init = (initproc)BfcDisc_init,
     .tp_new = PyType_GenericNew,
 };
 
@@ -4852,6 +7272,11 @@ static PyMethodDef module_methods[] = {
      "bind_host(SenderFlowState, ReceiverFlowState, CongestionControl, "
      "PacketKind.DATA, PacketKind.ACK, PacketKind.NACK, DATA_HEADER_SIZE, "
      "ACK_SIZE, NACK_SIZE): what the compiled NIC reads and builds."},
+    {"bind_bfc", (PyCFunction)(void (*)(void))bind_bfc, METH_FASTCALL,
+     "bind_bfc(FlowTableStats, QueueAssignmentStats, BfcEgressStats): the "
+     "stats classes the compiled BFC plane builds."},
+    {"packet_vfid", (PyCFunction)(void (*)(void))module_packet_vfid, METH_FASTCALL,
+     "packet_vfid(packet, space): repro.core.vfid.packet_vfid in C."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -4935,6 +7360,15 @@ intern_names(void)
         {&str_nacks_sent, "nacks_sent"},
         {&str_data_packets_sent, "data_packets_sent"},
         {&str_selective_retransmissions, "selective_retransmissions"},
+        {&str_pause_flow, "pause_flow"},
+        {&str_resume_flow, "resume_flow"},
+        {&str_randrange, "randrange"},
+        {&str_digest, "_digest"},
+        {&str_masks, "_masks"},
+        {&str_mask, "mask"},
+        {&str_bits, "bits"},
+        {&str_flow_table, "flow_table"},
+        {&str_by_count, "by_count"},
     };
     size_t i;
     for (i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
@@ -4986,6 +7420,14 @@ PyInit__accelcore(void)
         {"SwitchPlane", &SwitchPlaneType},
         {"DeficitRoundRobin", &DrrType},
         {"NicScheduler", &NicType},
+        {"FlowTableStats", &TableStatsType},
+        {"QueueAssignmentStats", &PoolStatsType},
+        {"BfcEgressStats", &EgressStatsType},
+        {"FlowEntry", &FlowEntryType},
+        {"FlowTable", &FlowTableType},
+        {"PhysicalQueuePool", &PoolType},
+        {"BfcScheduler", &SchedType},
+        {"BfcEgressDiscipline", &BfcDiscType},
     };
     size_t i;
     if (intern_names() < 0)

@@ -122,10 +122,13 @@ class Simulator:
         self._rng = random.Random(seed)
         self._events_processed: int = 0
         self._running = False
-        #: The pending entries, a heapq heap in the engine's total order.
-        self._heap: list = []
+        self._init_event_queue()
         # -- shared per-simulation memos ----------------------------------
         self._tx_memos: dict = {}
+
+    def _init_event_queue(self) -> None:
+        #: The pending entries, a heapq heap in the engine's total order.
+        self._heap: list = []
 
     # -- clock ------------------------------------------------------------
 

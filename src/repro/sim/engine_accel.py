@@ -55,6 +55,9 @@ class AccelSimulator(_EngineCore, Simulator):
             )
         super().__init__(seed)
 
+    def _init_event_queue(self) -> None:
+        """The pending entries live in the C base; there is no ``_heap``."""
+
 
 if _accelcore is not None:
     # The plane wraps the extension loaded above, so it comes last.

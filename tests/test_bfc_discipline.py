@@ -1,11 +1,18 @@
-"""Unit tests for the BFC egress discipline (enqueue/dequeue/pause/resume)."""
+"""Unit tests for the BFC egress discipline (enqueue/dequeue/pause/resume).
 
+Every test runs on both planes: the agent of a simulator of each builds its
+plane's discipline and flow table.
+"""
+
+import pytest
+
+from planes import PLANES
 from repro.core.config import BfcConfig
-from repro.core.discipline import BfcEgressDiscipline
 from repro.core.switchlogic import BfcAgent
 from repro.sim import units
-from repro.sim.engine import Simulator
 from repro.sim.packet import FlowKey, Packet, PacketKind
+
+pytestmark = pytest.mark.parametrize("sim_class", PLANES)
 
 
 LINK_RATE = units.gbps(10)
@@ -24,20 +31,19 @@ def make_packet(src=1, dst=2, sport=10, seq=0, size=1_000, first=False, ingress=
     return packet
 
 
-def build_discipline(config=None, sim=None):
-    sim = sim or Simulator(seed=1)
+def build_discipline(sim_class, config=None):
+    sim = sim_class(seed=1)
     config = config or BfcConfig(hop_rtt_ns=2_000)
     agent = BfcAgent(sim, config)
-    discipline = BfcEgressDiscipline(
-        agent, egress_index=0, link_rate_bps=LINK_RATE, link_delay_ns=1_000,
-        rng=sim.rng(7),
+    discipline = agent.make_discipline(
+        egress_index=0, link_rate_bps=LINK_RATE, link_delay_ns=1_000, rng=sim.rng(7)
     )
     return discipline, agent
 
 
 class TestEnqueueDequeue:
-    def test_roundtrip_single_flow(self):
-        discipline, agent = build_discipline()
+    def test_roundtrip_single_flow(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         packets = [make_packet(sport=1, seq=i) for i in range(3)]
         for packet in packets:
             assert discipline.enqueue(packet, ingress=0)
@@ -46,37 +52,37 @@ class TestEnqueueDequeue:
         assert out == packets
         assert discipline.backlog_packets() == 0
 
-    def test_flow_entry_created_and_reclaimed(self):
-        discipline, agent = build_discipline()
+    def test_flow_entry_created_and_reclaimed(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         packet = make_packet(sport=1)
         discipline.enqueue(packet, ingress=0)
         assert agent.flow_table.active_entries() == 1
         discipline.dequeue()
         assert agent.flow_table.active_entries() == 0
 
-    def test_physical_queue_reclaimed(self):
-        discipline, agent = build_discipline()
+    def test_physical_queue_reclaimed(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         discipline.enqueue(make_packet(sport=1), ingress=0)
         assert discipline.occupied_physical_queues() == 1
         discipline.dequeue()
         assert discipline.occupied_physical_queues() == 0
 
-    def test_distinct_flows_get_distinct_queues(self):
-        discipline, agent = build_discipline()
+    def test_distinct_flows_get_distinct_queues(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         for sport in range(10):
             discipline.enqueue(make_packet(sport=sport, src=sport), ingress=0)
         assert discipline.occupied_physical_queues() == 10
         assert discipline.pool.stats.collisions == 0
 
-    def test_collision_when_queues_exhausted(self):
+    def test_collision_when_queues_exhausted(self, sim_class):
         config = BfcConfig(num_physical_queues=4, hop_rtt_ns=2_000)
-        discipline, agent = build_discipline(config)
+        discipline, agent = build_discipline(sim_class, config)
         for sport in range(6):
             discipline.enqueue(make_packet(sport=sport, src=sport), ingress=0)
         assert discipline.pool.stats.collisions == 2
 
-    def test_same_flow_packets_share_a_queue_in_order(self):
-        discipline, agent = build_discipline()
+    def test_same_flow_packets_share_a_queue_in_order(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         a = [make_packet(sport=1, seq=i) for i in range(3)]
         b = [make_packet(sport=2, src=5, seq=i) for i in range(3)]
         for pa, pb in zip(a, b):
@@ -91,8 +97,8 @@ class TestEnqueueDequeue:
 
 
 class TestHighPriorityQueue:
-    def test_marked_first_packet_uses_high_priority(self):
-        discipline, agent = build_discipline()
+    def test_marked_first_packet_uses_high_priority(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         # A backlog of another flow, then a marked single-packet flow arrives.
         for i in range(5):
             discipline.enqueue(make_packet(sport=1, seq=i), 0)
@@ -101,17 +107,17 @@ class TestHighPriorityQueue:
         assert discipline.dequeue() is single
         assert discipline.stats.high_priority_packets == 1
 
-    def test_unmarked_first_packet_goes_to_physical_queue(self):
-        discipline, agent = build_discipline()
+    def test_unmarked_first_packet_goes_to_physical_queue(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         for i in range(5):
             discipline.enqueue(make_packet(sport=1, seq=i), 0)
         single = make_packet(sport=2, src=7, first=False)
         discipline.enqueue(single, 0)
         assert discipline.dequeue() is not single
 
-    def test_high_priority_disabled_by_config(self):
+    def test_high_priority_disabled_by_config(self, sim_class):
         config = BfcConfig(use_high_priority_queue=False, hop_rtt_ns=2_000)
-        discipline, agent = build_discipline(config)
+        discipline, agent = build_discipline(sim_class, config)
         for i in range(5):
             discipline.enqueue(make_packet(sport=1, seq=i), 0)
         single = make_packet(sport=2, src=7, first=True)
@@ -119,8 +125,8 @@ class TestHighPriorityQueue:
         assert discipline.dequeue() is not single
         assert discipline.stats.high_priority_packets == 0
 
-    def test_second_packet_of_flow_not_high_priority(self):
-        discipline, agent = build_discipline()
+    def test_second_packet_of_flow_not_high_priority(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         first = make_packet(sport=1, seq=0, first=True)
         discipline.enqueue(first, 0)
         second = make_packet(sport=1, seq=1)
@@ -131,8 +137,8 @@ class TestHighPriorityQueue:
 
 
 class TestPauseBehaviour:
-    def test_flow_paused_when_queue_exceeds_threshold(self):
-        discipline, agent = build_discipline()
+    def test_flow_paused_when_queue_exceeds_threshold(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         threshold = discipline.thresholds.by_count[1]
         packets_needed = int(threshold // 1_000) + 2
         vfid = None
@@ -143,14 +149,14 @@ class TestPauseBehaviour:
         assert agent.is_paused(vfid, ingress=3)
         assert discipline.stats.pauses_sent == 1
 
-    def test_no_pause_below_threshold(self):
-        discipline, agent = build_discipline()
+    def test_no_pause_below_threshold(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         discipline.enqueue(make_packet(sport=1), ingress=3)
         assert agent.paused_flow_count() == 0
 
-    def test_pause_applies_to_arriving_flow_only(self):
+    def test_pause_applies_to_arriving_flow_only(self, sim_class):
         config = BfcConfig(num_physical_queues=1, hop_rtt_ns=2_000)
-        discipline, agent = build_discipline(config)
+        discipline, agent = build_discipline(sim_class, config)
         threshold = discipline.thresholds.by_count[1]
         # Flow 1 fills the (only) queue beyond the threshold.
         n = int(threshold // 1_000) + 2
@@ -161,8 +167,8 @@ class TestPauseBehaviour:
         discipline.enqueue(p2, ingress=1)
         assert agent.is_paused(p2.vfid, ingress=1)
 
-    def test_resume_queued_when_queue_drains(self):
-        discipline, agent = build_discipline()
+    def test_resume_queued_when_queue_drains(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         threshold = discipline.thresholds.by_count[1]
         n = int(threshold // 1_000) + 2
         packets = [make_packet(sport=1, seq=i, ingress=2) for i in range(n)]
@@ -178,9 +184,9 @@ class TestPauseBehaviour:
         resumes = discipline.collect_resumes()
         assert (vfid, 2) in resumes
 
-    def test_buffer_opt_ablation_resumes_immediately(self):
+    def test_buffer_opt_ablation_resumes_immediately(self, sim_class):
         config = BfcConfig(limit_resume_rate=False, hop_rtt_ns=2_000)
-        discipline, agent = build_discipline(config)
+        discipline, agent = build_discipline(sim_class, config)
         threshold = discipline.thresholds.by_count[1]
         n = int(threshold // 1_000) + 2
         packets = [make_packet(sport=1, seq=i, ingress=2) for i in range(n)]
@@ -193,8 +199,8 @@ class TestPauseBehaviour:
         # Without the rate limit the pause is cleared as soon as the queue drains.
         assert not agent.is_paused(vfid, 2)
 
-    def test_downstream_filter_pauses_queue(self):
-        discipline, agent = build_discipline()
+    def test_downstream_filter_pauses_queue(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         packet = make_packet(sport=1)
         discipline.enqueue(packet, 0)
         bitmap = agent.codec.encode([packet.vfid])
@@ -203,8 +209,8 @@ class TestPauseBehaviour:
         discipline.apply_downstream_filter(agent.codec.empty_bitmap())
         assert discipline.dequeue() is packet
 
-    def test_downstream_filter_only_blocks_matching_flows(self):
-        discipline, agent = build_discipline()
+    def test_downstream_filter_only_blocks_matching_flows(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         a = make_packet(sport=1)
         b = make_packet(sport=2, src=9)
         discipline.enqueue(a, 0)
@@ -214,8 +220,8 @@ class TestPauseBehaviour:
         assert popped is b
         assert discipline.dequeue() is None
 
-    def test_nactive_excludes_paused_queues(self):
-        discipline, agent = build_discipline()
+    def test_nactive_excludes_paused_queues(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         a = make_packet(sport=1)
         b = make_packet(sport=2, src=9)
         discipline.enqueue(a, 0)
@@ -224,11 +230,11 @@ class TestPauseBehaviour:
         discipline.apply_downstream_filter(agent.codec.encode([a.vfid]))
         assert discipline.scheduler.eligible_count == 1
 
-    def test_static_assignment_ablation(self):
+    def test_static_assignment_ablation(self, sim_class):
         config = BfcConfig(
             num_physical_queues=4, static_queue_assignment=True, hop_rtt_ns=2_000
         )
-        discipline, agent = build_discipline(config)
+        discipline, agent = build_discipline(sim_class, config)
         packet = make_packet(sport=1)
         discipline.enqueue(packet, 0)
         entry = agent.flow_table.lookup(packet.vfid, 0, 0)
@@ -238,8 +244,8 @@ class TestPauseBehaviour:
 class TestEntryHandle:
     """``packet.entry`` is set exactly while the packet sits in a BFC queue."""
 
-    def test_handle_is_the_table_entry_while_queued_and_none_after(self):
-        discipline, agent = build_discipline()
+    def test_handle_is_the_table_entry_while_queued_and_none_after(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         first = make_packet(sport=1, seq=0, first=True, ingress=2)  # high-priority queue
         second = make_packet(sport=1, seq=1, ingress=2)             # a physical queue
         assert first.entry is None
@@ -254,26 +260,26 @@ class TestEntryHandle:
         assert second.entry is None
         assert agent.flow_table.active_entries() == 0
 
-    def test_departure_follows_the_handle_not_the_packet_fields(self):
+    def test_departure_follows_the_handle_not_the_packet_fields(self, sim_class):
         # dequeue() must not depend on cur_ingress still naming the ingress
         # the packet was filed under.
-        discipline, agent = build_discipline()
+        discipline, agent = build_discipline(sim_class)
         packet = make_packet(sport=1, ingress=0)
         discipline.enqueue(packet, ingress=3)
         discipline.dequeue()
         assert agent.flow_table.active_entries() == 0
         assert discipline.occupied_physical_queues() == 0
 
-    def test_retransmit_clone_carries_no_handle(self):
-        discipline, agent = build_discipline()
+    def test_retransmit_clone_carries_no_handle(self, sim_class):
+        discipline, agent = build_discipline(sim_class)
         packet = make_packet(sport=1)
         discipline.enqueue(packet, ingress=0)
         assert packet.entry is not None
         assert packet.clone_for_retransmit().entry is None
 
-    def test_overflow_queue_packets_carry_no_handle(self):
+    def test_overflow_queue_packets_carry_no_handle(self, sim_class):
         config = BfcConfig(table_bucket_size=1, overflow_cache_entries=0, hop_rtt_ns=2_000)
-        discipline, agent = build_discipline(config)
+        discipline, agent = build_discipline(sim_class, config)
         packets = []
         for ingress in range(2):
             packet = make_packet(sport=5, src=5, ingress=ingress)
@@ -287,11 +293,11 @@ class TestEntryHandle:
 
 
 class TestOverflowQueue:
-    def test_overflow_packets_still_delivered(self):
+    def test_overflow_packets_still_delivered(self, sim_class):
         config = BfcConfig(
             table_bucket_size=1, overflow_cache_entries=1, hop_rtt_ns=2_000
         )
-        discipline, agent = build_discipline(config)
+        discipline, agent = build_discipline(sim_class, config)
         # Three flows with the same VFID but different ingress ports: the first
         # gets the bucket, the second the cache, the third the overflow queue.
         vfid_target = 77

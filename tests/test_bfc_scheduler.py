@@ -1,13 +1,16 @@
-"""Unit tests for the BFC egress scheduler (high-priority queue + DRR)."""
+"""Unit tests for the BFC egress scheduler (high-priority queue + DRR), on
+both planes."""
 
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planes import BFC_CLASSES
 from repro.core.bloom import BloomFilterCodec
 from repro.core.config import BfcConfig
-from repro.core.scheduler import HIGH_PRIORITY_QUEUE, OVERFLOW_QUEUE, BfcScheduler
+from repro.core.scheduler import HIGH_PRIORITY_QUEUE, OVERFLOW_QUEUE
 from repro.sim.disciplines import BLOCKED, DeficitRoundRobin
 from repro.sim.packet import FlowKey, Packet, PacketKind
 
@@ -22,12 +25,15 @@ def make_packet(flow_id=1, size=1_000, first=False):
     )
 
 
-def make_scheduler(config=None):
+pytestmark = pytest.mark.parametrize("bfc", BFC_CLASSES)
+
+
+def make_scheduler(bfc, config=None):
     config = config or BfcConfig()
     codec = BloomFilterCodec(
         size_bytes=config.bloom_filter_bytes, num_hashes=config.bloom_hash_functions
     )
-    return BfcScheduler(config, codec)
+    return bfc.BfcScheduler(config, codec)
 
 
 def blocking(sched, *packets):
@@ -37,8 +43,8 @@ def blocking(sched, *packets):
 
 
 class TestStorage:
-    def test_push_and_pop_single_queue(self):
-        sched = make_scheduler()
+    def test_push_and_pop_single_queue(self, bfc):
+        sched = make_scheduler(bfc)
         packet = make_packet()
         sched.push_queue(3, packet)
         assert sched.queue_bytes(3) == 1_000
@@ -49,12 +55,12 @@ class TestStorage:
         assert sched.total_packets == 0
         assert sched.queue_bytes(3) == 0
 
-    def test_pop_empty_returns_none(self):
-        sched = make_scheduler()
+    def test_pop_empty_returns_none(self, bfc):
+        sched = make_scheduler(bfc)
         assert sched.pop() is None
 
-    def test_only_the_head_packet_decides_eligibility(self):
-        sched = make_scheduler()
+    def test_only_the_head_packet_decides_eligibility(self, bfc):
+        sched = make_scheduler(bfc)
         first = make_packet(flow_id=1)
         second = make_packet(flow_id=2)
         sched.push_queue(0, first)
@@ -67,22 +73,22 @@ class TestStorage:
         blocking(sched)
         assert sched.pop() == (second, 0)
 
-    def test_per_queue_bytes_snapshot(self):
-        sched = make_scheduler(BfcConfig(num_physical_queues=4))
+    def test_per_queue_bytes_snapshot(self, bfc):
+        sched = make_scheduler(bfc, BfcConfig(num_physical_queues=4))
         sched.push_queue(1, make_packet(size=500))
         sched.push_queue(2, make_packet(size=700))
         assert sched.per_queue_bytes() == [0, 500, 700, 0]
 
-    def test_nonempty_queue_listing(self):
-        sched = make_scheduler(BfcConfig(num_physical_queues=4))
+    def test_nonempty_queue_listing(self, bfc):
+        sched = make_scheduler(bfc, BfcConfig(num_physical_queues=4))
         sched.push_queue(2, make_packet())
         sched.push_queue(OVERFLOW_QUEUE, make_packet())
         assert set(sched.nonempty_queues()) == {2, OVERFLOW_QUEUE}
 
 
 class TestPriorities:
-    def test_high_priority_served_first(self):
-        sched = make_scheduler()
+    def test_high_priority_served_first(self, bfc):
+        sched = make_scheduler(bfc)
         regular = make_packet(flow_id=1)
         priority = make_packet(flow_id=2, first=True)
         sched.push_queue(0, regular)
@@ -91,23 +97,23 @@ class TestPriorities:
         assert popped is priority
         assert source == HIGH_PRIORITY_QUEUE
 
-    def test_high_priority_ignores_eligibility(self):
-        sched = make_scheduler()
+    def test_high_priority_ignores_eligibility(self, bfc):
+        sched = make_scheduler(bfc)
         packet = make_packet(first=True)
         sched.push_high_priority(packet)
         blocking(sched, packet)
         popped, source = sched.pop()
         assert source == HIGH_PRIORITY_QUEUE
 
-    def test_overflow_queue_scheduled_like_normal_queue(self):
-        sched = make_scheduler()
+    def test_overflow_queue_scheduled_like_normal_queue(self, bfc):
+        sched = make_scheduler(bfc)
         sched.push_queue(OVERFLOW_QUEUE, make_packet(flow_id=1))
         sched.push_queue(0, make_packet(flow_id=2))
         sources = {sched.pop()[1] for _ in range(2)}
         assert sources == {OVERFLOW_QUEUE, 0}
 
-    def test_paused_queue_skipped(self):
-        sched = make_scheduler()
+    def test_paused_queue_skipped(self, bfc):
+        sched = make_scheduler(bfc)
         paused = make_packet(flow_id=1)
         sched.push_queue(0, paused)
         sched.push_queue(1, make_packet(flow_id=2))
@@ -116,8 +122,8 @@ class TestPriorities:
         assert source == 1
         assert sched.pop() is None
 
-    def test_round_robin_across_queues(self):
-        sched = make_scheduler()
+    def test_round_robin_across_queues(self, bfc):
+        sched = make_scheduler(bfc)
         for _ in range(3):
             sched.push_queue(0, make_packet(flow_id=1))
             sched.push_queue(1, make_packet(flow_id=2))
@@ -125,8 +131,8 @@ class TestPriorities:
         assert order.count(0) == 3 and order.count(1) == 3
         assert order[:4] != [0, 0, 0, 1]  # interleaved, not strict
 
-    def test_accounting_across_queue_types(self):
-        sched = make_scheduler()
+    def test_accounting_across_queue_types(self, bfc):
+        sched = make_scheduler(bfc)
         sched.push_high_priority(make_packet(size=100, first=True))
         sched.push_queue(0, make_packet(size=200))
         sched.push_queue(OVERFLOW_QUEUE, make_packet(size=300))
@@ -212,9 +218,9 @@ scheduler_ops = st.lists(
 
 @given(ops=scheduler_ops)
 @settings(max_examples=150, deadline=None)
-def test_incremental_state_matches_recount_and_generic_drr(ops):
+def test_incremental_state_matches_recount_and_generic_drr(bfc, ops):
     config = BfcConfig(num_physical_queues=QUEUES)
-    sched = make_scheduler(config)
+    sched = make_scheduler(bfc, config)
     ref = ReferenceScheduler(config, sched._codec)
     vfids = [make_packet(flow_id=f).key.vfid(config.num_vfids) for f in range(FLOWS)]
     for op in ops:

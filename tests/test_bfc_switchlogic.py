@@ -1,8 +1,12 @@
 """Tests for the per-switch BFC agent and BfcSwitch, including end-to-end
 pause propagation on a small host--ToR--host topology."""
 
+from dataclasses import replace
 from functools import partial
 
+import pytest
+
+from planes import PLANES
 from repro.core.config import BfcConfig
 from repro.core.nic import BfcNicScheduler
 from repro.core.switchlogic import BfcAgent, BfcSwitch
@@ -197,3 +201,46 @@ class TestCollisionAccounting:
         # are essentially guaranteed over the life of the transfer.
         assert switch.collision_fraction() >= 0.0  # accounting exists
         assert all(f.completed for f in flows)
+
+
+#: Which discipline class each BFC scheme's switch gets on the compiled
+#: plane: the four the C plane covers, and the estimator family, whose
+#: telemetry shim and capacity weight stay Python.  At its 0/0 default
+#: BFC-Est is BFC exactly and runs compiled; with a knob set it does not.
+COMPILED_BFC_SCHEMES = {
+    "BFC": True,
+    "BFC-VFID": True,
+    "BFC-HighPriorityQ": True,
+    "BFC-BufferOpt": True,
+    "BFC-Est": False,
+    "BFC-Est-Cap": False,
+}
+
+
+@pytest.mark.parametrize("sim_class", PLANES)
+@pytest.mark.parametrize("scheme", sorted(COMPILED_BFC_SCHEMES))
+def test_each_bfc_scheme_gets_its_planes_discipline(sim_class, scheme):
+    from repro.core.discipline import BfcEgressDiscipline
+    from repro.core.vfid import FlowTable
+    from repro.experiments.runner import _build_environment
+    from repro.experiments.scenarios import fig5a_configs
+    from repro.experiments.schemes import get_scheme
+
+    config = fig5a_configs("tiny", [scheme])[scheme]
+    if scheme == "BFC-Est":
+        config = replace(
+            config, bfc_config=BfcConfig(mtu=config.mtu, telemetry_staleness_ns=1_000)
+        )
+    env = _build_environment(config, sim_class(seed=1))
+    switch = get_scheme(scheme).switch_factory(env)("tor0", "tor")
+    discipline = switch.add_interface(units.gbps(10), 1_000).tx.discipline
+    plane = sim_class.compiled_plane
+    compiled = plane is not None and COMPILED_BFC_SCHEMES[scheme]
+    assert isinstance(discipline, BfcEgressDiscipline)
+    assert switch.agent.plane is (plane if compiled else None)
+    if compiled:
+        assert type(discipline) is plane.BfcEgressDiscipline
+        assert type(switch.agent.flow_table) is plane.FlowTable
+    else:
+        assert type(discipline) is BfcEgressDiscipline
+        assert type(switch.agent.flow_table) is FlowTable

@@ -200,6 +200,17 @@ class TestCampaignCommand:
         assert "longest first" in output
         assert not path.exists()  # nothing simulated, nothing written
 
+    def test_campaign_dry_run_leaves_the_workspace_empty(self, tmp_path):
+        workspace = tmp_path / "ws"
+        workspace.mkdir()
+        code, output = run_cli(
+            ["campaign", "dry", "--schemes", "BFC", "--load", "0.6",
+             "--dry-run", "--workspace", str(workspace)]
+        )
+        assert code == 0
+        assert "1 trial(s) on 1 core(s)" in output
+        assert list(workspace.iterdir()) == []  # no run folder for a preview
+
     def test_campaign_cores_runs_and_reports_cores(self, tmp_path):
         path = tmp_path / "records.jsonl"
         code, output = run_cli(

@@ -128,6 +128,30 @@ class TestDistributedMatchesSerial:
         # Work was actually distributed, not funneled to one agent.
         assert all(agent.state.completed > 0 for agent in agents)
 
+    def test_sharded_trial_records_its_slot_budget_like_a_local_run(self):
+        from tests.test_campaign_scheduling import cross_dc_trial
+
+        def campaign():
+            return (
+                Campaign("slots").schemes("DCQCN").fixed(shards=2)
+                .config_builder(cross_dc_trial)
+            )
+
+        local = campaign().run(cores=2)
+        agents = [WorkerAgent().start(), WorkerAgent().start()]
+        try:
+            executor = DistributedExecutor([a.url for a in agents])
+            remote = campaign().run(executor=executor)
+        finally:
+            for agent in agents:
+                agent.stop()
+        (name,) = [record.name for record in local.records]
+        local_stats = local.experiment_result(name).shard_stats
+        remote_stats = remote.experiment_result(name).shard_stats
+        assert set(remote_stats) == set(local_stats)
+        assert remote_stats["slot_budget"] == local_stats["slot_budget"] == 2
+        assert remote_stats["oversubscribed"] is local_stats["oversubscribed"]
+
     def test_artifacts_ship_back_from_workers(self, tmp_path, serial_records):
         spill = str(tmp_path / "spill")
         agent = WorkerAgent().start()

@@ -68,6 +68,12 @@ def _heap():
 
 
 class TestEventHeap:
+    def test_the_simulator_keeps_no_python_heap(self):
+        # The pending entries live in the C base; only the pure engine
+        # makes the heapq list.
+        assert "_heap" not in vars(AccelSimulator(seed=1))
+        assert PureSimulator(seed=1)._heap == []
+
     def test_orders_by_three_key_lexicographic(self):
         heap = _heap()
         entries = [

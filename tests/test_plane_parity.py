@@ -13,6 +13,8 @@ cannot come from a scenario that does nothing.
 
 from __future__ import annotations
 
+import dataclasses
+import random
 import sys
 from functools import partial
 
@@ -598,3 +600,276 @@ def test_a_hook_assigned_on_the_instance_is_called():
         snapshots.append(world.snapshot())
     assert logs[1] == logs[0] and len(logs[0]) == 3
     assert snapshots[1] == snapshots[0]
+
+
+# ---------------------------------------------------------------------------
+# The BFC leg: one switch's egress disciplines sharing its flow table
+# ---------------------------------------------------------------------------
+
+#: The four BFC schemes that run compiled, by the knobs that tell them apart.
+BFC_KNOBS = {
+    "BFC": {},
+    "BFC-VFID": {"static_queue_assignment": True},
+    "BFC-HighPriorityQ": {"use_high_priority_queue": False},
+    "BFC-BufferOpt": {"limit_resume_rate": False},
+}
+#: One egress port per rate: Th(1) is 375 B at 1 Gb/s, so pauses are common.
+BFC_RATES = (units.gbps(1), units.gbps(10))
+BFC_FLOWS = 8
+#: A VFID an enqueue may force onto its packet: flows and ingresses pile up
+#: on one bucket, fill it and the overflow cache, and collide in the table.
+FORCED_VFID = 5
+
+
+class LoggingAgent:
+    """Wraps a BfcAgent's pause_flow / resume_flow to log every call."""
+
+    def __init__(self, agent):
+        self.calls = []
+        self.agent = agent
+        pause, resume = agent.pause_flow, agent.resume_flow
+
+        def pause_flow(vfid, ingress):
+            new = pause(vfid, ingress)
+            self.calls.append(("pause", vfid, ingress, new))
+            return new
+
+        def resume_flow(vfid, ingress):
+            was = resume(vfid, ingress)
+            self.calls.append(("resume", vfid, ingress, was))
+            return was
+
+        agent.pause_flow, agent.resume_flow = pause_flow, resume_flow
+
+
+class BfcWorld:
+    def __init__(self, sim_class, knobs):
+        from repro.core.switchlogic import BfcAgent
+
+        self.sim = sim_class(seed=3)
+        self.config = BfcConfig(
+            num_physical_queues=2, num_vfids=64, table_bucket_size=1,
+            overflow_cache_entries=1, hop_rtt_ns=2_000, **knobs,
+        )
+        self.agent = BfcAgent(self.sim, self.config)
+        self.log = LoggingAgent(self.agent)
+        self.ports = [
+            self.agent.make_discipline(egress, rate, 500, rng=random.Random(egress))
+            for egress, rate in enumerate(BFC_RATES)
+        ]
+        self.keys = [FlowKey(src=f, dst=9, src_port=100 + f, dst_port=4791) for f in range(BFC_FLOWS)]
+        self.made = 0
+
+    def packet(self, flow, size, first, forced):
+        self.made += 1
+        packet = Packet(
+            kind=PacketKind.DATA, flow_id=flow, key=self.keys[flow], size=size,
+            seq=self.made, first_of_flow=first,
+        )
+        if forced:
+            packet.vfid, packet.vfid_space = FORCED_VFID, self.config.num_vfids
+        return packet
+
+
+def packet_tag(packet):
+    entry = packet.entry
+    return (
+        packet.flow_id, packet.seq, packet.vfid, packet.vfid_space,
+        None if entry is None else entry.identity(),
+    )
+
+
+def bfc_step(world, op):
+    """Apply one op; what it returns must match across planes."""
+    port = world.ports[op[1]]
+    if op[0] == "enq":
+        _, _, ingress, flow, size, first, forced = op
+        return port.enqueue(world.packet(flow, size, first, forced), ingress)
+    if op[0] == "pop":
+        packet = port.dequeue()
+        return None if packet is None else packet_tag(packet)
+    if op[0] == "filter":
+        vfids = [world.keys[flow].vfid(world.config.num_vfids) for flow in sorted(op[2])]
+        if op[3]:
+            vfids.append(FORCED_VFID)
+        port.apply_downstream_filter(world.agent.codec.encode(vfids))
+        return port.scheduler.downstream_filter
+    if op[0] == "refilter":
+        # The next hop's periodic re-broadcast: equal bytes, a new object.
+        current = port.scheduler.downstream_filter
+        port.apply_downstream_filter(None if current is None else bytes(bytearray(current)))
+        return port.scheduler.eligible_count
+    if op[0] == "clear":
+        port.apply_downstream_filter(None)
+        return port.scheduler.eligible_count
+    resumed = port.collect_resumes()  # "collect": what the agent's tick does
+    for vfid, ingress in resumed:
+        world.agent.resume_flow(vfid, ingress)
+    return resumed
+
+
+def key_tag(key):
+    return None if key is None else (key.src, key.dst, key.src_port, key.dst_port)
+
+
+def bfc_state(world):
+    table = world.agent.flow_table
+    state = {
+        "entries": sorted(
+            (e.vfid, e.ingress, e.egress, e.queue, e.packets, e.bytes, e.paused_upstream,
+             e.resume_pending, e.in_overflow_cache, key_tag(e.current_key))
+            for e in table.entries()
+        ),
+        "buckets": (table.bucket_counts(), table._cached),
+        "table_stats": dataclasses.astuple(table.stats),
+        "calls": list(world.log.calls),
+        "paused": sorted((i, sorted(v)) for i, v in world.agent._paused_vfids.items()),
+    }
+    for port in world.ports:
+        sched, pool, drr = port.scheduler, port.pool, port.scheduler._drr
+        qids = list(range(world.config.num_physical_queues)) + [-2, -1]
+        active = drr.active_queues()
+        state[port.egress_index] = {
+            "queues": [[packet_tag(p) for p in sched.queued(q)] for q in qids],
+            "bytes": [sched.queue_bytes(q) for q in qids],
+            "totals": (sched.total_bytes, sched.total_packets, port.backlog_bytes(),
+                       port.has_backlog()),
+            "eligible": sched.eligible_count,
+            "ready": list(sched._ready),
+            "drr": (active, drr.unparked_queues(), drr.cursor, drr.current,
+                    [drr.deficit(q) for q in active]),
+            "resumes": (port.pending_resume_lists(), port.pending_resumes),
+            "pool": (list(pool._free), list(pool._assigned_flows), pool.occupied_queues(),
+                     dataclasses.astuple(pool.stats)),
+            "stats": dataclasses.astuple(port.stats),
+        }
+    return state
+
+
+def run_bfc_both(ops, knobs):
+    worlds = [BfcWorld(sim_class, knobs) for sim_class in (PURE, COMPILED)]
+    assert not isinstance(worlds[0].ports[0], plane.BfcEgressDiscipline)
+    assert all(isinstance(p, plane.BfcEgressDiscipline) for p in worlds[1].ports)
+    for index, op in enumerate(ops):
+        seen = [bfc_step(world, op) for world in worlds]
+        assert seen[0] == seen[1], (index, op)
+        assert bfc_state(worlds[0]) == bfc_state(worlds[1]), (index, op)
+    return worlds
+
+
+bfc_enqueue = st.tuples(
+    st.just("enq"),
+    st.integers(0, len(BFC_RATES) - 1),
+    st.integers(0, 3),
+    st.integers(0, BFC_FLOWS - 1),
+    st.sampled_from([64, 500, 1_048]),
+    st.booleans(),
+    st.booleans(),
+)
+bfc_ops = st.lists(
+    st.one_of(
+        # Arrivals outnumber departures, so queues build and are shared.
+        bfc_enqueue,
+        bfc_enqueue,
+        bfc_enqueue,
+        st.tuples(st.just("pop"), st.integers(0, len(BFC_RATES) - 1)),
+        st.tuples(
+            st.just("filter"), st.integers(0, len(BFC_RATES) - 1),
+            st.frozensets(st.integers(0, BFC_FLOWS - 1)), st.booleans(),
+        ),
+        st.tuples(st.sampled_from(["refilter", "clear", "collect"]),
+                  st.integers(0, len(BFC_RATES) - 1)),
+    ),
+    min_size=20,
+    max_size=120,
+)
+
+
+@pytest.mark.parametrize("scheme", sorted(BFC_KNOBS))
+@given(ops=bfc_ops)
+@settings(max_examples=80, deadline=None)
+def test_random_bfc_traffic_keeps_both_switches_in_step(scheme, ops):
+    run_bfc_both(ops, BFC_KNOBS[scheme])
+
+
+def reblocks_a_head(ops, knobs):
+    """Does a pop on the pure plane leave a queue whose new head is paused?"""
+    world = BfcWorld(PURE, knobs)
+    count = world.config.num_physical_queues
+    for op in ops:
+        sched = world.ports[op[1]].scheduler
+        before = list(sched._ready)
+        bfc_step(world, op)
+        if op[0] == "pop":
+            for index, (was, now) in enumerate(zip(before, sched._ready)):
+                qid = index if index < count else index - count - 2
+                if was >= 0 and now < 0 and sched.queued(qid):
+                    return True
+    return False
+
+
+@pytest.mark.parametrize("scheme", sorted(BFC_KNOBS))
+def test_the_bfc_scenario_takes_every_path(scheme):
+    enq = [("enq", e, i, f, 1_048, f % 3 == 0, i == 2) for f in range(BFC_FLOWS)
+           for e in range(len(BFC_RATES)) for i in range(4)]
+    drain = [("pop", e) for e in range(len(BFC_RATES))] * 40
+    # Three flows on two physical queues share one; the filter then pauses
+    # the flow queued behind another, so a pop uncovers a paused head.
+    shared = (
+        [("enq", 0, 0, f, 1_048, False, False) for f in (0, 1, 2, 0, 1, 2)]
+        + [("filter", 0, frozenset({2}), False)]
+        + [("pop", 0)] * 6
+        + [("clear", 0)]
+    )
+    assert reblocks_a_head(shared, BFC_KNOBS[scheme])
+    ops = (
+        shared
+        + drain
+        + enq[:40]
+        + [("filter", 1, frozenset(range(4)), True), ("refilter", 1), ("pop", 1), ("pop", 0)]
+        + enq[40:]
+        + [("clear", 1)]
+        + drain
+        + [("collect", e) for e in range(len(BFC_RATES))] * 6
+        + enq[:20] + drain
+    )
+    pure, _ = run_bfc_both(ops, BFC_KNOBS[scheme])
+    stats = pure.agent.flow_table.stats
+    assert stats.vfid_collisions and stats.bucket_overflows and stats.cache_overflows
+    assert sum(port.stats.overflow_packets for port in pure.ports)
+    assert sum(port.pool.stats.collisions for port in pure.ports)
+    assert {call[0] for call in pure.log.calls} == {"pause", "resume"}
+    assert all(not port.has_backlog() for port in pure.ports)
+    assert pure.agent.flow_table.active_entries() == 0
+    if scheme != "BFC-HighPriorityQ":
+        assert sum(port.stats.high_priority_packets for port in pure.ports)
+
+
+def test_a_bfc_discipline_that_overrides_a_hot_method_keeps_it():
+    from repro.core.switchlogic import BfcAgent
+
+    class CountingDiscipline(plane.BfcEgressDiscipline):
+        dequeues = 0
+
+        def dequeue(self):
+            CountingDiscipline.dequeues += 1
+            return super().dequeue()
+
+    sim = COMPILED(seed=7)
+    agent = BfcAgent(sim, BfcConfig(hop_rtt_ns=2_000))
+    switch = Switch(
+        sim, "sw", buffer_bytes=200_000,
+        discipline_factory=lambda iface: CountingDiscipline(
+            agent, iface.index, iface.rate_bps, iface.delay_ns
+        ),
+    )
+    sinks = [Sink(sim, f"n{i}") for i in range(2)]
+    for node in sinks:
+        connect(node, switch, rate_bps=units.gbps(10), delay_ns=500)
+        node.interfaces[0].tx.discipline = fifo_for(node.interfaces[0].tx)
+    switch.set_routes({i: [switch.interface_to(sinks[i]).index] for i in range(2)})
+    for seq in range(3):
+        switch.handle_packet(data(0, 1, 1, seq=seq), 0)
+    sim.run_until_idle()
+    assert [delivery[3] for delivery in sinks[1].received] == [0, 1, 2]
+    assert CountingDiscipline.dequeues >= 3  # the port called the override

@@ -4,23 +4,24 @@ import random
 
 import pytest
 
+from planes import BFC_CLASSES
 from repro.core.config import BfcConfig
 from repro.core.pause import PauseThresholds, ResumeList
-from repro.core.queues import PhysicalQueuePool
 from repro.sim import units
 
 
+@pytest.mark.parametrize("bfc", BFC_CLASSES)
 class TestPhysicalQueuePool:
-    def test_distinct_queues_until_exhausted(self):
-        pool = PhysicalQueuePool(BfcConfig(num_physical_queues=8))
+    def test_distinct_queues_until_exhausted(self, bfc):
+        pool = bfc.PhysicalQueuePool(BfcConfig(num_physical_queues=8))
         queues = [pool.assign(vfid=i) for i in range(8)]
         assert sorted(queues) == list(range(8))
         assert pool.stats.collisions == 0
         assert pool.occupied_queues() == 8
         assert pool.free_queues() == 0
 
-    def test_collision_when_all_queues_taken(self):
-        pool = PhysicalQueuePool(BfcConfig(num_physical_queues=4))
+    def test_collision_when_all_queues_taken(self, bfc):
+        pool = bfc.PhysicalQueuePool(BfcConfig(num_physical_queues=4))
         for i in range(4):
             pool.assign(i)
         extra = pool.assign(99)
@@ -28,8 +29,8 @@ class TestPhysicalQueuePool:
         assert pool.stats.collisions == 1
         assert pool.assigned_flows(extra) == 2
 
-    def test_release_returns_queue_to_free_pool(self):
-        pool = PhysicalQueuePool(BfcConfig(num_physical_queues=2))
+    def test_release_returns_queue_to_free_pool(self, bfc):
+        pool = bfc.PhysicalQueuePool(BfcConfig(num_physical_queues=2))
         q0 = pool.assign(0)
         q1 = pool.assign(1)
         pool.release(q0)
@@ -38,13 +39,13 @@ class TestPhysicalQueuePool:
         assert q2 == q0
         assert pool.stats.collisions == 0
 
-    def test_release_without_assignment_rejected(self):
-        pool = PhysicalQueuePool(BfcConfig(num_physical_queues=2))
+    def test_release_without_assignment_rejected(self, bfc):
+        pool = bfc.PhysicalQueuePool(BfcConfig(num_physical_queues=2))
         with pytest.raises(ValueError):
             pool.release(0)
 
-    def test_shared_queue_released_only_when_last_flow_leaves(self):
-        pool = PhysicalQueuePool(BfcConfig(num_physical_queues=1))
+    def test_shared_queue_released_only_when_last_flow_leaves(self, bfc):
+        pool = bfc.PhysicalQueuePool(BfcConfig(num_physical_queues=1))
         q = pool.assign(0)
         q2 = pool.assign(1)  # collision, same queue
         assert q == q2
@@ -53,22 +54,22 @@ class TestPhysicalQueuePool:
         pool.release(q)
         assert pool.occupied_queues() == 0
 
-    def test_static_assignment_uses_vfid_hash(self):
+    def test_static_assignment_uses_vfid_hash(self, bfc):
         config = BfcConfig(num_physical_queues=8, static_queue_assignment=True)
-        pool = PhysicalQueuePool(config)
+        pool = bfc.PhysicalQueuePool(config)
         assert pool.assign(vfid=13) == 13 % 8
         assert pool.assign(vfid=21) == 21 % 8
         # Same hash bucket counts as a collision if already occupied.
-        pool2 = PhysicalQueuePool(config)
+        pool2 = bfc.PhysicalQueuePool(config)
         pool2.assign(vfid=3)
         pool2.assign(vfid=3 + 8)
         assert pool2.stats.collisions == 1
 
-    def test_static_assignment_collides_more_than_dynamic(self):
+    def test_static_assignment_collides_more_than_dynamic(self, bfc):
         rng = random.Random(0)
         vfids = [rng.randrange(16_384) for _ in range(24)]
-        dynamic = PhysicalQueuePool(BfcConfig(num_physical_queues=32))
-        static = PhysicalQueuePool(
+        dynamic = bfc.PhysicalQueuePool(BfcConfig(num_physical_queues=32))
+        static = bfc.PhysicalQueuePool(
             BfcConfig(num_physical_queues=32, static_queue_assignment=True)
         )
         for v in vfids:
@@ -77,8 +78,8 @@ class TestPhysicalQueuePool:
         assert dynamic.stats.collisions == 0
         assert static.stats.collisions > 0
 
-    def test_collision_fraction(self):
-        pool = PhysicalQueuePool(BfcConfig(num_physical_queues=1))
+    def test_collision_fraction(self, bfc):
+        pool = bfc.PhysicalQueuePool(BfcConfig(num_physical_queues=1))
         pool.assign(0)
         pool.assign(1)
         assert pool.stats.collision_fraction() == pytest.approx(0.5)
