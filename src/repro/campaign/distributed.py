@@ -723,12 +723,13 @@ class DistributedExecutor(Executor):
                 "(records are identical either way)",
                 len(leftovers),
             )
+            # Their planned entries go along, so a sharded trial keeps the
+            # slot budget it would have run with on a worker.
             pairs = run_local(
-                [trials[entry.index] for entry in leftovers], 1,
-                self.records_only, on_done,
+                trials, 1, self.records_only, on_done, queue=leftovers
             )
-            for entry, pair in zip(leftovers, pairs):
-                results[entry.index] = pair
+            for entry in leftovers:
+                results[entry.index] = pairs[entry.index]
         return [results[index] for index in range(len(trials))]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

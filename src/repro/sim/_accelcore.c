@@ -13,10 +13,17 @@
  * methods.  The run loop only enters the interpreter to execute the
  * callbacks themselves.
  *
- * The second half of the file is the compiled forwarding plane (egress
- * port, FIFO queue, shared buffer, the switch's data hop, the host NIC): it
- * posts its deliveries and wake-ups straight into the heap and reads the
- * clock from the same fields.
+ * The rest of the file is the compiled forwarding plane (egress port, FIFO
+ * queue, shared buffer, the switch's data hop, the host NIC and the BFC
+ * switch's discipline, scheduler, flow table and queue pool): it posts its
+ * deliveries and wake-ups straight into the heap and reads the clock from
+ * the same fields.
+ *
+ * Every table and queue in the file is one of two containers, defined once
+ * ahead of the engine: an int64 -> int64 hash map (imap_t: the cancelled
+ * seqs, the DRR's queue-id index, the ECMP memo and the BFC flow table)
+ * and a ring of packets with their sizes (pring: the FIFO's queue and the
+ * BFC scheduler's queues).
  *
  * Built on demand by repro.sim.accel_build (no toolchain -> the pure
  * backend is used); see docs/architecture.md, "Engine backends".
@@ -69,6 +76,240 @@ typedef struct {
 static int slot_class_bind(slot_class *cls, PyObject *type);
 
 /* ===================================================================== *
+ * Containers: one int64-keyed hash map and one packet ring
+ * ===================================================================== */
+
+/* -- An int64 -> int64 hash map ----------------------------------------- */
+
+/* Open addressing with a Fibonacci hash and linear probing; deletion
+ * shifts the rest of the probe run back, so the table never holds
+ * tombstones.  It grows at half full and shrinks at one eighth, so its
+ * memory follows the live keys.  Every key but IMAP_EMPTY may be stored. */
+#define IMAP_EMPTY LLONG_MIN
+
+typedef struct {
+    long long key;
+    long long value;
+} imap_slot;
+
+typedef struct {
+    imap_slot *slots; /* NULL until the first put */
+    Py_ssize_t mask;
+    Py_ssize_t used;
+} imap_t;
+
+static inline Py_ssize_t
+imap_home(long long key, Py_ssize_t mask)
+{
+    return (Py_ssize_t)(((unsigned long long)key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+}
+
+/* The slot holding key, or the empty slot where it would go. */
+static inline Py_ssize_t
+imap_find(const imap_t *m, long long key)
+{
+    Py_ssize_t i = imap_home(key, m->mask);
+    while (m->slots[i].key != key && m->slots[i].key != IMAP_EMPTY)
+        i = (i + 1) & m->mask;
+    return i;
+}
+
+/* 1 with the value in *value, or 0 when key is absent. */
+static inline int
+imap_get(const imap_t *m, long long key, long long *value)
+{
+    Py_ssize_t i;
+    if (m->used == 0 || key == IMAP_EMPTY)
+        return 0;
+    i = imap_find(m, key);
+    if (m->slots[i].key != key)
+        return 0;
+    *value = m->slots[i].value;
+    return 1;
+}
+
+static int
+imap_resize(imap_t *m, Py_ssize_t capacity)
+{
+    imap_slot *old = m->slots, *slots;
+    Py_ssize_t i, old_cap = old == NULL ? 0 : m->mask + 1;
+    slots = PyMem_Malloc((size_t)capacity * sizeof(imap_slot));
+    if (slots == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < capacity; i++)
+        slots[i].key = IMAP_EMPTY;
+    m->slots = slots;
+    m->mask = capacity - 1;
+    for (i = 0; i < old_cap; i++) {
+        if (old[i].key != IMAP_EMPTY)
+            slots[imap_find(m, old[i].key)] = old[i];
+    }
+    PyMem_Free(old);
+    return 0;
+}
+
+/* Set key's value; replacing the value of a present key never fails. */
+static int
+imap_put(imap_t *m, long long key, long long value)
+{
+    Py_ssize_t i;
+    if (key == IMAP_EMPTY) {
+        PyErr_SetString(PyExc_OverflowError, "key out of range");
+        return -1;
+    }
+    i = m->slots == NULL ? -1 : imap_find(m, key);
+    if (i < 0 || m->slots[i].key != key) {
+        if (i < 0 || 2 * (m->used + 1) > m->mask + 1) {
+            if (imap_resize(m, i < 0 ? 16 : 2 * (m->mask + 1)) < 0)
+                return -1;
+            i = imap_find(m, key);
+        }
+        m->slots[i].key = key;
+        m->used += 1;
+    }
+    m->slots[i].value = value;
+    return 0;
+}
+
+/* Remove key: 1 if it was there, else 0. */
+static int
+imap_del(imap_t *m, long long key)
+{
+    Py_ssize_t i, j, mask;
+    if (m->used == 0 || key == IMAP_EMPTY)
+        return 0;
+    i = imap_find(m, key);
+    if (m->slots[i].key != key)
+        return 0;
+    mask = m->mask;
+    j = i;
+    for (;;) {
+        Py_ssize_t home;
+        j = (j + 1) & mask;
+        if (m->slots[j].key == IMAP_EMPTY)
+            break;
+        home = imap_home(m->slots[j].key, mask);
+        /* Keep slots[j] where it is when its home lies cyclically in (i, j]. */
+        if (i <= j ? (i < home && home <= j) : (i < home || home <= j))
+            continue;
+        m->slots[i] = m->slots[j];
+        i = j;
+    }
+    m->slots[i].key = IMAP_EMPTY;
+    m->used -= 1;
+    if (m->mask + 1 > 16 && 8 * m->used < m->mask + 1 && imap_resize(m, (m->mask + 1) / 2) < 0)
+        PyErr_Clear(); /* out of memory: keep the larger table */
+    return 1;
+}
+
+/* The next live slot at or after *pos (advanced past it), or NULL:
+ * `Py_ssize_t pos = 0; while ((slot = imap_next(m, &pos)) != NULL) ...`. */
+static inline imap_slot *
+imap_next(const imap_t *m, Py_ssize_t *pos)
+{
+    while (m->slots != NULL && *pos <= m->mask) {
+        imap_slot *slot = &m->slots[(*pos)++];
+        if (slot->key != IMAP_EMPTY)
+            return slot;
+    }
+    return NULL;
+}
+
+static void
+imap_free(imap_t *m)
+{
+    PyMem_Free(m->slots);
+    m->slots = NULL;
+    m->mask = -1;
+    m->used = 0;
+}
+
+/* -- A packet ring -------------------------------------------------------- */
+
+/* A first-in first-out queue of packets (each a reference) with the size
+ * each had when pushed, and their byte total.  Its capacity is a power of
+ * two, allocated with the first packet and doubled when full. */
+typedef struct {
+    PyObject *packet;
+    long long size;
+} qitem;
+
+typedef struct {
+    qitem *items;
+    Py_ssize_t head;
+    Py_ssize_t count;
+    Py_ssize_t cap;
+    long long bytes;
+} pring;
+
+/* The k-th packet from the head. */
+static inline qitem *
+ring_at(const pring *q, Py_ssize_t k)
+{
+    return &q->items[(q->head + k) & (q->cap - 1)];
+}
+
+static int
+ring_push(pring *q, PyObject *packet, long long size)
+{
+    qitem *item;
+    if (q->count == q->cap) {
+        Py_ssize_t cap = q->cap ? 2 * q->cap : 8, k;
+        qitem *items = PyMem_Malloc((size_t)cap * sizeof(qitem));
+        if (items == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (k = 0; k < q->count; k++)
+            items[k] = *ring_at(q, k);
+        PyMem_Free(q->items);
+        q->items = items;
+        q->head = 0;
+        q->cap = cap;
+    }
+    item = ring_at(q, q->count);
+    item->packet = Py_NewRef(packet);
+    item->size = size;
+    q->count += 1;
+    q->bytes += size;
+    return 0;
+}
+
+/* The head packet of a non-empty ring (its reference moves to the caller). */
+static PyObject *
+ring_pop(pring *q, long long *size)
+{
+    qitem item = q->items[q->head];
+    q->head = (q->head + 1) & (q->cap - 1);
+    q->count -= 1;
+    q->bytes -= item.size;
+    *size = item.size;
+    return item.packet;
+}
+
+static int
+ring_traverse(const pring *q, visitproc visit, void *arg)
+{
+    Py_ssize_t k;
+    for (k = 0; k < q->count; k++)
+        Py_VISIT(ring_at(q, k)->packet);
+    return 0;
+}
+
+/* Drop every packet; the storage is kept for reuse. */
+static void
+ring_clear(pring *q)
+{
+    Py_ssize_t k, count = q->count;
+    q->count = 0;
+    q->bytes = 0;
+    for (k = 0; k < count; k++)
+        Py_CLEAR(ring_at(q, k)->packet);
+}
+
+/* ===================================================================== *
  * The event engine
  * ===================================================================== */
 
@@ -79,121 +320,6 @@ typedef struct {
     PyObject *callback;
     PyObject *args; /* tuple */
 } entry_t;
-
-/* A set of sequence numbers: open addressing with linear probing and
- * backward-shift deletion, so it never holds tombstones. */
-#define SEQSET_EMPTY LLONG_MIN
-
-typedef struct {
-    long long *slots; /* NULL while the set has never held a seq */
-    Py_ssize_t used;
-    int bits;         /* capacity is 1 << bits */
-} seqset_t;
-
-static inline Py_ssize_t
-seqset_home(const seqset_t *set, long long seq)
-{
-    return (Py_ssize_t)(((unsigned long long)seq * 0x9E3779B97F4A7C15ULL) >> (64 - set->bits));
-}
-
-/* The slot holding seq, or the empty slot where it would go. */
-static inline Py_ssize_t
-seqset_find(const seqset_t *set, long long seq)
-{
-    Py_ssize_t mask = ((Py_ssize_t)1 << set->bits) - 1, i = seqset_home(set, seq);
-    while (set->slots[i] != seq && set->slots[i] != SEQSET_EMPTY)
-        i = (i + 1) & mask;
-    return i;
-}
-
-static int
-seqset_contains(const seqset_t *set, long long seq)
-{
-    return set->used > 0 && set->slots[seqset_find(set, seq)] == seq;
-}
-
-static int
-seqset_resize(seqset_t *set, int bits)
-{
-    long long *old = set->slots;
-    Py_ssize_t i, old_cap = old == NULL ? 0 : (Py_ssize_t)1 << set->bits;
-    Py_ssize_t cap = (Py_ssize_t)1 << bits;
-    long long *slots = PyMem_Malloc((size_t)cap * sizeof(long long));
-    if (slots == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (i = 0; i < cap; i++)
-        slots[i] = SEQSET_EMPTY;
-    set->slots = slots;
-    set->bits = bits;
-    for (i = 0; i < old_cap; i++) {
-        if (old[i] != SEQSET_EMPTY)
-            slots[seqset_find(set, old[i])] = old[i];
-    }
-    PyMem_Free(old);
-    return 0;
-}
-
-static int
-seqset_add(seqset_t *set, long long seq)
-{
-    Py_ssize_t i;
-    if (seq == SEQSET_EMPTY) {
-        PyErr_SetString(PyExc_OverflowError, "sequence number out of range");
-        return -1;
-    }
-    if (set->slots == NULL || 2 * (set->used + 1) > ((Py_ssize_t)1 << set->bits)) {
-        if (seqset_resize(set, set->slots == NULL ? 7 : set->bits + 1) < 0)
-            return -1;
-    }
-    i = seqset_find(set, seq);
-    if (set->slots[i] == SEQSET_EMPTY) {
-        set->slots[i] = seq;
-        set->used += 1;
-    }
-    return 0;
-}
-
-/* Remove seq; 1 if it was there. */
-static int
-seqset_discard(seqset_t *set, long long seq)
-{
-    Py_ssize_t mask, i, j;
-    if (set->used == 0)
-        return 0;
-    i = seqset_find(set, seq);
-    if (set->slots[i] != seq)
-        return 0;
-    /* Shift back every later member of the probe run that may move into
-     * the hole, so lookups never need a tombstone. */
-    mask = ((Py_ssize_t)1 << set->bits) - 1;
-    j = i;
-    for (;;) {
-        Py_ssize_t home;
-        j = (j + 1) & mask;
-        if (set->slots[j] == SEQSET_EMPTY)
-            break;
-        home = seqset_home(set, set->slots[j]);
-        /* Keep slots[j] where it is when its home lies cyclically in (i, j]. */
-        if (i <= j ? (i < home && home <= j) : (i < home || home <= j))
-            continue;
-        set->slots[i] = set->slots[j];
-        i = j;
-    }
-    set->slots[i] = SEQSET_EMPTY;
-    set->used -= 1;
-    return 1;
-}
-
-static void
-seqset_clear(seqset_t *set)
-{
-    PyMem_Free(set->slots);
-    set->slots = NULL;
-    set->used = 0;
-    set->bits = 0;
-}
 
 typedef struct {
     PyObject_HEAD
@@ -211,7 +337,7 @@ typedef struct {
     PyObject *now_obj;
     long long now_obj_at;
     /* Seqs of cancelled events not reaped yet (popped or compacted). */
-    seqset_t cancelled;
+    imap_t cancelled; /* a set: the values are unused */
 } EventHeapObject;
 
 static PyTypeObject EventHeapType;
@@ -569,6 +695,7 @@ static int
 heap_compact(EventHeapObject *self)
 {
     Py_ssize_t kept = 0, ndead = 0, i;
+    long long unused;
     entry_t *dead = PyMem_Malloc((size_t)(self->size ? self->size : 1) * sizeof(entry_t));
     if (dead == NULL) {
         PyErr_NoMemory();
@@ -576,7 +703,7 @@ heap_compact(EventHeapObject *self)
     }
     for (i = 0; i < self->size; i++) {
         entry_t *e = &self->heap[i];
-        if (seqset_contains(&self->cancelled, e->k[NKEYS - 1]))
+        if (imap_get(&self->cancelled, e->k[NKEYS - 1], &unused))
             dead[ndead++] = *e;
         else
             self->heap[kept++] = *e;
@@ -585,7 +712,7 @@ heap_compact(EventHeapObject *self)
     /* Bottom-up heapify restores the invariant in O(n). */
     for (i = kept / 2 - 1; i >= 0; i--)
         sift_down(self->heap, kept, i);
-    seqset_clear(&self->cancelled);
+    imap_free(&self->cancelled);
     /* Released last: a finalizer may schedule into the heap. */
     for (i = 0; i < ndead; i++) {
         Py_DECREF(dead[i].callback);
@@ -603,7 +730,7 @@ EventHeap_cancel(EventHeapObject *self, PyObject *seq_obj)
     long long seq = PyLong_AsLongLong(seq_obj);
     if (seq == -1 && PyErr_Occurred())
         return NULL;
-    if (seqset_add(&self->cancelled, seq) < 0)
+    if (imap_put(&self->cancelled, seq, 0) < 0)
         return NULL;
     if (self->cancelled.used >= compact_min_cancelled &&
         self->cancelled.used * 2 > self->size && heap_compact(self) < 0)
@@ -636,7 +763,7 @@ EventHeap_run(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyObject *result;
 
         if (self->cancelled.used > 0 &&
-            seqset_discard(&self->cancelled, self->heap[0].k[NKEYS - 1])) {
+            imap_del(&self->cancelled, self->heap[0].k[NKEYS - 1])) {
             heap_pop_root(self, &e);
             Py_DECREF(e.callback);
             Py_DECREF(e.args);
@@ -686,13 +813,10 @@ static PyObject *
 EventHeap_get_cancelled(EventHeapObject *self, void *closure)
 {
     PyObject *seqs = PyFrozenSet_New(NULL);
-    Py_ssize_t i, cap = self->cancelled.slots == NULL ? 0 : (Py_ssize_t)1 << self->cancelled.bits;
-    for (i = 0; seqs != NULL && i < cap; i++) {
-        long long seq = self->cancelled.slots[i];
-        PyObject *num;
-        if (seq == SEQSET_EMPTY)
-            continue;
-        num = PyLong_FromLongLong(seq);
+    Py_ssize_t pos = 0;
+    imap_slot *slot;
+    while (seqs != NULL && (slot = imap_next(&self->cancelled, &pos)) != NULL) {
+        PyObject *num = PyLong_FromLongLong(slot->key);
         if (num == NULL || PySet_Add(seqs, num) < 0)
             Py_CLEAR(seqs);
         Py_XDECREF(num);
@@ -711,11 +835,11 @@ EventHeap_set_cancelled(EventHeapObject *self, PyObject *value, void *closure)
     iter = PyObject_GetIter(value);
     if (iter == NULL)
         return -1;
-    seqset_clear(&self->cancelled);
+    imap_free(&self->cancelled);
     while ((item = PyIter_Next(iter)) != NULL) {
         long long seq = PyLong_AsLongLong(item);
         Py_DECREF(item);
-        if ((seq == -1 && PyErr_Occurred()) || seqset_add(&self->cancelled, seq) < 0) {
+        if ((seq == -1 && PyErr_Occurred()) || imap_put(&self->cancelled, seq, 0) < 0) {
             Py_DECREF(iter);
             return -1;
         }
@@ -753,7 +877,7 @@ EventHeap_dealloc(EventHeapObject *self)
     PyObject_GC_UnTrack(self);
     EventHeap_clear(self);
     PyMem_Free(self->heap);
-    seqset_clear(&self->cancelled);
+    imap_free(&self->cancelled);
     Py_CLEAR(self->now_obj);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
@@ -1084,61 +1208,27 @@ round_half_even(double x)
 
 typedef struct {
     PyObject_HEAD
-    PyObject **ring;
-    Py_ssize_t head;
-    Py_ssize_t count;
-    Py_ssize_t capacity;
-    long long bytes;
+    pring q;
 } FifoObject;
 
 static PyTypeObject FifoType;
 #define Fifo_Check(op) PyObject_TypeCheck(op, &FifoType)
 
 static int
-fifo_push(FifoObject *self, PyObject *packet)
+fifo_enqueue(FifoObject *self, PyObject *packet)
 {
     long long size;
-    if (pkt_ll(packet, P_SIZE, &size) < 0)
-        return -1;
-    if (self->count == self->capacity) {
-        Py_ssize_t cap = self->capacity ? self->capacity * 2 : 16, i;
-        PyObject **ring = PyMem_Malloc((size_t)cap * sizeof(PyObject *));
-        if (ring == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (i = 0; i < self->count; i++)
-            ring[i] = self->ring[(self->head + i) % self->capacity];
-        PyMem_Free(self->ring);
-        self->ring = ring;
-        self->head = 0;
-        self->capacity = cap;
-    }
-    self->ring[(self->head + self->count) % self->capacity] = Py_NewRef(packet);
-    self->count += 1;
-    self->bytes += size;
-    return 0;
+    return pkt_ll(packet, P_SIZE, &size) < 0 ? -1 : ring_push(&self->q, packet, size);
 }
 
-/* New reference to the head packet, or NULL *without* an exception when
- * the queue is empty. */
+/* New reference to the head packet, or Py_None when the queue is empty. */
 static PyObject *
-fifo_pop(FifoObject *self, int *failed)
+fifo_dequeue(FifoObject *self)
 {
-    PyObject *packet;
     long long size;
-    *failed = 0;
-    if (self->count == 0)
-        return NULL;
-    packet = self->ring[self->head];
-    if (pkt_ll(packet, P_SIZE, &size) < 0) {
-        *failed = 1;
-        return NULL;
-    }
-    self->head = (self->head + 1) % self->capacity;
-    self->count -= 1;
-    self->bytes -= size;
-    return packet;
+    if (self->q.count == 0)
+        Py_RETURN_NONE;
+    return ring_pop(&self->q, &size);
 }
 
 static int Fifo_clear(FifoObject *self);
@@ -1159,7 +1249,7 @@ Fifo_enqueue(FifoObject *self, PyObject *args, PyObject *kwds)
     PyObject *packet, *ingress;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO", kwlist, &packet, &ingress))
         return NULL;
-    if (fifo_push(self, packet) < 0)
+    if (fifo_enqueue(self, packet) < 0)
         return NULL;
     Py_RETURN_TRUE;
 }
@@ -1167,48 +1257,37 @@ Fifo_enqueue(FifoObject *self, PyObject *args, PyObject *kwds)
 static PyObject *
 Fifo_dequeue(FifoObject *self, PyObject *Py_UNUSED(ignored))
 {
-    int failed;
-    PyObject *packet = fifo_pop(self, &failed);
-    if (packet == NULL && !failed)
-        Py_RETURN_NONE;
-    return packet;
+    return fifo_dequeue(self);
 }
 
 static PyObject *
 Fifo_backlog_bytes(FifoObject *self, PyObject *Py_UNUSED(ignored))
 {
-    return PyLong_FromLongLong(self->bytes);
+    return PyLong_FromLongLong(self->q.bytes);
 }
 
 static PyObject *
 Fifo_backlog_packets(FifoObject *self, PyObject *Py_UNUSED(ignored))
 {
-    return PyLong_FromSsize_t(self->count);
+    return PyLong_FromSsize_t(self->q.count);
 }
 
 static PyObject *
 Fifo_has_backlog(FifoObject *self, PyObject *Py_UNUSED(ignored))
 {
-    return PyBool_FromLong(self->count > 0);
+    return PyBool_FromLong(self->q.count > 0);
 }
 
 static int
 Fifo_traverse(FifoObject *self, visitproc visit, void *arg)
 {
-    Py_ssize_t i;
-    for (i = 0; i < self->count; i++)
-        Py_VISIT(self->ring[(self->head + i) % self->capacity]);
-    return 0;
+    return ring_traverse(&self->q, visit, arg);
 }
 
 static int
 Fifo_clear(FifoObject *self)
 {
-    Py_ssize_t i, count = self->count;
-    self->count = 0;
-    self->bytes = 0;
-    for (i = 0; i < count; i++)
-        Py_CLEAR(self->ring[(self->head + i) % self->capacity]);
+    ring_clear(&self->q);
     return 0;
 }
 
@@ -1217,7 +1296,7 @@ Fifo_dealloc(FifoObject *self)
 {
     PyObject_GC_UnTrack(self);
     Fifo_clear(self);
-    PyMem_Free(self->ring);
+    PyMem_Free(self->q.items);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -1269,13 +1348,8 @@ static long long bfc_backlog(BfcDiscObject *self, long long *bytes);
 static PyObject *
 disc_dequeue(PyObject *disc)
 {
-    if (Fifo_Check(disc)) {
-        int failed;
-        PyObject *packet = fifo_pop((FifoObject *)disc, &failed);
-        if (packet == NULL && !failed)
-            Py_RETURN_NONE;
-        return packet;
-    }
+    if (Fifo_Check(disc))
+        return fifo_dequeue((FifoObject *)disc);
     if (Nic_Check(disc)) {
         /* unless a dequeue was set on the instance */
         int failed;
@@ -1296,7 +1370,7 @@ disc_has_backlog(PyObject *disc)
     PyObject *res;
     int truth;
     if (Fifo_Check(disc))
-        return ((FifoObject *)disc)->count > 0;
+        return ((FifoObject *)disc)->q.count > 0;
     if (bfc_direct(disc)) {
         long long bytes;
         return bfc_backlog((BfcDiscObject *)disc, &bytes) > 0;
@@ -1314,7 +1388,7 @@ disc_backlog_bytes(PyObject *disc, long long *out)
 {
     PyObject *res;
     if (Fifo_Check(disc)) {
-        *out = ((FifoObject *)disc)->bytes;
+        *out = ((FifoObject *)disc)->q.bytes;
         return 0;
     }
     if (bfc_direct(disc)) {
@@ -1335,7 +1409,7 @@ disc_enqueue(PyObject *disc, PyObject *packet, PyObject *ingress)
     PyObject *res;
     int truth;
     if (Fifo_Check(disc))
-        return fifo_push((FifoObject *)disc, packet) < 0 ? -1 : 1;
+        return fifo_enqueue((FifoObject *)disc, packet) < 0 ? -1 : 1;
     if (bfc_direct(disc))
         return bfc_enqueue((BfcDiscObject *)disc, packet, ingress);
     res = call_method2(disc, str_enqueue, packet, ingress);
@@ -2341,11 +2415,6 @@ static PyTypeObject PortType = {
  * SwitchPlane: the data hop of one switch
  * ===================================================================== */
 
-typedef struct {
-    PyObject *key;
-    Py_ssize_t egress;
-} memo_entry;
-
 struct SwitchPlaneObject {
     PyObject_HEAD
     PyObject *owner;     /* the Switch node: cold paths call back into it */
@@ -2360,11 +2429,9 @@ struct SwitchPlaneObject {
     char ecn_enabled;
     double ecn_kmin;
     char int_enabled;
-    /* ECMP memo: FlowKey identity -> egress index, open addressing at a
-     * load of at most one half; it holds a reference to each key. */
-    memo_entry *memo;
-    Py_ssize_t memo_mask;
-    Py_ssize_t memo_count;
+    /* ECMP memo: FlowKey address -> egress index; it holds a reference to
+     * each key, so no address is reused while it is memoized. */
+    imap_t memo;
     Py_ssize_t memo_limit;
 };
 
@@ -2373,41 +2440,15 @@ static PyTypeObject SwitchPlaneType;
 static void
 memo_clear(SwitchPlaneObject *self)
 {
-    Py_ssize_t i;
-    if (self->memo == NULL)
-        return;
-    for (i = 0; i <= self->memo_mask; i++)
-        Py_CLEAR(self->memo[i].key);
-    self->memo_count = 0;
-}
-
-static inline Py_ssize_t
-memo_slot(memo_entry *memo, Py_ssize_t mask, PyObject *key)
-{
-    size_t h = ((size_t)key >> 4) * (size_t)0x9E3779B97F4A7C15ULL;
-    Py_ssize_t i = (Py_ssize_t)(h >> 20) & mask;
-    while (memo[i].key != NULL && memo[i].key != key)
-        i = (i + 1) & mask;
-    return i;
-}
-
-static int
-memo_resize(SwitchPlaneObject *self, Py_ssize_t capacity)
-{
-    memo_entry *memo = PyMem_Calloc((size_t)capacity, sizeof(memo_entry));
-    Py_ssize_t i;
-    if (memo == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (i = 0; self->memo != NULL && i <= self->memo_mask; i++) {
-        if (self->memo[i].key != NULL)
-            memo[memo_slot(memo, capacity - 1, self->memo[i].key)] = self->memo[i];
-    }
-    PyMem_Free(self->memo);
-    self->memo = memo;
-    self->memo_mask = capacity - 1;
-    return 0;
+    imap_t memo = self->memo;
+    Py_ssize_t pos = 0;
+    imap_slot *slot;
+    self->memo.slots = NULL;
+    self->memo.used = 0;
+    /* Detached before the keys are released: releasing one may run Python. */
+    while ((slot = imap_next(&memo, &pos)) != NULL)
+        Py_DECREF((PyObject *)(intptr_t)slot->key);
+    imap_free(&memo);
 }
 
 /* Egress interface of a packet: the memo, else the switch's egress_for. */
@@ -2415,13 +2456,13 @@ static Py_ssize_t
 plane_egress(SwitchPlaneObject *self, PyObject *packet)
 {
     PyObject *key = pkt_get(packet, P_KEY), *res;
-    Py_ssize_t slot, egress;
+    Py_ssize_t egress;
+    long long found;
     if (key == NULL)
         return -1;
-    slot = memo_slot(self->memo, self->memo_mask, key);
-    if (self->memo[slot].key == key) {
+    if (imap_get(&self->memo, (long long)(intptr_t)key, &found)) {
         Py_DECREF(key);
-        return self->memo[slot].egress;
+        return (Py_ssize_t)found;
     }
     res = PyObject_CallMethodOneArg(self->owner, str_ecmp_pick, key);
     if (res == NULL) {
@@ -2434,19 +2475,13 @@ plane_egress(SwitchPlaneObject *self, PyObject *packet)
         Py_DECREF(key);
         return -1;
     }
-    if (self->memo_count >= self->memo_limit) {
+    if (self->memo.used >= self->memo_limit)
         memo_clear(self);
-    }
-    else if (2 * (self->memo_count + 1) > self->memo_mask + 1 &&
-             memo_resize(self, 2 * (self->memo_mask + 1)) < 0) {
+    if (imap_put(&self->memo, (long long)(intptr_t)key, egress) < 0) {
         Py_DECREF(key);
         return -1;
     }
-    slot = memo_slot(self->memo, self->memo_mask, key);
-    self->memo[slot].key = key; /* the memo keeps the reference */
-    self->memo[slot].egress = egress;
-    self->memo_count += 1;
-    return egress;
+    return egress; /* the memo keeps the reference */
 }
 
 static int
@@ -2833,10 +2868,6 @@ SwitchPlane_init(SwitchPlaneObject *self, PyObject *args, PyObject *kwds)
         return -1;
     }
     memo_clear(self);
-    PyMem_Free(self->memo);
-    self->memo = NULL;
-    if (memo_resize(self, 16) < 0)
-        return -1;
     self->memo_limit = limit;
     Py_XSETREF(self->owner, Py_NewRef(owner));
     Py_XSETREF(self->ports, PyList_New(0));
@@ -2873,7 +2904,6 @@ SwitchPlane_dealloc(SwitchPlaneObject *self)
 {
     PyObject_GC_UnTrack(self);
     SwitchPlane_clear(self);
-    PyMem_Free(self->memo);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -2922,7 +2952,7 @@ static PyTypeObject SwitchPlaneType = {
 typedef int (*drr_probe_fn)(void *ctx, PyObject *queue_id, long long *size);
 
 typedef struct {
-    PyObject *key; /* the queue id as first activated; NULL marks a free slot */
+    PyObject *key; /* the queue id as first activated */
     long long qid;
     long long deficit;
     long long stamp;
@@ -2938,16 +2968,16 @@ typedef struct {
 typedef struct {
     PyObject_HEAD
     long long quantum;
-    /* queue id -> record: open addressing, load at most one half */
+    /* One record per queue in the round, in no order, and queue id ->
+     * index into recs. */
     drr_rec *recs;
-    Py_ssize_t mask;
-    Py_ssize_t used;
+    imap_t index;
     /* The round and its unparked part, in stamp order. */
     drr_pos *active;
     Py_ssize_t n;
     drr_pos *live;
     Py_ssize_t m;
-    Py_ssize_t cap;
+    Py_ssize_t cap; /* of recs, active and live */
     long long next_stamp;
     Py_ssize_t cursor;
     PyObject *current; /* borrowed key of the queue being served, or NULL */
@@ -2958,69 +2988,12 @@ typedef struct {
 static PyTypeObject DrrType;
 #define Drr_Check(op) PyObject_TypeCheck(op, &DrrType)
 
-static inline Py_ssize_t
-drr_home(long long qid, Py_ssize_t mask)
-{
-    unsigned long long h = (unsigned long long)qid * 0x9E3779B97F4A7C15ULL;
-    return (Py_ssize_t)(h >> 32) & mask;
-}
-
 /* The record of qid, or NULL. */
-static drr_rec *
+static inline drr_rec *
 drr_find(DrrObject *self, long long qid)
 {
-    Py_ssize_t i = drr_home(qid, self->mask);
-    while (self->recs[i].key != NULL) {
-        if (self->recs[i].qid == qid)
-            return &self->recs[i];
-        i = (i + 1) & self->mask;
-    }
-    return NULL;
-}
-
-static int
-drr_rehash(DrrObject *self, Py_ssize_t capacity)
-{
-    drr_rec *recs = PyMem_Calloc((size_t)capacity, sizeof(drr_rec)), *old = self->recs;
-    Py_ssize_t i, old_size = self->mask + 1;
-    if (recs == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (i = 0; old != NULL && i < old_size; i++) {
-        if (old[i].key != NULL) {
-            Py_ssize_t j = drr_home(old[i].qid, capacity - 1);
-            while (recs[j].key != NULL)
-                j = (j + 1) & (capacity - 1);
-            recs[j] = old[i];
-        }
-    }
-    PyMem_Free(old);
-    self->recs = recs;
-    self->mask = capacity - 1;
-    return 0;
-}
-
-/* Remove a record, shifting its probe chain back (no tombstones). */
-static void
-drr_forget(DrrObject *self, drr_rec *rec)
-{
-    Py_ssize_t i = rec - self->recs, j = i, mask = self->mask;
-    Py_CLEAR(self->recs[i].key);
-    for (;;) {
-        Py_ssize_t home;
-        j = (j + 1) & mask;
-        if (self->recs[j].key == NULL)
-            break;
-        home = drr_home(self->recs[j].qid, mask);
-        /* The entry at j stays unless its home lies cyclically outside (i, j]. */
-        if ((i <= j) ? (home <= i || home > j) : (home <= i && home > j)) {
-            self->recs[i] = self->recs[j];
-            self->recs[j].key = NULL;
-            i = j;
-        }
-    }
-    self->used -= 1;
+    long long i;
+    return imap_get(&self->index, qid, &i) ? &self->recs[i] : NULL;
 }
 
 static Py_ssize_t
@@ -3067,7 +3040,6 @@ drr_activate(DrrObject *self, PyObject *key)
     long long qid = PyLong_AsLongLong(key);
     drr_rec *rec;
     drr_pos pos;
-    Py_ssize_t i;
     if (qid == -1 && PyErr_Occurred())
         return -1;
     if (drr_refuse_while_selecting(self) < 0)
@@ -3083,12 +3055,16 @@ drr_activate(DrrObject *self, PyObject *key)
         }
         return 0;
     }
-    if (2 * (self->used + 1) > self->mask + 1 && drr_rehash(self, 2 * (self->mask + 1)) < 0)
-        return -1;
     if (self->n == self->cap) {
         Py_ssize_t cap = self->cap ? 2 * self->cap : 8;
-        drr_pos *active = PyMem_Realloc(self->active, (size_t)cap * sizeof(drr_pos));
-        drr_pos *live;
+        drr_rec *recs = PyMem_Realloc(self->recs, (size_t)cap * sizeof(drr_rec));
+        drr_pos *active, *live;
+        if (recs == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        self->recs = recs;
+        active = PyMem_Realloc(self->active, (size_t)cap * sizeof(drr_pos));
         if (active == NULL) {
             PyErr_NoMemory();
             return -1;
@@ -3102,16 +3078,14 @@ drr_activate(DrrObject *self, PyObject *key)
         self->live = live;
         self->cap = cap;
     }
-    i = drr_home(qid, self->mask);
-    while (self->recs[i].key != NULL)
-        i = (i + 1) & self->mask;
-    rec = &self->recs[i];
+    if (imap_put(&self->index, qid, self->n) < 0)
+        return -1;
+    rec = &self->recs[self->n];
     rec->key = Py_NewRef(key);
     rec->qid = qid;
     rec->deficit = 0;
     rec->stamp = self->next_stamp++;
     rec->parked = 0;
-    self->used += 1;
     pos.qid = qid;
     pos.stamp = rec->stamp;
     pos.key = rec->key;
@@ -3145,7 +3119,13 @@ drr_deactivate(DrrObject *self, PyObject *key)
         self->cursor = 0;
     if (self->current == rec->key)
         self->current = NULL;
-    drr_forget(self, rec);
+    /* The last record moves into the hole; n has already dropped by one. */
+    imap_del(&self->index, qid);
+    Py_DECREF(rec->key);
+    if (rec != &self->recs[self->n]) {
+        *rec = self->recs[self->n];
+        imap_put(&self->index, rec->qid, rec - self->recs); /* present: cannot fail */
+    }
     return 0;
 }
 
@@ -3288,8 +3268,6 @@ Drr_init(DrrObject *self, PyObject *args, PyObject *kwds)
         return -1;
     }
     Drr_clear(self);
-    if (drr_rehash(self, 8) < 0)
-        return -1;
     self->quantum = quantum;
     self->next_stamp = 0;
     return 0;
@@ -3406,16 +3384,17 @@ Drr_get_current(DrrObject *self, void *closure)
 static int
 Drr_clear(DrrObject *self)
 {
-    Py_ssize_t i;
-    for (i = 0; self->recs != NULL && i <= self->mask; i++)
-        Py_CLEAR(self->recs[i].key);
+    Py_ssize_t i, n = self->n;
+    self->n = self->m = 0;
+    for (i = 0; i < n; i++)
+        Py_DECREF(self->recs[i].key);
+    imap_free(&self->index);
     PyMem_Free(self->recs);
     PyMem_Free(self->active);
     PyMem_Free(self->live);
     self->recs = NULL;
     self->active = self->live = NULL;
-    self->mask = -1;
-    self->used = self->n = self->m = self->cap = 0;
+    self->cap = 0;
     self->cursor = 0;
     self->current = NULL;
     self->selecting = 0;
@@ -3495,129 +3474,17 @@ static PyTypeObject DrrType = {
 static PyObject *str_pause_flow, *str_resume_flow, *str_randrange, *str_digest,
     *str_masks, *str_mask, *str_bits, *str_flow_table, *str_by_count;
 
-/* -- An int64 -> int64 hash map ----------------------------------------- */
-
-/* Open addressing with linear probing and backward-shift deletion; it
- * grows at half full and shrinks at one eighth, so its memory follows the
- * live keys. */
-#define IMAP_EMPTY LLONG_MIN
-
-typedef struct {
-    long long key;
-    long long value;
-} imap_slot;
-
-typedef struct {
-    imap_slot *slots; /* NULL until the first put */
-    Py_ssize_t mask;
-    Py_ssize_t used;
-} imap_t;
-
-static inline Py_ssize_t
-imap_home(long long key, Py_ssize_t mask)
-{
-    return (Py_ssize_t)(((unsigned long long)key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
-}
-
-/* The slot holding key, or the empty slot where it would go. */
-static inline Py_ssize_t
-imap_find(const imap_t *m, long long key)
-{
-    Py_ssize_t i = imap_home(key, m->mask);
-    while (m->slots[i].key != key && m->slots[i].key != IMAP_EMPTY)
-        i = (i + 1) & m->mask;
-    return i;
-}
-
-/* 1 with the value in *value, or 0 when key is absent. */
-static inline int
-imap_get(const imap_t *m, long long key, long long *value)
-{
-    Py_ssize_t i;
-    if (m->used == 0)
-        return 0;
-    i = imap_find(m, key);
-    if (m->slots[i].key != key)
-        return 0;
-    *value = m->slots[i].value;
-    return 1;
-}
-
+/* A config attribute as a long long: its int value, or with truth set its
+ * truth value (a bool knob). */
 static int
-imap_resize(imap_t *m, Py_ssize_t capacity)
+config_ll(PyObject *config, const char *name, int truth, long long *out)
 {
-    imap_slot *old = m->slots, *slots;
-    Py_ssize_t i, old_cap = old == NULL ? 0 : m->mask + 1;
-    slots = PyMem_Malloc((size_t)capacity * sizeof(imap_slot));
-    if (slots == NULL) {
-        PyErr_NoMemory();
+    PyObject *value = PyObject_GetAttrString(config, name);
+    if (value == NULL)
         return -1;
-    }
-    for (i = 0; i < capacity; i++)
-        slots[i].key = IMAP_EMPTY;
-    m->slots = slots;
-    m->mask = capacity - 1;
-    for (i = 0; i < old_cap; i++) {
-        if (old[i].key != IMAP_EMPTY)
-            slots[imap_find(m, old[i].key)] = old[i];
-    }
-    PyMem_Free(old);
-    return 0;
-}
-
-static int
-imap_put(imap_t *m, long long key, long long value)
-{
-    Py_ssize_t i;
-    if (m->slots == NULL || 2 * (m->used + 1) > m->mask + 1) {
-        if (imap_resize(m, m->slots == NULL ? 16 : 2 * (m->mask + 1)) < 0)
-            return -1;
-    }
-    i = imap_find(m, key);
-    if (m->slots[i].key == IMAP_EMPTY) {
-        m->slots[i].key = key;
-        m->used += 1;
-    }
-    m->slots[i].value = value;
-    return 0;
-}
-
-static void
-imap_del(imap_t *m, long long key)
-{
-    Py_ssize_t i, j, mask;
-    if (m->used == 0)
-        return;
-    i = imap_find(m, key);
-    if (m->slots[i].key != key)
-        return;
-    mask = m->mask;
-    j = i;
-    for (;;) {
-        Py_ssize_t home;
-        j = (j + 1) & mask;
-        if (m->slots[j].key == IMAP_EMPTY)
-            break;
-        home = imap_home(m->slots[j].key, mask);
-        /* Keep slots[j] where it is when its home lies cyclically in (i, j]. */
-        if (i <= j ? (i < home && home <= j) : (i < home || home <= j))
-            continue;
-        m->slots[i] = m->slots[j];
-        i = j;
-    }
-    m->slots[i].key = IMAP_EMPTY;
-    m->used -= 1;
-    if (m->mask + 1 > 16 && 8 * m->used < m->mask + 1 && imap_resize(m, (m->mask + 1) / 2) < 0)
-        PyErr_Clear(); /* out of memory: keep the larger table */
-}
-
-static void
-imap_free(imap_t *m)
-{
-    PyMem_Free(m->slots);
-    m->slots = NULL;
-    m->mask = -1;
-    m->used = 0;
+    *out = truth ? PyObject_IsTrue(value) : PyLong_AsLongLong(value);
+    Py_DECREF(value);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
 }
 
 /* -- Stats: the dataclasses' fields, stored in C ------------------------ */
@@ -4083,21 +3950,12 @@ static int
 FlowTable_init(FlowTableObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"config", NULL};
-    PyObject *config, *value;
+    PyObject *config;
     long long sizes[2];
-    const char *names[2] = {"table_bucket_size", "overflow_cache_entries"};
-    int i;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &config))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O", kwlist, &config) ||
+        config_ll(config, "table_bucket_size", 0, &sizes[0]) < 0 ||
+        config_ll(config, "overflow_cache_entries", 0, &sizes[1]) < 0)
         return -1;
-    for (i = 0; i < 2; i++) {
-        value = PyObject_GetAttrString(config, names[i]);
-        if (value == NULL)
-            return -1;
-        sizes[i] = PyLong_AsLongLong(value);
-        Py_DECREF(value);
-        if (sizes[i] == -1 && PyErr_Occurred())
-            return -1;
-    }
     FlowTable_clear(self);
     self->stats = (TableStatsObject *)new_stats(table_stats_class, &TableStatsType);
     if (self->stats == NULL)
@@ -4172,12 +4030,12 @@ static PyObject *
 FlowTable_entries(FlowTableObject *self, PyObject *Py_UNUSED(ignored))
 {
     PyObject *list = PyList_New(0);
-    Py_ssize_t i;
+    Py_ssize_t pos = 0;
+    imap_slot *slot;
     if (list == NULL)
         return NULL;
-    for (i = 0; self->entries.slots != NULL && i <= self->entries.mask; i++) {
-        if (self->entries.slots[i].key != IMAP_EMPTY &&
-            PyList_Append(list, (PyObject *)(intptr_t)self->entries.slots[i].value) < 0) {
+    while ((slot = imap_next(&self->entries, &pos)) != NULL) {
+        if (PyList_Append(list, (PyObject *)(intptr_t)slot->value) < 0) {
             Py_DECREF(list);
             return NULL;
         }
@@ -4189,15 +4047,13 @@ static PyObject *
 FlowTable_bucket_counts(FlowTableObject *self, PyObject *Py_UNUSED(ignored))
 {
     PyObject *counts = PyDict_New();
-    Py_ssize_t i;
+    Py_ssize_t pos = 0;
+    imap_slot *slot;
     if (counts == NULL)
         return NULL;
-    for (i = 0; self->buckets.slots != NULL && i <= self->buckets.mask; i++) {
-        imap_slot *slot = &self->buckets.slots[i];
+    while ((slot = imap_next(&self->buckets, &pos)) != NULL) {
         PyObject *vfid, *count;
         int rc;
-        if (slot->key == IMAP_EMPTY)
-            continue;
         vfid = PyLong_FromLongLong(slot->key);
         count = PyLong_FromLongLong(slot->value);
         rc = (vfid == NULL || count == NULL) ? -1 : PyDict_SetItem(counts, vfid, count);
@@ -4220,13 +4076,12 @@ FlowTable_get_cached(FlowTableObject *self, void *closure)
 static int
 FlowTable_traverse(FlowTableObject *self, visitproc visit, void *arg)
 {
-    Py_ssize_t i;
+    Py_ssize_t i, pos = 0;
+    imap_slot *slot;
     Py_VISIT(self->config);
     Py_VISIT(self->stats);
-    for (i = 0; self->entries.slots != NULL && i <= self->entries.mask; i++) {
-        if (self->entries.slots[i].key != IMAP_EMPTY)
-            Py_VISIT((PyObject *)(intptr_t)self->entries.slots[i].value);
-    }
+    while ((slot = imap_next(&self->entries, &pos)) != NULL)
+        Py_VISIT((PyObject *)(intptr_t)slot->value);
     for (i = 0; i < self->nfree; i++)
         Py_VISIT(self->free[i]);
     return 0;
@@ -4235,13 +4090,12 @@ FlowTable_traverse(FlowTableObject *self, visitproc visit, void *arg)
 static int
 FlowTable_clear(FlowTableObject *self)
 {
-    Py_ssize_t i;
+    Py_ssize_t i, pos = 0;
+    imap_slot *slot;
     Py_CLEAR(self->config);
     Py_CLEAR(self->stats);
-    for (i = 0; self->entries.slots != NULL && i <= self->entries.mask; i++) {
-        if (self->entries.slots[i].key != IMAP_EMPTY)
-            Py_DECREF((PyObject *)(intptr_t)self->entries.slots[i].value);
-    }
+    while ((slot = imap_next(&self->entries, &pos)) != NULL)
+        Py_DECREF((PyObject *)(intptr_t)slot->value);
     imap_free(&self->entries);
     imap_free(&self->buckets);
     for (i = 0; i < self->nfree; i++)
@@ -4397,29 +4251,18 @@ static int
 Pool_init(PoolObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"config", "rng", NULL};
-    PyObject *config, *rng = Py_None, *value;
+    PyObject *config, *rng = Py_None;
     Py_ssize_t i, num_queues;
-    int is_static;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|O", kwlist, &config, &rng))
+    long long queues, is_static;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|O", kwlist, &config, &rng) ||
+        config_ll(config, "num_physical_queues", 0, &queues) < 0 ||
+        config_ll(config, "static_queue_assignment", 1, &is_static) < 0)
         return -1;
-    value = PyObject_GetAttrString(config, "num_physical_queues");
-    if (value == NULL)
-        return -1;
-    num_queues = PyLong_AsSsize_t(value);
-    Py_DECREF(value);
-    if (num_queues == -1 && PyErr_Occurred())
-        return -1;
-    if (num_queues < 1) {
+    if (queues < 1) {
         PyErr_SetString(PyExc_ValueError, "need at least one physical queue per port");
         return -1;
     }
-    value = PyObject_GetAttrString(config, "static_queue_assignment");
-    if (value == NULL)
-        return -1;
-    is_static = PyObject_IsTrue(value);
-    Py_DECREF(value);
-    if (is_static < 0)
-        return -1;
+    num_queues = (Py_ssize_t)queues;
     Pool_clear(self);
     if (rng == Py_None) {
         PyObject *random = PyImport_ImportModule("random");
@@ -4592,18 +4435,9 @@ static PyTypeObject PoolType = {
 
 /* -- BfcScheduler ------------------------------------------------------- */
 
+/* One packet queue, with what the DRR reads of it. */
 typedef struct {
-    PyObject *packet;
-    long long size;
-} qitem;
-
-/* One packet queue: a ring, allocated with its first packet. */
-typedef struct {
-    qitem *ring;
-    Py_ssize_t head;
-    Py_ssize_t count;
-    Py_ssize_t cap;
-    long long bytes;
+    pring ring;
     long long ready; /* the head's size if it may send, else BLOCKED */
 } bfcq;
 
@@ -4654,42 +4488,6 @@ sched_alloc(SchedObject *s)
     for (i = 0; i < n; i++)
         s->queues[i].ready = BLOCKED;
     return 0;
-}
-
-static int
-bfcq_push(bfcq *q, PyObject *packet, long long size)
-{
-    if (q->count == q->cap) {
-        Py_ssize_t cap = q->cap ? 2 * q->cap : 8, i;
-        qitem *ring = PyMem_Malloc((size_t)cap * sizeof(qitem));
-        if (ring == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (i = 0; i < q->count; i++)
-            ring[i] = q->ring[(q->head + i) % q->cap];
-        PyMem_Free(q->ring);
-        q->ring = ring;
-        q->head = 0;
-        q->cap = cap;
-    }
-    q->ring[(q->head + q->count) % q->cap].packet = Py_NewRef(packet);
-    q->ring[(q->head + q->count) % q->cap].size = size;
-    q->count += 1;
-    q->bytes += size;
-    return 0;
-}
-
-/* The head packet (the queue's reference moves to the caller). */
-static PyObject *
-bfcq_pop(bfcq *q, long long *size)
-{
-    qitem item = q->ring[q->head];
-    q->head = (q->head + 1) % q->cap;
-    q->count -= 1;
-    q->bytes -= item.size;
-    *size = item.size;
-    return item.packet;
 }
 
 /* BfcScheduler._blocked: is the VFID of head in the installed filter?
@@ -4746,7 +4544,7 @@ sched_push(SchedObject *s, long long qid, PyObject *packet, long long size,
         return -1;
     }
     q = &s->queues[i];
-    if (q->count == 0) {
+    if (q->ring.count == 0) {
         PyObject *key = PyLong_FromLongLong(qid);
         int rc, ok;
         if (key == NULL)
@@ -4763,18 +4561,18 @@ sched_push(SchedObject *s, long long qid, PyObject *packet, long long size,
             s->eligible_count += 1;
         }
     }
-    if (bfcq_push(q, packet, size) < 0)
+    if (ring_push(&q->ring, packet, size) < 0)
         return -1;
     s->total_bytes += size;
     s->total_packets += 1;
-    *queue_bytes = q->bytes;
+    *queue_bytes = q->ring.bytes;
     return 0;
 }
 
 static int
 sched_push_high_priority(SchedObject *s, PyObject *packet, long long size)
 {
-    if (sched_alloc(s) < 0 || bfcq_push(&s->queues[s->num_queues + 1], packet, size) < 0)
+    if (sched_alloc(s) < 0 || ring_push(&s->queues[s->num_queues + 1].ring, packet, size) < 0)
         return -1;
     s->total_bytes += size;
     s->total_packets += 1;
@@ -4807,11 +4605,11 @@ sched_install(SchedObject *s, PyObject *bitmap)
         if (sched_index(s, s->drr->active[k].qid, &i) < 0)
             return -1;
         q = &s->queues[i];
-        ok = sched_may_send(s, q->ring[q->head].packet);
+        ok = sched_may_send(s, ring_at(&q->ring, 0)->packet);
         if (ok < 0)
             return -1;
         if (ok) {
-            q->ready = q->ring[q->head].size;
+            q->ready = ring_at(&q->ring, 0)->size;
             count += 1;
         }
         else {
@@ -4844,8 +4642,8 @@ sched_pop(SchedObject *s, PyObject **packet, long long *size, long long *qid)
     Py_ssize_t i;
     bfcq *q;
     int rc;
-    if (s->queues != NULL && s->queues[s->num_queues + 1].count) {
-        *packet = bfcq_pop(&s->queues[s->num_queues + 1], size);
+    if (s->queues != NULL && s->queues[s->num_queues + 1].ring.count) {
+        *packet = ring_pop(&s->queues[s->num_queues + 1].ring, size);
         s->total_bytes -= *size;
         s->total_packets -= 1;
         *qid = HIGH_PRIORITY_QUEUE;
@@ -4862,10 +4660,10 @@ sched_pop(SchedObject *s, PyObject **packet, long long *size, long long *qid)
     if ((*qid == -1 && PyErr_Occurred()) || sched_index(s, *qid, &i) < 0)
         return -1;
     q = &s->queues[i];
-    *packet = bfcq_pop(q, size);
+    *packet = ring_pop(&q->ring, size);
     s->total_bytes -= *size;
     s->total_packets -= 1;
-    if (q->count == 0) {
+    if (q->ring.count == 0) {
         q->ready = BLOCKED;
         s->eligible_count -= 1;
         Py_INCREF(key); /* deactivate() drops the round's reference */
@@ -4873,9 +4671,9 @@ sched_pop(SchedObject *s, PyObject **packet, long long *size, long long *qid)
         Py_DECREF(key);
     }
     else {
-        rc = sched_may_send(s, q->ring[q->head].packet);
+        rc = sched_may_send(s, ring_at(&q->ring, 0)->packet);
         if (rc > 0) {
-            q->ready = q->ring[q->head].size;
+            q->ready = ring_at(&q->ring, 0)->size;
         }
         else if (rc == 0) {
             q->ready = BLOCKED;
@@ -4892,7 +4690,7 @@ sched_pop(SchedObject *s, PyObject **packet, long long *size, long long *qid)
 static long long
 sched_queue_bytes(SchedObject *s, Py_ssize_t index)
 {
-    return s->queues == NULL ? 0 : s->queues[index].bytes;
+    return s->queues == NULL ? 0 : s->queues[index].ring.bytes;
 }
 
 static int Sched_clear(SchedObject *self);
@@ -4901,21 +4699,13 @@ static int
 Sched_init(SchedObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"config", "codec", "sim", NULL};
-    PyObject *config, *codec, *sim = Py_None, *value;
+    PyObject *config, *codec, *sim = Py_None;
     long long values[3];
-    const char *names[3] = {"num_physical_queues", "num_vfids", "mtu"};
-    int i;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|O", kwlist, &config, &codec, &sim))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|O", kwlist, &config, &codec, &sim) ||
+        config_ll(config, "num_physical_queues", 0, &values[0]) < 0 ||
+        config_ll(config, "num_vfids", 0, &values[1]) < 0 ||
+        config_ll(config, "mtu", 0, &values[2]) < 0)
         return -1;
-    for (i = 0; i < 3; i++) {
-        value = PyObject_GetAttrString(config, names[i]);
-        if (value == NULL)
-            return -1;
-        values[i] = PyLong_AsLongLong(value);
-        Py_DECREF(value);
-        if (values[i] == -1 && PyErr_Occurred())
-            return -1;
-    }
     if (values[0] < 1 || values[1] < 1) {
         PyErr_SetString(PyExc_ValueError, "need physical queues and a VFID space");
         return -1;
@@ -5009,11 +4799,11 @@ Sched_queued(SchedObject *self, PyObject *qid_obj)
     if (self->queues == NULL)
         return PyList_New(0);
     q = &self->queues[i];
-    list = PyList_New(q->count);
+    list = PyList_New(q->ring.count);
     if (list == NULL)
         return NULL;
-    for (k = 0; k < q->count; k++)
-        PyList_SET_ITEM(list, k, Py_NewRef(q->ring[(q->head + k) % q->cap].packet));
+    for (k = 0; k < q->ring.count; k++)
+        PyList_SET_ITEM(list, k, Py_NewRef(ring_at(&q->ring, k)->packet));
     return list;
 }
 
@@ -5085,7 +4875,7 @@ Sched_get_filter(SchedObject *self, void *closure)
 static int
 Sched_traverse(SchedObject *self, visitproc visit, void *arg)
 {
-    Py_ssize_t i, k;
+    Py_ssize_t i;
     Py_VISIT(self->config);
     Py_VISIT(self->codec);
     Py_VISIT(self->masks);
@@ -5093,9 +4883,9 @@ Sched_traverse(SchedObject *self, visitproc visit, void *arg)
     Py_VISIT(self->filter);
     Py_VISIT(self->filter_bits);
     for (i = 0; self->queues != NULL && i < self->num_queues + 2; i++) {
-        bfcq *q = &self->queues[i];
-        for (k = 0; k < q->count; k++)
-            Py_VISIT(q->ring[(q->head + k) % q->cap].packet);
+        int rc = ring_traverse(&self->queues[i].ring, visit, arg);
+        if (rc)
+            return rc;
     }
     return 0;
 }
@@ -5103,7 +4893,7 @@ Sched_traverse(SchedObject *self, visitproc visit, void *arg)
 static int
 Sched_clear(SchedObject *self)
 {
-    Py_ssize_t i, k;
+    Py_ssize_t i;
     Py_CLEAR(self->config);
     Py_CLEAR(self->codec);
     Py_CLEAR(self->masks);
@@ -5112,10 +4902,8 @@ Sched_clear(SchedObject *self)
     Py_CLEAR(self->filter);
     Py_CLEAR(self->filter_bits);
     for (i = 0; self->queues != NULL && i < self->num_queues + 2; i++) {
-        bfcq *q = &self->queues[i];
-        for (k = 0; k < q->count; k++)
-            Py_DECREF(q->ring[(q->head + k) % q->cap].packet);
-        PyMem_Free(q->ring);
+        ring_clear(&self->queues[i].ring);
+        PyMem_Free(self->queues[i].ring.items);
     }
     PyMem_Free(self->queues);
     self->queues = NULL;
@@ -5570,10 +5358,8 @@ static int
 BfcDisc_init(BfcDiscObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"agent", "egress_index", "scheduler", "pool", "thresholds", NULL};
-    PyObject *agent, *scheduler, *pool, *thresholds, *config, *table, *by_count, *value;
+    PyObject *agent, *scheduler, *pool, *thresholds, *config, *table, *by_count;
     long long egress_index, knobs[3];
-    const char *knob_names[3] = {"use_high_priority_queue", "limit_resume_rate",
-                                 "resumes_per_interval"};
     Py_ssize_t i, n;
     int direct;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "OLO!O!O", kwlist, &agent, &egress_index,
@@ -5593,15 +5379,10 @@ BfcDisc_init(BfcDiscObject *self, PyObject *args, PyObject *kwds)
         return -1;
     }
     self->table = (FlowTableObject *)table;
-    for (i = 0; i < 3; i++) {
-        value = PyObject_GetAttrString(config, knob_names[i]);
-        if (value == NULL)
-            return -1;
-        knobs[i] = i < 2 ? PyObject_IsTrue(value) : PyLong_AsLongLong(value);
-        Py_DECREF(value);
-        if (knobs[i] == -1 && PyErr_Occurred())
-            return -1;
-    }
+    if (config_ll(config, "use_high_priority_queue", 1, &knobs[0]) < 0 ||
+        config_ll(config, "limit_resume_rate", 1, &knobs[1]) < 0 ||
+        config_ll(config, "resumes_per_interval", 0, &knobs[2]) < 0)
+        return -1;
     by_count = PyObject_GetAttr(thresholds, str_by_count);
     if (by_count == NULL)
         return -1;

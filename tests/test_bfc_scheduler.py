@@ -55,6 +55,24 @@ class TestStorage:
         assert sched.total_packets == 0
         assert sched.queue_bytes(3) == 0
 
+    def test_a_queue_keeps_its_order_as_its_ring_wraps_and_grows(self, bfc):
+        # Five in, three out per round: the head walks round the queue's
+        # ring, and the ring grows while its packets wrap past the end.
+        sched, model = make_scheduler(bfc), deque()
+        for round_ in range(40):
+            for i in range(5):
+                packet = make_packet(size=100 + 5 * round_ + i)
+                sched.push_queue(2, packet)
+                model.append(packet)
+            for _ in range(3):
+                popped, source = sched.pop()
+                assert popped is model.popleft() and source == 2
+            assert sched.queued(2) == list(model)
+            assert sched.queue_bytes(2) == sum(packet.size for packet in model)
+        while model:
+            assert sched.pop()[0] is model.popleft()
+        assert sched.pop() is None and sched.total_bytes == 0
+
     def test_pop_empty_returns_none(self, bfc):
         sched = make_scheduler(bfc)
         assert sched.pop() is None

@@ -1,6 +1,7 @@
 """Unit tests for the baseline queueing disciplines and the DRR scheduler."""
 
 import itertools
+from collections import deque
 
 import pytest
 
@@ -169,6 +170,23 @@ class TestFifoDiscipline:
 
     def test_dequeue_empty(self, fifo_class):
         assert fifo_class().dequeue() is None
+
+    def test_order_and_backlog_hold_as_the_ring_wraps_and_grows(self, fifo_class):
+        # Five in, three out per round: the head walks round the ring, and
+        # the ring grows while its packets wrap past the end.
+        fifo, model = fifo_class(), deque()
+        for round_ in range(40):
+            for i in range(5):
+                packet = make_packet(5 * round_ + i, size=100 + 5 * round_ + i)
+                fifo.enqueue(packet, 0)
+                model.append(packet)
+            for _ in range(3):
+                assert fifo.dequeue() is model.popleft()
+            assert fifo.backlog_packets() == len(model)
+            assert fifo.backlog_bytes() == sum(packet.size for packet in model)
+        while model:
+            assert fifo.dequeue() is model.popleft()
+        assert fifo.dequeue() is None and fifo.backlog_bytes() == 0
 
 
 class TestSfqDiscipline:

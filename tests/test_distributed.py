@@ -237,12 +237,12 @@ class FakeWorker(WorkerClient):
     def probe(self, timeout=5.0):
         return self.alive
 
-    def run_trial(self, trial, timeout, records_only=False, **kwargs):
+    def run_trial(self, trial, timeout, records_only=False, slot_budget=None, **kwargs):
         number = len(self.dispatched)
         self.dispatched.append((trial.name, timeout, threading.current_thread()))
         if number in self.script:
             self.script[number](self)
-        record, result = execute_trial(trial)
+        record, result = execute_trial(trial, slot_budget=slot_budget)
         self.completed += 1
         return record, (None if records_only else result)
 
@@ -331,6 +331,24 @@ class TestStreamDispatch:
         assert caplog.text.count("worker lost") == 2
         assert "no live workers remain; running 4 trial(s) locally" in caplog.text
         assert sorted(records, key=lambda r: r.name) == serial_records
+
+    def test_sharded_trial_falls_back_with_its_slot_budget(self):
+        from tests.test_campaign_scheduling import cross_dc_trial
+
+        trials = (
+            Campaign("slots").schemes("DCQCN").fixed(shards=2)
+            .config_builder(cross_dc_trial).trials()
+        )
+        healthy = [FakeWorker("http://fake-a"), FakeWorker("http://fake-b")]
+        lost = [
+            FakeWorker("http://fake-a", {0: lose}),
+            FakeWorker("http://fake-b", {0: lose}),
+        ]
+        ((_, on_worker),) = DistributedExecutor(healthy).run(trials)
+        ((_, fell_back),) = DistributedExecutor(lost).run(trials)
+        assert not any(worker.alive for worker in lost)
+        assert on_worker.shard_stats["slot_budget"] == 2
+        assert fell_back.shard_stats == on_worker.shard_stats
 
     def test_worker_loss_is_logged_not_warned(self):
         workers = [FakeWorker("http://fake-a", {0: lose})]

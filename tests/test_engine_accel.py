@@ -237,6 +237,19 @@ class TestPost:
         with pytest.raises(OverflowError):
             sim.schedule(2**63 - 10, lambda: None)
 
+    def test_the_one_seq_the_cancelled_set_cannot_hold_is_refused(self):
+        # -2**63 marks an empty slot of the core's hash map: storing it
+        # would be a silent no-op, so it raises instead.
+        sim = AccelSimulator(seed=1)
+        sim._cancelled = [5]
+        with pytest.raises(OverflowError):
+            sim._cancelled = [-(2**63)]
+        with pytest.raises(OverflowError):
+            sim._cancel(-(2**63))
+        assert sim._cancelled == frozenset()
+        with pytest.raises(OverflowError):
+            AccelSimulator.compiled_plane.DeficitRoundRobin().activate(-(2**63))
+
 
 def _storm(sim, seed: int, n: int = 400, p_schedule: float = 0.4, p_post: float = 0.2):
     """A deterministic scheduling storm exercising every scheduling path.

@@ -29,7 +29,7 @@ from repro.core.config import BfcConfig
 from repro.core.nic import BfcNicScheduler
 from repro.sim import units
 from repro.sim.buffer import PfcPolicy
-from repro.sim.disciplines import fifo_for
+from repro.sim.disciplines import BLOCKED, DeficitRoundRobin, fifo_for
 from repro.sim.flow import Flow
 from repro.sim.host import CongestionControl, Host, HostConfig, WindowedCongestionControl
 from repro.sim.node import Node
@@ -873,3 +873,53 @@ def test_a_bfc_discipline_that_overrides_a_hot_method_keeps_it():
     sim.run_until_idle()
     assert [delivery[3] for delivery in sinks[1].received] == [0, 1, 2]
     assert CountingDiscipline.dequeues >= 3  # the port called the override
+
+
+# ---------------------------------------------------------------------------
+# The DRR's record table under churn
+
+
+def drr_view(drr, ids):
+    """The round, cursor, turn and deficits, and which of ``ids`` are in the round."""
+    active = drr.active_queues()
+    return (
+        active, drr.unparked_queues(), drr.cursor, drr.current,
+        [drr.deficit(qid) for qid in active], [drr.is_active(qid) for qid in ids],
+    )
+
+
+def test_drr_churn_over_sparse_ids_keeps_both_planes_in_step():
+    """Thousands of activations, removals and selects over large sparse queue ids.
+
+    The ids are spread over 2**48 like a NIC's flow ids.  The round grows to
+    hundreds of queues and drains back to a few, three times, so the
+    compiled DRR's id-to-record map grows, shrinks and shifts probe runs
+    back on removal, and each removal moves the last record into the hole.
+    After every call both planes show the same round, cursor, turn and
+    deficits, and agree on which ids are in the round.
+    """
+    rng = random.Random(44)
+    ids = [rng.randrange(2**48) for _ in range(500)]
+    heads = {qid: rng.choice([None, BLOCKED, 64, 700, 1_048, 2_500]) for qid in ids}
+    pure, compiled = DeficitRoundRobin(quantum=1_048), plane.DeficitRoundRobin(quantum=1_048)
+    peak = 0
+    for phase in range(6):
+        grow = phase % 2 == 0
+        for _ in range(1_000):
+            roll, active = rng.random(), pure.active_queues()
+            if roll < (0.6 if grow else 0.2):
+                qid = rng.choice(ids)
+                pure.activate(qid)
+                compiled.activate(qid)
+            elif roll < 0.8:
+                qid = rng.choice(active) if active and rng.random() < 0.9 else rng.choice(ids)
+                pure.deactivate(qid)
+                compiled.deactivate(qid)
+            elif roll < 0.97:
+                assert compiled.select(heads.get) == pure.select(heads.get)
+            else:
+                compiled.idle()
+                pure.idle()
+            assert drr_view(compiled, ids[:8]) == drr_view(pure, ids[:8])
+            peak = max(peak, len(active))
+    assert peak > 200 and len(pure.active_queues()) < 20

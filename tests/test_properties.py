@@ -10,17 +10,17 @@ distributions behave like CDFs.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planes import DRR_CLASSES
+from planes import BFC_CLASSES, DRR_CLASSES
 from repro.core.bloom import BloomFilterCodec, CountingBloomFilter
 from repro.core.config import BfcConfig
 from repro.core.queues import PhysicalQueuePool
-from repro.core.vfid import FlowTable
 from repro.sim.buffer import SharedBuffer
 from repro.sim.disciplines import BLOCKED
 from repro.sim.packet import FlowKey
@@ -348,8 +348,9 @@ def test_queue_pool_assign_release_invariants(vfids, num_queues):
     )
 )
 @settings(max_examples=50)
-def test_flow_table_insert_remove_invariants(operations):
-    table = FlowTable(BfcConfig(num_vfids=64, table_bucket_size=2, overflow_cache_entries=8))
+@pytest.mark.parametrize("bfc", BFC_CLASSES)
+def test_flow_table_insert_remove_invariants(bfc, operations):
+    table = bfc.FlowTable(BfcConfig(num_vfids=64, table_bucket_size=2, overflow_cache_entries=8))
     live = {}
     overflowed = 0
     for vfid, ingress, egress in operations:
@@ -439,9 +440,10 @@ class BucketListTable:
     )
 )
 @settings(max_examples=150, deadline=None)
-def test_flow_table_matches_bucket_list_model(operations):
+@pytest.mark.parametrize("bfc", BFC_CLASSES)
+def test_flow_table_matches_bucket_list_model(bfc, operations):
     """Counts in place of bucket lists, and recycled entries, change nothing."""
-    table = FlowTable(BfcConfig(num_vfids=64, table_bucket_size=4, overflow_cache_entries=2))
+    table = bfc.FlowTable(BfcConfig(num_vfids=64, table_bucket_size=4, overflow_cache_entries=2))
     model = BucketListTable(bucket_size=4, cache_entries=2)
     keys = [FlowKey(src=i, dst=9, src_port=i, dst_port=1) for i in range(3)]
     live = []  # (entry, model entry) pairs with packets queued
@@ -477,7 +479,7 @@ def test_flow_table_matches_bucket_list_model(operations):
                 model.remove(mirror)
                 with pytest.raises(KeyError):
                     table.remove(entry)
-        assert vars(table.stats) == model.stats
+        assert dataclasses.asdict(table.stats) == model.stats
         assert table.active_entries() == model.active() == len(live)
         for entry, mirror in live:
             assert table.lookup(*entry.identity()) is entry
