@@ -26,12 +26,13 @@ from repro.sim.host import CongestionControl, SenderFlowState
 from repro.sim.packet import Packet
 
 
-@dataclass
+@dataclass(frozen=True)
 class DcqcnConfig:
     """DCQCN parameters.
 
     Rate-increase steps are expressed as fractions of the line rate so the
     same configuration scales across the link speeds swept in Fig. 2.
+    Frozen: the compiled twin (:mod:`repro.sim.plane`) keeps a copy.
     """
 
     g: float = 1.0 / 256.0

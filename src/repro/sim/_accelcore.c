@@ -14,7 +14,8 @@
  * callbacks themselves.
  *
  * The rest of the file is the compiled forwarding plane (egress port, FIFO
- * queue, shared buffer, the switch's data hop, the host NIC and the BFC
+ * queue, shared buffer, the switch's data hop with its ECN draw and ECMP
+ * pick, the host NIC with its CNPs, DCQCN's sender rate machine and the BFC
  * switch's discipline, scheduler, flow table and queue pool): it posts its
  * deliveries and wake-ups straight into the heap and reads the clock from
  * the same fields.
@@ -959,12 +960,12 @@ bind_engine(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
  *
  * C twins of repro.sim.port.EgressPort (kick / send_control / notify),
  * repro.sim.disciplines.FifoDiscipline, repro.sim.buffer.SharedBuffer and
- * the data hop of repro.sim.switch.Switch (ECMP memo, admission, ECN check,
- * PFC pause/resume checks, the dequeue hook).  Every statement mirrors the
- * Python reference in order, so both planes post the same events with the
- * same keys and sequence numbers; whatever is not here (non-FIFO
- * disciplines, host NICs, congestion control, route misses, PFC/Bloom
- * frame construction, ECN draws, INT stamps) is called back in Python.
+ * the data hop of repro.sim.switch.Switch (ECMP memo and pick, admission,
+ * ECN marking with its draw, PFC pause/resume checks, the dequeue hook).
+ * Every statement mirrors the Python reference in order, so both planes
+ * post the same events with the same keys and sequence numbers; whatever
+ * is not here (non-FIFO disciplines, PFC/Bloom frame construction, INT
+ * stamps, a pick or a draw the switch replaces) is called back in Python.
  *
  * Posts go straight into the simulator's EventHeap (heap_post, the layout
  * of AccelSimulator.post), and the clock is read from its fields.
@@ -977,7 +978,7 @@ static PyObject *str_dict, *str_popleft, *str_append, *str_dequeue,
     *str_data_bytes, *str_data_packets,
     *str_control_bytes, *str_control_packets, *str_forwarded_packets,
     *str_dropped_packets, *str_dropped_bytes, *str_post, *str_name,
-    *str_tx_memo;
+    *str_tx_memo, *str_random, *str_ecn_marked;
 
 enum {
     P_KIND,
@@ -1019,6 +1020,15 @@ static slot_class packet_class = {P_NSLOTS, packet_slot_names, packet_slot_strs,
                                   packet_slot_offsets, NULL};
 #define packet_type (packet_class.type)
 static PyObject *kind_pfc, *kind_bloom;
+
+enum { K_SRC, K_DST, K_SRC_PORT, K_DST_PORT, K_PROTOCOL, K_DIGEST, K_HASH, K_REVERSED, K_NSLOTS };
+static const char *const flowkey_slot_names[K_NSLOTS] = {
+    "src", "dst", "src_port", "dst_port", "protocol", "_digest", "_hash", "_reversed",
+};
+static PyObject *flowkey_slot_strs[K_NSLOTS];
+static Py_ssize_t flowkey_slot_offsets[K_NSLOTS];
+static slot_class flowkey_class = {K_NSLOTS, flowkey_slot_names, flowkey_slot_strs,
+                                   flowkey_slot_offsets, NULL};
 
 /* Cache the member offsets of every name of cls in type; the names must be
  * all of type's own __slots__, so a slot added in Python cannot be missed
@@ -1138,22 +1148,76 @@ cls_truth(const slot_class *cls, PyObject *obj, int slot)
 /* Set by bind(): what a compiled port builds for its queue and meters. */
 static PyObject *deque_type, *pause_meter_type, *byte_meter_type;
 
+/* -- hash((a, b)) of two hashes --------------------------------------- */
+
+/* The tuple hash of CPython 3.8 and later (xxHash's 64-bit round), so the
+ * ECMP pick can hash (key, salt) without building the tuple or calling
+ * FlowKey.__hash__.  bind() checks it against the interpreter's own and
+ * falls back to a real tuple where they differ. */
+#define XXPRIME_1 ((Py_uhash_t)11400714785074694791ULL)
+#define XXPRIME_2 ((Py_uhash_t)14029467366897019727ULL)
+#define XXPRIME_5 ((Py_uhash_t)2870177450012600261ULL)
+#define XXROTATE(x) (((x) << 31) | ((x) >> 33))
+
+static int pair_hash_exact;
+
+static Py_hash_t
+pair_hash(Py_hash_t a, Py_hash_t b)
+{
+    Py_uhash_t acc = XXPRIME_5, lanes[2] = {(Py_uhash_t)a, (Py_uhash_t)b};
+    int i;
+    for (i = 0; i < 2; i++) {
+        acc += lanes[i] * XXPRIME_2;
+        acc = XXROTATE(acc);
+        acc *= XXPRIME_1;
+    }
+    acc += 2 ^ (XXPRIME_5 ^ 3527539UL);
+    return acc == (Py_uhash_t)-1 ? 1546275796 : (Py_hash_t)acc;
+}
+
+/* Does pair_hash agree with hash((a, b)) here?  1, 0 or -1. */
+static int
+pair_hash_check(void)
+{
+    static const long long samples[][2] = {
+        {0, 0}, {1, 2}, {-5, 3141592653LL}, {1234567890123456789LL, -987654321LL},
+    };
+    size_t i;
+    for (i = 0; i < sizeof(samples) / sizeof(samples[0]); i++) {
+        PyObject *pair = Py_BuildValue("(LL)", samples[i][0], samples[i][1]);
+        Py_hash_t want, a, b;
+        if (pair == NULL)
+            return -1;
+        want = PyObject_Hash(pair);
+        a = PyObject_Hash(PyTuple_GET_ITEM(pair, 0));
+        b = PyObject_Hash(PyTuple_GET_ITEM(pair, 1));
+        Py_DECREF(pair);
+        if (want == -1 || a == -1 || b == -1)
+            return -1;
+        if (pair_hash(a, b) != want)
+            return 0;
+    }
+    return 1;
+}
+
 static PyObject *
 bind(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 6) {
+    if (nargs != 7) {
         PyErr_SetString(PyExc_TypeError,
-                        "bind expects (Packet, PacketKind.PFC, PacketKind.BLOOM, "
-                        "deque, PauseMeter, ByteMeter)");
+                        "bind expects (Packet, FlowKey, PacketKind.PFC, "
+                        "PacketKind.BLOOM, deque, PauseMeter, ByteMeter)");
         return NULL;
     }
-    if (slot_class_bind(&packet_class, args[0]) < 0)
+    pair_hash_exact = pair_hash_check();
+    if (pair_hash_exact < 0 || slot_class_bind(&packet_class, args[0]) < 0 ||
+        slot_class_bind(&flowkey_class, args[1]) < 0)
         return NULL;
-    Py_XSETREF(kind_pfc, Py_NewRef(args[1]));
-    Py_XSETREF(kind_bloom, Py_NewRef(args[2]));
-    Py_XSETREF(deque_type, Py_NewRef(args[3]));
-    Py_XSETREF(pause_meter_type, Py_NewRef(args[4]));
-    Py_XSETREF(byte_meter_type, Py_NewRef(args[5]));
+    Py_XSETREF(kind_pfc, Py_NewRef(args[2]));
+    Py_XSETREF(kind_bloom, Py_NewRef(args[3]));
+    Py_XSETREF(deque_type, Py_NewRef(args[4]));
+    Py_XSETREF(pause_meter_type, Py_NewRef(args[5]));
+    Py_XSETREF(byte_meter_type, Py_NewRef(args[6]));
     Py_RETURN_NONE;
 }
 
@@ -2428,11 +2492,17 @@ struct SwitchPlaneObject {
     double pfc_resume_ratio;
     char ecn_enabled;
     double ecn_kmin;
+    double ecn_kmax;
+    double ecn_pmax;
+    PyObject *ecn_rng;   /* the switch's random.Random, or NULL: call _maybe_mark_ecn */
     char int_enabled;
     /* ECMP memo: FlowKey address -> egress index; it holds a reference to
      * each key, so no address is reused while it is memoized. */
     imap_t memo;
     Py_ssize_t memo_limit;
+    PyObject *routes;    /* the switch's routes, or NULL: call _ecmp_pick */
+    PyObject *salt;      /* its _name_salt */
+    Py_hash_t salt_hash;
 };
 
 static PyTypeObject SwitchPlaneType;
@@ -2451,11 +2521,75 @@ memo_clear(SwitchPlaneObject *self)
     imap_free(&memo);
 }
 
-/* Egress interface of a packet: the memo, else the switch's egress_for. */
+/* hash((key, salt)) */
+static Py_hash_t
+ecmp_hash(SwitchPlaneObject *self, PyObject *key)
+{
+    PyObject *pair;
+    Py_hash_t h;
+    if (pair_hash_exact && Py_TYPE(key) == flowkey_class.type) {
+        PyObject *lane = cls_get(&flowkey_class, key, K_HASH);
+        if (lane == NULL)
+            return -1;
+        h = PyLong_AsSsize_t(lane);
+        Py_DECREF(lane);
+        if (h == -1 && PyErr_Occurred())
+            return -1;
+        return pair_hash(h == -1 ? -2 : h, self->salt_hash);
+    }
+    pair = PyTuple_Pack(2, key, self->salt);
+    if (pair == NULL)
+        return -1;
+    h = PyObject_Hash(pair);
+    Py_DECREF(pair);
+    return h;
+}
+
+/* Switch._ecmp_pick: choices[(hash((key, salt)) & 0x7FFFFFFF) % len(choices)]
+ * for the key's destination; a missing route (the KeyError) and a switch
+ * that replaces the method go through Python. */
+static Py_ssize_t
+plane_ecmp_pick(SwitchPlaneObject *self, PyObject *key)
+{
+    PyObject *dst, *choices, *choice = NULL;
+    Py_ssize_t n, egress;
+    if (self->routes != NULL) {
+        dst = cls_get(&flowkey_class, key, K_DST);
+        if (dst == NULL)
+            return -1;
+        choices = PyDict_GetItemWithError(self->routes, dst);
+        Py_DECREF(dst);
+        if (choices == NULL && PyErr_Occurred())
+            return -1;
+        Py_XINCREF(choices);
+        n = choices == NULL ? 0 : PySequence_Size(choices);
+        if (n == 1) {
+            choice = PySequence_GetItem(choices, 0);
+        }
+        else if (n > 1) {
+            Py_hash_t h = ecmp_hash(self, key);
+            if (h != -1 || !PyErr_Occurred())
+                choice = PySequence_GetItem(
+                    choices, (Py_ssize_t)(((Py_uhash_t)h & 0x7FFFFFFF) % (Py_uhash_t)n));
+        }
+        Py_XDECREF(choices);
+        if (n != 0 && choice == NULL)
+            return -1;
+    }
+    if (choice == NULL)
+        choice = PyObject_CallMethodOneArg(self->owner, str_ecmp_pick, key);
+    if (choice == NULL)
+        return -1;
+    egress = PyLong_AsSsize_t(choice);
+    Py_DECREF(choice);
+    return egress;
+}
+
+/* Egress interface of a packet: the memo, else the ECMP pick. */
 static Py_ssize_t
 plane_egress(SwitchPlaneObject *self, PyObject *packet)
 {
-    PyObject *key = pkt_get(packet, P_KEY), *res;
+    PyObject *key = pkt_get(packet, P_KEY);
     Py_ssize_t egress;
     long long found;
     if (key == NULL)
@@ -2464,13 +2598,7 @@ plane_egress(SwitchPlaneObject *self, PyObject *packet)
         Py_DECREF(key);
         return (Py_ssize_t)found;
     }
-    res = PyObject_CallMethodOneArg(self->owner, str_ecmp_pick, key);
-    if (res == NULL) {
-        Py_DECREF(key);
-        return -1;
-    }
-    egress = PyLong_AsSsize_t(res);
-    Py_DECREF(res);
+    egress = plane_ecmp_pick(self, key);
     if (egress == -1 && PyErr_Occurred()) {
         Py_DECREF(key);
         return -1;
@@ -2548,6 +2676,42 @@ plane_drop(SwitchPlaneObject *self, long long size)
     return 0;
 }
 
+/* Switch._maybe_mark_ecn, past the caller's kmin check: the RED marking
+ * probability of EcnConfig.marking_probability and one draw of the switch's
+ * random.Random only when it is positive. */
+static int
+plane_mark_ecn(SwitchPlaneObject *self, PyObject *packet, PyObject *port, long long backlog)
+{
+    PyObject *draw;
+    double prob, span, value;
+    if (self->ecn_rng == NULL) {
+        draw = call_method2(self->owner, str_maybe_mark_ecn, packet, port);
+        Py_XDECREF(draw);
+        return draw == NULL ? -1 : 0;
+    }
+    if ((double)backlog >= self->ecn_kmax) {
+        prob = 1.0;
+    }
+    else {
+        span = self->ecn_kmax - self->ecn_kmin;
+        prob = self->ecn_pmax * ((double)backlog - self->ecn_kmin) / (span > 1.0 ? span : 1.0);
+    }
+    if (!(prob > 0))
+        return 0;
+    draw = PyObject_CallMethodNoArgs(self->ecn_rng, str_random);
+    if (draw == NULL)
+        return -1;
+    value = PyFloat_AsDouble(draw);
+    Py_DECREF(draw);
+    if (value == -1.0 && PyErr_Occurred())
+        return -1;
+    if (!(value < prob))
+        return 0;
+    if (pkt_set(packet, P_ECN_MARKED, Py_True) < 0)
+        return -1;
+    return counter_add(self->counters, str_ecn_marked, 1);
+}
+
 /* Switch._admit_data. */
 static int
 plane_admit_data(SwitchPlaneObject *self, PyObject *packet, PyObject *in_index,
@@ -2592,12 +2756,9 @@ plane_admit_data(SwitchPlaneObject *self, PyObject *packet, PyObject *in_index,
             long long backlog;
             if (disc_backlog_bytes(discipline, &backlog) < 0)
                 goto error;
-            if ((double)backlog > self->ecn_kmin) {
-                PyObject *res = call_method2(self->owner, str_maybe_mark_ecn, packet, port);
-                if (res == NULL)
-                    goto error;
-                Py_DECREF(res);
-            }
+            if ((double)backlog > self->ecn_kmin &&
+                plane_mark_ecn(self, packet, port, backlog) < 0)
+                goto error;
         }
     }
     rc = disc_enqueue(discipline, packet, in_index);
@@ -2786,22 +2947,32 @@ SwitchPlane_clear_routes(SwitchPlaneObject *self, PyObject *Py_UNUSED(ignored))
     Py_RETURN_NONE;
 }
 
-/* configure(buffer, counters, pfc_sent, pfc, ecn, int_enabled, admit_override)
- * -- re-read whenever the switch rebinds one of them. */
+/* configure(buffer, counters, pfc_sent, pfc, ecn, int_enabled, admit_override,
+ * ecn_rng, routes, name_salt) -- re-read whenever the switch rebinds one of
+ * them.  ecn_rng None: the switch marks in its own _maybe_mark_ecn; routes
+ * None: it picks in its own _ecmp_pick. */
 static PyObject *
 SwitchPlane_configure(SwitchPlaneObject *self, PyObject *const *args,
                       Py_ssize_t nargs)
 {
     PyObject *pfc, *ecn, *value;
     double fraction, ratio;
-    double kmin = 0.0;
+    double kmin = 0.0, kmax = 0.0, pmax = 0.0;
+    Py_hash_t salt_hash;
     int pfc_enabled, ecn_enabled, int_enabled;
-    if (nargs != 7) {
+    if (nargs != 10) {
         PyErr_SetString(PyExc_TypeError,
-                        "configure(buffer, counters, pfc_sent, pfc, ecn, "
-                        "int_enabled, admit_override)");
+                        "configure(buffer, counters, pfc_sent, pfc, ecn, int_enabled, "
+                        "admit_override, ecn_rng, routes, name_salt)");
         return NULL;
     }
+    if (args[8] != Py_None && !PyDict_Check(args[8])) {
+        PyErr_SetString(PyExc_TypeError, "routes must be a dict");
+        return NULL;
+    }
+    salt_hash = PyObject_Hash(args[9]);
+    if (salt_hash == -1)
+        return NULL;
     if (!Buffer_Check(args[0])) {
         PyErr_SetString(PyExc_TypeError, "the compiled hop needs the compiled SharedBuffer");
         return NULL;
@@ -2834,6 +3005,8 @@ SwitchPlane_configure(SwitchPlaneObject *self, PyObject *const *args,
     READ_BOOL(ecn, "enabled", ecn_enabled)
     if (ecn_enabled) {
         READ_NUM(ecn, "kmin", kmin, PyFloat_AsDouble)
+        READ_NUM(ecn, "kmax", kmax, PyFloat_AsDouble)
+        READ_NUM(ecn, "pmax", pmax, PyFloat_AsDouble)
     }
 #undef READ_BOOL
 #undef READ_NUM
@@ -2851,7 +3024,13 @@ SwitchPlane_configure(SwitchPlaneObject *self, PyObject *const *args,
     self->pfc_resume_ratio = ratio;
     self->ecn_enabled = (char)ecn_enabled;
     self->ecn_kmin = kmin;
+    self->ecn_kmax = kmax;
+    self->ecn_pmax = pmax;
+    Py_XSETREF(self->ecn_rng, args[7] == Py_None ? NULL : Py_NewRef(args[7]));
     self->int_enabled = (char)int_enabled;
+    Py_XSETREF(self->routes, args[8] == Py_None ? NULL : Py_NewRef(args[8]));
+    Py_XSETREF(self->salt, Py_NewRef(args[9]));
+    self->salt_hash = salt_hash;
     Py_RETURN_NONE;
 }
 
@@ -2883,6 +3062,9 @@ SwitchPlane_traverse(SwitchPlaneObject *self, visitproc visit, void *arg)
     Py_VISIT(self->counters);
     Py_VISIT(self->pfc_sent);
     Py_VISIT(self->admit_override);
+    Py_VISIT(self->ecn_rng);
+    Py_VISIT(self->routes);
+    Py_VISIT(self->salt);
     return 0;
 }
 
@@ -2895,6 +3077,9 @@ SwitchPlane_clear(SwitchPlaneObject *self)
     Py_CLEAR(self->counters);
     Py_CLEAR(self->pfc_sent);
     Py_CLEAR(self->admit_override);
+    Py_CLEAR(self->ecn_rng);
+    Py_CLEAR(self->routes);
+    Py_CLEAR(self->salt);
     memo_clear(self);
     return 0;
 }
@@ -2917,7 +3102,7 @@ static PyMethodDef SwitchPlane_methods[] = {
     {"clear_routes", (PyCFunction)SwitchPlane_clear_routes, METH_NOARGS,
      "Forget every memoized ECMP pick."},
     {"configure", (PyCFunction)(void (*)(void))SwitchPlane_configure, METH_FASTCALL,
-     "Re-read the switch's buffer, counters, PFC/ECN/INT settings."},
+     "Re-read the switch's buffer, counters, PFC/ECN/INT settings and routes."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -3473,6 +3658,26 @@ static PyTypeObject DrrType = {
 
 static PyObject *str_pause_flow, *str_resume_flow, *str_randrange, *str_digest,
     *str_masks, *str_mask, *str_bits, *str_flow_table, *str_by_count;
+
+/* Does type keep base's methods of these names (no Python override)?
+ * 1, 0 or -1. */
+static int
+keeps_methods(PyTypeObject *type, PyTypeObject *base, const char *const *names, size_t n)
+{
+    size_t i;
+    for (i = 0; i < n; i++) {
+        PyObject *mine = PyObject_GetAttrString((PyObject *)base, names[i]);
+        PyObject *theirs = PyObject_GetAttrString((PyObject *)type, names[i]);
+        int same = mine == theirs;
+        Py_XDECREF(mine);
+        Py_XDECREF(theirs);
+        if (mine == NULL || theirs == NULL)
+            return -1;
+        if (!same)
+            return 0;
+    }
+    return 1;
+}
 
 /* A config attribute as a long long: its int value, or with truth set its
  * truth value (a bool knob). */
@@ -5334,25 +5539,10 @@ bfc_backlog(BfcDiscObject *d, long long *bytes)
 
 static int BfcDisc_clear(BfcDiscObject *self);
 
-/* Is every hot method of this object's type the compiled one? */
-static int
-bfc_own_hot_methods(PyObject *self)
-{
-    static const char *const names[] = {"enqueue", "dequeue", "has_backlog", "backlog_bytes"};
-    size_t i;
-    for (i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
-        PyObject *mine = PyObject_GetAttrString((PyObject *)&BfcDiscType, names[i]);
-        PyObject *theirs = PyObject_GetAttrString((PyObject *)Py_TYPE(self), names[i]);
-        int same = mine == theirs;
-        Py_XDECREF(mine);
-        Py_XDECREF(theirs);
-        if (mine == NULL || theirs == NULL)
-            return -1;
-        if (!same)
-            return 0;
-    }
-    return 1;
-}
+/* What a subclass must not override to be driven C to C. */
+static const char *const bfc_hot_methods[] = {"enqueue", "dequeue", "has_backlog",
+                                              "backlog_bytes"};
+
 
 static int
 BfcDisc_init(BfcDiscObject *self, PyObject *args, PyObject *kwds)
@@ -5429,7 +5619,8 @@ BfcDisc_init(BfcDiscObject *self, PyObject *args, PyObject *kwds)
     self->limit_resume_rate = (char)knobs[1];
     self->resumes_per_interval = knobs[2];
     self->pending_resumes = 0;
-    direct = bfc_own_hot_methods((PyObject *)self);
+    direct = keeps_methods(Py_TYPE(self), &BfcDiscType, bfc_hot_methods,
+                           sizeof(bfc_hot_methods) / sizeof(bfc_hot_methods[0]));
     if (direct < 0)
         return -1;
     self->direct = (char)direct;
@@ -5654,15 +5845,16 @@ static PyTypeObject BfcDiscType = {
  *
  * The transmit side (dequeue, the DRR probe, has_work_at, the pacing
  * wake-up), Host.build_data_packet, and the go-back-N receive path of
- * Host.handle_packet for DATA and ACK packets, with the batched control
- * flush into the port.  The NIC's state stays where the Python classes
- * keep it -- the flow dict, the SenderFlowState / ReceiverFlowState slots,
- * the host's instance dict -- so the Python methods around it (add_flow,
- * revive, start_flow, the RTO, BFC's on_bloom) work unchanged.  The
- * congestion control hooks the module overrides (an inherited no-op is
- * skipped), the window of a windowed host, flow completion, CNPs,
- * tombstoned receivers, selective repeat and every other packet kind call
- * back into Python.
+ * Host.handle_packet for DATA, ACK and CNP packets (with the rate-limited
+ * CNP a marked packet asks for), with the batched control flush into the
+ * port.  The NIC's state stays where the Python classes keep it -- the
+ * flow dict, the SenderFlowState / ReceiverFlowState slots, the host's
+ * instance dict -- so the Python methods around it (add_flow, revive,
+ * start_flow, the RTO, BFC's on_bloom) work unchanged.  A compiled DCQCN
+ * module is driven C to C; the hooks any other module overrides (an
+ * inherited no-op is skipped), the window of a windowed host, flow
+ * completion, tombstoned receivers, selective repeat and every other
+ * packet kind call back into Python.
  * ===================================================================== */
 
 enum {
@@ -5722,43 +5914,79 @@ static slot_class receiver_class = {R_NSLOTS, receiver_slot_names, receiver_slot
 #define rs_ll(obj, slot, out) cls_ll(&receiver_class, (obj), (slot), (out))
 
 /* Set by bind_host(). */
-static PyObject *kind_data, *kind_ack, *kind_nack;
+static PyObject *kind_data, *kind_ack, *kind_nack, *kind_cnp;
 /* The hooks CongestionControl defines as no-ops (rate_bps: the line rate). */
 static PyObject *cc_noop_on_ack, *cc_noop_on_packet_sent, *cc_noop_rate_bps;
-static long long header_size, ack_size, nack_size;
+/* Host's own CNP methods: a host class that replaces one keeps it. */
+static PyObject *host_handle_cnp, *host_maybe_send_cnp;
+static long long header_size, ack_size, nack_size, cnp_size, cnp_interval_ns;
 
+static int
+module_ll(PyObject *module, const char *name, long long *out)
+{
+    PyObject *value = PyObject_GetAttrString(module, name);
+    if (value == NULL)
+        return -1;
+    *out = PyLong_AsLongLong(value);
+    Py_DECREF(value);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* bind_host(repro.sim.host, repro.sim.packet): the flow-state classes, the
+ * no-op hooks, Host's CNP methods, the packet kinds and sizes and the CNP
+ * interval the compiled NIC reads and builds. */
 static PyObject *
 bind_host(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    long long sizes[3];
+    PyObject *host_mod, *packet_mod, *sender = NULL, *receiver = NULL, *cc = NULL,
+             *host = NULL, *kinds = NULL, *result = NULL;
+    PyObject **hooks[] = {&cc_noop_on_ack, &cc_noop_on_packet_sent, &cc_noop_rate_bps};
+    const char *hook_names[] = {"on_ack", "on_packet_sent", "rate_bps"};
+    PyObject **kind_slots[] = {&kind_data, &kind_ack, &kind_nack, &kind_cnp};
+    const char *kind_names[] = {"DATA", "ACK", "NACK", "CNP"};
     int i;
-    if (nargs != 9 || !PyType_Check(args[2])) {
-        PyErr_SetString(PyExc_TypeError,
-                        "bind_host expects (SenderFlowState, ReceiverFlowState, "
-                        "CongestionControl, PacketKind.DATA, PacketKind.ACK, "
-                        "PacketKind.NACK, DATA_HEADER_SIZE, ACK_SIZE, NACK_SIZE)");
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "bind_host expects (repro.sim.host, repro.sim.packet)");
         return NULL;
     }
+    host_mod = args[0];
+    packet_mod = args[1];
+    if (module_ll(packet_mod, "DATA_HEADER_SIZE", &header_size) < 0 ||
+        module_ll(packet_mod, "ACK_SIZE", &ack_size) < 0 ||
+        module_ll(packet_mod, "NACK_SIZE", &nack_size) < 0 ||
+        module_ll(packet_mod, "CNP_SIZE", &cnp_size) < 0 ||
+        module_ll(host_mod, "CNP_INTERVAL_NS", &cnp_interval_ns) < 0)
+        return NULL;
+    sender = PyObject_GetAttrString(host_mod, "SenderFlowState");
+    receiver = PyObject_GetAttrString(host_mod, "ReceiverFlowState");
+    cc = PyObject_GetAttrString(host_mod, "CongestionControl");
+    host = PyObject_GetAttrString(host_mod, "Host");
+    kinds = PyObject_GetAttrString(packet_mod, "PacketKind");
+    if (sender == NULL || receiver == NULL || cc == NULL || host == NULL || kinds == NULL ||
+        slot_class_bind(&sender_class, sender) < 0 ||
+        slot_class_bind(&receiver_class, receiver) < 0)
+        goto done;
     for (i = 0; i < 3; i++) {
-        sizes[i] = PyLong_AsLongLong(args[6 + i]);
-        if (sizes[i] == -1 && PyErr_Occurred())
-            return NULL;
+        Py_XSETREF(*hooks[i], PyObject_GetAttrString(cc, hook_names[i]));
+        if (*hooks[i] == NULL)
+            goto done;
     }
-    if (slot_class_bind(&sender_class, args[0]) < 0 ||
-        slot_class_bind(&receiver_class, args[1]) < 0)
-        return NULL;
-    Py_XSETREF(cc_noop_on_ack, PyObject_GetAttrString(args[2], "on_ack"));
-    Py_XSETREF(cc_noop_on_packet_sent, PyObject_GetAttrString(args[2], "on_packet_sent"));
-    Py_XSETREF(cc_noop_rate_bps, PyObject_GetAttrString(args[2], "rate_bps"));
-    if (cc_noop_on_ack == NULL || cc_noop_on_packet_sent == NULL || cc_noop_rate_bps == NULL)
-        return NULL;
-    Py_XSETREF(kind_data, Py_NewRef(args[3]));
-    Py_XSETREF(kind_ack, Py_NewRef(args[4]));
-    Py_XSETREF(kind_nack, Py_NewRef(args[5]));
-    header_size = sizes[0];
-    ack_size = sizes[1];
-    nack_size = sizes[2];
-    Py_RETURN_NONE;
+    for (i = 0; i < 4; i++) {
+        Py_XSETREF(*kind_slots[i], PyObject_GetAttrString(kinds, kind_names[i]));
+        if (*kind_slots[i] == NULL)
+            goto done;
+    }
+    Py_XSETREF(host_handle_cnp, PyObject_GetAttrString(host, "_handle_cnp"));
+    Py_XSETREF(host_maybe_send_cnp, PyObject_GetAttrString(host, "_maybe_send_cnp"));
+    if (host_handle_cnp != NULL && host_maybe_send_cnp != NULL)
+        result = Py_NewRef(Py_None);
+done:
+    Py_XDECREF(sender);
+    Py_XDECREF(receiver);
+    Py_XDECREF(cc);
+    Py_XDECREF(host);
+    Py_XDECREF(kinds);
+    return result;
 }
 
 /* A new Packet with Packet.__init__'s defaults: what Packet(kind=kind,
@@ -5826,6 +6054,8 @@ struct NicObject {
     PyObject *host_dict;
     EventHeapObject *sim;
     PyObject *py_handle;    /* type(host).handle_packet: the cold receive paths */
+    char own_handle_cnp;    /* type(host) keeps Host._handle_cnp ... */
+    char own_send_cnp;      /* ... and Host._maybe_send_cnp */
     /* The fields of the host's (frozen) HostConfig, for as long as it is bound. */
     PyObject *config;
     long long cfg_mtu;
@@ -5842,7 +6072,7 @@ static PyObject *str_receivers, *str_selective, *str_cv, *str_pending_control,
     *str_size, *str_first_tx_ns, *str_retransmitted_packets, *str_reversed_slot,
     *str_reversed, *str_src, *str_data_packets_received, *str_out_of_order_packets,
     *str_duplicate_packets, *str_acks_sent, *str_nacks_sent, *str_data_packets_sent,
-    *str_selective_retransmissions;
+    *str_selective_retransmissions, *str_handle_cnp, *str_cnps_sent, *str_cnps_received;
 
 /* A borrowed entry of the host's instance dict (NULL with an exception). */
 static PyObject *
@@ -6221,12 +6451,499 @@ cc_hook(PyObject *cc, PyObject *name, PyObject *noop, int *failed)
     return hook;
 }
 
+/* -- DCQCN: the sender's rate machine (repro.congestion.dcqcn) ---------
+ *
+ * DcqcnControl is the C base of the compiled plane's twins of DcqcnControl
+ * and DcqcnWindowedControl (repro.sim.plane); DcqcnFlow is the per-flow
+ * state they keep at fstate.cc_state["dcqcn"], with _DcqcnFlow's fields.
+ * The lazy advance is the Python one statement for statement --
+ * (1-g)**periods through pow(), floor division for the timer and the byte
+ * counter, Python's min and max -- so both planes hold the same doubles.
+ * The compiled NIC calls rate_bps, on_packet_sent and on_cnp C to C; a
+ * twin whose type or instance replaces one of them is called in Python. */
+
+typedef struct {
+    PyObject_HEAD
+    double rate;
+    double target_rate;
+    double alpha;
+    long long last_decrease_ns;
+    long long last_alpha_update_ns;
+    long long bytes_since_decrease;
+    long long bc_events_applied;
+    long long timer_events_applied;
+    char ever_decreased;
+} DcqcnFlowObject;
+
+static PyTypeObject DcqcnFlowType;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *config;
+    double line_rate_bps;
+    double min_rate;
+    double rate_ai;
+    double rate_hai;
+    /* The fields of the (frozen) DcqcnConfig, read when config is set. */
+    double g;
+    double initial_alpha;
+    long long alpha_timer_ns;
+    long long increase_timer_ns;
+    long long byte_counter_bytes;
+    long long fast_recovery_rounds;
+    char direct; /* the type keeps every compiled hot method */
+} DcqcnObject;
+
+static PyTypeObject DcqcnType;
+static PyObject *str_dcqcn, *str_on_cnp;
+
+/* Python's min(a, b) and max(a, b) of two floats: the first unless the
+ * second is strictly smaller (larger). */
+static inline double
+py_min(double a, double b)
+{
+    return b < a ? b : a;
+}
+
+static inline double
+py_max(double a, double b)
+{
+    return b > a ? b : a;
+}
+
+/* Python's a // b for b > 0. */
+static inline long long
+floor_div(long long a, long long b)
+{
+    long long q = a / b;
+    return (a % b != 0 && a < 0) ? q - 1 : q;
+}
+
+#define FLOW_MEMBER(name, kind) {#name, kind, offsetof(DcqcnFlowObject, name), 0, NULL}
+static PyMemberDef DcqcnFlow_members[] = {
+    FLOW_MEMBER(rate, T_DOUBLE),
+    FLOW_MEMBER(target_rate, T_DOUBLE),
+    FLOW_MEMBER(alpha, T_DOUBLE),
+    FLOW_MEMBER(last_decrease_ns, T_LONGLONG),
+    FLOW_MEMBER(last_alpha_update_ns, T_LONGLONG),
+    FLOW_MEMBER(bytes_since_decrease, T_LONGLONG),
+    FLOW_MEMBER(bc_events_applied, T_LONGLONG),
+    FLOW_MEMBER(timer_events_applied, T_LONGLONG),
+    FLOW_MEMBER(ever_decreased, T_BOOL),
+    {NULL},
+};
+#undef FLOW_MEMBER
+
+static PyTypeObject DcqcnFlowType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.DcqcnFlow",
+    .tp_basicsize = sizeof(DcqcnFlowObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Per-flow DCQCN state (repro.congestion.dcqcn._DcqcnFlow) in C; "
+              "a compiled DcqcnControl makes it.",
+    .tp_members = DcqcnFlow_members,
+};
+
+/* DcqcnControl._apply_increase. */
+static void
+dcqcn_apply_increase(DcqcnObject *cc, DcqcnFlowObject *st)
+{
+    long long bc = st->bc_events_applied, ti = st->timer_events_applied;
+    long long most = bc > ti ? bc : ti, least = bc < ti ? bc : ti;
+    if (most < cc->fast_recovery_rounds)
+        ; /* fast recovery: only average toward the target rate */
+    else if (least < cc->fast_recovery_rounds)
+        st->target_rate = py_min(cc->line_rate_bps, st->target_rate + cc->rate_ai);
+    else
+        st->target_rate = py_min(cc->line_rate_bps, st->target_rate + cc->rate_hai);
+    st->rate = py_min(cc->line_rate_bps, (st->rate + st->target_rate) / 2.0);
+}
+
+/* DcqcnControl._advance. */
+static void
+dcqcn_advance(DcqcnObject *cc, DcqcnFlowObject *st, long long now)
+{
+    long long periods = floor_div(now - st->last_alpha_update_ns, cc->alpha_timer_ns);
+    long long timer_events, bc_events;
+    if (periods > 0) {
+        st->alpha *= pow(1.0 - cc->g, (double)periods);
+        st->last_alpha_update_ns += periods * cc->alpha_timer_ns;
+    }
+    if (!st->ever_decreased)
+        return;
+    timer_events = floor_div(now - st->last_decrease_ns, cc->increase_timer_ns);
+    bc_events = floor_div(st->bytes_since_decrease, cc->byte_counter_bytes);
+    while (st->timer_events_applied < timer_events || st->bc_events_applied < bc_events) {
+        if (st->timer_events_applied < timer_events)
+            st->timer_events_applied++;
+        else
+            st->bc_events_applied++;
+        dcqcn_apply_increase(cc, st);
+    }
+}
+
+/* fstate.cc_state.get("dcqcn") as a borrowed DcqcnFlow, or NULL: *failed
+ * tells an error from a flow with no state yet. */
+static DcqcnFlowObject *
+dcqcn_lookup(PyObject *fstate, int *failed)
+{
+    PyObject *states = fs_get(fstate, S_CC_STATE), *state;
+    *failed = 1;
+    if (states == NULL)
+        return NULL;
+    if (!PyDict_Check(states)) {
+        PyErr_SetString(PyExc_TypeError, "cc_state must be a dict");
+        Py_DECREF(states);
+        return NULL;
+    }
+    state = PyDict_GetItemWithError(states, str_dcqcn);
+    Py_DECREF(states); /* the flow keeps its dict, and so the state */
+    if (state == NULL || state == Py_None) {
+        *failed = PyErr_Occurred() != NULL;
+        return NULL;
+    }
+    if (Py_TYPE(state) != &DcqcnFlowType) {
+        PyErr_SetString(PyExc_TypeError, "a compiled DCQCN keeps DcqcnFlow states");
+        return NULL;
+    }
+    *failed = 0;
+    return (DcqcnFlowObject *)state;
+}
+
+/* Has the twin's __init__ set a config with positive timers? */
+static int
+dcqcn_ready(DcqcnObject *cc)
+{
+    if (cc->config == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "the DCQCN module has no config");
+        return -1;
+    }
+    if (cc->alpha_timer_ns <= 0 || cc->increase_timer_ns <= 0 || cc->byte_counter_bytes <= 0) {
+        PyErr_SetString(PyExc_ValueError, "timers and byte counter must be positive");
+        return -1;
+    }
+    return 0;
+}
+
+/* DcqcnControl._state: the flow's state, made at now when it has none
+ * (borrowed; fstate.cc_state keeps it). */
+static DcqcnFlowObject *
+dcqcn_state(DcqcnObject *cc, PyObject *fstate, long long now)
+{
+    PyObject *states;
+    DcqcnFlowObject *state;
+    int failed, rc;
+    if (dcqcn_ready(cc) < 0)
+        return NULL;
+    state = dcqcn_lookup(fstate, &failed);
+    if (state != NULL || failed)
+        return state;
+    state = PyObject_New(DcqcnFlowObject, &DcqcnFlowType);
+    if (state == NULL)
+        return NULL;
+    /* _DcqcnFlow.__init__ */
+    state->rate = state->target_rate = cc->line_rate_bps;
+    state->alpha = cc->initial_alpha;
+    state->last_decrease_ns = state->last_alpha_update_ns = now;
+    state->bytes_since_decrease = state->bc_events_applied = state->timer_events_applied = 0;
+    state->ever_decreased = 0;
+    states = fs_get(fstate, S_CC_STATE);
+    rc = states == NULL ? -1 : PyDict_SetItem(states, str_dcqcn, (PyObject *)state);
+    Py_XDECREF(states);
+    Py_DECREF(state);
+    return rc < 0 ? NULL : state;
+}
+
+/* DcqcnControl.on_packet_sent of a packet of size bytes. */
+static int
+dcqcn_on_sent(DcqcnObject *cc, PyObject *fstate, long long size, long long now)
+{
+    DcqcnFlowObject *st = dcqcn_state(cc, fstate, now);
+    if (st == NULL)
+        return -1;
+    st->bytes_since_decrease += size;
+    dcqcn_advance(cc, st, now);
+    return 0;
+}
+
+/* DcqcnControl.on_cnp. */
+static int
+dcqcn_on_cnp(DcqcnObject *cc, PyObject *fstate, long long now)
+{
+    DcqcnFlowObject *st = dcqcn_state(cc, fstate, now);
+    if (st == NULL)
+        return -1;
+    dcqcn_advance(cc, st, now);
+    st->target_rate = st->rate;
+    st->rate = py_max(cc->min_rate, st->rate * (1.0 - st->alpha / 2.0));
+    st->alpha = (1.0 - cc->g) * st->alpha + cc->g;
+    st->last_alpha_update_ns = now;
+    st->last_decrease_ns = now;
+    st->bytes_since_decrease = 0;
+    st->bc_events_applied = 0;
+    st->timer_events_applied = 0;
+    st->ever_decreased = 1;
+    return 0;
+}
+
+/* DcqcnControl.rate_bps. */
+static int
+dcqcn_rate(DcqcnObject *cc, PyObject *fstate, double *out)
+{
+    int failed;
+    DcqcnFlowObject *st;
+    if (dcqcn_ready(cc) < 0)
+        return -1;
+    st = dcqcn_lookup(fstate, &failed);
+    if (failed)
+        return -1;
+    *out = st == NULL ? cc->line_rate_bps
+                      : py_max(cc->min_rate, py_min(cc->line_rate_bps, st->rate));
+    return 0;
+}
+
+/* cc as a compiled DCQCN the NIC may call C to C, or NULL (and no error
+ * unless *failed): neither its type nor its instance dict replaces a hot
+ * method. */
+static DcqcnObject *
+dcqcn_direct(PyObject *cc, int *failed)
+{
+    PyObject *const names[] = {str_rate_bps, str_on_packet_sent, str_on_cnp};
+    PyObject *dict;
+    size_t i;
+    int replaced = 0;
+    *failed = 0;
+    if (!PyObject_TypeCheck(cc, &DcqcnType) || !((DcqcnObject *)cc)->direct)
+        return NULL;
+    if (Py_TYPE(cc)->tp_dictoffset == 0)
+        return (DcqcnObject *)cc;
+    dict = PyObject_GenericGetDict(cc, NULL);
+    if (dict == NULL) {
+        *failed = 1;
+        return NULL;
+    }
+    /* A plain twin's dict is empty: its attributes are the C members. */
+    for (i = 0; PyDict_GET_SIZE(dict) > 0 && i < sizeof(names) / sizeof(names[0]); i++) {
+        if (PyDict_GetItemWithError(dict, names[i]) != NULL || PyErr_Occurred()) {
+            replaced = 1;
+            break;
+        }
+    }
+    Py_DECREF(dict);
+    *failed = PyErr_Occurred() != NULL;
+    return replaced ? NULL : (DcqcnObject *)cc;
+}
+
+/* -- The Python face ------------------------------------------------------ */
+
+static int
+time_arg(PyObject *obj, long long *out)
+{
+    *out = PyLong_AsLongLong(obj);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static PyObject *
+Dcqcn_on_flow_start(DcqcnObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long now;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "on_flow_start(fstate, now_ns)");
+        return NULL;
+    }
+    if (time_arg(args[1], &now) < 0 || dcqcn_state(self, args[0], now) == NULL)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Dcqcn_on_packet_sent(DcqcnObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long now, size;
+    PyObject *size_obj;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "on_packet_sent(fstate, packet, now_ns)");
+        return NULL;
+    }
+    if (time_arg(args[2], &now) < 0)
+        return NULL;
+    size_obj = PyObject_GetAttr(args[1], str_size);
+    if (size_obj == NULL)
+        return NULL;
+    size = PyLong_AsLongLong(size_obj);
+    Py_DECREF(size_obj);
+    if ((size == -1 && PyErr_Occurred()) || dcqcn_on_sent(self, args[0], size, now) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Dcqcn_on_cnp(DcqcnObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long now;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "on_cnp(fstate, now_ns)");
+        return NULL;
+    }
+    if (time_arg(args[1], &now) < 0 || dcqcn_on_cnp(self, args[0], now) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Dcqcn_rate_bps(DcqcnObject *self, PyObject *fstate)
+{
+    double rate;
+    if (dcqcn_rate(self, fstate, &rate) < 0)
+        return NULL;
+    return PyFloat_FromDouble(rate);
+}
+
+static PyObject *
+Dcqcn_state(DcqcnObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long now;
+    PyObject *state;
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "_state(fstate, now_ns)");
+        return NULL;
+    }
+    if (time_arg(args[1], &now) < 0)
+        return NULL;
+    state = (PyObject *)dcqcn_state(self, args[0], now);
+    return state == NULL ? NULL : Py_NewRef(state);
+}
+
+static PyObject *
+Dcqcn_get_config(DcqcnObject *self, void *closure)
+{
+    return Py_NewRef(self->config != NULL ? self->config : Py_None);
+}
+
+/* Setting config reads its fields: the timers, the byte counter and the
+ * fast-recovery rounds as ints, g and initial_alpha as floats. */
+static int
+Dcqcn_set_config(DcqcnObject *self, PyObject *config, void *closure)
+{
+    long long ints[4];
+    double floats[2];
+    static const char *const float_names[] = {"g", "initial_alpha"};
+    int i;
+    if (config == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete config");
+        return -1;
+    }
+    if (config_ll(config, "alpha_timer_ns", 0, &ints[0]) < 0 ||
+        config_ll(config, "increase_timer_ns", 0, &ints[1]) < 0 ||
+        config_ll(config, "byte_counter_bytes", 0, &ints[2]) < 0 ||
+        config_ll(config, "fast_recovery_rounds", 0, &ints[3]) < 0)
+        return -1;
+    for (i = 0; i < 2; i++) {
+        PyObject *value = PyObject_GetAttrString(config, float_names[i]);
+        if (value == NULL)
+            return -1;
+        floats[i] = PyFloat_AsDouble(value);
+        Py_DECREF(value);
+        if (floats[i] == -1.0 && PyErr_Occurred())
+            return -1;
+    }
+    Py_XSETREF(self->config, Py_NewRef(config));
+    self->alpha_timer_ns = ints[0];
+    self->increase_timer_ns = ints[1];
+    self->byte_counter_bytes = ints[2];
+    self->fast_recovery_rounds = ints[3];
+    self->g = floats[0];
+    self->initial_alpha = floats[1];
+    return 0;
+}
+
+static PyObject *
+Dcqcn_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static const char *const hot[] = {"on_flow_start", "on_packet_sent", "on_cnp",
+                                      "rate_bps", "_state"};
+    DcqcnObject *self;
+    int direct = keeps_methods(type, &DcqcnType, hot, sizeof(hot) / sizeof(hot[0]));
+    if (direct < 0)
+        return NULL;
+    self = (DcqcnObject *)PyType_GenericNew(type, args, kwds);
+    if (self != NULL)
+        self->direct = (char)direct;
+    return (PyObject *)self;
+}
+
+static int
+Dcqcn_traverse(DcqcnObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->config);
+    return 0;
+}
+
+static int
+Dcqcn_clear(DcqcnObject *self)
+{
+    Py_CLEAR(self->config);
+    return 0;
+}
+
+static void
+Dcqcn_dealloc(DcqcnObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    Dcqcn_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+#define FASTCALL(fn) (PyCFunction)(void (*)(void))(fn), METH_FASTCALL
+static PyMethodDef Dcqcn_methods[] = {
+    {"on_flow_start", FASTCALL(Dcqcn_on_flow_start), "DcqcnControl.on_flow_start in C."},
+    {"on_packet_sent", FASTCALL(Dcqcn_on_packet_sent), "DcqcnControl.on_packet_sent in C."},
+    {"on_cnp", FASTCALL(Dcqcn_on_cnp), "DcqcnControl.on_cnp in C."},
+    {"rate_bps", (PyCFunction)Dcqcn_rate_bps, METH_O, "DcqcnControl.rate_bps in C."},
+    {"_state", FASTCALL(Dcqcn_state), "The flow's DcqcnFlow, made when it has none."},
+    {NULL, NULL, 0, NULL},
+};
+#undef FASTCALL
+
+#define CC_DOUBLE(name) {#name, T_DOUBLE, offsetof(DcqcnObject, name), 0, NULL}
+static PyMemberDef Dcqcn_members[] = {
+    CC_DOUBLE(line_rate_bps),
+    CC_DOUBLE(min_rate),
+    CC_DOUBLE(rate_ai),
+    CC_DOUBLE(rate_hai),
+    {NULL},
+};
+#undef CC_DOUBLE
+
+static PyGetSetDef Dcqcn_getset[] = {
+    {"config", (getter)Dcqcn_get_config, (setter)Dcqcn_set_config,
+     "The DcqcnConfig; setting it reads its fields.", NULL},
+    {NULL},
+};
+
+static PyTypeObject DcqcnType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.DcqcnControl",
+    .tp_basicsize = sizeof(DcqcnObject),
+    .tp_dealloc = (destructor)Dcqcn_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "The DCQCN sender's hot methods and parameters (compiled plane); "
+              "the Python DcqcnControl it is mixed into initialises it.",
+    .tp_traverse = (traverseproc)Dcqcn_traverse,
+    .tp_clear = (inquiry)Dcqcn_clear,
+    .tp_methods = Dcqcn_methods,
+    .tp_members = Dcqcn_members,
+    .tp_getset = Dcqcn_getset,
+    .tp_new = Dcqcn_new,
+};
+
 /* Host.build_data_packet. */
 static PyObject *
 nic_build(NicObject *self, PyObject *fstate)
 {
     PyObject *flow = NULL, *now_obj, *seq_obj = NULL, *packet = NULL, *value, *cv;
     PyObject *cc, *hook, *rate_obj = NULL, *res;
+    DcqcnObject *dcqcn = NULL;
     long long now, seq, num_packets, payload, size, allowed, pace;
     double rate, uplink;
     Py_ssize_t retransmits;
@@ -6313,7 +7030,8 @@ nic_build(NicObject *self, PyObject *fstate)
     if (rc < 0)
         goto error;
     /* The rate: the cc module's, capped by the uplink (an inherited
-     * CongestionControl.rate_bps is its line rate, read without the call). */
+     * CongestionControl.rate_bps is its line rate, read without the call;
+     * a compiled DCQCN's is read C to C). */
     cc = host_attr(self, str_cc);
     value = host_attr(self, str_uplink_rate);
     if (cc == NULL || value == NULL)
@@ -6326,22 +7044,33 @@ nic_build(NicObject *self, PyObject *fstate)
     if (has_cc < 0)
         goto error_cc;
     if (has_cc) {
-        hook = cc_hook(cc, str_rate_bps, cc_noop_rate_bps, &failed);
+        dcqcn = dcqcn_direct(cc, &failed);
         if (failed)
             goto error_cc;
-        rate_obj = hook == NULL ? PyObject_GetAttr(cc, str_line_rate_bps)
-                                : PyObject_CallOneArg(hook, fstate);
-        Py_XDECREF(hook);
+    }
+    if (dcqcn != NULL) {
+        if (dcqcn_rate(dcqcn, fstate, &rate) < 0)
+            goto error_cc;
     }
     else {
-        rate_obj = Py_NewRef(value);
+        if (has_cc) {
+            hook = cc_hook(cc, str_rate_bps, cc_noop_rate_bps, &failed);
+            if (failed)
+                goto error_cc;
+            rate_obj = hook == NULL ? PyObject_GetAttr(cc, str_line_rate_bps)
+                                    : PyObject_CallOneArg(hook, fstate);
+            Py_XDECREF(hook);
+        }
+        else {
+            rate_obj = Py_NewRef(value);
+        }
+        if (rate_obj == NULL)
+            goto error_cc;
+        rate = PyFloat_AsDouble(rate_obj);
+        Py_DECREF(rate_obj);
+        if (rate == -1.0 && PyErr_Occurred())
+            goto error_cc;
     }
-    if (rate_obj == NULL)
-        goto error_cc;
-    rate = PyFloat_AsDouble(rate_obj);
-    Py_DECREF(rate_obj);
-    if (rate == -1.0 && PyErr_Occurred())
-        goto error_cc;
     /* max(1.0, min(rate, uplink_rate)), as Python's min/max pick. */
     if (uplink < rate)
         rate = uplink;
@@ -6355,7 +7084,14 @@ nic_build(NicObject *self, PyObject *fstate)
     if (fs_ll(fstate, S_NEXT_ALLOWED_NS, &allowed) < 0 ||
         cls_set_ll(&sender_class, fstate, S_NEXT_ALLOWED_NS, (allowed > now ? allowed : now) + pace) < 0)
         goto error_cc;
-    hook = has_cc ? cc_hook(cc, str_on_packet_sent, cc_noop_on_packet_sent, &failed) : NULL;
+    if (dcqcn != NULL) {
+        if (dcqcn_on_sent(dcqcn, fstate, size, now) < 0)
+            goto error_cc;
+        hook = NULL;
+    }
+    else {
+        hook = has_cc ? cc_hook(cc, str_on_packet_sent, cc_noop_on_packet_sent, &failed) : NULL;
+    }
     if (hook != NULL) {
         PyObject *stack[3] = {fstate, packet, now_obj};
         res = PyObject_Vectorcall(hook, stack, 3, NULL);
@@ -6555,6 +7291,48 @@ nic_send_nack(NicObject *self, PyObject *packet, PyObject *rstate, PyObject *exp
     return counter_add(cv, str_nacks_sent, 1);
 }
 
+/* Is the host's method name replaced on the instance?  1, 0 or -1. */
+static int
+host_replaces(NicObject *self, PyObject *name)
+{
+    if (PyDict_GetItemWithError(self->host_dict, name) != NULL)
+        return 1;
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* Host._maybe_send_cnp: at most one CNP per flow per CNP_INTERVAL_NS. */
+static int
+nic_maybe_send_cnp(NicObject *self, PyObject *packet, PyObject *rstate, PyObject *cv)
+{
+    PyObject *cnp, *now_obj, *res;
+    long long last;
+    int rc = self->own_send_cnp ? host_replaces(self, str_maybe_send_cnp) : 1;
+    if (rc < 0)
+        return -1;
+    if (rc) {
+        res = call_method2(self->host, str_maybe_send_cnp, packet, rstate);
+        Py_XDECREF(res);
+        return res == NULL ? -1 : 0;
+    }
+    if (rs_ll(rstate, R_LAST_CNP_NS, &last) < 0)
+        return -1;
+    if (self->sim->now - last < cnp_interval_ns)
+        return 0;
+    now_obj = heap_now_obj(self->sim);
+    rc = now_obj == NULL ? -1 : rs_set(rstate, R_LAST_CNP_NS, now_obj);
+    Py_XDECREF(now_obj);
+    if (rc < 0)
+        return -1;
+    cnp = answer_frame(self, packet, kind_cnp, cnp_size, int_zero);
+    if (cnp == NULL)
+        return -1;
+    rc = host_queue_control(self, cnp);
+    Py_DECREF(cnp);
+    if (rc < 0)
+        return -1;
+    return counter_add(cv, str_cnps_sent, 1);
+}
+
 /* Host._handle_data for a go-back-N receiver that is not a tombstone. */
 static int
 nic_receive_data(NicObject *self, PyObject *packet, PyObject *rstate)
@@ -6592,14 +7370,8 @@ nic_receive_data(NicObject *self, PyObject *packet, PyObject *rstate)
         Py_INCREF(rstate);
     }
     rc = pkt_truth(packet, P_ECN_MARKED);
-    if (rc < 0)
+    if (rc < 0 || (rc && nic_maybe_send_cnp(self, packet, rstate, cv) < 0))
         goto error;
-    if (rc) {
-        res = call_method2(self->host, str_maybe_send_cnp, packet, rstate);
-        if (res == NULL)
-            goto error;
-        Py_DECREF(res);
-    }
     if (pkt_ll(packet, P_SEQ, &seq) < 0 || rs_ll(rstate, R_EXPECTED_SEQ, &expected_seq) < 0)
         goto error;
     if (seq == expected_seq) {
@@ -6764,8 +7536,54 @@ error:
     return -1;
 }
 
-/* Host.handle_packet: DATA to a go-back-N receiver and ACK of a flow with no
- * queued retransmissions here, everything else in Python. */
+/* Host._handle_cnp: a compiled DCQCN reacts C to C, any other module in
+ * Python. */
+static int
+nic_receive_cnp(NicObject *self, PyObject *packet)
+{
+    PyObject *flow_id = pkt_get(packet, P_FLOW_ID), *fstate, *cc, *cv;
+    DcqcnObject *dcqcn;
+    int has_cc, failed, rc = -1;
+    if (flow_id == NULL)
+        return -1;
+    fstate = PyDict_GetItemWithError(self->flows, flow_id);
+    Py_DECREF(flow_id);
+    if (fstate == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    Py_INCREF(fstate);
+    cc = host_attr(self, str_cc);
+    if (cc == NULL)
+        goto done;
+    Py_INCREF(cc);
+    has_cc = cc == Py_None ? 0 : PyObject_IsTrue(cc);
+    if (has_cc > 0) {
+        dcqcn = dcqcn_direct(cc, &failed);
+        if (dcqcn != NULL) {
+            has_cc = dcqcn_on_cnp(dcqcn, fstate, self->sim->now);
+        }
+        else if (failed) {
+            has_cc = -1;
+        }
+        else {
+            PyObject *now = heap_now_obj(self->sim);
+            PyObject *res = now == NULL ? NULL : call_method2(cc, str_on_cnp, fstate, now);
+            Py_XDECREF(now);
+            Py_XDECREF(res);
+            has_cc = res == NULL ? -1 : 0;
+        }
+    }
+    Py_DECREF(cc);
+    if (has_cc < 0)
+        goto done;
+    cv = host_attr(self, str_cv);
+    rc = cv == NULL ? -1 : counter_add(cv, str_cnps_received, 1);
+done:
+    Py_DECREF(fstate);
+    return rc;
+}
+
+/* Host.handle_packet: DATA to a go-back-N receiver, ACK of a flow with no
+ * queued retransmissions and CNP here, everything else in Python. */
 static int
 nic_receive(NicObject *self, PyObject *packet, PyObject *iface_index)
 {
@@ -6817,6 +7635,13 @@ nic_receive(NicObject *self, PyObject *packet, PyObject *iface_index)
             return -1;
         if (handled)
             return host_flush(self);
+    }
+    else if (kind == kind_cnp && self->own_handle_cnp) {
+        rc = host_replaces(self, str_handle_cnp);
+        if (rc < 0)
+            return -1;
+        if (rc == 0)
+            return nic_receive_cnp(self, packet) < 0 ? -1 : host_flush(self);
     }
     stack[0] = self->host;
     stack[1] = packet;
@@ -6903,7 +7728,7 @@ Nic_get_host(NicObject *self, void *closure)
 static int
 Nic_set_host(NicObject *self, PyObject *host, void *closure)
 {
-    PyObject *host_dict, *sim, *handle;
+    PyObject *host_dict, *sim, *handle, *own[2];
     if (host == NULL) {
         PyErr_SetString(PyExc_AttributeError, "cannot delete host");
         return -1;
@@ -6923,10 +7748,22 @@ Nic_set_host(NicObject *self, PyObject *host, void *closure)
         Py_XDECREF(handle);
         return -1;
     }
+    own[0] = PyObject_GetAttr((PyObject *)Py_TYPE(host), str_handle_cnp);
+    own[1] = PyObject_GetAttr((PyObject *)Py_TYPE(host), str_maybe_send_cnp);
+    Py_XDECREF(own[0]);
+    Py_XDECREF(own[1]);
+    if (own[0] == NULL || own[1] == NULL) {
+        Py_DECREF(host_dict);
+        Py_DECREF(sim);
+        Py_DECREF(handle);
+        return -1;
+    }
     Py_XSETREF(self->host, Py_NewRef(host));
     Py_XSETREF(self->host_dict, host_dict);
     Py_XSETREF(self->sim, (EventHeapObject *)sim);
     Py_XSETREF(self->py_handle, handle);
+    self->own_handle_cnp = own[0] == host_handle_cnp;
+    self->own_send_cnp = own[1] == host_maybe_send_cnp;
     Py_CLEAR(self->config);
     return 0;
 }
@@ -7046,13 +7883,12 @@ static PyMethodDef module_methods[] = {
      "schedule() returns, the error a refused scheduling call raises, and "
      "when cancellations compact the heap."},
     {"bind", (PyCFunction)(void (*)(void))bind, METH_FASTCALL,
-     "bind(Packet, PacketKind.PFC, PacketKind.BLOOM, deque, PauseMeter, "
-     "ByteMeter): cache the packet slots' member offsets and the types a "
-     "compiled port builds."},
+     "bind(Packet, FlowKey, PacketKind.PFC, PacketKind.BLOOM, deque, PauseMeter, "
+     "ByteMeter): cache the packet and key slots' member offsets and the types "
+     "a compiled port builds."},
     {"bind_host", (PyCFunction)(void (*)(void))bind_host, METH_FASTCALL,
-     "bind_host(SenderFlowState, ReceiverFlowState, CongestionControl, "
-     "PacketKind.DATA, PacketKind.ACK, PacketKind.NACK, DATA_HEADER_SIZE, "
-     "ACK_SIZE, NACK_SIZE): what the compiled NIC reads and builds."},
+     "bind_host(repro.sim.host, repro.sim.packet): what the compiled NIC "
+     "reads and builds."},
     {"bind_bfc", (PyCFunction)(void (*)(void))bind_bfc, METH_FASTCALL,
      "bind_bfc(FlowTableStats, QueueAssignmentStats, BfcEgressStats): the "
      "stats classes the compiled BFC plane builds."},
@@ -7102,6 +7938,8 @@ intern_names(void)
         {&str_post, "post"},
         {&str_name, "name"},
         {&str_tx_memo, "tx_memo"},
+        {&str_random, "random"},
+        {&str_ecn_marked, "ecn_marked"},
         {&str_receivers, "receivers"},
         {&str_selective, "_selective"},
         {&str_cv, "_cv"},
@@ -7141,6 +7979,11 @@ intern_names(void)
         {&str_nacks_sent, "nacks_sent"},
         {&str_data_packets_sent, "data_packets_sent"},
         {&str_selective_retransmissions, "selective_retransmissions"},
+        {&str_handle_cnp, "_handle_cnp"},
+        {&str_cnps_sent, "cnps_sent"},
+        {&str_cnps_received, "cnps_received"},
+        {&str_dcqcn, "dcqcn"},
+        {&str_on_cnp, "on_cnp"},
         {&str_pause_flow, "pause_flow"},
         {&str_resume_flow, "resume_flow"},
         {&str_randrange, "randrange"},
@@ -7165,6 +8008,11 @@ intern_names(void)
     for (i = 0; i < P_NSLOTS; i++) {
         packet_slot_strs[i] = PyUnicode_InternFromString(packet_slot_names[i]);
         if (packet_slot_strs[i] == NULL)
+            return -1;
+    }
+    for (i = 0; i < K_NSLOTS; i++) {
+        flowkey_slot_strs[i] = PyUnicode_InternFromString(flowkey_slot_names[i]);
+        if (flowkey_slot_strs[i] == NULL)
             return -1;
     }
     for (i = 0; i < S_NSLOTS; i++) {
@@ -7201,6 +8049,8 @@ PyInit__accelcore(void)
         {"SwitchPlane", &SwitchPlaneType},
         {"DeficitRoundRobin", &DrrType},
         {"NicScheduler", &NicType},
+        {"DcqcnControl", &DcqcnType},
+        {"DcqcnFlow", &DcqcnFlowType},
         {"FlowTableStats", &TableStatsType},
         {"QueueAssignmentStats", &PoolStatsType},
         {"BfcEgressStats", &EgressStatsType},

@@ -490,6 +490,10 @@ class Host(Node):
         if self.cc is None:
             factory = self._cc_factory or (lambda rate: CongestionControl(rate))
             self.cc = factory(rate_bps)
+            # On the compiled plane a DCQCN module gets its C twin.
+            plane = getattr(self.sim, "compiled_plane", None)
+            if plane is not None:
+                self.cc = plane.congestion_control(self.cc)
         # effective_window() is constant None when neither the cc module nor
         # the static cap can produce a window; the dequeue fast path keys off
         # this.  Unknown cc implementations conservatively count as windowed.

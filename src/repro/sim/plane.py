@@ -29,14 +29,22 @@ assignment and ``packet_vfid``.  :func:`repro.core.switchlogic.bfc_plane`
 picks them for a BFC switch on this plane; a configuration with a BFC-Est
 telemetry knob or a capacity weight keeps the Python classes.
 
+DCQCN's control loop is here as well.  A host's ``DcqcnControl`` or
+``DcqcnWindowedControl`` becomes its C twin (:func:`congestion_control`),
+whose rate machine and per-flow state the NIC drives C to C; the switch hop
+computes the RED marking probability and draws from the switch's
+``random.Random`` itself, and picks a new flow's ECMP route itself; the NIC
+builds the rate-limited CNP of a marked packet and hands an arriving CNP to
+the sender's module.
+
 What stays in Python on the compiled plane: the SFQ and Ideal-FQ
 disciplines, BFC's pause-rate work (the agent's ``pause_flow`` and
 ``resume_flow``, its tick, the pause frames it sends and the filters it
-receives), the congestion-control hooks a host's module overrides (one it
-inherits as a no-op from ``CongestionControl`` is skipped), the window of a
-windowed host, flow start and completion, selective repeat, CNPs, Bloom and
-PFC frames, the port hooks a node installs, and the cold paths of the
-switch (a route memo miss, ECN marking draws, INT stamps).
+receives), HPCC and the congestion-control hooks any other module overrides
+(one it inherits as a no-op from ``CongestionControl`` is skipped), the
+window of a windowed host, flow start and completion, selective repeat,
+Bloom and PFC frames, INT stamps, the port hooks a node installs, and every
+hot method a subclass or an instance replaces.
 """
 
 from __future__ import annotations
@@ -44,9 +52,9 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 
-from . import buffer, disciplines, host, port, stats
+from . import buffer, disciplines, host, packet, port, stats
 from .engine_accel import _accelcore
-from .packet import ACK_SIZE, DATA_HEADER_SIZE, NACK_SIZE, Packet, PacketKind
+from .packet import FlowKey, Packet, PacketKind
 
 #: The data hop of one switch; :class:`repro.sim.switch.Switch` builds it.
 SwitchPlane = _accelcore.SwitchPlane
@@ -78,7 +86,7 @@ class EgressPort(_accelcore.EgressPort, port.EgressPort):
     readable and writable; it builds its queue and meters itself."""
 
 
-_accelcore.bind(Packet, PacketKind.PFC, PacketKind.BLOOM, deque, PauseMeter, ByteMeter)
+_accelcore.bind(Packet, FlowKey, PacketKind.PFC, PacketKind.BLOOM, deque, PauseMeter, ByteMeter)
 
 
 #: What the C base of a compiled NIC replaces; a NicScheduler subclass that
@@ -193,14 +201,75 @@ class BfcEgressDiscipline(_accelcore.BfcEgressDiscipline, bfc_discipline.BfcEgre
         agent.register_discipline(self)
 
 
-_accelcore.bind_host(
-    host.SenderFlowState,
-    host.ReceiverFlowState,
-    host.CongestionControl,
-    PacketKind.DATA,
-    PacketKind.ACK,
-    PacketKind.NACK,
-    DATA_HEADER_SIZE,
-    ACK_SIZE,
-    NACK_SIZE,
+_accelcore.bind_host(host, packet)
+
+
+# -- DCQCN's sender --------------------------------------------------------------
+from repro.congestion import dcqcn  # noqa: E402
+
+#: What the C base of a compiled DCQCN replaces (and the Python step it
+#: inlines); a DcqcnControl subclass that overrides any of these keeps the
+#: Python rate machine.
+_COMPILED_DCQCN_METHODS = (
+    "on_flow_start", "on_packet_sent", "on_cnp", "rate_bps", "_state", "_advance",
+    "_apply_increase",
 )
+#: DcqcnConfig fields the C base reads as ints; the rest it reads as floats.
+_DCQCN_INT_FIELDS = (
+    "alpha_timer_ns", "increase_timer_ns", "byte_counter_bytes", "fast_recovery_rounds",
+)
+_dcqcn_twins: dict = {}
+
+
+def _dcqcn_twin(cls):
+    """The compiled twin of a congestion-control class, or ``None`` for one
+    that is no :class:`repro.congestion.dcqcn.DcqcnControl` or that
+    overrides a hot method."""
+    if cls in _dcqcn_twins:
+        return _dcqcn_twins[cls]
+    twin = None
+    if (
+        issubclass(cls, dcqcn.DcqcnControl)
+        and not issubclass(cls, _accelcore.DcqcnControl)
+        and all(
+            getattr(cls, name) is getattr(dcqcn.DcqcnControl, name)
+            for name in _COMPILED_DCQCN_METHODS
+        )
+    ):
+        twin = type(
+            cls.__name__,
+            (_accelcore.DcqcnControl, cls),
+            {"__module__": __name__, "__doc__": cls.__doc__},
+        )
+    _dcqcn_twins[cls] = twin
+    return twin
+
+
+#: The compiled twins of :class:`repro.congestion.dcqcn.DcqcnControl` and
+#: :class:`repro.congestion.dcqcn.DcqcnWindowedControl`: the rate machine
+#: and its per-flow state (``_accelcore.DcqcnFlow``) in C.
+DcqcnControl = _dcqcn_twin(dcqcn.DcqcnControl)
+DcqcnWindowedControl = _dcqcn_twin(dcqcn.DcqcnWindowedControl)
+
+
+def congestion_control(cc):
+    """The compiled twin of a host's congestion-control module.
+
+    A :class:`repro.congestion.dcqcn.DcqcnControl` (or a subclass that keeps
+    its hot methods) becomes an instance of its twin, with the C base
+    ``_accelcore.DcqcnControl`` in front and the same attributes: the
+    compiled NIC then drives its rate machine C to C.  Any other module, and
+    one whose config holds a timer that is not an int, is returned as it is.
+    """
+    twin_class = _dcqcn_twin(type(cc))
+    if twin_class is None:
+        return cc
+    config = cc.config
+    if any(type(getattr(config, name)) is not int for name in _DCQCN_INT_FIELDS) or any(
+        type(getattr(config, name)) not in (int, float) for name in ("g", "initial_alpha")
+    ):
+        return cc
+    twin = twin_class.__new__(twin_class)
+    for name, value in vars(cc).items():
+        setattr(twin, name, value)
+    return twin

@@ -42,10 +42,14 @@ _PFC_KEY = FlowKey(src=-1, dst=-1, src_port=0, dst_port=0)
 _ROUTE_CACHE_LIMIT = 1 << 12
 
 #: Switch attributes the compiled data hop reads; rebinding one re-syncs it.
-#: ``_admit_data`` is among them so an instance-level replacement (a test
-#: that injects drops) is honoured by the compiled hop too.
+#: ``_admit_data``, ``_maybe_mark_ecn`` and ``_ecmp_pick`` are among them so
+#: an instance-level replacement (a test that injects drops) is honoured by
+#: the compiled hop too.
 _PLANE_SETTINGS = frozenset(
-    ("buffer", "counters", "_pfc_sent", "pfc", "ecn", "int_enabled", "_admit_data")
+    (
+        "buffer", "counters", "_pfc_sent", "pfc", "ecn", "int_enabled", "_admit_data",
+        "_rng", "_maybe_mark_ecn", "routes", "_name_salt", "_ecmp_pick",
+    )
 )
 
 
@@ -125,7 +129,16 @@ class Switch(Node):
     def _configure_plane(self) -> None:
         """Hand the compiled hop what it reads: re-run on every rebinding of
         a setting (``switch.pfc = ...``).  The policies are frozen, so a
-        rebinding is the only way they change."""
+        rebinding is the only way they change.  The hop draws ECN marks and
+        picks ECMP routes itself unless the switch (its class, its instance
+        or its ``EcnConfig``) replaces the Python method that does."""
+        own = self.__dict__
+        marks_here = (
+            "_maybe_mark_ecn" not in own
+            and type(self)._maybe_mark_ecn is Switch._maybe_mark_ecn
+            and type(self.ecn).marking_probability is EcnConfig.marking_probability
+        )
+        picks_here = "_ecmp_pick" not in own and type(self)._ecmp_pick is Switch._ecmp_pick
         self._plane.configure(
             self.buffer,
             self.counters.values,
@@ -133,7 +146,10 @@ class Switch(Node):
             self.pfc,
             self.ecn,
             self.int_enabled,
-            self.__dict__.get("_admit_data"),
+            own.get("_admit_data"),
+            self._rng if marks_here else None,
+            self.routes if picks_here else None,
+            self._name_salt,
         )
 
     # -- wiring -----------------------------------------------------------------
@@ -178,7 +194,8 @@ class Switch(Node):
         return egress
 
     def _ecmp_pick(self, key: FlowKey) -> int:
-        """The uncached ECMP pick (the compiled hop memoizes it itself)."""
+        """The uncached ECMP pick (the compiled hop memoizes it and computes
+        it itself)."""
         choices = self.routes.get(key.dst)
         if not choices:
             raise KeyError(f"{self.name}: no route to host {key.dst}")

@@ -7,7 +7,8 @@ not build.  ``DRR_CLASSES`` does the same for the deficit round robin of
 each plane, for tests that drive one without a simulator, and
 ``BFC_CLASSES`` for the BFC data-plane classes of each (a namespace of
 ``FlowEntry``, ``FlowTable``, ``PhysicalQueuePool``, ``BfcScheduler``,
-``BfcEgressDiscipline`` and ``packet_vfid``).
+``BfcEgressDiscipline`` and ``packet_vfid``), and ``DCQCN_CLASSES`` for
+each plane's ``DcqcnControl`` and ``DcqcnWindowedControl``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.congestion import dcqcn
 from repro.core import discipline, queues, scheduler, vfid
 from repro.sim.disciplines import DeficitRoundRobin
 from repro.sim.engine import PureSimulator
@@ -73,6 +75,23 @@ BFC_CLASSES = [
     pytest.param(_bfc_classes(lambda module: module), id="pure"),
     pytest.param(
         None if _COMPILED is None else _bfc_classes(lambda module: _COMPILED.compiled_plane),
+        id="compiled",
+        marks=_COMPILED_MARK,
+    ),
+]
+
+
+DCQCN_CLASSES = [
+    pytest.param(
+        SimpleNamespace(DcqcnControl=dcqcn.DcqcnControl,
+                        DcqcnWindowedControl=dcqcn.DcqcnWindowedControl),
+        id="pure",
+    ),
+    pytest.param(
+        None if _COMPILED is None else SimpleNamespace(
+            DcqcnControl=_COMPILED.compiled_plane.DcqcnControl,
+            DcqcnWindowedControl=_COMPILED.compiled_plane.DcqcnWindowedControl,
+        ),
         id="compiled",
         marks=_COMPILED_MARK,
     ),

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planes import PLANES
-from repro.congestion.dcqcn import DcqcnControl
+from repro.congestion.dcqcn import DcqcnControl, _DcqcnFlow
 from repro.core.bloom import BloomFilterCodec
 from repro.core.config import BfcConfig
 from repro.core.nic import BfcNicScheduler
@@ -132,7 +132,8 @@ class World:
             "buffer": (buffer.used, dict(buffer.per_ingress), stats.dropped_packets,
                        stats.dropped_bytes, stats.max_occupancy, stats.admitted_packets,
                        stats.admitted_bytes),
-            "switch": (dict(switch.counters.values), dict(switch._pfc_sent)),
+            "switch": (dict(switch.counters.values), dict(switch._pfc_sent),
+                       switch._rng.getstate()),
             "ports": [
                 (port.busy, port._busy_until, port._wake_at, port.tx_data_bytes_total,
                  port.bytes.data_bytes, port.bytes.data_packets, port.bytes.control_bytes,
@@ -289,6 +290,126 @@ def test_host_kick_skips_a_committed_port_with_an_armed_wake(sim_class):
     assert kicks == [sim.now]
 
 
+def test_ecn_marks_draw_alike():
+    # A paused egress fills past kmin and then past kmax: the marking
+    # probability takes values in (0, 1) and 1, and each switch draws from
+    # its random.Random only while it is positive.
+    ops = [("pfc", 1, True)] + burst(0, 1, 10) + [("pfc", 1, False), ("run", 20_000)]
+    final = run_both(ops, buffer_bytes=200_000)
+    marks = [entry[4] for entry in final["received"][1]]
+    counters = final["switch"][0]
+    assert len(marks) == 10 and counters["ecn_marked"] == sum(marks)
+    assert 0 < sum(marks) < 8  # packets 4-6 drew (p = 0.125..0.375), 7-10 marked
+    assert marks[6:] == [True] * 4
+    fresh = World(PURE).switch._rng.getstate()
+    assert final["switch"][2] != fresh  # the draws moved the generator
+
+
+def test_the_red_probability_between_kmin_and_kmax_is_the_python_one():
+    # kmax - kmin = 2 B: a backlog of 2 001 B marks with p = 1/2, and a
+    # probability one byte off would give 1/3.  One draw per world, forty
+    # generators: the marks must fall alike on both planes.
+    marks = []
+    for seed in range(40):
+        worlds = [World(PURE), World(COMPILED)]
+        for world in worlds:
+            world.switch.ecn = EcnConfig(enabled=True, kmin=2_000, kmax=2_002, pmax=1.0)
+            world.switch._rng = random.Random(seed)
+            for op in [("pfc", 1, True), ("data", 0, 1, 1, 1_000), ("data", 0, 1, 1, 1_001),
+                       ("data", 0, 1, 1, 500), ("pfc", 1, False), ("run", 10_000)]:
+                step(world, op)
+        pure, compiled = (world.snapshot() for world in worlds)
+        assert compiled == pure, seed
+        marks.append(pure["switch"][0].get("ecn_marked", 0))
+    assert 0 < sum(marks) < 40
+
+
+class CountingPicks(Switch):
+    """Replaces the ECMP pick and the ECN draw: both stay Python calls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.picks, self.marks = [], []
+
+    def _ecmp_pick(self, key):
+        self.picks.append(key.dst)
+        return super()._ecmp_pick(key)
+
+    def _maybe_mark_ecn(self, packet, tx):
+        self.marks.append(packet.flow_id)
+        super()._maybe_mark_ecn(packet, tx)
+
+
+@pytest.mark.parametrize("sim_class", PLANES)
+def test_a_switch_that_replaces_the_pick_or_the_draw_keeps_it(sim_class):
+    sim = sim_class(seed=7)
+    switch = CountingPicks(sim, "sw", buffer_bytes=200_000,
+                           discipline_factory=lambda iface: fifo_for(iface.tx),
+                           ecn=EcnConfig(enabled=True, kmin=2_000, kmax=6_000, pmax=0.5))
+    sinks = [Sink(sim, f"n{i}") for i in range(2)]
+    for node in sinks:
+        connect(node, switch, rate_bps=units.gbps(10), delay_ns=500)
+    switch.set_routes({0: [0], 1: [1]})
+    for flow_id in range(6):
+        switch.handle_packet(data(0, 1, flow_id), 0)
+    assert switch.picks == [1] * 6  # one pick per new key
+    # The first packet leaves at once; the queue passes kmin before the fifth.
+    assert switch.marks == [4, 5]
+    calls = []
+    switch._ecmp_pick = lambda key: calls.append(key) or 0
+    switch.handle_packet(data(1, 0, 9), 1)
+    assert len(calls) == 1
+
+
+def ecmp_world(sim_class, routes, salt, ports):
+    sim = sim_class(seed=1)
+    switch = Switch(sim, "sw", buffer_bytes=0,
+                    discipline_factory=lambda iface: fifo_for(iface.tx))
+    sinks = [Sink(sim, f"n{i}") for i in range(ports)]
+    for node in sinks:
+        connect(node, switch, rate_bps=units.gbps(10), delay_ns=500)
+    switch._name_salt = salt
+    switch.set_routes(routes)
+    return sim, switch, sinks
+
+
+flow_keys = st.builds(
+    FlowKey,
+    src=st.integers(-2**40, 2**40),
+    dst=st.integers(0, 3),
+    src_port=st.integers(0, 2**16),
+    dst_port=st.integers(0, 2**16),
+    protocol=st.sampled_from([6, 17]),
+)
+
+
+@given(
+    routes=st.fixed_dictionaries(
+        {dst: st.lists(st.integers(0, 4), min_size=1, max_size=7) for dst in range(4)}
+    ),
+    salt=st.integers(0, 2**32 - 1),
+    keys=st.lists(flow_keys, min_size=1, max_size=12),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_compiled_ecmp_pick_is_the_python_one(routes, salt, keys):
+    sim, switch, sinks = ecmp_world(COMPILED, routes, salt, ports=5)
+    expected = []
+    for key in keys:
+        expected.append(Switch._ecmp_pick(switch, key))
+        switch.handle_packet(Packet(kind=PacketKind.ACK, flow_id=1, key=key, size=64), 0)
+        sim.run_until_idle()
+    delivered = sorted((entry[0], index) for index, node in enumerate(sinks)
+                       for entry in node.received)
+    assert [index for _, index in delivered] == expected
+
+
+def test_a_missing_route_raises_on_both_planes():
+    for sim_class in (PURE, COMPILED):
+        _, switch, _ = ecmp_world(sim_class, {0: [0]}, 5, ports=1)
+        with pytest.raises(KeyError, match="sw: no route to host 3"):
+            switch.handle_packet(data(0, 3, 1), 0)
+
+
 # -- The host NIC ----------------------------------------------------------------
 #
 # Two hosts, each wired to a sink that records every frame its NIC puts on the
@@ -342,14 +463,14 @@ class WireSink(Node):
 class HostWorld:
     """Two hosts and their sinks, on one plane."""
 
-    def __init__(self, sim_class, cc, config, bfc):
+    def __init__(self, sim_class, cc, config, bfc, host_class=Host):
         self.sim = sim = sim_class(seed=7)
         self.registry = {}
         self.completed = []
         nic_class = partial(BfcNicScheduler, config=CODEC_CONFIG, codec=CODEC) if bfc else None
         self.hosts, self.sinks, self.started = [], [], [[], []]
         for i in range(2):
-            host = Host(sim, f"h{i}", host_id=i, config=config,
+            host = host_class(sim, f"h{i}", host_id=i, config=config,
                         cc_factory=CC_FACTORIES[cc], flow_registry=self.registry,
                         nic_class=nic_class)
             host.on_flow_complete = lambda flow, now: self.completed.append((flow.flow_id, now))
@@ -426,7 +547,8 @@ class HostWorld:
 
 
 def cc_state(fstate):
-    return {name: tuple(getattr(value, slot) for slot in value.__slots__)
+    # The compiled DCQCN keeps a C DcqcnFlow with _DcqcnFlow's fields.
+    return {name: tuple(getattr(value, field) for field in _DcqcnFlow.__slots__)
             for name, value in fstate.cc_state.items()}
 
 
@@ -599,6 +721,68 @@ def test_a_hook_assigned_on_the_instance_is_called():
         logs.append(log)
         snapshots.append(world.snapshot())
     assert logs[1] == logs[0] and len(logs[0]) == 3
+    assert snapshots[1] == snapshots[0]
+
+
+#: Host 0 starts a flow; host 1 gets marked data of it (and of a stranger)
+#: closer and farther apart than CNP_INTERVAL_NS; host 0 gets CNPs.
+CNP_OPS = [
+    ("start", 0, 9_000), ("data", 1, 0, 0, True, False), ("run", 20_000),
+    ("data", 1, 0, 1, True, False), ("data", 1, 4, 0, True, False), ("run", 31_000),
+    ("data", 1, 0, 2, True, False), ("data", 1, 4, 1, True, False), ("run", 100),
+    ("data", 1, 0, 3, False, False), ("cnp", 0, 0), ("run", 2_000), ("cnp", 0, 0),
+    ("cnp", 0, 5), ("run", 30_000),
+]
+
+
+def test_cnps_are_rate_limited_and_slow_the_sender_alike():
+    final = run_hosts_both(CNP_OPS, cc="dcqcn")
+    receiver, sender = final["h1"]["counters"], final["h0"]["counters"]
+    # Flow 1: marks at 0 and 51 us send, the one at 20 us does not; the
+    # stranger's first mark sends, its second (31 us later) does not.
+    assert receiver["cnps_sent"] == 3
+    cnps = [frame for frame in final["h1"]["wire"] if frame[1] == "cnp"]
+    assert [frame[8] for frame in cnps] == [0, 20_000, 51_000]  # created_ns
+    assert final["h1"]["receivers"][1][2] == 51_000  # last_cnp_ns
+    assert sender["cnps_received"] == 3
+    (state,) = final["h0"]["senders"][1][-1].values()
+    assert state[0] < units.gbps(10)  # the rate fell
+
+
+class CnpLoggingHost(Host):
+    """Replaces both CNP methods: the compiled NIC calls them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def _maybe_send_cnp(self, packet, rstate):
+        self.log.append(("send", self.sim.now, packet.flow_id))
+        super()._maybe_send_cnp(packet, rstate)
+
+    def _handle_cnp(self, packet):
+        self.log.append(("handle", self.sim.now, packet.flow_id))
+        super()._handle_cnp(packet)
+
+
+def test_a_host_or_module_that_replaces_a_cnp_or_rate_method_keeps_it():
+    logs, snapshots = [], []
+    for sim_class in (PURE, COMPILED):
+        world = HostWorld(sim_class, "dcqcn", HostConfig(), bfc=False,
+                          host_class=CnpLoggingHost)
+        rates = []
+
+        def slow_rate(fstate, rates=rates):
+            rates.append(fstate.flow.flow_id)
+            return units.gbps(1)
+
+        world.hosts[0].cc.rate_bps = slow_rate
+        for op in CNP_OPS:
+            host_step(world, op)
+        logs.append((world.hosts[0].log, world.hosts[1].log, rates))
+        snapshots.append(world.snapshot())
+    assert logs[1] == logs[0]
+    assert len(logs[0][0]) == 3 and len(logs[0][1]) == 5 and logs[0][2]
     assert snapshots[1] == snapshots[0]
 
 

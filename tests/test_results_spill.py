@@ -9,9 +9,11 @@ from repro.results.spill import (
     FLOW_FIELDS,
     FLOWS_FILENAME,
     INDEX_FILENAME,
+    SUMMARY_FILENAME,
     SpillReader,
     SpillWriter,
     load_summary,
+    record_to_row,
     write_summary,
 )
 from repro.sim.stats import FlowRecord
@@ -174,3 +176,34 @@ class TestSummary:
             json.dump({"kind": "something.else"}, handle)
         with pytest.raises(ValueError):
             load_summary(run_dir)
+
+
+#: Values the encoder has to get exactly right: no tag, a non-ASCII tag,
+#: infinite and NaN slowdowns, ints past 2**53.
+AWKWARD = [
+    FlowRecord(1, 0, 1, 1_000, 0, None, None, False, None, 0),
+    FlowRecord(2, 3, 4, 2**53 + 1, 2**63 + 5, 2**64, float("inf"), True, "incast-é☃\u2028", 7),
+    FlowRecord(3, -1, 2, 10, 1, 2, float("nan"), False, 'quote"back\\slash\n', 2**70),
+    FlowRecord(4, 5, 6, 0, 0, 0, -float("inf"), True, "\U0001f600", 0),
+]
+
+
+def test_rows_and_summaries_encode_as_json_dumps(tmp_path):
+    run_dir = str(tmp_path / "run")
+    with SpillWriter(run_dir) as writer:
+        for record in AWKWARD:
+            writer.write(record)
+    with open(os.path.join(run_dir, FLOWS_FILENAME), "rb") as handle:
+        rows = handle.read().splitlines(keepends=True)[1:]
+    assert rows == [
+        (json.dumps(record_to_row(record), separators=(",", ":")) + "\n").encode("ascii")
+        for record in AWKWARD
+    ]
+    summary = {"rows": [record_to_row(record) for record in AWKWARD], "b": {"z": 1, "a": None}}
+    write_summary(run_dir, summary)
+    with open(os.path.join(run_dir, SUMMARY_FILENAME), "rb") as handle:
+        written = handle.read()
+    expected = dict(summary, kind="repro.results.summary", version=1)
+    assert written == (
+        json.dumps(expected, separators=(",", ":"), sort_keys=True) + "\n"
+    ).encode("ascii")
