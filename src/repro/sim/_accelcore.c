@@ -1148,58 +1148,6 @@ cls_truth(const slot_class *cls, PyObject *obj, int slot)
 /* Set by bind(): what a compiled port builds for its queue and meters. */
 static PyObject *deque_type, *pause_meter_type, *byte_meter_type;
 
-/* -- hash((a, b)) of two hashes --------------------------------------- */
-
-/* The tuple hash of CPython 3.8 and later (xxHash's 64-bit round), so the
- * ECMP pick can hash (key, salt) without building the tuple or calling
- * FlowKey.__hash__.  bind() checks it against the interpreter's own and
- * falls back to a real tuple where they differ. */
-#define XXPRIME_1 ((Py_uhash_t)11400714785074694791ULL)
-#define XXPRIME_2 ((Py_uhash_t)14029467366897019727ULL)
-#define XXPRIME_5 ((Py_uhash_t)2870177450012600261ULL)
-#define XXROTATE(x) (((x) << 31) | ((x) >> 33))
-
-static int pair_hash_exact;
-
-static Py_hash_t
-pair_hash(Py_hash_t a, Py_hash_t b)
-{
-    Py_uhash_t acc = XXPRIME_5, lanes[2] = {(Py_uhash_t)a, (Py_uhash_t)b};
-    int i;
-    for (i = 0; i < 2; i++) {
-        acc += lanes[i] * XXPRIME_2;
-        acc = XXROTATE(acc);
-        acc *= XXPRIME_1;
-    }
-    acc += 2 ^ (XXPRIME_5 ^ 3527539UL);
-    return acc == (Py_uhash_t)-1 ? 1546275796 : (Py_hash_t)acc;
-}
-
-/* Does pair_hash agree with hash((a, b)) here?  1, 0 or -1. */
-static int
-pair_hash_check(void)
-{
-    static const long long samples[][2] = {
-        {0, 0}, {1, 2}, {-5, 3141592653LL}, {1234567890123456789LL, -987654321LL},
-    };
-    size_t i;
-    for (i = 0; i < sizeof(samples) / sizeof(samples[0]); i++) {
-        PyObject *pair = Py_BuildValue("(LL)", samples[i][0], samples[i][1]);
-        Py_hash_t want, a, b;
-        if (pair == NULL)
-            return -1;
-        want = PyObject_Hash(pair);
-        a = PyObject_Hash(PyTuple_GET_ITEM(pair, 0));
-        b = PyObject_Hash(PyTuple_GET_ITEM(pair, 1));
-        Py_DECREF(pair);
-        if (want == -1 || a == -1 || b == -1)
-            return -1;
-        if (pair_hash(a, b) != want)
-            return 0;
-    }
-    return 1;
-}
-
 static PyObject *
 bind(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1209,8 +1157,7 @@ bind(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                         "PacketKind.BLOOM, deque, PauseMeter, ByteMeter)");
         return NULL;
     }
-    pair_hash_exact = pair_hash_check();
-    if (pair_hash_exact < 0 || slot_class_bind(&packet_class, args[0]) < 0 ||
+    if (slot_class_bind(&packet_class, args[0]) < 0 ||
         slot_class_bind(&flowkey_class, args[1]) < 0)
         return NULL;
     Py_XSETREF(kind_pfc, Py_NewRef(args[2]));
@@ -2502,7 +2449,6 @@ struct SwitchPlaneObject {
     Py_ssize_t memo_limit;
     PyObject *routes;    /* the switch's routes, or NULL: call _ecmp_pick */
     PyObject *salt;      /* its _name_salt */
-    Py_hash_t salt_hash;
 };
 
 static PyTypeObject SwitchPlaneType;
@@ -2525,19 +2471,8 @@ memo_clear(SwitchPlaneObject *self)
 static Py_hash_t
 ecmp_hash(SwitchPlaneObject *self, PyObject *key)
 {
-    PyObject *pair;
+    PyObject *pair = PyTuple_Pack(2, key, self->salt);
     Py_hash_t h;
-    if (pair_hash_exact && Py_TYPE(key) == flowkey_class.type) {
-        PyObject *lane = cls_get(&flowkey_class, key, K_HASH);
-        if (lane == NULL)
-            return -1;
-        h = PyLong_AsSsize_t(lane);
-        Py_DECREF(lane);
-        if (h == -1 && PyErr_Occurred())
-            return -1;
-        return pair_hash(h == -1 ? -2 : h, self->salt_hash);
-    }
-    pair = PyTuple_Pack(2, key, self->salt);
     if (pair == NULL)
         return -1;
     h = PyObject_Hash(pair);
@@ -2958,7 +2893,6 @@ SwitchPlane_configure(SwitchPlaneObject *self, PyObject *const *args,
     PyObject *pfc, *ecn, *value;
     double fraction, ratio;
     double kmin = 0.0, kmax = 0.0, pmax = 0.0;
-    Py_hash_t salt_hash;
     int pfc_enabled, ecn_enabled, int_enabled;
     if (nargs != 10) {
         PyErr_SetString(PyExc_TypeError,
@@ -2970,9 +2904,6 @@ SwitchPlane_configure(SwitchPlaneObject *self, PyObject *const *args,
         PyErr_SetString(PyExc_TypeError, "routes must be a dict");
         return NULL;
     }
-    salt_hash = PyObject_Hash(args[9]);
-    if (salt_hash == -1)
-        return NULL;
     if (!Buffer_Check(args[0])) {
         PyErr_SetString(PyExc_TypeError, "the compiled hop needs the compiled SharedBuffer");
         return NULL;
@@ -3030,7 +2961,6 @@ SwitchPlane_configure(SwitchPlaneObject *self, PyObject *const *args,
     self->int_enabled = (char)int_enabled;
     Py_XSETREF(self->routes, args[8] == Py_None ? NULL : Py_NewRef(args[8]));
     Py_XSETREF(self->salt, Py_NewRef(args[9]));
-    self->salt_hash = salt_hash;
     Py_RETURN_NONE;
 }
 
@@ -6491,7 +6421,6 @@ typedef struct {
     long long increase_timer_ns;
     long long byte_counter_bytes;
     long long fast_recovery_rounds;
-    char direct; /* the type keeps every compiled hot method */
 } DcqcnObject;
 
 static PyTypeObject DcqcnType;
@@ -6610,16 +6539,12 @@ dcqcn_lookup(PyObject *fstate, int *failed)
     return (DcqcnFlowObject *)state;
 }
 
-/* Has the twin's __init__ set a config with positive timers? */
+/* Has the twin's __init__ set a config (whose timers the setter checked)? */
 static int
 dcqcn_ready(DcqcnObject *cc)
 {
     if (cc->config == NULL) {
         PyErr_SetString(PyExc_AttributeError, "the DCQCN module has no config");
-        return -1;
-    }
-    if (cc->alpha_timer_ns <= 0 || cc->increase_timer_ns <= 0 || cc->byte_counter_bytes <= 0) {
-        PyErr_SetString(PyExc_ValueError, "timers and byte counter must be positive");
         return -1;
     }
     return 0;
@@ -6702,35 +6627,45 @@ dcqcn_rate(DcqcnObject *cc, PyObject *fstate, double *out)
     return 0;
 }
 
+/* Does the dict hold one of these names?  1, 0 or -1. */
+static int
+dict_has_any(PyObject *dict, PyObject *const *names, size_t n)
+{
+    size_t i;
+    for (i = 0; PyDict_GET_SIZE(dict) > 0 && i < n; i++) {
+        if (PyDict_GetItemWithError(dict, names[i]) != NULL)
+            return 1;
+        if (PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
 /* cc as a compiled DCQCN the NIC may call C to C, or NULL (and no error
- * unless *failed): neither its type nor its instance dict replaces a hot
- * method. */
+ * unless *failed): cc.rate_bps, cc.on_packet_sent and cc.on_cnp find the C
+ * methods, neither a class in front of the C base nor the instance dict
+ * replacing one.  (A twin's subclass that overrides any compiled step gets
+ * every Python method back; see repro.sim.plane.) */
 static DcqcnObject *
 dcqcn_direct(PyObject *cc, int *failed)
 {
     PyObject *const names[] = {str_rate_bps, str_on_packet_sent, str_on_cnp};
-    PyObject *dict;
-    size_t i;
+    const size_t n = sizeof(names) / sizeof(names[0]);
+    PyObject *mro, *dict;
+    Py_ssize_t i;
     int replaced = 0;
     *failed = 0;
-    if (!PyObject_TypeCheck(cc, &DcqcnType) || !((DcqcnObject *)cc)->direct)
+    if (!PyObject_TypeCheck(cc, &DcqcnType))
         return NULL;
-    if (Py_TYPE(cc)->tp_dictoffset == 0)
-        return (DcqcnObject *)cc;
-    dict = PyObject_GenericGetDict(cc, NULL);
-    if (dict == NULL) {
-        *failed = 1;
-        return NULL;
+    mro = Py_TYPE(cc)->tp_mro;
+    for (i = 0; replaced == 0 && PyTuple_GET_ITEM(mro, i) != (PyObject *)&DcqcnType; i++)
+        replaced = dict_has_any(((PyTypeObject *)PyTuple_GET_ITEM(mro, i))->tp_dict, names, n);
+    if (replaced == 0 && Py_TYPE(cc)->tp_dictoffset != 0) {
+        dict = PyObject_GenericGetDict(cc, NULL);
+        replaced = dict == NULL ? -1 : dict_has_any(dict, names, n);
+        Py_XDECREF(dict);
     }
-    /* A plain twin's dict is empty: its attributes are the C members. */
-    for (i = 0; PyDict_GET_SIZE(dict) > 0 && i < sizeof(names) / sizeof(names[0]); i++) {
-        if (PyDict_GetItemWithError(dict, names[i]) != NULL || PyErr_Occurred()) {
-            replaced = 1;
-            break;
-        }
-    }
-    Py_DECREF(dict);
-    *failed = PyErr_Occurred() != NULL;
+    *failed = replaced < 0;
     return replaced ? NULL : (DcqcnObject *)cc;
 }
 
@@ -6821,7 +6756,9 @@ Dcqcn_get_config(DcqcnObject *self, void *closure)
 }
 
 /* Setting config reads its fields: the timers, the byte counter and the
- * fast-recovery rounds as ints, g and initial_alpha as floats. */
+ * fast-recovery rounds as ints, g and initial_alpha as floats.  The rate
+ * machine divides by the timers and the byte counter, so they must be
+ * positive (DcqcnConfig.validate's messages). */
 static int
 Dcqcn_set_config(DcqcnObject *self, PyObject *config, void *closure)
 {
@@ -6838,6 +6775,14 @@ Dcqcn_set_config(DcqcnObject *self, PyObject *config, void *closure)
         config_ll(config, "byte_counter_bytes", 0, &ints[2]) < 0 ||
         config_ll(config, "fast_recovery_rounds", 0, &ints[3]) < 0)
         return -1;
+    if (ints[0] <= 0 || ints[1] <= 0) {
+        PyErr_SetString(PyExc_ValueError, "timers must be positive");
+        return -1;
+    }
+    if (ints[2] <= 0) {
+        PyErr_SetString(PyExc_ValueError, "byte counter must be positive");
+        return -1;
+    }
     for (i = 0; i < 2; i++) {
         PyObject *value = PyObject_GetAttrString(config, float_names[i]);
         if (value == NULL)
@@ -6855,21 +6800,6 @@ Dcqcn_set_config(DcqcnObject *self, PyObject *config, void *closure)
     self->g = floats[0];
     self->initial_alpha = floats[1];
     return 0;
-}
-
-static PyObject *
-Dcqcn_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    static const char *const hot[] = {"on_flow_start", "on_packet_sent", "on_cnp",
-                                      "rate_bps", "_state"};
-    DcqcnObject *self;
-    int direct = keeps_methods(type, &DcqcnType, hot, sizeof(hot) / sizeof(hot[0]));
-    if (direct < 0)
-        return NULL;
-    self = (DcqcnObject *)PyType_GenericNew(type, args, kwds);
-    if (self != NULL)
-        self->direct = (char)direct;
-    return (PyObject *)self;
 }
 
 static int
@@ -6934,7 +6864,7 @@ static PyTypeObject DcqcnType = {
     .tp_methods = Dcqcn_methods,
     .tp_members = Dcqcn_members,
     .tp_getset = Dcqcn_getset,
-    .tp_new = Dcqcn_new,
+    .tp_new = PyType_GenericNew,
 };
 
 /* Host.build_data_packet. */

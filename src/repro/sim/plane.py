@@ -207,7 +207,7 @@ _accelcore.bind_host(host, packet)
 # -- DCQCN's sender --------------------------------------------------------------
 from repro.congestion import dcqcn  # noqa: E402
 
-#: What the C base of a compiled DCQCN replaces (and the Python step it
+#: What the C base of a compiled DCQCN replaces (and the Python steps it
 #: inlines); a DcqcnControl subclass that overrides any of these keeps the
 #: Python rate machine.
 _COMPILED_DCQCN_METHODS = (
@@ -221,10 +221,36 @@ _DCQCN_INT_FIELDS = (
 _dcqcn_twins: dict = {}
 
 
+def _twin_method(name):
+    """What a twin finds for a compiled name: the C base's method, or the
+    Python step the C base inlines."""
+    return getattr(_accelcore.DcqcnControl, name, None) or getattr(dcqcn.DcqcnControl, name)
+
+
+class _DcqcnTwin:
+    """Mixed into every compiled twin, behind its C base.
+
+    A subclass of a twin that overrides a compiled method runs the whole
+    rate machine in Python: each C method it would inherit gives way to the
+    Python one.  The compiled NIC goes C to C only where ``rate_bps``,
+    ``on_packet_sent`` and ``on_cnp`` find the C methods, so it follows the
+    override as the Python queries do.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        inherited = [
+            name for name in _COMPILED_DCQCN_METHODS if getattr(cls, name) is _twin_method(name)
+        ]
+        if len(inherited) < len(_COMPILED_DCQCN_METHODS):
+            for name in inherited:
+                setattr(cls, name, getattr(dcqcn.DcqcnControl, name))
+
+
 def _dcqcn_twin(cls):
     """The compiled twin of a congestion-control class, or ``None`` for one
-    that is no :class:`repro.congestion.dcqcn.DcqcnControl` or that
-    overrides a hot method."""
+    that is no :class:`repro.congestion.dcqcn.DcqcnControl`, is a twin
+    already or overrides a compiled method."""
     if cls in _dcqcn_twins:
         return _dcqcn_twins[cls]
     twin = None
@@ -238,7 +264,7 @@ def _dcqcn_twin(cls):
     ):
         twin = type(
             cls.__name__,
-            (_accelcore.DcqcnControl, cls),
+            (_accelcore.DcqcnControl, _DcqcnTwin, cls),
             {"__module__": __name__, "__doc__": cls.__doc__},
         )
     _dcqcn_twins[cls] = twin

@@ -332,3 +332,20 @@ def test_only_a_dcqcn_that_keeps_its_hot_methods_gets_a_twin():
     assert plane.congestion_control(slower) is slower
     float_timer = DcqcnControl(LINE_RATE, DcqcnConfig(alpha_timer_ns=55e3))
     assert plane.congestion_control(float_timer) is float_timer
+
+
+@compiled_only
+def test_the_twin_checks_its_config_once_when_it_is_set():
+    cc = COMPILED.DcqcnControl(LINE_RATE)
+    config = cc.config
+    for bad, message in (
+        (DcqcnConfig(alpha_timer_ns=0), "timers must be positive"),
+        (DcqcnConfig(increase_timer_ns=-1), "timers must be positive"),
+        (DcqcnConfig(byte_counter_bytes=0), "byte counter must be positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            cc.config = bad
+        assert cc.config is config
+    unset = COMPILED.DcqcnControl.__new__(COMPILED.DcqcnControl)
+    with pytest.raises(AttributeError, match="no config"):
+        unset.rate_bps(make_fstate())

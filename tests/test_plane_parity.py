@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planes import PLANES
-from repro.congestion.dcqcn import DcqcnControl, _DcqcnFlow
+from repro.congestion.dcqcn import DcqcnConfig, DcqcnControl, _DcqcnFlow
 from repro.core.bloom import BloomFilterCodec
 from repro.core.config import BfcConfig
 from repro.core.nic import BfcNicScheduler
@@ -783,6 +783,35 @@ def test_a_host_or_module_that_replaces_a_cnp_or_rate_method_keeps_it():
         snapshots.append(world.snapshot())
     assert logs[1] == logs[0]
     assert len(logs[0][0]) == 3 and len(logs[0][1]) == 5 and logs[0][2]
+    assert snapshots[1] == snapshots[0]
+
+
+def increase_logging(base):
+    """A subclass of ``base`` whose rate-increase step logs its stage."""
+
+    class IncreaseLogging(base):
+        def _apply_increase(self, state):
+            self.log.append((state.bc_events_applied, state.timer_events_applied))
+            super()._apply_increase(state)
+
+    return IncreaseLogging
+
+
+def test_a_twin_subclass_that_overrides_a_step_keeps_the_python_rate_machine():
+    # The override is a step the C base inlines, not a method the NIC calls.
+    logs, snapshots = [], []
+    for sim_class, base in ((PURE, DcqcnControl), (COMPILED, plane.DcqcnControl)):
+        world = HostWorld(sim_class, "dcqcn", HostConfig(), bfc=False)
+        cc = increase_logging(base)(units.gbps(10), DcqcnConfig(increase_timer_ns=1_000))
+        cc.log = []
+        world.hosts[0].cc = cc
+        for op in CNP_OPS:
+            host_step(world, op)
+        world.sim.run(until=world.sim.now + 200_000)
+        logs.append(cc.log)
+        snapshots.append(world.snapshot())
+        assert type(world.hosts[0].nic._flows[1].cc_state["dcqcn"]) is _DcqcnFlow
+    assert logs[1] == logs[0] and logs[0]
     assert snapshots[1] == snapshots[0]
 
 
