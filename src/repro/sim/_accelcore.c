@@ -10,15 +10,26 @@
  * reads and writes them as now, _seq and _cancelled), and the scheduling
  * calls (post, schedule, schedule_at and schedule_boundary's _insert),
  * cancellation and the run loop (_run, which Simulator.run calls) are C
- * methods.  The run loop only enters the interpreter to execute the
- * callbacks themselves.
+ * methods.  An event the plane posts carries its (at most two) arguments
+ * inline in the heap entry, with no tuple; one a Python scheduling call
+ * files keeps its argument tuple.  The run loop enters a port's kick, a
+ * switch's receive and a NIC's receive directly when an inline event's
+ * callback is that bound C method, and the interpreter only for any other
+ * callback.
  *
  * The rest of the file is the compiled forwarding plane (egress port, FIFO
  * queue, shared buffer, the switch's data hop with its ECN draw and ECMP
  * pick, the host NIC with its CNPs, DCQCN's sender rate machine and the BFC
  * switch's discipline, scheduler, flow table and queue pool): it posts its
  * deliveries and wake-ups straight into the heap and reads the clock from
- * the same fields.
+ * the same fields.  The per-packet state it keeps is C state: a port's
+ * control queue (a packet ring) and its last two tx times, the buffer's
+ * bytes per ingress and the hop's PFC flags (arrays by ingress index; the
+ * switch's _pfc_sent dict mirrors the flags), the counters the hop and the
+ * NIC bump (C fields of the node's Counters, folded into its values dict
+ * before any read), and the host settings the NIC reads (bound when the
+ * host assigns them, not looked up per packet).  Type checks of the
+ * plane's Python subclasses of its C bases go through a small memo.
  *
  * Every table and queue in the file is one of two containers, defined once
  * ahead of the engine: an int64 -> int64 hash map (imap_t: the cancelled
@@ -316,11 +327,18 @@ ring_clear(pring *q)
 
 #define NKEYS 3 /* time, origin, seq */
 
+/* An event: its keys, its callback and the callback's arguments.  An event
+ * posted from C carries up to two arguments inline (a NULL ends them); one a
+ * Python scheduling call files keeps the argument tuple it was given, in a0,
+ * with a1 set to ARGS_TUPLE. */
 typedef struct {
     long long k[NKEYS];
     PyObject *callback;
-    PyObject *args; /* tuple */
+    PyObject *a0;
+    PyObject *a1;
 } entry_t;
+
+#define ARGS_TUPLE ((PyObject *)&EventHeapType)
 
 typedef struct {
     PyObject_HEAD
@@ -353,6 +371,20 @@ static slot_class event_class = {E_NSLOTS, event_slot_names, event_slot_strs,
                                  event_slot_offsets, NULL};
 static PyObject *simulation_error;
 static Py_ssize_t compact_min_cancelled = 64;
+
+/* Drop the references an entry holds. */
+static void
+entry_release(entry_t *e)
+{
+    Py_DECREF(e->callback);
+    Py_XDECREF(e->a0);
+    if (e->a1 != ARGS_TUPLE)
+        Py_XDECREF(e->a1);
+}
+
+/* Run an inline entry's callback; defined with the plane, whose bound
+ * methods it enters directly. */
+static int entry_fire(entry_t *e);
 
 static inline int
 entry_lt(const entry_t *a, const entry_t *b)
@@ -409,7 +441,7 @@ heap_pop_root(EventHeapObject *self, entry_t *out)
     }
 }
 
-/* File e; its callback and args references are stolen, also on failure. */
+/* File e; its references are stolen, also on failure. */
 static int
 heap_push(EventHeapObject *self, entry_t *e)
 {
@@ -417,8 +449,7 @@ heap_push(EventHeapObject *self, entry_t *e)
         Py_ssize_t cap = self->capacity ? self->capacity * 2 : 256;
         entry_t *mem = PyMem_Realloc(self->heap, (size_t)cap * sizeof(entry_t));
         if (mem == NULL) {
-            Py_DECREF(e->callback);
-            Py_DECREF(e->args);
+            entry_release(e);
             PyErr_NoMemory();
             return -1;
         }
@@ -431,34 +462,72 @@ heap_push(EventHeapObject *self, entry_t *e)
     return 0;
 }
 
-/* sim.schedule_at(time, callback, *args) with args already a tuple (stolen):
- * the entry takes the clock as its origin and the next seq.  A refused
- * entry consumes no seq. */
+/* File an event at time: the entry takes the clock as its origin and the
+ * next seq.  The argument references are stolen (also on failure), the
+ * callback is borrowed.  A refused entry consumes no seq. */
 static int
-heap_post_at(EventHeapObject *self, long long time, PyObject *callback, PyObject *args)
+heap_file(EventHeapObject *self, long long time, PyObject *callback, PyObject *a0,
+          PyObject *a1)
 {
     entry_t e;
     e.k[0] = time;
     e.k[1] = self->now;
     e.k[2] = self->seq;
     e.callback = Py_NewRef(callback);
-    e.args = args;
+    e.a0 = a0;
+    e.a1 = a1;
     if (heap_push(self, &e) < 0)
         return -1;
     self->seq += 1;
     return 0;
 }
 
+/* sim.schedule_at(time, callback, *args) with args already a tuple (stolen). */
+static int
+heap_post_at(EventHeapObject *self, long long time, PyObject *callback, PyObject *args)
+{
+    return heap_file(self, time, callback, args, ARGS_TUPLE);
+}
+
+static int
+delay_fits(EventHeapObject *self, long long delay)
+{
+    if (delay > LLONG_MAX - self->now) {
+        PyErr_SetString(PyExc_OverflowError, "event time out of range");
+        return 0;
+    }
+    return 1;
+}
+
 /* sim.post(delay, callback, *args) for a delay already known to be >= 0. */
 static int
 heap_post(EventHeapObject *self, long long delay, PyObject *callback, PyObject *args)
 {
-    if (delay > LLONG_MAX - self->now) {
+    if (!delay_fits(self, delay)) {
         Py_DECREF(args);
-        PyErr_SetString(PyExc_OverflowError, "event time out of range");
         return -1;
     }
     return heap_post_at(self, self->now + delay, callback, args);
+}
+
+/* The same post from C: callback(a0, a1) with the arguments inline (a1, or
+ * both, NULL for fewer); nothing is stolen. */
+static int
+heap_call_at(EventHeapObject *self, long long time, PyObject *callback, PyObject *a0,
+             PyObject *a1)
+{
+    Py_XINCREF(a0);
+    Py_XINCREF(a1);
+    return heap_file(self, time, callback, a0, a1);
+}
+
+static int
+heap_call(EventHeapObject *self, long long delay, PyObject *callback, PyObject *a0,
+          PyObject *a1)
+{
+    if (!delay_fits(self, delay))
+        return -1;
+    return heap_call_at(self, self->now + delay, callback, a0, a1);
 }
 
 /* sim.now as a Python int (a new reference), made at most once per clock
@@ -670,7 +739,8 @@ EventHeap_insert(EventHeapObject *self, PyObject *entry)
             return NULL;
     }
     e.callback = Py_NewRef(PyTuple_GET_ITEM(entry, NKEYS));
-    e.args = Py_NewRef(PyTuple_GET_ITEM(entry, NKEYS + 1));
+    e.a0 = Py_NewRef(PyTuple_GET_ITEM(entry, NKEYS + 1));
+    e.a1 = ARGS_TUPLE;
     if (heap_push(self, &e) < 0)
         return NULL;
     Py_RETURN_NONE;
@@ -715,10 +785,8 @@ heap_compact(EventHeapObject *self)
         sift_down(self->heap, kept, i);
     imap_free(&self->cancelled);
     /* Released last: a finalizer may schedule into the heap. */
-    for (i = 0; i < ndead; i++) {
-        Py_DECREF(dead[i].callback);
-        Py_DECREF(dead[i].args);
-    }
+    for (i = 0; i < ndead; i++)
+        entry_release(&dead[i]);
     PyMem_Free(dead);
     return 0;
 }
@@ -761,27 +829,31 @@ EventHeap_run(EventHeapObject *self, PyObject *const *args, Py_ssize_t nargs)
 
     while (processed < cap && self->size > 0) {
         entry_t e;
-        PyObject *result;
+        int rc;
 
         if (self->cancelled.used > 0 &&
             imap_del(&self->cancelled, self->heap[0].k[NKEYS - 1])) {
             heap_pop_root(self, &e);
-            Py_DECREF(e.callback);
-            Py_DECREF(e.args);
+            entry_release(&e);
             continue;
         }
         if (self->heap[0].k[0] > stop_after)
             break;
         heap_pop_root(self, &e);
         self->now = e.k[0];
-        result = PyObject_Call(e.callback, e.args, NULL);
-        Py_DECREF(e.callback);
-        Py_DECREF(e.args);
-        if (result == NULL) {
+        if (e.a1 == ARGS_TUPLE) {
+            PyObject *result = PyObject_Call(e.callback, e.a0, NULL);
+            rc = result == NULL ? -1 : 0;
+            Py_XDECREF(result);
+        }
+        else {
+            rc = entry_fire(&e);
+        }
+        entry_release(&e);
+        if (rc < 0) {
             self->last_processed = processed;
             return NULL;
         }
-        Py_DECREF(result);
         processed += 1;
     }
     self->last_processed = processed;
@@ -855,7 +927,9 @@ EventHeap_traverse(EventHeapObject *self, visitproc visit, void *arg)
     Py_ssize_t i;
     for (i = 0; i < self->size; i++) {
         Py_VISIT(self->heap[i].callback);
-        Py_VISIT(self->heap[i].args);
+        Py_VISIT(self->heap[i].a0);
+        if (self->heap[i].a1 != ARGS_TUPLE)
+            Py_VISIT(self->heap[i].a1);
     }
     return 0;
 }
@@ -866,8 +940,9 @@ EventHeap_clear(EventHeapObject *self)
     Py_ssize_t i, size = self->size;
     self->size = 0;
     for (i = 0; i < size; i++) {
-        Py_CLEAR(self->heap[i].callback);
-        Py_CLEAR(self->heap[i].args);
+        entry_t e = self->heap[i];
+        self->heap[i].callback = self->heap[i].a0 = self->heap[i].a1 = NULL;
+        entry_release(&e);
     }
     return 0;
 }
@@ -971,14 +1046,13 @@ bind_engine(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
  * of AccelSimulator.post), and the clock is read from its fields.
  * ===================================================================== */
 
-static PyObject *str_dict, *str_popleft, *str_append, *str_dequeue,
+static PyObject *str_dict, *str_popleft, *str_dequeue,
     *str_enqueue, *str_has_backlog, *str_backlog_bytes, *str_set_paused,
     *str_paused, *str_kick, *str_ecmp_pick, *str_maybe_mark_ecn,
     *str_send_pfc, *str_stamp_int, *str_handle_pfc, *str_handle_bloom,
     *str_data_bytes, *str_data_packets,
-    *str_control_bytes, *str_control_packets, *str_forwarded_packets,
-    *str_dropped_packets, *str_dropped_bytes, *str_post, *str_name,
-    *str_tx_memo, *str_random, *str_ecn_marked;
+    *str_control_bytes, *str_control_packets, *str_post, *str_name,
+    *str_tx_memo, *str_random;
 
 enum {
     P_KIND,
@@ -1146,15 +1220,15 @@ cls_truth(const slot_class *cls, PyObject *obj, int slot)
 #define pkt_truth(pkt, slot) cls_truth(&packet_class, (pkt), (slot))
 
 /* Set by bind(): what a compiled port builds for its queue and meters. */
-static PyObject *deque_type, *pause_meter_type, *byte_meter_type;
+static PyObject *pause_meter_type, *byte_meter_type;
 
 static PyObject *
 bind(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 7) {
+    if (nargs != 6) {
         PyErr_SetString(PyExc_TypeError,
                         "bind expects (Packet, FlowKey, PacketKind.PFC, "
-                        "PacketKind.BLOOM, deque, PauseMeter, ByteMeter)");
+                        "PacketKind.BLOOM, PauseMeter, ByteMeter)");
         return NULL;
     }
     if (slot_class_bind(&packet_class, args[0]) < 0 ||
@@ -1162,36 +1236,50 @@ bind(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     Py_XSETREF(kind_pfc, Py_NewRef(args[2]));
     Py_XSETREF(kind_bloom, Py_NewRef(args[3]));
-    Py_XSETREF(deque_type, Py_NewRef(args[4]));
-    Py_XSETREF(pause_meter_type, Py_NewRef(args[5]));
-    Py_XSETREF(byte_meter_type, Py_NewRef(args[6]));
+    Py_XSETREF(pause_meter_type, Py_NewRef(args[4]));
+    Py_XSETREF(byte_meter_type, Py_NewRef(args[5]));
     Py_RETURN_NONE;
 }
 
 /* -- Small helpers ---------------------------------------------------- */
 
-/* counters.values[name] += amount on a (default)dict of ints. */
+/* PyObject_TypeCheck behind a memo of (type, base) -> answer, so an object
+ * of one of the plane's Python subclasses of a C base (or of another
+ * discipline a port tries first) costs a few compares once its type has
+ * been seen.  The memo has two ways per set, the older one evicted, and
+ * holds a reference to each type it remembers, so no remembered address is
+ * reused by another type. */
+#define TYPE_MEMO_SETS 64
+typedef struct {
+    PyTypeObject *type;
+    PyTypeObject *base;
+    int is;
+} type_memo_way;
+static type_memo_way type_memo[TYPE_MEMO_SETS][2];
+
 static int
-counter_add(PyObject *values, PyObject *name, long long amount)
+type_is(PyObject *obj, PyTypeObject *base)
 {
-    PyObject *cur = PyDict_GetItemWithError(values, name), *next;
-    long long total = amount;
-    int rc;
-    if (cur != NULL) {
-        long long have = PyLong_AsLongLong(cur);
-        if (have == -1 && PyErr_Occurred())
-            return -1;
-        total += have;
-    }
-    else if (PyErr_Occurred()) {
-        return -1;
-    }
-    next = PyLong_FromLongLong(total);
-    if (next == NULL)
-        return -1;
-    rc = PyDict_SetItem(values, name, next);
-    Py_DECREF(next);
-    return rc;
+    PyTypeObject *type = Py_TYPE(obj), *old;
+    type_memo_way *set, fresh;
+    int is;
+    if (type == base)
+        return 1;
+    set = type_memo[((((uint64_t)(uintptr_t)type ^ ((uint64_t)(uintptr_t)base << 7)) *
+                      0x9E3779B97F4A7C15ULL) >> 58) % TYPE_MEMO_SETS];
+    if (set[0].type == type && set[0].base == base)
+        return set[0].is;
+    if (set[1].type == type && set[1].base == base)
+        return set[1].is;
+    is = PyType_IsSubtype(type, base);
+    fresh.type = (PyTypeObject *)Py_NewRef(type);
+    fresh.base = base;
+    fresh.is = is;
+    old = set[1].type;
+    set[1] = set[0];
+    set[0] = fresh;
+    Py_XDECREF(old);
+    return is;
 }
 
 /* Call obj.name(*args) with one or two positional arguments. */
@@ -1214,6 +1302,167 @@ round_half_even(double x)
 }
 
 /* ===================================================================== *
+ * Counters: the counts the compiled plane keeps for a node
+ * ===================================================================== */
+
+/* The counters the compiled switch hop and NIC increment.  They are C
+ * fields of the node's Counters, folded into its values dict before any
+ * read of it (Counters.get, as_dict and values all read values), so what
+ * Python sees is what the Python plane's increments would have made: a
+ * counter appears once it has been counted, even by zero. */
+enum {
+    C_FORWARDED_PACKETS,
+    C_DROPPED_PACKETS,
+    C_DROPPED_BYTES,
+    C_ECN_MARKED,
+    C_DATA_PACKETS_SENT,
+    C_DATA_PACKETS_RECEIVED,
+    C_OUT_OF_ORDER_PACKETS,
+    C_DUPLICATE_PACKETS,
+    C_ACKS_SENT,
+    C_NACKS_SENT,
+    C_SELECTIVE_RETRANSMISSIONS,
+    C_CNPS_SENT,
+    C_CNPS_RECEIVED,
+    C_NCOUNTERS
+};
+static const char *const counter_names[C_NCOUNTERS] = {
+    "forwarded_packets", "dropped_packets", "dropped_bytes", "ecn_marked",
+    "data_packets_sent", "data_packets_received", "out_of_order_packets",
+    "duplicate_packets", "acks_sent", "nacks_sent", "selective_retransmissions",
+    "cnps_sent", "cnps_received",
+};
+static PyObject *counter_strs[C_NCOUNTERS];
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *values;              /* the dict the counts fold into */
+    long long pending[C_NCOUNTERS];
+    unsigned int counted;          /* bit i: pending[i] is due a fold */
+} CountersObject;
+
+static PyTypeObject CountersType;
+
+static inline void
+count(CountersObject *counters, int which, long long amount)
+{
+    counters->pending[which] += amount;
+    counters->counted |= 1u << which;
+}
+
+/* values[name] += pending for every counter counted since the last fold. */
+static int
+counters_fold(CountersObject *self)
+{
+    int i;
+    if (self->counted == 0)
+        return 0;
+    if (self->values == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "values");
+        return -1;
+    }
+    for (i = 0; i < C_NCOUNTERS; i++) {
+        PyObject *cur, *next;
+        long long total;
+        int rc;
+        if (!(self->counted & (1u << i)))
+            continue;
+        cur = PyDict_GetItemWithError(self->values, counter_strs[i]);
+        if (cur == NULL && PyErr_Occurred())
+            return -1;
+        total = self->pending[i];
+        if (cur != NULL) {
+            long long have = PyLong_AsLongLong(cur);
+            if (have == -1 && PyErr_Occurred())
+                return -1;
+            total += have;
+        }
+        next = PyLong_FromLongLong(total);
+        if (next == NULL)
+            return -1;
+        rc = PyDict_SetItem(self->values, counter_strs[i], next);
+        Py_DECREF(next);
+        if (rc < 0)
+            return -1;
+        self->pending[i] = 0;
+        self->counted &= ~(1u << i);
+    }
+    return 0;
+}
+
+static PyObject *
+Counters_get_values(CountersObject *self, void *closure)
+{
+    if (counters_fold(self) < 0)
+        return NULL;
+    if (self->values == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "values");
+        return NULL;
+    }
+    return Py_NewRef(self->values);
+}
+
+/* A new dict takes the counts from here on; those made so far stay in the
+ * old one, as they would on the Python plane. */
+static int
+Counters_set_values(CountersObject *self, PyObject *value, void *closure)
+{
+    if (value == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete values");
+        return -1;
+    }
+    if (!PyDict_Check(value)) {
+        PyErr_SetString(PyExc_TypeError, "Counters.values must be a dict");
+        return -1;
+    }
+    if (self->values != NULL && counters_fold(self) < 0)
+        return -1;
+    Py_XSETREF(self->values, Py_NewRef(value));
+    return 0;
+}
+
+static int
+Counters_traverse(CountersObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->values);
+    return 0;
+}
+
+static int
+Counters_clear(CountersObject *self)
+{
+    Py_CLEAR(self->values);
+    return 0;
+}
+
+static void
+Counters_dealloc(CountersObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    Counters_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyGetSetDef Counters_getset[] = {
+    {"values", (getter)Counters_get_values, (setter)Counters_set_values,
+     "The counts by name, with those the compiled plane made folded in.", NULL},
+    {NULL},
+};
+
+static PyTypeObject CountersType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "_accelcore.Counters",
+    .tp_basicsize = sizeof(CountersObject),
+    .tp_dealloc = (destructor)Counters_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
+    .tp_doc = "A node's counters, the hot ones stored in C (compiled plane).",
+    .tp_traverse = (traverseproc)Counters_traverse,
+    .tp_clear = (inquiry)Counters_clear,
+    .tp_getset = Counters_getset,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ===================================================================== *
  * FifoDiscipline
  * ===================================================================== */
 
@@ -1223,7 +1472,7 @@ typedef struct {
 } FifoObject;
 
 static PyTypeObject FifoType;
-#define Fifo_Check(op) PyObject_TypeCheck(op, &FifoType)
+#define Fifo_Check(op) type_is(op, &FifoType)
 
 static int
 fifo_enqueue(FifoObject *self, PyObject *packet)
@@ -1341,7 +1590,7 @@ static PyTypeObject FifoType = {
 
 typedef struct NicObject NicObject;
 static PyTypeObject NicType;
-#define Nic_Check(op) PyObject_TypeCheck(op, &NicType)
+#define Nic_Check(op) type_is(op, &NicType)
 static PyObject *nic_dequeue(NicObject *self);
 static int nic_has_work_at(NicObject *self, long long horizon);
 static PyObject *Nic_has_work_at(NicObject *self, PyObject *horizon);
@@ -1537,7 +1786,7 @@ meter_paused(PyObject *meter)
     int truth;
     if (meter_missing(meter) < 0)
         return -1;
-    if (PyObject_TypeCheck(meter, &PauseStateType))
+    if (type_is(meter, &PauseStateType))
         return ((PauseStateObject *)meter)->paused;
     value = PyObject_GetAttr(meter, str_paused);
     if (value == NULL)
@@ -1555,7 +1804,7 @@ meter_add(PyObject *meter, int is_data, long long size)
     int i;
     if (meter_missing(meter) < 0)
         return -1;
-    if (PyObject_TypeCheck(meter, &ByteCountsType)) {
+    if (type_is(meter, &ByteCountsType)) {
         ByteCountsObject *counts = (ByteCountsObject *)meter;
         if (is_data) {
             counts->data_bytes += size;
@@ -1596,6 +1845,87 @@ meter_add(PyObject *meter, int is_data, long long size)
  * SharedBuffer (and its BufferStats)
  * ===================================================================== */
 
+/* -- A value per ingress interface ---------------------------------------- */
+
+/* An array indexed by ingress interface, grown on demand; -1 marks an index
+ * with no value yet (a key the Python class's dict does not have). */
+typedef struct {
+    long long *v;
+    Py_ssize_t n;
+} ingress_arr;
+
+static inline long long
+ingress_get(const ingress_arr *a, Py_ssize_t i)
+{
+    return i < a->n ? a->v[i] : -1;
+}
+
+static int
+ingress_put(ingress_arr *a, Py_ssize_t i, long long value)
+{
+    if (i >= a->n) {
+        Py_ssize_t n = a->n ? a->n : 8, k;
+        long long *v;
+        while (n <= i)
+            n *= 2;
+        v = PyMem_Realloc(a->v, (size_t)n * sizeof(long long));
+        if (v == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (k = a->n; k < n; k++)
+            v[k] = -1;
+        a->v = v;
+        a->n = n;
+    }
+    a->v[i] = value;
+    return 0;
+}
+
+static void
+ingress_free(ingress_arr *a)
+{
+    PyMem_Free(a->v);
+    a->v = NULL;
+    a->n = 0;
+}
+
+/* {ingress: value} of the indices that have one; values as bools or ints. */
+static PyObject *
+ingress_dict(const ingress_arr *a, int as_bool)
+{
+    PyObject *dict = PyDict_New();
+    Py_ssize_t i;
+    for (i = 0; dict != NULL && i < a->n; i++) {
+        PyObject *key, *value;
+        int rc;
+        if (a->v[i] < 0)
+            continue;
+        key = PyLong_FromSsize_t(i);
+        value = as_bool ? PyBool_FromLong(a->v[i] != 0) : PyLong_FromLongLong(a->v[i]);
+        rc = key == NULL || value == NULL ? -1 : PyDict_SetItem(dict, key, value);
+        Py_XDECREF(key);
+        Py_XDECREF(value);
+        if (rc < 0)
+            Py_CLEAR(dict);
+    }
+    return dict;
+}
+
+/* An ingress as an array index: a non-negative interface index. */
+static int
+ingress_index(PyObject *ingress, Py_ssize_t *out)
+{
+    *out = PyLong_AsSsize_t(ingress);
+    if (*out == -1 && PyErr_Occurred())
+        return -1;
+    if (*out < 0) {
+        PyErr_Format(PyExc_ValueError, "ingress %zd is not an interface index", *out);
+        return -1;
+    }
+    return 0;
+}
+
 typedef struct {
     PyObject_HEAD
     long long dropped_packets;
@@ -1628,12 +1958,12 @@ typedef struct {
     PyObject_HEAD
     long long capacity;
     long long used;
-    PyObject *per_ingress; /* dict: ingress -> bytes, as in the Python class */
+    ingress_arr per_ingress; /* bytes attributed to each ingress */
     BufferStatsObject *stats;
 } BufferObject;
 
 static PyTypeObject BufferType;
-#define Buffer_Check(op) PyObject_TypeCheck(op, &BufferType)
+#define Buffer_Check(op) type_is(op, &BufferType)
 
 static int
 Buffer_init(BufferObject *self, PyObject *args, PyObject *kwds)
@@ -1656,44 +1986,25 @@ Buffer_init(BufferObject *self, PyObject *args, PyObject *kwds)
     }
     self->capacity = capacity;
     self->used = 0;
-    Py_XSETREF(self->per_ingress, PyDict_New());
-    if (self->per_ingress == NULL)
-        return -1;
+    ingress_free(&self->per_ingress);
     Py_XSETREF(self->stats,
                (BufferStatsObject *)PyObject_CallNoArgs((PyObject *)&BufferStatsType));
     return self->stats == NULL ? -1 : 0;
 }
 
-static int
-ingress_bytes(BufferObject *self, PyObject *ingress, long long *out)
+static inline long long
+ingress_bytes(BufferObject *self, Py_ssize_t ingress)
 {
-    PyObject *cur = PyDict_GetItemWithError(self->per_ingress, ingress);
-    if (cur == NULL) {
-        *out = 0;
-        return PyErr_Occurred() ? -1 : 0;
-    }
-    *out = PyLong_AsLongLong(cur);
-    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
-}
-
-static int
-set_ingress_bytes(BufferObject *self, PyObject *ingress, long long value)
-{
-    PyObject *num = PyLong_FromLongLong(value);
-    int rc;
-    if (num == NULL)
-        return -1;
-    rc = PyDict_SetItem(self->per_ingress, ingress, num);
-    Py_DECREF(num);
-    return rc;
+    long long bytes = ingress_get(&self->per_ingress, ingress);
+    return bytes < 0 ? 0 : bytes;
 }
 
 /* 1 admitted, 0 dropped, -1 error. */
 static int
-buffer_admit(BufferObject *self, long long size, PyObject *ingress)
+buffer_admit(BufferObject *self, long long size, Py_ssize_t ingress)
 {
     BufferStatsObject *stats = self->stats;
-    long long used, current;
+    long long used;
     if (size < 0) {
         PyErr_SetString(PyExc_ValueError, "packet size must be non-negative");
         return -1;
@@ -1704,8 +2015,7 @@ buffer_admit(BufferObject *self, long long size, PyObject *ingress)
         stats->dropped_bytes += size;
         return 0;
     }
-    if (ingress_bytes(self, ingress, &current) < 0 ||
-        set_ingress_bytes(self, ingress, current + size) < 0)
+    if (ingress_put(&self->per_ingress, ingress, ingress_bytes(self, ingress) + size) < 0)
         return -1;
     self->used = used;
     stats->admitted_packets += 1;
@@ -1716,9 +2026,9 @@ buffer_admit(BufferObject *self, long long size, PyObject *ingress)
 }
 
 static int
-buffer_release(BufferObject *self, long long size, PyObject *ingress)
+buffer_release(BufferObject *self, long long size, Py_ssize_t ingress)
 {
-    long long current;
+    long long current = ingress_bytes(self, ingress);
     if (size < 0) {
         PyErr_SetString(PyExc_ValueError, "packet size must be non-negative");
         return -1;
@@ -1729,17 +2039,15 @@ buffer_release(BufferObject *self, long long size, PyObject *ingress)
                      self->used);
         return -1;
     }
-    if (ingress_bytes(self, ingress, &current) < 0)
-        return -1;
     if (size > current) {
         PyErr_Format(PyExc_ValueError,
-                     "releasing %lld bytes from ingress %R but only %lld are "
+                     "releasing %lld bytes from ingress %zd but only %lld are "
                      "attributed to it",
                      size, ingress, current);
         return -1;
     }
     self->used -= size;
-    return set_ingress_bytes(self, ingress, current - size);
+    return ingress_put(&self->per_ingress, ingress, current - size);
 }
 
 static PyObject *
@@ -1748,10 +2056,12 @@ Buffer_admit(BufferObject *self, PyObject *args, PyObject *kwds)
     static char *kwlist[] = {"size", "ingress", NULL};
     long long size;
     PyObject *ingress;
+    Py_ssize_t index;
     int rc;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LO", kwlist, &size, &ingress))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LO", kwlist, &size, &ingress) ||
+        ingress_index(ingress, &index) < 0)
         return NULL;
-    rc = buffer_admit(self, size, ingress);
+    rc = buffer_admit(self, size, index);
     if (rc < 0)
         return NULL;
     return PyBool_FromLong(rc);
@@ -1763,9 +2073,11 @@ Buffer_release(BufferObject *self, PyObject *args, PyObject *kwds)
     static char *kwlist[] = {"size", "ingress", NULL};
     long long size;
     PyObject *ingress;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LO", kwlist, &size, &ingress))
+    Py_ssize_t index;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LO", kwlist, &size, &ingress) ||
+        ingress_index(ingress, &index) < 0)
         return NULL;
-    if (buffer_release(self, size, ingress) < 0)
+    if (buffer_release(self, size, index) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -1779,19 +2091,10 @@ Buffer_occupancy(BufferObject *self, PyObject *Py_UNUSED(ignored))
 static PyObject *
 Buffer_ingress_occupancy(BufferObject *self, PyObject *ingress)
 {
-    long long value;
-    if (ingress_bytes(self, ingress, &value) < 0)
+    Py_ssize_t index;
+    if (ingress_index(ingress, &index) < 0)
         return NULL;
-    return PyLong_FromLongLong(value);
-}
-
-static PyObject *
-Buffer_can_admit(BufferObject *self, PyObject *arg)
-{
-    long long size = PyLong_AsLongLong(arg);
-    if (size == -1 && PyErr_Occurred())
-        return NULL;
-    return PyBool_FromLong(self->used + size <= self->capacity);
+    return PyLong_FromLongLong(ingress_bytes(self, index));
 }
 
 static PyObject *
@@ -1812,10 +2115,16 @@ Buffer_get_free(BufferObject *self, void *closure)
     return PyLong_FromLongLong(buffer_free(self));
 }
 
+/* {ingress: bytes} for every ingress that has had bytes (a snapshot). */
+static PyObject *
+Buffer_get_per_ingress(BufferObject *self, void *closure)
+{
+    return ingress_dict(&self->per_ingress, 0);
+}
+
 static int
 Buffer_traverse(BufferObject *self, visitproc visit, void *arg)
 {
-    Py_VISIT(self->per_ingress);
     Py_VISIT(self->stats);
     return 0;
 }
@@ -1823,7 +2132,6 @@ Buffer_traverse(BufferObject *self, visitproc visit, void *arg)
 static int
 Buffer_clear(BufferObject *self)
 {
-    Py_CLEAR(self->per_ingress);
     Py_CLEAR(self->stats);
     return 0;
 }
@@ -1833,6 +2141,7 @@ Buffer_dealloc(BufferObject *self)
 {
     PyObject_GC_UnTrack(self);
     Buffer_clear(self);
+    ingress_free(&self->per_ingress);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -1843,7 +2152,6 @@ static PyMethodDef Buffer_methods[] = {
      "Return size bytes attributed to ingress to the pool."},
     {"occupancy", (PyCFunction)Buffer_occupancy, METH_NOARGS, NULL},
     {"ingress_occupancy", (PyCFunction)Buffer_ingress_occupancy, METH_O, NULL},
-    {"can_admit", (PyCFunction)Buffer_can_admit, METH_O, NULL},
     {"infinite", (PyCFunction)Buffer_infinite, METH_NOARGS | METH_CLASS,
      "A buffer so large it never fills (used by Ideal-FQ)."},
     {NULL, NULL, 0, NULL},
@@ -1852,13 +2160,14 @@ static PyMethodDef Buffer_methods[] = {
 static PyMemberDef Buffer_members[] = {
     {"capacity", T_LONGLONG, offsetof(BufferObject, capacity), 0, NULL},
     {"used", T_LONGLONG, offsetof(BufferObject, used), 0, NULL},
-    {"per_ingress", T_OBJECT_EX, offsetof(BufferObject, per_ingress), 0, NULL},
     {"stats", T_OBJECT_EX, offsetof(BufferObject, stats), READONLY, NULL},
     {NULL},
 };
 
 static PyGetSetDef Buffer_getset[] = {
     {"free", (getter)Buffer_get_free, NULL, "Unallocated bytes.", NULL},
+    {"per_ingress", (getter)Buffer_get_per_ingress, NULL,
+     "Bytes attributed to each ingress (a snapshot dict).", NULL},
     {NULL},
 };
 
@@ -1900,7 +2209,12 @@ typedef struct {
     PyObject *peer_iface;
     PyObject *peer_receive;
     PyObject *tx_memo;
-    PyObject *control_queue;
+    /* The last two packet sizes served and their tx times, ahead of the
+     * shared memo (a size of -1 is empty). */
+    long long tx_size[2];
+    long long tx_time[2];
+    int tx_next;
+    pring control; /* the control queue: strict priority, never paused */
     PyObject *discipline;
     char busy;
     long long busy_until;
@@ -1915,7 +2229,7 @@ typedef struct {
 } PortObject;
 
 static PyTypeObject PortType;
-#define Port_Check(op) PyObject_TypeCheck(op, &PortType)
+#define Port_Check(op) type_is(op, &PortType)
 
 static int port_kick(PortObject *self);
 static int plane_on_dequeue(SwitchPlaneObject *plane, PyObject *packet,
@@ -1924,34 +2238,30 @@ static PyObject *SwitchPlane_on_data_dequeue(SwitchPlaneObject *self,
                                              PyObject *const *args,
                                              Py_ssize_t nargs);
 
+/* self._post(delay, callback, a0, a1), with a1 or both NULL for fewer
+ * arguments: straight into the heap unless _post was replaced. */
 static int
-port_post(PortObject *self, long long delay, PyObject *callback, PyObject *args)
+port_post(PortObject *self, long long delay, PyObject *callback, PyObject *a0, PyObject *a1)
 {
-    PyObject *stack[5], *delay_obj, *post, *res;
-    Py_ssize_t n, i;
+    PyObject *stack[4], *delay_obj, *post, *res;
     if (callback == NULL) {
-        Py_DECREF(args);
         PyErr_SetString(PyExc_TypeError, "egress port is not connected");
         return -1;
     }
     if (self->post_direct)
-        return heap_post(self->sim, delay, callback, args);
+        return heap_call(self->sim, delay, callback, a0, a1);
     delay_obj = PyLong_FromLongLong(delay);
-    if (delay_obj == NULL) {
-        Py_DECREF(args);
+    if (delay_obj == NULL)
         return -1;
-    }
-    n = PyTuple_GET_SIZE(args);
     stack[0] = delay_obj;
     stack[1] = Py_NewRef(callback);
-    for (i = 0; i < n && i < 3; i++)
-        stack[2 + i] = PyTuple_GET_ITEM(args, i);
+    stack[2] = a0;
+    stack[3] = a1;
     post = Py_NewRef(self->post);
-    res = PyObject_Vectorcall(post, stack, 2 + i, NULL);
+    res = PyObject_Vectorcall(post, stack, a0 == NULL ? 2 : a1 == NULL ? 3 : 4, NULL);
     Py_DECREF(post);
     Py_DECREF(stack[1]);
     Py_DECREF(delay_obj);
-    Py_DECREF(args);
     if (res == NULL)
         return -1;
     Py_DECREF(res);
@@ -1977,28 +2287,45 @@ port_call_hook(PortObject *self, PyObject *hook, PyObject *packet)
     return 0;
 }
 
-/* The tx time of one packet size, through the shared per-rate memo. */
+/* The tx time of one packet size: the port's last two sizes, else the
+ * shared per-rate memo.  A tx time is a function of the size and the fixed
+ * rate, so either answers as the computation would. */
 static int
 port_tx_ns(PortObject *self, PyObject *size_obj, long long size, long long *out)
 {
-    PyObject *hit = PyDict_GetItemWithError(self->tx_memo, size_obj), *num;
+    PyObject *hit, *num;
     long long tx_ns;
-    int rc;
-    if (hit != NULL) {
-        *out = PyLong_AsLongLong(hit);
-        return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+    int rc = 0;
+    if (self->tx_size[0] == size) {
+        *out = self->tx_time[0];
+        return 0;
     }
-    if (PyErr_Occurred())
-        return -1;
-    /* Arithmetically identical to units.transmission_time_ns. */
-    tx_ns = (long long)round_half_even((double)(size * 8 * 1000000000LL) / self->rate_bps);
-    if (tx_ns <= 0)
-        tx_ns = 1;
-    num = PyLong_FromLongLong(tx_ns);
-    if (num == NULL)
-        return -1;
-    rc = PyDict_SetItem(self->tx_memo, size_obj, num);
-    Py_DECREF(num);
+    if (self->tx_size[1] == size) {
+        *out = self->tx_time[1];
+        return 0;
+    }
+    hit = PyDict_GetItemWithError(self->tx_memo, size_obj);
+    if (hit != NULL) {
+        tx_ns = PyLong_AsLongLong(hit);
+        if (tx_ns == -1 && PyErr_Occurred())
+            return -1;
+    }
+    else {
+        if (PyErr_Occurred())
+            return -1;
+        /* Arithmetically identical to units.transmission_time_ns. */
+        tx_ns = (long long)round_half_even((double)(size * 8 * 1000000000LL) / self->rate_bps);
+        if (tx_ns <= 0)
+            tx_ns = 1;
+        num = PyLong_FromLongLong(tx_ns);
+        if (num == NULL)
+            return -1;
+        rc = PyDict_SetItem(self->tx_memo, size_obj, num);
+        Py_DECREF(num);
+    }
+    self->tx_size[self->tx_next] = size;
+    self->tx_time[self->tx_next] = tx_ns;
+    self->tx_next ^= 1;
     *out = tx_ns;
     return rc;
 }
@@ -2006,10 +2333,9 @@ port_tx_ns(PortObject *self, PyObject *size_obj, long long size, long long *out)
 static int
 port_kick(PortObject *self)
 {
-    PyObject *packet, *size_obj, *args;
+    PyObject *packet, *size_obj;
     long long now, size, tx_ns, end;
-    Py_ssize_t backlog;
-    int is_data, paused;
+    int is_data, paused, rc;
 
     if (self->busy) {
         long long until = self->busy_until;
@@ -2017,8 +2343,7 @@ port_kick(PortObject *self)
         if (now < until) {
             if (self->wake_at != until) {
                 self->wake_at = until;
-                return port_post(self, until - now, self->kick_method,
-                                 Py_NewRef(empty_tuple));
+                return port_post(self, until - now, self->kick_method, NULL, NULL);
             }
             return 0;
         }
@@ -2026,13 +2351,9 @@ port_kick(PortObject *self)
     }
     if (self->peer_node == NULL || self->peer_node == Py_None)
         return 0;
-    backlog = PyObject_Size(self->control_queue);
-    if (backlog < 0)
-        return -1;
-    if (backlog > 0) {
-        packet = PyObject_CallMethodNoArgs(self->control_queue, str_popleft);
-        if (packet == NULL)
-            return -1;
+    if (self->control.count > 0) {
+        long long unused;
+        packet = ring_pop(&self->control, &unused);
         is_data = 0;
     }
     else {
@@ -2079,7 +2400,6 @@ port_kick(PortObject *self)
         PyObject *hook = self->on_data_transmitted;
         self->tx_data_bytes_total += size;
         if (hook != NULL && hook != Py_None) {
-            int rc;
             Py_INCREF(hook);
             rc = port_call_hook(self, hook, packet);
             Py_DECREF(hook);
@@ -2088,19 +2408,14 @@ port_kick(PortObject *self)
         }
     }
     /* The fused delivery: one event at now + tx + propagation. */
-    args = PyTuple_Pack(2, packet, self->peer_iface);
+    rc = port_post(self, tx_ns + self->delay_ns, self->peer_receive, packet, self->peer_iface);
     Py_DECREF(packet);
-    if (args == NULL)
-        return -1;
-    if (port_post(self, tx_ns + self->delay_ns, self->peer_receive, args) < 0)
+    if (rc < 0)
         return -1;
     end = now + tx_ns;
     self->busy_until = end;
     /* Chain wake-up at the commit horizon, exactly as EgressPort.kick. */
-    backlog = PyObject_Size(self->control_queue);
-    if (backlog < 0)
-        return -1;
-    if (backlog == 0) {
+    if (self->control.count == 0) {
         paused = meter_paused(self->pfc_meter);
         if (paused < 0)
             return -1;
@@ -2141,7 +2456,7 @@ port_kick(PortObject *self)
 wake:
     if (self->wake_at != end) {
         self->wake_at = end;
-        return port_post(self, tx_ns, self->kick_method, Py_NewRef(empty_tuple));
+        return port_post(self, tx_ns, self->kick_method, NULL, NULL);
     }
     return 0;
 
@@ -2153,7 +2468,6 @@ error:
 static int
 port_send_control(PortObject *self, PyObject *packet)
 {
-    PyObject *res;
     int control = pkt_truth(packet, P_IS_CONTROL);
     if (control < 0)
         return -1;
@@ -2162,11 +2476,38 @@ port_send_control(PortObject *self, PyObject *packet)
                         "send_control() is only for control packets");
         return -1;
     }
-    res = PyObject_CallMethodOneArg(self->control_queue, str_append, packet);
-    if (res == NULL)
+    /* A control packet's size is read when it is sent, not here. */
+    if (ring_push(&self->control, packet, 0) < 0)
         return -1;
-    Py_DECREF(res);
     return port_kick(self);
+}
+
+/* EgressPort.queue_control: append frames to the control queue, no kick. */
+static int
+port_queue_control(PortObject *self, PyObject *frames)
+{
+    PyObject *iter, *frame;
+    if (PyList_CheckExact(frames)) {
+        Py_ssize_t k;
+        for (k = 0; k < PyList_GET_SIZE(frames); k++) {
+            if (ring_push(&self->control, PyList_GET_ITEM(frames, k), 0) < 0)
+                return -1;
+        }
+        return 0;
+    }
+    iter = PyObject_GetIter(frames);
+    if (iter == NULL)
+        return -1;
+    while ((frame = PyIter_Next(iter)) != NULL) {
+        int rc = ring_push(&self->control, frame, 0);
+        Py_DECREF(frame);
+        if (rc < 0) {
+            Py_DECREF(iter);
+            return -1;
+        }
+    }
+    Py_DECREF(iter);
+    return PyErr_Occurred() ? -1 : 0;
 }
 
 static int
@@ -2180,7 +2521,7 @@ Port_init(PortObject *self, PyObject *args, PyObject *kwds)
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOLOO|O", kwlist, &sim,
                                      &owner, &iface_index, &rate, &delay, &name))
         return -1;
-    if (deque_type == NULL) {
+    if (pause_meter_type == NULL) {
         PyErr_SetString(PyExc_RuntimeError, "_accelcore.bind() has not run");
         return -1;
     }
@@ -2234,11 +2575,12 @@ Port_init(PortObject *self, PyObject *args, PyObject *kwds)
             return -1;
     }
     Py_XSETREF(self->tx_memo, PyObject_CallMethodOneArg(sim, str_tx_memo, rate));
-    Py_XSETREF(self->control_queue, PyObject_CallNoArgs(deque_type));
+    ring_clear(&self->control);
+    self->tx_size[0] = self->tx_size[1] = -1;
+    self->tx_next = 0;
     Py_XSETREF(self->pfc_meter, PyObject_CallNoArgs(pause_meter_type));
     Py_XSETREF(self->bytes, PyObject_CallNoArgs(byte_meter_type));
-    if (self->tx_memo == NULL || self->control_queue == NULL ||
-        self->pfc_meter == NULL || self->bytes == NULL)
+    if (self->tx_memo == NULL || self->pfc_meter == NULL || self->bytes == NULL)
         return -1;
     Py_XSETREF(self->peer_iface, PyLong_FromLong(-1));
     if (self->peer_iface == NULL)
@@ -2268,6 +2610,14 @@ Port_send_control(PortObject *self, PyObject *packet)
 }
 
 static PyObject *
+Port_queue_control(PortObject *self, PyObject *frames)
+{
+    if (port_queue_control(self, frames) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
 Port_set_pfc_paused(PortObject *self, PyObject *paused)
 {
     PyObject *now, *res;
@@ -2285,6 +2635,19 @@ Port_set_pfc_paused(PortObject *self, PyObject *paused)
     if (!truth && port_kick(self) < 0)
         return NULL;
     Py_RETURN_NONE;
+}
+
+/* The control queue's packets, head first (a snapshot). */
+static PyObject *
+Port_get_control_queue(PortObject *self, void *closure)
+{
+    PyObject *list = PyList_New(self->control.count);
+    Py_ssize_t k;
+    if (list == NULL)
+        return NULL;
+    for (k = 0; k < self->control.count; k++)
+        PyList_SET_ITEM(list, k, Py_NewRef(ring_at(&self->control, k)->packet));
+    return list;
 }
 
 static PyObject *
@@ -2314,9 +2677,10 @@ Port_traverse(PortObject *self, visitproc visit, void *arg)
     Py_VISIT(self->owner);
     Py_VISIT(self->name);
     Py_VISIT(self->peer_node);
+    Py_VISIT(self->peer_iface);
     Py_VISIT(self->peer_receive);
     Py_VISIT(self->tx_memo);
-    Py_VISIT(self->control_queue);
+    ring_traverse(&self->control, visit, arg);
     Py_VISIT(self->discipline);
     Py_VISIT(self->pfc_meter);
     Py_VISIT(self->bytes);
@@ -2340,7 +2704,7 @@ Port_clear(PortObject *self)
     Py_CLEAR(self->peer_iface);
     Py_CLEAR(self->peer_receive);
     Py_CLEAR(self->tx_memo);
-    Py_CLEAR(self->control_queue);
+    ring_clear(&self->control);
     Py_CLEAR(self->discipline);
     Py_CLEAR(self->pfc_meter);
     Py_CLEAR(self->bytes);
@@ -2356,6 +2720,7 @@ Port_dealloc(PortObject *self)
 {
     PyObject_GC_UnTrack(self);
     Port_clear(self);
+    PyMem_Free(self->control.items);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -2366,6 +2731,8 @@ static PyMethodDef Port_methods[] = {
      "Tell the port that the data discipline may have become non-empty."},
     {"send_control", (PyCFunction)Port_send_control, METH_O,
      "Queue a control packet for transmission at strict priority."},
+    {"queue_control", (PyCFunction)Port_queue_control, METH_O,
+     "Append control frames to the control queue without a kick."},
     {"set_pfc_paused", (PyCFunction)Port_set_pfc_paused, METH_O,
      "Pause/resume the data class of this port (control still flows)."},
     {NULL, NULL, 0, NULL},
@@ -2384,7 +2751,6 @@ static PyMemberDef Port_members[] = {
     PORT_OBJ("peer_iface", peer_iface),
     PORT_OBJ("_peer_receive", peer_receive),
     PORT_OBJ("_tx_memo", tx_memo),
-    PORT_OBJ("control_queue", control_queue),
     PORT_OBJ("discipline", discipline),
     {"busy", T_BOOL, offsetof(PortObject, busy), 0, NULL},
     {"_busy_until", T_LONGLONG, offsetof(PortObject, busy_until), 0, NULL},
@@ -2400,6 +2766,8 @@ static PyMemberDef Port_members[] = {
 #undef PORT_OBJ
 
 static PyGetSetDef Port_getset[] = {
+    {"control_queue", (getter)Port_get_control_queue, NULL,
+     "The queued control packets, head first (a snapshot list).", NULL},
     {"_post", (getter)Port_get_post, (setter)Port_set_post,
      "The post alias; replacing it routes every post through the replacement.",
      NULL},
@@ -2431,8 +2799,9 @@ struct SwitchPlaneObject {
     PyObject *owner;     /* the Switch node: cold paths call back into it */
     PyObject *ports;     /* list: interface index -> egress port */
     BufferObject *buffer;
-    PyObject *counters;  /* the switch's counters.values */
-    PyObject *pfc_sent;  /* the switch's _pfc_sent dict */
+    CountersObject *counters; /* the switch's counters */
+    ingress_arr pfc;     /* the PFC pause in force per ingress (1), or not (0) */
+    PyObject *pfc_sent;  /* the switch's _pfc_sent dict: kept equal to pfc */
     PyObject *admit_override; /* a replaced _admit_data, or NULL */
     char pfc_enabled;
     double pfc_fraction;
@@ -2548,19 +2917,11 @@ plane_egress(SwitchPlaneObject *self, PyObject *packet)
 }
 
 static int
-pfc_flag(SwitchPlaneObject *self, PyObject *ingress)
-{
-    PyObject *sent = PyDict_GetItemWithError(self->pfc_sent, ingress);
-    if (sent == NULL)
-        return PyErr_Occurred() ? -1 : 0;
-    return PyObject_IsTrue(sent);
-}
-
-static int
-plane_send_pfc(SwitchPlaneObject *self, PyObject *ingress, int pause)
+plane_send_pfc(SwitchPlaneObject *self, PyObject *ingress, Py_ssize_t index, int pause)
 {
     PyObject *res;
-    if (PyDict_SetItem(self->pfc_sent, ingress, pause ? Py_True : Py_False) < 0)
+    if (ingress_put(&self->pfc, index, pause) < 0 ||
+        PyDict_SetItem(self->pfc_sent, ingress, pause ? Py_True : Py_False) < 0)
         return -1;
     res = call_method2(self->owner, str_send_pfc, ingress, pause ? Py_True : Py_False);
     if (res == NULL)
@@ -2569,45 +2930,42 @@ plane_send_pfc(SwitchPlaneObject *self, PyObject *ingress, int pause)
     return 0;
 }
 
-/* Switch._check_pfc_pause with PfcPolicy.should_pause inlined. */
+/* Switch._check_pfc_pause with PfcPolicy.should_pause inlined, past its
+ * pfc.enabled check. */
 static int
-plane_check_pause(SwitchPlaneObject *self, PyObject *ingress)
+plane_check_pause(SwitchPlaneObject *self, PyObject *ingress, Py_ssize_t index)
 {
     long long occupancy, free_bytes;
-    int sent = pfc_flag(self, ingress);
-    if (sent != 0)
-        return sent < 0 ? -1 : 0;
-    if (ingress_bytes(self->buffer, ingress, &occupancy) < 0)
-        return -1;
+    if (ingress_get(&self->pfc, index) > 0)
+        return 0;
+    occupancy = ingress_bytes(self->buffer, index);
     free_bytes = buffer_free(self->buffer);
     if ((double)occupancy > self->pfc_fraction * (double)free_bytes)
-        return plane_send_pfc(self, ingress, 1);
+        return plane_send_pfc(self, ingress, index, 1);
     return 0;
 }
 
-/* Switch._check_pfc_resume with PfcPolicy.should_resume inlined. */
+/* Switch._check_pfc_resume with PfcPolicy.should_resume inlined, past its
+ * pfc.enabled check. */
 static int
-plane_check_resume(SwitchPlaneObject *self, PyObject *ingress)
+plane_check_resume(SwitchPlaneObject *self, PyObject *ingress, Py_ssize_t index)
 {
     long long occupancy, free_bytes;
-    int sent = pfc_flag(self, ingress);
-    if (sent <= 0)
-        return sent;
-    if (ingress_bytes(self->buffer, ingress, &occupancy) < 0)
-        return -1;
+    if (ingress_get(&self->pfc, index) <= 0)
+        return 0;
+    occupancy = ingress_bytes(self->buffer, index);
     free_bytes = buffer_free(self->buffer);
     if ((double)occupancy <=
         self->pfc_fraction * (double)free_bytes * self->pfc_resume_ratio)
-        return plane_send_pfc(self, ingress, 0);
+        return plane_send_pfc(self, ingress, index, 0);
     return 0;
 }
 
 static int
 plane_drop(SwitchPlaneObject *self, long long size)
 {
-    if (counter_add(self->counters, str_dropped_packets, 1) < 0 ||
-        counter_add(self->counters, str_dropped_bytes, size) < 0)
-        return -1;
+    count(self->counters, C_DROPPED_PACKETS, 1);
+    count(self->counters, C_DROPPED_BYTES, size);
     return 0;
 }
 
@@ -2644,7 +3002,8 @@ plane_mark_ecn(SwitchPlaneObject *self, PyObject *packet, PyObject *port, long l
         return 0;
     if (pkt_set(packet, P_ECN_MARKED, Py_True) < 0)
         return -1;
-    return counter_add(self->counters, str_ecn_marked, 1);
+    count(self->counters, C_ECN_MARKED, 1);
+    return 0;
 }
 
 /* Switch._admit_data. */
@@ -2654,6 +3013,7 @@ plane_admit_data(SwitchPlaneObject *self, PyObject *packet, PyObject *in_index,
 {
     PyObject *discipline, *hops, *next;
     long long size, hop_count;
+    Py_ssize_t ingress;
     int rc, capable;
 
     discipline = ((PortObject *)port)->discipline;
@@ -2661,9 +3021,9 @@ plane_admit_data(SwitchPlaneObject *self, PyObject *packet, PyObject *in_index,
         PyErr_SetString(PyExc_AttributeError, "egress port has no discipline");
         return -1;
     }
-    if (pkt_ll(packet, P_SIZE, &size) < 0)
+    if (pkt_ll(packet, P_SIZE, &size) < 0 || ingress_index(in_index, &ingress) < 0)
         return -1;
-    rc = buffer_admit(self->buffer, size, in_index);
+    rc = buffer_admit(self->buffer, size, ingress);
     if (rc <= 0)
         return rc < 0 ? -1 : plane_drop(self, size);
     if (pkt_set(packet, P_CUR_INGRESS, in_index) < 0)
@@ -2701,16 +3061,15 @@ plane_admit_data(SwitchPlaneObject *self, PyObject *packet, PyObject *in_index,
     if (rc < 0)
         return -1;
     if (rc == 0) {
-        if (buffer_release(self->buffer, size, in_index) < 0)
+        if (buffer_release(self->buffer, size, ingress) < 0)
             return -1;
         return plane_drop(self, size);
     }
-    if (counter_add(self->counters, str_forwarded_packets, 1) < 0)
-        return -1;
+    count(self->counters, C_FORWARDED_PACKETS, 1);
     if (port_kick((PortObject *)port) < 0)
         return -1;
     if (self->pfc_enabled)
-        return plane_check_pause(self, in_index);
+        return plane_check_pause(self, in_index, ingress);
     return 0;
 
 error:
@@ -2730,19 +3089,12 @@ plane_on_dequeue(SwitchPlaneObject *self, PyObject *packet, PyObject *iface_inde
     if (in_index == -1 && PyErr_Occurred())
         goto error;
     if (in_index >= 0) {
-        PyObject *minus_one;
         if (pkt_ll(packet, P_SIZE, &size) < 0 ||
-            buffer_release(self->buffer, size, ingress) < 0)
+            buffer_release(self->buffer, size, (Py_ssize_t)in_index) < 0 ||
+            pkt_set(packet, P_CUR_INGRESS, int_minus_one) < 0)
             goto error;
-        minus_one = PyLong_FromLong(-1);
-        if (minus_one == NULL)
-            goto error;
-        if (pkt_set(packet, P_CUR_INGRESS, minus_one) < 0) {
-            Py_DECREF(minus_one);
-            goto error;
-        }
-        Py_DECREF(minus_one);
-        if (self->pfc_enabled && plane_check_resume(self, ingress) < 0)
+        if (self->pfc_enabled &&
+            plane_check_resume(self, ingress, (Py_ssize_t)in_index) < 0)
             goto error;
     }
     Py_DECREF(ingress);
@@ -2863,6 +3215,36 @@ SwitchPlane_on_data_dequeue(SwitchPlaneObject *self, PyObject *const *args,
     Py_RETURN_NONE;
 }
 
+/* Switch._check_pfc_pause / _check_pfc_resume on the compiled plane, for
+ * the Python hop paths (a replaced _admit_data) to find the C flags. */
+static PyObject *
+SwitchPlane_check_pfc(SwitchPlaneObject *self, PyObject *ingress, int pause)
+{
+    Py_ssize_t index;
+    int rc;
+    if (!self->pfc_enabled)
+        Py_RETURN_NONE;
+    if (ingress_index(ingress, &index) < 0)
+        return NULL;
+    rc = pause ? plane_check_pause(self, ingress, index)
+               : plane_check_resume(self, ingress, index);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+SwitchPlane_check_pfc_pause(SwitchPlaneObject *self, PyObject *ingress)
+{
+    return SwitchPlane_check_pfc(self, ingress, 1);
+}
+
+static PyObject *
+SwitchPlane_check_pfc_resume(SwitchPlaneObject *self, PyObject *ingress)
+{
+    return SwitchPlane_check_pfc(self, ingress, 0);
+}
+
 static PyObject *
 SwitchPlane_add_port(SwitchPlaneObject *self, PyObject *port)
 {
@@ -2880,6 +3262,24 @@ SwitchPlane_clear_routes(SwitchPlaneObject *self, PyObject *Py_UNUSED(ignored))
 {
     memo_clear(self);
     Py_RETURN_NONE;
+}
+
+/* Take the flags of a (new) _pfc_sent dict, which the hop keeps equal to
+ * its own from here on. */
+static int
+pfc_load(SwitchPlaneObject *self, PyObject *sent)
+{
+    PyObject *key, *value;
+    Py_ssize_t pos = 0, index;
+    ingress_free(&self->pfc);
+    while (PyDict_Next(sent, &pos, &key, &value)) {
+        int truth = PyObject_IsTrue(value);
+        if (truth < 0 || ingress_index(key, &index) < 0 ||
+            ingress_put(&self->pfc, index, truth) < 0)
+            return -1;
+    }
+    Py_XSETREF(self->pfc_sent, Py_NewRef(sent));
+    return 0;
 }
 
 /* configure(buffer, counters, pfc_sent, pfc, ecn, int_enabled, admit_override,
@@ -2908,8 +3308,12 @@ SwitchPlane_configure(SwitchPlaneObject *self, PyObject *const *args,
         PyErr_SetString(PyExc_TypeError, "the compiled hop needs the compiled SharedBuffer");
         return NULL;
     }
-    if (!PyDict_Check(args[1]) || !PyDict_Check(args[2])) {
-        PyErr_SetString(PyExc_TypeError, "counters and pfc_sent must be dicts");
+    if (!type_is(args[1], &CountersType)) {
+        PyErr_SetString(PyExc_TypeError, "the compiled hop needs the compiled Counters");
+        return NULL;
+    }
+    if (!PyDict_Check(args[2])) {
+        PyErr_SetString(PyExc_TypeError, "pfc_sent must be a dict");
         return NULL;
     }
     pfc = args[3];
@@ -2945,8 +3349,9 @@ SwitchPlane_configure(SwitchPlaneObject *self, PyObject *const *args,
     if (int_enabled < 0)
         return NULL;
     Py_XSETREF(self->buffer, (BufferObject *)Py_NewRef(args[0]));
-    Py_XSETREF(self->counters, Py_NewRef(args[1]));
-    Py_XSETREF(self->pfc_sent, Py_NewRef(args[2]));
+    Py_XSETREF(self->counters, (CountersObject *)Py_NewRef(args[1]));
+    if (pfc_load(self, args[2]) < 0)
+        return NULL;
     Py_CLEAR(self->admit_override);
     if (args[6] != Py_None)
         self->admit_override = Py_NewRef(args[6]);
@@ -3011,6 +3416,7 @@ SwitchPlane_clear(SwitchPlaneObject *self)
     Py_CLEAR(self->routes);
     Py_CLEAR(self->salt);
     memo_clear(self);
+    ingress_free(&self->pfc);
     return 0;
 }
 
@@ -3027,6 +3433,10 @@ static PyMethodDef SwitchPlane_methods[] = {
      METH_FASTCALL, "Switch.handle_packet for the compiled plane."},
     {"on_data_dequeue", (PyCFunction)(void (*)(void))SwitchPlane_on_data_dequeue,
      METH_FASTCALL, "Switch._on_data_dequeue for the compiled plane."},
+    {"check_pfc_pause", (PyCFunction)SwitchPlane_check_pfc_pause, METH_O,
+     "Switch._check_pfc_pause against the compiled hop's PFC flags."},
+    {"check_pfc_resume", (PyCFunction)SwitchPlane_check_pfc_resume, METH_O,
+     "Switch._check_pfc_resume against the compiled hop's PFC flags."},
     {"add_port", (PyCFunction)SwitchPlane_add_port, METH_O,
      "Register the egress port of the next interface."},
     {"clear_routes", (PyCFunction)SwitchPlane_clear_routes, METH_NOARGS,
@@ -3101,7 +3511,7 @@ typedef struct {
 } DrrObject;
 
 static PyTypeObject DrrType;
-#define Drr_Check(op) PyObject_TypeCheck(op, &DrrType)
+#define Drr_Check(op) type_is(op, &DrrType)
 
 /* The record of qid, or NULL. */
 static inline drr_rec *
@@ -5147,7 +5557,7 @@ struct BfcDiscObject {
     Py_ssize_t nlists;
 };
 
-#define BfcDisc_Check(op) PyObject_TypeCheck(op, &BfcDiscType)
+#define BfcDisc_Check(op) type_is(op, &BfcDiscType)
 
 static int
 bfc_threshold(BfcDiscObject *d, long long active, double *out)
@@ -5979,85 +6389,158 @@ struct NicObject {
     long long now;          /* the time the probe tests pacing against */
     long long wake_at;      /* the earliest pacing timer it saw ... */
     char has_wake_at;       /* ... if it saw one */
-    char no_window;         /* the host's _no_window, read per dequeue */
     /* Read off the host when it is bound. */
     PyObject *host_dict;
     EventHeapObject *sim;
     PyObject *py_handle;    /* type(host).handle_packet: the cold receive paths */
     char own_handle_cnp;    /* type(host) keeps Host._handle_cnp ... */
     char own_send_cnp;      /* ... and Host._maybe_send_cnp */
-    /* The fields of the host's (frozen) HostConfig, for as long as it is bound. */
-    PyObject *config;
+    /* The host's containers and settings (nic_rebind), NULL until it has
+     * them all.  The host re-binds on every assignment of one. */
+    char bound;
+    PyObject *config;       /* the (frozen) HostConfig, with its fields: */
     long long cfg_mtu;
     PyObject *cfg_int_enabled;
     PyObject *cfg_mark_first;
+    PyObject *cc;
+    int cc_truth;           /* bool(cc), or -1: ask it each time */
+    PyObject *receivers;    /* dict: flow id -> ReceiverFlowState */
+    PyObject *pending;      /* list: _pending_control */
+    CountersObject *counters;
+    CountersObject *cv_counters; /* the counters whose values are the host's _cv */
+    PyObject *uplink_port;
+    double uplink_rate;
+    char selective;
+    char no_window;
 };
 
-static PyObject *str_receivers, *str_selective, *str_cv, *str_pending_control,
-    *str_uplink_port, *str_needs_kick, *str_cc, *str_uplink_rate, *str_config,
+static PyObject *str_receivers, *str_selective, *str_pending_control,
+    *str_uplink_port, *str_cc, *str_uplink_rate, *str_config, *str_counters, *str_cv,
     *str_mtu, *str_mark_first_packet, *str_no_window, *str_effective_window,
     *str_build_data_packet, *str_probe, *str_maybe_send_cnp,
     *str_record_completion, *str_finish_sender, *str_on_ack, *str_rate_bps,
-    *str_on_packet_sent, *str_line_rate_bps, *str_cancel, *str_sim, *str_handle_packet, *str_extend,
+    *str_on_packet_sent, *str_line_rate_bps, *str_cancel, *str_sim, *str_handle_packet, *str_queue_control,
     *str_size, *str_first_tx_ns, *str_retransmitted_packets, *str_reversed_slot,
-    *str_reversed, *str_src, *str_data_packets_received, *str_out_of_order_packets,
-    *str_duplicate_packets, *str_acks_sent, *str_nacks_sent, *str_data_packets_sent,
-    *str_selective_retransmissions, *str_handle_cnp, *str_cnps_sent, *str_cnps_received;
+    *str_reversed, *str_src, *str_handle_cnp;
 
-/* A borrowed entry of the host's instance dict (NULL with an exception). */
-static PyObject *
-host_attr(NicObject *self, PyObject *name)
+/* Can bool(obj) change?  No for None and for an object whose type has no
+ * __bool__ or __len__: *truth then holds it. */
+static int
+fixed_truth(PyObject *obj, int *truth)
 {
-    PyObject *value;
-    if (self->host_dict == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "the NIC has no host");
-        return NULL;
+    PyTypeObject *type = Py_TYPE(obj);
+    if (obj == Py_None) {
+        *truth = 0;
+        return 1;
     }
-    value = PyDict_GetItemWithError(self->host_dict, name);
-    if (value == NULL && !PyErr_Occurred())
-        PyErr_SetObject(PyExc_AttributeError, name);
+    if ((type->tp_as_number == NULL || type->tp_as_number->nb_bool == NULL) &&
+        (type->tp_as_mapping == NULL || type->tp_as_mapping->mp_length == NULL) &&
+        (type->tp_as_sequence == NULL || type->tp_as_sequence->sq_length == NULL)) {
+        *truth = 1;
+        return 1;
+    }
+    return 0;
+}
+
+/* The host's name, NULL (and no error) while it has none. */
+static PyObject *
+host_value(NicObject *self, PyObject *name, int *failed)
+{
+    PyObject *value = PyDict_GetItemWithError(self->host_dict, name);
+    *failed = value == NULL && PyErr_Occurred();
     return value;
 }
 
+/* Read what the hot paths use off the host: its HostConfig's fields, its
+ * congestion control, receivers, pending control frames, uplink, the
+ * _selective / _no_window flags, its counters and the counters its _cv
+ * dict belongs to.  Python runs this when the NIC is given its host and
+ * whenever the host assigns one of them (repro.sim.host._NicSetting), so no
+ * packet looks them up.  As in Host's own methods, the three counts Host
+ * makes through _cv follow _cv, the rest follow host.counters. */
 static int
-host_truth(NicObject *self, PyObject *name)
+nic_rebind(NicObject *self)
 {
-    PyObject *value = host_attr(self, name);
-    if (value == NULL)
-        return -1;
-    return value == Py_True ? 1 : value == Py_False ? 0 : PyObject_IsTrue(value);
-}
-
-/* Re-read the HostConfig fields when the host has a different config. */
-static int
-nic_config(NicObject *self)
-{
-    PyObject *config = host_attr(self, str_config), *mtu, *int_enabled, *mark_first;
-    long long value;
-    if (config == NULL)
-        return -1;
-    if (config == self->config)
+    PyObject *values[10], *names[10] = {str_config, str_cc, str_receivers, str_pending_control,
+                                        str_cv, str_uplink_port, str_uplink_rate,
+                                        str_selective, str_no_window, str_counters};
+    CountersObject *counters, *cv_counters;
+    PyObject *config, *mtu, *int_enabled, *mark_first;
+    long long cfg_mtu;
+    double rate;
+    int i, failed, selective, no_window;
+    self->bound = 0;
+    if (self->host_dict == NULL)
         return 0;
-    mtu = PyObject_GetAttr(config, str_mtu);
-    if (mtu == NULL)
-        return -1;
-    value = PyLong_AsLongLong(mtu);
-    Py_DECREF(mtu);
-    if (value == -1 && PyErr_Occurred())
-        return -1;
-    int_enabled = PyObject_GetAttr(config, packet_slot_strs[P_INT_ENABLED]);
-    if (int_enabled == NULL)
-        return -1;
-    mark_first = PyObject_GetAttr(config, str_mark_first_packet);
-    if (mark_first == NULL) {
-        Py_DECREF(int_enabled);
+    for (i = 0; i < 10; i++) {
+        values[i] = host_value(self, names[i], &failed);
+        if (failed)
+            return -1;
+        if (values[i] == NULL)
+            return 0; /* Host.__init__ has not set it yet */
+    }
+    config = values[0];
+    counters = type_is(values[9], &CountersType) ? (CountersObject *)values[9] : NULL;
+    cv_counters = self->cv_counters;
+    if (cv_counters == NULL || cv_counters->values != values[4])
+        cv_counters = counters;
+    if (!PyDict_Check(values[2]) || !PyList_Check(values[3]) || counters == NULL ||
+        cv_counters->values != values[4]) {
+        PyErr_SetString(PyExc_TypeError, "a compiled NIC needs the host's receivers dict, "
+                                         "_pending_control list, and compiled Counters whose "
+                                         "values are its _cv");
         return -1;
     }
-    Py_XSETREF(self->config, Py_NewRef(config));
-    Py_XSETREF(self->cfg_int_enabled, int_enabled);
-    Py_XSETREF(self->cfg_mark_first, mark_first);
-    self->cfg_mtu = value;
+    rate = PyFloat_AsDouble(values[6]);
+    if (rate == -1.0 && PyErr_Occurred())
+        return -1;
+    selective = PyObject_IsTrue(values[7]);
+    no_window = selective < 0 ? -1 : PyObject_IsTrue(values[8]);
+    if (no_window < 0)
+        return -1;
+    if (config != self->config) {
+        mtu = PyObject_GetAttr(config, str_mtu);
+        if (mtu == NULL)
+            return -1;
+        cfg_mtu = PyLong_AsLongLong(mtu);
+        Py_DECREF(mtu);
+        if (cfg_mtu == -1 && PyErr_Occurred())
+            return -1;
+        int_enabled = PyObject_GetAttr(config, packet_slot_strs[P_INT_ENABLED]);
+        if (int_enabled == NULL)
+            return -1;
+        mark_first = PyObject_GetAttr(config, str_mark_first_packet);
+        if (mark_first == NULL) {
+            Py_DECREF(int_enabled);
+            return -1;
+        }
+        Py_XSETREF(self->config, Py_NewRef(config));
+        Py_XSETREF(self->cfg_int_enabled, int_enabled);
+        Py_XSETREF(self->cfg_mark_first, mark_first);
+        self->cfg_mtu = cfg_mtu;
+    }
+    Py_XSETREF(self->cc, Py_NewRef(values[1]));
+    if (!fixed_truth(self->cc, &self->cc_truth))
+        self->cc_truth = -1;
+    Py_XSETREF(self->receivers, Py_NewRef(values[2]));
+    Py_XSETREF(self->pending, Py_NewRef(values[3]));
+    Py_INCREF(counters);
+    Py_XSETREF(self->counters, counters);
+    Py_INCREF(cv_counters);
+    Py_XSETREF(self->cv_counters, cv_counters);
+    Py_XSETREF(self->uplink_port, Py_NewRef(values[5]));
+    self->uplink_rate = rate;
+    self->selective = (char)selective;
+    self->no_window = (char)no_window;
+    self->bound = 1;
     return 0;
+}
+
+/* bool(host.cc): 1, 0 or -1. */
+static int
+nic_has_cc(NicObject *self)
+{
+    return self->cc_truth >= 0 ? self->cc_truth : PyObject_IsTrue(self->cc);
 }
 
 /* 1 when obj is this NIC's own compiled method cfunc (not a replacement). */
@@ -6236,7 +6719,7 @@ error:
 static int
 nic_bound(NicObject *self)
 {
-    if (self->host_dict == NULL || self->flows == NULL || !PyDict_Check(self->flows)) {
+    if (!self->bound || self->flows == NULL || !PyDict_Check(self->flows)) {
         PyErr_SetString(PyExc_TypeError, "the NIC needs a host and a flow dict");
         return -1;
     }
@@ -6247,19 +6730,6 @@ nic_bound(NicObject *self)
     return 0;
 }
 
-/* What every probe of one scan reads off the host: _no_window, the config. */
-static int
-nic_begin_scan(NicObject *self)
-{
-    int no_window;
-    if (nic_bound(self) < 0)
-        return -1;
-    no_window = host_truth(self, str_no_window);
-    if (no_window < 0 || nic_config(self) < 0)
-        return -1;
-    self->no_window = (char)no_window;
-    return 0;
-}
 
 /* NicScheduler._arm_wakeup. */
 static int
@@ -6294,7 +6764,7 @@ nic_arm_wakeup(NicObject *self, long long earliest)
     kick = PyObject_GetAttr(self->host, str_kick);
     if (kick == NULL)
         return -1;
-    rc = heap_post_at(sim, earliest, kick, Py_NewRef(empty_tuple));
+    rc = heap_call_at(sim, earliest, kick, NULL, NULL);
     Py_DECREF(kick);
     res = rc < 0 ? NULL : event_new(sim, earliest, sim->seq - 1);
     if (res == NULL)
@@ -6655,7 +7125,7 @@ dcqcn_direct(PyObject *cc, int *failed)
     Py_ssize_t i;
     int replaced = 0;
     *failed = 0;
-    if (!PyObject_TypeCheck(cc, &DcqcnType))
+    if (!type_is(cc, &DcqcnType))
         return NULL;
     mro = Py_TYPE(cc)->tp_mro;
     for (i = 0; replaced == 0 && PyTuple_GET_ITEM(mro, i) != (PyObject *)&DcqcnType; i++)
@@ -6871,7 +7341,7 @@ static PyTypeObject DcqcnType = {
 static PyObject *
 nic_build(NicObject *self, PyObject *fstate)
 {
-    PyObject *flow = NULL, *now_obj, *seq_obj = NULL, *packet = NULL, *value, *cv;
+    PyObject *flow = NULL, *now_obj, *seq_obj = NULL, *packet = NULL, *value;
     PyObject *cc, *hook, *rate_obj = NULL, *res;
     DcqcnObject *dcqcn = NULL;
     long long now, seq, num_packets, payload, size, allowed, pace;
@@ -6879,12 +7349,10 @@ nic_build(NicObject *self, PyObject *fstate)
     Py_ssize_t retransmits;
     int has_cc, failed, rc;
 
-    if (self->host_dict == NULL) {
+    if (!self->bound) {
         PyErr_SetString(PyExc_AttributeError, "the NIC has no host");
         return NULL;
     }
-    if (nic_config(self) < 0)
-        return NULL;
     now_obj = heap_now_obj(self->sim);
     if (now_obj == NULL)
         return NULL;
@@ -6937,17 +7405,15 @@ nic_build(NicObject *self, PyObject *fstate)
     pkt_set(packet, P_INT_ENABLED, self->cfg_int_enabled);
     pkt_set(packet, P_FIRST_OF_FLOW, seq == 0 ? self->cfg_mark_first : Py_False);
     pkt_set(packet, P_LAST_OF_FLOW, seq == num_packets - 1 ? Py_True : Py_False);
-    cv = host_attr(self, str_cv);
-    if (cv == NULL)
-        goto error;
     if (retransmits) {
         value = incremented(flow, str_retransmitted_packets);
         if (value == NULL)
             goto error;
         rc = PyObject_SetAttr(flow, str_retransmitted_packets, value);
         Py_DECREF(value);
-        if (rc < 0 || counter_add(cv, str_selective_retransmissions, 1) < 0)
+        if (rc < 0)
             goto error;
+        count(self->counters, C_SELECTIVE_RETRANSMISSIONS, 1);
     }
     else if (cls_set_ll(&sender_class, fstate, S_NEXT_SEQ, seq + 1) < 0) {
         goto error;
@@ -6962,15 +7428,9 @@ nic_build(NicObject *self, PyObject *fstate)
     /* The rate: the cc module's, capped by the uplink (an inherited
      * CongestionControl.rate_bps is its line rate, read without the call;
      * a compiled DCQCN's is read C to C). */
-    cc = host_attr(self, str_cc);
-    value = host_attr(self, str_uplink_rate);
-    if (cc == NULL || value == NULL)
-        goto error;
-    Py_INCREF(cc);
-    uplink = PyFloat_AsDouble(value);
-    if (uplink == -1.0 && PyErr_Occurred())
-        goto error_cc;
-    has_cc = cc == Py_None ? 0 : PyObject_IsTrue(cc);
+    cc = Py_NewRef(self->cc);
+    uplink = self->uplink_rate;
+    has_cc = nic_has_cc(self);
     if (has_cc < 0)
         goto error_cc;
     if (has_cc) {
@@ -6991,15 +7451,18 @@ nic_build(NicObject *self, PyObject *fstate)
                                     : PyObject_CallOneArg(hook, fstate);
             Py_XDECREF(hook);
         }
-        else {
-            rate_obj = Py_NewRef(value);
+        if (!has_cc) {
+            rate = uplink;
         }
-        if (rate_obj == NULL)
+        else if (rate_obj == NULL) {
             goto error_cc;
-        rate = PyFloat_AsDouble(rate_obj);
-        Py_DECREF(rate_obj);
-        if (rate == -1.0 && PyErr_Occurred())
-            goto error_cc;
+        }
+        else {
+            rate = PyFloat_AsDouble(rate_obj);
+            Py_DECREF(rate_obj);
+            if (rate == -1.0 && PyErr_Occurred())
+                goto error_cc;
+        }
     }
     /* max(1.0, min(rate, uplink_rate)), as Python's min/max pick. */
     if (uplink < rate)
@@ -7034,8 +7497,7 @@ nic_build(NicObject *self, PyObject *fstate)
         goto error_cc;
     }
     Py_DECREF(cc);
-    if (counter_add(cv, str_data_packets_sent, 1) < 0)
-        goto error;
+    count(self->cv_counters, C_DATA_PACKETS_SENT, 1);
     Py_DECREF(flow);
     Py_DECREF(seq_obj);
     Py_DECREF(now_obj);
@@ -7060,7 +7522,7 @@ nic_dequeue(NicObject *self)
 {
     PyObject *probe, *picked, *fstate, *build;
     int rc, failed;
-    if (nic_begin_scan(self) < 0)
+    if (nic_bound(self) < 0)
         return NULL;
     self->now = self->sim->now;
     self->has_wake_at = 0;
@@ -7125,8 +7587,7 @@ reversed_key(PyObject *packet)
 static int
 host_queue_control(NicObject *self, PyObject *frame)
 {
-    PyObject *pending = host_attr(self, str_pending_control);
-    return pending == NULL ? -1 : PyList_Append(pending, frame);
+    return PyList_Append(self->pending, frame);
 }
 
 /* A control frame answering a data packet: kind, size, ack_seq. */
@@ -7160,7 +7621,7 @@ answer_frame(NicObject *self, PyObject *packet, PyObject *kind, long long size,
 
 /* Host._send_ack. */
 static int
-nic_send_ack(NicObject *self, PyObject *packet, PyObject *ack_seq, PyObject *cv)
+nic_send_ack(NicObject *self, PyObject *packet, PyObject *ack_seq)
 {
     PyObject *ack = answer_frame(self, packet, kind_ack, ack_size, ack_seq), *value;
     int rc;
@@ -7190,7 +7651,8 @@ nic_send_ack(NicObject *self, PyObject *packet, PyObject *ack_seq, PyObject *cv)
     Py_DECREF(ack);
     if (rc < 0)
         return -1;
-    return counter_add(cv, str_acks_sent, 1);
+    count(self->cv_counters, C_ACKS_SENT, 1);
+    return 0;
 error:
     Py_DECREF(ack);
     return -1;
@@ -7198,8 +7660,7 @@ error:
 
 /* Host._send_nack. */
 static int
-nic_send_nack(NicObject *self, PyObject *packet, PyObject *rstate, PyObject *expected,
-              PyObject *cv)
+nic_send_nack(NicObject *self, PyObject *packet, PyObject *rstate, PyObject *expected)
 {
     PyObject *last = rs_get(rstate, R_LAST_NACK_SEQ), *nack;
     int same, rc;
@@ -7218,7 +7679,8 @@ nic_send_nack(NicObject *self, PyObject *packet, PyObject *rstate, PyObject *exp
     Py_DECREF(nack);
     if (rc < 0)
         return -1;
-    return counter_add(cv, str_nacks_sent, 1);
+    count(self->counters, C_NACKS_SENT, 1);
+    return 0;
 }
 
 /* Is the host's method name replaced on the instance?  1, 0 or -1. */
@@ -7232,7 +7694,7 @@ host_replaces(NicObject *self, PyObject *name)
 
 /* Host._maybe_send_cnp: at most one CNP per flow per CNP_INTERVAL_NS. */
 static int
-nic_maybe_send_cnp(NicObject *self, PyObject *packet, PyObject *rstate, PyObject *cv)
+nic_maybe_send_cnp(NicObject *self, PyObject *packet, PyObject *rstate)
 {
     PyObject *cnp, *now_obj, *res;
     long long last;
@@ -7260,23 +7722,20 @@ nic_maybe_send_cnp(NicObject *self, PyObject *packet, PyObject *rstate, PyObject
     Py_DECREF(cnp);
     if (rc < 0)
         return -1;
-    return counter_add(cv, str_cnps_sent, 1);
+    count(self->counters, C_CNPS_SENT, 1);
+    return 0;
 }
 
 /* Host._handle_data for a go-back-N receiver that is not a tombstone. */
 static int
 nic_receive_data(NicObject *self, PyObject *packet, PyObject *rstate)
 {
-    PyObject *cv = host_attr(self, str_cv), *expected = NULL, *res;
+    PyObject *expected = NULL, *res;
     long long seq, expected_seq, size, bytes, num_packets;
     int rc;
-    if (cv == NULL || counter_add(cv, str_data_packets_received, 1) < 0)
-        return -1;
+    count(self->cv_counters, C_DATA_PACKETS_RECEIVED, 1);
     if (rstate == NULL) {
-        PyObject *receivers = host_attr(self, str_receivers), *flow_id, *flow_size,
-                 *key, *src, *mtu;
-        if (receivers == NULL || nic_config(self) < 0)
-            return -1;
+        PyObject *receivers = self->receivers, *flow_id, *flow_size, *key, *src, *mtu;
         flow_id = pkt_get(packet, P_FLOW_ID);
         flow_size = pkt_get(packet, P_FLOW_SIZE);
         key = pkt_get(packet, P_KEY);
@@ -7300,7 +7759,7 @@ nic_receive_data(NicObject *self, PyObject *packet, PyObject *rstate)
         Py_INCREF(rstate);
     }
     rc = pkt_truth(packet, P_ECN_MARKED);
-    if (rc < 0 || (rc && nic_maybe_send_cnp(self, packet, rstate, cv) < 0))
+    if (rc < 0 || (rc && nic_maybe_send_cnp(self, packet, rstate) < 0))
         goto error;
     if (pkt_ll(packet, P_SEQ, &seq) < 0 || rs_ll(rstate, R_EXPECTED_SEQ, &expected_seq) < 0)
         goto error;
@@ -7328,19 +7787,19 @@ nic_receive_data(NicObject *self, PyObject *packet, PyObject *rstate)
             Py_DECREF(res);
         }
         expected = rs_get(rstate, R_EXPECTED_SEQ);
-        if (expected == NULL || nic_send_ack(self, packet, expected, cv) < 0)
+        if (expected == NULL || nic_send_ack(self, packet, expected) < 0)
             goto error;
     }
     else if (seq > expected_seq) {
+        count(self->counters, C_OUT_OF_ORDER_PACKETS, 1);
         expected = rs_get(rstate, R_EXPECTED_SEQ);
-        if (expected == NULL || counter_add(cv, str_out_of_order_packets, 1) < 0 ||
-            nic_send_nack(self, packet, rstate, expected, cv) < 0)
+        if (expected == NULL || nic_send_nack(self, packet, rstate, expected) < 0)
             goto error;
     }
     else {
+        count(self->counters, C_DUPLICATE_PACKETS, 1);
         expected = rs_get(rstate, R_EXPECTED_SEQ);
-        if (expected == NULL || counter_add(cv, str_duplicate_packets, 1) < 0 ||
-            nic_send_ack(self, packet, expected, cv) < 0)
+        if (expected == NULL || nic_send_ack(self, packet, expected) < 0)
             goto error;
     }
     Py_XDECREF(expected);
@@ -7376,10 +7835,8 @@ nic_receive_ack(NicObject *self, PyObject *packet, PyObject *fstate)
         if (rc < 0)
             return -1;
     }
-    cc = host_attr(self, str_cc);
-    if (cc == NULL)
-        return -1;
-    has_cc = cc == Py_None ? 0 : PyObject_IsTrue(cc);
+    cc = self->cc;
+    has_cc = nic_has_cc(self);
     if (has_cc < 0)
         return -1;
     hook = has_cc ? cc_hook(cc, str_on_ack, cc_noop_on_ack, &failed) : NULL;
@@ -7409,7 +7866,7 @@ nic_receive_ack(NicObject *self, PyObject *packet, PyObject *fstate)
             return -1;
         Py_DECREF(res);
     }
-    return PyDict_SetItem(self->host_dict, str_needs_kick, Py_True);
+    return 0;
 }
 
 static int
@@ -7426,38 +7883,30 @@ kick_port(PyObject *port)
 }
 
 /* The end of Host.handle_packet: the control frames generated go to the
- * port in one burst, with at most one port kick. */
+ * port in one burst, with at most one port kick, which an ACK always asks
+ * for (Host._needs_kick: on this path it never outlives the packet, so it
+ * is the caller's flag, and the host's attribute stays False). */
 static int
-host_flush(NicObject *self)
+host_flush(NicObject *self, int needs_kick)
 {
-    PyObject *pending = host_attr(self, str_pending_control), *port, *queue, *res;
-    int has_pending, rc;
-    if (pending == NULL)
-        return -1;
-    has_pending = PyObject_IsTrue(pending);
-    if (has_pending < 0)
-        return -1;
-    if (!has_pending) {
-        rc = host_truth(self, str_needs_kick);
-        if (rc <= 0)
-            return rc;
-    }
-    port = host_attr(self, str_uplink_port);
-    if (port == NULL)
-        return -1;
-    Py_INCREF(port);
+    PyObject *pending = self->pending, *port, *res;
+    int has_pending = PyList_GET_SIZE(pending) > 0, rc;
+    if (!has_pending && !needs_kick)
+        return 0;
+    port = Py_NewRef(self->uplink_port);
     if (has_pending) {
-        queue = Port_Check(port) ? Py_NewRef(((PortObject *)port)->control_queue)
-                                 : PyObject_GetAttrString(port, "control_queue");
-        res = queue == NULL ? NULL : PyObject_CallMethodOneArg(queue, str_extend, pending);
-        Py_XDECREF(queue);
-        if (res == NULL || PyList_SetSlice(pending, 0, PY_SSIZE_T_MAX, NULL) < 0) {
-            Py_XDECREF(res);
-            goto error;
+        if (Port_Check(port)) {
+            rc = port_queue_control((PortObject *)port, pending);
         }
-        Py_DECREF(res);
+        else {
+            res = PyObject_CallMethodOneArg(port, str_queue_control, pending);
+            Py_XDECREF(res);
+            rc = res == NULL ? -1 : 0;
+        }
+        if (rc < 0 || PyList_SetSlice(pending, 0, PY_SSIZE_T_MAX, NULL) < 0)
+            goto error;
     }
-    if (PyDict_SetItem(self->host_dict, str_needs_kick, Py_False) < 0 || kick_port(port) < 0)
+    if (kick_port(port) < 0)
         goto error;
     Py_DECREF(port);
     return 0;
@@ -7471,7 +7920,7 @@ error:
 static int
 nic_receive_cnp(NicObject *self, PyObject *packet)
 {
-    PyObject *flow_id = pkt_get(packet, P_FLOW_ID), *fstate, *cc, *cv;
+    PyObject *flow_id = pkt_get(packet, P_FLOW_ID), *fstate, *cc;
     DcqcnObject *dcqcn;
     int has_cc, failed, rc = -1;
     if (flow_id == NULL)
@@ -7481,11 +7930,8 @@ nic_receive_cnp(NicObject *self, PyObject *packet)
     if (fstate == NULL)
         return PyErr_Occurred() ? -1 : 0;
     Py_INCREF(fstate);
-    cc = host_attr(self, str_cc);
-    if (cc == NULL)
-        goto done;
-    Py_INCREF(cc);
-    has_cc = cc == Py_None ? 0 : PyObject_IsTrue(cc);
+    cc = Py_NewRef(self->cc);
+    has_cc = nic_has_cc(self);
     if (has_cc > 0) {
         dcqcn = dcqcn_direct(cc, &failed);
         if (dcqcn != NULL) {
@@ -7505,8 +7951,8 @@ nic_receive_cnp(NicObject *self, PyObject *packet)
     Py_DECREF(cc);
     if (has_cc < 0)
         goto done;
-    cv = host_attr(self, str_cv);
-    rc = cv == NULL ? -1 : counter_add(cv, str_cnps_received, 1);
+    count(self->counters, C_CNPS_RECEIVED, 1);
+    rc = 0;
 done:
     Py_DECREF(fstate);
     return rc;
@@ -7530,12 +7976,8 @@ nic_receive(NicObject *self, PyObject *packet, PyObject *iface_index)
         if (flow_id == NULL)
             return -1;
         if (kind == kind_data) {
-            int selective = host_truth(self, str_selective);
-            PyObject *receivers = host_attr(self, str_receivers), *rstate = NULL;
-            if (selective < 0 || receivers == NULL)
-                rc = -1;
-            else if (!selective) {
-                rstate = PyDict_GetItemWithError(receivers, flow_id);
+            if (!self->selective) {
+                PyObject *rstate = PyDict_GetItemWithError(self->receivers, flow_id);
                 if (rstate == NULL && PyErr_Occurred())
                     rc = -1;
                 else if (rstate == NULL || Py_TYPE(rstate) == receiver_class.type) {
@@ -7564,14 +8006,14 @@ nic_receive(NicObject *self, PyObject *packet, PyObject *iface_index)
         if (rc < 0)
             return -1;
         if (handled)
-            return host_flush(self);
+            return host_flush(self, kind == kind_ack);
     }
     else if (kind == kind_cnp && self->own_handle_cnp) {
         rc = host_replaces(self, str_handle_cnp);
         if (rc < 0)
             return -1;
         if (rc == 0)
-            return nic_receive_cnp(self, packet) < 0 ? -1 : host_flush(self);
+            return nic_receive_cnp(self, packet) < 0 ? -1 : host_flush(self, 0);
     }
     stack[0] = self->host;
     stack[1] = packet;
@@ -7596,7 +8038,7 @@ Nic_probe_flow(NicObject *self, PyObject *flow_id)
 {
     long long size;
     int rc;
-    if (nic_begin_scan(self) < 0)
+    if (nic_bound(self) < 0)
         return NULL;
     rc = nic_probe(self, flow_id, &size);
     if (rc < 0)
@@ -7694,8 +8136,15 @@ Nic_set_host(NicObject *self, PyObject *host, void *closure)
     Py_XSETREF(self->py_handle, handle);
     self->own_handle_cnp = own[0] == host_handle_cnp;
     self->own_send_cnp = own[1] == host_maybe_send_cnp;
-    Py_CLEAR(self->config);
-    return 0;
+    return nic_rebind(self);
+}
+
+static PyObject *
+Nic_bind_host(NicObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (nic_rebind(self) < 0)
+        return NULL;
+    Py_RETURN_NONE;
 }
 
 static PyObject *
@@ -7733,6 +8182,12 @@ Nic_traverse(NicObject *self, visitproc visit, void *arg)
     Py_VISIT(self->config);
     Py_VISIT(self->cfg_int_enabled);
     Py_VISIT(self->cfg_mark_first);
+    Py_VISIT(self->cc);
+    Py_VISIT(self->receivers);
+    Py_VISIT(self->pending);
+    Py_VISIT(self->counters);
+    Py_VISIT(self->cv_counters);
+    Py_VISIT(self->uplink_port);
     return 0;
 }
 
@@ -7746,9 +8201,16 @@ Nic_clear(NicObject *self)
     Py_CLEAR(self->host_dict);
     Py_CLEAR(self->sim);
     Py_CLEAR(self->py_handle);
+    self->bound = 0;
     Py_CLEAR(self->config);
     Py_CLEAR(self->cfg_int_enabled);
     Py_CLEAR(self->cfg_mark_first);
+    Py_CLEAR(self->cc);
+    Py_CLEAR(self->receivers);
+    Py_CLEAR(self->pending);
+    Py_CLEAR(self->counters);
+    Py_CLEAR(self->cv_counters);
+    Py_CLEAR(self->uplink_port);
     return 0;
 }
 
@@ -7773,6 +8235,8 @@ static PyMethodDef Nic_methods[] = {
      "Host.build_data_packet for the compiled plane."},
     {"receive", (PyCFunction)(void (*)(void))Nic_receive, METH_FASTCALL,
      "Host.handle_packet for the compiled plane."},
+    {"_bind_host", (PyCFunction)Nic_bind_host, METH_NOARGS,
+     "Read the host's containers and settings again (after one is assigned)."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -7807,13 +8271,40 @@ static PyTypeObject NicType = {
     .tp_new = PyType_GenericNew,
 };
 
+/* -- The engine's direct dispatch ---------------------------------------- */
+
+/* Run an inline entry's callback.  The bound C methods the plane posts most
+ * -- a port's kick, a switch's and a NIC's receive -- are entered directly;
+ * any other callback is called with the arguments on the stack. */
+static int
+entry_fire(entry_t *e)
+{
+    PyObject *callback = e->callback, *stack[2] = {e->a0, e->a1}, *res;
+    Py_ssize_t nargs = e->a0 == NULL ? 0 : e->a1 == NULL ? 1 : 2;
+    if (Py_IS_TYPE(callback, &PyCFunction_Type)) {
+        PyCFunction fn = PyCFunction_GET_FUNCTION(callback);
+        PyObject *owner = PyCFunction_GET_SELF(callback);
+        if (fn == (PyCFunction)Port_kick && nargs == 0)
+            return port_kick((PortObject *)owner);
+        if (fn == (PyCFunction)(void (*)(void))SwitchPlane_handle_packet && nargs == 2)
+            return plane_handle((SwitchPlaneObject *)owner, e->a0, e->a1);
+        if (fn == (PyCFunction)(void (*)(void))Nic_receive && nargs == 2)
+            return nic_receive((NicObject *)owner, e->a0, e->a1);
+    }
+    res = PyObject_Vectorcall(callback, stack, nargs, NULL);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
 static PyMethodDef module_methods[] = {
     {"bind_engine", (PyCFunction)(void (*)(void))bind_engine, METH_FASTCALL,
      "bind_engine(Event, SimulationError, compact_min_cancelled): the handle "
      "schedule() returns, the error a refused scheduling call raises, and "
      "when cancellations compact the heap."},
     {"bind", (PyCFunction)(void (*)(void))bind, METH_FASTCALL,
-     "bind(Packet, FlowKey, PacketKind.PFC, PacketKind.BLOOM, deque, PauseMeter, "
+     "bind(Packet, FlowKey, PacketKind.PFC, PacketKind.BLOOM, PauseMeter, "
      "ByteMeter): cache the packet and key slots' member offsets and the types "
      "a compiled port builds."},
     {"bind_host", (PyCFunction)(void (*)(void))bind_host, METH_FASTCALL,
@@ -7844,7 +8335,6 @@ intern_names(void)
     } names[] = {
         {&str_dict, "__dict__"},
         {&str_popleft, "popleft"},
-        {&str_append, "append"},
         {&str_dequeue, "dequeue"},
         {&str_enqueue, "enqueue"},
         {&str_has_backlog, "has_backlog"},
@@ -7862,23 +8352,19 @@ intern_names(void)
         {&str_data_packets, "data_packets"},
         {&str_control_bytes, "control_bytes"},
         {&str_control_packets, "control_packets"},
-        {&str_forwarded_packets, "forwarded_packets"},
-        {&str_dropped_packets, "dropped_packets"},
-        {&str_dropped_bytes, "dropped_bytes"},
         {&str_post, "post"},
         {&str_name, "name"},
         {&str_tx_memo, "tx_memo"},
         {&str_random, "random"},
-        {&str_ecn_marked, "ecn_marked"},
         {&str_receivers, "receivers"},
         {&str_selective, "_selective"},
-        {&str_cv, "_cv"},
         {&str_pending_control, "_pending_control"},
         {&str_uplink_port, "_uplink_port"},
-        {&str_needs_kick, "_needs_kick"},
         {&str_cc, "cc"},
         {&str_uplink_rate, "_uplink_rate"},
         {&str_config, "config"},
+        {&str_counters, "counters"},
+        {&str_cv, "_cv"},
         {&str_mtu, "mtu"},
         {&str_mark_first_packet, "mark_first_packet"},
         {&str_no_window, "_no_window"},
@@ -7895,23 +8381,14 @@ intern_names(void)
         {&str_cancel, "cancel"},
         {&str_sim, "sim"},
         {&str_handle_packet, "handle_packet"},
-        {&str_extend, "extend"},
+        {&str_queue_control, "queue_control"},
         {&str_size, "size"},
         {&str_first_tx_ns, "first_tx_ns"},
         {&str_retransmitted_packets, "retransmitted_packets"},
         {&str_reversed_slot, "_reversed"},
         {&str_reversed, "reversed"},
         {&str_src, "src"},
-        {&str_data_packets_received, "data_packets_received"},
-        {&str_out_of_order_packets, "out_of_order_packets"},
-        {&str_duplicate_packets, "duplicate_packets"},
-        {&str_acks_sent, "acks_sent"},
-        {&str_nacks_sent, "nacks_sent"},
-        {&str_data_packets_sent, "data_packets_sent"},
-        {&str_selective_retransmissions, "selective_retransmissions"},
         {&str_handle_cnp, "_handle_cnp"},
-        {&str_cnps_sent, "cnps_sent"},
-        {&str_cnps_received, "cnps_received"},
         {&str_dcqcn, "dcqcn"},
         {&str_on_cnp, "on_cnp"},
         {&str_pause_flow, "pause_flow"},
@@ -7928,6 +8405,11 @@ intern_names(void)
     for (i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
         *names[i].slot = PyUnicode_InternFromString(names[i].text);
         if (*names[i].slot == NULL)
+            return -1;
+    }
+    for (i = 0; i < C_NCOUNTERS; i++) {
+        counter_strs[i] = PyUnicode_InternFromString(counter_names[i]);
+        if (counter_strs[i] == NULL)
             return -1;
     }
     for (i = 0; i < E_NSLOTS; i++) {
@@ -7970,6 +8452,7 @@ PyInit__accelcore(void)
         PyTypeObject *type;
     } types[] = {
         {"EventHeap", &EventHeapType},
+        {"Counters", &CountersType},
         {"FifoDiscipline", &FifoType},
         {"ByteCounts", &ByteCountsType},
         {"PauseState", &PauseStateType},

@@ -427,8 +427,38 @@ class NicScheduler:
         self._wakeup_event = sim.schedule_at(earliest, self.host.kick)
 
 
+class _NicSetting:
+    """A :class:`Host` attribute the compiled NIC holds on to.
+
+    Assigning one stores it in the instance dict, as a plain attribute
+    would, and has a compiled NIC read the host's settings again, so no
+    packet looks them up.  The descriptor has no ``__get__``: reads stay
+    plain instance-dict reads.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __set__(self, host: "Host", value) -> None:
+        host.__dict__[self.name] = value
+        rebind = getattr(host.__dict__.get("nic"), "_bind_host", None)
+        if rebind is not None:
+            rebind()
+
+
 class Host(Node):
     """A server with one network interface and an RDMA-style NIC."""
+
+    config = _NicSetting()
+    cc = _NicSetting()
+    receivers = _NicSetting()
+    counters = _NicSetting()
+    _cv = _NicSetting()
+    _pending_control = _NicSetting()
+    _selective = _NicSetting()
+    _no_window = _NicSetting()
+    _uplink_port = _NicSetting()
+    _uplink_rate = _NicSetting()
 
     def __init__(
         self,
@@ -452,7 +482,7 @@ class Host(Node):
             nic_factory = plane.nic_factory(nic_factory)
         self.nic: NicScheduler = nic_factory(self)
         self.receivers: Dict[int, ReceiverFlowState] = {}
-        self.counters = Counters()
+        self.counters = Counters() if plane is None else plane.Counters()
         # Direct alias of the counter dict for the per-packet increments.
         self._cv = self.counters.values
         # Batched control fan-out: control frames generated while handling
@@ -634,7 +664,7 @@ class Host(Node):
         pending = self._pending_control
         if pending:
             port = self._uplink_port
-            port.control_queue.extend(pending)
+            port.queue_control(pending)
             pending.clear()
             self._needs_kick = False
             port.kick()

@@ -49,7 +49,6 @@ hot method a subclass or an instance replaces.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
 
 from . import buffer, disciplines, host, packet, port, stats
@@ -65,7 +64,13 @@ class FifoDiscipline(_accelcore.FifoDiscipline, disciplines.FifoDiscipline):
 
 
 class SharedBuffer(_accelcore.SharedBuffer, buffer.SharedBuffer):
-    """:class:`repro.sim.buffer.SharedBuffer` with its byte counts in C."""
+    """:class:`repro.sim.buffer.SharedBuffer` with its byte counts in C
+    (``per_ingress`` reads as a snapshot dict)."""
+
+
+class Counters(_accelcore.Counters, stats.Counters):
+    """:class:`repro.sim.stats.Counters` whose hot counts (the switch hop's and
+    the NIC's) are C fields, folded into ``values`` before any read."""
 
 
 class ByteMeter(_accelcore.ByteCounts, stats.ByteMeter):
@@ -82,16 +87,19 @@ class DeficitRoundRobin(_accelcore.DeficitRoundRobin, disciplines.DeficitRoundRo
 
 class EgressPort(_accelcore.EgressPort, port.EgressPort):
     """:class:`repro.sim.port.EgressPort` with ``kick``, ``notify``,
-    ``send_control`` and ``set_pfc_paused`` in C, and the same attributes,
-    readable and writable; it builds its queue and meters itself."""
+    ``send_control``, ``queue_control`` and ``set_pfc_paused`` in C, and the
+    same attributes, readable and writable, but for ``control_queue``: the
+    control queue is a C ring, read as a snapshot list.  It builds its queue
+    and meters itself."""
 
 
-_accelcore.bind(Packet, FlowKey, PacketKind.PFC, PacketKind.BLOOM, deque, PauseMeter, ByteMeter)
+_accelcore.bind(Packet, FlowKey, PacketKind.PFC, PacketKind.BLOOM, PauseMeter, ByteMeter)
 
 
-#: What the C base of a compiled NIC replaces; a NicScheduler subclass that
-#: overrides any of these keeps the Python transmit path.
-_COMPILED_NIC_METHODS = ("dequeue", "_probe_flow", "has_work_at", "_arm_wakeup")
+#: What the C base of a compiled NIC replaces or reads past (the receive
+#: path finds a flow in ``_flows`` where the Python one calls ``flow_state``);
+#: a NicScheduler subclass that overrides any of these keeps the Python NIC.
+_COMPILED_NIC_METHODS = ("dequeue", "_probe_flow", "has_work_at", "_arm_wakeup", "flow_state")
 _nic_twins: dict = {}
 
 

@@ -164,6 +164,11 @@ class EgressPort:
         self.control_queue.append(packet)
         self.kick()
 
+    def queue_control(self, packets) -> None:
+        """Append control packets to the control queue without a kick (the
+        caller kicks once for the whole burst)."""
+        self.control_queue.extend(packets)
+
     def notify(self) -> None:
         """Tell the port that the data discipline may have become non-empty."""
         self.kick()

@@ -99,7 +99,7 @@ class Switch(Node):
         self.pfc = pfc or PfcPolicy()
         self.ecn = ecn or EcnConfig()
         self.int_enabled = int_enabled
-        self.counters = Counters()
+        self.counters = Counters() if plane is None else plane.Counters()
         self.routes: Dict[int, List[int]] = {}
         # Memoized ECMP decision per flow key (the hash pick is a pure
         # function of the key and this switch's salt); invalidated whenever
@@ -120,6 +120,12 @@ class Switch(Node):
             self._plane = plane.SwitchPlane(self, _ROUTE_CACHE_LIMIT)
             self._configure_plane()
             self.handle_packet = self._plane.handle_packet
+            # The hop keeps the PFC flags in C (``_pfc_sent`` mirrors them):
+            # Python hop code (a replaced ``_admit_data``) checks through it.
+            if type(self)._check_pfc_pause is Switch._check_pfc_pause:
+                self._check_pfc_pause = self._plane.check_pfc_pause
+            if type(self)._check_pfc_resume is Switch._check_pfc_resume:
+                self._check_pfc_resume = self._plane.check_pfc_resume
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
@@ -141,7 +147,7 @@ class Switch(Node):
         picks_here = "_ecmp_pick" not in own and type(self)._ecmp_pick is Switch._ecmp_pick
         self._plane.configure(
             self.buffer,
-            self.counters.values,
+            self.counters,
             self._pfc_sent,
             self.pfc,
             self.ecn,

@@ -578,3 +578,90 @@ class TestBuild:
         second = accel_build.build()
         assert second is not None and second != first
         assert not first.exists()  # the stale build is pruned
+
+
+def _live_packets() -> int:
+    from repro.sim.packet import Packet
+
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is Packet)
+
+
+class TestEventOwnership:
+    """Events posted from C carry up to two arguments inline in the heap
+    entry: the heap owns them, and a dropped simulation gives every packet
+    back, whether its events all fired or some were still pending."""
+
+    @pytest.fixture(autouse=True)
+    def compiled_runs(self, monkeypatch):
+        # The runs are the compiled engine's whatever REPRO_ENGINE selects.
+        from repro.experiments import runner
+
+        monkeypatch.setattr(runner, "Simulator", AccelSimulator)
+
+    @pytest.mark.parametrize("scheme", ["BFC", "DCQCN"])
+    def test_a_finished_run_leaves_no_packet(self, scheme):
+        from repro.experiments.runner import run_experiment
+        from repro.experiments.scenarios import fig5a_configs
+
+        before = _live_packets()
+        result = run_experiment(fig5a_configs("tiny", [scheme], seed=3)[scheme])
+        assert result.host_counters["data_packets_received"] > 0
+        del result
+        assert _live_packets() == before
+
+    @pytest.mark.parametrize("scheme", ["BFC", "DCQCN"])
+    def test_a_simulation_dropped_with_pending_events_leaves_no_packet(self, scheme):
+        from repro.experiments.runner import build_simulation
+        from repro.experiments.scenarios import fig5a_configs
+
+        before = _live_packets()
+        sim, env, topo, trace = build_simulation(fig5a_configs("tiny", [scheme], seed=3)[scheme])
+        assert type(sim) is AccelSimulator
+        topo.start_flows(trace)
+        sim.run(until=200_000)
+        pending = sim.pending_events()
+        # Deliveries in flight hold their packet (and its ingress) inline.
+        assert pending > 0 and _live_packets() > before
+        del sim, env, topo, trace
+        assert _live_packets() == before
+
+    def test_inline_arguments_are_released_and_traversed(self):
+        # A delivery posted from C holds (packet, peer_iface) inline.  Both
+        # reference the simulator here, so each forms a cycle through the
+        # heap: a fired delivery must release them, and a pending one must
+        # be visited for the collector to free the simulator at all.
+        from repro.sim import units
+        from repro.sim.node import Node
+        from repro.sim.packet import FlowKey, Packet, PacketKind
+        from repro.sim.port import connect
+
+        class Holder:
+            def __init__(self, sim):
+                self.sim = sim
+
+        class Quiet(Node):
+            def handle_packet(self, packet, iface_index):
+                pass
+
+        def world():
+            sim = AccelSimulator(seed=1)
+            a, b = Quiet(sim, "a"), Quiet(sim, "b")
+            connect(a, b, rate_bps=units.gbps(10), delay_ns=500)
+            port = a.interfaces[0].tx
+            port.peer_iface = Holder(sim)
+            packet = Packet(kind=PacketKind.ACK, flow_id=1, key=FlowKey(0, 1, 2, 3), size=64)
+            packet.entry = Holder(sim)
+            port.send_control(packet)
+            assert sim.pending_events() == 1
+            return sim, weakref.ref(port.peer_iface), weakref.ref(packet.entry)
+
+        for fire in (True, False):
+            sim, iface, entry = world()
+            if fire:
+                sim.run()
+                assert sim.pending_events() == 0
+            sim_ref = weakref.ref(sim)
+            del sim
+            gc.collect()
+            assert sim_ref() is None and entry() is None and iface() is None, fire

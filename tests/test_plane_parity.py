@@ -31,7 +31,13 @@ from repro.sim import units
 from repro.sim.buffer import PfcPolicy
 from repro.sim.disciplines import BLOCKED, DeficitRoundRobin, fifo_for
 from repro.sim.flow import Flow
-from repro.sim.host import CongestionControl, Host, HostConfig, WindowedCongestionControl
+from repro.sim.host import (
+    CongestionControl,
+    Host,
+    HostConfig,
+    NicScheduler,
+    WindowedCongestionControl,
+)
 from repro.sim.node import Node
 from repro.sim.packet import DATA_HEADER_SIZE, FlowKey, Packet, PacketKind, PFC_FRAME_SIZE
 from repro.sim.port import connect
@@ -221,6 +227,27 @@ def test_pfc_hysteresis():
     assert upstream == [(551, "pfc", True), (5_800 + 51 + 500, "pfc", False)]
     counters = final["switch"][0]
     assert counters["pfc_pause_frames"] == counters["pfc_resume_frames"] == 1
+
+
+def test_the_python_faces_of_the_hop_agree():
+    # The methods only Python calls on the compiled plane -- the dequeue
+    # hook, can_admit, has_backlog -- against the Python plane's, on a
+    # queue PFC holds back.
+    worlds = [World(PURE, buffer_bytes=100_000), World(COMPILED, buffer_bytes=100_000)]
+    answers = []
+    for world in worlds:
+        for op in [("pfc", 1, True)] + burst(0, 1, 6) + [("run", 1_000)]:
+            step(world, op)
+        port = world.switch.interface_to(world.sinks[1]).tx
+        seen = [port.discipline.has_backlog(),
+                [world.switch.buffer.can_admit(size) for size in (1, 94_000, 95_000, 96_000)]]
+        packet = port.discipline.dequeue()
+        port.on_data_dequeue(packet, port.iface_index)
+        seen.append((packet.cur_ingress, world.switch.buffer.used))
+        answers.append(seen)
+    assert answers[1] == answers[0]
+    assert answers[0][0] is True and answers[0][1] == [True, True, False, False]
+    assert worlds[1].snapshot() == worlds[0].snapshot()
 
 
 def test_overflow_drops_are_counted():
@@ -463,11 +490,12 @@ class WireSink(Node):
 class HostWorld:
     """Two hosts and their sinks, on one plane."""
 
-    def __init__(self, sim_class, cc, config, bfc, host_class=Host):
+    def __init__(self, sim_class, cc, config, bfc, host_class=Host, nic_class=None):
         self.sim = sim = sim_class(seed=7)
         self.registry = {}
         self.completed = []
-        nic_class = partial(BfcNicScheduler, config=CODEC_CONFIG, codec=CODEC) if bfc else None
+        if bfc:
+            nic_class = partial(BfcNicScheduler, config=CODEC_CONFIG, codec=CODEC)
         self.hosts, self.sinks, self.started = [], [], [[], []]
         for i in range(2):
             host = host_class(sim, f"h{i}", host_id=i, config=config,
@@ -783,6 +811,84 @@ def test_a_host_or_module_that_replaces_a_cnp_or_rate_method_keeps_it():
         snapshots.append(world.snapshot())
     assert logs[1] == logs[0]
     assert len(logs[0][0]) == 3 and len(logs[0][1]) == 5 and logs[0][2]
+    assert snapshots[1] == snapshots[0]
+
+
+def test_the_python_faces_of_the_nic_agree():
+    # has_work_at (the port's wake check, entered C to C on the compiled
+    # plane) and the NIC's host, called from Python on both planes.
+    answers, snapshots = [], []
+    for sim_class in (PURE, COMPILED):
+        world = HostWorld(sim_class, "dcqcn", HostConfig(), bfc=False)
+        for op in [("start", 0, 9_000), ("run", 1_000), ("cnp", 0, 0), ("run", 100)]:
+            host_step(world, op)
+        host = world.hosts[0]
+        now = world.sim.now
+        answers.append(([host.nic.has_work_at(now + dt) for dt in (0, 1_000, 100_000)],
+                        host.nic.host is host))
+        snapshots.append(world.snapshot())
+    assert answers[1] == answers[0]
+    assert answers[0][1] and answers[0][0][-1] is True
+    assert snapshots[1] == snapshots[0]
+
+
+class FlowStateSpy(NicScheduler):
+    """Overrides ``flow_state`` (and calls the Python one): the NIC stays
+    Python on both planes, and the host's ACK and CNP paths go through it."""
+
+    def __init__(self, host):
+        super().__init__(host)
+        self.lookups = []
+
+    def flow_state(self, flow_id):
+        self.lookups.append(flow_id)
+        return super().flow_state(flow_id)
+
+
+def test_a_nic_that_overrides_flow_state_keeps_the_python_nic():
+    logs, snapshots = [], []
+    for sim_class in (PURE, COMPILED):
+        world = HostWorld(sim_class, "dcqcn", HostConfig(), bfc=False, nic_class=FlowStateSpy)
+        assert not plane.is_compiled_nic(world.hosts[0].nic)
+        for op in CNP_OPS + ACK_OPS:
+            host_step(world, op)
+        logs.append(list(world.hosts[0].nic.lookups))
+        snapshots.append(world.snapshot())
+    assert logs[1] == logs[0] and logs[0]
+    assert snapshots[1] == snapshots[0]
+
+
+#: Each host attribute the compiled NIC binds, with a fresh value of it.  The
+#: counts Host makes through its ``_cv`` alias stay with the first counters.
+NIC_SETTINGS = {
+    "config": lambda host: dataclasses.replace(host.config, mark_first_packet=True),
+    "cc": lambda host: CC_FACTORIES["windowed"](host._uplink_rate),
+    "receivers": lambda host: dict(host.receivers),
+    "counters": lambda host: type(host.counters)(),
+    "_cv": lambda host: host.counters.values,
+    "_pending_control": lambda host: [],
+    "_selective": lambda host: True,
+    "_no_window": lambda host: False,
+    "_uplink_port": lambda host: host._uplink_port,
+    "_uplink_rate": lambda host: host._uplink_rate / 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NIC_SETTINGS))
+def test_a_host_setting_assigned_after_binding_is_followed(name):
+    # Half the traffic runs with the setting as the host built it, the rest
+    # after it was assigned a new value: both planes follow the assignment.
+    half = len(CNP_OPS) // 2
+    snapshots = []
+    for sim_class in (PURE, COMPILED):
+        world = HostWorld(sim_class, "dcqcn", HostConfig(), bfc=False)
+        for op in ACK_OPS + CNP_OPS[:half]:
+            host_step(world, op)
+        for host in world.hosts:
+            setattr(host, name, NIC_SETTINGS[name](host))
+        for op in CNP_OPS[half:] + [("start", 0, 6_000), ("run", 40_000)]:
+            host_step(world, op)
+        snapshots.append(world.snapshot())
     assert snapshots[1] == snapshots[0]
 
 
