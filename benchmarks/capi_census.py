@@ -4,16 +4,17 @@ The script copies ``src/repro/sim/_accelcore.c`` to a temporary directory,
 wraps every call into the CPython C API that is a real function call (dict
 lookups, int boxing, tuple packing, attribute and method calls by name, ...)
 in a counting macro keyed by the source line, and builds that copy there.
-A subprocess then runs one observatory workload body at one trace seed on
-the instrumented build and reports the calls per delivered data packet by
-call site, with the C function around each site.  The source tree is never
-written to, and ``src/`` knows nothing of the instrumentation.
+A subprocess then runs one observatory workload body at trace seed
+``SEED`` on the instrumented build and reports the calls per delivered
+data packet by call site, with the C function around each site.  The
+source tree is never written to, and ``src/`` knows nothing of the
+instrumentation.
 
 Usage::
 
     python benchmarks/capi_census.py                        # collective_ring, small
     python benchmarks/capi_census.py --workload incast_dcqcn --top 40
-    python benchmarks/capi_census.py --quick --json out.json  # tiny scale
+    python benchmarks/capi_census.py --quick                # tiny scale
 
 What is counted: each call site of a ``Py*`` function of the C API in the
 file, except reference counting, the ``*_Check``/``*_GET_*`` macros, memory
@@ -41,6 +42,8 @@ from typing import Dict, List, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "repro" / "sim" / "_accelcore.c"
 OBSERVATORY = ROOT / "benchmarks" / "observatory"
+#: The trace seed of the body every census figure is taken at.
+SEED = 7000
 
 #: Names matched by the call pattern that are not calls into the interpreter.
 _NOT_CALLS = re.compile(
@@ -85,7 +88,7 @@ def instrument(text: str) -> str:
     block += [
         "#undef PyObject_TypeCheck\n",
         "#define PyObject_TypeCheck(o, t) (Py_IS_TYPE((o), (t)) || "
-        f"(census_hit(__LINE__, {len(names)}), PyType_IsSubtype(Py_TYPE(o), (t))))\n",
+        f"(census_hit(__LINE__, {len(names)}), (PyType_IsSubtype)(Py_TYPE(o), (t))))\n",
         f'#line {last_include + 2} "_accelcore.c"\n',
     ]
     return "".join(lines[: last_include + 1] + block + lines[last_include + 1 :])
@@ -148,7 +151,7 @@ def enclosing_functions(text: str) -> Dict[int, str]:
     return owner
 
 
-def census(workload: str, seed: int, quick: bool) -> Dict[str, object]:
+def census(workload: str, quick: bool) -> Dict[str, object]:
     """Run the census; the per-site table and the total per packet."""
     text = SOURCE.read_text()
     names = api_names(text) + ["PyType_IsSubtype"]
@@ -163,7 +166,7 @@ def census(workload: str, seed: int, quick: bool) -> Dict[str, object]:
             "BUILDER", repr(str(SOURCE.parent / "accel_build.py"))
         )
         done = subprocess.run(
-            [sys.executable, "-c", child, str(so), workload, str(seed), "1" if quick else "0", str(out)],
+            [sys.executable, "-c", child, str(so), workload, str(SEED), "1" if quick else "0", str(out)],
             env=env,
             cwd=tmp,
         )
@@ -179,7 +182,6 @@ def census(workload: str, seed: int, quick: bool) -> Dict[str, object]:
     sites.sort(key=lambda site: (-site[3], site[0]))
     return {
         "workload": workload,
-        "seed": seed,
         "scale": "tiny" if quick else "small",
         "packets": packets,
         "calls_per_packet": sum(site[3] for site in sites),
@@ -194,21 +196,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="collective_ring",
                         choices=["incast_bfc", "incast_dcqcn", "collective_ring", "openloop_spill"])
-    parser.add_argument("--seed", type=int, default=7000, help="trace seed of the body")
     parser.add_argument("--quick", action="store_true", help="tiny scale")
     parser.add_argument("--top", type=int, default=30, help="call sites to print")
-    parser.add_argument("--json", metavar="OUT", help="write the full table here")
     args = parser.parse_args(argv)
-    result = census(args.workload, args.seed, args.quick)
-    print(f"{result['workload']} ({result['scale']}, trace seed {result['seed']}): "
+    result = census(args.workload, args.quick)
+    print(f"{result['workload']} ({result['scale']}, trace seed {SEED}): "
           f"{result['packets']} delivered data packets")
     print(f"{'line':>6}  {'function':<28} {'api':<32} {'per packet':>10}")
     for site in result["sites"][: args.top]:
         print(f"{site['line']:>6}  {site['function']:<28} {site['api']:<32} {site['per_packet']:>10.2f}")
     print(f"total: {result['calls_per_packet']:.1f} C-API calls per delivered packet "
           f"over {len(result['sites'])} call sites")
-    if args.json:
-        Path(args.json).write_text(json.dumps(result, indent=1))
     return 0 if result["packets"] else 1
 
 

@@ -29,7 +29,7 @@
  * NIC bump (C fields of the node's Counters, folded into its values dict
  * before any read), and the host settings the NIC reads (bound when the
  * host assigns them, not looked up per packet).  Type checks of the
- * plane's Python subclasses of its C bases go through a small memo.
+ * plane's own C types walk the tp_base chain (type_is), with no call.
  *
  * Every table and queue in the file is one of two containers, defined once
  * ahead of the engine: an int64 -> int64 hash map (imap_t: the cancelled
@@ -1243,43 +1243,18 @@ bind(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
 /* -- Small helpers ---------------------------------------------------- */
 
-/* PyObject_TypeCheck behind a memo of (type, base) -> answer, so an object
- * of one of the plane's Python subclasses of a C base (or of another
- * discipline a port tries first) costs a few compares once its type has
- * been seen.  The memo has two ways per set, the older one evicted, and
- * holds a reference to each type it remembers, so no remembered address is
- * reused by another type. */
-#define TYPE_MEMO_SETS 64
-typedef struct {
-    PyTypeObject *type;
-    PyTypeObject *base;
-    int is;
-} type_memo_way;
-static type_memo_way type_memo[TYPE_MEMO_SETS][2];
-
-static int
+/* PyObject_TypeCheck for one of this file's C types, with no call: each
+ * of them adds fields to object, and CPython lays a class out on its
+ * tp_base, so every subtype of one has it on its tp_base chain.  From one
+ * of the plane's Python classes the chain is its C base, then object. */
+static inline int
 type_is(PyObject *obj, PyTypeObject *base)
 {
-    PyTypeObject *type = Py_TYPE(obj), *old;
-    type_memo_way *set, fresh;
-    int is;
-    if (type == base)
-        return 1;
-    set = type_memo[((((uint64_t)(uintptr_t)type ^ ((uint64_t)(uintptr_t)base << 7)) *
-                      0x9E3779B97F4A7C15ULL) >> 58) % TYPE_MEMO_SETS];
-    if (set[0].type == type && set[0].base == base)
-        return set[0].is;
-    if (set[1].type == type && set[1].base == base)
-        return set[1].is;
-    is = PyType_IsSubtype(type, base);
-    fresh.type = (PyTypeObject *)Py_NewRef(type);
-    fresh.base = base;
-    fresh.is = is;
-    old = set[1].type;
-    set[1] = set[0];
-    set[0] = fresh;
-    Py_XDECREF(old);
-    return is;
+    PyTypeObject *type;
+    for (type = Py_TYPE(obj); type != NULL; type = type->tp_base)
+        if (type == base)
+            return 1;
+    return 0;
 }
 
 /* Call obj.name(*args) with one or two positional arguments. */
@@ -2115,11 +2090,18 @@ Buffer_get_free(BufferObject *self, void *closure)
     return PyLong_FromLongLong(buffer_free(self));
 }
 
-/* {ingress: bytes} for every ingress that has had bytes (a snapshot). */
+/* {ingress: bytes} for every ingress that has had bytes: a read-only
+ * snapshot, so code that still writes to it raises instead of losing the
+ * write. */
 static PyObject *
 Buffer_get_per_ingress(BufferObject *self, void *closure)
 {
-    return ingress_dict(&self->per_ingress, 0);
+    PyObject *dict = ingress_dict(&self->per_ingress, 0), *view;
+    if (dict == NULL)
+        return NULL;
+    view = PyDictProxy_New(dict);
+    Py_DECREF(dict);
+    return view;
 }
 
 static int
@@ -2167,7 +2149,7 @@ static PyMemberDef Buffer_members[] = {
 static PyGetSetDef Buffer_getset[] = {
     {"free", (getter)Buffer_get_free, NULL, "Unallocated bytes.", NULL},
     {"per_ingress", (getter)Buffer_get_per_ingress, NULL,
-     "Bytes attributed to each ingress (a snapshot dict).", NULL},
+     "Bytes attributed to each ingress (a read-only snapshot).", NULL},
     {NULL},
 };
 
@@ -2637,17 +2619,19 @@ Port_set_pfc_paused(PortObject *self, PyObject *paused)
     Py_RETURN_NONE;
 }
 
-/* The control queue's packets, head first (a snapshot). */
+/* The control queue's packets, head first: a tuple, so code that still
+ * appends to it raises instead of losing the packet (queue_control and
+ * send_control are the writers). */
 static PyObject *
 Port_get_control_queue(PortObject *self, void *closure)
 {
-    PyObject *list = PyList_New(self->control.count);
+    PyObject *tuple = PyTuple_New(self->control.count);
     Py_ssize_t k;
-    if (list == NULL)
+    if (tuple == NULL)
         return NULL;
     for (k = 0; k < self->control.count; k++)
-        PyList_SET_ITEM(list, k, Py_NewRef(ring_at(&self->control, k)->packet));
-    return list;
+        PyTuple_SET_ITEM(tuple, k, Py_NewRef(ring_at(&self->control, k)->packet));
+    return tuple;
 }
 
 static PyObject *
@@ -2767,7 +2751,7 @@ static PyMemberDef Port_members[] = {
 
 static PyGetSetDef Port_getset[] = {
     {"control_queue", (getter)Port_get_control_queue, NULL,
-     "The queued control packets, head first (a snapshot list).", NULL},
+     "The queued control packets, head first (a snapshot tuple).", NULL},
     {"_post", (getter)Port_get_post, (setter)Port_set_post,
      "The post alias; replacing it routes every post through the replacement.",
      NULL},
@@ -3116,6 +3100,8 @@ error:
     return -1;
 }
 
+static int pfc_load(SwitchPlaneObject *self, PyObject *sent);
+
 /* A replaced Switch._admit_data: called as the Python hop calls it. */
 static int
 plane_admit_override(SwitchPlaneObject *self, PyObject *packet,
@@ -3138,7 +3124,9 @@ plane_admit_override(SwitchPlaneObject *self, PyObject *packet,
     if (res == NULL)
         return -1;
     Py_DECREF(res);
-    return 0;
+    /* The Python hop may have set a flag in _pfc_sent itself (through an
+     * instance's own _check_pfc_pause): take the dict's flags back. */
+    return pfc_load(self, self->pfc_sent);
 }
 
 /* Switch.handle_packet. */

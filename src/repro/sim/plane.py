@@ -65,7 +65,7 @@ class FifoDiscipline(_accelcore.FifoDiscipline, disciplines.FifoDiscipline):
 
 class SharedBuffer(_accelcore.SharedBuffer, buffer.SharedBuffer):
     """:class:`repro.sim.buffer.SharedBuffer` with its byte counts in C
-    (``per_ingress`` reads as a snapshot dict)."""
+    (``per_ingress`` reads as a read-only snapshot)."""
 
 
 class Counters(_accelcore.Counters, stats.Counters):
@@ -89,7 +89,7 @@ class EgressPort(_accelcore.EgressPort, port.EgressPort):
     """:class:`repro.sim.port.EgressPort` with ``kick``, ``notify``,
     ``send_control``, ``queue_control`` and ``set_pfc_paused`` in C, and the
     same attributes, readable and writable, but for ``control_queue``: the
-    control queue is a C ring, read as a snapshot list.  It builds its queue
+    control queue is a C ring, read as a snapshot tuple.  It builds its queue
     and meters itself."""
 
 

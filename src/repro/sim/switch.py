@@ -114,18 +114,23 @@ class Switch(Node):
         # On the compiled plane the data hop runs in C: deliveries enter the
         # plane's handle_packet, and the Python methods below stay the
         # pure plane and the reference.  A subclass that overrides the hop
-        # keeps the Python one.
+        # or a PFC check keeps the Python one.
         self._plane = None
-        if plane is not None and type(self).handle_packet is Switch.handle_packet:
+        cls = type(self)
+        if (
+            plane is not None
+            and cls.handle_packet is Switch.handle_packet
+            and cls._check_pfc_pause is Switch._check_pfc_pause
+            and cls._check_pfc_resume is Switch._check_pfc_resume
+        ):
             self._plane = plane.SwitchPlane(self, _ROUTE_CACHE_LIMIT)
             self._configure_plane()
             self.handle_packet = self._plane.handle_packet
             # The hop keeps the PFC flags in C (``_pfc_sent`` mirrors them):
-            # Python hop code (a replaced ``_admit_data``) checks through it.
-            if type(self)._check_pfc_pause is Switch._check_pfc_pause:
-                self._check_pfc_pause = self._plane.check_pfc_pause
-            if type(self)._check_pfc_resume is Switch._check_pfc_resume:
-                self._check_pfc_resume = self._plane.check_pfc_resume
+            # Python hop code (a replaced ``_admit_data``) checks through it,
+            # and the hop reloads the flags from ``_pfc_sent`` after that code.
+            self._check_pfc_pause = self._plane.check_pfc_pause
+            self._check_pfc_resume = self._plane.check_pfc_resume
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)

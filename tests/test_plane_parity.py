@@ -103,9 +103,10 @@ def pfc(pause):
 class World:
     """One switch with ``SINKS`` sink nodes, on one plane."""
 
-    def __init__(self, sim_class, buffer_bytes=20_000, ecn=True, fraction=0.11):
+    def __init__(self, sim_class, buffer_bytes=20_000, ecn=True, fraction=0.11,
+                 switch_class=Switch):
         self.sim = sim = sim_class(seed=7)
-        self.switch = Switch(
+        self.switch = switch_class(
             sim,
             "sw",
             buffer_bytes=buffer_bytes,
@@ -248,6 +249,87 @@ def test_the_python_faces_of_the_hop_agree():
     assert answers[1] == answers[0]
     assert answers[0][0] is True and answers[0][1] == [True, True, False, False]
     assert worlds[1].snapshot() == worlds[0].snapshot()
+
+
+class SpyPfcSwitch(Switch):
+    """Overrides both PFC checks, calling the base, and records each call."""
+
+    def __init__(self, *args, **kwargs):
+        self.checks = []
+        super().__init__(*args, **kwargs)
+
+    def _check_pfc_pause(self, ingress):
+        self.checks.append(("pause", ingress))
+        super()._check_pfc_pause(ingress)
+
+    def _check_pfc_resume(self, ingress):
+        self.checks.append(("resume", ingress))
+        super()._check_pfc_resume(ingress)
+
+
+def inject_admit(switch):
+    """Replace the switch's ``_admit_data`` on the instance with a wrapper of
+    the class's, as a test that injects drops does."""
+    admit = type(switch)._admit_data.__get__(switch)
+    switch._admit_data = lambda packet, in_index, out_iface: admit(packet, in_index, out_iface)
+
+
+PFC_CYCLE = [("pfc", 1, True)] + burst(0, 1, 12) + [("run", 1_000), ("pfc", 1, False),
+                                                     ("run", 20_000)]
+
+
+def test_a_switch_that_overrides_a_pfc_check_keeps_the_python_hop():
+    # The override writes _pfc_sent itself, so the hop must not keep the
+    # flags anywhere else: the pause it sends is followed by its resume.
+    worlds = [World(sim_class, buffer_bytes=100_000, switch_class=SpyPfcSwitch)
+              for sim_class in (PURE, COMPILED)]
+    assert worlds[1].switch._plane is None
+    for world in worlds:
+        inject_admit(world.switch)
+        for op in PFC_CYCLE:
+            step(world, op)
+    pure, compiled = (world.snapshot() for world in worlds)
+    assert compiled == pure
+    assert worlds[1].switch.checks == worlds[0].switch.checks
+    assert ("pause", 0) in worlds[0].switch.checks
+    assert ("resume", 0) in worlds[0].switch.checks
+    counters = pure["switch"][0]
+    assert counters["pfc_pause_frames"] == counters["pfc_resume_frames"] == 1
+
+
+def test_a_pfc_check_replaced_on_the_instance_is_followed_by_the_hop():
+    # An instance whose replaced _admit_data runs the Python pause check
+    # (which sets _pfc_sent in place): the compiled hop takes the flag from
+    # the dict, so its resume check on dequeue finds the pause.
+    worlds = [World(sim_class, buffer_bytes=100_000) for sim_class in (PURE, COMPILED)]
+    for world in worlds:
+        switch = world.switch
+        switch._check_pfc_pause = Switch._check_pfc_pause.__get__(switch)
+        inject_admit(switch)
+        for op in PFC_CYCLE:
+            step(world, op)
+    pure, compiled = (world.snapshot() for world in worlds)
+    assert compiled == pure
+    counters = pure["switch"][0]
+    assert counters["pfc_pause_frames"] == counters["pfc_resume_frames"] == 1
+    assert pure["switch"][1] == {0: False}
+
+
+def test_the_compiled_snapshots_refuse_writes():
+    # control_queue and per_ingress are copies of C state on the compiled
+    # plane: a write to one must raise, not vanish.
+    world = World(COMPILED, buffer_bytes=100_000)
+    for op in burst(0, 1, 3) + [("ack", 0, 1, 9)]:
+        step(world, op)
+    port = world.switch.interface_to(world.sinks[1]).tx
+    buffer = world.switch.buffer
+    before = world.snapshot()
+    assert len(port.control_queue) == 1 and buffer.per_ingress[0] > 0
+    with pytest.raises(AttributeError):
+        port.control_queue.append(ack(0, 1, 10))
+    with pytest.raises(TypeError):
+        buffer.per_ingress[0] = 0
+    assert world.snapshot() == before
 
 
 def test_overflow_drops_are_counted():
